@@ -1,5 +1,6 @@
-//! The single experiment driver: runs any registered experiment (E1–E14) as
-//! a parallel, deterministic multi-seed sweep.
+//! The single experiment driver: runs any registered experiment (E1–E15) as
+//! a parallel, deterministic multi-seed sweep, and verifies or re-blesses
+//! the committed baselines.
 //!
 //! ```text
 //! bench --list
@@ -7,6 +8,8 @@
 //! bench --exp e3 --seeds 32 --jobs 8 --json
 //! bench --exp all --seeds 4 --quick --json
 //! bench --validate results/BENCH_e3.json
+//! bench verify                           # every document x every engine vs results/baselines/
+//! bench verify --bless                   # rewrite the baselines (engines must agree)
 //! bench simcheck --seed 7 --cases 200    # invariant-oracle fuzzing
 //! ```
 //!
@@ -19,17 +22,20 @@ use std::time::Instant;
 
 use metaclass_bench::experiments::scenario::{scenarios_in, ScenarioExperiment};
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig};
-use metaclass_bench::{default_jobs, experiments, quick_requested, Experiment, Scale};
-use metaclass_core::ScenarioSpec;
+use metaclass_bench::{default_jobs, experiments, verify, Experiment, Scale};
+use metaclass_core::{ScenarioError, ScenarioSpec};
 use metaclass_netsim::EngineConfig;
 
 /// The repository's scenario registry directory.
 const SCENARIO_DIR: &str = "scenarios";
+/// The committed baselines `bench verify` compares against.
+const BASELINE_DIR: &str = "results/baselines";
 
 struct Args {
     exp: Option<String>,
     seeds: u64,
     jobs: usize,
+    quick: bool,
     json: bool,
     list: bool,
     engine: EngineConfig,
@@ -44,6 +50,7 @@ fn usage() -> ! {
          \x20      bench --scenario FILE [--scenario FILE ...]\n\
          \x20      bench --list\n\
          \x20      bench --validate FILE...\n\
+         \x20      bench verify [--bless]\n\
          \x20      bench simcheck [--seed N] [--cases N] [--full] [--write DIR] [--engine E]\n\
          \x20                     [--scenario FILE]\n\
          \n\
@@ -58,7 +65,10 @@ fn usage() -> ! {
          \x20 --population N   pooled planet-tier population override (E3/E4)\n\
          \x20 --list           list registered experiments + scenarios/ specs\n\
          \x20 --validate       check BENCH_*.json documents and *.toml scenario\n\
-         \x20                  specs (dispatched by extension)"
+         \x20                  specs (dispatched by extension)\n\
+         \x20 verify           regenerate every document (quick, 4 seeds) under serial,\n\
+         \x20                  sharded:2 and sharded:4 and compare with results/baselines/;\n\
+         \x20                  --bless rewrites the baselines when all engines agree"
     );
     std::process::exit(2)
 }
@@ -68,6 +78,7 @@ fn parse_args() -> Args {
         exp: None,
         seeds: 8,
         jobs: default_jobs(),
+        quick: false,
         json: false,
         list: false,
         engine: EngineConfig::default(),
@@ -95,7 +106,7 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = true,
             "--list" => args.list = true,
-            "--quick" => {} // read via quick_requested()
+            "--quick" => args.quick = true,
             "--engine" => {
                 let raw = it.next().unwrap_or_else(|| usage());
                 match metaclass_netsim::parse_engine(&raw) {
@@ -129,25 +140,72 @@ fn parse_args() -> Args {
     args
 }
 
+/// Every registered document: e1..e15, then each `scenarios/*.toml`.
+fn registered() -> Result<Vec<&'static dyn Experiment>, ScenarioError> {
+    let mut all = experiments::all().to_vec();
+    for s in scenarios_in(std::path::Path::new(SCENARIO_DIR))? {
+        all.push(Box::leak(Box::new(s)));
+    }
+    Ok(all)
+}
+
+/// `bench verify [--bless]`.
+fn run_verify(args: &[String]) -> ExitCode {
+    let bless = match args {
+        [] => false,
+        [flag] if flag == "--bless" => true,
+        _ => usage(),
+    };
+    let targets = match registered() {
+        Ok(targets) => targets,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let dir = std::path::Path::new(BASELINE_DIR);
+    let engines = verify::ENGINES.len();
+    let result = if bless { verify::bless(&targets, dir) } else { verify::verify(&targets, dir) };
+    match result {
+        Ok(n) if bless => {
+            println!("verify: {n} documents x {engines} engines agree; wrote {BASELINE_DIR}/");
+        }
+        Ok(n) => {
+            println!("verify: {n} documents x {engines} engines byte-identical to {BASELINE_DIR}/");
+        }
+        Err(lines) => {
+            for line in &lines {
+                eprintln!("{line}");
+            }
+            if bless {
+                eprintln!("verify: an engine disagrees with serial; nothing written");
+            } else {
+                eprintln!("verify: FAILED (after an intended output change: bench verify --bless)");
+            }
+            return ExitCode::FAILURE;
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
-    // `bench simcheck ...` dispatches to the invariant-oracle explorer
-    // before the sweep-flag parser sees anything.
+    // `bench simcheck ...` and `bench verify ...` dispatch before the
+    // sweep-flag parser sees anything.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("simcheck") {
-        return ExitCode::from(metaclass_simcheck::run_cli(&argv[1..]) as u8);
+    match argv.first().map(String::as_str) {
+        Some("simcheck") => return ExitCode::from(metaclass_simcheck::run_cli(&argv[1..]) as u8),
+        Some("verify") => return run_verify(&argv[1..]),
+        _ => {}
     }
 
     let args = parse_args();
 
     if args.list {
-        println!("id     title");
-        for e in experiments::all() {
-            println!("{:<6} {}", e.id(), e.title());
-        }
-        match scenarios_in(std::path::Path::new(SCENARIO_DIR)) {
-            Ok(scenarios) => {
-                for s in scenarios {
-                    println!("{:<6} {}", s.id(), s.title());
+        match registered() {
+            Ok(all) => {
+                println!("id     title");
+                for e in all {
+                    println!("{:<6} {}", e.id(), e.title());
                 }
             }
             Err(e) => {
@@ -207,8 +265,8 @@ fn main() -> ExitCode {
     if args.exp.is_none() && args.scenarios.is_empty() {
         usage()
     }
-    let scale = Scale::from_quick_flag(quick_requested());
-    let mut targets: Vec<&'static dyn metaclass_bench::Experiment> = Vec::new();
+    let scale = Scale::from_quick_flag(args.quick);
+    let mut targets: Vec<&'static dyn Experiment> = Vec::new();
     if let Some(exp_arg) = &args.exp {
         if exp_arg.eq_ignore_ascii_case("all") {
             targets.extend(experiments::all());

@@ -6,7 +6,8 @@
 //! standard deterministic expander: seed → session → report. The experiment
 //! id is `scenario_<name>`, so sweeps write
 //! `results/BENCH_scenario_<name>.json` through the unchanged sweep writer
-//! and perf_gate/CI can diff the canonical scenarios like any `eN`.
+//! and `bench verify` holds the canonical scenarios to their baselines like
+//! any `eN`.
 
 use std::path::{Path, PathBuf};
 

@@ -15,16 +15,19 @@
 //! cargo run --release -p metaclass-bench --bin bench -- --exp e3
 //! cargo run --release -p metaclass-bench --bin bench -- --exp e3 --seeds 32 --jobs 8 --json
 //! cargo run --release -p metaclass-bench --bin bench -- --exp all --seeds 8 --json
+//! cargo run --release -p metaclass-bench --bin bench -- verify
 //! ```
 //!
 //! `--json` writes a schema-versioned `results/BENCH_<exp>.json` whose bytes
-//! depend only on `(experiment, scale, seeds)` — never on `--jobs` — see the
-//! [`sweep`] module.
+//! depend only on `(experiment, scale, seeds)` — never on `--jobs` or the
+//! engine — see the [`sweep`] module; [`verify`] holds every registered
+//! document to its committed baseline under every engine.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod sweep;
+pub mod verify;
 
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -283,13 +286,6 @@ impl Display for Table {
     }
 }
 
-/// Whether the current invocation asked for the reduced configuration
-/// (`--quick` argument or `METACLASS_QUICK=1`).
-pub fn quick_requested() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("METACLASS_QUICK").is_ok_and(|v| v == "1")
-}
-
 /// Runs independent seeded trials on at most `jobs` scoped worker threads.
 ///
 /// Deterministic by construction: results come back ordered by trial index
@@ -323,17 +319,6 @@ where
 /// The number of worker threads to default to (`--jobs` unset).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-}
-
-/// Writes a JSON record for an experiment under `results/` (best effort; the
-/// experiment's stdout table is the primary artifact).
-pub fn emit_json(experiment: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{experiment}.json"));
-    let _ = std::fs::write(path, serde_json::to_string_pretty(value).unwrap_or_default());
 }
 
 /// Formats a nanosecond quantity as milliseconds.

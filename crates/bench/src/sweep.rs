@@ -286,10 +286,16 @@ impl SweepDoc {
     /// creating `dir` if needed. Returns the path written.
     pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.experiment));
+        let path = bench_path(dir, &self.experiment);
         std::fs::write(&path, self.to_json_string())?;
         Ok(path)
     }
+}
+
+/// `<dir>/BENCH_<experiment>.json`: where a sweep is written and where its
+/// baseline is kept.
+pub fn bench_path(dir: &Path, experiment: &str) -> PathBuf {
+    dir.join(format!("BENCH_{experiment}.json"))
 }
 
 /// Parses and validates a `BENCH_*.json` document: structurally (every

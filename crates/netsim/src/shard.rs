@@ -27,8 +27,7 @@
 //! cost. *Batched outbox exchange* moves each nonempty outbox across the
 //! barrier as one buffer handoff per shard pair — buffers are pooled and
 //! recycled — instead of pushing entries one by one. *Adaptive lookahead*
-//! (on by default; see [`EngineConfig`](crate::EngineConfig)) detects
-//! windows where exactly one lane has pending work before every other
+//! detects windows where exactly one lane has pending work before every other
 //! lane's horizon: the busy lane then leaps past the classic window in a
 //! single inline dispatch, bounded by the runner-up instant and self-clamped
 //! at its first cross-shard send, eliding the barriers a classic run would
@@ -556,7 +555,6 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
         sim.note_serial_fallback();
         return None;
     };
-    let adaptive = sim.engine.adaptive_lookahead;
     let k = plan.shards;
 
     let (mut lanes, mut faults) = deal_out(sim, &plan);
@@ -638,16 +636,14 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
             // `lane_window`); scripted faults and the caller's deadline
             // still bound it below.
             let mut clamp_sends = false;
-            if adaptive {
-                if min2 == u64::MAX {
-                    if min1 != u64::MAX {
-                        w_end = None;
-                        clamp_sends = true;
-                    }
-                } else if w_end.is_some_and(|e| min2 > e.as_nanos()) {
-                    w_end = Some(SimTime::from_nanos(min2));
+            if min2 == u64::MAX {
+                if min1 != u64::MAX {
+                    w_end = None;
                     clamp_sends = true;
                 }
+            } else if w_end.is_some_and(|e| min2 > e.as_nanos()) {
+                w_end = Some(SimTime::from_nanos(min2));
+                clamp_sends = true;
             }
             w_end = min_opt(w_end, faults.front().map(|f| f.0));
             if until < SimTime::MAX {
@@ -1028,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_lookahead_elides_barriers_and_stays_byte_identical() {
+    fn solo_lane_elides_barriers_and_stays_byte_identical() {
         let run = |cfg: crate::sim::EngineConfig| {
             let mut sim = sparse_sim(13);
             sim.set_engine_config(cfg);
@@ -1038,21 +1034,15 @@ mod tests {
             (sim.trace().unwrap().fingerprint(), snap)
         };
         let serial = run(crate::sim::EngineConfig::serial());
-        let on = run(crate::sim::EngineConfig::sharded(2));
-        let off = run(crate::sim::EngineConfig::sharded(2).with_adaptive_lookahead(false));
-        assert_eq!(serial.0, on.0, "adaptive sharded trace diverged from serial");
-        assert_eq!(serial.0, off.0, "classic sharded trace diverged from serial");
+        let sharded = run(crate::sim::EngineConfig::sharded(2));
+        assert_eq!(serial.0, sharded.0, "sharded trace diverged from serial");
         assert_eq!(
-            on.1.without_prefix("engine."),
-            off.1.without_prefix("engine."),
+            serial.1.without_prefix("engine."),
+            sharded.1.without_prefix("engine."),
             "world metrics must not depend on barrier elision"
         );
-        let elided = on.1.counters.get("engine.barriers_elided").copied().unwrap_or(0);
+        let elided = sharded.1.counters.get("engine.barriers_elided").copied().unwrap_or(0);
         assert!(elided > 0, "solo-lane traffic must elide barriers, got {elided}");
-        assert!(
-            !off.1.counters.contains_key("engine.barriers_elided"),
-            "elision disabled must not count elided barriers"
-        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub enum EngineMode {
 /// Default shard count when the caller asks for `sharded` without a number.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Per-simulation engine configuration: the executor plus its tuning knobs.
+/// Per-simulation engine configuration.
 ///
 /// Every [`Simulation`] carries its own `EngineConfig` (set it with
 /// [`Simulation::builder`] or [`Simulation::set_engine_config`]); there is
@@ -55,22 +55,12 @@ pub const DEFAULT_SHARDS: usize = 4;
 pub struct EngineConfig {
     /// Which executor processes events.
     pub mode: EngineMode,
-    /// Enables adaptive lookahead (barrier elision) under
-    /// [`EngineMode::Sharded`]: while all shards but one are quiescent and
-    /// no cross-shard message is pending, the busy shard advances in
-    /// multi-window leaps bounded by its next cross-shard send instead of
-    /// synchronizing at every lookahead window. Results are byte-identical
-    /// either way (property-tested); elided barriers are counted in
-    /// `engine.barriers_elided`. `true` by default; inert under
-    /// [`EngineMode::Serial`].
-    pub adaptive_lookahead: bool,
 }
 
 impl Default for EngineConfig {
-    /// Serial execution, adaptive lookahead enabled (inert until a sharded
-    /// mode is selected).
+    /// Serial execution.
     fn default() -> Self {
-        EngineConfig { mode: EngineMode::Serial, adaptive_lookahead: true }
+        EngineConfig { mode: EngineMode::Serial }
     }
 }
 
@@ -82,19 +72,13 @@ impl EngineConfig {
 
     /// The sharded executor with `shards` worker lanes.
     pub fn sharded(shards: usize) -> Self {
-        EngineConfig { mode: EngineMode::Sharded { shards }, ..EngineConfig::default() }
-    }
-
-    /// Returns the configuration with adaptive lookahead switched on or off.
-    pub fn with_adaptive_lookahead(mut self, on: bool) -> Self {
-        self.adaptive_lookahead = on;
-        self
+        EngineConfig { mode: EngineMode::Sharded { shards } }
     }
 }
 
 impl From<EngineMode> for EngineConfig {
     fn from(mode: EngineMode) -> Self {
-        EngineConfig { mode, ..EngineConfig::default() }
+        EngineConfig { mode }
     }
 }
 
@@ -131,7 +115,7 @@ impl<M> SimulationBuilder<M> {
         self
     }
 
-    /// Selects the executor, keeping the other engine knobs.
+    /// Selects the executor.
     pub fn engine(mut self, mode: EngineMode) -> Self {
         self.config.mode = mode;
         self
@@ -140,13 +124,6 @@ impl<M> SimulationBuilder<M> {
     /// Replaces the whole engine configuration.
     pub fn engine_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Switches adaptive lookahead on or off
-    /// (see [`EngineConfig::adaptive_lookahead`]).
-    pub fn adaptive_lookahead(mut self, on: bool) -> Self {
-        self.config.adaptive_lookahead = on;
         self
     }
 }
@@ -917,9 +894,9 @@ impl<M: 'static> Simulation<M> {
         SimulationBuilder::new()
     }
 
-    /// Selects the executor for subsequent runs, keeping the other engine
-    /// knobs. Safe to change between runs; the produced traces, metrics,
-    /// and node states are identical either way.
+    /// Selects the executor for subsequent runs. Safe to change between
+    /// runs; the produced traces, metrics, and node states are identical
+    /// either way.
     pub fn set_engine(&mut self, mode: EngineMode) {
         self.engine.mode = mode;
         self.shard_cache = None;
@@ -1948,17 +1925,12 @@ mod tests {
 
     #[test]
     fn builder_carries_the_engine_config_per_run() {
-        let sim: Simulation<Msg> = Simulation::builder()
-            .seed(11)
-            .engine(EngineMode::Sharded { shards: 4 })
-            .adaptive_lookahead(false)
-            .build();
+        let sim: Simulation<Msg> =
+            Simulation::builder().seed(11).engine(EngineMode::Sharded { shards: 4 }).build();
         assert_eq!(sim.engine(), EngineMode::Sharded { shards: 4 });
-        assert!(!sim.engine_config().adaptive_lookahead);
         // A second simulation is unaffected: nothing process-global moved.
         let other: Simulation<Msg> = Simulation::new(12);
         assert_eq!(other.engine(), EngineMode::Serial);
-        assert!(other.engine_config().adaptive_lookahead);
         // Explicit configs stand on their own too.
         let sim: Simulation<Msg> = Simulation::with_config(3, EngineConfig::sharded(2));
         assert_eq!(sim.engine(), EngineMode::Sharded { shards: 2 });

@@ -49,35 +49,69 @@ pub struct TraceEvent {
 
 /// A bounded in-memory event trace.
 ///
-/// Recording stops silently once `capacity` events have been stored; the
-/// [`Trace::truncated`] flag reports whether that happened.
+/// Storing stops silently once `capacity` events are held — the
+/// [`Trace::truncated`] flag reports whether that happened — but every
+/// event, stored or not, is folded into the [`Trace::fingerprint`].
 #[derive(Debug, Clone)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,
-    truncated: bool,
+    /// Events pushed, stored or not.
+    seen: u64,
+    /// Running FNV-1a state over every pushed event.
+    hash: u64,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv_mix(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
 }
 
 impl Trace {
     /// Creates a trace storing at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        Trace { events: Vec::new(), capacity, truncated: false }
+        Trace { events: Vec::new(), capacity, seen: 0, hash: FNV_OFFSET }
     }
 
     pub(crate) fn push(&mut self, ev: TraceEvent) {
+        let kind_code: u64 = match ev.kind {
+            TraceKind::Sent => 1,
+            TraceKind::Delivered => 2,
+            TraceKind::Dropped(DropReason::QueueFull) => 3,
+            TraceKind::Dropped(DropReason::Loss) => 4,
+            TraceKind::Dropped(DropReason::LinkDown) => 5,
+            TraceKind::NoRoute => 6,
+            TraceKind::TimerFired { tag } => 7 ^ (tag << 8),
+            TraceKind::Dropped(DropReason::NodeDown) => 8,
+            TraceKind::Fault { code } => 9 ^ (code << 8),
+            TraceKind::EngineFallback => 10,
+        };
+        for v in [
+            ev.at.as_nanos(),
+            kind_code,
+            ev.src.index() as u64,
+            ev.dst.index() as u64,
+            ev.size_bytes as u64,
+        ] {
+            fnv_mix(&mut self.hash, v);
+        }
+        self.seen += 1;
         if self.events.len() < self.capacity {
             self.events.push(ev);
-        } else {
-            self.truncated = true;
         }
     }
 
-    /// The recorded events, in order of occurrence.
+    /// The stored events, in order of occurrence.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    /// Number of recorded events.
+    /// Number of stored events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -89,40 +123,17 @@ impl Trace {
 
     /// Whether events were discarded because capacity was reached.
     pub fn truncated(&self) -> bool {
-        self.truncated
+        self.seen > self.events.len() as u64
     }
 
-    /// An order-sensitive 64-bit digest of the trace (FNV-1a over the fields),
-    /// for cheap determinism assertions: two runs with the same seed must
-    /// produce identical fingerprints.
+    /// An order-sensitive 64-bit digest of the whole run (FNV-1a over the
+    /// fields of every event, stored or not), for cheap determinism
+    /// assertions: two runs with the same seed must produce identical
+    /// fingerprints. A truncated trace also folds in its total event count.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for ev in &self.events {
-            mix(ev.at.as_nanos());
-            let kind_code: u64 = match ev.kind {
-                TraceKind::Sent => 1,
-                TraceKind::Delivered => 2,
-                TraceKind::Dropped(DropReason::QueueFull) => 3,
-                TraceKind::Dropped(DropReason::Loss) => 4,
-                TraceKind::Dropped(DropReason::LinkDown) => 5,
-                TraceKind::NoRoute => 6,
-                TraceKind::TimerFired { tag } => 7 ^ (tag << 8),
-                TraceKind::Dropped(DropReason::NodeDown) => 8,
-                TraceKind::Fault { code } => 9 ^ (code << 8),
-                TraceKind::EngineFallback => 10,
-            };
-            mix(kind_code);
-            mix(ev.src.index() as u64);
-            mix(ev.dst.index() as u64);
-            mix(ev.size_bytes as u64);
+        let mut h = self.hash;
+        if self.truncated() {
+            fnv_mix(&mut h, self.seen);
         }
         h
     }
@@ -157,6 +168,29 @@ mod tests {
         t.push(ev(3, TraceKind::Sent));
         assert_eq!(t.len(), 2);
         assert!(t.truncated());
+    }
+
+    #[test]
+    fn fingerprint_covers_events_past_the_capacity_cap() {
+        let run = |tail: u64| {
+            let mut t = Trace::new(2);
+            for at in [1, 2, tail] {
+                t.push(ev(at, TraceKind::Sent));
+            }
+            t
+        };
+        let (a, b) = (run(3), run(4));
+        assert_eq!(a.events(), b.events(), "stored prefixes are equal");
+        assert!(a.truncated() && b.truncated());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        // Capacity does not change the digest of an untruncated trace.
+        let mut roomy = Trace::new(10);
+        let mut exact = Trace::new(2);
+        for at in [1, 2] {
+            roomy.push(ev(at, TraceKind::Sent));
+            exact.push(ev(at, TraceKind::Sent));
+        }
+        assert_eq!(roomy.fingerprint(), exact.fingerprint());
     }
 
     #[test]
