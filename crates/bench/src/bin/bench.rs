@@ -110,10 +110,10 @@ fn parse_args() -> Args {
             "--engine" => {
                 let raw = it.next().unwrap_or_else(|| usage());
                 match metaclass_netsim::parse_engine(&raw) {
-                    Some(mode) => args.engine = EngineConfig::from(mode),
+                    Some(engine) => args.engine = engine,
                     None => {
                         eprintln!(
-                            "--engine: unknown engine {raw:?} (serial | sharded | sharded:<n>)"
+                            "--engine: unknown engine {raw:?} (serial | sharded | sharded:<n>, n >= 2)"
                         );
                         std::process::exit(2);
                     }

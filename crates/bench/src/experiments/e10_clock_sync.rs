@@ -93,7 +93,7 @@ fn measure(
     seed: u64,
     engine: EngineConfig,
 ) -> Row {
-    let mut sim: Simulation<Msg> = Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<Msg> = Simulation::with_config(seed, engine);
     let server = sim.add_node("server", SkewedServer { skew: SimDuration::from_millis(skew_ms) });
     let client = sim.add_node(
         "client",

@@ -64,7 +64,7 @@ impl Node<u32> for Prober {
 }
 
 fn measure_rtt(one_way: SimDuration, probes: u32, seed: u64, engine: EngineConfig) -> f64 {
-    let mut sim: Simulation<u32> = Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<u32> = Simulation::with_config(seed, engine);
     let server = sim.add_node("server", Echo);
     let client = sim
         .add_node("client", Prober { server, pending: None, rtts: Vec::new(), remaining: probes });

@@ -146,7 +146,7 @@ fn access_link(learner: Region, server_region: Region) -> LinkConfig {
 
 fn measure(placement: Placement, learners: u32, seed: u64, engine: EngineConfig) -> Row {
     let mut rng = DetRng::new(seed);
-    let mut sim: Simulation<u64> = Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<u64> = Simulation::with_config(seed, engine);
 
     // Servers.
     let server_regions: Vec<Region> = match placement {

@@ -271,8 +271,7 @@ fn measure(
         .with_bandwidth_bps(1_000_000_000)
         .with_queue_capacity_bytes(16 * 1024 * 1024);
 
-    let mut sim: Simulation<VideoMsg> =
-        Simulation::builder().seed(seed).engine_config(engine).build();
+    let mut sim: Simulation<VideoMsg> = Simulation::with_config(seed, engine);
     let raw_bytes_estimate = frames as f64 * video.mean_frame_bytes();
 
     let (delivered, captures, bytes_sent): (BTreeMap<u64, (SimTime, SimTime)>, usize, u64) =

@@ -28,9 +28,8 @@ fn regenerate(exp: &dyn Experiment) -> Vec<String> {
     ENGINES
         .iter()
         .map(|engine| {
-            let mode = metaclass_netsim::parse_engine(engine).expect("ENGINES entries parse");
-            let cfg =
-                SweepConfig::first_n(SEEDS, default_jobs(), Scale::Quick).with_engine(mode.into());
+            let engine = metaclass_netsim::parse_engine(engine).expect("ENGINES entries parse");
+            let cfg = SweepConfig::first_n(SEEDS, default_jobs(), Scale::Quick).with_engine(engine);
             run_sweep(exp, &cfg).doc.to_json_string()
         })
         .collect()

@@ -68,7 +68,8 @@ pub use path::{mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, HopLatency, Pa
 pub use report::SessionReport;
 pub use scenario::{
     FaultKind, FaultSpec, FlashCrowdSpec, MobilityEvent, PopulationSpec, ScenarioCampus,
-    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec,
+    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec, FAULT_EXTRA_LATENCY,
+    FAULT_LOSS,
 };
 pub use session::{
     protocol_codec, Activity, CampusSpec, ClassroomSession, CohortSpec, Participant, PoolInfo,

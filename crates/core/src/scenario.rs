@@ -30,9 +30,9 @@ use serde::{Deserialize, Serialize, Value};
 use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
-const FAULT_LOSS: f64 = 0.5;
+pub const FAULT_LOSS: f64 = 0.5;
 /// Extra one-way latency applied by a [`FaultKind::LatencySpike`] window.
-const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
+pub const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 // --------------------------------------------------------------- the schema
 
@@ -325,26 +325,18 @@ impl ScenarioSpec {
         b
     }
 
-    /// The fault plan the spec's stress section lowers to, if any. Node ids
-    /// mirror the [`SessionBuilder`] layout (cloud first, then per-campus
-    /// edge/array/headsets).
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
+    /// The fault plan the spec's stress section lowers to over `session`
+    /// (a session built from this spec), if any.
+    pub fn fault_plan(&self, session: &ClassroomSession) -> Option<FaultPlan> {
         let faults = self.stress.as_ref()?.faults.as_ref()?;
         if faults.is_empty() {
             return None;
         }
-        let cloud = NodeId::from_index(0);
-        let mut campus_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut next = 1usize;
-        for c in &self.campuses {
-            let count = 2 + (c.students + u32::from(c.presenter)) as usize;
-            campus_nodes.push((0..count).map(|i| NodeId::from_index(next + i)).collect());
-            next += count;
-        }
+        let cloud = session.cloud();
         let mut plan = FaultPlan::new();
         for f in faults {
             let k = f.campus as usize;
-            let edge = campus_nodes[k][0];
+            let edge = session.edges()[k];
             let from = SimTime::from_millis(f.at_ms);
             let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
             plan = match f.kind {
@@ -356,17 +348,14 @@ impl ScenarioSpec {
                     plan.latency_spike(edge, cloud, from, until, FAULT_EXTRA_LATENCY)
                 }
                 FaultKind::Partition => {
-                    let isolated = campus_nodes[k].clone();
                     let rest: Vec<NodeId> = std::iter::once(cloud)
                         .chain(
-                            campus_nodes
-                                .iter()
-                                .enumerate()
-                                .filter(|(m, _)| *m != k)
-                                .flat_map(|(_, ns)| ns.iter().copied()),
+                            (0..session.edges().len())
+                                .filter(|&m| m != k)
+                                .flat_map(|m| session.campus_nodes(m).iter().copied()),
                         )
                         .collect();
-                    plan.partition_window(&[&isolated, &rest], from, until)
+                    plan.partition_window(&[session.campus_nodes(k), &rest], from, until)
                 }
                 FaultKind::CrashEdge => plan.crash(edge, from, Some(until)),
             };
@@ -378,7 +367,7 @@ impl ScenarioSpec {
     /// and applies the stress fault plan, if any.
     pub fn build_session(&self, seed: u64, engine: EngineConfig) -> ClassroomSession {
         let mut session = self.session_builder(seed).engine_config(engine).build();
-        if let Some(plan) = self.fault_plan() {
+        if let Some(plan) = self.fault_plan(&session) {
             session.sim_mut().apply_fault_plan(plan);
         }
         session

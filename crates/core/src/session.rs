@@ -14,8 +14,8 @@ use metaclass_edge::{
     RoomArrayNode, ServerConfig,
 };
 use metaclass_netsim::{
-    DetRng, EngineConfig, EngineMode, LinkClass, LinkConfig, NodeId, PopulationProfile,
-    PopulationTimeline, Region, SimDuration, SimTime, Simulation,
+    DetRng, EngineConfig, LinkClass, LinkConfig, NodeId, PopulationProfile, PopulationTimeline,
+    Region, SimDuration, SimTime, Simulation,
 };
 use metaclass_sensors::MotionScript;
 use serde::{Deserialize, Serialize};
@@ -154,8 +154,8 @@ pub struct SessionConfig {
     pub fanout: FanoutConfig,
     /// Remote-client tuning.
     pub client: ClientConfig,
-    /// Engine configuration for the underlying simulation (executor plus
-    /// tuning knobs), carried per session — nothing process-global.
+    /// Executor of the underlying simulation, carried per session — nothing
+    /// process-global.
     pub engine: EngineConfig,
 }
 
@@ -267,14 +267,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the simulation executor for this session, keeping the other
-    /// engine knobs (traces and metrics are byte-identical across engines).
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.cfg.engine.mode = mode;
-        self
-    }
-
-    /// Replaces the whole engine configuration for this session.
+    /// Selects the simulation executor for this session (traces and metrics
+    /// are byte-identical across engines).
     pub fn engine_config(mut self, engine: EngineConfig) -> Self {
         self.cfg.engine = engine;
         self
@@ -417,8 +411,7 @@ impl SessionBuilder {
             "a session needs at least one campus, cohort, or population"
         );
         let cfg = self.cfg;
-        let mut sim: Simulation<ClassMsg> =
-            Simulation::builder().seed(cfg.seed).engine_config(cfg.engine).build();
+        let mut sim: Simulation<ClassMsg> = Simulation::with_config(cfg.seed, cfg.engine);
 
         // ---- Freeze each population's timeline; split off its tracers. ----
         // Every pool draws from its own derived stream, so adding a pool
@@ -728,22 +721,15 @@ impl SessionBuilder {
                 .set_pools(pool_infos.iter().map(|p| (p.pool, p.node)).collect());
         }
 
-        // ---- Rate hints for the shard planner. ----
-        // A flyweight pool node carries the aggregate traffic of all its
-        // pooled members, but topologically it is a degree-1 leaf — without
-        // a hint the weighted partitioner would pack it like a single client
-        // and pile whole populations onto one shard. Hints only steer shard
-        // packing; the event order (and therefore every result byte) is
-        // identical under any partition.
-        for p in &pool_infos {
-            sim.set_rate_hint(p.node, 4 + p.pooled);
-        }
-
         ClassroomSession {
             sim,
             cfg,
             cloud: cloud_id,
             edges: all_edges,
+            campus_nodes: campus_ids
+                .into_iter()
+                .map(|c| [c.edge, c.array].into_iter().chain(c.headsets).collect())
+                .collect(),
             campuses: self.campuses,
             participants,
             pools: pool_infos,
@@ -757,6 +743,7 @@ pub struct ClassroomSession {
     cfg: SessionConfig,
     cloud: NodeId,
     edges: Vec<NodeId>,
+    campus_nodes: Vec<Vec<NodeId>>,
     campuses: Vec<CampusSpec>,
     participants: Vec<Participant>,
     pools: Vec<PoolInfo>,
@@ -798,6 +785,16 @@ impl ClassroomSession {
     /// Edge-server node ids, in campus order.
     pub fn edges(&self) -> &[NodeId] {
         &self.edges
+    }
+
+    /// Every node of campus `campus`, in build order: the edge server, the
+    /// room array, then one headset per participant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `campus` is not a campus index of this session.
+    pub fn campus_nodes(&self, campus: usize) -> &[NodeId] {
+        &self.campus_nodes[campus]
     }
 
     /// The session roster.

@@ -13,7 +13,7 @@
 use metaclass_core::SessionBuilder;
 use metaclass_edge::{ClientPoolNode, CloudServerNode};
 use metaclass_netsim::{
-    EngineMode, FaultPlan, LinkClass, PopulationProfile, Region, SimDuration, SimTime, TraceKind,
+    EngineConfig, FaultPlan, LinkClass, PopulationProfile, Region, SimDuration, SimTime, TraceKind,
 };
 use proptest::prelude::*;
 
@@ -32,11 +32,11 @@ fn pooled_builder(seed: u64, members: u64, tracers: u32) -> SessionBuilder {
 /// the serial and the sharded engine alike.
 #[test]
 fn fully_traced_pool_is_byte_identical_to_a_cohort_on_both_engines() {
-    for engine in [EngineMode::Serial, EngineMode::Sharded { shards: 2 }] {
+    for engine in [EngineConfig::serial(), EngineConfig::sharded(2)] {
         let run = |pooled: bool| {
             let builder = SessionBuilder::new()
                 .seed(41)
-                .engine(engine)
+                .engine_config(engine)
                 .campus("CWB", Region::EastAsia, 3, true)
                 .remote_cohort(Region::NorthAmerica, 2, LinkClass::CellularAccess);
             let builder = if pooled {
@@ -69,13 +69,13 @@ fn fully_traced_pool_is_byte_identical_to_a_cohort_on_both_engines() {
 /// serial and sharded engines.
 #[test]
 fn pooled_sessions_replay_byte_identically_across_engines() {
-    let run = |engine: EngineMode| {
-        let mut s = pooled_builder(91, 300, 3).engine(engine).build();
+    let run = |engine: EngineConfig| {
+        let mut s = pooled_builder(91, 300, 3).engine_config(engine).build();
         s.run_for(SimDuration::from_secs(6));
         s.sim().metrics().snapshot().without_prefix("engine.")
     };
-    let serial = run(EngineMode::Serial);
-    let sharded = run(EngineMode::Sharded { shards: 4 });
+    let serial = run(EngineConfig::serial());
+    let sharded = run(EngineConfig::sharded(4));
     assert_eq!(serial, sharded);
 }
 

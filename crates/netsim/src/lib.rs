@@ -84,9 +84,7 @@ pub use population::{
 };
 pub use rng::DetRng;
 pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
-pub use sim::{
-    parse_engine, EngineConfig, EngineMode, Simulation, SimulationBuilder, DEFAULT_SHARDS,
-};
+pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS};
 pub use time::{SimDuration, SimTime};
-pub use topology::{min_cut_partition, min_cut_partition_weighted, LinkClass, Partition, Region};
+pub use topology::{min_cut_partition, LinkClass, Partition, Region};
 pub use trace::{Trace, TraceEvent, TraceKind};

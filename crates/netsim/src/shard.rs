@@ -23,15 +23,11 @@
 //!    events back into the global `(time, stamp)` total order, and replays
 //!    them.
 //!
-//! Two optimizations preserve this schedule bit-for-bit while cutting its
-//! cost. *Batched outbox exchange* moves each nonempty outbox across the
-//! barrier as one buffer handoff per shard pair — buffers are pooled and
-//! recycled — instead of pushing entries one by one. *Adaptive lookahead*
-//! detects windows where exactly one lane has pending work before every other
-//! lane's horizon: the busy lane then leaps past the classic window in a
-//! single inline dispatch, bounded by the runner-up instant and self-clamped
-//! at its first cross-shard send, eliding the barriers a classic run would
-//! have synchronized at (counted in `engine.barriers_elided`).
+//! Two shortcuts keep this schedule bit-for-bit while cutting its cost.
+//! *Batched outbox exchange* moves each nonempty outbox across the barrier as
+//! one buffer handoff per shard pair — buffers are pooled and recycled —
+//! instead of pushing entries one by one. A window in which only one lane has
+//! work runs *inline* on the coordinator thread, with no channel round-trip.
 //!
 //! Scripted faults mutate global state (links, crash flags), so an instant
 //! containing a fault is executed serially: the lanes are recomposed into the
@@ -54,7 +50,7 @@ use crate::node::NodeId;
 use crate::observe::{SimEvent, SimView};
 use crate::rng::DetRng;
 use crate::sched::EventQueue;
-use crate::sim::{Core, EngineMode, EventKind, Simulation, Stepped};
+use crate::sim::{Core, EventKind, Simulation, Stepped};
 use crate::time::{SimDuration, SimTime};
 
 /// An owned copy of a [`SimEvent`], buffered by a lane for in-order replay
@@ -123,29 +119,12 @@ pub(crate) struct Plan {
 pub(crate) struct ShardCache {
     topo_version: u64,
     shards_requested: usize,
-    /// `events_processed` when the plan was computed. A plan made before any
-    /// event ran (`0`) was balanced on static estimates only; it is replanned
-    /// once observed per-node rates exist (the "warm-up pass").
-    planned_at_events: u64,
     plan: Option<Plan>,
-}
-
-/// Relative per-node event-rate weights for the partitioner. Observed counts
-/// from earlier runs of this simulation win; otherwise caller hints (see
-/// [`Simulation::set_rate_hint`]); otherwise node degree as a structural
-/// proxy for fan-out load. Only ratios matter, and the choice never affects
-/// results — just which shard executes a node.
-fn rate_weights<M: 'static>(sim: &Simulation<M>) -> Vec<u64> {
-    let n = sim.core.nodes.len();
-    if sim.core.node_events.iter().any(|&c| c > 0) {
-        return sim.core.node_events.iter().map(|&c| c + 1).collect();
-    }
-    (0..n).map(|i| sim.rate_hints[i].max(1 + sim.core.adjacency[i].len() as u64)).collect()
 }
 
 fn compute_plan<M: 'static>(sim: &Simulation<M>, shards: usize) -> Option<Plan> {
     let n = sim.core.nodes.len();
-    if shards < 2 || n < 2 {
+    if n < 2 {
         return None;
     }
     let edges: Vec<(u32, u32, u64)> = sim
@@ -155,8 +134,7 @@ fn compute_plan<M: 'static>(sim: &Simulation<M>, shards: usize) -> Option<Plan> 
         .zip(sim.core.static_delays.iter())
         .map(|(&(a, b), &d)| (a.0, b.0, d))
         .collect();
-    let weights = rate_weights(sim);
-    let part = crate::topology::min_cut_partition_weighted(n, &edges, shards, &weights);
+    let part = crate::topology::min_cut_partition(n, &edges, shards);
     // A zero-latency cross-shard link would make windows empty; a single
     // populated shard would make them pointless. Both fall back to serial.
     if part.shards < 2 || part.lookahead_ns == 0 {
@@ -171,11 +149,7 @@ fn compute_plan<M: 'static>(sim: &Simulation<M>, shards: usize) -> Option<Plan> 
 
 fn plan_for<M: 'static>(sim: &mut Simulation<M>, shards: usize) -> Option<Plan> {
     if let Some(cache) = &sim.shard_cache {
-        let stale_estimates = cache.planned_at_events == 0 && sim.core.events_processed > 0;
-        if cache.topo_version == sim.topo_version
-            && cache.shards_requested == shards
-            && !stale_estimates
-        {
+        if cache.topo_version == sim.topo_version && cache.shards_requested == shards {
             return cache.plan.clone();
         }
     }
@@ -183,7 +157,6 @@ fn plan_for<M: 'static>(sim: &mut Simulation<M>, shards: usize) -> Option<Plan> 
     sim.shard_cache = Some(ShardCache {
         topo_version: sim.topo_version,
         shards_requested: shards,
-        planned_at_events: sim.core.events_processed,
         plan: plan.clone(),
     });
     plan
@@ -214,7 +187,6 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
             lane.cur_stamp = sim.core.cur_stamp;
             lane.nodes = (0..n).map(|_| None).collect();
             lane.rngs = vec![DetRng::new(0); n];
-            lane.node_events = vec![0; n];
             lane.push_counters = sim.core.push_counters.clone();
             lane.timer_counters = sim.core.timer_counters.clone();
             lane.crashed = sim.core.crashed.clone();
@@ -326,9 +298,6 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
         sim.core.env_slab.raise_high_water(lane.env_slab.high_water());
         sim.core.metrics.merge(&lane.metrics);
         sim.core.events_processed += lane.events_processed;
-        for (dst, src) in sim.core.node_events.iter_mut().zip(&lane.node_events) {
-            *dst += *src;
-        }
         sim.core.pool_hits += lane.pool_hits;
         sim.core.pool_misses += lane.pool_misses;
         sim.core.sent_count += lane.sent_count;
@@ -374,22 +343,12 @@ impl<M> Core<M> {
 
 /// Runs one lane to the (exclusive) window end; `None` means unbounded.
 /// Returns the number of events the lane consumed.
-///
-/// When `clamp_sends` is set (adaptive solo windows) the lane additionally
-/// stops before executing any event at or past the arrival of its own
-/// earliest cross-shard send: past that instant the silence of the other
-/// shards is no longer provable, so the leap ends there and the send is
-/// exchanged at an ordinary barrier.
-fn lane_window<M: 'static>(core: &mut Core<M>, w_end: Option<SimTime>, clamp_sends: bool) -> u64 {
+fn lane_window<M: 'static>(core: &mut Core<M>, w_end: Option<SimTime>) -> u64 {
     core.drain_inboxes();
     let mut n = 0;
     loop {
-        let mut end = w_end;
-        if clamp_sends && core.outbox_min_ns != u64::MAX {
-            end = min_opt(end, Some(SimTime::from_nanos(core.outbox_min_ns)));
-        }
         match core.queue.peek_key() {
-            Some((at, _)) if end.is_none_or(|e| at < e) => {}
+            Some((at, _)) if w_end.is_none_or(|e| at < e) => {}
             _ => break,
         }
         match core.step_inner(u64::MAX) {
@@ -499,23 +458,11 @@ fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Core<
 /// destination lane's inbox list (drained at that lane's next dispatch) and
 /// replaced by a recycled spare, so no per-event push crosses threads at the
 /// barrier. Every entry lands at or past the window end — guaranteed by the
-/// lookahead, or by the send clamp in solo windows (`clamped`) — so no lane
-/// ever sees its past change.
-fn exchange_outboxes<M: 'static>(
-    lanes: &mut [Option<Core<M>>],
-    w_end: Option<SimTime>,
-    clamped: bool,
-) {
+/// lookahead — so no lane ever sees its past change.
+fn exchange_outboxes<M: 'static>(lanes: &mut [Option<Core<M>>], w_end: Option<SimTime>) {
     let k = lanes.len();
     for i in 0..k {
-        if lanes[i].as_mut().expect("lane checked in").outbox_min_ns == u64::MAX {
-            continue; // nothing crossed a boundary from this lane
-        }
-        let mut boxes = {
-            let src = lanes[i].as_mut().expect("lane checked in");
-            src.outbox_min_ns = u64::MAX;
-            std::mem::take(&mut src.outboxes)
-        };
+        let mut boxes = std::mem::take(&mut lanes[i].as_mut().expect("lane checked in").outboxes);
         for (dst, slot) in boxes.iter_mut().enumerate() {
             if slot.is_empty() {
                 continue;
@@ -527,7 +474,7 @@ fn exchange_outboxes<M: 'static>(
                 (min_ns, std::mem::replace(slot, spare))
             };
             debug_assert!(
-                clamped || w_end.is_none_or(|e| min_ns >= e.as_nanos()),
+                w_end.is_none_or(|e| min_ns >= e.as_nanos()),
                 "cross-shard delivery inside its own window"
             );
             let target = lanes[dst].as_mut().expect("lane checked in");
@@ -550,7 +497,7 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
     until: SimTime,
     limit: u64,
 ) -> Option<u64> {
-    let EngineMode::Sharded { shards } = sim.engine.mode else { return None };
+    let shards = sim.engine.shards?;
     let Some(plan) = plan_for(sim, shards) else {
         sim.note_serial_fallback();
         return None;
@@ -560,7 +507,6 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
     let (mut lanes, mut faults) = deal_out(sim, &plan);
     let mut total: u64 = 0;
     let mut windows: u64 = 0;
-    let mut elided: u64 = 0;
     let mut shard_events = vec![0u64; k];
     let mut window_hist = crate::metrics::Histogram::new();
 
@@ -568,15 +514,15 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
         let (done_tx, done_rx) = mpsc::channel::<(usize, Core<M>, u64)>();
         let mut work_txs = Vec::with_capacity(k);
         for _ in 0..k {
-            let (tx, rx) = mpsc::channel::<(Core<M>, Option<SimTime>, bool)>();
+            let (tx, rx) = mpsc::channel::<(Core<M>, Option<SimTime>)>();
             work_txs.push(tx);
             let done = done_tx.clone();
             scope.spawn(move || {
                 let worker_rx = rx;
                 let mut lane_index = None;
-                while let Ok((mut core, w_end, clamp_sends)) = worker_rx.recv() {
+                while let Ok((mut core, w_end)) = worker_rx.recv() {
                     let i = *lane_index.get_or_insert(core.my_shard as usize);
-                    let n = lane_window(&mut core, w_end, clamp_sends);
+                    let n = lane_window(&mut core, w_end);
                     if done.send((i, core, n)).is_err() {
                         break;
                     }
@@ -592,21 +538,13 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
                 break;
             }
             // Next pending instant across all lanes (local queues plus
-            // undrained inboxes) and scripted faults; the runner-up instant
-            // detects solo windows for barrier elision. A lane tying the
-            // minimum counts as the runner-up.
-            let mut min1 = u64::MAX;
-            let mut min2 = u64::MAX;
-            for slot in slots.iter_mut() {
-                let e = slot.as_mut().expect("lane checked in").earliest_pending_ns();
-                if e < min1 {
-                    min2 = min1;
-                    min1 = e;
-                } else if e < min2 {
-                    min2 = e;
-                }
-            }
-            let lane_min = (min1 != u64::MAX).then(|| SimTime::from_nanos(min1));
+            // undrained inboxes) and scripted faults.
+            let min_ns = slots
+                .iter_mut()
+                .map(|slot| slot.as_mut().expect("lane checked in").earliest_pending_ns())
+                .min()
+                .unwrap_or(u64::MAX);
+            let lane_min = (min_ns != u64::MAX).then(|| SimTime::from_nanos(min_ns));
             let w_start = min_opt(lane_min, faults.front().map(|f| f.0));
             let Some(w_start) = w_start else { break };
             if w_start > until {
@@ -628,23 +566,6 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
                 continue;
             }
             let mut w_end = window_end(w_start, plan.lookahead_ns);
-            // Adaptive lookahead: when exactly one lane has pending work
-            // before every other lane's horizon, the other shards are
-            // provably silent until the runner-up instant, so the busy lane
-            // may leap past the classic window in one dispatch. The leap
-            // self-clamps at the lane's first cross-shard send (see
-            // `lane_window`); scripted faults and the caller's deadline
-            // still bound it below.
-            let mut clamp_sends = false;
-            if min2 == u64::MAX {
-                if min1 != u64::MAX {
-                    w_end = None;
-                    clamp_sends = true;
-                }
-            } else if w_end.is_some_and(|e| min2 > e.as_nanos()) {
-                w_end = Some(SimTime::from_nanos(min2));
-                clamp_sends = true;
-            }
             w_end = min_opt(w_end, faults.front().map(|f| f.0));
             if until < SimTime::MAX {
                 w_end = min_opt(w_end, Some(SimTime::from_nanos(until.as_nanos() + 1)));
@@ -657,25 +578,18 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
                     busy.push(i);
                 }
             }
-            debug_assert!(!clamp_sends || busy.len() == 1, "send clamp outside a solo window");
             let mut window_events = 0;
             if let [i] = busy[..] {
                 // A lone busy lane runs inline on the coordinator thread: no
                 // channel round-trip, no worker wakeup.
                 let core = slots[i].as_mut().expect("lane checked in");
-                let n = lane_window(core, w_end, clamp_sends);
-                if clamp_sends && plan.lookahead_ns != u64::MAX {
-                    // Barriers a classic run would have synchronized at
-                    // while this lane covered the same span.
-                    elided +=
-                        core.time.as_nanos().saturating_sub(w_start.as_nanos()) / plan.lookahead_ns;
-                }
+                let n = lane_window(core, w_end);
                 shard_events[i] += n;
                 window_events += n;
             } else {
                 for &i in &busy {
                     let core = slots[i].take().expect("lane checked in");
-                    work_txs[i].send((core, w_end, clamp_sends)).expect("worker alive");
+                    work_txs[i].send((core, w_end)).expect("worker alive");
                 }
                 for _ in 0..busy.len() {
                     let (i, core, n) = done_rx.recv().expect("worker alive");
@@ -687,7 +601,7 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
             total += window_events;
             windows += 1;
             window_hist.record(window_events);
-            exchange_outboxes(&mut slots, w_end, clamp_sends);
+            exchange_outboxes(&mut slots, w_end);
             replay_barrier(sim, &mut slots);
         }
         let taken: Vec<Core<M>> =
@@ -698,9 +612,6 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
     if windows > 0 {
         sim.core.metrics.add("engine.shard.windows", windows);
         sim.core.metrics.histogram("engine.shard.events_per_window").merge(&window_hist);
-        if elided > 0 {
-            sim.core.metrics.add("engine.barriers_elided", elided);
-        }
         for (i, n) in shard_events.iter().enumerate() {
             if *n > 0 {
                 sim.core.metrics.add(&format!("engine.shard.s{i}.events"), *n);
@@ -718,7 +629,7 @@ mod tests {
     use crate::metrics::MetricsSnapshot;
     use crate::node::{Context, Node, Timer};
     use crate::observe::{SimEvent, SimObserver, SimView};
-    use crate::sim::Simulation;
+    use crate::sim::{EngineConfig, Simulation};
     use crate::time::{SimDuration, SimTime};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc as StdArc;
@@ -760,7 +671,6 @@ mod tests {
     /// WAN pair — the blueprint's shape, shardable with a 40 ms lookahead.
     fn campus_sim(seed: u64) -> Simulation<u64> {
         let mut sim = Simulation::new(seed);
-        sim.set_engine(EngineMode::Serial);
         let mut ids = Vec::new();
         for c in 0..2 {
             for i in 0..4 {
@@ -801,9 +711,9 @@ mod tests {
 
     fn fingerprint_and_metrics(
         mut sim: Simulation<u64>,
-        mode: EngineMode,
+        engine: EngineConfig,
     ) -> (u64, MetricsSnapshot) {
-        sim.set_engine(mode);
+        sim.set_engine_config(engine);
         sim.enable_trace(1 << 20);
         sim.run_until(SimTime::from_millis(500));
         let snap = sim.metrics().snapshot().without_prefix("engine.");
@@ -813,10 +723,10 @@ mod tests {
     #[test]
     fn sharded_matches_serial_on_the_campus_topology() {
         for seed in [1, 7, 42] {
-            let serial = fingerprint_and_metrics(campus_sim(seed), EngineMode::Serial);
+            let serial = fingerprint_and_metrics(campus_sim(seed), EngineConfig::serial());
             for shards in [2, 4] {
                 let sharded =
-                    fingerprint_and_metrics(campus_sim(seed), EngineMode::Sharded { shards });
+                    fingerprint_and_metrics(campus_sim(seed), EngineConfig::sharded(shards));
                 assert_eq!(serial.0, sharded.0, "trace diverged (seed {seed}, {shards} shards)");
                 assert_eq!(serial.1, sharded.1, "metrics diverged (seed {seed}, {shards} shards)");
             }
@@ -844,17 +754,17 @@ mod tests {
                     SimDuration::from_millis(15),
                 )
         };
-        let run = |mode: EngineMode| {
+        let run = |engine: EngineConfig| {
             let mut sim = campus_sim(9);
-            sim.set_engine(mode);
+            sim.set_engine_config(engine);
             sim.enable_trace(1 << 20);
             sim.apply_fault_plan(plan());
             sim.run_until(SimTime::from_millis(400));
             let snap = sim.metrics().snapshot().without_prefix("engine.");
             (sim.trace().unwrap().fingerprint(), snap, sim.events_processed(), sim.time())
         };
-        let serial = run(EngineMode::Serial);
-        let sharded = run(EngineMode::Sharded { shards: 2 });
+        let serial = run(EngineConfig::serial());
+        let sharded = run(EngineConfig::sharded(2));
         assert_eq!(serial, sharded);
         assert!(serial.1.counters.contains_key("fault.injected"));
     }
@@ -899,9 +809,9 @@ mod tests {
 
     #[test]
     fn observer_stream_is_replayed_in_serial_order() {
-        let run = |mode: EngineMode| {
+        let run = |engine: EngineConfig| {
             let mut sim = campus_sim(3);
-            sim.set_engine(mode);
+            sim.set_engine_config(engine);
             let hash = StdArc::new(AtomicU64::new(0xcbf29ce484222325));
             sim.set_observer(HashingObserver(StdArc::clone(&hash)));
             let p = FaultPlan::new().crash(
@@ -913,15 +823,15 @@ mod tests {
             sim.run_until(SimTime::from_millis(300));
             hash.load(Ordering::Relaxed)
         };
-        assert_eq!(run(EngineMode::Serial), run(EngineMode::Sharded { shards: 2 }));
-        assert_eq!(run(EngineMode::Serial), run(EngineMode::Sharded { shards: 4 }));
+        assert_eq!(run(EngineConfig::serial()), run(EngineConfig::sharded(2)));
+        assert_eq!(run(EngineConfig::serial()), run(EngineConfig::sharded(4)));
     }
 
     #[test]
     fn unshardable_topologies_fall_back_to_serial() {
         // A single zero-latency star cannot be cut with positive lookahead.
         let mut sim: Simulation<u64> = Simulation::new(1);
-        sim.set_engine(EngineMode::Sharded { shards: 4 });
+        sim.set_engine_config(EngineConfig::sharded(4));
         let hub = sim.add_node(
             "hub",
             Chatter {
@@ -963,7 +873,7 @@ mod tests {
     #[test]
     fn feasible_plans_do_not_count_serial_fallbacks() {
         let mut sim = campus_sim(9);
-        sim.set_engine(EngineMode::Sharded { shards: 2 });
+        sim.set_engine_config(EngineConfig::sharded(2));
         sim.run_until(SimTime::from_millis(200));
         assert!(sim.metrics().counter_value("engine.shard.windows") > 0);
         assert_eq!(sim.metrics().counter_value("engine.fallback_serial"), 0);
@@ -972,7 +882,7 @@ mod tests {
     #[test]
     fn sharded_run_reports_window_metrics() {
         let mut sim = campus_sim(11);
-        sim.set_engine(EngineMode::Sharded { shards: 2 });
+        sim.set_engine_config(EngineConfig::sharded(2));
         sim.run_until(SimTime::from_millis(200));
         assert!(sim.metrics().counter_value("engine.shard.windows") > 0);
         assert!(sim.metrics().counter_value("engine.shard.s0.events") > 0);
@@ -991,7 +901,7 @@ mod tests {
 
     /// All chatter confined to campus 0; campus 1 is silent. The WAN link
     /// still makes the topology shardable, so one lane carries every event
-    /// while the other stays idle — the barrier-elision sweet spot.
+    /// inline on the coordinator while the other stays idle.
     fn sparse_sim(seed: u64) -> Simulation<u64> {
         let mut sim: Simulation<u64> = Simulation::new(seed);
         let mut nodes = Vec::new();
@@ -1024,35 +934,21 @@ mod tests {
     }
 
     #[test]
-    fn solo_lane_elides_barriers_and_stays_byte_identical() {
-        let run = |cfg: crate::sim::EngineConfig| {
-            let mut sim = sparse_sim(13);
-            sim.set_engine_config(cfg);
-            sim.enable_trace(1 << 18);
-            sim.run_until(SimTime::from_millis(500));
-            let snap = sim.metrics().snapshot();
-            (sim.trace().unwrap().fingerprint(), snap)
-        };
-        let serial = run(crate::sim::EngineConfig::serial());
-        let sharded = run(crate::sim::EngineConfig::sharded(2));
+    fn solo_lane_with_an_idle_peer_stays_byte_identical() {
+        let serial = fingerprint_and_metrics(sparse_sim(13), EngineConfig::serial());
+        let sharded = fingerprint_and_metrics(sparse_sim(13), EngineConfig::sharded(2));
         assert_eq!(serial.0, sharded.0, "sharded trace diverged from serial");
-        assert_eq!(
-            serial.1.without_prefix("engine."),
-            sharded.1.without_prefix("engine."),
-            "world metrics must not depend on barrier elision"
-        );
-        let elided = sharded.1.counters.get("engine.barriers_elided").copied().unwrap_or(0);
-        assert!(elided > 0, "solo-lane traffic must elide barriers, got {elided}");
+        assert_eq!(serial.1, sharded.1, "world metrics diverged from serial");
     }
 
     #[test]
     fn capped_runs_and_stepping_work_across_engines() {
         let mut sim = campus_sim(5);
-        sim.set_engine(EngineMode::Sharded { shards: 2 });
+        sim.set_engine_config(EngineConfig::sharded(2));
         let n = sim.run_until_idle_capped(50);
         assert!(n >= 50, "cap is enforced at window granularity, but work must happen");
         // The world recomposes cleanly: serial stepping continues the run.
-        sim.set_engine(EngineMode::Serial);
+        sim.set_engine_config(EngineConfig::serial());
         assert!(sim.step().is_some());
         sim.run_until_idle();
     }

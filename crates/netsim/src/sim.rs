@@ -22,133 +22,54 @@ use crate::shard::OwnedSimEvent;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 
-/// Which executor a [`Simulation`] uses to process events.
-///
-/// Both modes are byte-identical: same trace fingerprint, same metrics,
-/// same node states. `Sharded` partitions the node graph and runs
-/// lookahead-bounded event windows on worker threads; when the topology
-/// cannot be partitioned with a positive lookahead the run falls back to
-/// serial execution *loudly* — each fallback bumps the
-/// `engine.fallback_serial` counter and, when tracing is enabled, appends a
-/// [`TraceKind::EngineFallback`] record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Single-threaded reference executor: one global event loop.
-    Serial,
-    /// Conservative shard-parallel executor (see the `shard` module docs).
-    Sharded {
-        /// Number of shards (worker threads) to partition the node graph
-        /// into. Values below 2 behave like `Serial`.
-        shards: usize,
-    },
-}
-
 /// Default shard count when the caller asks for `sharded` without a number.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Per-simulation engine configuration.
+/// Which executor a [`Simulation`] uses to process events.
 ///
-/// Every [`Simulation`] carries its own `EngineConfig` (set it with
-/// [`Simulation::builder`] or [`Simulation::set_engine_config`]); there is
-/// no process-global engine state on the supported path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Both executors are byte-identical: same trace fingerprint, same metrics,
+/// same node states. The sharded one partitions the node graph and runs
+/// lookahead-bounded event windows on worker threads (see the `shard` module
+/// docs); when the topology cannot be partitioned with a positive lookahead
+/// the run falls back to serial execution *loudly* — each fallback bumps the
+/// `engine.fallback_serial` counter and, when tracing is enabled, appends a
+/// [`TraceKind::EngineFallback`] record.
+///
+/// Every [`Simulation`] carries its own `EngineConfig` (see
+/// [`Simulation::with_config`] and [`Simulation::set_engine_config`]); there
+/// is no process-global engine state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
-    /// Which executor processes events.
-    pub mode: EngineMode,
-}
-
-impl Default for EngineConfig {
-    /// Serial execution.
-    fn default() -> Self {
-        EngineConfig { mode: EngineMode::Serial }
-    }
+    /// Worker lanes of the sharded executor; `None` is the serial executor.
+    pub(crate) shards: Option<usize>,
 }
 
 impl EngineConfig {
-    /// The serial reference executor.
+    /// The single-threaded reference executor: one global event loop.
     pub fn serial() -> Self {
         EngineConfig::default()
     }
 
-    /// The sharded executor with `shards` worker lanes.
+    /// The conservative shard-parallel executor with `shards` worker lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards < 2`: one lane is the serial executor, so ask for
+    /// [`EngineConfig::serial`].
     pub fn sharded(shards: usize) -> Self {
-        EngineConfig { mode: EngineMode::Sharded { shards } }
+        assert!(shards >= 2, "a sharded engine needs at least 2 shards, got {shards}");
+        EngineConfig { shards: Some(shards) }
     }
 }
 
-impl From<EngineMode> for EngineConfig {
-    fn from(mode: EngineMode) -> Self {
-        EngineConfig { mode }
-    }
-}
-
-/// Builder for a [`Simulation`]: master seed plus per-run [`EngineConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use metaclass_netsim::{EngineMode, Simulation};
-///
-/// let sim: Simulation<u64> =
-///     Simulation::builder().seed(7).engine(EngineMode::Sharded { shards: 4 }).build();
-/// assert_eq!(sim.engine(), EngineMode::Sharded { shards: 4 });
-/// ```
-pub struct SimulationBuilder<M> {
-    seed: u64,
-    config: EngineConfig,
-    _msg: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M> SimulationBuilder<M> {
-    /// Creates a builder with seed 0 and the default engine configuration.
-    pub fn new() -> Self {
-        SimulationBuilder {
-            seed: 0,
-            config: EngineConfig::default(),
-            _msg: std::marker::PhantomData,
-        }
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Selects the executor.
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Replaces the whole engine configuration.
-    pub fn engine_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-}
-
-impl<M: 'static> SimulationBuilder<M> {
-    /// Builds the (empty) simulation.
-    pub fn build(self) -> Simulation<M> {
-        Simulation::with_config(self.seed, self.config)
-    }
-}
-
-impl<M> Default for SimulationBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Parses an engine name: `serial`, `sharded`, or `sharded:<n>`.
-pub fn parse_engine(s: &str) -> Option<EngineMode> {
+/// Parses an engine name: `serial`, `sharded`, or `sharded:<n>` with `n >= 2`.
+pub fn parse_engine(s: &str) -> Option<EngineConfig> {
     match s {
-        "serial" => Some(EngineMode::Serial),
-        "sharded" => Some(EngineMode::Sharded { shards: DEFAULT_SHARDS }),
+        "serial" => Some(EngineConfig::serial()),
+        "sharded" => Some(EngineConfig::sharded(DEFAULT_SHARDS)),
         _ => {
             let n: usize = s.strip_prefix("sharded:")?.parse().ok()?;
-            (n >= 1).then_some(EngineMode::Sharded { shards: n })
+            (n >= 2).then(|| EngineConfig::sharded(n))
         }
     }
 }
@@ -334,9 +255,6 @@ pub(crate) struct Core<M> {
     pub(crate) ops_high_water: u64,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) events_processed: u64,
-    /// Per-node processed-event counts; feeds the rate-weighted shard
-    /// partitioner (observed rates beat static estimates on replans).
-    pub(crate) node_events: Vec<u64>,
     /// Op-arena reuse counters, flushed to `engine.ops_pool.*` at run end.
     /// A hit is a dispatch served entirely from committed capacity; a miss
     /// is one that had to grow the arena.
@@ -377,9 +295,6 @@ pub(crate) struct Core<M> {
     /// Earliest arrival queued per destination outbox this window
     /// (`u64::MAX` where that outbox is empty).
     pub(crate) outbox_mins: Vec<u64>,
-    /// Earliest arrival across all outboxes this window (`u64::MAX` when no
-    /// cross-shard send happened). Bounds adaptive solo windows.
-    pub(crate) outbox_min_ns: u64,
     /// Recycled cross-shard exchange buffers.
     pub(crate) spare_boxes: Vec<Outbox<M>>,
     /// `net.sent` kept as a plain field on the hot path, flushed to the
@@ -420,7 +335,6 @@ impl<M> Core<M> {
             ops_high_water: 0,
             metrics: MetricsRegistry::new(),
             events_processed: 0,
-            node_events: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
             fallback_serial: 0,
@@ -439,7 +353,6 @@ impl<M> Core<M> {
             inboxes: Vec::new(),
             inbox_min_ns: u64::MAX,
             outbox_mins: Vec::new(),
-            outbox_min_ns: u64::MAX,
             spare_boxes: Vec::new(),
             sent_count: 0,
             delivered_count: 0,
@@ -465,9 +378,6 @@ impl<M> Core<M> {
                 let ns = at.as_nanos();
                 if ns < self.outbox_mins[d] {
                     self.outbox_mins[d] = ns;
-                }
-                if ns < self.outbox_min_ns {
-                    self.outbox_min_ns = ns;
                 }
                 self.outboxes[d].push((at, stamp, hop, env));
                 return;
@@ -559,7 +469,6 @@ impl<M: 'static> Core<M> {
                 return Stepped::Fault { index };
             }
             EventKind::Timer { node, id, tag, epoch } => {
-                self.node_events[node.index()] += 1;
                 if self.cancelled_timers.remove(&id) {
                     return Stepped::Events(processed);
                 }
@@ -574,7 +483,6 @@ impl<M: 'static> Core<M> {
             }
             EventKind::Deliver { hop, env } => {
                 let env = self.env_slab.take(env);
-                self.node_events[hop.index()] += 1;
                 if self.crashed[hop.index()] {
                     // Crashed nodes blackhole traffic addressed to or
                     // forwarded through them.
@@ -617,7 +525,6 @@ impl<M: 'static> Core<M> {
                         match next {
                             Some((_, stamp, EventKind::Deliver { env, .. })) => {
                                 let env = self.env_slab.take(env);
-                                self.node_events[dst.index()] += 1;
                                 self.events_processed += 1;
                                 processed += 1;
                                 self.cur_depth = stamp_depth(stamp);
@@ -818,7 +725,7 @@ impl<M: 'static> Core<M> {
 /// The engine owns all nodes, links, the event queue, per-node RNG streams,
 /// and a metrics registry. Event order is total — (time, causal stamp) —
 /// so a run is a pure function of configuration and seed, regardless of the
-/// selected [`EngineMode`].
+/// selected [`EngineConfig`].
 ///
 /// # Examples
 ///
@@ -859,15 +766,12 @@ pub struct Simulation<M> {
     /// Bumped on every topology change; invalidates the shard plan.
     pub(crate) topo_version: u64,
     pub(crate) shard_cache: Option<crate::shard::ShardCache>,
-    /// Caller-supplied relative event-rate estimates per node
-    /// (see [`Simulation::set_rate_hint`]); 0 = no estimate.
-    pub(crate) rate_hints: Vec<u64>,
 }
 
 impl<M: 'static> Simulation<M> {
     /// Creates an empty simulation with the given master seed and the
-    /// default [`EngineConfig`] (serial). Use [`Simulation::builder`] to
-    /// pick the engine per run.
+    /// default [`EngineConfig`] (serial). Use [`Simulation::with_config`]
+    /// to pick the engine per run.
     pub fn new(seed: u64) -> Self {
         Self::with_config(seed, EngineConfig::default())
     }
@@ -884,30 +788,12 @@ impl<M: 'static> Simulation<M> {
             engine: config,
             topo_version: 0,
             shard_cache: None,
-            rate_hints: Vec::new(),
         }
-    }
-
-    /// Starts building a simulation: master seed plus per-run
-    /// [`EngineConfig`].
-    pub fn builder() -> SimulationBuilder<M> {
-        SimulationBuilder::new()
     }
 
     /// Selects the executor for subsequent runs. Safe to change between
     /// runs; the produced traces, metrics, and node states are identical
     /// either way.
-    pub fn set_engine(&mut self, mode: EngineMode) {
-        self.engine.mode = mode;
-        self.shard_cache = None;
-    }
-
-    /// The currently selected executor.
-    pub fn engine(&self) -> EngineMode {
-        self.engine.mode
-    }
-
-    /// Replaces the whole engine configuration for subsequent runs.
     pub fn set_engine_config(&mut self, config: EngineConfig) {
         self.engine = config;
         self.shard_cache = None;
@@ -929,23 +815,9 @@ impl<M: 'static> Simulation<M> {
         self.core.timer_counters.push(0);
         self.core.crashed.push(false);
         self.core.epochs.push(0);
-        self.core.node_events.push(0);
-        self.rate_hints.push(0);
         Arc::make_mut(&mut self.core.adjacency).push(BTreeMap::new());
         self.topo_version += 1;
         id
-    }
-
-    /// Supplies a relative event-rate estimate for `node`, used by the
-    /// sharded engine's partitioner to balance shards by expected work
-    /// instead of node count. Only ratios matter; 0 (the default) means
-    /// "no estimate" and falls back to a structural guess (node degree).
-    /// Observed per-node event counts from earlier runs of the same
-    /// simulation take precedence over hints when the plan is recomputed.
-    /// Never affects results — only which shard executes a node.
-    pub fn set_rate_hint(&mut self, node: NodeId, weight: u64) {
-        self.rate_hints[node.index()] = weight;
-        self.shard_cache = None;
     }
 
     /// Connects `a` and `b` with symmetric directed links of configuration
@@ -1228,7 +1100,7 @@ impl<M: 'static> Simulation<M> {
     /// hit rates, shard window counts) are flushed here at the end of each
     /// `run_*` call; they describe the executor, not the simulated world,
     /// and are the one part of the registry allowed to differ between
-    /// [`EngineMode`]s.
+    /// [`EngineConfig`]s.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
     }
@@ -1394,7 +1266,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// Runs until the event queue is empty or `limit` events were processed
     /// in this call. Returns the number of events processed.
     ///
-    /// Under [`EngineMode::Sharded`] the cap is enforced at window
+    /// Under [`EngineConfig::sharded`] the cap is enforced at window
     /// granularity: the run stops at the first barrier at or past `limit`.
     pub fn run_until_idle_capped(&mut self, limit: u64) -> u64 {
         self.ensure_started();
@@ -1907,10 +1779,11 @@ mod tests {
 
     #[test]
     fn engine_names_parse() {
-        assert_eq!(parse_engine("serial"), Some(EngineMode::Serial));
-        assert_eq!(parse_engine("sharded"), Some(EngineMode::Sharded { shards: DEFAULT_SHARDS }));
-        assert_eq!(parse_engine("sharded:2"), Some(EngineMode::Sharded { shards: 2 }));
+        assert_eq!(parse_engine("serial"), Some(EngineConfig::serial()));
+        assert_eq!(parse_engine("sharded"), Some(EngineConfig::sharded(DEFAULT_SHARDS)));
+        assert_eq!(parse_engine("sharded:2"), Some(EngineConfig::sharded(2)));
         assert_eq!(parse_engine("sharded:0"), None);
+        assert_eq!(parse_engine("sharded:1"), None, "one lane is the serial engine");
         assert_eq!(parse_engine("bogus"), None);
     }
 
@@ -1924,15 +1797,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_carries_the_engine_config_per_run() {
-        let sim: Simulation<Msg> =
-            Simulation::builder().seed(11).engine(EngineMode::Sharded { shards: 4 }).build();
-        assert_eq!(sim.engine(), EngineMode::Sharded { shards: 4 });
+    fn engine_config_is_carried_per_simulation() {
+        let sim: Simulation<Msg> = Simulation::with_config(11, EngineConfig::sharded(4));
+        assert_eq!(sim.engine_config(), EngineConfig::sharded(4));
         // A second simulation is unaffected: nothing process-global moved.
         let other: Simulation<Msg> = Simulation::new(12);
-        assert_eq!(other.engine(), EngineMode::Serial);
-        // Explicit configs stand on their own too.
-        let sim: Simulation<Msg> = Simulation::with_config(3, EngineConfig::sharded(2));
-        assert_eq!(sim.engine(), EngineMode::Sharded { shards: 2 });
+        assert_eq!(other.engine_config(), EngineConfig::serial());
     }
 }

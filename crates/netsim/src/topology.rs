@@ -213,31 +213,7 @@ pub struct Partition {
 /// `edges` are `(a, b, weight_ns)` and are treated as undirected; duplicate
 /// pairs keep their minimum weight. Nodes with no edges form their own
 /// components. The result is a pure function of the inputs.
-///
-/// Every node counts as one unit of load; use
-/// [`min_cut_partition_weighted`] to balance by expected event rate instead.
 pub fn min_cut_partition(node_count: usize, edges: &[(u32, u32, u64)], shards: usize) -> Partition {
-    min_cut_partition_weighted(node_count, edges, shards, &[])
-}
-
-/// [`min_cut_partition`] with per-node load weights: components are packed
-/// onto shards balancing the *sum of member weights* rather than the member
-/// count, so a few high-rate nodes (a cloud relay, a pooled-population
-/// flyweight standing in for thousands of clients) do not pile onto one
-/// shard alongside swarms of light leaves.
-///
-/// `weights[i]` is the relative expected event rate of node `i`; only ratios
-/// matter. An empty slice (or one shorter than `node_count`) falls back to
-/// weight 1 for the missing nodes, making the unweighted function a special
-/// case. The cut itself (which edges are severed) is unchanged — weights
-/// influence packing only, so the derived lookahead characteristics stay
-/// driven by link latency.
-pub fn min_cut_partition_weighted(
-    node_count: usize,
-    edges: &[(u32, u32, u64)],
-    shards: usize,
-    weights: &[u64],
-) -> Partition {
     struct Dsu(Vec<u32>);
     impl Dsu {
         fn find(&mut self, x: u32) -> u32 {
@@ -324,21 +300,16 @@ pub fn min_cut_partition_weighted(
         members.entry(dsu.find(node)).or_default().push(node);
     }
 
-    // Pack components onto shards, balanced by total member weight: largest
-    // first (ties toward the smaller root id), each onto the lightest shard
-    // (ties toward the lower shard index). With unit weights this reduces to
-    // the original node-count balancing.
-    let weight_of = |n: u32| weights.get(n as usize).copied().unwrap_or(1).max(1);
-    let mut comps: Vec<(u64, u32, Vec<u32>)> = members
-        .into_iter()
-        .map(|(root, nodes)| (nodes.iter().map(|&n| weight_of(n)).sum(), root, nodes))
-        .collect();
-    comps.sort_by_key(|&(w, root, _)| (std::cmp::Reverse(w), root));
+    // Pack components onto shards, balanced by node count: largest first
+    // (ties toward the smaller root id), each onto the lightest shard (ties
+    // toward the lower shard index).
+    let mut comps: Vec<(u32, Vec<u32>)> = members.into_iter().collect();
+    comps.sort_by_key(|(root, nodes)| (std::cmp::Reverse(nodes.len()), *root));
     let mut shard_of = vec![0u32; node_count];
-    let mut load = vec![0u64; shards];
-    for (w, _, nodes) in &comps {
+    let mut load = vec![0usize; shards];
+    for (_, nodes) in &comps {
         let lightest = (0..shards).min_by_key(|&s| (load[s], s)).expect("shards >= 1");
-        load[lightest] += w;
+        load[lightest] += nodes.len();
         for &n in nodes {
             shard_of[n as usize] = lightest as u32;
         }

@@ -11,7 +11,7 @@
 //! count, and the final clock must all agree exactly.
 
 use metaclass_netsim::{
-    Context, EngineMode, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
+    Context, EngineConfig, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
     SimDuration, SimTime, Simulation, Timer,
 };
 use proptest::prelude::*;
@@ -75,7 +75,6 @@ struct Faults {
 
 fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) {
     let mut sim = Simulation::new(seed);
-    sim.set_engine(EngineMode::Serial);
     let mut gateways = Vec::new();
     let mut all = Vec::new();
     for (c, &size) in topo.campuses.iter().enumerate() {
@@ -160,10 +159,10 @@ fn run(
     seed: u64,
     topo: &Topo,
     faults: &Faults,
-    mode: EngineMode,
+    engine: EngineConfig,
 ) -> (u64, MetricsSnapshot, u64, SimTime, u64) {
     let (mut sim, gateways, all) = build(seed, topo);
-    sim.set_engine(mode);
+    sim.set_engine_config(engine);
     sim.enable_trace(1 << 20);
     sim.apply_fault_plan(fault_plan(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
@@ -210,10 +209,10 @@ proptest! {
         topo in topo_strategy(),
         faults in faults_strategy(),
     ) {
-        let serial = run(seed, &topo, &faults, EngineMode::Serial);
+        let serial = run(seed, &topo, &faults, EngineConfig::serial());
         prop_assert_eq!(serial.4, 0, "serial runs never count a fallback");
         for shards in [2usize, 4] {
-            let sharded = run(seed, &topo, &faults, EngineMode::Sharded { shards });
+            let sharded = run(seed, &topo, &faults, EngineConfig::sharded(shards));
             prop_assert_eq!(serial.0, sharded.0, "trace fingerprint ({} shards)", shards);
             prop_assert_eq!(&serial.1, &sharded.1, "metrics ({} shards)", shards);
             prop_assert_eq!(serial.2, sharded.2, "event count ({} shards)", shards);
@@ -233,15 +232,15 @@ proptest! {
 fn fallback_is_announced_and_otherwise_byte_identical() {
     let topo = Topo { campuses: vec![4], lan_us: 0, wan_ms: 0, loss: 0.0, jitter_us: 0 };
 
-    let build_one = |mode: EngineMode| {
+    let build_one = |engine: EngineConfig| {
         let (mut sim, _gw, _all) = build(7, &topo);
-        sim.set_engine(mode);
+        sim.set_engine_config(engine);
         sim.enable_trace(1 << 16);
         sim.run_until(SimTime::from_millis(260));
         sim
     };
-    let serial = build_one(EngineMode::Serial);
-    let sharded = build_one(EngineMode::Sharded { shards: 2 });
+    let serial = build_one(EngineConfig::serial());
+    let sharded = build_one(EngineConfig::sharded(2));
 
     // The fallback is signalled in both the metric and the trace.
     assert_eq!(serial.metrics().counter_value("engine.fallback_serial"), 0);

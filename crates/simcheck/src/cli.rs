@@ -82,10 +82,11 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
             }
             "--engine" => {
                 let raw = args.get(i + 1).ok_or("--engine needs a value")?;
-                let mode = metaclass_netsim::parse_engine(raw).ok_or_else(|| {
-                    format!("--engine: unknown engine '{raw}' (serial | sharded | sharded:<n>)")
+                cfg.explore.engine = metaclass_netsim::parse_engine(raw).ok_or_else(|| {
+                    format!(
+                        "--engine: unknown engine '{raw}' (serial | sharded | sharded:<n>, n >= 2)"
+                    )
                 })?;
-                cfg.explore.engine = EngineConfig::from(mode);
                 i += 2;
             }
             "--scenario" => {

@@ -9,6 +9,7 @@
 use metaclass_avatar::AvatarId;
 use metaclass_core::{
     Activity, ClassroomSession, FaultKind, ScenarioSpec, SessionBuilder, SessionConfig,
+    FAULT_EXTRA_LATENCY, FAULT_LOSS,
 };
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
 use metaclass_netsim::{
@@ -16,14 +17,6 @@ use metaclass_netsim::{
 };
 
 use crate::plan::{FaultWindow, PlanSpace};
-
-/// Loss probability a spec's [`FaultKind::LossBurst`] lowers to (mirrors the
-/// core scenario expander, so replaying a spec under simcheck disturbs the
-/// session exactly the way `bench --scenario` does).
-const SPEC_FAULT_LOSS: f64 = 0.5;
-/// Extra one-way latency a spec's [`FaultKind::LatencySpike`] lowers to
-/// (mirrors the core scenario expander).
-const SPEC_FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 /// Parameters of one checked session run.
 #[derive(Debug, Clone)]
@@ -233,14 +226,14 @@ impl Scenario {
                         b: topo.cloud,
                         from,
                         until,
-                        loss: LossModel::Iid { p: SPEC_FAULT_LOSS },
+                        loss: LossModel::Iid { p: FAULT_LOSS },
                     },
                     FaultKind::LatencySpike => FaultWindow::LatencySpike {
                         a: edge,
                         b: topo.cloud,
                         from,
                         until,
-                        extra: SPEC_FAULT_EXTRA_LATENCY,
+                        extra: FAULT_EXTRA_LATENCY,
                     },
                     FaultKind::Partition => {
                         let isolated = topo.campus_nodes[k].clone();
@@ -315,27 +308,17 @@ impl Topology {
     pub fn of(session: &ClassroomSession) -> Topology {
         let cloud = session.cloud();
         let edges = session.edges().to_vec();
-        let mut campus_nodes: Vec<Vec<NodeId>> = Vec::new();
-        let mut campus_avatars: Vec<Vec<AvatarId>> = Vec::new();
-        for (k, &edge) in edges.iter().enumerate() {
-            // The builder registers campus nodes contiguously: edge, then
-            // the room array, then one headset per participant.
-            let array = NodeId::from_index(edge.index() + 1);
-            let mut nodes = vec![edge, array];
-            let mut avatars = Vec::new();
-            for p in session.participants() {
-                let campus = match p.role {
-                    metaclass_core::Role::Student { campus }
-                    | metaclass_core::Role::Presenter { campus } => campus,
-                    metaclass_core::Role::RemoteLearner { .. } => continue,
-                };
-                if campus == k {
-                    nodes.push(p.node);
-                    avatars.push(p.avatar);
+        let campus_nodes: Vec<Vec<NodeId>> =
+            (0..edges.len()).map(|k| session.campus_nodes(k).to_vec()).collect();
+        let mut campus_avatars: Vec<Vec<AvatarId>> = vec![Vec::new(); edges.len()];
+        for p in session.participants() {
+            match p.role {
+                metaclass_core::Role::Student { campus }
+                | metaclass_core::Role::Presenter { campus } => {
+                    campus_avatars[campus].push(p.avatar)
                 }
+                metaclass_core::Role::RemoteLearner { .. } => {}
             }
-            campus_nodes.push(nodes);
-            campus_avatars.push(avatars);
         }
         let remote_clients: Vec<(AvatarId, NodeId)> = session
             .participants()

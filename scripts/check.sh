@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One-shot quality gate: formatting, lints, and the full test suite.
+# One-shot quality gate: formatting, lints, the full test suite, and rustdoc
+# (broken intra-doc links are errors).
 # Usage: scripts/check.sh [--offline]
 #
 # Pass --offline (or set CARGO_NET_OFFLINE=true) to forbid registry access,
@@ -27,5 +28,6 @@ run() {
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 run cargo test --workspace -q "${CARGO_FLAGS[@]}"
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${CARGO_FLAGS[@]}"
 
 echo "==> all checks passed"
