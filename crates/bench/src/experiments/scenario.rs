@@ -12,19 +12,16 @@
 use std::path::{Path, PathBuf};
 
 use metaclass_core::{ScenarioError, ScenarioSpec};
-use metaclass_netsim::{MetricsRegistry, SimDuration};
+use metaclass_netsim::{Fnv1a, MetricsRegistry, SimDuration};
 
 use crate::{mix_seed, Experiment, Report, RunCtx, Table};
 
 /// FNV-1a over the scenario name: the per-scenario seed salt, so two
 /// scenarios sweeping the same seed list still run distinct sessions.
 fn name_salt(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(name.as_bytes());
+    h.finish()
 }
 
 /// A workload spec registered as a runnable experiment.

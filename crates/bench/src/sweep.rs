@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use metaclass_netsim::{EngineConfig, MetricsRegistry, MetricsSnapshot};
+use metaclass_netsim::{EngineConfig, Fnv1a, MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::{parallel_trials, Experiment, Report, RunCtx, Scale, Table};
@@ -173,12 +173,12 @@ pub fn run_sweep(exp: &dyn Experiment, cfg: &SweepConfig) -> SweepOutcome {
     // Fold in seed order — never in completion order.
     let mut values: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     let mut merged = MetricsRegistry::new();
-    let mut fp = Fnv::new();
+    let mut fp = Fnv1a::new();
     for report in &reports {
         for (key, &value) in &report.scalars {
             values.entry(key).or_default().push(value);
             fp.write(key.as_bytes());
-            fp.write(&value.to_bits().to_le_bytes());
+            fp.write_u64(value.to_bits());
         }
         merged.merge(&report.metrics);
     }
@@ -324,24 +324,6 @@ pub fn validate_json(text: &str) -> Result<SweepDoc, String> {
         }
     }
     Ok(doc)
-}
-
-/// FNV-1a, the same digest family netsim's trace fingerprints use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Minimal deterministic pretty-printer for the fixed [`SweepDoc`] shape

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use metaclass_avatar::AvatarId;
-use metaclass_netsim::SimTime;
+use metaclass_netsim::{Fnv1a, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// What kind of artifact a participant contributed.
@@ -137,22 +137,18 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-fn mix(h: u64, v: u64) -> u64 {
-    // FNV-1a over the value's bytes.
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn entry_hash(prev: u64, author: AvatarId, kind: ContentKind, bytes: u64, at: SimTime) -> u64 {
-    let mut h = mix(0xcbf2_9ce4_8422_2325, prev);
-    h = mix(h, author.0 as u64);
-    h = mix(h, kind.credit_value() as u64 ^ ((kind as u64) << 32));
-    h = mix(h, bytes);
-    mix(h, at.as_nanos())
+    let mut h = Fnv1a::new();
+    for v in [
+        prev,
+        author.0 as u64,
+        kind.credit_value() as u64 ^ ((kind as u64) << 32),
+        bytes,
+        at.as_nanos(),
+    ] {
+        h.write_u64(v);
+    }
+    h.finish()
 }
 
 /// The class's append-only contribution ledger with credit accounting.

@@ -758,8 +758,9 @@ fn parse_scalar(text: &str, lineno: u32) -> Result<Value, ScenarioError> {
             return Ok(Value::Float(f));
         }
     } else if let Some(neg) = digits.strip_prefix('-') {
-        if let Ok(n) = neg.parse::<u128>() {
-            return Ok(Value::Int(-(n as i128)));
+        // A magnitude beyond i128 is out of range, not a wrapped value.
+        if let Some(n) = neg.parse::<u128>().ok().and_then(|n| i128::try_from(n).ok()) {
+            return Ok(Value::Int(-n));
         }
     } else if let Ok(n) = digits.parse::<u128>() {
         return Ok(Value::UInt(n));
@@ -936,6 +937,15 @@ mod tests {
         let err = ScenarioSpec::from_toml_str(text).unwrap_err();
         assert_eq!(err.line, Some(2), "{err}");
         assert!(err.message.contains("string, boolean, or number"), "{err}");
+        // Negative magnitudes past i128 used to overflow the negation (a
+        // panic in debug builds) or wrap to a small positive value.
+        for literal in
+            ["-170141183460469231731687303715884105728", "-340282366920938463463374607431768211455"]
+        {
+            let text = format!("name = \"x\"\nduration_ms = {literal}\n");
+            let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            assert_eq!(err.line, Some(2), "{err}");
+        }
     }
 
     #[test]

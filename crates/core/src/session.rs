@@ -302,43 +302,21 @@ impl SessionBuilder {
     /// `joins_at`, one learner every `stagger` (zero = all at once) — the
     /// flash-crowd shape of the overload experiments.
     pub fn remote_cohort_joining(
-        mut self,
+        self,
         region: Region,
         learners: u32,
         access: LinkClass,
         joins_at: SimDuration,
         stagger: SimDuration,
     ) -> Self {
-        self.cohorts.push(CohortSpec {
+        self.cohort(CohortSpec {
             region,
             learners,
             access,
             joins_at,
             join_stagger: stagger,
             platform: DevicePlatform::VrHeadset,
-        });
-        self
-    }
-
-    /// Adds a cohort of remote learners attending through `platform`
-    /// hardware (pose rate, dead reckoning, playout buffering, and input
-    /// cadence per [`DevicePlatform`]), joining at class start.
-    pub fn remote_cohort_platform(
-        mut self,
-        region: Region,
-        learners: u32,
-        access: LinkClass,
-        platform: DevicePlatform,
-    ) -> Self {
-        self.cohorts.push(CohortSpec {
-            region,
-            learners,
-            access,
-            joins_at: SimDuration::ZERO,
-            join_stagger: SimDuration::ZERO,
-            platform,
-        });
-        self
+        })
     }
 
     /// Schedules an inter-room move: remote learner `learner` (global index

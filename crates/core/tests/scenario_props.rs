@@ -2,7 +2,8 @@
 //! TOML and JSON round trips byte-exactly, and the expander is fully
 //! deterministic — the same spec and seed produce byte-identical sessions
 //! (trace fingerprints) on the serial and sharded engines and across
-//! reruns.
+//! reruns. The TOML loader is also fed hostile input and must answer `Ok`
+//! or `Err`, never panic.
 
 use metaclass_core::{
     FaultKind, FaultSpec, FlashCrowdSpec, MobilityEvent, PopulationSpec, ScenarioCampus,
@@ -154,8 +155,73 @@ fn spec_from_seed(seed: u64) -> ScenarioSpec {
     }
 }
 
+/// Every committed `scenarios/*.toml`, in name order.
+fn committed_specs() -> Vec<String> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenarios/ is committed")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no specs under {dir}");
+    paths.iter().map(|path| std::fs::read_to_string(path).expect("readable spec")).collect()
+}
+
+/// Negative literals whose magnitude does not fit `i128`: the first used to
+/// overflow the loader's negation, the second wrapped to `+1`.
+const OVERFLOW_LITERALS: [&str; 2] =
+    ["-170141183460469231731687303715884105728", "-340282366920938463463374607431768211455"];
+
+/// A numeric literal chosen to hurt: one of [`OVERFLOW_LITERALS`], or a digit
+/// run of up to 45 digits (`u128` holds 39), optionally negative.
+fn hostile_number(st: &mut u64) -> String {
+    match pick(st, 4) {
+        k @ 0..=1 => OVERFLOW_LITERALS[k as usize].to_string(),
+        _ => {
+            let sign = if pick(st, 2) == 0 { "-" } else { "" };
+            let digits = (0..1 + pick(st, 45)).map(|_| char::from(b'0' + pick(st, 10) as u8));
+            sign.chars().chain(digits).collect()
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+    /// Hostile input never panics the TOML loader: arbitrary bytes (as the
+    /// lossy UTF-8 a file read would hand over), and every committed spec
+    /// with one byte flipped, one line deleted, or one value replaced by a
+    /// hostile number.
+    #[test]
+    fn prop_hostile_toml_is_ok_or_err_never_a_panic(
+        seed in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut st = seed;
+        let _ = ScenarioSpec::from_toml_str(&String::from_utf8_lossy(&bytes));
+        for spec in committed_specs() {
+            let mut flipped = spec.as_bytes().to_vec();
+            let at = pick(&mut st, flipped.len() as u64) as usize;
+            flipped[at] ^= 1 + pick(&mut st, 255) as u8;
+            let _ = ScenarioSpec::from_toml_str(&String::from_utf8_lossy(&flipped));
+
+            let lines: Vec<&str> = spec.lines().collect();
+            let victim = pick(&mut st, lines.len() as u64) as usize;
+            let mut deleted = lines.clone();
+            deleted.remove(victim);
+            let _ = ScenarioSpec::from_toml_str(&deleted.join("\n"));
+
+            let assignments: Vec<usize> =
+                (0..lines.len()).filter(|&i| lines[i].contains(" = ")).collect();
+            let victim = assignments[pick(&mut st, assignments.len() as u64) as usize];
+            let (key, _) = lines[victim].split_once(" = ").expect("filtered on it");
+            let hostile = format!("{key} = {}", hostile_number(&mut st));
+            let mut replaced = lines.clone();
+            replaced[victim] = &hostile;
+            let _ = ScenarioSpec::from_toml_str(&replaced.join("\n"));
+        }
+    }
 
     /// parse(emit(spec)) == spec through the hand-rolled TOML dialect.
     #[test]

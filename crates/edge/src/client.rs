@@ -239,10 +239,9 @@ impl RemoteClientNode {
         self.join_attempt += 1;
         self.joins_sent += 1;
         self.join_started_at.get_or_insert(now);
-        let msg = ClassMsg::JoinRequest { avatar: self.avatar, attempt: self.join_attempt };
-        let size = msg.wire_bytes();
         ctx.metrics().inc("client.joins_sent");
-        ctx.send(self.server, msg, size);
+        ClassMsg::JoinRequest { avatar: self.avatar, attempt: self.join_attempt }
+            .send_to(ctx, self.server);
         let retry = self.jittered(self.join_rto.rto());
         self.join_rto.backoff();
         ctx.set_timer(retry, TAG_JOIN);
@@ -292,24 +291,17 @@ impl Node<ClassMsg> for RemoteClientNode {
                     if self.dead_reckoner.should_send(now, &truth) {
                         self.dead_reckoner.mark_sent(now, truth);
                         let frame = self.uplink.encode(&truth);
-                        let msg =
-                            ClassMsg::ClientPose { avatar: self.avatar, frame, captured_at: now };
-                        let size = msg.wire_bytes();
+                        let size =
+                            ClassMsg::ClientPose { avatar: self.avatar, frame, captured_at: now }
+                                .send_to(ctx, self.server);
                         ctx.metrics().inc("client.poses_sent");
                         ctx.metrics().add("client.pose_bytes", size as u64);
-                        ctx.send(self.server, msg, size);
                     } else {
                         self.dead_reckoner.mark_suppressed();
                     }
                     for (seq, event) in self.interactions.due_retransmits(now) {
-                        let msg = ClassMsg::Interaction {
-                            avatar: self.avatar,
-                            seq,
-                            event,
-                            captured_at: now,
-                        };
-                        let size = msg.wire_bytes();
-                        ctx.send(self.server, msg, size);
+                        ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now }
+                            .send_to(ctx, self.server);
                     }
                 }
                 ctx.set_timer(self.cfg.pose_rate, TAG_POSE);
@@ -319,9 +311,8 @@ impl Node<ClassMsg> for RemoteClientNode {
                     ctx.metrics().inc("client.server_outages_seen");
                 }
                 self.next_nonce += 1;
-                let msg = ClassMsg::ClockProbe { nonce: self.next_nonce, client_send: now };
-                let size = msg.wire_bytes();
-                ctx.send(self.server, msg, size);
+                ClassMsg::ClockProbe { nonce: self.next_nonce, client_send: now }
+                    .send_to(ctx, self.server);
                 ctx.set_timer(self.cfg.clock_probe_interval, TAG_CLOCK);
             }
             TAG_INTERACT => {
@@ -331,14 +322,8 @@ impl Node<ClassMsg> for RemoteClientNode {
                         .interactions
                         .send(InteractionEvent::RaiseHand { raised: self.hand_raised }, now);
                     if let Some(event) = wire {
-                        let msg = ClassMsg::Interaction {
-                            avatar: self.avatar,
-                            seq,
-                            event,
-                            captured_at: now,
-                        };
-                        let size = msg.wire_bytes();
-                        ctx.send(self.server, msg, size);
+                        ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now }
+                            .send_to(ctx, self.server);
                     }
                     ctx.metrics().inc("client.interactions_sent");
                 }
@@ -372,10 +357,8 @@ impl Node<ClassMsg> for RemoteClientNode {
                 self.mobility_idx += 1;
                 self.current_room = room;
                 self.room_moves_sent += 1;
-                let msg = ClassMsg::RoomChange { avatar: self.avatar, room };
-                let size = msg.wire_bytes();
                 ctx.metrics().inc("client.room_moves_sent");
-                ctx.send(self.server, msg, size);
+                ClassMsg::RoomChange { avatar: self.avatar, room }.send_to(ctx, self.server);
                 if let Some(&(at, _)) = self.mobility.get(self.mobility_idx) {
                     let delay = at.saturating_sub(SimDuration::from_nanos(now.as_nanos()));
                     ctx.set_timer(delay, TAG_MOVE);

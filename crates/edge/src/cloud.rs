@@ -7,29 +7,32 @@
 //! per-client updates under an interest-managed budget — the mechanism that
 //! keeps "thousands of remote users" (§3.3) affordable.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use metaclass_avatar::{retarget, AnchorFrame, AvatarCodec, AvatarId, AvatarState};
-use metaclass_netsim::SimDuration;
+use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState};
 use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sync::{
-    BoundedQueue, DeadReckoningSender, InteractionEvent, InterestConfig, InterestManager,
-    OverflowPolicy, PoseFrame, ReliableReceiver, ReliableSender, SnapshotReceiver, SnapshotSender,
-    SubscriberId, Viewpoint,
+    InteractionEvent, InterestConfig, InterestManager, PoseFrame, SubscriberId, Viewpoint,
 };
 
-/// Retransmission timeout for relayed interaction streams.
-const INTERACTION_RTO: SimDuration = SimDuration::from_millis(150);
-
-use crate::edge_server::ServerConfig;
-use crate::health::{PeerEvent, PeerHealth, RemoteAvatarPresentation};
+use crate::health::{PeerHealth, RemoteAvatarPresentation};
 use crate::messages::ClassMsg;
-use crate::overload::{AdmissionController, AdmissionOutcome, LoadShedder, ShedLevel};
+use crate::overload::{AdmissionController, AdmissionOutcome, LoadShedder};
 use crate::pool::pool_avatar;
 use crate::seat::{ClassroomLayout, SeatAllocator};
+use crate::server::{Inbound, LinkRole, ServerConfig, ServerLink};
 
-const TAG_FANOUT: u64 = 20;
-const TAG_HEARTBEAT: u64 = 21;
+static ROLE: LinkRole = LinkRole {
+    tick_tag: 20,
+    heartbeat_tag: 21,
+    peer_returns: "cloud.edge_returns",
+    peer_degraded: "cloud.edge_degraded",
+    peer_down: "cloud.edge_down",
+    interactions_delivered: "cloud.interactions_delivered",
+    interactions_given_up: "cloud.interactions_given_up",
+    decode_errors: "cloud.decode_errors",
+    ticks_shed: "overload.fanout_ticks_shed",
+};
 
 /// Seats per virtual room: each room's seating block starts this many seats
 /// after the previous one, so reseating on a room change is observable in
@@ -53,48 +56,25 @@ impl Default for FanoutConfig {
 
 /// The cloud VR classroom server.
 pub struct CloudServerNode {
-    cfg: ServerConfig,
+    /// The inter-server link toward the physical classrooms' edge servers;
+    /// its egress backlog is keyed by client avatar.
+    link: ServerLink<AvatarId>,
     fanout: FanoutConfig,
     /// Remote VR clients: avatar → client node.
     clients: BTreeMap<AvatarId, NodeId>,
-    /// Physical-classroom edge servers feeding this cloud.
-    edges: Vec<NodeId>,
-    /// Inbound streams (from clients and edges alike).
-    receivers: BTreeMap<AvatarId, SnapshotReceiver>,
-    /// Outbound re-encoded client-avatar streams toward the edges.
-    senders: BTreeMap<(NodeId, AvatarId), SnapshotSender>,
-    dead_reckoners: BTreeMap<AvatarId, DeadReckoningSender>,
     /// Latest VR-space state of every avatar in the virtual classroom.
     latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
     seats: SeatAllocator,
     interest: InterestManager,
     /// The avatar currently speaking (gets interest priority everywhere).
     speaker: Option<AvatarId>,
-    /// Capture time of the newest state already sent per (client, entity) —
+    /// Capture time of the newest state already sent per (viewer, entity) —
     /// unchanged states are not re-sent.
     sent_marks: BTreeMap<(AvatarId, AvatarId), SimTime>,
-    /// Inbound reliable interaction streams.
-    interaction_rx: BTreeMap<AvatarId, ReliableReceiver<InteractionEvent>>,
-    /// Outbound relays of client interactions toward the edges.
-    interaction_tx: BTreeMap<(NodeId, AvatarId), ReliableSender<InteractionEvent>>,
-    /// Every interaction observed in the VR classroom, in delivery order
-    /// (bounded, drop-new: under overload old evidence beats new noise).
-    interaction_log: BoundedQueue<(AvatarId, InteractionEvent)>,
-    /// Which node fed each avatar's inbound stream (for health attribution).
-    sources: BTreeMap<AvatarId, NodeId>,
-    /// Failure detector per edge server.
-    edge_health: BTreeMap<NodeId, PeerHealth>,
-    /// Fan-out tick counter (drives degraded-stride sending).
-    tick_count: u64,
     /// Join admission gate for remote clients.
     admission: AdmissionController,
-    /// Fidelity ladder driven by fan-out pressure.
-    shedder: LoadShedder,
-    /// Per-client refresh intents deferred past the egress budget
-    /// (drop-oldest: a newer refresh supersedes a stale one).
-    fanout_backlog: BTreeMap<AvatarId, BoundedQueue<AvatarId>>,
-    /// Clients already hinted to re-join this tick (rate-limits the hint).
-    rejoin_hinted: std::collections::BTreeSet<AvatarId>,
+    /// Audiences already hinted to re-join this tick (rate-limits the hint).
+    rejoin_hinted: BTreeSet<AvatarId>,
     /// Flyweight client pools served by this cloud: pool id → entry.
     pools: BTreeMap<u32, PoolEntry>,
     /// Virtual-room membership of every seated avatar (room 0 = auditorium).
@@ -111,6 +91,21 @@ struct PoolEntry {
     active: u64,
 }
 
+/// One destination of a fan-out tick. A client is an audience of weight 1
+/// served update by update; a pool is an audience of weight N served one
+/// batch per tick, under its representative avatar's viewpoint.
+struct Audience {
+    viewer: AvatarId,
+    node: NodeId,
+    weight: u64,
+    pool: Option<u32>,
+}
+
+/// Home frame of streams uploaded in their own coordinates (clients, pools).
+fn origin_anchor() -> AnchorFrame {
+    AnchorFrame::seat(Default::default())
+}
+
 impl CloudServerNode {
     /// Creates the cloud server. `clients` maps each remote avatar to its
     /// client node; `edges` are the physical classrooms' edge servers;
@@ -122,34 +117,17 @@ impl CloudServerNode {
         edges: Vec<NodeId>,
         capacity: u32,
     ) -> Self {
-        let edge_health =
-            edges.iter().map(|&e| (e, PeerHealth::new(cfg.heartbeat, SimTime::ZERO))).collect();
         CloudServerNode {
+            link: ServerLink::new(cfg, &ROLE, edges),
             interest: InterestManager::new(fanout.interest),
-            cfg,
             fanout,
             clients,
-            edges,
-            receivers: BTreeMap::new(),
-            senders: BTreeMap::new(),
-            dead_reckoners: BTreeMap::new(),
             latest: BTreeMap::new(),
             seats: SeatAllocator::new(ClassroomLayout::auditorium(capacity)),
             speaker: None,
             sent_marks: BTreeMap::new(),
-            interaction_rx: BTreeMap::new(),
-            interaction_tx: BTreeMap::new(),
-            interaction_log: BoundedQueue::new(
-                cfg.overload.interaction_log_capacity,
-                OverflowPolicy::DropNewest,
-            ),
-            sources: BTreeMap::new(),
-            edge_health,
-            tick_count: 0,
             admission: AdmissionController::new(cfg.overload.admission, SimTime::ZERO),
-            shedder: LoadShedder::new(cfg.overload.shed),
-            fanout_backlog: BTreeMap::new(),
-            rejoin_hinted: std::collections::BTreeSet::new(),
+            rejoin_hinted: BTreeSet::new(),
             pools: BTreeMap::new(),
             rooms: BTreeMap::new(),
             room_counts: BTreeMap::new(),
@@ -202,89 +180,37 @@ impl CloudServerNode {
 
     /// The load-shedding ladder (for tests and invariant oracles).
     pub fn shedder(&self) -> &LoadShedder {
-        &self.shedder
+        &self.link.shedder
     }
 
     /// Every bounded queue this server owns, as `(name, max depth ever,
     /// capacity)` — invariant oracles assert depth never exceeds capacity.
     pub fn overload_queues(&self) -> Vec<(String, usize, usize)> {
+        let log = self.link.interaction_log();
         let mut out = vec![
-            (
-                "cloud.interaction_log".to_string(),
-                self.interaction_log.max_depth(),
-                self.interaction_log.capacity(),
-            ),
+            ("cloud.interaction_log".to_string(), log.max_depth(), log.capacity()),
             (
                 "cloud.admission_waiting".to_string(),
                 self.admission.waiting_max_depth(),
                 self.admission.waiting_capacity(),
             ),
         ];
-        for (client, backlog) in &self.fanout_backlog {
-            out.push((
-                format!("cloud.fanout_backlog[{}]", client.0),
-                backlog.max_depth(),
-                backlog.capacity(),
-            ));
-        }
+        out.extend(self.link.backlogs().map(|(client, backlog)| {
+            (format!("cloud.fanout_backlog[{}]", client.0), backlog.max_depth(), backlog.capacity())
+        }));
         out
     }
 
     /// The failure detector tracking `edge`, if it is one of ours.
     pub fn edge_health(&self, edge: NodeId) -> Option<&PeerHealth> {
-        self.edge_health.get(&edge)
+        self.link.health(edge)
     }
 
     /// How `avatar` should currently be presented, given the health of the
     /// node its stream arrives from. Client-fed avatars are always `Live`
     /// (client loss is handled by the jitter buffers, not the detector).
     pub fn presentation_of(&self, avatar: AvatarId, now: SimTime) -> RemoteAvatarPresentation {
-        self.sources
-            .get(&avatar)
-            .and_then(|source| self.edge_health.get(source))
-            .map(|h| h.presentation(now))
-            .unwrap_or(RemoteAvatarPresentation::Live)
-    }
-
-    /// Full resynchronization of an edge that returned from an outage:
-    /// keyframes on every stream toward it, fresh reliable interaction
-    /// streams carrying the outstanding tail.
-    fn resync_edge(&mut self, ctx: &mut Context<'_, ClassMsg>, edge: NodeId) {
-        ctx.metrics().inc("cloud.edge_returns");
-        for ((p, _), sender) in self.senders.iter_mut() {
-            if *p == edge {
-                sender.request_keyframe();
-            }
-        }
-        let now = ctx.now();
-        let keys: Vec<(NodeId, AvatarId)> =
-            self.interaction_tx.keys().copied().filter(|(p, _)| *p == edge).collect();
-        for key in keys {
-            let outstanding =
-                self.interaction_tx.get_mut(&key).expect("just listed").take_outstanding();
-            let mut fresh = ReliableSender::new(INTERACTION_RTO);
-            for ev in outstanding {
-                let (seq, wire) = fresh.send(ev, now);
-                if let Some(event) = wire {
-                    let msg = ClassMsg::Interaction { avatar: key.1, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(edge, msg, size);
-                }
-            }
-            self.interaction_tx.insert(key, fresh);
-        }
-    }
-
-    /// Re-evaluates every edge's liveness against the clock.
-    fn poll_edges(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        let now = ctx.now();
-        for health in self.edge_health.values_mut() {
-            match health.poll(now) {
-                Some(PeerEvent::Degraded) => ctx.metrics().inc("cloud.edge_degraded"),
-                Some(PeerEvent::Down) => ctx.metrics().inc("cloud.edge_down"),
-                _ => {}
-            }
-        }
+        self.link.presentation_of(avatar, now)
     }
 
     /// Declares `avatar` the active speaker (or clears with `None`).
@@ -305,76 +231,55 @@ impl CloudServerNode {
     /// Every interaction event observed in the VR classroom (the retained
     /// bounded window, oldest first).
     pub fn interaction_log(&self) -> Vec<(AvatarId, InteractionEvent)> {
-        self.interaction_log.iter().cloned().collect()
+        self.link.interaction_log().iter().cloned().collect()
     }
 
-    fn on_interaction(
+    /// Whether `avatar` is a roster client that is not (or no longer — e.g.
+    /// after a crash-restart wiped the admission set) admitted.
+    fn is_unadmitted_client(&self, avatar: AvatarId) -> bool {
+        self.clients.contains_key(&avatar) && !self.admission.is_admitted(avatar.0 as u64)
+    }
+
+    /// Accounts one piece of traffic dropped because its audience is not
+    /// admitted, and hints `to` to re-join — once per audience per fan-out
+    /// tick.
+    fn hint_rejoin(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        avatar: AvatarId,
-        seq: u64,
-        event: InteractionEvent,
-        captured_at: SimTime,
+        to: NodeId,
+        audience: AvatarId,
+        dropped: &'static str,
+        hint: ClassMsg,
     ) {
-        let rx = self.interaction_rx.entry(avatar).or_default();
-        let ready = rx.on_packet(seq, event);
-        if let Some(ack) = rx.cumulative_ack() {
-            let msg = ClassMsg::InteractionAck { avatar, seq: ack };
-            let size = msg.wire_bytes();
-            ctx.send(from, msg, size);
-        }
-        // Client-originated events are relayed onward to the physical
-        // classrooms; edge-originated ones were already fanned out by their
-        // home edge.
-        let relay = self.clients.contains_key(&avatar);
-        for ev in ready {
-            ctx.metrics().inc("cloud.interactions_delivered");
-            if relay {
-                for peer in self.edges.clone() {
-                    if peer == from {
-                        continue;
-                    }
-                    let tx = self
-                        .interaction_tx
-                        .entry((peer, avatar))
-                        .or_insert_with(|| ReliableSender::new(INTERACTION_RTO));
-                    let (relay_seq, relay_ev) = tx.send(ev.clone(), ctx.now());
-                    if let Some(event) = relay_ev {
-                        let msg =
-                            ClassMsg::Interaction { avatar, seq: relay_seq, event, captured_at };
-                        let size = msg.wire_bytes();
-                        ctx.send(peer, msg, size);
-                    }
-                }
-            }
-            if self.interaction_log.push((avatar, ev)).is_some() {
-                ctx.metrics().inc("overload.interaction_log_dropped");
-            }
+        ctx.metrics().inc(dropped);
+        if self.rejoin_hinted.insert(audience) {
+            ctx.metrics().inc("overload.rejoin_hints");
+            hint.send_to(ctx, to);
         }
     }
 
-    fn importance_of(&self, avatar: AvatarId) -> f64 {
-        if self.speaker == Some(avatar) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Ingests a decoded avatar state arriving from `from` with `anchor` as
-    /// its home frame, retargeting it into the auditorium.
+    /// Ingests one frame of `avatar`'s inbound stream: decoded through the
+    /// link, latency-accounted for the `weight` participants it stands for
+    /// (a pool's representative pose speaks for all its members), then
+    /// seated and retargeted into the auditorium from its home `anchor`.
     #[allow(clippy::too_many_arguments)]
-    fn place_avatar(
+    fn handle_stream(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
-        avatar: AvatarId,
-        state: AvatarState,
-        anchor: AnchorFrame,
-        captured_at: SimTime,
-        forward_to_edges: bool,
         from: NodeId,
+        avatar: AvatarId,
+        frame: PoseFrame,
+        captured_at: SimTime,
+        anchor: AnchorFrame,
+        weight: u64,
+        forward_to_edges: bool,
     ) {
+        let Inbound::State(state) = self.link.on_frame(ctx, from, avatar, &frame) else {
+            return;
+        };
+        self.link.sources.insert(avatar, from);
+        let inbound = ctx.now().duration_since(captured_at);
+        ctx.metrics().histogram("cloud.inbound_latency_ns").record_n(inbound.as_nanos(), weight);
         let seat = match self.seats.assign(avatar) {
             Ok(_) => {
                 // A freshly seated avatar starts in the auditorium (room 0)
@@ -392,42 +297,21 @@ impl CloudServerNode {
         };
         let (vr_state, _) = retarget(&state, &anchor, &seat);
         self.latest.insert(avatar, (vr_state, captured_at));
-        let importance = self.importance_of(avatar);
+        let importance = if self.speaker == Some(avatar) { 1.0 } else { 0.0 };
         self.interest.update_entity(avatar, vr_state.head.position, importance);
 
-        if forward_to_edges {
-            // Re-encode toward each physical classroom so their students see
-            // the remote participant; its home frame is now the VR seat.
-            let dr = self
-                .dead_reckoners
-                .entry(avatar)
-                .or_insert_with(|| DeadReckoningSender::new(self.cfg.dead_reckoning));
-            let now = ctx.now();
-            if !dr.should_send(now, &vr_state) {
-                dr.mark_suppressed();
-                return;
-            }
-            dr.mark_sent(now, vr_state);
-            for peer in self.edges.clone() {
-                if peer == from {
-                    continue;
-                }
-                if self.edge_health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
-                {
+        // Client avatars are re-encoded toward each physical classroom so
+        // their students see the remote participant; its home frame is now
+        // the VR seat. Pools are not: classrooms render the crowd as one
+        // token. Edge-fed avatars were already fanned out by their home edge.
+        if forward_to_edges && self.link.should_replicate(ctx.now(), avatar, &vr_state) {
+            for &peer in self.link.peers().iter().filter(|&&peer| peer != from) {
+                if self.link.skips(peer) {
                     ctx.metrics().inc("cloud.forwards_skipped_unhealthy_edge");
                     continue;
                 }
-                let sender = self.senders.entry((peer, avatar)).or_insert_with(|| {
-                    SnapshotSender::new(
-                        AvatarCodec::new(self.cfg.codec),
-                        self.cfg.keyframe_interval,
-                    )
-                });
-                let frame = sender.encode(&vr_state);
-                let msg = ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor: seat };
-                let size = msg.wire_bytes();
+                self.link.send_update(ctx, peer, avatar, &vr_state, captured_at, seat);
                 ctx.metrics().inc("cloud.forwards_to_edges");
-                ctx.send(peer, msg, size);
             }
         }
     }
@@ -436,251 +320,137 @@ impl CloudServerNode {
     /// fresh updates *demanded* this tick (sent or deferred), the shedder's
     /// pressure signal.
     fn fan_out(&mut self, ctx: &mut Context<'_, ClassMsg>) -> usize {
-        let level = self.shedder.level();
-        if !level.sends_on_tick(self.tick_count) {
-            ctx.metrics().inc("overload.fanout_ticks_shed");
-            // A frozen spectator tick sends nothing, so deferred refreshes
-            // would otherwise sit in the backlog forever, pinning the
-            // pressure signal high and wedging the ladder at Spectator.
-            // Discarding them is safe: they are only service-order hints,
-            // and interest selection re-picks any still-stale pair once
-            // fan-out resumes.
-            if level == ShedLevel::Spectator {
-                let discarded: usize = self.fanout_backlog.values().map(|q| q.len()).sum();
-                if discarded > 0 {
-                    for q in self.fanout_backlog.values_mut() {
-                        q.clear();
-                    }
-                    ctx.metrics().add("overload.spectator_backlog_discarded", discarded as u64);
-                }
-            }
+        if self.link.sheds_tick(ctx) {
             return 0;
         }
-        let mut clients: Vec<(AvatarId, NodeId)> = self
+        let mut audiences: Vec<Audience> = self
             .clients
             .iter()
             .filter(|(a, _)| self.admission.is_admitted(a.0 as u64))
-            .map(|(a, n)| (*a, *n))
+            .map(|(&viewer, &node)| Audience { viewer, node, weight: 1, pool: None })
             .collect();
-        let any_pooled = self.pools.values().any(|p| p.active > 0);
-        if clients.is_empty() && !any_pooled {
-            return 0;
-        }
         // Fairness under budget exhaustion: rotate the service order so the
         // budget does not starve the same tail of clients every tick.
-        if !clients.is_empty() {
-            let offset = (self.tick_count as usize) % clients.len();
-            clients.rotate_left(offset);
+        if !audiences.is_empty() {
+            let offset = (self.link.tick_count as usize) % audiences.len();
+            audiences.rotate_left(offset);
         }
-        let budget_total = self.cfg.overload.egress_budget_per_tick.max(1);
+        // Pooled audiences are served after the clients. Each representative
+        // update counts once against the egress budget and the demand signal
+        // — the replication to the pool's members happens at the regional
+        // distribution layer, whose cost the batch's member-weighted wire
+        // size charges to the pool's scaled link.
+        audiences.extend(self.pools.iter().filter(|(_, entry)| entry.active > 0).map(
+            |(&pool, entry)| Audience {
+                viewer: pool_avatar(pool),
+                node: entry.node,
+                weight: entry.active,
+                pool: Some(pool),
+            },
+        ));
+        let min_importance =
+            self.link.shedder.level().min_importance().unwrap_or(f64::NEG_INFINITY);
+        let budget_total = self.link.egress_budget();
         let mut sent_this_tick = 0usize;
         let mut demand = 0usize;
-        for (client_avatar, client_node) in clients {
-            let viewpoint = match self.latest.get(&client_avatar) {
+        let mut considered: Vec<AvatarId> = Vec::new();
+        for Audience { viewer, node, weight, pool } in audiences {
+            let viewpoint = match self.latest.get(&viewer) {
                 Some((st, _)) => {
                     Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() }
                 }
-                None => continue, // client has not joined with a pose yet
+                None => continue, // has not uploaded a pose yet
             };
             // Refreshes deferred by an earlier budget crunch go first, then
             // this tick's interest selection.
             let mut wanted: Vec<AvatarId> = Vec::new();
-            if let Some(backlog) = self.fanout_backlog.get_mut(&client_avatar) {
-                while let Some(avatar) = backlog.pop() {
-                    wanted.push(avatar);
-                }
+            while let Some(avatar) = self.link.pop_deferred(viewer) {
+                wanted.push(avatar);
             }
-            let sub = SubscriberId(client_avatar.0);
             let budget = self.fanout.budget_per_client + 1; // self may be selected
-            let selected = match level.min_importance() {
-                Some(min) => self.interest.select_with_min_importance(sub, viewpoint, budget, min),
-                None => self.interest.select(sub, viewpoint, budget),
-            };
-            wanted.extend(selected);
-            let mut considered: Vec<AvatarId> = Vec::new();
-            for avatar in wanted {
-                if avatar == client_avatar || considered.contains(&avatar) {
+            let selected = self.interest.select_with_min_importance(
+                SubscriberId(viewer.0),
+                viewpoint,
+                budget,
+                min_importance,
+            );
+            considered.clear();
+            let mut batch: Vec<SimTime> = Vec::new();
+            for avatar in wanted.into_iter().chain(selected) {
+                if avatar == viewer || considered.contains(&avatar) {
                     continue;
                 }
                 considered.push(avatar);
-                if let Some((state, captured_at)) = self.latest.get(&avatar) {
-                    // Skip states the client already has.
-                    let mark =
-                        self.sent_marks.entry((client_avatar, avatar)).or_insert(SimTime::ZERO);
-                    if *captured_at <= *mark {
-                        continue;
+                let Some((state, captured_at)) = self.latest.get(&avatar) else {
+                    continue;
+                };
+                // Skip states the audience already has.
+                let mark = self.sent_marks.entry((viewer, avatar)).or_insert(SimTime::ZERO);
+                if *captured_at <= *mark {
+                    continue;
+                }
+                demand += 1;
+                if sent_this_tick >= budget_total {
+                    // Egress budget exhausted: the mark stays stale, so
+                    // interest selection re-picks the pair; a client's
+                    // refresh is also queued to go first (pools carry no
+                    // backlog).
+                    if pool.is_none() {
+                        self.link.defer(ctx, viewer, avatar);
                     }
-                    demand += 1;
-                    if sent_this_tick >= budget_total {
-                        // Egress budget exhausted: defer the refresh.
-                        let backlog =
-                            self.fanout_backlog.entry(client_avatar).or_insert_with(|| {
-                                BoundedQueue::new(
-                                    self.cfg.overload.backlog_capacity,
-                                    OverflowPolicy::DropOldest,
-                                )
-                            });
-                        if backlog.push(avatar).is_some() {
-                            ctx.metrics().inc("overload.backlog_dropped");
-                        }
-                        ctx.metrics().inc("overload.fanout_deferred");
-                        continue;
-                    }
-                    *mark = *captured_at;
-                    sent_this_tick += 1;
-                    let msg = ClassMsg::DisplayUpdate {
+                    ctx.metrics().inc("overload.fanout_deferred");
+                    continue;
+                }
+                *mark = *captured_at;
+                sent_this_tick += 1;
+                ctx.metrics().add("cloud.fanout_updates", weight);
+                if pool.is_some() {
+                    batch.push(*captured_at);
+                } else {
+                    let size = ClassMsg::DisplayUpdate {
                         avatar,
                         state: *state,
                         captured_at: *captured_at,
-                    };
-                    let size = msg.wire_bytes();
-                    ctx.metrics().inc("cloud.fanout_updates");
+                    }
+                    .send_to(ctx, node);
                     ctx.metrics().add("cloud.fanout_bytes", size as u64);
-                    ctx.send(client_node, msg, size);
                 }
             }
-        }
-        // Pooled audiences: one interest selection per pool (its
-        // representative viewpoint), one batched message per tick. Each
-        // representative update counts once against the egress budget and
-        // the demand signal — the replication to the pool's members happens
-        // at the regional distribution layer, whose cost the batch's
-        // member-weighted wire size charges to the pool's scaled link.
-        let pool_ids: Vec<u32> = self.pools.keys().copied().collect();
-        for pool in pool_ids {
-            let (pool_node, active) = {
-                let entry = &self.pools[&pool];
-                (entry.node, entry.active)
-            };
-            if active == 0 {
-                continue;
-            }
-            let rep = pool_avatar(pool);
-            let viewpoint = match self.latest.get(&rep) {
-                Some((st, _)) => {
-                    Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() }
-                }
-                None => continue, // pool has not uploaded a pose yet
-            };
-            let sub = SubscriberId(rep.0);
-            let budget = self.fanout.budget_per_client + 1;
-            let selected = match level.min_importance() {
-                Some(min) => self.interest.select_with_min_importance(sub, viewpoint, budget, min),
-                None => self.interest.select(sub, viewpoint, budget),
-            };
-            let mut captured: Vec<SimTime> = Vec::new();
-            for avatar in selected {
-                if avatar == rep {
-                    continue;
-                }
-                if let Some((_, captured_at)) = self.latest.get(&avatar) {
-                    let mark = self.sent_marks.entry((rep, avatar)).or_insert(SimTime::ZERO);
-                    if *captured_at <= *mark {
-                        continue;
-                    }
-                    demand += 1;
-                    if sent_this_tick >= budget_total {
-                        // Over budget: leave the mark alone so interest
-                        // selection re-picks the still-stale pair next tick
-                        // (pools carry no backlog queue).
-                        ctx.metrics().inc("overload.fanout_deferred");
-                        continue;
-                    }
-                    *mark = *captured_at;
-                    sent_this_tick += 1;
-                    captured.push(*captured_at);
-                }
-            }
-            if !captured.is_empty() {
-                let updates = captured.len() as u64;
-                let msg = ClassMsg::PoolDisplay { pool, members: active, captured };
-                let size = msg.wire_bytes();
-                ctx.metrics().add("cloud.fanout_updates", updates.saturating_mul(active));
+            if let (Some(pool), false) = (pool, batch.is_empty()) {
+                let size = ClassMsg::PoolDisplay { pool, members: weight, captured: batch }
+                    .send_to(ctx, node);
                 ctx.metrics().add("cloud.fanout_bytes", size as u64);
-                ctx.send(pool_node, msg, size);
             }
         }
         demand
-    }
-
-    /// Smoothed-pressure input for the ladder: whichever is worse of this
-    /// tick's demand-to-budget ratio and the backlog fill fraction.
-    fn utilization(&self, demand: usize) -> f64 {
-        let budget = self.cfg.overload.egress_budget_per_tick.max(1);
-        let demand_ratio = demand as f64 / budget as f64;
-        let backlog_len: usize = self.fanout_backlog.values().map(|q| q.len()).sum();
-        let backlog_cap: usize = self.fanout_backlog.values().map(|q| q.capacity()).sum();
-        let backlog_ratio =
-            if backlog_cap == 0 { 0.0 } else { backlog_len as f64 / backlog_cap as f64 };
-        demand_ratio.max(backlog_ratio)
     }
 }
 
 impl Node<ClassMsg> for CloudServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        ctx.set_timer(self.cfg.tick, TAG_FANOUT);
-        if !self.edges.is_empty() {
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
-        }
+        self.link.on_start(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ClassMsg>, timer: Timer) {
-        if timer.tag == TAG_HEARTBEAT {
-            let now = ctx.now();
-            for edge in self.edges.clone() {
-                let msg = ClassMsg::Heartbeat { sent_at: now };
-                let size = msg.wire_bytes();
-                ctx.send(edge, msg, size);
-            }
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
+        if !self.link.on_timer(ctx, timer) {
             return;
         }
-        if timer.tag == TAG_FANOUT {
-            self.tick_count += 1;
-            self.rejoin_hinted.clear();
-            self.poll_edges(ctx);
-            // Admit parked joiners as admission tokens refill.
-            for key in self.admission.poll(ctx.now()) {
-                let avatar = AvatarId(key as u32);
-                if let Some(&node) = self.clients.get(&avatar) {
-                    ctx.metrics().inc("overload.joins_admitted");
-                    let msg = ClassMsg::JoinAccepted { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(node, msg, size);
-                }
+        self.rejoin_hinted.clear();
+        // Admit parked joiners as admission tokens refill.
+        for key in self.admission.poll(ctx.now()) {
+            let avatar = AvatarId(key as u32);
+            if let Some(&node) = self.clients.get(&avatar) {
+                ctx.metrics().inc("overload.joins_admitted");
+                ClassMsg::JoinAccepted { avatar }.send_to(ctx, node);
             }
-            let demand = self.fan_out(ctx);
-            let now = ctx.now();
-            let utilization = self.utilization(demand);
-            ctx.metrics()
-                .histogram("overload.utilization_milli")
-                .record((utilization * 1000.0) as u64);
-            if let Some(t) = self.shedder.observe(now, utilization) {
-                ctx.metrics().inc("overload.shed_transitions");
-                ctx.metrics().add("overload.shed_level", t.to.rung() as u64);
-            }
-            for ((peer, avatar), tx) in self.interaction_tx.iter_mut() {
-                for (seq, event) in tx.due_retransmits(now) {
-                    let msg =
-                        ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(*peer, msg, size);
-                }
-                for (_seq, _event) in tx.drain_given_up() {
-                    ctx.metrics().inc("cloud.interactions_given_up");
-                }
-            }
-            ctx.set_timer(self.cfg.tick, TAG_FANOUT);
         }
+        let demand = self.fan_out(ctx);
+        self.link.finish_tick(ctx, demand, self.link.egress_budget());
+        self.link.arm_tick(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ClassMsg>, from: NodeId, msg: ClassMsg) {
-        // Any traffic from an edge server counts as liveness.
-        if let Some(health) = self.edge_health.get_mut(&from) {
-            if health.on_heard(ctx.now()) == Some(PeerEvent::Returned) {
-                self.resync_edge(ctx, from);
-            }
-        }
+        self.link.heard(ctx, from);
         match msg {
             ClassMsg::JoinRequest { avatar, .. } => {
                 let now = ctx.now();
@@ -708,116 +478,85 @@ impl Node<ClassMsg> for CloudServerNode {
                     ctx.metrics().inc("overload.joins_unknown");
                     ClassMsg::JoinRejected { avatar }
                 };
-                let size = reply.wire_bytes();
-                ctx.send(from, reply, size);
+                reply.send_to(ctx, from);
             }
             ClassMsg::ClientPose { avatar, frame, captured_at } => {
-                if self.clients.contains_key(&avatar)
-                    && !self.admission.is_admitted(avatar.0 as u64)
-                {
-                    // Not (or no longer — e.g. after a crash-restart that
-                    // wiped the admission set) admitted: drop the pose and
-                    // hint the client to re-join, once per fan-out tick.
-                    ctx.metrics().inc("overload.unadmitted_poses_dropped");
-                    if self.rejoin_hinted.insert(avatar) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::JoinRejected { avatar };
-                        let size = hint.wire_bytes();
-                        ctx.send(from, hint, size);
-                    }
+                if self.is_unadmitted_client(avatar) {
+                    let hint = ClassMsg::JoinRejected { avatar };
+                    self.hint_rejoin(ctx, from, avatar, "overload.unadmitted_poses_dropped", hint);
                     return;
                 }
-                self.handle_stream(ctx, from, avatar, frame, captured_at, None);
+                // Clients stream in their own home frame.
+                let anchor = origin_anchor();
+                self.handle_stream(ctx, from, avatar, frame, captured_at, anchor, 1, true);
             }
             ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor } => {
-                self.handle_stream(ctx, from, avatar, frame, captured_at, Some(anchor));
-            }
-            ClassMsg::AvatarAck { avatar, seq } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.on_ack(seq);
-                }
-            }
-            ClassMsg::KeyframeRequest { avatar } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.request_keyframe();
-                }
-            }
-            ClassMsg::ClockProbe { nonce, client_send } => {
-                let reply = ClassMsg::ClockReply { nonce, client_send, server_time: ctx.now() };
-                let size = reply.wire_bytes();
-                ctx.send(from, reply, size);
+                // Edges supply the avatar's classroom anchor.
+                self.handle_stream(ctx, from, avatar, frame, captured_at, anchor, 1, false);
             }
             ClassMsg::Interaction { avatar, seq, event, captured_at } => {
-                if self.clients.contains_key(&avatar)
-                    && !self.admission.is_admitted(avatar.0 as u64)
-                {
-                    ctx.metrics().inc("overload.unadmitted_interactions_dropped");
-                    if self.rejoin_hinted.insert(avatar) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::JoinRejected { avatar };
-                        let size = hint.wire_bytes();
-                        ctx.send(from, hint, size);
-                    }
+                if self.is_unadmitted_client(avatar) {
+                    let hint = ClassMsg::JoinRejected { avatar };
+                    let dropped = "overload.unadmitted_interactions_dropped";
+                    self.hint_rejoin(ctx, from, avatar, dropped, hint);
                     return;
                 }
-                self.on_interaction(ctx, from, avatar, seq, event, captured_at);
-            }
-            ClassMsg::InteractionAck { avatar, seq } => {
-                if let Some(tx) = self.interaction_tx.get_mut(&(from, avatar)) {
-                    tx.on_ack_at(seq, ctx.now());
-                }
+                // Client-originated events are relayed onward to the
+                // physical classrooms; edge-originated ones were already
+                // fanned out by their home edge.
+                let relay = self.clients.contains_key(&avatar);
+                self.link.on_interaction(ctx, from, avatar, seq, event, captured_at, relay);
             }
             ClassMsg::PoolJoin { pool, count, .. } => {
                 let now = ctx.now();
-                if !self.pools.contains_key(&pool) {
+                let Some(entry) = self.pools.get_mut(&pool) else {
                     ctx.metrics().inc("overload.pool_joins_unknown");
                     return;
-                }
+                };
                 // Exact aggregate admission: one real token per pooled
                 // client, individually parked joiners keep priority, and the
                 // un-admitted remainder stays the pool's problem (it is its
                 // own regional waiting room).
                 let (admitted, retry_after) = self.admission.admit_up_to(count, now);
-                if let Some(entry) = self.pools.get_mut(&pool) {
-                    entry.active += admitted;
-                }
+                entry.active += admitted;
                 ctx.metrics().add("overload.pool_joins_admitted", admitted);
                 let waiting = count - admitted;
                 if waiting > 0 {
                     ctx.metrics().add("overload.pool_joins_deferred", waiting);
                 }
-                let reply = ClassMsg::PoolJoinReply { pool, admitted, waiting, retry_after };
-                let size = reply.wire_bytes();
-                ctx.send(from, reply, size);
+                ClassMsg::PoolJoinReply { pool, admitted, waiting, retry_after }.send_to(ctx, from);
             }
             ClassMsg::PoolPose { pool, count, frame, captured_at } => {
-                let Some(entry) = self.pools.get(&pool) else {
+                let Some(entry) = self.pools.get_mut(&pool) else {
                     return;
                 };
-                let (pool_node, active) = (entry.node, entry.active);
                 let rep = pool_avatar(pool);
-                if active == 0 {
+                if entry.active == 0 {
                     // The pool believes its members are admitted; we do not
-                    // (crash-restart wiped the counts). Hint a full re-join,
-                    // once per fan-out tick.
-                    ctx.metrics().inc("overload.unadmitted_pool_poses_dropped");
-                    if self.rejoin_hinted.insert(rep) {
-                        ctx.metrics().inc("overload.rejoin_hints");
-                        let hint = ClassMsg::PoolEvict { pool };
-                        let size = hint.wire_bytes();
-                        ctx.send(pool_node, hint, size);
-                    }
+                    // (crash-restart wiped the counts): hint a full re-join.
+                    let (to, hint) = (entry.node, ClassMsg::PoolEvict { pool });
+                    let dropped = "overload.unadmitted_pool_poses_dropped";
+                    self.hint_rejoin(ctx, to, rep, dropped, hint);
                     return;
                 }
                 // The pose's member count is authoritative: the pool owns
                 // its roster, and this reconciles any drift from join
                 // retransmissions whose first delivery we admitted but
                 // whose reply was lost en route.
-                if count != active {
+                if count != entry.active {
                     ctx.metrics().inc("overload.pool_count_reconciled");
-                    self.pools.get_mut(&pool).expect("entry exists").active = count;
+                    entry.active = count;
                 }
-                self.handle_pool_stream(ctx, from, pool, count, frame, captured_at);
+                self.handle_stream(
+                    ctx,
+                    from,
+                    rep,
+                    frame,
+                    captured_at,
+                    origin_anchor(),
+                    count,
+                    false,
+                );
             }
             ClassMsg::PoolLeave { pool, count } => {
                 if let Some(entry) = self.pools.get_mut(&pool) {
@@ -850,9 +589,7 @@ impl Node<ClassMsg> for CloudServerNode {
                 }
                 ctx.metrics().inc("cloud.room_moves");
             }
-            // Liveness was already recorded above; nothing else to do.
-            ClassMsg::Heartbeat { .. } => {}
-            _ => {}
+            other => self.link.on_control(ctx, from, other),
         }
     }
 
@@ -860,26 +597,14 @@ impl Node<ClassMsg> for CloudServerNode {
         // A crashed cloud loses all volatile session state; the deployment
         // configuration (clients, edges, capacity) survives.
         let capacity = self.seats.layout().capacity() as u32;
-        self.receivers.clear();
-        self.senders.clear();
-        self.dead_reckoners.clear();
+        self.link.on_crash();
         self.latest.clear();
         self.seats = SeatAllocator::new(ClassroomLayout::auditorium(capacity));
         self.interest = InterestManager::new(self.fanout.interest);
         self.sent_marks.clear();
-        self.interaction_rx.clear();
-        self.interaction_tx.clear();
-        self.interaction_log.clear();
-        self.sources.clear();
-        for health in self.edge_health.values_mut() {
-            health.reset();
-        }
-        self.tick_count = 0;
         // The admission set is volatile: restarted clouds re-admit returning
         // clients (whose un-admitted traffic triggers a re-join hint).
         self.admission.reset(SimTime::ZERO);
-        self.shedder.reset();
-        self.fanout_backlog.clear();
         self.rejoin_hinted.clear();
         // Pool membership counts are volatile too: the next PoolPose from a
         // pool we no longer recognize triggers a PoolEvict re-join hint.
@@ -889,95 +614,5 @@ impl Node<ClassMsg> for CloudServerNode {
         // Room membership follows the seats it annotates.
         self.rooms.clear();
         self.room_counts.clear();
-    }
-}
-
-impl CloudServerNode {
-    /// Ingests a pool's representative pose: decoded through the shared
-    /// receiver machinery, latency-accounted for all `count` members it
-    /// stands for, and placed in the auditorium without per-member fan-out
-    /// to the edges (physical classrooms render the crowd as one token).
-    fn handle_pool_stream(
-        &mut self,
-        ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        pool: u32,
-        count: u64,
-        frame: PoseFrame,
-        captured_at: SimTime,
-    ) {
-        let avatar = pool_avatar(pool);
-        let receiver = self
-            .receivers
-            .entry(avatar)
-            .or_insert_with(|| SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec)));
-        match receiver.decode(&frame) {
-            Err(_) => {
-                ctx.metrics().inc("cloud.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let ack = ClassMsg::AvatarAck { avatar, seq };
-                    let size = ack.wire_bytes();
-                    ctx.send(from, ack, size);
-                }
-                self.sources.insert(avatar, from);
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics()
-                    .histogram("cloud.inbound_latency_ns")
-                    .record_n(inbound.as_nanos(), count);
-                let anchor = AnchorFrame::seat(Default::default());
-                self.place_avatar(ctx, avatar, state, anchor, captured_at, false, from);
-            }
-        }
-    }
-
-    fn handle_stream(
-        &mut self,
-        ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        avatar: AvatarId,
-        frame: PoseFrame,
-        captured_at: SimTime,
-        anchor: Option<AnchorFrame>,
-    ) {
-        let receiver = self
-            .receivers
-            .entry(avatar)
-            .or_insert_with(|| SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec)));
-        match receiver.decode(&frame) {
-            Err(_) => {
-                ctx.metrics().inc("cloud.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let ack = ClassMsg::AvatarAck { avatar, seq };
-                    let size = ack.wire_bytes();
-                    ctx.send(from, ack, size);
-                }
-                self.sources.insert(avatar, from);
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics().histogram("cloud.inbound_latency_ns").record(inbound.as_nanos());
-                // Clients stream in their own home frame (origin anchor);
-                // edges supply the avatar's classroom anchor.
-                let from_clients = anchor.is_none();
-                let src_anchor = anchor.unwrap_or_else(|| AnchorFrame::seat(Default::default()));
-                self.place_avatar(ctx, avatar, state, src_anchor, captured_at, from_clients, from);
-            }
-        }
     }
 }

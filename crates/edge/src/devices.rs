@@ -87,29 +87,20 @@ impl Node<ClassMsg> for HeadsetNode {
         match timer.tag {
             TAG_POSE => {
                 if let Some(measurement) = self.model.measure_pose(&truth) {
-                    let msg = ClassMsg::HeadsetPose {
-                        avatar: self.avatar,
-                        measurement,
-                        captured_at: now,
-                    };
-                    let size = msg.wire_bytes();
-                    ctx.send(self.edge, msg, size);
+                    ClassMsg::HeadsetPose { avatar: self.avatar, measurement, captured_at: now }
+                        .send_to(ctx, self.edge);
                     ctx.metrics().inc("headset.pose_samples");
                 }
                 // Pump reliable retransmissions of interaction events.
                 for (seq, event) in self.interactions.due_retransmits(now) {
-                    let msg =
-                        ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(self.edge, msg, size);
+                    ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now }
+                        .send_to(ctx, self.edge);
                 }
                 ctx.set_timer(self.model.sample_period(), TAG_POSE);
             }
             TAG_EXPRESSION => {
                 let frame = self.model.measure_expression(&truth);
-                let msg = ClassMsg::HeadsetExpression { avatar: self.avatar, frame };
-                let size = msg.wire_bytes();
-                ctx.send(self.edge, msg, size);
+                ClassMsg::HeadsetExpression { avatar: self.avatar, frame }.send_to(ctx, self.edge);
                 ctx.set_timer(self.model.expression_period(), TAG_EXPRESSION);
             }
             TAG_INTERACT => {
@@ -118,10 +109,8 @@ impl Node<ClassMsg> for HeadsetNode {
                     .interactions
                     .send(InteractionEvent::RaiseHand { raised: self.hand_raised }, now);
                 if let Some(event) = wire {
-                    let msg =
-                        ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(self.edge, msg, size);
+                    ClassMsg::Interaction { avatar: self.avatar, seq, event, captured_at: now }
+                        .send_to(ctx, self.edge);
                 }
                 ctx.metrics().inc("headset.interactions_sent");
                 let next = SimDuration::from_secs_f64(self.interact_rng.range_f64(10.0, 45.0));
@@ -191,9 +180,8 @@ impl Node<ClassMsg> for RoomArrayNode {
         for (avatar, trajectory, array) in &mut self.tracked {
             let truth = trajectory.state_at(now.as_secs_f64());
             if let Some(measurement) = array.measure(&truth) {
-                let msg = ClassMsg::RoomPose { avatar: *avatar, measurement, captured_at: now };
-                let size = msg.wire_bytes();
-                ctx.send(self.edge, msg, size);
+                ClassMsg::RoomPose { avatar: *avatar, measurement, captured_at: now }
+                    .send_to(ctx, self.edge);
                 ctx.metrics().inc("room.pose_samples");
             } else {
                 ctx.metrics().inc("room.occluded_samples");

@@ -10,91 +10,45 @@
 
 use std::collections::BTreeMap;
 
-use metaclass_avatar::{
-    retarget, AnchorFrame, AvatarCodec, AvatarId, AvatarState, CodecConfig, Vec3,
-};
-use metaclass_netsim::{Context, Node, NodeId, SimDuration, SimTime, Timer};
+use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState, Vec3};
+use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sensors::PoseFusion;
-use metaclass_sync::{
-    BoundedQueue, DeadReckoningConfig, DeadReckoningSender, InteractionEvent, OverflowPolicy,
-    ReliableReceiver, ReliableSender, SnapshotReceiver, SnapshotSender,
-};
+use metaclass_sync::{InteractionEvent, PoseFrame};
 
-/// Retransmission timeout for relayed interaction streams.
-const INTERACTION_RTO: SimDuration = SimDuration::from_millis(150);
-
-use crate::health::{HeartbeatConfig, PeerEvent, PeerHealth, RemoteAvatarPresentation};
+use crate::health::{PeerHealth, RemoteAvatarPresentation};
 use crate::messages::ClassMsg;
-use crate::overload::{LoadShedder, OverloadConfig, ShedLevel};
+use crate::overload::LoadShedder;
 use crate::seat::{ClassroomLayout, SeatAllocator};
+use crate::server::{Inbound, LinkRole, ServerConfig, ServerLink};
 
-const TAG_TICK: u64 = 10;
-const TAG_HEARTBEAT: u64 = 11;
-
-/// Tuning of a classroom/cloud server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerConfig {
-    /// Replication tick (evaluation + fan-out cadence).
-    pub tick: SimDuration,
-    /// Dead-reckoning thresholds for outbound replication.
-    pub dead_reckoning: DeadReckoningConfig,
-    /// Keyframe cadence of the snapshot streams.
-    pub keyframe_interval: u64,
-    /// Avatar codec configuration (bounds must contain the classroom).
-    pub codec: CodecConfig,
-    /// Heartbeat failure detection and degradation tuning.
-    pub heartbeat: HeartbeatConfig,
-    /// Flash-crowd overload control (admission, bounded queues, shedding).
-    pub overload: OverloadConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            tick: SimDuration::from_rate_hz(60.0),
-            dead_reckoning: DeadReckoningConfig::default(),
-            keyframe_interval: 60,
-            codec: CodecConfig::default(),
-            heartbeat: HeartbeatConfig::default(),
-            overload: OverloadConfig::default(),
-        }
-    }
-}
+static ROLE: LinkRole = LinkRole {
+    tick_tag: 10,
+    heartbeat_tag: 11,
+    peer_returns: "edge.peer_returns",
+    peer_degraded: "edge.peer_degraded",
+    peer_down: "edge.peer_down",
+    interactions_delivered: "edge.interactions_delivered",
+    interactions_given_up: "edge.interactions_given_up",
+    decode_errors: "edge.decode_errors",
+    ticks_shed: "overload.replicate_ticks_shed",
+};
 
 /// The edge server of one physical MR classroom.
 pub struct EdgeServerNode {
-    cfg: ServerConfig,
-    /// Peer servers receiving this classroom's avatars (other edge + cloud).
-    peers: Vec<NodeId>,
+    /// The inter-server link toward the peer servers receiving this
+    /// classroom's avatars (other edges + cloud); its egress backlog is
+    /// keyed by peer.
+    link: ServerLink<NodeId>,
     /// Local participants and the headset node displaying to each.
     headsets: BTreeMap<AvatarId, NodeId>,
     /// Anchors of local participants in this classroom (their own seats).
     local_anchors: BTreeMap<AvatarId, AnchorFrame>,
     fusion: BTreeMap<AvatarId, PoseFusion>,
-    dead_reckoners: BTreeMap<AvatarId, DeadReckoningSender>,
-    senders: BTreeMap<(NodeId, AvatarId), SnapshotSender>,
-    receivers: BTreeMap<AvatarId, (NodeId, SnapshotReceiver)>,
     seats: SeatAllocator,
     /// Latest retargeted state of each remote avatar.
     remote_latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
-    /// Inbound reliable interaction streams, one per avatar.
-    interaction_rx: BTreeMap<AvatarId, ReliableReceiver<InteractionEvent>>,
-    /// Outbound relays of local avatars' interactions, per (peer, avatar).
-    interaction_tx: BTreeMap<(NodeId, AvatarId), ReliableSender<InteractionEvent>>,
-    /// Every interaction observed by this classroom, in arrival order
-    /// (bounded, drop-new: under overload old evidence beats new noise).
-    interaction_log: BoundedQueue<(AvatarId, InteractionEvent)>,
-    /// Failure detector per peer server.
-    peer_health: BTreeMap<NodeId, PeerHealth>,
-    /// Replication tick counter (drives degraded-stride sending).
-    tick_count: u64,
     /// Remote avatars currently pinned by a frozen source peer.
     frozen: BTreeMap<AvatarId, bool>,
-    /// Fidelity ladder driven by replication pressure.
-    shedder: LoadShedder,
-    /// Per-peer avatar refreshes deferred past the egress budget
-    /// (drop-oldest: a newer refresh supersedes a stale one).
-    egress_backlog: BTreeMap<NodeId, BoundedQueue<AvatarId>>,
 }
 
 impl EdgeServerNode {
@@ -115,53 +69,34 @@ impl EdgeServerNode {
             headsets.insert(avatar, headset);
             local_anchors.insert(avatar, anchor);
         }
-        let peer_health =
-            peers.iter().map(|&p| (p, PeerHealth::new(cfg.heartbeat, SimTime::ZERO))).collect();
         EdgeServerNode {
-            cfg,
-            peers,
+            link: ServerLink::new(cfg, &ROLE, peers),
             headsets,
             local_anchors,
             fusion: BTreeMap::new(),
-            dead_reckoners: BTreeMap::new(),
-            senders: BTreeMap::new(),
-            receivers: BTreeMap::new(),
             seats: SeatAllocator::new(layout),
             remote_latest: BTreeMap::new(),
-            interaction_rx: BTreeMap::new(),
-            interaction_tx: BTreeMap::new(),
-            interaction_log: BoundedQueue::new(
-                cfg.overload.interaction_log_capacity,
-                OverflowPolicy::DropNewest,
-            ),
-            peer_health,
-            tick_count: 0,
             frozen: BTreeMap::new(),
-            shedder: LoadShedder::new(cfg.overload.shed),
-            egress_backlog: BTreeMap::new(),
         }
     }
 
     /// The load-shedding ladder (for tests and invariant oracles).
     pub fn shedder(&self) -> &LoadShedder {
-        &self.shedder
+        &self.link.shedder
     }
 
     /// Every bounded queue this server owns, as `(name, max depth ever,
     /// capacity)` — invariant oracles assert depth never exceeds capacity.
     pub fn overload_queues(&self) -> Vec<(String, usize, usize)> {
-        let mut out = vec![(
-            "edge.interaction_log".to_string(),
-            self.interaction_log.max_depth(),
-            self.interaction_log.capacity(),
-        )];
-        for (peer, backlog) in &self.egress_backlog {
-            out.push((
+        let log = self.link.interaction_log();
+        let mut out = vec![("edge.interaction_log".to_string(), log.max_depth(), log.capacity())];
+        out.extend(self.link.backlogs().map(|(peer, backlog)| {
+            (
                 format!("edge.egress_backlog[{}]", peer.index()),
                 backlog.max_depth(),
                 backlog.capacity(),
-            ));
-        }
+            )
+        }));
         out
     }
 
@@ -194,65 +129,19 @@ impl EdgeServerNode {
     /// Every interaction event observed in this classroom, in order of
     /// in-sequence delivery (the retained bounded window, oldest first).
     pub fn interaction_log(&self) -> Vec<(AvatarId, InteractionEvent)> {
-        self.interaction_log.iter().cloned().collect()
+        self.link.interaction_log().iter().cloned().collect()
     }
 
     /// The failure detector tracking `peer`, if it is one of this server's
     /// peers.
     pub fn peer_health(&self, peer: NodeId) -> Option<&PeerHealth> {
-        self.peer_health.get(&peer)
+        self.link.health(peer)
     }
 
     /// How the remote avatar `avatar` should currently be presented, given
     /// the health of the peer its stream arrives from.
     pub fn presentation_of(&self, avatar: AvatarId, now: SimTime) -> RemoteAvatarPresentation {
-        self.receivers
-            .get(&avatar)
-            .and_then(|(source, _)| self.peer_health.get(source))
-            .map(|h| h.presentation(now))
-            .unwrap_or(RemoteAvatarPresentation::Live)
-    }
-
-    /// Full resynchronization of a peer that returned from an outage: the
-    /// restarted peer lost its receive state, so every snapshot stream
-    /// toward it restarts from a keyframe and its reliable interaction
-    /// streams are rebuilt carrying the outstanding tail.
-    fn resync_peer(&mut self, ctx: &mut Context<'_, ClassMsg>, peer: NodeId) {
-        ctx.metrics().inc("edge.peer_returns");
-        for ((p, _), sender) in self.senders.iter_mut() {
-            if *p == peer {
-                sender.request_keyframe();
-            }
-        }
-        let now = ctx.now();
-        let keys: Vec<(NodeId, AvatarId)> =
-            self.interaction_tx.keys().copied().filter(|(p, _)| *p == peer).collect();
-        for key in keys {
-            let outstanding =
-                self.interaction_tx.get_mut(&key).expect("just listed").take_outstanding();
-            let mut fresh = ReliableSender::new(INTERACTION_RTO);
-            for ev in outstanding {
-                let (seq, wire) = fresh.send(ev, now);
-                if let Some(event) = wire {
-                    let msg = ClassMsg::Interaction { avatar: key.1, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(peer, msg, size);
-                }
-            }
-            self.interaction_tx.insert(key, fresh);
-        }
-    }
-
-    /// Re-evaluates every peer's liveness against the clock.
-    fn poll_peers(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        let now = ctx.now();
-        for health in self.peer_health.values_mut() {
-            match health.poll(now) {
-                Some(PeerEvent::Degraded) => ctx.metrics().inc("edge.peer_degraded"),
-                Some(PeerEvent::Down) => ctx.metrics().inc("edge.peer_down"),
-                _ => {}
-            }
-        }
+        self.link.presentation_of(avatar, now)
     }
 
     /// Applies hold-then-freeze presentation to remote avatars whose source
@@ -271,10 +160,8 @@ impl EdgeServerNode {
                         let mut pinned = *state;
                         pinned.velocity = Vec3::ZERO;
                         for headset in self.headsets.values() {
-                            let msg =
-                                ClassMsg::DisplayUpdate { avatar, state: pinned, captured_at: now };
-                            let size = msg.wire_bytes();
-                            ctx.send(*headset, msg, size);
+                            ClassMsg::DisplayUpdate { avatar, state: pinned, captured_at: now }
+                                .send_to(ctx, *headset);
                         }
                     }
                 }
@@ -287,53 +174,7 @@ impl EdgeServerNode {
         }
     }
 
-    fn on_interaction(
-        &mut self,
-        ctx: &mut Context<'_, ClassMsg>,
-        from: NodeId,
-        avatar: AvatarId,
-        seq: u64,
-        event: InteractionEvent,
-        captured_at: SimTime,
-    ) {
-        let rx = self.interaction_rx.entry(avatar).or_default();
-        let ready = rx.on_packet(seq, event);
-        if let Some(ack) = rx.cumulative_ack() {
-            let msg = ClassMsg::InteractionAck { avatar, seq: ack };
-            let size = msg.wire_bytes();
-            ctx.send(from, msg, size);
-        }
-        if ready.is_empty() {
-            return;
-        }
-        let delay = ctx.now().duration_since(captured_at);
-        let relay = self.local_anchors.contains_key(&avatar);
-        for ev in ready {
-            ctx.metrics().inc("edge.interactions_delivered");
-            ctx.metrics().histogram("interaction.latency_ns").record(delay.as_nanos());
-            if relay {
-                // Local participants' events fan out to every peer server.
-                for peer in self.peers.clone() {
-                    let tx = self
-                        .interaction_tx
-                        .entry((peer, avatar))
-                        .or_insert_with(|| ReliableSender::new(INTERACTION_RTO));
-                    let (relay_seq, relay_ev) = tx.send(ev.clone(), ctx.now());
-                    if let Some(event) = relay_ev {
-                        let msg =
-                            ClassMsg::Interaction { avatar, seq: relay_seq, event, captured_at };
-                        let size = msg.wire_bytes();
-                        ctx.send(peer, msg, size);
-                    }
-                }
-            }
-            if self.interaction_log.push((avatar, ev)).is_some() {
-                ctx.metrics().inc("overload.interaction_log_dropped");
-            }
-        }
-    }
-
-    /// Sends one avatar update toward `peer`, creating the stream on demand.
+    /// Sends one avatar update toward `peer`.
     fn send_update(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
@@ -347,52 +188,32 @@ impl EdgeServerNode {
             .get(&avatar)
             .copied()
             .unwrap_or_else(|| AnchorFrame::seat(Default::default()));
-        let sender = self.senders.entry((peer, avatar)).or_insert_with(|| {
-            SnapshotSender::new(AvatarCodec::new(self.cfg.codec), self.cfg.keyframe_interval)
-        });
-        let frame = sender.encode(&estimate);
-        let msg = ClassMsg::AvatarUpdate { avatar, frame, captured_at: now, anchor };
-        let size = msg.wire_bytes();
+        let size = self.link.send_update(ctx, peer, avatar, &estimate, now, anchor);
         ctx.metrics().inc("edge.updates_sent");
         ctx.metrics().add("edge.update_bytes", size as u64);
-        ctx.send(peer, msg, size);
     }
 
     /// One budgeted replication pass; returns the number of (peer, avatar)
     /// sends *demanded* this tick, the shedder's pressure signal.
     fn replicate_local(&mut self, ctx: &mut Context<'_, ClassMsg>) -> usize {
-        let level = self.shedder.level();
-        if !level.sends_on_tick(self.tick_count) {
-            ctx.metrics().inc("overload.replicate_ticks_shed");
-            // See the cloud's fan-out: a Spectator tick must not leave the
-            // backlog pinning utilization high, or the ladder never
-            // recovers. Deferred refreshes are re-selected by the
-            // dead-reckoning check once replication resumes.
-            if level == ShedLevel::Spectator {
-                let discarded: usize = self.egress_backlog.values().map(|q| q.len()).sum();
-                if discarded > 0 {
-                    for q in self.egress_backlog.values_mut() {
-                        q.clear();
-                    }
-                    ctx.metrics().add("overload.spectator_backlog_discarded", discarded as u64);
-                }
-            }
+        if self.link.sheds_tick(ctx) {
             return 0;
         }
         let now = ctx.now();
-        let budget = self.cfg.overload.egress_budget_per_tick.max(1);
+        let budget = self.link.egress_budget();
+        let peers = self.link.peers();
         let mut sent_per_peer: BTreeMap<NodeId, usize> = BTreeMap::new();
         let mut flushed: Vec<(NodeId, AvatarId)> = Vec::new();
         let mut demand = 0usize;
         // Refreshes deferred by an earlier budget crunch go out first, from
         // the avatar's *current* estimate, bypassing dead-reckoning
         // suppression — so no peer is starved of an update it was owed.
-        for peer in self.peers.clone() {
+        for &peer in peers.iter() {
             loop {
                 if *sent_per_peer.entry(peer).or_insert(0) >= budget {
                     break;
                 }
-                let Some(avatar) = self.egress_backlog.get_mut(&peer).and_then(|q| q.pop()) else {
+                let Some(avatar) = self.link.pop_deferred(peer) else {
                     break;
                 };
                 let estimate = match self.fusion.get_mut(&avatar) {
@@ -412,22 +233,15 @@ impl EdgeServerNode {
                 continue;
             }
             let estimate = fusion.estimate_at(now);
-            let dr = self
-                .dead_reckoners
-                .entry(avatar)
-                .or_insert_with(|| DeadReckoningSender::new(self.cfg.dead_reckoning));
-            if !dr.should_send(now, &estimate) {
-                dr.mark_suppressed();
+            if !self.link.should_replicate(now, avatar, &estimate) {
                 ctx.metrics().inc("edge.updates_suppressed");
                 continue;
             }
-            dr.mark_sent(now, estimate);
-            for peer in self.peers.clone() {
+            for &peer in peers.iter() {
                 if flushed.contains(&(peer, avatar)) {
                     continue; // already refreshed from the backlog this tick
                 }
-                if self.peer_health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
-                {
+                if self.link.skips(peer) {
                     ctx.metrics().inc("edge.updates_skipped_unhealthy_peer");
                     continue;
                 }
@@ -435,15 +249,7 @@ impl EdgeServerNode {
                 let sent = sent_per_peer.entry(peer).or_insert(0);
                 if *sent >= budget {
                     // Egress budget exhausted toward this peer: defer.
-                    let backlog = self.egress_backlog.entry(peer).or_insert_with(|| {
-                        BoundedQueue::new(
-                            self.cfg.overload.backlog_capacity,
-                            OverflowPolicy::DropOldest,
-                        )
-                    });
-                    if backlog.push(avatar).is_some() {
-                        ctx.metrics().inc("overload.backlog_dropped");
-                    }
+                    self.link.defer(ctx, peer, avatar);
                     ctx.metrics().inc("overload.egress_deferred");
                     continue;
                 }
@@ -454,70 +260,42 @@ impl EdgeServerNode {
         demand
     }
 
-    /// Smoothed-pressure input for the ladder: whichever is worse of this
-    /// tick's demand-to-budget ratio and the backlog fill fraction.
-    fn utilization(&self, demand: usize) -> f64 {
-        let budget = self.cfg.overload.egress_budget_per_tick.max(1) * self.peers.len().max(1);
-        let demand_ratio = demand as f64 / budget as f64;
-        let backlog_len: usize = self.egress_backlog.values().map(|q| q.len()).sum();
-        let backlog_cap: usize = self.egress_backlog.values().map(|q| q.capacity()).sum();
-        let backlog_ratio =
-            if backlog_cap == 0 { 0.0 } else { backlog_len as f64 / backlog_cap as f64 };
-        demand_ratio.max(backlog_ratio)
-    }
-
     fn on_remote_update(
         &mut self,
         ctx: &mut Context<'_, ClassMsg>,
         from: NodeId,
         avatar: AvatarId,
-        frame: metaclass_sync::PoseFrame,
+        frame: PoseFrame,
         captured_at: SimTime,
         anchor: AnchorFrame,
     ) {
-        let (_, receiver) = self
-            .receivers
-            .entry(avatar)
-            .or_insert_with(|| (from, SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec))));
-        match receiver.decode(&frame) {
+        // A stream's source is whoever opened it.
+        self.link.sources.entry(avatar).or_insert(from);
+        let state = match self.link.on_frame(ctx, from, avatar, &frame) {
+            Inbound::State(state) => state,
+            Inbound::KeyframeRequested => {
+                ctx.metrics().inc("edge.keyframe_requests");
+                return;
+            }
+            Inbound::Nothing => return,
+        };
+        let inbound = ctx.now().duration_since(captured_at);
+        ctx.metrics().histogram("edge.remote_update_latency_ns").record(inbound.as_nanos());
+        match self.seats.assign(avatar) {
+            Ok(_) => {
+                let seat = *self.seats.anchor_of(avatar).expect("just assigned");
+                let (retargeted, report) = retarget(&state, &anchor, &seat);
+                if report.clamp_distance > 0.0 {
+                    ctx.metrics().inc("edge.retarget_clamps");
+                }
+                self.remote_latest.insert(avatar, (retargeted, captured_at));
+                for headset in self.headsets.values() {
+                    ClassMsg::DisplayUpdate { avatar, state: retargeted, captured_at }
+                        .send_to(ctx, *headset);
+                }
+            }
             Err(_) => {
-                ctx.metrics().inc("edge.decode_errors");
-            }
-            Ok(None) => {
-                if receiver.take_keyframe_request() {
-                    let msg = ClassMsg::KeyframeRequest { avatar };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                    ctx.metrics().inc("edge.keyframe_requests");
-                }
-            }
-            Ok(Some(state)) => {
-                if let Some(seq) = receiver.ack_seq() {
-                    let msg = ClassMsg::AvatarAck { avatar, seq };
-                    let size = msg.wire_bytes();
-                    ctx.send(from, msg, size);
-                }
-                let inbound = ctx.now().duration_since(captured_at);
-                ctx.metrics().histogram("edge.remote_update_latency_ns").record(inbound.as_nanos());
-                match self.seats.assign(avatar) {
-                    Ok(_) => {
-                        let seat = *self.seats.anchor_of(avatar).expect("just assigned");
-                        let (retargeted, report) = retarget(&state, &anchor, &seat);
-                        if report.clamp_distance > 0.0 {
-                            ctx.metrics().inc("edge.retarget_clamps");
-                        }
-                        self.remote_latest.insert(avatar, (retargeted, captured_at));
-                        for headset in self.headsets.values() {
-                            let msg =
-                                ClassMsg::DisplayUpdate { avatar, state: retargeted, captured_at };
-                            let size = msg.wire_bytes();
-                            ctx.send(*headset, msg, size);
-                        }
-                    }
-                    Err(_) => {
-                        ctx.metrics().inc("edge.seat_rejects");
-                    }
-                }
+                ctx.metrics().inc("edge.seat_rejects");
             }
         }
     }
@@ -525,60 +303,24 @@ impl EdgeServerNode {
 
 impl Node<ClassMsg> for EdgeServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        ctx.set_timer(self.cfg.tick, TAG_TICK);
-        if !self.peers.is_empty() {
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
-        }
+        self.link.on_start(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ClassMsg>, timer: Timer) {
-        if timer.tag == TAG_HEARTBEAT {
-            let now = ctx.now();
-            for peer in self.peers.clone() {
-                let msg = ClassMsg::Heartbeat { sent_at: now };
-                let size = msg.wire_bytes();
-                ctx.send(peer, msg, size);
-            }
-            ctx.set_timer(self.cfg.heartbeat.interval, TAG_HEARTBEAT);
+        if !self.link.on_timer(ctx, timer) {
             return;
         }
-        if timer.tag == TAG_TICK {
-            self.tick_count += 1;
-            self.poll_peers(ctx);
-            let demand = self.replicate_local(ctx);
-            let now = ctx.now();
-            let utilization = self.utilization(demand);
-            ctx.metrics()
-                .histogram("overload.utilization_milli")
-                .record((utilization * 1000.0) as u64);
-            if let Some(t) = self.shedder.observe(now, utilization) {
-                ctx.metrics().inc("overload.shed_transitions");
-                ctx.metrics().add("overload.shed_level", t.to.rung() as u64);
-            }
-            // Pump reliable retransmissions of relayed interactions.
-            for ((peer, avatar), tx) in self.interaction_tx.iter_mut() {
-                for (seq, event) in tx.due_retransmits(now) {
-                    let msg =
-                        ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now };
-                    let size = msg.wire_bytes();
-                    ctx.send(*peer, msg, size);
-                }
-                for (_seq, _event) in tx.drain_given_up() {
-                    ctx.metrics().inc("edge.interactions_given_up");
-                }
-            }
-            self.apply_presentations(ctx);
-            ctx.set_timer(self.cfg.tick, TAG_TICK);
-        }
+        let demand = self.replicate_local(ctx);
+        // The budget is per peer, so the ladder sees demand against all of
+        // them.
+        let budget = self.link.egress_budget() * self.link.peers().len().max(1);
+        self.link.finish_tick(ctx, demand, budget);
+        self.apply_presentations(ctx);
+        self.link.arm_tick(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ClassMsg>, from: NodeId, msg: ClassMsg) {
-        // Any traffic from a peer server counts as liveness.
-        if let Some(health) = self.peer_health.get_mut(&from) {
-            if health.on_heard(ctx.now()) == Some(PeerEvent::Returned) {
-                self.resync_peer(ctx, from);
-            }
-        }
+        self.link.heard(ctx, from);
         match msg {
             ClassMsg::HeadsetPose { avatar, measurement, captured_at } => {
                 self.fusion.entry(avatar).or_default().ingest(captured_at, &measurement);
@@ -594,53 +336,29 @@ impl Node<ClassMsg> for EdgeServerNode {
             ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor } => {
                 self.on_remote_update(ctx, from, avatar, frame, captured_at, anchor);
             }
-            ClassMsg::AvatarAck { avatar, seq } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.on_ack(seq);
-                }
-            }
-            ClassMsg::KeyframeRequest { avatar } => {
-                if let Some(sender) = self.senders.get_mut(&(from, avatar)) {
-                    sender.request_keyframe();
-                }
-            }
-            ClassMsg::ClockProbe { nonce, client_send } => {
-                let msg = ClassMsg::ClockReply { nonce, client_send, server_time: ctx.now() };
-                let size = msg.wire_bytes();
-                ctx.send(from, msg, size);
-            }
             ClassMsg::Interaction { avatar, seq, event, captured_at } => {
-                self.on_interaction(ctx, from, avatar, seq, event, captured_at);
-            }
-            ClassMsg::InteractionAck { avatar, seq } => {
-                if let Some(tx) = self.interaction_tx.get_mut(&(from, avatar)) {
-                    tx.on_ack_at(seq, ctx.now());
+                // Local participants' events fan out to every peer server.
+                let relay = self.local_anchors.contains_key(&avatar);
+                let delivered =
+                    self.link.on_interaction(ctx, from, avatar, seq, event, captured_at, relay);
+                if delivered > 0 {
+                    let delay = ctx.now().duration_since(captured_at);
+                    ctx.metrics()
+                        .histogram("interaction.latency_ns")
+                        .record_n(delay.as_nanos(), delivered);
                 }
             }
-            // Liveness was already recorded above; nothing else to do.
-            ClassMsg::Heartbeat { .. } => {}
-            _ => {}
+            other => self.link.on_control(ctx, from, other),
         }
     }
 
     fn on_crash(&mut self) {
         // A crashed edge loses all volatile session state; the deployment
         // configuration (peers, roster, anchors) survives.
+        self.link.on_crash();
         self.fusion.clear();
-        self.dead_reckoners.clear();
-        self.senders.clear();
-        self.receivers.clear();
         self.seats = SeatAllocator::new(self.seats.layout().clone());
         self.remote_latest.clear();
-        self.interaction_rx.clear();
-        self.interaction_tx.clear();
-        self.interaction_log.clear();
-        for health in self.peer_health.values_mut() {
-            health.reset();
-        }
-        self.tick_count = 0;
         self.frozen.clear();
-        self.shedder.reset();
-        self.egress_backlog.clear();
     }
 }

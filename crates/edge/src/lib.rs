@@ -18,6 +18,10 @@
 //!   scripted inter-room mobility;
 //! - [`SeatAllocator`] / [`ClassroomLayout`] — the "identify the vacant
 //!   seats" mechanic of §3.2;
+//! - the server core (`server.rs`, private; tuned by [`ServerConfig`]) —
+//!   the one inter-server link both server actors own: heartbeats and
+//!   resync, snapshot streams, reliable interaction relay, the shed ladder
+//!   over a bounded egress backlog;
 //! - [`PeerHealth`] / [`HeartbeatConfig`] — heartbeat failure detection
 //!   between servers, with hold-then-freeze display degradation
 //!   ([`RemoteAvatarPresentation`]) and full-snapshot resync on peer return;
@@ -47,11 +51,12 @@ mod overload;
 mod platform;
 mod pool;
 mod seat;
+mod server;
 
 pub use client::{ClientConfig, RemoteClientNode};
 pub use cloud::{CloudServerNode, FanoutConfig};
 pub use devices::{HeadsetNode, RoomArrayNode};
-pub use edge_server::{EdgeServerNode, ServerConfig};
+pub use edge_server::EdgeServerNode;
 pub use health::{HeartbeatConfig, PeerEvent, PeerHealth, PeerState, RemoteAvatarPresentation};
 pub use messages::ClassMsg;
 pub use overload::{
@@ -61,3 +66,4 @@ pub use overload::{
 pub use platform::DevicePlatform;
 pub use pool::{pool_avatar, ClientPoolNode, PoolConfig, POOL_AVATAR_BASE};
 pub use seat::{ClassroomFullError, ClassroomLayout, SeatAllocator};
+pub use server::ServerConfig;

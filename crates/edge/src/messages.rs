@@ -5,8 +5,7 @@
 //! simulator can charge realistic serialization and queueing costs.
 
 use metaclass_avatar::{AnchorFrame, AvatarId, AvatarState, ExpressionFrame};
-use metaclass_media::FrameShard;
-use metaclass_netsim::{SimDuration, SimTime};
+use metaclass_netsim::{Context, NodeId, SimDuration, SimTime};
 use metaclass_sensors::PoseMeasurement;
 use metaclass_sync::{InteractionEvent, PoseFrame};
 
@@ -155,13 +154,6 @@ pub enum ClassMsg {
         /// Transmit instant at the sender.
         sent_at: SimTime,
     },
-    /// A video shard (instructor camera, slides) on its way to viewers.
-    VideoShard {
-        /// The shard.
-        shard: FrameShard,
-        /// Capture instant of the underlying frame.
-        captured_at: SimTime,
-    },
     /// Pool → cloud: `count` pooled clients request admission at once.
     ///
     /// The flyweight population layer collapses N statistically-identical
@@ -263,7 +255,6 @@ impl ClassMsg {
             ClassMsg::Interaction { event, .. } => 20 + event.wire_bytes(),
             ClassMsg::InteractionAck { .. } => 12,
             ClassMsg::Heartbeat { .. } => 8,
-            ClassMsg::VideoShard { shard, .. } => shard.wire_bytes() as u32 + 8,
             // count x JoinRequest (36 bytes each).
             ClassMsg::PoolJoin { count, .. } => aggregate(count * 36),
             // admitted x JoinAccepted (32) + waiting x JoinDeferred (44);
@@ -284,6 +275,14 @@ impl ClassMsg {
             ClassMsg::PoolEvict { .. } => 4,
         };
         HEADER + payload
+    }
+
+    /// Sends this message to `to`, charged its own wire size; returns that
+    /// size for callers that also count bytes.
+    pub(crate) fn send_to(self, ctx: &mut Context<'_, ClassMsg>, to: NodeId) -> u32 {
+        let size = self.wire_bytes();
+        ctx.send(to, self, size);
+        size
     }
 }
 

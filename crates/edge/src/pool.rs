@@ -162,9 +162,7 @@ impl ClientPoolNode {
             self.active -= leaving;
             self.pending_leaves -= leaving;
             ctx.metrics().add("pool.members_left", leaving);
-            let msg = ClassMsg::PoolLeave { pool: self.cfg.pool, count: leaving };
-            let size = msg.wire_bytes();
-            ctx.send(self.server, msg, size);
+            ClassMsg::PoolLeave { pool: self.cfg.pool, count: leaving }.send_to(ctx, self.server);
         }
         // Any remainder waits for in-flight joins to resolve.
     }
@@ -217,15 +215,14 @@ impl Node<ClassMsg> for ClientPoolNode {
             self.pending = self.unjoined;
             self.unjoined = 0;
             self.join_sent_at = Some(now);
-            let msg = ClassMsg::PoolJoin {
+            ctx.metrics().inc("pool.join_batches_sent");
+            ctx.metrics().add("pool.joins_sent", self.pending);
+            ClassMsg::PoolJoin {
                 pool: self.cfg.pool,
                 count: self.pending,
                 attempt: self.join_attempt,
-            };
-            let size = msg.wire_bytes();
-            ctx.metrics().inc("pool.join_batches_sent");
-            ctx.metrics().add("pool.joins_sent", self.pending);
-            ctx.send(self.server, msg, size);
+            }
+            .send_to(ctx, self.server);
         }
 
         // The representative pose, uploaded on behalf of the active crowd.
@@ -234,16 +231,15 @@ impl Node<ClassMsg> for ClientPoolNode {
             if self.dead_reckoner.should_send(now, &truth) {
                 self.dead_reckoner.mark_sent(now, truth);
                 let frame = self.uplink.encode(&truth);
-                let msg = ClassMsg::PoolPose {
+                let size = ClassMsg::PoolPose {
                     pool: self.cfg.pool,
                     count: self.active,
                     frame,
                     captured_at: now,
-                };
-                let size = msg.wire_bytes();
+                }
+                .send_to(ctx, self.server);
                 ctx.metrics().add("pool.poses_sent", self.active);
                 ctx.metrics().add("pool.pose_bytes", size as u64);
-                ctx.send(self.server, msg, size);
             } else {
                 self.dead_reckoner.mark_suppressed();
             }

@@ -87,4 +87,4 @@ pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
 pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS};
 pub use time::{SimDuration, SimTime};
 pub use topology::{min_cut_partition, LinkClass, Partition, Region};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Fnv1a, Trace, TraceEvent, TraceKind};

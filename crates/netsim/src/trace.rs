@@ -58,24 +58,61 @@ pub struct Trace {
     capacity: usize,
     /// Events pushed, stored or not.
     seen: u64,
-    /// Running FNV-1a state over every pushed event.
-    hash: u64,
+    /// Running digest over every pushed event.
+    hash: Fnv1a,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Byte-wise 64-bit FNV-1a: the one digest behind trace, sweep and simcheck
+/// fingerprints, scenario seed salts and the content ledger's hash chain.
+/// Not collision-resistant against an adversary; it pins determinism.
+///
+/// # Examples
+///
+/// ```
+/// use metaclass_netsim::Fnv1a;
+///
+/// let mut h = Fnv1a::new();
+/// h.write(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
 
-fn fnv_mix(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fnv1a {
+    /// The empty digest (the FNV offset basis).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in, in order.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds `v` in as its eight little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
     }
 }
 
 impl Trace {
     /// Creates a trace storing at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        Trace { events: Vec::new(), capacity, seen: 0, hash: FNV_OFFSET }
+        Trace { events: Vec::new(), capacity, seen: 0, hash: Fnv1a::new() }
     }
 
     pub(crate) fn push(&mut self, ev: TraceEvent) {
@@ -98,7 +135,7 @@ impl Trace {
             ev.dst.index() as u64,
             ev.size_bytes as u64,
         ] {
-            fnv_mix(&mut self.hash, v);
+            self.hash.write_u64(v);
         }
         self.seen += 1;
         if self.events.len() < self.capacity {
@@ -133,9 +170,9 @@ impl Trace {
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.hash;
         if self.truncated() {
-            fnv_mix(&mut h, self.seen);
+            h.write_u64(self.seen);
         }
-        h
+        h.finish()
     }
 
     /// The [`Trace::fingerprint`] rendered as a fixed-width lowercase hex

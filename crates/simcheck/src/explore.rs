@@ -11,7 +11,7 @@
 //! randomness — so `explore` output is byte-identical across reruns.
 
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::{DetRng, EngineConfig, SimTime};
+use metaclass_netsim::{DetRng, EngineConfig, Fnv1a, SimTime};
 
 use crate::oracle::{observer_for, shared, Oracle, Probe, Violation};
 use crate::plan::{event_count, generate_windows, lower, FaultWindow};
@@ -204,13 +204,6 @@ impl ExploreOutcome {
     }
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Explores `cfg.cases` random schedules with the standard oracle set.
 pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     explore_with(cfg, &crate::oracles::standard_oracles)
@@ -222,7 +215,7 @@ pub fn explore_with(
     cfg: &ExploreConfig,
     factory: &dyn Fn(&Scenario) -> Vec<Box<dyn Oracle>>,
 ) -> ExploreOutcome {
-    let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
+    let mut fingerprint = Fnv1a::new();
     let mut clean = 0u32;
     let mut violations = Vec::new();
     for case in 0..cfg.cases {
@@ -239,19 +232,19 @@ pub fn explore_with(
         windows.extend(generate_windows(&space, &mut rng, scn.max_windows));
         let outcome = run_plan(&scn, &windows, factory(&scn));
 
-        fnv1a(&mut fingerprint, &u64::from(case).to_le_bytes());
-        fnv1a(&mut fingerprint, &(windows.len() as u64).to_le_bytes());
-        fnv1a(&mut fingerprint, &outcome.events.to_le_bytes());
+        fingerprint.write_u64(u64::from(case));
+        fingerprint.write_u64(windows.len() as u64);
+        fingerprint.write_u64(outcome.events);
         match outcome.violation {
             None => {
                 clean += 1;
-                fnv1a(&mut fingerprint, b"clean");
+                fingerprint.write(b"clean");
             }
             Some(violation) => {
-                fnv1a(&mut fingerprint, violation.oracle.as_bytes());
+                fingerprint.write(violation.oracle.as_bytes());
                 let original_windows = windows.len();
                 let (minimal, shrink_runs) = shrink(&scn, windows, violation.oracle, factory, 64);
-                fnv1a(&mut fingerprint, &(minimal.len() as u64).to_le_bytes());
+                fingerprint.write_u64(minimal.len() as u64);
                 violations.push(FoundViolation {
                     case_index: case,
                     session_seed,
@@ -264,7 +257,7 @@ pub fn explore_with(
             }
         }
     }
-    ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint }
+    ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint: fingerprint.finish() }
 }
 
 #[cfg(test)]
