@@ -74,9 +74,11 @@ fn steady_state_allocations_per_event_stay_under_budget() {
     // state is dominated by per-message payload construction in the node
     // handlers; the sharded engine adds per-WINDOW (not per-event) costs:
     // lane deal-out/reassembly and thread scope setup.
-    // Measured on the seed of this budget: serial ≈1811/1k, sharded ≈2021/1k.
-    const SERIAL_BUDGET_PER_1K: u64 = 3_600;
-    const SHARDED_BUDGET_PER_1K: u64 = 4_100;
+    // Measured: serial 453/1k, sharded:4 650/1k. With a sort buffer per
+    // jitter-buffer push and fresh scratch vectors per interest selection
+    // the same run measures 1362 / 1559, past both ceilings.
+    const SERIAL_BUDGET_PER_1K: u64 = 900;
+    const SHARDED_BUDGET_PER_1K: u64 = 1_300;
 
     for (label, engine, budget_per_1k) in [
         ("serial", EngineConfig::serial(), SERIAL_BUDGET_PER_1K),
@@ -94,7 +96,8 @@ fn steady_state_allocations_per_event_stay_under_budget() {
             "{label}: steady-state allocation rate {per_1k}/1k events exceeds the \
              committed budget of {budget_per_1k}/1k — a per-event allocation has \
              crept back into the hot path (check Op arena reuse, the envelope \
-             slab, and wheel slot recycling)"
+             slab, wheel slot recycling, and the sync crate's jitter-buffer \
+             push and interest selection)"
         );
     }
 }

@@ -81,6 +81,8 @@ pub struct CloudServerNode {
     rooms: BTreeMap<AvatarId, u32>,
     /// Avatars per virtual room (exact census; empty rooms are dropped).
     room_counts: BTreeMap<u32, u64>,
+    /// Working vectors of a fan-out tick, kept for their capacity.
+    scratch: FanoutScratch,
 }
 
 /// The cloud's view of one flyweight client pool.
@@ -94,11 +96,22 @@ struct PoolEntry {
 /// One destination of a fan-out tick. A client is an audience of weight 1
 /// served update by update; a pool is an audience of weight N served one
 /// batch per tick, under its representative avatar's viewpoint.
+#[derive(Clone, Copy)]
 struct Audience {
     viewer: AvatarId,
     node: NodeId,
     weight: u64,
     pool: Option<u32>,
+}
+
+#[derive(Default)]
+struct FanoutScratch {
+    /// This tick's destinations, in service order.
+    audiences: Vec<Audience>,
+    /// One audience's deferred refreshes, served ahead of its selection.
+    wanted: Vec<AvatarId>,
+    /// Avatars already handled for one audience.
+    considered: Vec<AvatarId>,
 }
 
 /// Home frame of streams uploaded in their own coordinates (clients, pools).
@@ -131,6 +144,7 @@ impl CloudServerNode {
             pools: BTreeMap::new(),
             rooms: BTreeMap::new(),
             room_counts: BTreeMap::new(),
+            scratch: FanoutScratch::default(),
         }
     }
 
@@ -323,12 +337,15 @@ impl CloudServerNode {
         if self.link.sheds_tick(ctx) {
             return 0;
         }
-        let mut audiences: Vec<Audience> = self
-            .clients
-            .iter()
-            .filter(|(a, _)| self.admission.is_admitted(a.0 as u64))
-            .map(|(&viewer, &node)| Audience { viewer, node, weight: 1, pool: None })
-            .collect();
+        let FanoutScratch { mut audiences, mut wanted, mut considered } =
+            std::mem::take(&mut self.scratch);
+        audiences.clear();
+        audiences.extend(
+            self.clients
+                .iter()
+                .filter(|(a, _)| self.admission.is_admitted(a.0 as u64))
+                .map(|(&viewer, &node)| Audience { viewer, node, weight: 1, pool: None }),
+        );
         // Fairness under budget exhaustion: rotate the service order so the
         // budget does not starve the same tail of clients every tick.
         if !audiences.is_empty() {
@@ -353,8 +370,7 @@ impl CloudServerNode {
         let budget_total = self.link.egress_budget();
         let mut sent_this_tick = 0usize;
         let mut demand = 0usize;
-        let mut considered: Vec<AvatarId> = Vec::new();
-        for Audience { viewer, node, weight, pool } in audiences {
+        for &Audience { viewer, node, weight, pool } in &audiences {
             let viewpoint = match self.latest.get(&viewer) {
                 Some((st, _)) => {
                     Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() }
@@ -363,7 +379,6 @@ impl CloudServerNode {
             };
             // Refreshes deferred by an earlier budget crunch go first, then
             // this tick's interest selection.
-            let mut wanted: Vec<AvatarId> = Vec::new();
             while let Some(avatar) = self.link.pop_deferred(viewer) {
                 wanted.push(avatar);
             }
@@ -376,7 +391,7 @@ impl CloudServerNode {
             );
             considered.clear();
             let mut batch: Vec<SimTime> = Vec::new();
-            for avatar in wanted.into_iter().chain(selected) {
+            for avatar in wanted.drain(..).chain(selected) {
                 if avatar == viewer || considered.contains(&avatar) {
                     continue;
                 }
@@ -422,6 +437,7 @@ impl CloudServerNode {
                 ctx.metrics().add("cloud.fanout_bytes", size as u64);
             }
         }
+        self.scratch = FanoutScratch { audiences, wanted, considered };
         demand
     }
 }

@@ -7,6 +7,8 @@
 //! and staleness (staleness grows without bound, so every relevant entity is
 //! eventually refreshed — no starvation).
 
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use metaclass_avatar::{AvatarId, Vec3};
@@ -88,6 +90,15 @@ pub struct InterestManager {
     grid: BTreeMap<(i32, i32), Vec<AvatarId>>,
     /// Ticks since each (subscriber, entity) pair was last selected.
     staleness: BTreeMap<SubscriberId, BTreeMap<AvatarId, u32>>,
+    /// Scored candidates of the selection in progress; kept for its capacity.
+    scored: Vec<(f64, AvatarId)>,
+}
+
+/// Selection order: score descending, id ascending as tiebreak. Ids are
+/// unique within a selection, so the order is total and the first `k` of a
+/// full sort are the `k` a partial selection finds.
+fn by_priority(a: &(f64, AvatarId), b: &(f64, AvatarId)) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1))
 }
 
 impl InterestManager {
@@ -104,6 +115,7 @@ impl InterestManager {
             entities: BTreeMap::new(),
             grid: BTreeMap::new(),
             staleness: BTreeMap::new(),
+            scored: Vec::new(),
         }
     }
 
@@ -112,14 +124,10 @@ impl InterestManager {
         &self.cfg
     }
 
-    fn cell_of(&self, p: Vec3) -> (i32, i32) {
-        ((p.x / self.cfg.cell_size).floor() as i32, (p.z / self.cfg.cell_size).floor() as i32)
-    }
-
     /// Inserts or moves an entity. `importance` is `0.0` for a silent
     /// attendee up to `1.0` for the active speaker.
     pub fn update_entity(&mut self, id: AvatarId, position: Vec3, importance: f64) {
-        let cell = self.cell_of(position);
+        let cell = cell_of(&self.cfg, position);
         match self.entities.get_mut(&id) {
             Some(e) => {
                 if e.cell != cell {
@@ -169,37 +177,8 @@ impl InterestManager {
     /// exist — so enormous radii (an "everything is interesting" policy)
     /// stay O(entities) instead of O(radius²).
     pub fn entities_near(&self, p: Vec3) -> Vec<AvatarId> {
-        let r = self.cfg.radius;
-        let r_cells = (r / self.cfg.cell_size).ceil() as i64;
-        let center = self.cell_of(p);
-        let window_cells = (2 * r_cells + 1).saturating_mul(2 * r_cells + 1);
         let mut out = Vec::new();
-        if window_cells as usize > self.grid.len() {
-            for ((cx, cz), ids) in &self.grid {
-                if (*cx as i64 - center.0 as i64).abs() > r_cells
-                    || (*cz as i64 - center.1 as i64).abs() > r_cells
-                {
-                    continue;
-                }
-                for id in ids {
-                    if self.entities[id].position.distance(p) <= r {
-                        out.push(*id);
-                    }
-                }
-            }
-        } else {
-            for dx in -(r_cells as i32)..=(r_cells as i32) {
-                for dz in -(r_cells as i32)..=(r_cells as i32) {
-                    if let Some(ids) = self.grid.get(&(center.0 + dx, center.1 + dz)) {
-                        for id in ids {
-                            if self.entities[id].position.distance(p) <= r {
-                                out.push(*id);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        for_each_near(&self.cfg, &self.entities, &self.grid, p, |id, _| out.push(id));
         out
     }
 
@@ -222,48 +201,100 @@ impl InterestManager {
         budget: usize,
         min_importance: f64,
     ) -> Vec<AvatarId> {
-        let mut candidates = self.entities_near(view.position);
-        candidates.retain(|id| self.entities[id].importance >= min_importance);
         let stale_map = self.staleness.entry(sub).or_default();
-
-        let fov_cos = (self.cfg.fov_half_angle_deg.to_radians()).cos();
+        let cfg = &self.cfg;
+        let fov_cos = (cfg.fov_half_angle_deg.to_radians()).cos();
         let gaze = Vec3::new(view.yaw.sin(), 0.0, view.yaw.cos());
 
-        let mut scored: Vec<(f64, AvatarId)> = candidates
-            .iter()
-            .map(|&id| {
-                let e = &self.entities[&id];
-                let to = e.position - view.position;
-                let dist = to.norm();
-                let mut score = 1.0 / (1.0 + dist * dist);
-                if let Some(dir) = Vec3::new(to.x, 0.0, to.z).normalized() {
-                    if dir.dot(gaze) >= fov_cos {
-                        score *= self.cfg.fov_boost;
-                    }
+        let scored = &mut self.scored;
+        scored.clear();
+        for_each_near(cfg, &self.entities, &self.grid, view.position, |id, e| {
+            if e.importance < min_importance {
+                return;
+            }
+            let to = e.position - view.position;
+            let dist = to.norm();
+            let mut score = 1.0 / (1.0 + dist * dist);
+            if let Some(dir) = Vec3::new(to.x, 0.0, to.z).normalized() {
+                if dir.dot(gaze) >= fov_cos {
+                    score *= cfg.fov_boost;
                 }
-                // Importance is additive: the active speaker outranks even a
-                // nearest neighbour, anywhere in the room.
-                score += self.cfg.importance_weight * e.importance;
-                let stale = *stale_map.get(&id).unwrap_or(&1_000_000) as f64;
-                score += self.cfg.staleness_weight * stale;
-                (score, id)
-            })
-            .collect();
-        // Deterministic order: score desc, id asc as tiebreak.
-        scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+            }
+            // Importance is additive: the active speaker outranks even a
+            // nearest neighbour, anywhere in the room.
+            score += cfg.importance_weight * e.importance;
+            // Score with the staleness so far and age it for the next tick.
+            // New entities score as very stale.
+            let stale = match stale_map.entry(id) {
+                Entry::Occupied(mut aged) => {
+                    let stale = *aged.get();
+                    *aged.get_mut() = stale.saturating_add(1);
+                    stale
+                }
+                Entry::Vacant(new) => {
+                    new.insert(1_001);
+                    1_000_000
+                }
+            };
+            score += cfg.staleness_weight * stale as f64;
+            scored.push((score, id));
         });
-        let selected: Vec<AvatarId> = scored.iter().take(budget).map(|(_, id)| *id).collect();
 
-        // Age everyone in range; reset the selected.
-        for &id in &candidates {
-            let s = stale_map.entry(id).or_insert(1_000); // new entities start very stale
-            *s = s.saturating_add(1);
+        // Only the winners need ordering.
+        let budget = budget.min(scored.len());
+        if budget > 0 && budget < scored.len() {
+            scored.select_nth_unstable_by(budget - 1, by_priority);
         }
+        scored[..budget].sort_unstable_by(by_priority);
+        let selected: Vec<AvatarId> = scored[..budget].iter().map(|(_, id)| *id).collect();
         for id in &selected {
             stale_map.insert(*id, 0);
         }
         selected
+    }
+}
+
+fn cell_of(cfg: &InterestConfig, p: Vec3) -> (i32, i32) {
+    ((p.x / cfg.cell_size).floor() as i32, (p.z / cfg.cell_size).floor() as i32)
+}
+
+/// Calls `visit` for every entity within `cfg.radius` of `p`, walking the
+/// grid cells around `p` (or the occupied cells, when those are fewer).
+fn for_each_near(
+    cfg: &InterestConfig,
+    entities: &BTreeMap<AvatarId, Entity>,
+    grid: &BTreeMap<(i32, i32), Vec<AvatarId>>,
+    p: Vec3,
+    mut visit: impl FnMut(AvatarId, &Entity),
+) {
+    let r = cfg.radius;
+    let r_cells = (r / cfg.cell_size).ceil() as i64;
+    let center = cell_of(cfg, p);
+    let mut visit_cell = |ids: &[AvatarId]| {
+        for id in ids {
+            let e = &entities[id];
+            if e.position.distance(p) <= r {
+                visit(*id, e);
+            }
+        }
+    };
+    let window_cells = (2 * r_cells + 1).saturating_mul(2 * r_cells + 1);
+    if window_cells as usize > grid.len() {
+        for ((cx, cz), ids) in grid {
+            if (*cx as i64 - center.0 as i64).abs() <= r_cells
+                && (*cz as i64 - center.1 as i64).abs() <= r_cells
+            {
+                visit_cell(ids);
+            }
+        }
+    } else {
+        for dx in -(r_cells as i32)..=(r_cells as i32) {
+            for dz in -(r_cells as i32)..=(r_cells as i32) {
+                if let Some(ids) = grid.get(&(center.0 + dx, center.1 + dz)) {
+                    visit_cell(ids);
+                }
+            }
+        }
     }
 }
 
@@ -407,6 +438,24 @@ mod tests {
             all
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn a_never_seen_entity_outranks_aged_ones() {
+        let cfg = InterestConfig { fov_boost: 1.0, ..Default::default() };
+        let mut im = InterestManager::new(cfg);
+        let view = vp(0.0, 0.0, 0.0);
+        // Budget 0 ages the candidates without resetting anyone.
+        im.update_entity(AvatarId(1), Vec3::new(2.0, 0.0, 0.0), 0.0);
+        im.select(SubscriberId(0), view, 0);
+        im.update_entity(AvatarId(2), Vec3::new(1.0, 0.0, 0.0), 0.0);
+        im.select(SubscriberId(0), view, 0);
+        // 1 has aged one tick more (+0.25); 2 leads by more in distance
+        // (0.5 against 0.2).
+        assert_eq!(im.select(SubscriberId(0), view, 1), vec![AvatarId(2)]);
+        // A newcomer scores as very stale, however far away.
+        im.update_entity(AvatarId(3), Vec3::new(25.0, 0.0, 0.0), 0.0);
+        assert_eq!(im.select(SubscriberId(0), view, 1), vec![AvatarId(3)]);
     }
 
     #[test]

@@ -70,8 +70,12 @@ pub struct JitterBuffer {
     cfg: JitterBufferConfig,
     /// (capture_time, state), sorted by capture_time.
     entries: VecDeque<(SimTime, AvatarState)>,
-    /// Observed one-way delay samples (arrival − capture), nanoseconds.
+    /// Observed one-way delay samples (arrival − capture), nanoseconds, in
+    /// arrival order.
     delay_samples: VecDeque<u64>,
+    /// The same samples in ascending order, so adaptation reads its
+    /// percentiles by index.
+    delay_sorted: Vec<u64>,
     delay: SimDuration,
     late_drops: u64,
     last_playout: Option<SimTime>,
@@ -79,12 +83,21 @@ pub struct JitterBuffer {
 
 impl JitterBuffer {
     /// Creates an empty buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.window` or `cfg.capacity` is zero, or if
+    /// `cfg.min_delay` exceeds `cfg.max_delay`.
     pub fn new(cfg: JitterBufferConfig) -> Self {
+        assert!(cfg.window > 0, "delay window must hold at least one sample");
+        assert!(cfg.capacity > 0, "capacity must be at least one state");
+        assert!(cfg.min_delay <= cfg.max_delay, "min delay must not exceed max delay");
         JitterBuffer {
             delay: cfg.initial_delay,
             cfg,
             entries: VecDeque::new(),
             delay_samples: VecDeque::new(),
+            delay_sorted: Vec::new(),
             late_drops: 0,
             last_playout: None,
         }
@@ -100,7 +113,9 @@ impl JitterBuffer {
         self.late_drops
     }
 
-    /// Number of buffered states.
+    /// Number of buffered states a later playout can still reach: states
+    /// behind the playout horizon (newest arrival − `max_delay`) are dropped
+    /// as they fall behind it, bar the one that playout interpolates from.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -113,19 +128,17 @@ impl JitterBuffer {
     /// Inserts a state captured at `capture_time` (sender clock) that arrived
     /// at `arrival_time` (sender clock). Returns `false` if the update was
     /// too late to be useful and was dropped.
+    ///
+    /// Arrival times must not run backwards, and a later
+    /// [`sample`](Self::sample) must not ask for a `now` before the newest
+    /// arrival: states no such playout can reach are dropped here.
     pub fn push(
         &mut self,
         capture_time: SimTime,
         arrival_time: SimTime,
         state: AvatarState,
     ) -> bool {
-        // Track one-way delay for adaptation.
-        let delay = arrival_time.duration_since(capture_time);
-        if self.delay_samples.len() == self.cfg.window {
-            self.delay_samples.pop_front();
-        }
-        self.delay_samples.push_back(delay.as_nanos());
-        self.adapt();
+        self.observe_delay(arrival_time.duration_since(capture_time).as_nanos());
 
         // Late if it precedes what we already played out.
         if let Some(played) = self.last_playout {
@@ -140,23 +153,44 @@ impl JitterBuffer {
         // Duplicate capture times: replace rather than duplicate.
         if pos > 0 && self.entries[pos - 1].0 == capture_time {
             self.entries[pos - 1].1 = state;
-        } else {
+        } else if self.entries.len() < self.cfg.capacity {
             self.entries.insert(pos, (capture_time, state));
+        } else if pos > 0 {
+            // Full: the oldest state makes room first, so the deque never
+            // grows past `capacity`. (A state older than everything in a full
+            // buffer is itself the one to go.)
+            self.entries.pop_front();
+            self.entries.insert(pos - 1, (capture_time, state));
         }
-        while self.entries.len() > self.cfg.capacity {
+        // Every later playout is at or after `arrival − delay` and the delay
+        // never adapts above `max_delay`; playout keeps one state before its
+        // instant, so anything older than that one is unreachable.
+        let reach = self.delay.max(self.cfg.max_delay);
+        let horizon = arrival_time - reach.min(arrival_time.duration_since(SimTime::ZERO));
+        while self.entries.len() >= 2 && self.entries[1].0 <= horizon {
             self.entries.pop_front();
         }
         true
     }
 
-    fn adapt(&mut self) {
-        if self.delay_samples.len() < 8 {
+    /// Slides the delay window by one sample and re-derives the playout
+    /// delay from its floor and 95th percentile.
+    fn observe_delay(&mut self, sample: u64) {
+        if self.delay_samples.len() == self.cfg.window {
+            let oldest = self.delay_samples.pop_front().expect("window is at least one sample");
+            let at = self.delay_sorted.partition_point(|&d| d < oldest);
+            self.delay_sorted.remove(at);
+        }
+        self.delay_samples.push_back(sample);
+        let at = self.delay_sorted.partition_point(|&d| d < sample);
+        self.delay_sorted.insert(at, sample);
+
+        let n = self.delay_sorted.len();
+        if n < 8 {
             return;
         }
-        let mut sorted: Vec<u64> = self.delay_samples.iter().copied().collect();
-        sorted.sort_unstable();
-        let min = sorted[0];
-        let p95 = sorted[((sorted.len() as f64 * 0.95) as usize).min(sorted.len() - 1)];
+        let min = self.delay_sorted[0];
+        let p95 = self.delay_sorted[((n as f64 * 0.95) as usize).min(n - 1)];
         // Delay variation above the floor, plus margin.
         let var = SimDuration::from_nanos(p95 - min) + self.cfg.margin;
         self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
@@ -286,11 +320,51 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded() {
-        let mut jb = JitterBuffer::new(JitterBufferConfig { capacity: 4, ..cfg() });
-        for i in 0..100u64 {
-            jb.push(SimTime::from_millis(i * 10), SimTime::from_millis(i * 10), st(i as f64));
+        // Spacings short enough that the playout horizon (250 ms) alone would
+        // keep more states than the capacity allows.
+        for (capacity, spacing_ms) in [(4, 10), (64, 1)] {
+            let mut jb = JitterBuffer::new(JitterBufferConfig { capacity, ..cfg() });
+            for i in 0..1_000u64 {
+                let t = SimTime::from_millis(i * spacing_ms);
+                jb.push(t, t, st(i as f64));
+                assert!(jb.len() <= capacity);
+            }
+            assert_eq!(jb.len(), capacity);
+            // Evicting before inserting: the deque never had to grow for a
+            // transient `capacity + 1`-th state.
+            assert!(jb.entries.capacity() <= capacity.next_power_of_two());
         }
-        assert!(jb.len() <= 4);
+    }
+
+    #[test]
+    fn a_state_older_than_a_full_buffer_is_not_kept() {
+        let mut jb = JitterBuffer::new(JitterBufferConfig { capacity: 2, ..cfg() });
+        let at = SimTime::from_millis(300);
+        jb.push(SimTime::from_millis(200), at, st(2.0));
+        jb.push(SimTime::from_millis(250), at, st(2.5));
+        assert!(jb.push(SimTime::from_millis(100), at, st(1.0)));
+        assert_eq!(jb.len(), 2);
+        // Playout 300 − 50 = 250 ms: the newest state, not a blend with 100 ms.
+        let out = jb.sample(at).unwrap();
+        assert!((out.head.position.x - 2.5).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay window")]
+    fn zero_window_is_rejected() {
+        JitterBuffer::new(JitterBufferConfig { window: 0, ..cfg() });
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn zero_capacity_is_rejected() {
+        JitterBuffer::new(JitterBufferConfig { capacity: 0, ..cfg() });
+    }
+
+    #[test]
+    #[should_panic(expected = "min delay")]
+    fn inverted_delay_bounds_are_rejected() {
+        JitterBuffer::new(JitterBufferConfig { min_delay: SimDuration::from_millis(300), ..cfg() });
     }
 
     #[test]
