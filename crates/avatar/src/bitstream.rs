@@ -3,7 +3,7 @@
 //! The blueprint's edge servers "package" avatar state for "real-time
 //! transmission" (§3.2); at 60 Hz per participant, every bit on the wire
 //! matters. [`BitWriter`] and [`BitReader`] provide MSB-first bit packing and
-//! LEB128 varints on top of a plain byte buffer.
+//! LEB128 varints on top of a plain byte slice.
 
 use std::fmt;
 
@@ -28,60 +28,74 @@ impl fmt::Display for ReadOverrunError {
 
 impl std::error::Error for ReadOverrunError {}
 
-/// An MSB-first bit-level writer over a growable byte buffer.
+/// An MSB-first bit-level writer over a caller-provided byte buffer.
+///
+/// Bits are packed in place, so a frame can be written straight into its
+/// fixed-capacity inline storage (see [`FramePayload`](crate::FramePayload))
+/// without touching the allocator. Every byte the writer starts is zeroed
+/// first; the buffer's previous contents do not matter.
 ///
 /// # Examples
 ///
 /// ```
 /// use metaclass_avatar::{BitReader, BitWriter};
 ///
-/// let mut w = BitWriter::new();
+/// let mut buf = [0u8; 8];
+/// let mut w = BitWriter::new(&mut buf);
 /// w.write_bits(0b101, 3);
 /// w.write_bool(true);
 /// w.write_varint(300);
-/// let bytes = w.into_bytes();
+/// let len = w.byte_len();
 ///
-/// let mut r = BitReader::new(&bytes);
+/// let mut r = BitReader::new(&buf[..len]);
 /// assert_eq!(r.read_bits(3).unwrap(), 0b101);
 /// assert!(r.read_bool().unwrap());
 /// assert_eq!(r.read_varint().unwrap(), 300);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Bits used in the final byte of `buf` (0 means byte-aligned).
-    partial_bits: u32,
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    buf: &'a mut [u8],
+    /// Absolute bit cursor.
+    pos: usize,
 }
 
-impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> BitWriter<'a> {
+    /// Creates a writer at the start of `buf`.
+    pub fn new(buf: &'a mut [u8]) -> Self {
+        BitWriter { buf, pos: 0 }
     }
 
     /// Writes the low `count` bits of `value`, MSB first.
     ///
     /// # Panics
     ///
-    /// Panics if `count > 64` or if `value` has bits set above `count`.
+    /// Panics if `count > 64`, if `value` has bits set above `count`, or if
+    /// the buffer has no room for `count` more bits.
     pub fn write_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
         assert!(
             count == 64 || value < (1u64 << count),
             "value {value} does not fit in {count} bits"
         );
+        assert!(
+            self.pos + count as usize <= self.buf.len() * 8,
+            "bit writer overflow: {count} bits at bit {} of a {}-byte buffer",
+            self.pos,
+            self.buf.len()
+        );
         let mut remaining = count;
         while remaining > 0 {
-            if self.partial_bits == 0 {
-                self.buf.push(0);
+            let used = (self.pos % 8) as u32;
+            let byte = &mut self.buf[self.pos / 8];
+            if used == 0 {
+                *byte = 0;
             }
-            let free = 8 - self.partial_bits;
+            let free = 8 - used;
             let take = free.min(remaining);
             let shift = remaining - take;
             let chunk = ((value >> shift) & ((1u64 << take) - 1)) as u8;
-            let byte = self.buf.last_mut().expect("buffer non-empty");
             *byte |= chunk << (free - take);
-            self.partial_bits = (self.partial_bits + take) % 8;
+            self.pos += take as usize;
             remaining -= take;
         }
     }
@@ -111,27 +125,18 @@ impl BitWriter {
 
     /// Pads with zero bits to the next byte boundary.
     pub fn align(&mut self) {
-        self.partial_bits = 0;
+        self.pos = self.pos.div_ceil(8) * 8;
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
-        let whole = self.buf.len() as u64 * 8;
-        if self.partial_bits == 0 {
-            whole
-        } else {
-            whole - (8 - self.partial_bits as u64)
-        }
+        self.pos as u64
     }
 
-    /// Consumes the writer, returning the (zero-padded) byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current length in whole bytes (including a partially filled final byte).
+    /// Current length in whole bytes (including a partially filled final
+    /// byte, whose unwritten low bits are zero).
     pub fn byte_len(&self) -> usize {
-        self.buf.len()
+        self.pos.div_ceil(8)
     }
 }
 
@@ -188,22 +193,23 @@ impl<'a> BitReader<'a> {
         Ok(self.read_bits(1)? == 1)
     }
 
-    /// Reads an unsigned LEB128 varint.
+    /// Reads an unsigned LEB128 varint. A `u64` spans at most ten groups, so
+    /// a hostile eleventh continuation byte is left unread rather than
+    /// shifted past the value's width.
     ///
     /// # Errors
     ///
     /// Returns [`ReadOverrunError`] if the stream ends mid-varint.
     pub fn read_varint(&mut self) -> Result<u64, ReadOverrunError> {
         let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
+        for shift in (0..u64::BITS).step_by(7) {
             let byte = self.read_bits(8)?;
             out |= (byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
-                return Ok(out);
+                break;
             }
-            shift += 7;
         }
+        Ok(out)
     }
 
     /// Reads a zigzag-encoded signed varint.
@@ -227,14 +233,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Runs `write` over a scratch buffer and returns the bytes it produced.
+    /// The buffer starts dirty: the writer must not rely on zeroed storage.
+    fn written(write: impl FnOnce(&mut BitWriter<'_>)) -> Vec<u8> {
+        let mut buf = [0xa5u8; 512];
+        let mut w = BitWriter::new(&mut buf);
+        write(&mut w);
+        let len = w.byte_len();
+        buf[..len].to_vec()
+    }
+
     #[test]
     fn single_bits_roundtrip() {
-        let mut w = BitWriter::new();
         let pattern = [true, false, true, true, false, false, true, false, true];
-        for &b in &pattern {
-            w.write_bool(b);
-        }
-        let bytes = w.into_bytes();
+        let bytes = written(|w| {
+            for &b in &pattern {
+                w.write_bool(b);
+            }
+        });
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bool().unwrap(), b);
@@ -243,11 +259,11 @@ mod tests {
 
     #[test]
     fn cross_byte_fields_roundtrip() {
-        let mut w = BitWriter::new();
-        w.write_bits(0x3, 2);
-        w.write_bits(0x1234, 13);
-        w.write_bits(0x0fff_ffff, 28);
-        let bytes = w.into_bytes();
+        let bytes = written(|w| {
+            w.write_bits(0x3, 2);
+            w.write_bits(0x1234, 13);
+            w.write_bits(0x0fff_ffff, 28);
+        });
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0x3);
         assert_eq!(r.read_bits(13).unwrap(), 0x1234);
@@ -256,9 +272,7 @@ mod tests {
 
     #[test]
     fn sixty_four_bit_write() {
-        let mut w = BitWriter::new();
-        w.write_bits(u64::MAX, 64);
-        let bytes = w.into_bytes();
+        let bytes = written(|w| w.write_bits(u64::MAX, 64));
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(64).unwrap(), u64::MAX);
     }
@@ -266,9 +280,7 @@ mod tests {
     #[test]
     fn varint_sizes() {
         for (v, expected_bytes) in [(0u64, 1usize), (127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
-            let mut w = BitWriter::new();
-            w.write_varint(v);
-            assert_eq!(w.byte_len(), expected_bytes, "value {v}");
+            assert_eq!(written(|w| w.write_varint(v)).len(), expected_bytes, "value {v}");
         }
     }
 
@@ -285,12 +297,12 @@ mod tests {
 
     #[test]
     fn align_pads_and_skips() {
-        let mut w = BitWriter::new();
-        w.write_bits(1, 1);
-        w.align();
-        w.write_bits(0xab, 8);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 2);
+        let bytes = written(|w| {
+            w.write_bits(1, 1);
+            w.align();
+            w.write_bits(0xab, 8);
+        });
+        assert_eq!(bytes, [0x80, 0xab], "padding bits are zero");
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(1).unwrap(), 1);
         r.align();
@@ -299,7 +311,8 @@ mod tests {
 
     #[test]
     fn bit_len_tracks_writes() {
-        let mut w = BitWriter::new();
+        let mut buf = [0u8; 2];
+        let mut w = BitWriter::new(&mut buf);
         assert_eq!(w.bit_len(), 0);
         w.write_bits(0, 3);
         assert_eq!(w.bit_len(), 3);
@@ -307,27 +320,37 @@ mod tests {
         assert_eq!(w.bit_len(), 8);
         w.write_bits(0, 1);
         assert_eq!(w.bit_len(), 9);
+        assert_eq!(w.byte_len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_value_panics() {
-        let mut w = BitWriter::new();
-        w.write_bits(8, 3);
+        let mut buf = [0u8; 1];
+        BitWriter::new(&mut buf).write_bits(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "bit writer overflow")]
+    fn writing_past_the_buffer_panics_before_touching_it() {
+        let mut buf = [0u8; 1];
+        let mut w = BitWriter::new(&mut buf);
+        w.write_bits(0x7f, 7);
+        w.write_bits(0b11, 2);
     }
 
     proptest! {
         #[test]
         fn prop_bits_roundtrip(fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..50)) {
-            let mut w = BitWriter::new();
             let masked: Vec<(u64, u32)> = fields
                 .iter()
                 .map(|&(v, n)| (if n == 64 { v } else { v & ((1u64 << n) - 1) }, n))
                 .collect();
-            for &(v, n) in &masked {
-                w.write_bits(v, n);
-            }
-            let bytes = w.into_bytes();
+            let bytes = written(|w| {
+                for &(v, n) in &masked {
+                    w.write_bits(v, n);
+                }
+            });
             let mut r = BitReader::new(&bytes);
             for &(v, n) in &masked {
                 prop_assert_eq!(r.read_bits(n).unwrap(), v);
@@ -336,11 +359,11 @@ mod tests {
 
         #[test]
         fn prop_varint_roundtrip(values in proptest::collection::vec(any::<u64>(), 0..50)) {
-            let mut w = BitWriter::new();
-            for &v in &values {
-                w.write_varint(v);
-            }
-            let bytes = w.into_bytes();
+            let bytes = written(|w| {
+                for &v in &values {
+                    w.write_varint(v);
+                }
+            });
             let mut r = BitReader::new(&bytes);
             for &v in &values {
                 prop_assert_eq!(r.read_varint().unwrap(), v);
@@ -349,11 +372,11 @@ mod tests {
 
         #[test]
         fn prop_signed_varint_roundtrip(values in proptest::collection::vec(any::<i64>(), 0..50)) {
-            let mut w = BitWriter::new();
-            for &v in &values {
-                w.write_varint_signed(v);
-            }
-            let bytes = w.into_bytes();
+            let bytes = written(|w| {
+                for &v in &values {
+                    w.write_varint_signed(v);
+                }
+            });
             let mut r = BitReader::new(&bytes);
             for &v in &values {
                 prop_assert_eq!(r.read_varint_signed().unwrap(), v);
@@ -362,9 +385,7 @@ mod tests {
 
         #[test]
         fn prop_small_signed_varints_are_one_byte(v in -64i64..64) {
-            let mut w = BitWriter::new();
-            w.write_varint_signed(v);
-            prop_assert_eq!(w.byte_len(), 1);
+            prop_assert_eq!(written(|w| w.write_varint_signed(v)).len(), 1);
         }
     }
 }

@@ -82,6 +82,157 @@ const HAND_RANGE: f64 = 1.5;
 /// Velocity range, metres/second (each axis).
 const VEL_RANGE: f64 = 8.0;
 
+/// Bits of the largest frame any codec can emit: every field at the widest
+/// quantizer a [`CodecConfig`] may name ([`AvatarCodec::new`] rejects wider).
+const fn worst_case_frame_bits() -> usize {
+    let p = PositionQuantizer::MAX_BITS as usize;
+    let quat = 2 + 3 * QuatQuantizer::MAX_BITS as usize;
+    // Head, both hands and velocity are three grid coordinates each.
+    let full = 1 + 3 * p + quat + 3 * (3 * p) + 8 * CHANNELS;
+    // A delta sends the head as zigzag varints of grid differences (p + 1
+    // bits, 7 to a byte), then the same fields behind six change flags and
+    // a per-channel expression mask.
+    let head = 3 * 8 * (p + 1).div_ceil(7);
+    let delta = 1 + 6 + head + quat + 3 * (3 * p) + CHANNELS + 8 * CHANNELS;
+    if full > delta {
+        full
+    } else {
+        delta
+    }
+}
+
+/// Capacity of a [`FramePayload`], bytes: the largest frame any valid
+/// [`CodecConfig`] can produce (74 at 30/16/30/30 bits).
+pub const MAX_FRAME_BYTES: usize = worst_case_frame_bits().div_ceil(8);
+
+/// Error returned when bytes offered as a [`FramePayload`] exceed
+/// [`MAX_FRAME_BYTES`] and so cannot be a frame of this codec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadTooLongError {
+    /// Length of the rejected byte string.
+    pub len: usize,
+}
+
+impl fmt::Display for PayloadTooLongError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "avatar frame payload of {} bytes exceeds {MAX_FRAME_BYTES}", self.len)
+    }
+}
+
+impl std::error::Error for PayloadTooLongError {}
+
+/// The bytes of one encoded avatar frame, held inline.
+///
+/// A frame is at most [`MAX_FRAME_BYTES`] long, so it travels inside its
+/// message with no heap allocation; it dereferences to `[u8]`.
+///
+/// # Examples
+///
+/// ```
+/// use metaclass_avatar::{FramePayload, MAX_FRAME_BYTES};
+///
+/// let payload = FramePayload::try_from(&[1u8, 2, 3][..])?;
+/// assert_eq!(payload.len(), 3);
+/// assert_eq!(&payload[..], [1, 2, 3]);
+/// assert!(FramePayload::try_from(&[0u8; MAX_FRAME_BYTES + 1][..]).is_err());
+/// # Ok::<(), metaclass_avatar::PayloadTooLongError>(())
+/// ```
+#[derive(Clone, Copy)]
+pub struct FramePayload {
+    len: u8,
+    bytes: [u8; MAX_FRAME_BYTES],
+}
+
+const _: () = assert!(MAX_FRAME_BYTES <= u8::MAX as usize);
+
+impl FramePayload {
+    /// Runs `write` over the inline storage and keeps what it wrote.
+    fn written(write: impl FnOnce(&mut BitWriter<'_>)) -> Self {
+        let mut payload = FramePayload { len: 0, bytes: [0; MAX_FRAME_BYTES] };
+        let mut w = BitWriter::new(&mut payload.bytes);
+        write(&mut w);
+        payload.len = w.byte_len() as u8;
+        payload
+    }
+}
+
+impl std::ops::Deref for FramePayload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl TryFrom<&[u8]> for FramePayload {
+    type Error = PayloadTooLongError;
+
+    fn try_from(src: &[u8]) -> Result<Self, PayloadTooLongError> {
+        if src.len() > MAX_FRAME_BYTES {
+            return Err(PayloadTooLongError { len: src.len() });
+        }
+        let mut bytes = [0u8; MAX_FRAME_BYTES];
+        bytes[..src.len()].copy_from_slice(src);
+        Ok(FramePayload { len: src.len() as u8, bytes })
+    }
+}
+
+impl PartialEq for FramePayload {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for FramePayload {}
+
+impl fmt::Debug for FramePayload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self[..].fmt(f)
+    }
+}
+
+// Serialized as the byte array a `Vec<u8>` payload was. Written by hand
+// against the vendored serde's `Value` model because its derive has no
+// `try_from`: a derived impl would accept a `len` the storage cannot back.
+impl Serialize for FramePayload {
+    fn to_value(&self) -> serde::Value {
+        self[..].to_value()
+    }
+}
+
+impl Deserialize for FramePayload {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        // The length is checked before anything is copied.
+        let serde::Value::Array(items) = v else {
+            return Err(serde::Error::custom(format!(
+                "invalid type: {}, expected byte array",
+                v.kind()
+            )));
+        };
+        if items.len() > MAX_FRAME_BYTES {
+            return Err(serde::Error::custom(PayloadTooLongError { len: items.len() }));
+        }
+        let mut bytes = [0u8; MAX_FRAME_BYTES];
+        for (b, item) in bytes.iter_mut().zip(items) {
+            *b = u8::from_value(item)?;
+        }
+        Ok(FramePayload { len: items.len() as u8, bytes })
+    }
+}
+
+/// An [`AvatarState`] on the codec's quantization grid: the integers a frame
+/// carries, and the domain in which delta frames compare states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuantizedState {
+    position: [u32; 3],
+    orientation: QuantizedQuat,
+    /// Hands are offsets from the *dequantized* head position.
+    left_hand: [u32; 3],
+    right_hand: [u32; 3],
+    velocity: [u32; 3],
+    expression: [u8; CHANNELS],
+}
+
 /// Encoder/decoder for [`AvatarState`] wire frames.
 ///
 /// # Examples
@@ -107,6 +258,11 @@ pub struct AvatarCodec {
 
 impl AvatarCodec {
     /// Creates a codec from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bit width is outside its quantizer's range (see
+    /// [`PositionQuantizer::new`] and [`QuatQuantizer::new`]).
     pub fn new(cfg: CodecConfig) -> Self {
         let hand_bounds = SpaceBounds::new(
             Vec3::new(-HAND_RANGE, -HAND_RANGE, -HAND_RANGE),
@@ -140,147 +296,134 @@ impl AvatarCodec {
         self.pos.max_error()
     }
 
+    /// Projects `state` onto the quantization grid. This is all the
+    /// floating-point work of encoding: the frame writers
+    /// ([`full_frame`](Self::full_frame), [`delta_frame`](Self::delta_frame))
+    /// only compare and pack the resulting integers, so a state replicated
+    /// on several streams is quantized once.
+    pub fn quantize(&self, state: &AvatarState) -> QuantizedState {
+        let position = self.pos.quantize(state.head.position);
+        // Hand grids are relative to the head a decoder will reconstruct, so
+        // pure head translation does not dirty the hands.
+        let head_pos = self.pos.dequantize(position);
+        QuantizedState {
+            position,
+            orientation: self.quat.quantize(state.head.orientation),
+            left_hand: self.hand.quantize(state.left_hand - head_pos),
+            right_hand: self.hand.quantize(state.right_hand - head_pos),
+            velocity: self.vel.quantize(state.velocity),
+            expression: state.expression.quantize(),
+        }
+    }
+
+    /// The state a decoder reconstructs from a full frame of `q`.
+    pub fn dequantize(&self, q: &QuantizedState) -> AvatarState {
+        let head_pos = self.pos.dequantize(q.position);
+        AvatarState {
+            head: crate::geom::Pose::new(head_pos, self.quat.dequantize(q.orientation)),
+            left_hand: head_pos + self.hand.dequantize(q.left_hand),
+            right_hand: head_pos + self.hand.dequantize(q.right_hand),
+            velocity: self.vel.dequantize(q.velocity),
+            expression: ExpressionFrame::from_quantized(&q.expression),
+        }
+    }
+
     /// Projects a state onto the quantization grid: what a decoder would
     /// reconstruct from a full frame of `state`. Use the returned state as
     /// the reference for the next [`AvatarCodec::encode_delta`].
     pub fn reconstruct(&self, state: &AvatarState) -> AvatarState {
-        let head_pos = self.pos.dequantize(self.pos.quantize(state.head.position));
-        let orientation = self.quat.dequantize(self.quat.quantize(state.head.orientation));
-        let lh = self.dequant_hand(self.quant_hand(state.left_hand, head_pos), head_pos);
-        let rh = self.dequant_hand(self.quant_hand(state.right_hand, head_pos), head_pos);
-        let vel = self.vel.dequantize(self.vel.quantize(state.velocity));
-        AvatarState {
-            head: crate::geom::Pose::new(head_pos, orientation),
-            left_hand: lh,
-            right_hand: rh,
-            velocity: vel,
-            expression: ExpressionFrame::from_quantized(&state.expression.quantize()),
-        }
-    }
-
-    fn quant_hand(&self, hand: Vec3, head_pos: Vec3) -> [u32; 3] {
-        self.hand.quantize(hand - head_pos)
-    }
-
-    fn dequant_hand(&self, g: [u32; 3], head_pos: Vec3) -> Vec3 {
-        head_pos + self.hand.dequantize(g)
+        self.dequantize(&self.quantize(state))
     }
 
     /// Encodes a complete snapshot of `state`.
     pub fn encode_full(&self, state: &AvatarState) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bool(true); // full frame
-        let pg = self.pos.quantize(state.head.position);
-        for g in pg {
-            w.write_bits(g as u64, self.cfg.position_bits);
-        }
-        let head_pos = self.pos.dequantize(pg);
-        self.write_quat(&mut w, self.quat.quantize(state.head.orientation));
-        for g in self.quant_hand(state.left_hand, head_pos) {
-            w.write_bits(g as u64, self.cfg.hand_bits);
-        }
-        for g in self.quant_hand(state.right_hand, head_pos) {
-            w.write_bits(g as u64, self.cfg.hand_bits);
-        }
-        for g in self.vel.quantize(state.velocity) {
-            w.write_bits(g as u64, self.cfg.velocity_bits);
-        }
-        for q in state.expression.quantize() {
-            w.write_bits(q as u64, 8);
-        }
-        w.into_bytes()
+        self.full_frame(&self.quantize(state)).to_vec()
     }
 
     /// Encodes only the fields of `state` whose quantized value differs from
     /// `reference` (which must be a reconstructed state — see
     /// [`AvatarCodec::reconstruct`]). An unchanged state encodes to ~1 byte.
     pub fn encode_delta(&self, reference: &AvatarState, state: &AvatarState) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bool(false); // delta frame
-
-        let prev_pg = self.pos.quantize(reference.head.position);
-        let cur_pg = self.pos.quantize(state.head.position);
-        let pos_changed = prev_pg != cur_pg;
-        let cur_head = self.pos.dequantize(cur_pg);
-        // Hand grids are head-relative, so recompute both against the
-        // *current* head so pure head translation doesn't dirty the hands.
-        let prev_q = self.quat.quantize(reference.head.orientation);
-        let cur_q = self.quat.quantize(state.head.orientation);
-        let quat_changed = prev_q != cur_q;
-        let ref_head = self.pos.dequantize(prev_pg);
-        let prev_lh = self.quant_hand(reference.left_hand, ref_head);
-        let cur_lh = self.quant_hand(state.left_hand, cur_head);
-        let lh_changed = prev_lh != cur_lh;
-        let prev_rh = self.quant_hand(reference.right_hand, ref_head);
-        let cur_rh = self.quant_hand(state.right_hand, cur_head);
-        let rh_changed = prev_rh != cur_rh;
-        let prev_v = self.vel.quantize(reference.velocity);
-        let cur_v = self.vel.quantize(state.velocity);
-        let vel_changed = prev_v != cur_v;
-        let prev_e = reference.expression.quantize();
-        let cur_e = state.expression.quantize();
-        let expr_changed = prev_e != cur_e;
-
-        w.write_bool(pos_changed);
-        w.write_bool(quat_changed);
-        w.write_bool(lh_changed);
-        w.write_bool(rh_changed);
-        w.write_bool(vel_changed);
-        w.write_bool(expr_changed);
-
-        if pos_changed {
-            for (c, p) in cur_pg.iter().zip(&prev_pg) {
-                w.write_varint_signed(*c as i64 - *p as i64);
-            }
-        }
-        if quat_changed {
-            self.write_quat(&mut w, cur_q);
-        }
-        if lh_changed {
-            for g in cur_lh {
-                w.write_bits(g as u64, self.cfg.hand_bits);
-            }
-        }
-        if rh_changed {
-            for g in cur_rh {
-                w.write_bits(g as u64, self.cfg.hand_bits);
-            }
-        }
-        if vel_changed {
-            for g in cur_v {
-                w.write_bits(g as u64, self.cfg.velocity_bits);
-            }
-        }
-        if expr_changed {
-            let mut mask: u64 = 0;
-            for (i, (c, p)) in cur_e.iter().zip(&prev_e).enumerate() {
-                if c != p {
-                    mask |= 1 << i;
-                }
-            }
-            w.write_bits(mask, CHANNELS as u32);
-            for (i, c) in cur_e.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    w.write_bits(*c as u64, 8);
-                }
-            }
-        }
-        w.into_bytes()
+        self.delta_frame(&self.quantize(reference), &self.quantize(state)).to_vec()
     }
 
-    fn write_quat(&self, w: &mut BitWriter, q: QuantizedQuat) {
+    /// Packs a complete snapshot of `q`; [`encode_full`](Self::encode_full)
+    /// without the quantization or the allocation.
+    pub fn full_frame(&self, q: &QuantizedState) -> FramePayload {
+        FramePayload::written(|w| {
+            w.write_bool(true); // full frame
+            write_grid(w, q.position, self.cfg.position_bits);
+            self.write_quat(w, q.orientation);
+            write_grid(w, q.left_hand, self.cfg.hand_bits);
+            write_grid(w, q.right_hand, self.cfg.hand_bits);
+            write_grid(w, q.velocity, self.cfg.velocity_bits);
+            for e in q.expression {
+                w.write_bits(e as u64, 8);
+            }
+        })
+    }
+
+    /// Packs only the fields of `q` that differ from `reference`, the grid
+    /// form of a reconstructed state; [`encode_delta`](Self::encode_delta)
+    /// without the quantization or the allocation.
+    pub fn delta_frame(&self, reference: &QuantizedState, q: &QuantizedState) -> FramePayload {
+        let pos_changed = reference.position != q.position;
+        let quat_changed = reference.orientation != q.orientation;
+        let lh_changed = reference.left_hand != q.left_hand;
+        let rh_changed = reference.right_hand != q.right_hand;
+        let vel_changed = reference.velocity != q.velocity;
+        let expr_changed = reference.expression != q.expression;
+        FramePayload::written(|w| {
+            w.write_bool(false); // delta frame
+            w.write_bool(pos_changed);
+            w.write_bool(quat_changed);
+            w.write_bool(lh_changed);
+            w.write_bool(rh_changed);
+            w.write_bool(vel_changed);
+            w.write_bool(expr_changed);
+
+            if pos_changed {
+                for (c, p) in q.position.iter().zip(&reference.position) {
+                    w.write_varint_signed(*c as i64 - *p as i64);
+                }
+            }
+            if quat_changed {
+                self.write_quat(w, q.orientation);
+            }
+            if lh_changed {
+                write_grid(w, q.left_hand, self.cfg.hand_bits);
+            }
+            if rh_changed {
+                write_grid(w, q.right_hand, self.cfg.hand_bits);
+            }
+            if vel_changed {
+                write_grid(w, q.velocity, self.cfg.velocity_bits);
+            }
+            if expr_changed {
+                let mut mask: u64 = 0;
+                for (i, (c, p)) in q.expression.iter().zip(&reference.expression).enumerate() {
+                    if c != p {
+                        mask |= 1 << i;
+                    }
+                }
+                w.write_bits(mask, CHANNELS as u32);
+                for (i, c) in q.expression.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        w.write_bits(*c as u64, 8);
+                    }
+                }
+            }
+        })
+    }
+
+    fn write_quat(&self, w: &mut BitWriter<'_>, q: QuantizedQuat) {
         w.write_bits(q.largest as u64, 2);
-        for c in q.components {
-            w.write_bits(c as u64, self.cfg.orientation_bits);
-        }
+        write_grid(w, q.components, self.cfg.orientation_bits);
     }
 
     fn read_quat(&self, r: &mut BitReader<'_>) -> Result<QuantizedQuat, CodecError> {
         let largest = r.read_bits(2)? as u8;
-        let mut components = [0u32; 3];
-        for c in &mut components {
-            *c = r.read_bits(self.cfg.orientation_bits)? as u32;
-        }
+        let components = read_grid(r, self.cfg.orientation_bits)?;
         Ok(QuantizedQuat { largest, components })
     }
 
@@ -313,8 +456,10 @@ impl AvatarCodec {
         let cur_pg = if pos_changed {
             let mut g = [0u32; 3];
             for (o, p) in g.iter_mut().zip(&prev_pg) {
+                // The difference is untrusted: saturate, then clamp onto the grid.
                 let d = r.read_varint_signed()?;
-                *o = (*p as i64 + d).clamp(0, (1 << self.cfg.position_bits) - 1) as u32;
+                *o = (*p as i64).saturating_add(d).clamp(0, (1 << self.cfg.position_bits) - 1)
+                    as u32;
             }
             g
         } else {
@@ -328,32 +473,21 @@ impl AvatarCodec {
             reference.head.orientation
         };
 
+        // An unchanged hand keeps its grid offset and follows the head.
         let ref_head = self.pos.dequantize(prev_pg);
         let left_hand = if lh_changed {
-            let mut g = [0u32; 3];
-            for o in &mut g {
-                *o = r.read_bits(self.cfg.hand_bits)? as u32;
-            }
-            self.dequant_hand(g, head_pos)
+            read_grid(&mut r, self.cfg.hand_bits)?
         } else {
-            self.dequant_hand(self.quant_hand(reference.left_hand, ref_head), head_pos)
+            self.hand.quantize(reference.left_hand - ref_head)
         };
         let right_hand = if rh_changed {
-            let mut g = [0u32; 3];
-            for o in &mut g {
-                *o = r.read_bits(self.cfg.hand_bits)? as u32;
-            }
-            self.dequant_hand(g, head_pos)
+            read_grid(&mut r, self.cfg.hand_bits)?
         } else {
-            self.dequant_hand(self.quant_hand(reference.right_hand, ref_head), head_pos)
+            self.hand.quantize(reference.right_hand - ref_head)
         };
 
         let velocity = if vel_changed {
-            let mut g = [0u32; 3];
-            for o in &mut g {
-                *o = r.read_bits(self.cfg.velocity_bits)? as u32;
-            }
-            self.vel.dequantize(g)
+            self.vel.dequantize(read_grid(&mut r, self.cfg.velocity_bits)?)
         } else {
             reference.velocity
         };
@@ -373,44 +507,46 @@ impl AvatarCodec {
 
         Ok(AvatarState {
             head: crate::geom::Pose::new(head_pos, orientation),
-            left_hand,
-            right_hand,
+            left_hand: head_pos + self.hand.dequantize(left_hand),
+            right_hand: head_pos + self.hand.dequantize(right_hand),
             velocity,
             expression,
         })
     }
 
     fn decode_full_body(&self, r: &mut BitReader<'_>) -> Result<AvatarState, CodecError> {
-        let mut pg = [0u32; 3];
-        for g in &mut pg {
-            *g = r.read_bits(self.cfg.position_bits)? as u32;
-        }
-        let head_pos = self.pos.dequantize(pg);
-        let orientation = self.quat.dequantize(self.read_quat(r)?);
-        let mut lh = [0u32; 3];
-        for g in &mut lh {
-            *g = r.read_bits(self.cfg.hand_bits)? as u32;
-        }
-        let mut rh = [0u32; 3];
-        for g in &mut rh {
-            *g = r.read_bits(self.cfg.hand_bits)? as u32;
-        }
-        let mut vg = [0u32; 3];
-        for g in &mut vg {
-            *g = r.read_bits(self.cfg.velocity_bits)? as u32;
-        }
-        let mut eq = [0u8; CHANNELS];
-        for e in &mut eq {
+        let position = read_grid(r, self.cfg.position_bits)?;
+        let orientation = self.read_quat(r)?;
+        let left_hand = read_grid(r, self.cfg.hand_bits)?;
+        let right_hand = read_grid(r, self.cfg.hand_bits)?;
+        let velocity = read_grid(r, self.cfg.velocity_bits)?;
+        let mut expression = [0u8; CHANNELS];
+        for e in &mut expression {
             *e = r.read_bits(8)? as u8;
         }
-        Ok(AvatarState {
-            head: crate::geom::Pose::new(head_pos, orientation),
-            left_hand: self.dequant_hand(lh, head_pos),
-            right_hand: self.dequant_hand(rh, head_pos),
-            velocity: self.vel.dequantize(vg),
-            expression: ExpressionFrame::from_quantized(&eq),
-        })
+        Ok(self.dequantize(&QuantizedState {
+            position,
+            orientation,
+            left_hand,
+            right_hand,
+            velocity,
+            expression,
+        }))
     }
+}
+
+fn write_grid(w: &mut BitWriter<'_>, g: [u32; 3], bits: u32) {
+    for c in g {
+        w.write_bits(c as u64, bits);
+    }
+}
+
+fn read_grid(r: &mut BitReader<'_>, bits: u32) -> Result<[u32; 3], ReadOverrunError> {
+    let mut g = [0u32; 3];
+    for c in &mut g {
+        *c = r.read_bits(bits)? as u32;
+    }
+    Ok(g)
 }
 
 impl Default for AvatarCodec {

@@ -50,7 +50,10 @@ mod retarget;
 mod state;
 
 pub use bitstream::{BitReader, BitWriter, ReadOverrunError};
-pub use codec::{AvatarCodec, CodecConfig, CodecError};
+pub use codec::{
+    AvatarCodec, CodecConfig, CodecError, FramePayload, PayloadTooLongError, QuantizedState,
+    MAX_FRAME_BYTES,
+};
 pub use expression::{BlendChannel, ExpressionFrame, CHANNELS};
 pub use geom::{Pose, Quat, Vec3};
 pub use lod::LodLevel;

@@ -84,13 +84,16 @@ pub struct PositionQuantizer {
 }
 
 impl PositionQuantizer {
+    /// Most bits per axis a quantizer accepts.
+    pub const MAX_BITS: u32 = 30;
+
     /// Creates a quantizer with `bits` per axis (1–30).
     ///
     /// # Panics
     ///
     /// Panics if `bits` is outside `1..=30`.
     pub fn new(bounds: SpaceBounds, bits: u32) -> Self {
-        assert!((1..=30).contains(&bits), "bits must be in 1..=30");
+        assert!((1..=Self::MAX_BITS).contains(&bits), "bits must be in 1..=30");
         PositionQuantizer { bounds, bits }
     }
 
@@ -168,13 +171,16 @@ impl QuatQuantizer {
     /// Maximum magnitude of a non-largest component of a unit quaternion.
     const LIMIT: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+    /// Most bits per stored component a quantizer accepts.
+    pub const MAX_BITS: u32 = 16;
+
     /// Creates a quantizer with `bits` per stored component (2–16).
     ///
     /// # Panics
     ///
     /// Panics if `bits` is outside `2..=16`.
     pub fn new(bits: u32) -> Self {
-        assert!((2..=16).contains(&bits), "bits must be in 2..=16");
+        assert!((2..=Self::MAX_BITS).contains(&bits), "bits must be in 2..=16");
         QuatQuantizer { bits }
     }
 

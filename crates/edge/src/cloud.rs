@@ -319,6 +319,7 @@ impl CloudServerNode {
         // the VR seat. Pools are not: classrooms render the crowd as one
         // token. Edge-fed avatars were already fanned out by their home edge.
         if forward_to_edges && self.link.should_replicate(ctx.now(), avatar, &vr_state) {
+            let vr_state = self.link.quantize(&vr_state);
             for &peer in self.link.peers().iter().filter(|&&peer| peer != from) {
                 if self.link.skips(peer) {
                     ctx.metrics().inc("cloud.forwards_skipped_unhealthy_edge");
@@ -391,7 +392,7 @@ impl CloudServerNode {
             );
             considered.clear();
             let mut batch: Vec<SimTime> = Vec::new();
-            for avatar in wanted.drain(..).chain(selected) {
+            for avatar in wanted.drain(..).chain(selected.iter().copied()) {
                 if avatar == viewer || considered.contains(&avatar) {
                     continue;
                 }

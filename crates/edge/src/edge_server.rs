@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState, Vec3};
 use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sensors::PoseFusion;
-use metaclass_sync::{InteractionEvent, PoseFrame};
+use metaclass_sync::{InteractionEvent, PoseFrame, QuantizedSnapshot};
 
 use crate::health::{PeerHealth, RemoteAvatarPresentation};
 use crate::messages::ClassMsg;
@@ -49,6 +49,18 @@ pub struct EdgeServerNode {
     remote_latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
     /// Remote avatars currently pinned by a frozen source peer.
     frozen: BTreeMap<AvatarId, bool>,
+    /// Working vectors of a replication tick, kept for their capacity.
+    scratch: TickScratch,
+}
+
+#[derive(Default)]
+struct TickScratch {
+    /// Updates sent toward each peer this tick, in the link's peer order.
+    sent_per_peer: Vec<usize>,
+    /// Pairs already refreshed from the backlog this tick.
+    flushed: Vec<(NodeId, AvatarId)>,
+    /// The avatars one pass walks while it mutates their map.
+    avatars: Vec<AvatarId>,
 }
 
 impl EdgeServerNode {
@@ -77,6 +89,7 @@ impl EdgeServerNode {
             seats: SeatAllocator::new(layout),
             remote_latest: BTreeMap::new(),
             frozen: BTreeMap::new(),
+            scratch: TickScratch::default(),
         }
     }
 
@@ -149,8 +162,10 @@ impl EdgeServerNode {
     /// pushed to local displays so stale motion is not extrapolated forever.
     fn apply_presentations(&mut self, ctx: &mut Context<'_, ClassMsg>) {
         let now = ctx.now();
-        let avatars: Vec<AvatarId> = self.remote_latest.keys().copied().collect();
-        for avatar in avatars {
+        let mut avatars = std::mem::take(&mut self.scratch.avatars);
+        avatars.clear();
+        avatars.extend(self.remote_latest.keys().copied());
+        for &avatar in &avatars {
             let was_frozen = self.frozen.get(&avatar).copied().unwrap_or(false);
             match self.presentation_of(avatar, now) {
                 RemoteAvatarPresentation::Frozen if !was_frozen => {
@@ -172,6 +187,7 @@ impl EdgeServerNode {
                 _ => {}
             }
         }
+        self.scratch.avatars = avatars;
     }
 
     /// Sends one avatar update toward `peer`.
@@ -180,7 +196,7 @@ impl EdgeServerNode {
         ctx: &mut Context<'_, ClassMsg>,
         peer: NodeId,
         avatar: AvatarId,
-        estimate: AvatarState,
+        estimate: &QuantizedSnapshot,
         now: SimTime,
     ) {
         let anchor = self
@@ -188,7 +204,7 @@ impl EdgeServerNode {
             .get(&avatar)
             .copied()
             .unwrap_or_else(|| AnchorFrame::seat(Default::default()));
-        let size = self.link.send_update(ctx, peer, avatar, &estimate, now, anchor);
+        let size = self.link.send_update(ctx, peer, avatar, estimate, now, anchor);
         ctx.metrics().inc("edge.updates_sent");
         ctx.metrics().add("edge.update_bytes", size as u64);
     }
@@ -202,17 +218,17 @@ impl EdgeServerNode {
         let now = ctx.now();
         let budget = self.link.egress_budget();
         let peers = self.link.peers();
-        let mut sent_per_peer: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut flushed: Vec<(NodeId, AvatarId)> = Vec::new();
+        let TickScratch { mut sent_per_peer, mut flushed, mut avatars } =
+            std::mem::take(&mut self.scratch);
+        sent_per_peer.clear();
+        sent_per_peer.resize(peers.len(), 0);
+        flushed.clear();
         let mut demand = 0usize;
         // Refreshes deferred by an earlier budget crunch go out first, from
         // the avatar's *current* estimate, bypassing dead-reckoning
         // suppression — so no peer is starved of an update it was owed.
-        for &peer in peers.iter() {
-            loop {
-                if *sent_per_peer.entry(peer).or_insert(0) >= budget {
-                    break;
-                }
+        for (&peer, sent) in peers.iter().zip(&mut sent_per_peer) {
+            while *sent < budget {
                 let Some(avatar) = self.link.pop_deferred(peer) else {
                     break;
                 };
@@ -221,13 +237,14 @@ impl EdgeServerNode {
                     _ => continue,
                 };
                 demand += 1;
-                self.send_update(ctx, peer, avatar, estimate, now);
-                *sent_per_peer.entry(peer).or_insert(0) += 1;
+                self.send_update(ctx, peer, avatar, &self.link.quantize(&estimate), now);
+                *sent += 1;
                 flushed.push((peer, avatar));
             }
         }
-        let avatars: Vec<AvatarId> = self.fusion.keys().copied().collect();
-        for avatar in avatars {
+        avatars.clear();
+        avatars.extend(self.fusion.keys().copied());
+        for &avatar in &avatars {
             let fusion = self.fusion.get_mut(&avatar).expect("present");
             if !fusion.is_initialized() {
                 continue;
@@ -237,7 +254,9 @@ impl EdgeServerNode {
                 ctx.metrics().inc("edge.updates_suppressed");
                 continue;
             }
-            for &peer in peers.iter() {
+            // Quantized once; each peer's stream only packs the integers.
+            let estimate = self.link.quantize(&estimate);
+            for (&peer, sent) in peers.iter().zip(&mut sent_per_peer) {
                 if flushed.contains(&(peer, avatar)) {
                     continue; // already refreshed from the backlog this tick
                 }
@@ -246,7 +265,6 @@ impl EdgeServerNode {
                     continue;
                 }
                 demand += 1;
-                let sent = sent_per_peer.entry(peer).or_insert(0);
                 if *sent >= budget {
                     // Egress budget exhausted toward this peer: defer.
                     self.link.defer(ctx, peer, avatar);
@@ -254,9 +272,10 @@ impl EdgeServerNode {
                     continue;
                 }
                 *sent += 1;
-                self.send_update(ctx, peer, avatar, estimate, now);
+                self.send_update(ctx, peer, avatar, &estimate, now);
             }
         }
+        self.scratch = TickScratch { sent_per_peer, flushed, avatars };
         demand
     }
 

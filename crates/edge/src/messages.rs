@@ -289,7 +289,22 @@ impl ClassMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_avatar::Vec3;
+    use metaclass_avatar::{FramePayload, Vec3, MAX_FRAME_BYTES};
+
+    fn frame_of(payload_len: usize) -> PoseFrame {
+        let payload = FramePayload::try_from(&vec![0; payload_len][..]).unwrap();
+        PoseFrame { seq: 0, ref_seq: None, payload }
+    }
+
+    /// Every envelope is moved through the wheel, a link and a dispatch at
+    /// this size, frame or not: the inline payload must fit under the
+    /// largest frameless variant (`DisplayUpdate`), not set a new maximum.
+    #[test]
+    fn inline_frames_do_not_fatten_the_envelope() {
+        assert_eq!(std::mem::size_of::<PoseFrame>(), 104);
+        assert!(std::mem::size_of::<ClassMsg>() <= 208, "{}", std::mem::size_of::<ClassMsg>());
+        assert_eq!(frame_of(MAX_FRAME_BYTES).wire_bytes(), MAX_FRAME_BYTES + 6);
+    }
 
     #[test]
     fn wire_sizes_are_plausible() {
@@ -329,7 +344,7 @@ mod tests {
         };
         assert_eq!(reply.wire_bytes(), 10 * 32 + 3 * 44);
         // A pooled pose upload is count x the individual ClientPose size.
-        let frame = metaclass_sync::PoseFrame { seq: 0, ref_seq: None, payload: vec![0; 30] };
+        let frame = frame_of(30);
         let single = ClassMsg::ClientPose {
             avatar: AvatarId(1),
             frame: frame.clone(),
@@ -355,13 +370,13 @@ mod tests {
     fn avatar_update_size_tracks_its_frame() {
         let small = ClassMsg::AvatarUpdate {
             avatar: AvatarId(0),
-            frame: metaclass_sync::PoseFrame { seq: 0, ref_seq: None, payload: vec![0; 5] },
+            frame: frame_of(5),
             captured_at: SimTime::ZERO,
             anchor: AnchorFrame::seat(Default::default()),
         };
         let big = ClassMsg::AvatarUpdate {
             avatar: AvatarId(0),
-            frame: metaclass_sync::PoseFrame { seq: 0, ref_seq: None, payload: vec![0; 50] },
+            frame: frame_of(50),
             captured_at: SimTime::ZERO,
             anchor: AnchorFrame::seat(Default::default()),
         };

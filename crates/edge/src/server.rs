@@ -19,7 +19,8 @@ use metaclass_avatar::{AnchorFrame, AvatarCodec, AvatarId, AvatarState, CodecCon
 use metaclass_netsim::{Context, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sync::{
     BoundedQueue, DeadReckoningConfig, DeadReckoningSender, InteractionEvent, OverflowPolicy,
-    PoseFrame, ReliableReceiver, ReliableSender, SnapshotReceiver, SnapshotSender,
+    PoseFrame, QuantizedSnapshot, ReliableReceiver, ReliableSender, SnapshotReceiver,
+    SnapshotSender,
 };
 
 use crate::health::{HeartbeatConfig, PeerEvent, PeerHealth, RemoteAvatarPresentation};
@@ -94,6 +95,9 @@ pub(crate) struct ServerLink<K> {
     /// Ticks since (re)start; drives degraded-stride and shed-stride sending.
     pub tick_count: u64,
     dead_reckoners: BTreeMap<AvatarId, DeadReckoningSender>,
+    /// The codec every outbound stream is configured with; quantizes a state
+    /// once for all of them.
+    codec: AvatarCodec,
     senders: BTreeMap<(NodeId, AvatarId), SnapshotSender>,
     receivers: BTreeMap<AvatarId, SnapshotReceiver>,
     /// Which node feeds each inbound stream (for health attribution); the
@@ -123,6 +127,7 @@ impl<K: Ord + Copy> ServerLink<K> {
             health,
             tick_count: 0,
             dead_reckoners: BTreeMap::new(),
+            codec: AvatarCodec::new(cfg.codec),
             senders: BTreeMap::new(),
             receivers: BTreeMap::new(),
             sources: BTreeMap::new(),
@@ -375,7 +380,7 @@ impl<K: Ord + Copy> ServerLink<K> {
         let receiver = self
             .receivers
             .entry(avatar)
-            .or_insert_with(|| SnapshotReceiver::new(AvatarCodec::new(self.cfg.codec)));
+            .or_insert_with(|| SnapshotReceiver::new(self.codec.clone()));
         match receiver.decode(frame) {
             Err(_) => {
                 ctx.metrics().inc(self.role.decode_errors);
@@ -425,6 +430,12 @@ impl<K: Ord + Copy> ServerLink<K> {
         self.health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
     }
 
+    /// Quantizes `state` for [`Self::send_update`]: once per avatar per
+    /// tick, however many peers it then goes to.
+    pub fn quantize(&self, state: &AvatarState) -> QuantizedSnapshot {
+        QuantizedSnapshot::new(&self.codec, state)
+    }
+
     /// Encodes `state` on the (`peer`, `avatar`) snapshot stream, created on
     /// demand, and sends it; returns the wire size.
     pub fn send_update(
@@ -432,14 +443,15 @@ impl<K: Ord + Copy> ServerLink<K> {
         ctx: &mut Context<'_, ClassMsg>,
         peer: NodeId,
         avatar: AvatarId,
-        state: &AvatarState,
+        state: &QuantizedSnapshot,
         captured_at: SimTime,
         anchor: AnchorFrame,
     ) -> u32 {
-        let sender = self.senders.entry((peer, avatar)).or_insert_with(|| {
-            SnapshotSender::new(AvatarCodec::new(self.cfg.codec), self.cfg.keyframe_interval)
-        });
-        let frame = sender.encode(state);
+        let sender = self
+            .senders
+            .entry((peer, avatar))
+            .or_insert_with(|| SnapshotSender::new(self.codec.clone(), self.cfg.keyframe_interval));
+        let frame = sender.encode_quantized(state);
         ClassMsg::AvatarUpdate { avatar, frame, captured_at, anchor }.send_to(ctx, peer)
     }
 

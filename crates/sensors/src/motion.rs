@@ -64,6 +64,8 @@ pub enum MotionScript {
 #[derive(Debug, Clone)]
 pub struct Trajectory {
     script: MotionScript,
+    /// Leg figures of a looping script, fixed with it.
+    legs: LoopLegs,
     /// Seeded phases/frequencies for the sway oscillators.
     phases: [f64; 9],
     freqs: [f64; 9],
@@ -71,6 +73,50 @@ pub struct Trajectory {
     blink_phase: f64,
     speech_phase: f64,
     talkative: f64,
+}
+
+/// Walking speed between group-work tables, metres/second.
+const GROUP_WALK_SPEED: f64 = 1.2;
+
+/// What a looping script ([`MotionScript::Navigation`] or
+/// [`MotionScript::GroupWork`] with two or more stops) needs of its legs at
+/// every sample: computed once, because a trajectory is sampled millions of
+/// times and its script never changes. Empty for every other script.
+#[derive(Debug, Clone, Default)]
+struct LoopLegs {
+    /// Per leg `i → i + 1` (wrapping): its length in metres (navigation) or
+    /// the seconds it takes to walk (group work).
+    legs: Vec<f64>,
+    /// The whole loop: its length in metres (navigation) or its period in
+    /// seconds, dwells included (group work).
+    total: f64,
+}
+
+impl LoopLegs {
+    fn of(script: &MotionScript) -> Self {
+        match script {
+            MotionScript::Navigation { waypoints, .. } if waypoints.len() >= 2 => {
+                Self::around(waypoints, 0.0, |metres| metres.max(1e-9))
+            }
+            MotionScript::GroupWork { tables, dwell_secs } if tables.len() >= 2 => {
+                Self::around(tables, *dwell_secs, |metres| metres / GROUP_WALK_SPEED)
+            }
+            _ => LoopLegs::default(),
+        }
+    }
+
+    /// The closed loop through `stops`: each leg's figure is `leg(its length)`
+    /// and every stop adds `pause` to the total.
+    fn around(stops: &[Vec3], pause: f64, leg: impl Fn(f64) -> f64) -> Self {
+        let mut legs = Vec::with_capacity(stops.len());
+        let mut total = 0.0;
+        for (i, a) in stops.iter().enumerate() {
+            let l = leg(a.distance(stops[(i + 1) % stops.len()]));
+            legs.push(l);
+            total += pause + l;
+        }
+        LoopLegs { legs, total }
+    }
 }
 
 impl Trajectory {
@@ -84,6 +130,7 @@ impl Trajectory {
             *f = rng.range_f64(0.08, 0.6);
         }
         Trajectory {
+            legs: LoopLegs::of(&script),
             script,
             phases,
             freqs,
@@ -114,19 +161,11 @@ impl Trajectory {
         range * (0.7 * s(8) + 0.3 * s(0))
     }
 
-    /// Position along a closed waypoint loop at arc-length `dist`.
-    fn along_loop(waypoints: &[Vec3], dist: f64) -> (Vec3, Vec3) {
-        debug_assert!(waypoints.len() >= 2);
-        let mut lengths = Vec::with_capacity(waypoints.len());
-        let mut total = 0.0;
-        for i in 0..waypoints.len() {
-            let a = waypoints[i];
-            let b = waypoints[(i + 1) % waypoints.len()];
-            let l = a.distance(b).max(1e-9);
-            lengths.push(l);
-            total += l;
-        }
-        let mut d = dist % total;
+    /// Position and heading along the closed waypoint loop at arc-length
+    /// `dist`.
+    fn along_loop(&self, waypoints: &[Vec3], dist: f64) -> (Vec3, Vec3) {
+        let lengths = &self.legs.legs;
+        let mut d = dist % self.legs.total;
         for i in 0..waypoints.len() {
             if d <= lengths[i] {
                 let a = waypoints[i];
@@ -180,18 +219,10 @@ impl Trajectory {
                     )
                 } else {
                     // Alternate dwell (at a table) and walk (to the next).
-                    let walk_speed = 1.2;
-                    let mut seg_times = Vec::with_capacity(tables.len());
-                    let mut cycle = 0.0;
-                    for i in 0..tables.len() {
-                        let next = tables[(i + 1) % tables.len()];
-                        let walk = tables[i].distance(next) / walk_speed;
-                        seg_times.push((*dwell_secs, walk));
-                        cycle += dwell_secs + walk;
-                    }
-                    let mut tt = t % cycle;
+                    let dwell = *dwell_secs;
+                    let mut tt = t % self.legs.total;
                     let mut out = (tables[0], Vec3::ZERO, 0.0, STANDING_HEIGHT);
-                    for (i, &(dwell, walk)) in seg_times.iter().enumerate() {
+                    for (i, &walk) in self.legs.legs.iter().enumerate() {
                         if tt < dwell {
                             let p = tables[i] + self.sway(t, 0.05);
                             out = (
@@ -206,8 +237,8 @@ impl Trajectory {
                         if tt < walk {
                             let next = tables[(i + 1) % tables.len()];
                             let dir = (next - tables[i]).normalized().unwrap_or(Vec3::ZERO);
-                            let p = tables[i] + dir * (walk_speed * tt);
-                            out = (p, dir * walk_speed, dir.x.atan2(dir.z), STANDING_HEIGHT);
+                            let p = tables[i] + dir * (GROUP_WALK_SPEED * tt);
+                            out = (p, dir * GROUP_WALK_SPEED, dir.x.atan2(dir.z), STANDING_HEIGHT);
                             break;
                         }
                         tt -= walk;
@@ -220,7 +251,7 @@ impl Trajectory {
                     let p = waypoints.first().copied().unwrap_or(Vec3::ZERO);
                     (p, Vec3::ZERO, 0.0, STANDING_HEIGHT)
                 } else {
-                    let (p, dir) = Self::along_loop(waypoints, speed * t);
+                    let (p, dir) = self.along_loop(waypoints, speed * t);
                     (p, dir * *speed, dir.x.atan2(dir.z), STANDING_HEIGHT)
                 }
             }
@@ -401,5 +432,190 @@ mod tests {
         assert!(single.state_at(5.0).is_finite());
         let negative_time = seated().state_at(-10.0);
         assert!(negative_time.is_finite());
+    }
+
+    // The per-call vectors of the looping scripts moved into `Trajectory::new`;
+    // the old body, kept verbatim, must agree to the last bit.
+    fn along_loop_as_first_written(waypoints: &[Vec3], dist: f64) -> (Vec3, Vec3) {
+        debug_assert!(waypoints.len() >= 2);
+        let mut lengths = Vec::with_capacity(waypoints.len());
+        let mut total = 0.0;
+        for i in 0..waypoints.len() {
+            let a = waypoints[i];
+            let b = waypoints[(i + 1) % waypoints.len()];
+            let l = a.distance(b).max(1e-9);
+            lengths.push(l);
+            total += l;
+        }
+        let mut d = dist % total;
+        for i in 0..waypoints.len() {
+            if d <= lengths[i] {
+                let a = waypoints[i];
+                let b = waypoints[(i + 1) % waypoints.len()];
+                let dir = (b - a) / lengths[i];
+                return (a + dir * d, dir);
+            }
+            d -= lengths[i];
+        }
+        (waypoints[0], Vec3::new(0.0, 0.0, 1.0))
+    }
+
+    /// `Trajectory::state_at` as first written: leg lengths and segment
+    /// times rebuilt in fresh vectors on every call.
+    fn state_at_as_first_written(traj: &Trajectory, t_secs: f64) -> AvatarState {
+        let t = t_secs.max(0.0);
+        let (floor_pos, velocity, facing, height) = match &traj.script {
+            MotionScript::SeatedLecture { seat } => (
+                *seat + traj.sway(t, 0.03),
+                traj.sway_velocity(t, 0.03),
+                traj.gaze_yaw(t, 0.6),
+                SEATED_HEIGHT,
+            ),
+            MotionScript::Presenter { center, area_half } => {
+                // Lissajous walk inside the podium area.
+                let x = area_half.x * (t * 0.11 * std::f64::consts::TAU + traj.phases[0]).sin();
+                let z = area_half.z * (t * 0.07 * std::f64::consts::TAU + traj.phases[5]).sin();
+                let vx = area_half.x
+                    * 0.11
+                    * std::f64::consts::TAU
+                    * (t * 0.11 * std::f64::consts::TAU + traj.phases[0]).cos();
+                let vz = area_half.z
+                    * 0.07
+                    * std::f64::consts::TAU
+                    * (t * 0.07 * std::f64::consts::TAU + traj.phases[5]).cos();
+                (
+                    *center + Vec3::new(x, 0.0, z),
+                    Vec3::new(vx, 0.0, vz),
+                    traj.gaze_yaw(t, 0.9),
+                    STANDING_HEIGHT,
+                )
+            }
+            MotionScript::GroupWork { tables, dwell_secs } => {
+                if tables.is_empty() {
+                    (Vec3::ZERO, Vec3::ZERO, 0.0, STANDING_HEIGHT)
+                } else if tables.len() == 1 {
+                    (
+                        tables[0] + traj.sway(t, 0.05),
+                        traj.sway_velocity(t, 0.05),
+                        traj.gaze_yaw(t, 1.2),
+                        STANDING_HEIGHT,
+                    )
+                } else {
+                    // Alternate dwell (at a table) and walk (to the next).
+                    let walk_speed = 1.2;
+                    let mut seg_times = Vec::with_capacity(tables.len());
+                    let mut cycle = 0.0;
+                    for i in 0..tables.len() {
+                        let next = tables[(i + 1) % tables.len()];
+                        let walk = tables[i].distance(next) / walk_speed;
+                        seg_times.push((*dwell_secs, walk));
+                        cycle += dwell_secs + walk;
+                    }
+                    let mut tt = t % cycle;
+                    let mut out = (tables[0], Vec3::ZERO, 0.0, STANDING_HEIGHT);
+                    for (i, &(dwell, walk)) in seg_times.iter().enumerate() {
+                        if tt < dwell {
+                            let p = tables[i] + traj.sway(t, 0.05);
+                            out = (
+                                p,
+                                traj.sway_velocity(t, 0.05),
+                                traj.gaze_yaw(t, 1.2),
+                                STANDING_HEIGHT,
+                            );
+                            break;
+                        }
+                        tt -= dwell;
+                        if tt < walk {
+                            let next = tables[(i + 1) % tables.len()];
+                            let dir = (next - tables[i]).normalized().unwrap_or(Vec3::ZERO);
+                            let p = tables[i] + dir * (walk_speed * tt);
+                            out = (p, dir * walk_speed, dir.x.atan2(dir.z), STANDING_HEIGHT);
+                            break;
+                        }
+                        tt -= walk;
+                    }
+                    out
+                }
+            }
+            MotionScript::Navigation { waypoints, speed } => {
+                if waypoints.len() < 2 {
+                    let p = waypoints.first().copied().unwrap_or(Vec3::ZERO);
+                    (p, Vec3::ZERO, 0.0, STANDING_HEIGHT)
+                } else {
+                    let (p, dir) = along_loop_as_first_written(waypoints, speed * t);
+                    (p, dir * *speed, dir.x.atan2(dir.z), STANDING_HEIGHT)
+                }
+            }
+        };
+
+        let head_pos = floor_pos + Vec3::new(0.0, height, 0.0);
+        let pitch = 0.08 * (t * 0.23 * std::f64::consts::TAU + traj.phases[3]).sin();
+        let orientation = Quat::from_euler(facing, pitch, 0.0);
+
+        // Hands: resting offsets plus gesture sway, in the facing frame.
+        let gesture = traj.sway(t * 1.7, 0.08);
+        let lh_local = Vec3::new(-0.25, -0.45, 0.15) + gesture;
+        let rh_local = Vec3::new(0.25, -0.45, 0.15) - gesture;
+        let yaw_rot = Quat::from_yaw(facing);
+
+        AvatarState {
+            head: Pose::new(head_pos, orientation),
+            left_hand: head_pos + yaw_rot.rotate(lh_local),
+            right_hand: head_pos + yaw_rot.rotate(rh_local),
+            velocity,
+            expression: traj.expression_at(t),
+        }
+    }
+
+    fn bits(s: &AvatarState) -> Vec<u64> {
+        let q = s.head.orientation;
+        [s.head.position, s.left_hand, s.right_hand, s.velocity]
+            .iter()
+            .flat_map(|v| [v.x, v.y, v.z])
+            .chain([q.w, q.x, q.y, q.z])
+            .map(f64::to_bits)
+            .chain(s.expression.weights().iter().map(|w| u64::from(w.to_bits())))
+            .collect()
+    }
+
+    #[test]
+    fn precomputed_legs_leave_every_script_bit_identical() {
+        let square = vec![
+            Vec3::new(1.0, 0.0, 1.0),
+            Vec3::new(7.5, 0.0, 1.0),
+            Vec3::new(7.5, 0.0, 6.25),
+            Vec3::new(1.0, 0.0, 6.25),
+        ];
+        let scripts = [
+            MotionScript::SeatedLecture { seat: Vec3::new(4.0, 0.0, 6.0) },
+            MotionScript::Presenter {
+                center: Vec3::new(10.0, 0.0, 2.0),
+                area_half: Vec3::new(1.5, 0.0, 1.0),
+            },
+            MotionScript::GroupWork { tables: vec![], dwell_secs: 3.0 },
+            MotionScript::GroupWork { tables: square[..1].to_vec(), dwell_secs: 3.0 },
+            MotionScript::GroupWork { tables: square.clone(), dwell_secs: 3.0 },
+            MotionScript::GroupWork { tables: square[..2].to_vec(), dwell_secs: 0.0 },
+            MotionScript::Navigation { waypoints: vec![], speed: 1.4 },
+            MotionScript::Navigation { waypoints: square[..1].to_vec(), speed: 1.4 },
+            MotionScript::Navigation { waypoints: square.clone(), speed: 1.4 },
+            // A repeated waypoint: the zero-length leg is floored, not divided by.
+            MotionScript::Navigation {
+                waypoints: vec![square[0], square[0], square[2]],
+                speed: 0.7,
+            },
+        ];
+        for (k, script) in scripts.into_iter().enumerate() {
+            let traj = Trajectory::new(script, 40 + k as u64);
+            // A 60 Hz grid over several loops, then sparse far-out times.
+            let grid = (0..6_000).map(|i| i as f64 / 60.0);
+            for t in grid.chain([-1.0, 1e3, 12_345.678, 1e6]) {
+                assert_eq!(
+                    bits(&traj.state_at(t)),
+                    bits(&state_at_as_first_written(&traj, t)),
+                    "script {k} at t = {t}"
+                );
+            }
+        }
     }
 }

@@ -92,6 +92,8 @@ pub struct InterestManager {
     staleness: BTreeMap<SubscriberId, BTreeMap<AvatarId, u32>>,
     /// Scored candidates of the selection in progress; kept for its capacity.
     scored: Vec<(f64, AvatarId)>,
+    /// The latest selection, which `select` lends to its caller.
+    selected: Vec<AvatarId>,
 }
 
 /// Selection order: score descending, id ascending as tiebreak. Ids are
@@ -116,6 +118,7 @@ impl InterestManager {
             grid: BTreeMap::new(),
             staleness: BTreeMap::new(),
             scored: Vec::new(),
+            selected: Vec::new(),
         }
     }
 
@@ -185,8 +188,9 @@ impl InterestManager {
     /// Selects up to `budget` entities for `sub` this tick, highest priority
     /// first, and updates staleness accounting. The subscriber's own avatar
     /// id (equal numeric id) is *not* excluded — exclude it at the call site
-    /// if subscribers are also entities.
-    pub fn select(&mut self, sub: SubscriberId, view: Viewpoint, budget: usize) -> Vec<AvatarId> {
+    /// if subscribers are also entities. The selection is lent from the
+    /// manager's own buffer and stands until the next one.
+    pub fn select(&mut self, sub: SubscriberId, view: Viewpoint, budget: usize) -> &[AvatarId] {
         self.select_with_min_importance(sub, view, budget, f64::NEG_INFINITY)
     }
 
@@ -200,7 +204,7 @@ impl InterestManager {
         view: Viewpoint,
         budget: usize,
         min_importance: f64,
-    ) -> Vec<AvatarId> {
+    ) -> &[AvatarId] {
         let stale_map = self.staleness.entry(sub).or_default();
         let cfg = &self.cfg;
         let fov_cos = (cfg.fov_half_angle_deg.to_radians()).cos();
@@ -246,11 +250,12 @@ impl InterestManager {
             scored.select_nth_unstable_by(budget - 1, by_priority);
         }
         scored[..budget].sort_unstable_by(by_priority);
-        let selected: Vec<AvatarId> = scored[..budget].iter().map(|(_, id)| *id).collect();
-        for id in &selected {
+        self.selected.clear();
+        self.selected.extend(scored[..budget].iter().map(|(_, id)| *id));
+        for id in &self.selected {
             stale_map.insert(*id, 0);
         }
-        selected
+        &self.selected
     }
 }
 
@@ -360,7 +365,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         // Within ~n/budget + slack ticks, every entity must be selected once.
         for _ in 0..(n as usize / budget + 5) {
-            for id in im.select(SubscriberId(0), vp(0.0, 0.0, 0.0), budget) {
+            for &id in im.select(SubscriberId(0), vp(0.0, 0.0, 0.0), budget) {
                 seen.insert(id);
             }
         }
@@ -433,7 +438,7 @@ mod tests {
             }
             let mut all = Vec::new();
             for tick in 0..10 {
-                all.push(im.select(SubscriberId(1), vp(tick as f64, 0.0, 0.0), 4));
+                all.push(im.select(SubscriberId(1), vp(tick as f64, 0.0, 0.0), 4).to_vec());
             }
             all
         };

@@ -84,4 +84,4 @@ pub use jitterbuf::{JitterBuffer, JitterBufferConfig};
 pub use reliable::{
     InteractionEvent, ReliableConfig, ReliableReceiver, ReliableSender, RtoEstimator,
 };
-pub use snapshot::{PoseFrame, SnapshotReceiver, SnapshotSender};
+pub use snapshot::{PoseFrame, QuantizedSnapshot, SnapshotReceiver, SnapshotSender};

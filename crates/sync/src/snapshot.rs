@@ -6,9 +6,9 @@
 //! lost delta never desynchronizes the pair), inserts periodic keyframes, and
 //! the receiver asks for a keyframe when it cannot apply a delta.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
-use metaclass_avatar::{AvatarCodec, AvatarState, CodecError};
+use metaclass_avatar::{AvatarCodec, AvatarState, CodecError, FramePayload, QuantizedState};
 use serde::{Deserialize, Serialize};
 
 /// A wire frame produced by [`SnapshotSender::encode`].
@@ -18,8 +18,8 @@ pub struct PoseFrame {
     pub seq: u64,
     /// The reference this delta was encoded against; `None` for keyframes.
     pub ref_seq: Option<u64>,
-    /// Codec payload.
-    pub payload: Vec<u8>,
+    /// Codec payload, inline: a frame owns no heap memory.
+    pub payload: FramePayload,
 }
 
 impl PoseFrame {
@@ -32,6 +32,32 @@ impl PoseFrame {
     /// Whether this frame can be decoded without a reference.
     pub fn is_keyframe(&self) -> bool {
         self.ref_seq.is_none()
+    }
+}
+
+/// One state quantized for replication, once for however many
+/// [`SnapshotSender`]s (of the same [`CodecConfig`]) carry it: a server
+/// replicating an avatar to four peers pays the floating-point work one time
+/// and each stream only compares and packs integers.
+///
+/// [`CodecConfig`]: metaclass_avatar::CodecConfig
+#[derive(Debug, Clone, Copy)]
+pub struct QuantizedSnapshot {
+    /// What this state's frames carry.
+    wire: QuantizedState,
+    /// What later deltas are encoded against: the grid form of the state a
+    /// decoder *reconstructs* from `wire`. Almost always `wire` itself, but
+    /// not when reconstruction moves an orientation across a smallest-three
+    /// tie (two components within a grid step of each other), where the
+    /// dropped component changes.
+    reference: QuantizedState,
+}
+
+impl QuantizedSnapshot {
+    /// Quantizes `state` with `codec`.
+    pub fn new(codec: &AvatarCodec, state: &AvatarState) -> Self {
+        let wire = codec.quantize(state);
+        QuantizedSnapshot { wire, reference: codec.quantize(&codec.dequantize(&wire)) }
     }
 }
 
@@ -56,8 +82,11 @@ impl PoseFrame {
 #[derive(Debug, Clone)]
 pub struct SnapshotSender {
     codec: AvatarCodec,
-    /// Reconstructed states by sequence, kept until acknowledged past.
-    history: BTreeMap<u64, AvatarState>,
+    /// Reference forms of the frames not yet acknowledged past, oldest
+    /// first. Always the contiguous sequence range
+    /// `[next_seq - history.len(), next_seq)`, which starts at `last_acked`
+    /// once there is one — so the delta reference is the front entry.
+    history: VecDeque<QuantizedState>,
     next_seq: u64,
     last_acked: Option<u64>,
     keyframe_interval: u64,
@@ -76,7 +105,7 @@ impl SnapshotSender {
         assert!(keyframe_interval > 0, "keyframe interval must be positive");
         SnapshotSender {
             codec,
-            history: BTreeMap::new(),
+            history: VecDeque::new(),
             next_seq: 0,
             last_acked: None,
             keyframe_interval,
@@ -97,45 +126,40 @@ impl SnapshotSender {
 
     /// Encodes the next frame for `state`.
     pub fn encode(&mut self, state: &AvatarState) -> PoseFrame {
+        self.encode_quantized(&QuantizedSnapshot::new(&self.codec, state))
+    }
+
+    /// Encodes the next frame for a state quantized beforehand, by a codec
+    /// configured like this sender's.
+    pub fn encode_quantized(&mut self, state: &QuantizedSnapshot) -> PoseFrame {
         let seq = self.next_seq;
         self.next_seq += 1;
 
-        let reference = if self.force_keyframe || self.since_keyframe >= self.keyframe_interval {
-            None
-        } else {
-            self.last_acked.and_then(|a| self.history.get(&a).map(|s| (a, *s)))
-        };
-
-        let frame = match reference {
-            Some((ref_seq, ref_state)) => {
+        let keyframe_due = self.force_keyframe || self.since_keyframe >= self.keyframe_interval;
+        let (ref_seq, payload) = match (self.last_acked, self.history.front()) {
+            (Some(acked), Some(reference)) if !keyframe_due => {
                 self.since_keyframe += 1;
-                PoseFrame {
-                    seq,
-                    ref_seq: Some(ref_seq),
-                    payload: self.codec.encode_delta(&ref_state, state),
-                }
+                (Some(acked), self.codec.delta_frame(reference, &state.wire))
             }
-            None => {
+            _ => {
                 self.since_keyframe = 0;
                 self.force_keyframe = false;
-                PoseFrame { seq, ref_seq: None, payload: self.codec.encode_full(state) }
+                (None, self.codec.full_frame(&state.wire))
             }
         };
-        self.history.insert(seq, self.codec.reconstruct(state));
-        frame
+        self.history.push_back(state.reference);
+        PoseFrame { seq, ref_seq, payload }
     }
 
     /// Processes an acknowledgement for `seq` (cumulative: older history is
     /// pruned). Stale or unknown acks are ignored.
     pub fn on_ack(&mut self, seq: u64) {
-        if !self.history.contains_key(&seq) {
-            return;
-        }
-        if self.last_acked.is_some_and(|a| a >= seq) {
+        let oldest = self.next_seq - self.history.len() as u64;
+        if seq < oldest || seq >= self.next_seq || self.last_acked.is_some_and(|a| a >= seq) {
             return;
         }
         self.last_acked = Some(seq);
-        self.history.retain(|&s, _| s >= seq);
+        self.history.drain(..(seq - oldest) as usize);
     }
 
     /// Forces the next frame to be a keyframe (the receiver reported a
@@ -145,27 +169,23 @@ impl SnapshotSender {
     }
 }
 
+/// Decoded states a [`SnapshotReceiver`] keeps as delta references.
+const RECEIVER_CAPACITY: usize = 128;
+
 /// Receiver half of a replication session.
 #[derive(Debug, Clone)]
 pub struct SnapshotReceiver {
     codec: AvatarCodec,
-    /// Recently decoded states by sequence (bounded).
-    states: BTreeMap<u64, AvatarState>,
-    latest_seq: Option<u64>,
+    /// Recently decoded states, ascending by sequence, never more than
+    /// [`RECEIVER_CAPACITY`]. The back entry is the newest applied frame.
+    states: VecDeque<(u64, AvatarState)>,
     needs_keyframe: bool,
-    capacity: usize,
 }
 
 impl SnapshotReceiver {
     /// Creates a receiver.
     pub fn new(codec: AvatarCodec) -> Self {
-        SnapshotReceiver {
-            codec,
-            states: BTreeMap::new(),
-            latest_seq: None,
-            needs_keyframe: false,
-            capacity: 128,
-        }
+        SnapshotReceiver { codec, states: VecDeque::new(), needs_keyframe: false }
     }
 
     /// Decodes a frame. `Ok(Some(state))` when the frame applied (stale
@@ -180,36 +200,49 @@ impl SnapshotReceiver {
     pub fn decode(&mut self, frame: &PoseFrame) -> Result<Option<AvatarState>, CodecError> {
         let reference = match frame.ref_seq {
             None => None,
-            Some(r) => match self.states.get(&r) {
-                Some(s) => Some(*s),
-                None => {
+            Some(r) => match self.states.binary_search_by_key(&r, |(seq, _)| *seq) {
+                Ok(at) => Some(&self.states[at].1),
+                Err(_) => {
                     self.needs_keyframe = true;
                     return Ok(None);
                 }
             },
         };
-        let state = self.codec.decode(reference.as_ref(), &frame.payload)?;
-        self.states.insert(frame.seq, state);
-        while self.states.len() > self.capacity {
-            let oldest = *self.states.keys().next().expect("non-empty");
-            self.states.remove(&oldest);
-        }
-        if self.latest_seq.is_none_or(|l| frame.seq > l) {
-            self.latest_seq = Some(frame.seq);
+        let state = self.codec.decode(reference, &frame.payload)?;
+        if self.ack_seq().is_none_or(|latest| frame.seq > latest) {
             self.needs_keyframe = false;
         }
+        self.store(frame.seq, state);
         Ok(Some(state))
+    }
+
+    /// Files `state` under `seq`, evicting the oldest entry *first* when
+    /// full, so the deque never grows (and never reallocates) past
+    /// [`RECEIVER_CAPACITY`].
+    fn store(&mut self, seq: u64, state: AvatarState) {
+        match self.states.binary_search_by_key(&seq, |(seq, _)| *seq) {
+            Ok(at) => self.states[at].1 = state,
+            Err(at) if self.states.len() < RECEIVER_CAPACITY => {
+                self.states.insert(at, (seq, state));
+            }
+            // Full, and older than everything kept: it would be the entry
+            // evicted.
+            Err(0) => {}
+            Err(at) => {
+                self.states.pop_front();
+                self.states.insert(at - 1, (seq, state));
+            }
+        }
     }
 
     /// The newest applied state and its sequence.
     pub fn latest(&self) -> Option<(u64, &AvatarState)> {
-        let seq = self.latest_seq?;
-        Some((seq, &self.states[&seq]))
+        self.states.back().map(|(seq, state)| (*seq, state))
     }
 
     /// The sequence the receiver would acknowledge (its newest applied).
     pub fn ack_seq(&self) -> Option<u64> {
-        self.latest_seq
+        self.latest().map(|(seq, _)| seq)
     }
 
     /// Returns and clears the keyframe-needed flag.
@@ -221,7 +254,8 @@ impl SnapshotReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_avatar::Vec3;
+    use metaclass_avatar::{Vec3, MAX_FRAME_BYTES};
+    use proptest::prelude::*;
 
     fn pair() -> (SnapshotSender, SnapshotReceiver) {
         (
@@ -355,7 +389,71 @@ mod tests {
     fn corrupt_payload_is_an_error() {
         let (mut tx, mut rx) = pair();
         let mut f = tx.encode(&walk(0));
-        f.payload.truncate(2);
+        f.payload = FramePayload::try_from(&f.payload[..2]).unwrap();
         assert!(rx.decode(&f).is_err());
+    }
+
+    proptest! {
+        // Whatever arrives — any sequence numbers, any bytes, valid frames
+        // with bits flipped — is an applied state, a missing reference or a
+        // codec error, and leaves the receiver answering.
+        #[test]
+        fn hostile_frames_never_panic_the_receiver(
+            warmup in 0u64..200,
+            frames in proptest::collection::vec(
+                (
+                    (any::<u64>(), any::<u64>(), 0u32..4),
+                    proptest::collection::vec(any::<u8>(), 0..=MAX_FRAME_BYTES),
+                    proptest::collection::vec(any::<u16>(), 0..4),
+                ),
+                1..40,
+            ),
+        ) {
+            let (mut tx, mut rx) = pair();
+            let mut valid = Vec::new();
+            for i in 0..warmup {
+                let frame = tx.encode(&walk(i));
+                rx.decode(&frame).unwrap();
+                tx.on_ack(frame.seq.saturating_sub(3)); // deltas against a trailing ack
+                valid.push(frame);
+            }
+            for ((seq, ref_seq, shape), noise, flips) in frames {
+                let mut frame = match (shape, valid.is_empty()) {
+                    // Pure noise under arbitrary or plausible sequence numbers.
+                    (0, _) | (_, true) => PoseFrame {
+                        seq,
+                        ref_seq: (ref_seq % 3 != 0).then_some(ref_seq),
+                        payload: FramePayload::try_from(&noise[..]).unwrap(),
+                    },
+                    (1, _) => PoseFrame {
+                        seq: seq % (warmup + 2),
+                        ref_seq: Some(ref_seq % (warmup + 2)),
+                        payload: FramePayload::try_from(&noise[..]).unwrap(),
+                    },
+                    // A frame that was valid once, replayed or renumbered.
+                    (2, _) => valid[seq as usize % valid.len()].clone(),
+                    _ => PoseFrame { seq, ..valid[ref_seq as usize % valid.len()].clone() },
+                };
+                let mut bytes = frame.payload.to_vec();
+                for flip in flips {
+                    if !bytes.is_empty() {
+                        let bit = flip as usize % (bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                frame.payload = FramePayload::try_from(&bytes[..]).unwrap();
+                match rx.decode(&frame) {
+                    Ok(Some(state)) => {
+                        prop_assert!(state.is_finite());
+                        prop_assert!(rx.ack_seq() >= Some(frame.seq));
+                    }
+                    Ok(None) => prop_assert!(rx.take_keyframe_request()),
+                    Err(_) => {}
+                }
+                prop_assert_eq!(rx.latest().map(|(seq, _)| seq), rx.ack_seq());
+                tx.on_ack(seq); // and a forged acknowledgement is ignored or applied
+                prop_assert!(tx.history_len() as u64 <= tx.frames_sent());
+            }
+        }
     }
 }

@@ -1,17 +1,23 @@
-//! The remote-audience hot path against its plain reference forms.
+//! The hot paths against their plain reference forms.
 //!
 //! `JitterBuffer::push` keeps its delay window sorted incrementally and drops
 //! states behind the playout horizon; `InterestManager::select` ranks only
-//! the winners. Both must return exactly what the straightforward versions
-//! return — re-sort the window on every push and never trim; score every
-//! entity in range and sort them all — which live on here as oracles.
+//! the winners; `SnapshotSender` keeps its unacknowledged history as a dense
+//! ring of quantized states and `SnapshotReceiver` its references as a
+//! sequence-sorted ring that evicts before it inserts. All must return
+//! exactly what the straightforward versions return — re-sort the window on
+//! every push and never trim; score every entity in range and sort them all;
+//! file reconstructed float states in a `BTreeMap` by sequence, re-quantize
+//! the reference for every delta, insert then evict — which live on here as
+//! oracles.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use metaclass_avatar::{AvatarId, AvatarState, Vec3};
+use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecError, FramePayload, Quat, Vec3};
 use metaclass_netsim::{SimDuration, SimTime};
 use metaclass_sync::{
-    InterestConfig, InterestManager, JitterBuffer, JitterBufferConfig, SubscriberId, Viewpoint,
+    InterestConfig, InterestManager, JitterBuffer, JitterBufferConfig, PoseFrame, SnapshotReceiver,
+    SnapshotSender, SubscriberId, Viewpoint,
 };
 use proptest::prelude::*;
 
@@ -192,6 +198,163 @@ impl RefInterest {
     }
 }
 
+/// The snapshot sender as first written: reconstructed float states in a
+/// `BTreeMap` by sequence, the reference looked up and re-quantized for each
+/// delta, acknowledged history dropped by `retain`. (`encode_full`,
+/// `encode_delta` and `reconstruct` are themselves pinned to their original
+/// float-domain bodies by `metaclass-avatar`'s `frame_path` test.)
+struct RefSnapshotSender {
+    codec: AvatarCodec,
+    history: BTreeMap<u64, AvatarState>,
+    next_seq: u64,
+    last_acked: Option<u64>,
+    keyframe_interval: u64,
+    since_keyframe: u64,
+    force_keyframe: bool,
+}
+
+impl RefSnapshotSender {
+    fn new(codec: AvatarCodec, keyframe_interval: u64) -> Self {
+        RefSnapshotSender {
+            codec,
+            history: BTreeMap::new(),
+            next_seq: 0,
+            last_acked: None,
+            keyframe_interval,
+            since_keyframe: 0,
+            force_keyframe: false,
+        }
+    }
+
+    /// `(seq, ref_seq, payload)`.
+    fn encode(&mut self, state: &AvatarState) -> (u64, Option<u64>, Vec<u8>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+
+        let reference = if self.force_keyframe || self.since_keyframe >= self.keyframe_interval {
+            None
+        } else {
+            self.last_acked.and_then(|a| self.history.get(&a).map(|s| (a, *s)))
+        };
+
+        let frame = match reference {
+            Some((ref_seq, ref_state)) => {
+                self.since_keyframe += 1;
+                (seq, Some(ref_seq), self.codec.encode_delta(&ref_state, state))
+            }
+            None => {
+                self.since_keyframe = 0;
+                self.force_keyframe = false;
+                (seq, None, self.codec.encode_full(state))
+            }
+        };
+        self.history.insert(seq, self.codec.reconstruct(state));
+        frame
+    }
+
+    fn on_ack(&mut self, seq: u64) {
+        if !self.history.contains_key(&seq) {
+            return;
+        }
+        if self.last_acked.is_some_and(|a| a >= seq) {
+            return;
+        }
+        self.last_acked = Some(seq);
+        self.history.retain(|&s, _| s >= seq);
+    }
+
+    fn request_keyframe(&mut self) {
+        self.force_keyframe = true;
+    }
+}
+
+/// The snapshot receiver as first written: a `BTreeMap` by sequence that
+/// inserts, then evicts its smallest keys down to capacity.
+struct RefSnapshotReceiver {
+    codec: AvatarCodec,
+    states: BTreeMap<u64, AvatarState>,
+    latest_seq: Option<u64>,
+    needs_keyframe: bool,
+    capacity: usize,
+}
+
+impl RefSnapshotReceiver {
+    fn new(codec: AvatarCodec) -> Self {
+        RefSnapshotReceiver {
+            codec,
+            states: BTreeMap::new(),
+            latest_seq: None,
+            needs_keyframe: false,
+            capacity: 128,
+        }
+    }
+
+    fn decode(&mut self, frame: &PoseFrame) -> Result<Option<AvatarState>, CodecError> {
+        let reference = match frame.ref_seq {
+            None => None,
+            Some(r) => match self.states.get(&r) {
+                Some(s) => Some(*s),
+                None => {
+                    self.needs_keyframe = true;
+                    return Ok(None);
+                }
+            },
+        };
+        let state = self.codec.decode(reference.as_ref(), &frame.payload)?;
+        self.states.insert(frame.seq, state);
+        while self.states.len() > self.capacity {
+            let oldest = *self.states.keys().next().expect("non-empty");
+            self.states.remove(&oldest);
+        }
+        if self.latest_seq.is_none_or(|l| frame.seq > l) {
+            self.latest_seq = Some(frame.seq);
+            self.needs_keyframe = false;
+        }
+        Ok(Some(state))
+    }
+
+    fn latest(&self) -> Option<(u64, &AvatarState)> {
+        let seq = self.latest_seq?;
+        Some((seq, &self.states[&seq]))
+    }
+
+    fn take_keyframe_request(&mut self) -> bool {
+        std::mem::take(&mut self.needs_keyframe)
+    }
+}
+
+/// Every float of a state as its bit pattern: "identical" means to the bit.
+fn bits(s: &AvatarState) -> Vec<u64> {
+    let q = s.head.orientation;
+    [s.head.position, s.left_hand, s.right_hand, s.velocity]
+        .iter()
+        .flat_map(|v| [v.x, v.y, v.z])
+        .chain([q.w, q.x, q.y, q.z])
+        .map(f64::to_bits)
+        .chain(s.expression.weights().iter().map(|w| u64::from(w.to_bits())))
+        .collect()
+}
+
+fn decoded_bits(
+    r: &Result<Option<AvatarState>, CodecError>,
+) -> Result<Option<Vec<u64>>, CodecError> {
+    r.map(|applied| applied.as_ref().map(bits))
+}
+
+/// A walker whose heading hovers around a quarter turn, where two quaternion
+/// components tie and the reconstructed orientation re-quantizes with a
+/// different dropped component than the source did: the case in which a
+/// sender must keep the *re-quantized* reference, not the frame's own grid
+/// form, to write the bytes the float-domain sender wrote.
+fn walker(x: f64, heading: u32) -> AvatarState {
+    let mut state = AvatarState::at_position(Vec3::new(10.0 + x, 1.6, 7.0 - 0.5 * x));
+    let yaw =
+        std::f64::consts::FRAC_PI_2 + (heading as f64 - 2.0) * [1e-5, 0.3][heading as usize % 2];
+    state.head.orientation = Quat::from_yaw(yaw);
+    state.velocity = Vec3::new(0.4 * x, 0.0, -0.1);
+    state
+}
+
 fn st(x: f64) -> AvatarState {
     let mut state = AvatarState::at_position(Vec3::new(x, 1.6, 0.0));
     state.velocity = Vec3::new(0.3, 0.0, -0.2); // extrapolation is not a no-op
@@ -329,4 +492,183 @@ fn an_unsampled_buffer_stays_within_the_playout_horizon() {
         assert!(jb.len() <= bound, "{} states after push {i}, bound {bound}", jb.len());
     }
     assert!(jb.len() >= 7, "the reachable states themselves are kept, got {}", jb.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // (e) One stream through an arbitrary network: frames lost (never
+    // delivered), duplicated and reordered (delivered again, in any order),
+    // corrupted (cut short), acknowledgements relayed late or not at all,
+    // forged (stale, unknown, from the future), keyframe requests relayed or
+    // dropped. Ring sender and receiver must match the map versions frame
+    // for frame and answer for answer.
+    #[test]
+    fn ring_snapshot_pair_matches_the_map_pair(
+        interval_choice in 0usize..3,
+        ops in proptest::collection::vec((0u32..10, any::<u64>(), -3.0..3.0f64, 0u32..5), 1..300),
+    ) {
+        let interval = [1, 7, 60][interval_choice];
+        let codec = AvatarCodec::with_defaults;
+        let (mut fast_tx, mut slow_tx) =
+            (SnapshotSender::new(codec(), interval), RefSnapshotSender::new(codec(), interval));
+        let (mut fast_rx, mut slow_rx) =
+            (SnapshotReceiver::new(codec()), RefSnapshotReceiver::new(codec()));
+        let mut wire: Vec<PoseFrame> = Vec::new();
+        let mut last = walker(0.0, 2);
+        for (step, (kind, pick, x, heading)) in ops.into_iter().enumerate() {
+            match kind {
+                0..=3 => {
+                    // One send in four repeats the previous state: the
+                    // all-unchanged delta.
+                    if kind != 0 {
+                        last = walker(x, heading);
+                    }
+                    let frame = fast_tx.encode(&last);
+                    let (seq, ref_seq, payload) = slow_tx.encode(&last);
+                    prop_assert_eq!(
+                        (frame.seq, frame.ref_seq, &frame.payload[..]),
+                        (seq, ref_seq, &payload[..]),
+                        "step {}", step
+                    );
+                    wire.push(frame);
+                }
+                4 | 5 if !wire.is_empty() => {
+                    let frame = &wire[pick as usize % wire.len()];
+                    prop_assert_eq!(
+                        decoded_bits(&fast_rx.decode(frame)),
+                        decoded_bits(&slow_rx.decode(frame)),
+                        "step {}: frame {}", step, frame.seq
+                    );
+                }
+                6 if !wire.is_empty() => {
+                    let mut frame = wire[pick as usize % wire.len()].clone();
+                    let keep = (pick >> 32) as usize % frame.payload.len();
+                    frame.payload = FramePayload::try_from(&frame.payload[..keep]).unwrap();
+                    prop_assert_eq!(
+                        decoded_bits(&fast_rx.decode(&frame)),
+                        decoded_bits(&slow_rx.decode(&frame)),
+                        "step {}: frame {} cut to {} bytes", step, frame.seq, keep
+                    );
+                }
+                7 => {
+                    if let Some(seq) = fast_rx.ack_seq() {
+                        fast_tx.on_ack(seq);
+                        slow_tx.on_ack(seq);
+                    }
+                }
+                8 => {
+                    // Near the live range, or anywhere in `u64`.
+                    let forged = if pick % 2 == 0 { pick % (fast_tx.frames_sent() + 3) } else { pick };
+                    fast_tx.on_ack(forged);
+                    slow_tx.on_ack(forged);
+                }
+                _ => {
+                    let wanted = fast_rx.take_keyframe_request();
+                    prop_assert_eq!(wanted, slow_rx.take_keyframe_request(), "step {}", step);
+                    if wanted && pick % 4 != 0 {
+                        fast_tx.request_keyframe();
+                        slow_tx.request_keyframe();
+                    }
+                }
+            }
+            prop_assert_eq!(fast_tx.history_len(), slow_tx.history.len(), "step {}", step);
+            prop_assert_eq!(fast_tx.frames_sent(), slow_tx.next_seq);
+            prop_assert_eq!(fast_rx.ack_seq(), slow_rx.latest_seq, "step {}", step);
+            prop_assert_eq!(
+                fast_rx.latest().map(|(seq, s)| (seq, bits(s))),
+                slow_rx.latest().map(|(seq, s)| (seq, bits(s))),
+                "step {}", step
+            );
+        }
+    }
+
+    // (f) A receiver driven far past its 128 references: sequences that skip
+    // ahead, fall back behind everything kept, and repeat; deltas whose
+    // reference is still kept, was evicted or was never sent. After every
+    // frame the ring answers as the map does, and at the end a probe per
+    // sequence ever sent reads out that both kept the same 128.
+    #[test]
+    fn a_full_receiver_evicts_what_the_map_evicted(
+        frames in proptest::collection::vec(
+            (0u32..8, (0u64..3, 0u64..600, 0usize..260), -3.0..3.0f64),
+            300..500,
+        ),
+    ) {
+        let codec = AvatarCodec::with_defaults();
+        let mut fast = SnapshotReceiver::new(codec.clone());
+        let mut slow = RefSnapshotReceiver::new(codec.clone());
+        let base = codec.reconstruct(&walker(0.0, 2));
+        let delta_of = |state: &AvatarState| {
+            FramePayload::try_from(&codec.encode_delta(&base, state)[..]).unwrap()
+        };
+        // Sequences start high enough that the final probes sort below them.
+        let mut sent = vec![1_000u64];
+        for (i, (kind, (gap, back, ref_back), x)) in frames.into_iter().enumerate() {
+            // Mostly forward with gaps; one in four at or behind the newest,
+            // half of those behind everything still kept.
+            let newest = *sent.iter().max().expect("seeded");
+            let seq = if kind < 6 { newest + 1 + gap } else { newest - back };
+            // A delta names a sequence sent before: about half are evicted.
+            let ref_seq = (kind % 2 == 1).then(|| sent[sent.len() - 1 - ref_back % sent.len()] + gap / 2);
+            let state = walker(x, i as u32 % 5);
+            let payload = match ref_seq {
+                None => FramePayload::try_from(&codec.encode_full(&state)[..]).unwrap(),
+                Some(_) => delta_of(&state),
+            };
+            let frame = PoseFrame { seq, ref_seq, payload };
+            prop_assert_eq!(
+                decoded_bits(&fast.decode(&frame)),
+                decoded_bits(&slow.decode(&frame)),
+                "frame {} (seq {}, ref {:?})", i, seq, ref_seq
+            );
+            prop_assert_eq!(fast.ack_seq(), slow.latest_seq);
+            prop_assert_eq!(
+                fast.latest().map(|(seq, s)| (seq, bits(s))),
+                slow.latest().map(|(seq, s)| (seq, bits(s)))
+            );
+            prop_assert_eq!(fast.take_keyframe_request(), slow.take_keyframe_request());
+            sent.push(seq);
+        }
+        prop_assert_eq!(slow.states.len(), 128, "the schedule did fill the receiver");
+        // A full receiver does not keep a frame older than all it holds, so
+        // probing at sequence 0 disturbs neither side.
+        let mut kept = 0;
+        for &ref_seq in &sent {
+            let probe = PoseFrame { seq: 0, ref_seq: Some(ref_seq), payload: delta_of(&base) };
+            let answer = decoded_bits(&fast.decode(&probe));
+            prop_assert_eq!(&answer, &decoded_bits(&slow.decode(&probe)), "probe of {}", ref_seq);
+            kept += usize::from(answer.unwrap().is_some());
+            prop_assert_eq!(fast.take_keyframe_request(), slow.take_keyframe_request());
+        }
+        prop_assert!(kept >= 128, "every kept state answers its probe, got {}", kept);
+    }
+}
+
+// (g) A sender whose acknowledgements never arrive keeps every state it has
+// sent (each frame a keyframe), exactly as the map did, and prunes them all
+// at once when one finally does.
+#[test]
+fn an_unacknowledged_sender_keeps_and_then_drops_what_the_map_did() {
+    let mut fast = SnapshotSender::new(AvatarCodec::with_defaults(), 60);
+    let mut slow = RefSnapshotSender::new(AvatarCodec::with_defaults(), 60);
+    for i in 0..1_000u32 {
+        let state = walker(i as f64 * 0.01, i % 5);
+        let frame = fast.encode(&state);
+        let (seq, ref_seq, payload) = slow.encode(&state);
+        assert_eq!((frame.seq, frame.ref_seq, &frame.payload[..]), (seq, ref_seq, &payload[..]));
+        assert!(frame.is_keyframe());
+        assert_eq!(fast.history_len(), i as usize + 1);
+    }
+    for ack in [998, 997, 1_000, 999] {
+        fast.on_ack(ack);
+        slow.on_ack(ack);
+        assert_eq!(fast.history_len(), slow.history.len(), "after ack {ack}");
+    }
+    assert_eq!(fast.history_len(), 1);
+    let state = walker(0.5, 1);
+    let (seq, ref_seq, payload) = slow.encode(&state);
+    let frame = fast.encode(&state);
+    assert_eq!((frame.seq, frame.ref_seq, &frame.payload[..]), (seq, ref_seq, &payload[..]));
+    assert_eq!(frame.ref_seq, Some(999));
 }
