@@ -10,8 +10,6 @@
 //! re-joins from scratch with a reset backoff, so a join racing a server
 //! crash can never wedge.
 
-use std::collections::BTreeMap;
-
 use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecConfig};
 use metaclass_netsim::{Context, Node, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sensors::{MotionScript, Trajectory};
@@ -108,7 +106,10 @@ pub struct RemoteClientNode {
     trajectory: Trajectory,
     uplink: SnapshotSender,
     dead_reckoner: DeadReckoningSender,
-    displayed: BTreeMap<AvatarId, JitterBuffer>,
+    /// Remote avatars on display, ascending; `buffers[i]` plays out
+    /// `displayed[i]`.
+    displayed: Vec<AvatarId>,
+    buffers: Vec<JitterBuffer>,
     clock: OffsetEstimator,
     next_nonce: u64,
     interactions: ReliableSender<InteractionEvent>,
@@ -152,7 +153,8 @@ impl RemoteClientNode {
             trajectory: Trajectory::new(script, seed),
             uplink: SnapshotSender::new(AvatarCodec::new(cfg.codec), 60),
             dead_reckoner: DeadReckoningSender::new(cfg.dead_reckoning),
-            displayed: BTreeMap::new(),
+            displayed: Vec::new(),
+            buffers: Vec::new(),
             clock: OffsetEstimator::new(16),
             next_nonce: 0,
             interactions: ReliableSender::new(INTERACTION_RTO),
@@ -209,7 +211,8 @@ impl RemoteClientNode {
 
     /// The displayed (buffered/interpolated) state of a remote avatar.
     pub fn displayed_state(&mut self, avatar: AvatarId, now: SimTime) -> Option<AvatarState> {
-        self.displayed.get_mut(&avatar)?.sample(now)
+        let at = self.displayed.binary_search(&avatar).ok()?;
+        self.buffers[at].sample(now)
     }
 
     /// The client's clock-offset estimator (populated by probe replies).
@@ -381,10 +384,12 @@ impl Node<ClassMsg> for RemoteClientNode {
                 ctx.metrics()
                     .histogram("client.display_latency_ns")
                     .record(now.duration_since(captured_at).as_nanos());
-                self.displayed
-                    .entry(avatar)
-                    .or_insert_with(|| JitterBuffer::new(self.cfg.jitter))
-                    .push(captured_at, now, state);
+                let at = self.displayed.binary_search(&avatar).unwrap_or_else(|at| {
+                    self.displayed.insert(at, avatar);
+                    self.buffers.insert(at, JitterBuffer::new(self.cfg.jitter));
+                    at
+                });
+                self.buffers[at].push(captured_at, now, state);
             }
             ClassMsg::JoinAccepted { .. } if self.join != JoinPhase::Admitted => {
                 self.join = JoinPhase::Admitted;

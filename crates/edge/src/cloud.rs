@@ -62,15 +62,18 @@ pub struct CloudServerNode {
     fanout: FanoutConfig,
     /// Remote VR clients: avatar → client node.
     clients: BTreeMap<AvatarId, NodeId>,
-    /// Latest VR-space state of every avatar in the virtual classroom.
-    latest: BTreeMap<AvatarId, (AvatarState, SimTime)>,
+    /// Latest VR-space state of every avatar in the virtual classroom, with
+    /// its capture time, indexed by the avatar's interest slot (avatars are
+    /// never removed, so every slot below the length is live).
+    latest: Vec<(AvatarId, AvatarState, SimTime)>,
     seats: SeatAllocator,
     interest: InterestManager,
     /// The avatar currently speaking (gets interest priority everywhere).
     speaker: Option<AvatarId>,
-    /// Capture time of the newest state already sent per (viewer, entity) —
+    /// Capture time of the newest state already sent, indexed by the
+    /// viewer's slot and then the avatar's (`SimTime::ZERO`: none yet) —
     /// unchanged states are not re-sent.
-    sent_marks: BTreeMap<(AvatarId, AvatarId), SimTime>,
+    sent_marks: Vec<Vec<SimTime>>,
     /// Join admission gate for remote clients.
     admission: AdmissionController,
     /// Audiences already hinted to re-join this tick (rate-limits the hint).
@@ -108,10 +111,11 @@ struct Audience {
 struct FanoutScratch {
     /// This tick's destinations, in service order.
     audiences: Vec<Audience>,
-    /// One audience's deferred refreshes, served ahead of its selection.
-    wanted: Vec<AvatarId>,
-    /// Avatars already handled for one audience.
-    considered: Vec<AvatarId>,
+    /// One audience's deferred refreshes, served ahead of its selection, as
+    /// slots.
+    wanted: Vec<usize>,
+    /// Slots already handled for one audience.
+    considered: Vec<usize>,
 }
 
 /// Home frame of streams uploaded in their own coordinates (clients, pools).
@@ -135,10 +139,10 @@ impl CloudServerNode {
             interest: InterestManager::new(fanout.interest),
             fanout,
             clients,
-            latest: BTreeMap::new(),
+            latest: Vec::new(),
             seats: SeatAllocator::new(ClassroomLayout::auditorium(capacity)),
             speaker: None,
-            sent_marks: BTreeMap::new(),
+            sent_marks: Vec::new(),
             admission: AdmissionController::new(cfg.overload.admission, SimTime::ZERO),
             rejoin_hinted: BTreeSet::new(),
             pools: BTreeMap::new(),
@@ -239,7 +243,7 @@ impl CloudServerNode {
 
     /// Latest VR-space state of an avatar, if known.
     pub fn state_of(&self, avatar: AvatarId) -> Option<&AvatarState> {
-        self.latest.get(&avatar).map(|(s, _)| s)
+        self.interest.slot_of(avatar).map(|slot| &self.latest[slot].1)
     }
 
     /// Every interaction event observed in the VR classroom (the retained
@@ -310,9 +314,14 @@ impl CloudServerNode {
             }
         };
         let (vr_state, _) = retarget(&state, &anchor, &seat);
-        self.latest.insert(avatar, (vr_state, captured_at));
         let importance = if self.speaker == Some(avatar) { 1.0 } else { 0.0 };
-        self.interest.update_entity(avatar, vr_state.head.position, importance);
+        let slot = self.interest.update_entity(avatar, vr_state.head.position, importance);
+        let latest = (avatar, vr_state, captured_at);
+        if slot == self.latest.len() {
+            self.latest.push(latest);
+        } else {
+            self.latest[slot] = latest;
+        }
 
         // Client avatars are re-encoded toward each physical classroom so
         // their students see the remote participant; its home frame is now
@@ -371,37 +380,43 @@ impl CloudServerNode {
         let budget_total = self.link.egress_budget();
         let mut sent_this_tick = 0usize;
         let mut demand = 0usize;
+        let (mut updates, mut bytes) = (0u64, 0u64);
         for &Audience { viewer, node, weight, pool } in &audiences {
-            let viewpoint = match self.latest.get(&viewer) {
-                Some((st, _)) => {
-                    Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() }
-                }
-                None => continue, // has not uploaded a pose yet
+            let Some(viewer_slot) = self.interest.slot_of(viewer) else {
+                continue; // has not uploaded a pose yet
             };
+            let (_, st, _) = &self.latest[viewer_slot];
+            let viewpoint =
+                Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() };
             // Refreshes deferred by an earlier budget crunch go first, then
             // this tick's interest selection.
             while let Some(avatar) = self.link.pop_deferred(viewer) {
-                wanted.push(avatar);
+                wanted.extend(self.interest.slot_of(avatar));
             }
             let budget = self.fanout.budget_per_client + 1; // self may be selected
-            let selected = self.interest.select_with_min_importance(
+            self.interest.select_with_min_importance(
                 SubscriberId(viewer.0),
                 viewpoint,
                 budget,
                 min_importance,
             );
+            if self.sent_marks.len() <= viewer_slot {
+                self.sent_marks.resize_with(viewer_slot + 1, Vec::new);
+            }
+            let marks = &mut self.sent_marks[viewer_slot];
+            if marks.len() < self.latest.len() {
+                marks.resize(self.latest.len(), SimTime::ZERO);
+            }
             considered.clear();
             let mut batch: Vec<SimTime> = Vec::new();
-            for avatar in wanted.drain(..).chain(selected.iter().copied()) {
-                if avatar == viewer || considered.contains(&avatar) {
+            for slot in wanted.drain(..).chain(self.interest.selected_slots().iter().copied()) {
+                if slot == viewer_slot || considered.contains(&slot) {
                     continue;
                 }
-                considered.push(avatar);
-                let Some((state, captured_at)) = self.latest.get(&avatar) else {
-                    continue;
-                };
+                considered.push(slot);
+                let (avatar, state, captured_at) = &self.latest[slot];
                 // Skip states the audience already has.
-                let mark = self.sent_marks.entry((viewer, avatar)).or_insert(SimTime::ZERO);
+                let mark = &mut marks[slot];
                 if *captured_at <= *mark {
                     continue;
                 }
@@ -412,31 +427,38 @@ impl CloudServerNode {
                     // refresh is also queued to go first (pools carry no
                     // backlog).
                     if pool.is_none() {
-                        self.link.defer(ctx, viewer, avatar);
+                        self.link.defer(ctx, viewer, *avatar);
                     }
                     ctx.metrics().inc("overload.fanout_deferred");
                     continue;
                 }
                 *mark = *captured_at;
                 sent_this_tick += 1;
-                ctx.metrics().add("cloud.fanout_updates", weight);
+                updates += weight;
                 if pool.is_some() {
                     batch.push(*captured_at);
                 } else {
                     let size = ClassMsg::DisplayUpdate {
-                        avatar,
+                        avatar: *avatar,
                         state: *state,
                         captured_at: *captured_at,
                     }
                     .send_to(ctx, node);
-                    ctx.metrics().add("cloud.fanout_bytes", size as u64);
+                    bytes += size as u64;
                 }
             }
             if let (Some(pool), false) = (pool, batch.is_empty()) {
                 let size = ClassMsg::PoolDisplay { pool, members: weight, captured: batch }
                     .send_to(ctx, node);
-                ctx.metrics().add("cloud.fanout_bytes", size as u64);
+                bytes += size as u64;
             }
+        }
+        // A tick that sent nothing creates neither counter.
+        if updates > 0 {
+            ctx.metrics().add("cloud.fanout_updates", updates);
+        }
+        if bytes > 0 {
+            ctx.metrics().add("cloud.fanout_bytes", bytes);
         }
         self.scratch = FanoutScratch { audiences, wanted, considered };
         demand

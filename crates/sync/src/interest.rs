@@ -8,7 +8,6 @@
 //! eventually refreshed — no starvation).
 
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use metaclass_avatar::{AvatarId, Vec3};
@@ -51,10 +50,15 @@ impl Default for InterestConfig {
 
 #[derive(Debug, Clone)]
 struct Entity {
+    id: AvatarId,
     position: Vec3,
     importance: f64,
     cell: (i32, i32),
 }
+
+/// Staleness of a (subscriber, entity) pair never scored: apart from every
+/// count a pair can reach, `u32::MAX` included.
+const NEVER_SEEN: u64 = u64::MAX;
 
 /// The subscriber's point of view for a selection query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,20 +90,33 @@ pub struct Viewpoint {
 #[derive(Debug, Clone)]
 pub struct InterestManager {
     cfg: InterestConfig,
-    entities: BTreeMap<AvatarId, Entity>,
-    grid: BTreeMap<(i32, i32), Vec<AvatarId>>,
-    /// Ticks since each (subscriber, entity) pair was last selected.
-    staleness: BTreeMap<SubscriberId, BTreeMap<AvatarId, u32>>,
-    /// Scored candidates of the selection in progress; kept for its capacity.
-    scored: Vec<(f64, AvatarId)>,
+    /// Each tracked entity's slot; only `update_entity` and `remove_entity`
+    /// look ids up here.
+    slots: BTreeMap<AvatarId, usize>,
+    /// Entities by slot; `None` marks a free slot.
+    entities: Vec<Option<Entity>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<usize>,
+    /// Occupied grid cells and the slots in them; a cell is dropped when its
+    /// last occupant leaves.
+    grid: BTreeMap<(i32, i32), Vec<usize>>,
+    /// Per subscriber, ticks since each slot's entity was last selected, or
+    /// [`NEVER_SEEN`]. Rows grow to the slot table on the subscriber's next
+    /// selection; a freed slot's column is reset in every row.
+    staleness: BTreeMap<SubscriberId, Vec<u64>>,
+    /// Scored candidates `(score, id, slot)` of the selection in progress;
+    /// kept for its capacity.
+    scored: Vec<(f64, AvatarId, usize)>,
     /// The latest selection, which `select` lends to its caller.
     selected: Vec<AvatarId>,
+    /// The same selection as slots.
+    selected_slots: Vec<usize>,
 }
 
 /// Selection order: score descending, id ascending as tiebreak. Ids are
 /// unique within a selection, so the order is total and the first `k` of a
 /// full sort are the `k` a partial selection finds.
-fn by_priority(a: &(f64, AvatarId), b: &(f64, AvatarId)) -> Ordering {
+fn by_priority(a: &(f64, AvatarId, usize), b: &(f64, AvatarId, usize)) -> Ordering {
     b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1))
 }
 
@@ -114,11 +131,14 @@ impl InterestManager {
         assert!(cfg.radius > 0.0, "radius must be positive");
         InterestManager {
             cfg,
-            entities: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            entities: Vec::new(),
+            free: Vec::new(),
             grid: BTreeMap::new(),
             staleness: BTreeMap::new(),
             scored: Vec::new(),
             selected: Vec::new(),
+            selected_slots: Vec::new(),
         }
     }
 
@@ -127,40 +147,54 @@ impl InterestManager {
         &self.cfg
     }
 
-    /// Inserts or moves an entity. `importance` is `0.0` for a silent
-    /// attendee up to `1.0` for the active speaker.
-    pub fn update_entity(&mut self, id: AvatarId, position: Vec3, importance: f64) {
+    /// Inserts or moves an entity and returns its slot: a small index, stable
+    /// until the entity is removed (after which a new entity may reuse it),
+    /// that callers can key their own per-entity tables by. `importance` is
+    /// `0.0` for a silent attendee up to `1.0` for the active speaker.
+    pub fn update_entity(&mut self, id: AvatarId, position: Vec3, importance: f64) -> usize {
         let cell = cell_of(&self.cfg, position);
-        match self.entities.get_mut(&id) {
-            Some(e) => {
-                if e.cell != cell {
-                    if let Some(v) = self.grid.get_mut(&e.cell) {
-                        v.retain(|x| *x != id);
-                    }
-                    self.grid.entry(cell).or_default().push(id);
-                    e.cell = cell;
-                }
-                e.position = position;
-                e.importance = importance.clamp(0.0, 1.0);
+        let importance = importance.clamp(0.0, 1.0);
+        if let Some(&slot) = self.slots.get(&id) {
+            let e = self.entities[slot].as_mut().expect("a mapped slot is occupied");
+            if e.cell != cell {
+                leave_cell(&mut self.grid, e.cell, slot);
+                self.grid.entry(cell).or_default().push(slot);
+                e.cell = cell;
+            }
+            e.position = position;
+            e.importance = importance;
+            return slot;
+        }
+        let entity = Some(Entity { id, position, importance, cell });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entities[slot] = entity;
+                slot
             }
             None => {
-                self.entities
-                    .insert(id, Entity { position, importance: importance.clamp(0.0, 1.0), cell });
-                self.grid.entry(cell).or_default().push(id);
+                self.entities.push(entity);
+                self.entities.len() - 1
             }
-        }
+        };
+        self.slots.insert(id, slot);
+        self.grid.entry(cell).or_default().push(slot);
+        slot
     }
 
-    /// Removes an entity (participant left).
+    /// Removes an entity (participant left). Its slot's staleness is reset
+    /// for every subscriber, so a new entity reusing the slot is never seen.
     pub fn remove_entity(&mut self, id: AvatarId) {
-        if let Some(e) = self.entities.remove(&id) {
-            if let Some(v) = self.grid.get_mut(&e.cell) {
-                v.retain(|x| *x != id);
+        let Some(slot) = self.slots.remove(&id) else {
+            return;
+        };
+        let e = self.entities[slot].take().expect("a mapped slot is occupied");
+        leave_cell(&mut self.grid, e.cell, slot);
+        for row in self.staleness.values_mut() {
+            if let Some(stale) = row.get_mut(slot) {
+                *stale = NEVER_SEEN;
             }
         }
-        for per_sub in self.staleness.values_mut() {
-            per_sub.remove(&id);
-        }
+        self.free.push(slot);
     }
 
     /// Removes a subscriber's bookkeeping (client disconnected).
@@ -170,7 +204,18 @@ impl InterestManager {
 
     /// Number of tracked entities.
     pub fn entity_count(&self) -> usize {
-        self.entities.len()
+        self.slots.len()
+    }
+
+    /// The slot `id` occupies, if it is tracked.
+    pub fn slot_of(&self, id: AvatarId) -> Option<usize> {
+        self.slots.get(&id).copied()
+    }
+
+    /// The slots of the latest selection, in the order of the ids it
+    /// returned.
+    pub fn selected_slots(&self) -> &[usize] {
+        &self.selected_slots
     }
 
     /// Entities within `radius` of `p`, via the spatial grid.
@@ -181,7 +226,7 @@ impl InterestManager {
     /// stay O(entities) instead of O(radius²).
     pub fn entities_near(&self, p: Vec3) -> Vec<AvatarId> {
         let mut out = Vec::new();
-        for_each_near(&self.cfg, &self.entities, &self.grid, p, |id, _| out.push(id));
+        for_each_near(&self.cfg, &self.entities, &self.grid, p, |_, e| out.push(e.id));
         out
     }
 
@@ -189,7 +234,8 @@ impl InterestManager {
     /// first, and updates staleness accounting. The subscriber's own avatar
     /// id (equal numeric id) is *not* excluded — exclude it at the call site
     /// if subscribers are also entities. The selection is lent from the
-    /// manager's own buffer and stands until the next one.
+    /// manager's own buffer and stands until the next one, which
+    /// [`selected_slots`](Self::selected_slots) also reads as slots.
     pub fn select(&mut self, sub: SubscriberId, view: Viewpoint, budget: usize) -> &[AvatarId] {
         self.select_with_min_importance(sub, view, budget, f64::NEG_INFINITY)
     }
@@ -205,14 +251,17 @@ impl InterestManager {
         budget: usize,
         min_importance: f64,
     ) -> &[AvatarId] {
-        let stale_map = self.staleness.entry(sub).or_default();
+        let row = self.staleness.entry(sub).or_default();
+        if row.len() < self.entities.len() {
+            row.resize(self.entities.len(), NEVER_SEEN);
+        }
         let cfg = &self.cfg;
         let fov_cos = (cfg.fov_half_angle_deg.to_radians()).cos();
         let gaze = Vec3::new(view.yaw.sin(), 0.0, view.yaw.cos());
 
         let scored = &mut self.scored;
         scored.clear();
-        for_each_near(cfg, &self.entities, &self.grid, view.position, |id, e| {
+        for_each_near(cfg, &self.entities, &self.grid, view.position, |slot, e| {
             if e.importance < min_importance {
                 return;
             }
@@ -229,19 +278,17 @@ impl InterestManager {
             score += cfg.importance_weight * e.importance;
             // Score with the staleness so far and age it for the next tick.
             // New entities score as very stale.
-            let stale = match stale_map.entry(id) {
-                Entry::Occupied(mut aged) => {
-                    let stale = *aged.get();
-                    *aged.get_mut() = stale.saturating_add(1);
-                    stale
-                }
-                Entry::Vacant(new) => {
-                    new.insert(1_001);
-                    1_000_000
-                }
+            let aged = &mut row[slot];
+            let stale = if *aged == NEVER_SEEN {
+                *aged = 1_001;
+                1_000_000
+            } else {
+                let stale = *aged as u32;
+                *aged = u64::from(stale.saturating_add(1));
+                stale
             };
             score += cfg.staleness_weight * stale as f64;
-            scored.push((score, id));
+            scored.push((score, e.id, slot));
         });
 
         // Only the winners need ordering.
@@ -251,9 +298,11 @@ impl InterestManager {
         }
         scored[..budget].sort_unstable_by(by_priority);
         self.selected.clear();
-        self.selected.extend(scored[..budget].iter().map(|(_, id)| *id));
-        for id in &self.selected {
-            stale_map.insert(*id, 0);
+        self.selected_slots.clear();
+        for &(_, id, slot) in &scored[..budget] {
+            self.selected.push(id);
+            self.selected_slots.push(slot);
+            row[slot] = 0;
         }
         &self.selected
     }
@@ -263,40 +312,50 @@ fn cell_of(cfg: &InterestConfig, p: Vec3) -> (i32, i32) {
     ((p.x / cfg.cell_size).floor() as i32, (p.z / cfg.cell_size).floor() as i32)
 }
 
+/// Takes `slot` out of `cell`, dropping the cell once it is empty.
+fn leave_cell(grid: &mut BTreeMap<(i32, i32), Vec<usize>>, cell: (i32, i32), slot: usize) {
+    let occupants = grid.get_mut(&cell).expect("an entity's cell is occupied");
+    let at = occupants.iter().position(|&s| s == slot).expect("an entity is in its cell");
+    occupants.swap_remove(at);
+    if occupants.is_empty() {
+        grid.remove(&cell);
+    }
+}
+
 /// Calls `visit` for every entity within `cfg.radius` of `p`, walking the
 /// grid cells around `p` (or the occupied cells, when those are fewer).
 fn for_each_near(
     cfg: &InterestConfig,
-    entities: &BTreeMap<AvatarId, Entity>,
-    grid: &BTreeMap<(i32, i32), Vec<AvatarId>>,
+    entities: &[Option<Entity>],
+    grid: &BTreeMap<(i32, i32), Vec<usize>>,
     p: Vec3,
-    mut visit: impl FnMut(AvatarId, &Entity),
+    mut visit: impl FnMut(usize, &Entity),
 ) {
     let r = cfg.radius;
     let r_cells = (r / cfg.cell_size).ceil() as i64;
     let center = cell_of(cfg, p);
-    let mut visit_cell = |ids: &[AvatarId]| {
-        for id in ids {
-            let e = &entities[id];
+    let mut visit_cell = |slots: &[usize]| {
+        for &slot in slots {
+            let e = entities[slot].as_ref().expect("a gridded slot is occupied");
             if e.position.distance(p) <= r {
-                visit(*id, e);
+                visit(slot, e);
             }
         }
     };
     let window_cells = (2 * r_cells + 1).saturating_mul(2 * r_cells + 1);
     if window_cells as usize > grid.len() {
-        for ((cx, cz), ids) in grid {
+        for ((cx, cz), slots) in grid {
             if (*cx as i64 - center.0 as i64).abs() <= r_cells
                 && (*cz as i64 - center.1 as i64).abs() <= r_cells
             {
-                visit_cell(ids);
+                visit_cell(slots);
             }
         }
     } else {
         for dx in -(r_cells as i32)..=(r_cells as i32) {
             for dz in -(r_cells as i32)..=(r_cells as i32) {
-                if let Some(ids) = grid.get(&(center.0 + dx, center.1 + dz)) {
-                    visit_cell(ids);
+                if let Some(slots) = grid.get(&(center.0 + dx, center.1 + dz)) {
+                    visit_cell(slots);
                 }
             }
         }
@@ -461,6 +520,39 @@ mod tests {
         // A newcomer scores as very stale, however far away.
         im.update_entity(AvatarId(3), Vec3::new(25.0, 0.0, 0.0), 0.0);
         assert_eq!(im.select(SubscriberId(0), view, 1), vec![AvatarId(3)]);
+    }
+
+    #[test]
+    fn a_pair_aged_to_the_limit_is_not_a_pair_never_seen() {
+        let cfg = InterestConfig { fov_boost: 1.0, ..Default::default() };
+        let mut im = InterestManager::new(cfg);
+        let (sub, view) = (SubscriberId(0), vp(0.0, 0.0, 0.0));
+        let aged = im.update_entity(AvatarId(1), Vec3::new(2.0, 0.0, 0.0), 0.0);
+        im.select(sub, view, 0);
+        // Four billion ticks unselected, short-cut: the count saturates there.
+        im.staleness.get_mut(&sub).expect("row made by the select")[aged] = u64::from(u32::MAX);
+        let fresh = im.update_entity(AvatarId(2), Vec3::new(1.0, 0.0, 0.0), 0.0);
+        // Budget 0: both are scored and aged, neither reset. Never seen
+        // becomes 1 001; the limit stays the limit.
+        im.select(sub, view, 0);
+        let row = &im.staleness[&sub];
+        assert_eq!((row[aged], row[fresh]), (u64::from(u32::MAX), 1_001));
+        // The saturated pair outranks a nearer newcomer, which scores as
+        // 1 000 000 ticks stale.
+        im.update_entity(AvatarId(3), Vec3::new(0.5, 0.0, 0.0), 0.0);
+        assert_eq!(im.select(sub, view, 1), vec![AvatarId(1)]);
+    }
+
+    #[test]
+    fn a_walker_leaves_no_empty_cells_behind() {
+        let mut im = manager();
+        let cell = im.config().cell_size;
+        for step in 0..50 {
+            im.update_entity(AvatarId(1), Vec3::new(step as f64 * cell + 0.5, 0.0, 0.5), 0.0);
+        }
+        assert_eq!(im.grid.len(), 1, "one occupied cell for one avatar");
+        im.remove_entity(AvatarId(1));
+        assert!(im.grid.is_empty());
     }
 
     #[test]

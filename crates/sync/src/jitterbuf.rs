@@ -73,9 +73,14 @@ pub struct JitterBuffer {
     /// Observed one-way delay samples (arrival − capture), nanoseconds, in
     /// arrival order.
     delay_samples: VecDeque<u64>,
-    /// The same samples in ascending order, so adaptation reads its
-    /// percentiles by index.
-    delay_sorted: Vec<u64>,
+    /// Smallest sample in the window.
+    delay_min: u64,
+    /// The window's `top_k` largest samples (all of them while it holds
+    /// fewer), descending: the 95th percentile is always one of them.
+    delay_top: Vec<u64>,
+    /// Most samples at or above the 95th percentile of any window size up
+    /// to `cfg.window`.
+    top_k: usize,
     delay: SimDuration,
     late_drops: u64,
     last_playout: Option<SimTime>,
@@ -92,12 +97,15 @@ impl JitterBuffer {
         assert!(cfg.window > 0, "delay window must hold at least one sample");
         assert!(cfg.capacity > 0, "capacity must be at least one state");
         assert!(cfg.min_delay <= cfg.max_delay, "min delay must not exceed max delay");
+        let top_k = (1..=cfg.window).map(|n| n - p95_index(n)).max().expect("window is non-empty");
         JitterBuffer {
             delay: cfg.initial_delay,
             cfg,
             entries: VecDeque::new(),
             delay_samples: VecDeque::new(),
-            delay_sorted: Vec::new(),
+            delay_min: u64::MAX,
+            delay_top: Vec::with_capacity(top_k),
+            top_k,
             late_drops: 0,
             last_playout: None,
         }
@@ -175,24 +183,43 @@ impl JitterBuffer {
 
     /// Slides the delay window by one sample and re-derives the playout
     /// delay from its floor and 95th percentile.
+    ///
+    /// Only the floor and the largest `top_k` samples are kept up to date:
+    /// the ring is rescanned for them when the sample leaving the window was
+    /// one of them (at or below the floor, at or above the `top_k`-th
+    /// largest), which a window of varied delays does about once in
+    /// `window / (top_k + 1)` pushes.
     fn observe_delay(&mut self, sample: u64) {
-        if self.delay_samples.len() == self.cfg.window {
-            let oldest = self.delay_samples.pop_front().expect("window is at least one sample");
-            let at = self.delay_sorted.partition_point(|&d| d < oldest);
-            self.delay_sorted.remove(at);
-        }
+        let evicted = if self.delay_samples.len() == self.cfg.window {
+            self.delay_samples.pop_front()
+        } else {
+            None
+        };
         self.delay_samples.push_back(sample);
-        let at = self.delay_sorted.partition_point(|&d| d < sample);
-        self.delay_sorted.insert(at, sample);
+        let rescan = evicted.is_some_and(|oldest| {
+            oldest <= self.delay_min || self.delay_top.last().is_some_and(|&kth| oldest >= kth)
+        });
+        if rescan {
+            self.delay_min = u64::MAX;
+            self.delay_top.clear();
+            for &d in &self.delay_samples {
+                self.delay_min = self.delay_min.min(d);
+                insert_top(&mut self.delay_top, self.top_k, d);
+            }
+        } else {
+            self.delay_min = self.delay_min.min(sample);
+            insert_top(&mut self.delay_top, self.top_k, sample);
+        }
 
-        let n = self.delay_sorted.len();
+        let n = self.delay_samples.len();
         if n < 8 {
             return;
         }
-        let min = self.delay_sorted[0];
-        let p95 = self.delay_sorted[((n as f64 * 0.95) as usize).min(n - 1)];
+        // The 95th percentile of the ascending window, sorted[idx], is its
+        // (n − idx)-th largest sample.
+        let p95 = self.delay_top[n - p95_index(n) - 1];
         // Delay variation above the floor, plus margin.
-        let var = SimDuration::from_nanos(p95 - min) + self.cfg.margin;
+        let var = SimDuration::from_nanos(p95 - self.delay_min) + self.cfg.margin;
         self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
     }
 
@@ -235,6 +262,24 @@ impl JitterBuffer {
             }
         }
     }
+}
+
+/// Index of the 95th percentile in an ascending window of `n` samples.
+fn p95_index(n: usize) -> usize {
+    ((n as f64 * 0.95) as usize).min(n - 1)
+}
+
+/// Files `sample` among the `k` largest kept in `top` (descending), dropping
+/// the smallest of them when there are more than `k`.
+fn insert_top(top: &mut Vec<u64>, k: usize, sample: u64) {
+    if top.len() == k {
+        if top.last().is_some_and(|&kth| sample <= kth) {
+            return;
+        }
+        top.pop();
+    }
+    let at = top.partition_point(|&d| d >= sample);
+    top.insert(at, sample);
 }
 
 #[cfg(test)]

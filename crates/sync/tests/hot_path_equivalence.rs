@@ -1,15 +1,16 @@
 //! The hot paths against their plain reference forms.
 //!
-//! `JitterBuffer::push` keeps its delay window sorted incrementally and drops
-//! states behind the playout horizon; `InterestManager::select` ranks only
-//! the winners; `SnapshotSender` keeps its unacknowledged history as a dense
-//! ring of quantized states and `SnapshotReceiver` its references as a
+//! `JitterBuffer::push` keeps only its delay window's floor and largest
+//! samples up to date and drops states behind the playout horizon;
+//! `InterestManager::select` scores a slot table and ranks only the winners;
+//! `SnapshotSender` keeps its unacknowledged history as a dense ring of
+//! quantized states and `SnapshotReceiver` its references as a
 //! sequence-sorted ring that evicts before it inserts. All must return
-//! exactly what the straightforward versions return — re-sort the window on
-//! every push and never trim; score every entity in range and sort them all;
-//! file reconstructed float states in a `BTreeMap` by sequence, re-quantize
-//! the reference for every delta, insert then evict — which live on here as
-//! oracles.
+//! exactly what the straightforward versions return — re-read the whole
+//! window on every push and never trim; key everything by id, score every entity in
+//! range and sort them all; file reconstructed float states in a `BTreeMap`
+//! by sequence, re-quantize the reference for every delta, insert then evict
+//! — which live on here as oracles.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -21,8 +22,10 @@ use metaclass_sync::{
 };
 use proptest::prelude::*;
 
-/// The jitter buffer as first written: collect-and-sort adaptation, insert
-/// then evict, nothing dropped before `sample` asks for it.
+/// The jitter buffer as first written: adaptation from a fresh copy of the
+/// window (its floor, and the element sorting it would put at the 95th
+/// percentile), insert then evict, nothing dropped before `sample` asks
+/// for it.
 struct RefJitterBuffer {
     cfg: JitterBufferConfig,
     entries: VecDeque<(SimTime, AvatarState)>,
@@ -75,10 +78,11 @@ impl RefJitterBuffer {
         if self.delay_samples.len() < 8 {
             return;
         }
-        let mut sorted: Vec<u64> = self.delay_samples.iter().copied().collect();
-        sorted.sort_unstable();
-        let min = sorted[0];
-        let p95 = sorted[((sorted.len() as f64 * 0.95) as usize).min(sorted.len() - 1)];
+        // What sorting the window would put at its two indices.
+        let mut window: Vec<u64> = self.delay_samples.iter().copied().collect();
+        let n = window.len();
+        let min = *window.iter().min().expect("at least 8 samples");
+        let p95 = *window.select_nth_unstable(((n as f64 * 0.95) as usize).min(n - 1)).1;
         let var = SimDuration::from_nanos(p95 - min) + self.cfg.margin;
         self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
     }
@@ -142,6 +146,10 @@ impl RefInterest {
         for per_sub in self.staleness.values_mut() {
             per_sub.remove(&id);
         }
+    }
+
+    fn remove_subscriber(&mut self, sub: SubscriberId) {
+        self.staleness.remove(&sub);
     }
 
     fn select_with_min_importance(
@@ -377,19 +385,42 @@ fn buffer_shapes() -> [JitterBufferConfig; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // (a) The incrementally sorted window adapts to the same delay as
-    // collecting and sorting it, push by push, duplicates included.
+    // (a) The window's floor and largest samples, rescanned only when the
+    // sample leaving the window was one of them, adapt to the same delay as
+    // collecting and sorting the window, push by push: window sizes below,
+    // at and above the 8-sample threshold and the default, three delay
+    // shapes — uniform over 60 ms; 0–3 ms, so ties sit on the boundary of
+    // the kept largest samples; and long monotone runs, so the sample
+    // leaving is the floor or among the largest push after push.
     #[test]
     fn playout_delay_matches_collect_and_sort(
-        window_choice in 0usize..3,
-        delays_ms in proptest::collection::vec(0u64..60, 384..=420),
+        window_choice in 0usize..6,
+        shape in 0usize..3,
+        draws in proptest::collection::vec((0u64..60_000, 0u64..1_000, any::<bool>()), 2_100),
     ) {
-        let cfg = JitterBufferConfig { window: [1, 8, 128][window_choice], ..Default::default() };
+        let window = [1, 7, 8, 20, 128, 1_000][window_choice];
+        let cfg = JitterBufferConfig { window, ..Default::default() };
         let mut fast = JitterBuffer::new(cfg);
         let mut slow = RefJitterBuffer::new(cfg);
-        for (i, delay_ms) in delays_ms.into_iter().enumerate() {
+        let (mut level_us, mut run_left, mut rising) = (100_000u64, 0u64, true);
+        let pushes = (2 * window + 100).max(400);
+        for (i, (uniform_us, run, up)) in draws.into_iter().take(pushes).enumerate() {
+            let delay_us = match shape {
+                0 => uniform_us,
+                1 => uniform_us % 4 * 1_000,
+                _ => {
+                    if run_left == 0 {
+                        // Runs of up to twice the window, up or down.
+                        (run_left, rising) = (1 + run * 2 * window as u64 / 1_000, up);
+                    }
+                    run_left -= 1;
+                    let step = uniform_us % 3 * 1_000;
+                    level_us = if rising { (level_us + step).min(500_000) } else { level_us.saturating_sub(step) };
+                    level_us
+                }
+            };
             let capture = SimTime::from_millis(i as u64 * 20);
-            let arrival = capture + SimDuration::from_millis(delay_ms);
+            let arrival = capture + SimDuration::from_micros(delay_us);
             fast.push(capture, arrival, st(i as f64));
             slow.push(capture, arrival, st(i as f64));
             prop_assert_eq!(fast.playout_delay(), slow.delay, "after push {}", i);
@@ -430,16 +461,19 @@ proptest! {
         prop_assert_eq!(fast.sample(end), slow.sample(end));
     }
 
-    // (c) Ranking only the winners returns the full sort's prefix, tick
-    // after tick, so staleness evolves identically: entities on a unit
-    // lattice (exact score ties; few enough or many enough occupied cells for
-    // either grid walk), every budget regime, every shed rung.
+    // (c) Ranking only the winners over the slot table returns the full
+    // sort's prefix, tick after tick, so staleness evolves identically:
+    // entities on a unit lattice (exact score ties; few enough or many
+    // enough occupied cells for either grid walk), every budget regime, every
+    // shed rung; ids removed and re-added, freed slots taken by ids never
+    // seen before, subscribers first seen after removals, and subscribers
+    // dropped and then selecting afresh.
     #[test]
     fn top_k_selection_matches_the_full_sort(
         entities in proptest::collection::vec((0u32..80, 0u32..9, 0u32..9, 0u32..3), 1..120),
         budget_choice in 0usize..4,
         floor_choice in 0usize..3,
-        rounds in proptest::collection::vec((0u32..80, 0u32..9, 0u32..9, 0u32..8), 50),
+        rounds in proptest::collection::vec(((0u32..120, 0u32..9, 0u32..9), (0u32..10, 0u32..4)), 80),
     ) {
         let budget = [0, 1, 5, 1_000][budget_choice];
         let min_importance = [f64::NEG_INFINITY, 0.5, 1.0][floor_choice];
@@ -451,23 +485,33 @@ proptest! {
             fast.update_entity(AvatarId(id), place(gx, gz), level as f64 / 2.0);
             slow.update_entity(AvatarId(id), place(gx, gz), level as f64 / 2.0);
         }
-        for (tick, (id, gx, gz, turn)) in rounds.into_iter().enumerate() {
+        for (tick, ((id, gx, gz), (turn, sub))) in rounds.into_iter().enumerate() {
             // One entity moves (and speaks up or falls silent) or leaves
-            // every tick.
-            if turn == 7 {
+            // every tick; ids from 80 up join only here, into freed slots
+            // once there are any.
+            if turn >= 7 {
                 fast.remove_entity(AvatarId(id));
                 slow.remove_entity(AvatarId(id));
             } else {
                 fast.update_entity(AvatarId(id), place(gx, gz), (turn % 3) as f64 / 2.0);
                 slow.update_entity(AvatarId(id), place(gx, gz), (turn % 3) as f64 / 2.0);
             }
-            let sub = SubscriberId(tick as u32 % 2);
+            // Subscribers 2 and 3 first select after a score of removals.
+            let sub = SubscriberId(if tick < 30 { sub % 2 } else { sub });
+            if turn == 9 {
+                fast.remove_subscriber(sub);
+                slow.remove_subscriber(sub);
+            }
             let view = Viewpoint { position: place(4 + tick as u32 % 2, 4), yaw: turn as f64 * 0.8 };
+            let picked = fast.select_with_min_importance(sub, view, budget, min_importance).to_vec();
             prop_assert_eq!(
-                fast.select_with_min_importance(sub, view, budget, min_importance),
-                slow.select_with_min_importance(sub, view, budget, min_importance),
+                &picked,
+                &slow.select_with_min_importance(sub, view, budget, min_importance),
                 "tick {}", tick
             );
+            let slots: Vec<usize> =
+                picked.iter().map(|&id| fast.slot_of(id).expect("selected ids are tracked")).collect();
+            prop_assert_eq!(fast.selected_slots(), &slots[..], "tick {}", tick);
         }
     }
 }
