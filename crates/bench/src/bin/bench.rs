@@ -55,7 +55,7 @@ fn usage() -> ! {
          \x20                     [--scenario FILE]\n\
          \n\
          \x20 --exp <id|all>   experiment to sweep (e1..e15), or every one\n\
-         \x20 --scenario FILE  sweep a workload spec (repeatable; TOML or JSON)\n\
+         \x20 --scenario FILE  sweep a TOML workload spec (repeatable)\n\
          \x20 --seeds N        number of independent seeds (default 8)\n\
          \x20 --jobs N         worker threads (default: available cores)\n\
          \x20 --quick          reduced scale (same path cargo tests use)\n\

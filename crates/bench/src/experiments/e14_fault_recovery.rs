@@ -6,7 +6,7 @@
 //! live. Two measurements:
 //!
 //! 1. **Crash / restart** (scenario A): an edge server crashes mid-lecture
-//!    and restarts later, injected through a seeded [`FaultPlan`]. We report
+//!    and restarts later, injected as a [`FaultWindow`]. We report
 //!    how long the surviving edge takes to detect the outage, how its copy
 //!    of the dead campus's avatars degrades (dead-reckoning *hold*, then
 //!    *freeze*), how stale they got, and how quickly a full-snapshot resync
@@ -17,12 +17,12 @@
 //!    baseline. The fixed timeout sits below the channel's RTT tail, so it
 //!    retransmits spuriously; the estimator learns the tail and does not.
 //!
-//! [`FaultPlan`]: metaclass_netsim::FaultPlan
+//! [`FaultWindow`]: metaclass_netsim::FaultWindow
 
 use metaclass_avatar::AvatarId;
 use metaclass_core::{Activity, SessionBuilder, SessionConfig};
 use metaclass_edge::{EdgeServerNode, HeartbeatConfig, PeerState, RemoteAvatarPresentation};
-use metaclass_netsim::{DetRng, FaultPlan, Region, SimDuration, SimTime};
+use metaclass_netsim::{DetRng, FaultWindow, Region, SimDuration, SimTime};
 use metaclass_sync::{ReliableConfig, ReliableReceiver, ReliableSender};
 
 use crate::{mix_seed, Experiment, Report, RunCtx, Table};
@@ -111,7 +111,8 @@ fn measure_fault(quick: bool, ctx: &RunCtx) -> FaultRow {
     let crash_at = SimTime::ZERO + warmup;
     let outage = hb.timeout + hb.hold + hb.hold; // detect, hold, then freeze
     let restart_at = crash_at + outage;
-    session.sim_mut().apply_fault_plan(FaultPlan::new().crash(victim, crash_at, Some(restart_at)));
+    let crash = FaultWindow::CrashRestart { node: victim, from: crash_at, until: restart_at };
+    session.sim_mut().apply_fault_plan(&[crash]);
 
     // Warm up until the crash fires, then give detection time to trip:
     // timeout plus a few replication ticks of polling slack.

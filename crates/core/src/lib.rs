@@ -17,8 +17,9 @@
 //! - [`PathBudget`] — analytic per-hop motion-to-photon budgets for each
 //!   Figure-3 path;
 //! - [`TeachingModality`] — the survey taxonomy of Figure 1;
-//! - [`ScenarioSpec`] — the declarative workload DSL (TOML/JSON specs under
-//!   `scenarios/`) and its deterministic expander into a [`SessionBuilder`].
+//! - [`ScenarioSpec`] — the declarative workload DSL (TOML specs under
+//!   `scenarios/`), its deterministic expander into a [`SessionBuilder`],
+//!   and the one lowering of its stress faults to netsim fault windows.
 //!
 //! # Examples
 //!
@@ -68,8 +69,7 @@ pub use path::{mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, HopLatency, Pa
 pub use report::SessionReport;
 pub use scenario::{
     FaultKind, FaultSpec, FlashCrowdSpec, MobilityEvent, PopulationSpec, ScenarioCampus,
-    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec, FAULT_EXTRA_LATENCY,
-    FAULT_LOSS,
+    ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec,
 };
 pub use session::{
     protocol_codec, Activity, CampusSpec, ClassroomSession, CohortSpec, Participant, PoolInfo,

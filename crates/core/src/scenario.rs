@@ -4,8 +4,8 @@
 //! interaction pattern (§3.1's lecture / lab / exam plus MOOC-style
 //! broadcast), the campus topology, the remote cohorts with their device
 //! platforms, scripted inter-room mobility, and optional composed stress
-//! (fault plan + flash crowd + pooled population) — as data, in TOML or
-//! JSON. The expander ([`ScenarioSpec::session_builder`]) turns a spec plus
+//! (fault windows + flash crowd + pooled population) — as data, in TOML.
+//! The expander ([`ScenarioSpec::session_builder`]) turns a spec plus
 //! a seed into a [`SessionBuilder`] program, deterministically: the same
 //! spec and seed always produce the same byte-identical session on either
 //! engine.
@@ -22,7 +22,7 @@ use std::path::Path;
 
 use metaclass_edge::DevicePlatform;
 use metaclass_netsim::{
-    EngineConfig, FaultPlan, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration,
+    EngineConfig, FaultWindow, LinkClass, LossModel, PopulationProfile, Region, SimDuration,
     SimTime,
 };
 use serde::{Deserialize, Serialize, Value};
@@ -30,9 +30,9 @@ use serde::{Deserialize, Serialize, Value};
 use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
-pub const FAULT_LOSS: f64 = 0.5;
+const FAULT_LOSS: f64 = 0.5;
 /// Extra one-way latency applied by a [`FaultKind::LatencySpike`] window.
-pub const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
+const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
 
 // --------------------------------------------------------------- the schema
 
@@ -325,51 +325,45 @@ impl ScenarioSpec {
         b
     }
 
-    /// The fault plan the spec's stress section lowers to over `session`
-    /// (a session built from this spec), if any.
-    pub fn fault_plan(&self, session: &ClassroomSession) -> Option<FaultPlan> {
-        let faults = self.stress.as_ref()?.faults.as_ref()?;
-        if faults.is_empty() {
-            return None;
-        }
-        let cloud = session.cloud();
-        let mut plan = FaultPlan::new();
-        for f in faults {
-            let k = f.campus as usize;
-            let edge = session.edges()[k];
-            let from = SimTime::from_millis(f.at_ms);
-            let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
-            plan = match f.kind {
-                FaultKind::LinkFlap => plan.link_flap(edge, cloud, from, until),
-                FaultKind::LossBurst => {
-                    plan.loss_burst(edge, cloud, from, until, LossModel::Iid { p: FAULT_LOSS })
+    /// The spec's stress faults lowered to fault windows over `session` (a
+    /// session built from this spec), in declaration order; empty without
+    /// faults. Link faults hit the campus's edge–cloud connection, a
+    /// partition isolates the whole campus from every other node
+    /// ([`ClassroomSession::campus_partition`]), and a crash takes the
+    /// campus's edge server down until the window ends.
+    pub fn fault_windows(&self, session: &ClassroomSession) -> Vec<FaultWindow> {
+        let faults = self.stress.iter().flat_map(|s| s.faults.iter().flatten());
+        faults
+            .map(|f| {
+                let k = f.campus as usize;
+                let (edge, cloud) = (session.edges()[k], session.cloud());
+                let from = SimTime::from_millis(f.at_ms);
+                let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
+                match f.kind {
+                    FaultKind::LinkFlap => FaultWindow::LinkFlap { a: edge, b: cloud, from, until },
+                    FaultKind::LossBurst => {
+                        let loss = LossModel::Iid { p: FAULT_LOSS };
+                        FaultWindow::LossBurst { a: edge, b: cloud, from, until, loss }
+                    }
+                    FaultKind::LatencySpike => {
+                        let extra = FAULT_EXTRA_LATENCY;
+                        FaultWindow::LatencySpike { a: edge, b: cloud, from, until, extra }
+                    }
+                    FaultKind::Partition => {
+                        FaultWindow::Partition { groups: session.campus_partition(k), from, until }
+                    }
+                    FaultKind::CrashEdge => FaultWindow::CrashRestart { node: edge, from, until },
                 }
-                FaultKind::LatencySpike => {
-                    plan.latency_spike(edge, cloud, from, until, FAULT_EXTRA_LATENCY)
-                }
-                FaultKind::Partition => {
-                    let rest: Vec<NodeId> = std::iter::once(cloud)
-                        .chain(
-                            (0..session.edges().len())
-                                .filter(|&m| m != k)
-                                .flat_map(|m| session.campus_nodes(m).iter().copied()),
-                        )
-                        .collect();
-                    plan.partition_window(&[session.campus_nodes(k), &rest], from, until)
-                }
-                FaultKind::CrashEdge => plan.crash(edge, from, Some(until)),
-            };
-        }
-        Some(plan)
+            })
+            .collect()
     }
 
     /// Builds the runnable session: expands the spec at `seed` on `engine`
-    /// and applies the stress fault plan, if any.
+    /// and applies its stress faults, if any.
     pub fn build_session(&self, seed: u64, engine: EngineConfig) -> ClassroomSession {
         let mut session = self.session_builder(seed).engine_config(engine).build();
-        if let Some(plan) = self.fault_plan(&session) {
-            session.sim_mut().apply_fault_plan(plan);
-        }
+        let windows = self.fault_windows(&session);
+        session.sim_mut().apply_fault_plan(&windows);
         session
     }
 
@@ -498,29 +492,12 @@ impl ScenarioSpec {
         emit_toml(&self.to_value()).expect("ScenarioSpec always renders to the TOML subset")
     }
 
-    /// Parses and validates a spec from JSON.
-    pub fn from_json_str(text: &str) -> Result<Self, ScenarioError> {
-        let spec: ScenarioSpec =
-            serde_json::from_str(text).map_err(|e| ScenarioError::new(e.to_string()))?;
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Renders the spec as JSON.
-    pub fn to_json_string(&self) -> String {
-        serde_json::to_string(self).expect("ScenarioSpec always serializes")
-    }
-
-    /// Loads and validates a spec file (`.toml` or `.json` by extension),
-    /// attaching the path to any error.
+    /// Loads and validates a TOML spec file, attaching the path to any
+    /// error.
     pub fn load(path: &Path) -> Result<Self, ScenarioError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ScenarioError::new(format!("cannot read: {e}")).with_path(path))?;
-        let parsed = match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Self::from_json_str(&text),
-            _ => Self::from_toml_str(&text),
-        };
-        parsed.map_err(|e| e.with_path(path))
+        Self::from_toml_str(&text).map_err(|e| e.with_path(path))
     }
 }
 
@@ -856,7 +833,7 @@ fn emit_toml(value: &Value) -> Result<String, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_netsim::EngineConfig;
+    use metaclass_netsim::{EngineConfig, NodeId};
 
     fn lab_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -925,13 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_the_spec() {
-        let spec = lab_spec();
-        let back = ScenarioSpec::from_json_str(&spec.to_json_string()).expect("parses");
-        assert_eq!(back, spec);
-    }
-
-    #[test]
     fn malformed_toml_reports_the_line() {
         let text = "name = \"x\"\npattern = Lecture\n";
         let err = ScenarioSpec::from_toml_str(text).unwrap_err();
@@ -979,6 +949,57 @@ mod tests {
         let sharded = fingerprint(EngineConfig::sharded(4));
         assert_eq!(serial, sharded);
         assert_eq!(serial, fingerprint(EngineConfig::serial()), "rerun identical");
+    }
+
+    #[test]
+    fn fault_windows_lower_every_kind_and_partitions_cover_every_node() {
+        let mut spec = lab_spec();
+        let stress = spec.stress.as_mut().unwrap();
+        stress.population = Some(PopulationSpec {
+            region: Region::Europe,
+            members: 40,
+            tracers: 2,
+            access: LinkClass::ResidentialAccess,
+            at_ms: 300,
+            spread_ms: 100,
+        });
+        let kinds = [
+            FaultKind::LinkFlap,
+            FaultKind::LossBurst,
+            FaultKind::LatencySpike,
+            FaultKind::Partition,
+            FaultKind::CrashEdge,
+        ];
+        let faults = (0..2u32).flat_map(|campus| {
+            kinds.map(|kind| FaultSpec { kind, campus, at_ms: 500, for_ms: 100 })
+        });
+        stress.faults = Some(faults.collect());
+        let session = spec.session_builder(1).build();
+        assert_eq!(session.pools().len(), 1, "the population overlay builds a pool node");
+
+        let windows = spec.fault_windows(&session);
+        let labels: Vec<&str> = windows.iter().map(FaultWindow::kind).collect();
+        let per_campus = ["link_flap", "loss_burst", "latency_spike", "partition", "crash_restart"];
+        assert_eq!(labels, [per_campus, per_campus].concat());
+        let nodes = session.sim().node_count();
+        for (k, w) in windows.iter().enumerate().filter(|(_, w)| w.kind() == "partition") {
+            let FaultWindow::Partition { groups, from, until } = w else { unreachable!() };
+            assert_eq!((*from, *until), (SimTime::from_millis(500), SimTime::from_millis(600)));
+            let mut covered: Vec<NodeId> = groups.concat();
+            covered.sort();
+            covered.dedup();
+            assert_eq!(covered.len(), nodes, "window {k}: groups cover every node exactly once");
+            assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), nodes);
+        }
+        let edge1 = session.edges()[1];
+        assert_eq!(
+            windows[9],
+            FaultWindow::CrashRestart {
+                node: edge1,
+                from: SimTime::from_millis(500),
+                until: SimTime::from_millis(600)
+            }
+        );
     }
 
     #[test]

@@ -775,6 +775,39 @@ impl ClassroomSession {
         &self.campus_nodes[campus]
     }
 
+    /// The partition groups that isolate campus `campus` from every other
+    /// node: the campus's own nodes in one group; the other campuses (in
+    /// campus order), the cloud, the remote learners and the pool nodes in
+    /// the other. The groups cover every node, and the one holding campus 0
+    /// is listed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `campus` is not a campus index of this session.
+    pub fn campus_partition(&self, campus: usize) -> Vec<Vec<NodeId>> {
+        let isolated = self.campus_nodes[campus].clone();
+        let remote_learners = self
+            .participants
+            .iter()
+            .filter(|p| matches!(p.role, Role::RemoteLearner { .. }))
+            .map(|p| p.node);
+        let rest: Vec<NodeId> = self
+            .campus_nodes
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != campus)
+            .flat_map(|(_, nodes)| nodes.iter().copied())
+            .chain(std::iter::once(self.cloud))
+            .chain(remote_learners)
+            .chain(self.pools.iter().map(|p| p.node))
+            .collect();
+        if campus == 0 {
+            vec![isolated, rest]
+        } else {
+            vec![rest, isolated]
+        }
+    }
+
     /// The session roster.
     pub fn participants(&self) -> &[Participant] {
         &self.participants

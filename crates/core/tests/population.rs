@@ -13,7 +13,8 @@
 use metaclass_core::SessionBuilder;
 use metaclass_edge::{ClientPoolNode, CloudServerNode};
 use metaclass_netsim::{
-    EngineConfig, FaultPlan, LinkClass, PopulationProfile, Region, SimDuration, SimTime, TraceKind,
+    EngineConfig, FaultWindow, LinkClass, PopulationProfile, Region, SimDuration, SimTime,
+    TraceKind,
 };
 use proptest::prelude::*;
 
@@ -101,19 +102,20 @@ proptest! {
         let pool_node = s.pools()[0].node;
         let cloud = s.cloud();
         s.sim_mut().enable_trace(400_000);
-        let plan = FaultPlan::new()
-            .link_flap(
-                pool_node,
-                cloud,
-                SimTime::from_millis(flap_down_ms),
-                SimTime::from_millis(flap_down_ms + flap_len_ms),
-            )
-            .crash(
-                cloud,
-                SimTime::from_millis(crash_ms),
-                Some(SimTime::from_millis(crash_ms + 500)),
-            );
-        s.sim_mut().apply_fault_plan(plan);
+        let plan = [
+            FaultWindow::LinkFlap {
+                a: pool_node,
+                b: cloud,
+                from: SimTime::from_millis(flap_down_ms),
+                until: SimTime::from_millis(flap_down_ms + flap_len_ms),
+            },
+            FaultWindow::CrashRestart {
+                node: cloud,
+                from: SimTime::from_millis(crash_ms),
+                until: SimTime::from_millis(crash_ms + 500),
+            },
+        ];
+        s.sim_mut().apply_fault_plan(&plan);
         s.run_for(SimDuration::from_secs(12));
 
         // Byte conservation on the pool↔cloud pair, per direction: every

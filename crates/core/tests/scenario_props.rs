@@ -1,5 +1,5 @@
 //! Property tests for the scenario DSL: any valid spec survives the
-//! TOML and JSON round trips byte-exactly, and the expander is fully
+//! TOML round trip byte-exactly, and the expander is fully
 //! deterministic — the same spec and seed produce byte-identical sessions
 //! (trace fingerprints) on the serial and sharded engines and across
 //! reruns. The TOML loader is also fed hostile input and must answer `Ok`
@@ -234,23 +234,12 @@ proptest! {
         prop_assert_eq!(back, spec);
     }
 
-    /// parse(emit(spec)) == spec through JSON, and the two encodings agree.
-    #[test]
-    fn prop_json_round_trip_preserves_any_valid_spec(seed in any::<u64>()) {
-        let spec = spec_from_seed(seed);
-        let back = ScenarioSpec::from_json_str(&spec.to_json_string()).expect("json parses");
-        prop_assert_eq!(&back, &spec);
-        let via_toml = ScenarioSpec::from_toml_str(&spec.to_toml_string()).expect("toml parses");
-        prop_assert_eq!(via_toml, back);
-    }
-
     /// Emitting is a pure function of the spec: two emissions are
     /// byte-identical (the emitter sorts keys, never iterates hash order).
     #[test]
     fn prop_emission_is_byte_stable(seed in any::<u64>()) {
         let spec = spec_from_seed(seed);
         prop_assert_eq!(spec.to_toml_string(), spec.to_toml_string());
-        prop_assert_eq!(spec.to_json_string(), spec.to_json_string());
     }
 }
 

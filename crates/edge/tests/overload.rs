@@ -12,7 +12,7 @@ use metaclass_edge::{
     ClassMsg, ClientConfig, CloudServerNode, FanoutConfig, RemoteClientNode, ServerConfig,
     ShedLevel,
 };
-use metaclass_netsim::{FaultPlan, LinkClass, NodeId, SimDuration, SimTime, Simulation};
+use metaclass_netsim::{FaultWindow, LinkClass, NodeId, SimDuration, SimTime, Simulation};
 use metaclass_sensors::MotionScript;
 
 struct Deployment {
@@ -141,10 +141,12 @@ fn join_racing_cloud_crash_restart_recovers() {
     // poses from roster clients and answers JoinRejected so they re-join
     // without waiting out a heartbeat timeout).
     let mut d = build(23, 2, ServerConfig::default(), fast_heartbeat_client());
-    let plan = FaultPlan::new()
-        .crash(d.cloud, SimTime::from_millis(20), Some(SimTime::from_millis(500)))
-        .crash(d.cloud, SimTime::from_secs(4), Some(SimTime::from_millis(4200)));
-    d.sim.apply_fault_plan(plan);
+    let crash = |from, until| FaultWindow::CrashRestart { node: d.cloud, from, until };
+    let plan = [
+        crash(SimTime::from_millis(20), SimTime::from_millis(500)),
+        crash(SimTime::from_secs(4), SimTime::from_millis(4200)),
+    ];
+    d.sim.apply_fault_plan(&plan);
     d.sim.run_until(SimTime::from_secs(10));
 
     let cloud = d.sim.node_as::<CloudServerNode>(d.cloud).unwrap();

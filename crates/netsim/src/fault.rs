@@ -1,19 +1,19 @@
 //! Scripted fault injection.
 //!
-//! A [`FaultPlan`] is a deterministic, time-ordered script of
-//! [`FaultAction`]s — link flaps, loss bursts, latency spikes, network
-//! partitions, and node crash/restart cycles — that a
-//! [`Simulation`](crate::Simulation) executes as ordinary events via
+//! A fault schedule is a list of [`FaultWindow`]s — link flaps, loss bursts,
+//! latency spikes, network partitions, and node crash/restart cycles, each a
+//! paired start/end over `[from, until)`. A
+//! [`Simulation`](crate::Simulation) lowers them to [`FaultAction`]s and
+//! executes those as ordinary events via
 //! [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan).
-//! Because the plan is data (not callbacks) and every stochastic generator is
-//! seeded through [`DetRng`], a fault schedule is fully replayable: the same
-//! seed and plan produce byte-identical traces and metrics across runs.
+//! Because the schedule is data (not callbacks), it is fully replayable: the
+//! same seed and windows produce byte-identical traces and metrics across
+//! runs.
 
 use serde::{Deserialize, Serialize};
 
 use crate::link::LossModel;
 use crate::node::NodeId;
-use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
 /// One scripted fault, applied at a scheduled instant.
@@ -120,164 +120,162 @@ impl FaultAction {
     }
 }
 
-/// A time-ordered fault script.
+/// One self-contained disturbance over `[from, until)`: every start carries
+/// its end, so any list of windows is a well-formed fault schedule (no crash
+/// without a restart, no partition without a heal).
 ///
-/// Build with the window helpers ([`FaultPlan::link_flap`],
-/// [`FaultPlan::loss_burst`], [`FaultPlan::latency_spike`],
-/// [`FaultPlan::partition_window`], [`FaultPlan::crash`]) or push raw
-/// `(time, action)` pairs with [`FaultPlan::at`]. Events are sorted by
-/// (time, insertion order) when the plan is installed, so build order never
-/// affects execution order at distinct times.
+/// [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan)
+/// lowers each window to its start and end [`FaultAction`]. Windows are
+/// serializable so that a schedule can be persisted as replayable JSON.
 ///
 /// # Examples
 ///
 /// ```
-/// use metaclass_netsim::{FaultPlan, NodeId, SimDuration, SimTime};
+/// use metaclass_netsim::{FaultWindow, NodeId, SimTime};
 ///
 /// let a = NodeId::from_index(0);
 /// let b = NodeId::from_index(1);
-/// let plan = FaultPlan::new()
-///     .link_flap(a, b, SimTime::from_secs(1), SimTime::from_secs(2))
-///     .crash(b, SimTime::from_secs(3), Some(SimTime::from_secs(4)));
-/// assert_eq!(plan.events().len(), 4);
+/// let plan = [
+///     FaultWindow::LinkFlap { a, b, from: SimTime::from_secs(1), until: SimTime::from_secs(2) },
+///     FaultWindow::CrashRestart { node: b, from: SimTime::from_secs(3), until: SimTime::from_secs(4) },
+/// ];
+/// assert_eq!(plan[1].kind(), "crash_restart");
+/// assert_eq!(plan[1].until(), SimTime::from_secs(4));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    events: Vec<(SimTime, FaultAction)>,
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum FaultWindow {
+    /// Administrative link outage of the `a`–`b` connection.
+    LinkFlap {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// Window start.
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
+    },
+    /// Loss-process override on the `a`–`b` connection.
+    LossBurst {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// Window start.
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
+        /// Loss process in effect during the burst.
+        loss: LossModel,
+    },
+    /// Extra propagation delay on the `a`–`b` connection.
+    LatencySpike {
+        /// One endpoint.
+        a: NodeId,
+        /// The other endpoint.
+        b: NodeId,
+        /// Window start.
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
+        /// Added one-way delay.
+        extra: SimDuration,
+    },
+    /// Network partition into the given groups, healed at `until`.
+    Partition {
+        /// Disjoint groups. Nodes absent from every group keep all their
+        /// links, so a partition-isolation check is only sound when the
+        /// groups cover every node.
+        groups: Vec<Vec<NodeId>>,
+        /// Window start.
+        from: SimTime,
+        /// Window end (exclusive).
+        until: SimTime,
+    },
+    /// Node crash at `from`, restart at `until`.
+    CrashRestart {
+        /// The node to crash and restart.
+        node: NodeId,
+        /// Crash instant.
+        from: SimTime,
+        /// Restart instant.
+        until: SimTime,
+    },
 }
 
-impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        FaultPlan::default()
+impl FaultWindow {
+    /// Window start time.
+    pub fn from(&self) -> SimTime {
+        match self {
+            FaultWindow::LinkFlap { from, .. }
+            | FaultWindow::LossBurst { from, .. }
+            | FaultWindow::LatencySpike { from, .. }
+            | FaultWindow::Partition { from, .. }
+            | FaultWindow::CrashRestart { from, .. } => *from,
+        }
     }
 
-    /// Appends `action` at absolute time `at`.
-    pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {
-        self.events.push((at, action));
-        self
+    /// Window end time.
+    pub fn until(&self) -> SimTime {
+        match self {
+            FaultWindow::LinkFlap { until, .. }
+            | FaultWindow::LossBurst { until, .. }
+            | FaultWindow::LatencySpike { until, .. }
+            | FaultWindow::Partition { until, .. }
+            | FaultWindow::CrashRestart { until, .. } => *until,
+        }
     }
 
-    /// Takes the `a`–`b` connection down at `down_at` and back up at `up_at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `up_at <= down_at`.
-    pub fn link_flap(self, a: NodeId, b: NodeId, down_at: SimTime, up_at: SimTime) -> Self {
-        assert!(up_at > down_at, "flap must end after it starts");
-        self.at(down_at, FaultAction::LinkDown { a, b }).at(up_at, FaultAction::LinkUp { a, b })
+    /// Short kind label for logs and file names.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FaultWindow::LinkFlap { .. } => "link_flap",
+            FaultWindow::LossBurst { .. } => "loss_burst",
+            FaultWindow::LatencySpike { .. } => "latency_spike",
+            FaultWindow::Partition { .. } => "partition",
+            FaultWindow::CrashRestart { .. } => "crash_restart",
+        }
     }
 
-    /// Overrides the `a`–`b` loss process with `loss` during `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until <= from`.
-    pub fn loss_burst(
-        self,
-        a: NodeId,
-        b: NodeId,
-        from: SimTime,
-        until: SimTime,
-        loss: LossModel,
-    ) -> Self {
-        assert!(until > from, "burst must end after it starts");
-        self.at(from, FaultAction::LossBurstStart { a, b, loss })
-            .at(until, FaultAction::LossBurstEnd { a, b })
-    }
-
-    /// Adds `extra` delay on the `a`–`b` connection during `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until <= from`.
-    pub fn latency_spike(
-        self,
-        a: NodeId,
-        b: NodeId,
-        from: SimTime,
-        until: SimTime,
-        extra: SimDuration,
-    ) -> Self {
-        assert!(until > from, "spike must end after it starts");
-        self.at(from, FaultAction::LatencySpikeStart { a, b, extra })
-            .at(until, FaultAction::LatencySpikeEnd { a, b })
-    }
-
-    /// Partitions the listed groups from each other during `[from, until)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until <= from`.
-    pub fn partition_window(self, groups: &[&[NodeId]], from: SimTime, until: SimTime) -> Self {
-        assert!(until > from, "partition must end after it starts");
-        let groups: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.at(from, FaultAction::Partition { groups }).at(until, FaultAction::Heal)
-    }
-
-    /// Crashes `node` at `at`; if `restart_at` is given, restarts it then.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `restart_at <= at`.
-    pub fn crash(self, node: NodeId, at: SimTime, restart_at: Option<SimTime>) -> Self {
-        let plan = self.at(at, FaultAction::CrashNode { node });
-        match restart_at {
-            Some(r) => {
-                assert!(r > at, "restart must follow the crash");
-                plan.at(r, FaultAction::RestartNode { node })
+    /// A copy of this window with a new `[from, until)` span.
+    pub fn with_span(&self, from: SimTime, until: SimTime) -> FaultWindow {
+        let mut w = self.clone();
+        match &mut w {
+            FaultWindow::LinkFlap { from: f, until: u, .. }
+            | FaultWindow::LossBurst { from: f, until: u, .. }
+            | FaultWindow::LatencySpike { from: f, until: u, .. }
+            | FaultWindow::Partition { from: f, until: u, .. }
+            | FaultWindow::CrashRestart { from: f, until: u, .. } => {
+                *f = from;
+                *u = until;
             }
-            None => plan,
         }
+        w
     }
 
-    /// Generates `count` random link flaps over `pairs` within
-    /// `[0, horizon)`, each lasting between `min_down` and `max_down`.
-    /// Fully determined by `seed`: the same arguments always produce the same
-    /// plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty or `max_down < min_down`.
-    pub fn random_link_flaps(
-        self,
-        seed: u64,
-        pairs: &[(NodeId, NodeId)],
-        horizon: SimTime,
-        count: usize,
-        min_down: SimDuration,
-        max_down: SimDuration,
-    ) -> Self {
-        assert!(!pairs.is_empty(), "need at least one candidate pair");
-        assert!(max_down >= min_down, "max_down must be at least min_down");
-        let mut rng = DetRng::new(seed);
-        let mut plan = self;
-        for _ in 0..count {
-            let (a, b) = pairs[rng.index(pairs.len())];
-            let down_ns = rng.range_u64(0, horizon.as_nanos().max(1));
-            let dur_ns = if max_down == min_down {
-                min_down.as_nanos()
-            } else {
-                rng.range_u64(min_down.as_nanos(), max_down.as_nanos())
-            };
-            let down_at = SimTime::from_nanos(down_ns);
-            let up_at = down_at.saturating_add(SimDuration::from_nanos(dur_ns.max(1)));
-            plan = plan.link_flap(a, b, down_at, up_at);
-        }
-        plan
-    }
-
-    /// The scripted `(time, action)` pairs, in insertion order.
-    pub fn events(&self) -> &[(SimTime, FaultAction)] {
-        &self.events
-    }
-
-    /// Consumes the plan, returning events sorted by (time, insertion order).
-    pub fn into_sorted_events(self) -> Vec<(SimTime, FaultAction)> {
-        let mut indexed: Vec<(usize, (SimTime, FaultAction))> =
-            self.events.into_iter().enumerate().collect();
-        indexed.sort_by_key(|(i, (at, _))| (*at, *i));
-        indexed.into_iter().map(|(_, ev)| ev).collect()
+    /// The engine actions this window executes: its start at `from`, its
+    /// end at `until`.
+    pub(crate) fn lower(&self) -> [(SimTime, FaultAction); 2] {
+        let (start, end) = match self {
+            FaultWindow::LinkFlap { a, b, .. } => {
+                (FaultAction::LinkDown { a: *a, b: *b }, FaultAction::LinkUp { a: *a, b: *b })
+            }
+            FaultWindow::LossBurst { a, b, loss, .. } => (
+                FaultAction::LossBurstStart { a: *a, b: *b, loss: *loss },
+                FaultAction::LossBurstEnd { a: *a, b: *b },
+            ),
+            FaultWindow::LatencySpike { a, b, extra, .. } => (
+                FaultAction::LatencySpikeStart { a: *a, b: *b, extra: *extra },
+                FaultAction::LatencySpikeEnd { a: *a, b: *b },
+            ),
+            FaultWindow::Partition { groups, .. } => {
+                (FaultAction::Partition { groups: groups.clone() }, FaultAction::Heal)
+            }
+            FaultWindow::CrashRestart { node, .. } => {
+                (FaultAction::CrashNode { node: *node }, FaultAction::RestartNode { node: *node })
+            }
+        };
+        [(self.from(), start), (self.until(), end)]
     }
 }
 
@@ -290,51 +288,24 @@ mod tests {
     }
 
     #[test]
-    fn builders_emit_paired_events() {
-        let plan = FaultPlan::new()
-            .link_flap(n(0), n(1), SimTime::from_millis(5), SimTime::from_millis(9))
-            .loss_burst(
-                n(1),
-                n(2),
-                SimTime::from_millis(1),
-                SimTime::from_millis(2),
-                LossModel::Iid { p: 0.5 },
-            );
-        assert_eq!(plan.events().len(), 4);
-        let sorted = plan.into_sorted_events();
-        assert_eq!(sorted[0].0, SimTime::from_millis(1));
-        assert_eq!(sorted[3].0, SimTime::from_millis(9));
-        assert!(matches!(sorted[0].1, FaultAction::LossBurstStart { .. }));
-        assert!(matches!(sorted[3].1, FaultAction::LinkUp { .. }));
-    }
-
-    #[test]
-    fn sorting_is_stable_for_equal_times() {
-        let t = SimTime::from_millis(3);
-        let plan = FaultPlan::new()
-            .at(t, FaultAction::CrashNode { node: n(0) })
-            .at(t, FaultAction::RestartNode { node: n(1) });
-        let sorted = plan.into_sorted_events();
-        assert!(matches!(sorted[0].1, FaultAction::CrashNode { .. }));
-        assert!(matches!(sorted[1].1, FaultAction::RestartNode { .. }));
-    }
-
-    #[test]
-    fn random_flaps_are_seed_replayable() {
-        let pairs = [(n(0), n(1)), (n(1), n(2))];
-        let make = |seed| {
-            FaultPlan::new().random_link_flaps(
-                seed,
-                &pairs,
-                SimTime::from_secs(10),
-                8,
-                SimDuration::from_millis(50),
-                SimDuration::from_millis(500),
-            )
-        };
-        assert_eq!(make(7), make(7));
-        assert_ne!(make(7), make(8));
-        assert_eq!(make(7).events().len(), 16);
+    fn windows_lower_to_their_start_and_end_actions() {
+        let (from, until) = (SimTime::from_millis(1), SimTime::from_millis(2));
+        let flap = FaultWindow::LinkFlap { a: n(0), b: n(1), from, until };
+        let [(t0, start), (t1, end)] = flap.lower();
+        assert_eq!((t0, t1), (from, until));
+        assert_eq!(start, FaultAction::LinkDown { a: n(0), b: n(1) });
+        assert_eq!(end, FaultAction::LinkUp { a: n(0), b: n(1) });
+        let partition =
+            FaultWindow::Partition { groups: vec![vec![n(0)], vec![n(1)]], from, until };
+        let [(_, start), (_, end)] = partition.lower();
+        assert!(matches!(start, FaultAction::Partition { ref groups } if groups.len() == 2));
+        assert_eq!(end, FaultAction::Heal);
+        let moved = flap.with_span(SimTime::from_millis(5), SimTime::from_millis(9));
+        assert_eq!(
+            (moved.from(), moved.until()),
+            (SimTime::from_millis(5), SimTime::from_millis(9))
+        );
+        assert_eq!(moved.kind(), "link_flap");
     }
 
     #[test]

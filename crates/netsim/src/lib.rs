@@ -20,9 +20,9 @@
 //! - [`MetricsRegistry`] / [`Histogram`] — deterministic measurement;
 //! - [`Trace`] — bounded event traces with fingerprints for determinism
 //!   tests;
-//! - [`FaultPlan`] / [`FaultAction`] — seeded, replayable fault scripts
-//!   (link flaps, loss bursts, latency spikes, partitions, node
-//!   crash/restart) executed by the engine as ordinary events;
+//! - [`FaultWindow`] / [`FaultAction`] — replayable fault schedules (link
+//!   flaps, loss bursts, latency spikes, partitions, node crash/restart),
+//!   each window a paired start/end the engine executes as ordinary events;
 //! - [`PopulationProfile`] / [`PopulationTimeline`] — deterministic
 //!   arrival/churn schedules (flash crowds, Poisson, MMPP) that drive the
 //!   flyweight client pools of the million-user population layer.
@@ -74,7 +74,7 @@ mod time;
 mod topology;
 mod trace;
 
-pub use fault::{FaultAction, FaultPlan};
+pub use fault::{FaultAction, FaultWindow};
 pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Transmit};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
 pub use node::{Context, Envelope, Node, NodeId, Timer};

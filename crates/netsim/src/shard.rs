@@ -624,7 +624,7 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::FaultWindow;
     use crate::link::{LinkConfig, LossModel};
     use crate::metrics::MetricsSnapshot;
     use crate::node::{Context, Node, Timer};
@@ -737,28 +737,31 @@ mod tests {
     fn sharded_matches_serial_under_faults() {
         let gateway_a = NodeId::from_index(0);
         let gateway_b = NodeId::from_index(4);
-        let plan = || {
-            FaultPlan::new()
-                .link_flap(
-                    gateway_a,
-                    gateway_b,
-                    SimTime::from_millis(60),
-                    SimTime::from_millis(120),
-                )
-                .crash(gateway_b, SimTime::from_millis(150), Some(SimTime::from_millis(230)))
-                .latency_spike(
-                    gateway_a,
-                    gateway_b,
-                    SimTime::from_millis(250),
-                    SimTime::from_millis(320),
-                    SimDuration::from_millis(15),
-                )
-        };
+        let plan = [
+            FaultWindow::LinkFlap {
+                a: gateway_a,
+                b: gateway_b,
+                from: SimTime::from_millis(60),
+                until: SimTime::from_millis(120),
+            },
+            FaultWindow::CrashRestart {
+                node: gateway_b,
+                from: SimTime::from_millis(150),
+                until: SimTime::from_millis(230),
+            },
+            FaultWindow::LatencySpike {
+                a: gateway_a,
+                b: gateway_b,
+                from: SimTime::from_millis(250),
+                until: SimTime::from_millis(320),
+                extra: SimDuration::from_millis(15),
+            },
+        ];
         let run = |engine: EngineConfig| {
             let mut sim = campus_sim(9);
             sim.set_engine_config(engine);
             sim.enable_trace(1 << 20);
-            sim.apply_fault_plan(plan());
+            sim.apply_fault_plan(&plan);
             sim.run_until(SimTime::from_millis(400));
             let snap = sim.metrics().snapshot().without_prefix("engine.");
             (sim.trace().unwrap().fingerprint(), snap, sim.events_processed(), sim.time())
@@ -814,12 +817,11 @@ mod tests {
             sim.set_engine_config(engine);
             let hash = StdArc::new(AtomicU64::new(0xcbf29ce484222325));
             sim.set_observer(HashingObserver(StdArc::clone(&hash)));
-            let p = FaultPlan::new().crash(
-                NodeId::from_index(5),
-                SimTime::from_millis(80),
-                Some(SimTime::from_millis(160)),
-            );
-            sim.apply_fault_plan(p);
+            sim.apply_fault_plan(&[FaultWindow::CrashRestart {
+                node: NodeId::from_index(5),
+                from: SimTime::from_millis(80),
+                until: SimTime::from_millis(160),
+            }]);
             sim.run_until(SimTime::from_millis(300));
             hash.load(Ordering::Relaxed)
         };

@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::{FaultAction, FaultWindow};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Transmit};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::node::{Context, Envelope, Node, NodeId, Op, Timer};
@@ -1016,16 +1016,26 @@ impl<M: 'static> Simulation<M> {
         self.core.crashed[node.index()]
     }
 
-    /// Installs a fault plan: each scripted action becomes an engine event
-    /// executed at its scheduled time, recorded in metrics
-    /// (`fault.injected` plus a per-action counter) and, when tracing is
-    /// enabled, in the trace as [`TraceKind::Fault`].
+    /// Installs a fault schedule: each window lowers to its start and end
+    /// [`FaultAction`], and each action becomes an engine event executed at
+    /// its time, recorded in metrics (`fault.injected` plus a per-action
+    /// counter) and, when tracing is enabled, in the trace as
+    /// [`TraceKind::Fault`]. Actions at the same instant execute in list
+    /// order (a window's start before its end).
     ///
     /// # Panics
     ///
-    /// Panics if any action is scheduled before the current time.
-    pub fn apply_fault_plan(&mut self, plan: FaultPlan) {
-        for (at, action) in plan.into_sorted_events() {
+    /// Panics if a window does not end after it starts, or starts before the
+    /// current time.
+    pub fn apply_fault_plan(&mut self, windows: &[FaultWindow]) {
+        let mut events = Vec::with_capacity(2 * windows.len());
+        for w in windows {
+            assert!(w.until() > w.from(), "fault window must end after it starts: {w:?}");
+            events.extend(w.lower());
+        }
+        // Stable: ties keep list order.
+        events.sort_by_key(|&(at, _)| at);
+        for (at, action) in events {
             assert!(at >= self.core.time, "fault scheduled in the past");
             let index = self.fault_actions.len();
             self.fault_actions.push(action);
@@ -1642,12 +1652,11 @@ mod tests {
         let c = sim.add_node("counter", Counter::new());
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.enable_trace(10_000);
-        let plan = crate::fault::FaultPlan::new().crash(
-            c,
-            SimTime::from_millis(25),
-            Some(SimTime::from_millis(55)),
-        );
-        sim.apply_fault_plan(plan);
+        sim.apply_fault_plan(&[FaultWindow::CrashRestart {
+            node: c,
+            from: SimTime::from_millis(25),
+            until: SimTime::from_millis(55),
+        }]);
         sim.run_until(SimTime::from_millis(80));
         let counter = sim.node_as::<Counter>(c).unwrap();
         // Ticks at 10, 20 (then crash at 25, restart at 55), 65, 75.
@@ -1702,12 +1711,11 @@ mod tests {
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.set_observer(std::sync::Arc::clone(&counts));
         assert!(sim.has_observer());
-        let plan = crate::fault::FaultPlan::new().crash(
-            c,
-            SimTime::from_millis(25),
-            Some(SimTime::from_millis(55)),
-        );
-        sim.apply_fault_plan(plan);
+        sim.apply_fault_plan(&[FaultWindow::CrashRestart {
+            node: c,
+            from: SimTime::from_millis(25),
+            until: SimTime::from_millis(55),
+        }]);
         sim.inject(SimTime::from_millis(5), sink, c, Msg::Ping(1), 8);
         sim.run_until(SimTime::from_millis(80));
         let got = counts.lock().unwrap();

@@ -11,7 +11,7 @@
 //! count, and the final clock must all agree exactly.
 
 use metaclass_netsim::{
-    Context, EngineConfig, FaultPlan, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
+    Context, EngineConfig, FaultWindow, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
     SimDuration, SimTime, Simulation, Timer,
 };
 use proptest::prelude::*;
@@ -124,33 +124,30 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
     (sim, gateways, all)
 }
 
-fn fault_plan(f: &Faults, gateways: &[NodeId], all: &[NodeId], campuses: &[u8]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
+fn fault_plan(
+    f: &Faults,
+    gateways: &[NodeId],
+    all: &[NodeId],
+    campuses: &[u8],
+) -> Vec<FaultWindow> {
+    let ms = SimTime::from_millis;
+    let mut plan = Vec::new();
     let (a, b) = (gateways[0], gateways[1]);
     if f.flap_wan {
-        plan = plan.link_flap(a, b, SimTime::from_millis(40), SimTime::from_millis(90));
+        plan.push(FaultWindow::LinkFlap { a, b, from: ms(40), until: ms(90) });
     }
     if f.spike_wan {
-        plan = plan.latency_spike(
-            a,
-            b,
-            SimTime::from_millis(100),
-            SimTime::from_millis(160),
-            SimDuration::from_millis(7),
-        );
+        let extra = SimDuration::from_millis(7);
+        plan.push(FaultWindow::LatencySpike { a, b, from: ms(100), until: ms(160), extra });
     }
     if f.partition {
-        let first: Vec<NodeId> = all[..campuses[0] as usize].to_vec();
-        let rest: Vec<NodeId> = all[campuses[0] as usize..].to_vec();
-        plan = plan.partition_window(
-            &[&first, &rest],
-            SimTime::from_millis(170),
-            SimTime::from_millis(220),
-        );
+        let (first, rest) = all.split_at(campuses[0] as usize);
+        let groups = vec![first.to_vec(), rest.to_vec()];
+        plan.push(FaultWindow::Partition { groups, from: ms(170), until: ms(220) });
     }
     if f.crash_node {
         // Crash the second campus's gateway: mid-run restart re-arms timers.
-        plan = plan.crash(gateways[1], SimTime::from_millis(60), Some(SimTime::from_millis(140)));
+        plan.push(FaultWindow::CrashRestart { node: gateways[1], from: ms(60), until: ms(140) });
     }
     plan
 }
@@ -164,7 +161,7 @@ fn run(
     let (mut sim, gateways, all) = build(seed, topo);
     sim.set_engine_config(engine);
     sim.enable_trace(1 << 20);
-    sim.apply_fault_plan(fault_plan(faults, &gateways, &all, &topo.campuses));
+    sim.apply_fault_plan(&fault_plan(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
     (
         sim.trace().unwrap().fingerprint(),

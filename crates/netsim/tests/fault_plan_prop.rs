@@ -1,10 +1,11 @@
-//! Property tests for [`FaultPlan::into_sorted_events`]: the sort is stable
-//! (ties resolve by insertion order), total (every pushed event survives),
-//! and overlapping `partition_window`/`link_flap` windows leave links in the
-//! state the engine's orthogonal admin/partition semantics prescribe.
+//! Property tests for [`Simulation::apply_fault_plan`]: windows lower to
+//! their start/end actions in list order and execute in (time, list
+//! position) order, every action survives, and overlapping partition/flap
+//! windows leave links in the state the engine's orthogonal admin/partition
+//! semantics prescribe.
 
 use metaclass_netsim::{
-    Context, FaultAction, FaultPlan, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation,
+    Context, FaultWindow, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation, TraceKind,
 };
 use proptest::prelude::*;
 
@@ -12,53 +13,62 @@ fn n(i: usize) -> NodeId {
     NodeId::from_index(i)
 }
 
-/// Builds a plan whose times come from a tiny set (forcing plenty of ties),
-/// each action tagged with a unique node index so the original insertion
-/// position is recoverable from the sorted output.
-fn tagged_plan(times: &[u64]) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for (i, &t) in times.iter().enumerate() {
-        // CrashNode{node: i} is a pure tag here; the plan is never executed.
-        plan = plan.at(SimTime::from_millis(t), FaultAction::CrashNode { node: n(i) });
-    }
-    plan
+struct Idle;
+impl Node<()> for Idle {
+    fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sorted output is a permutation of the input, non-decreasing in time,
-    /// and events at equal times keep their insertion order.
+    /// Executed fault actions are the lowered windows stable-sorted by time:
+    /// a permutation of the input, non-decreasing in time, and actions at
+    /// equal times keep their list position (window `i`'s start is action
+    /// `2i`, its end `2i + 1`).
     #[test]
-    fn prop_sort_is_stable_and_total(times in proptest::collection::vec(0u64..4, 0..24)) {
-        let sorted = tagged_plan(&times).into_sorted_events();
-        prop_assert_eq!(sorted.len(), times.len());
-        let mut last = (SimTime::ZERO, 0usize);
-        let mut seen = vec![false; times.len()];
-        for (at, action) in &sorted {
-            let FaultAction::CrashNode { node } = action else { panic!("unexpected action") };
-            let idx = node.index();
-            prop_assert!(!seen[idx], "event {} appeared twice", idx);
-            seen[idx] = true;
-            prop_assert_eq!(*at, SimTime::from_millis(times[idx]), "event kept its time");
-            // Total order: time strictly grows, or insertion index grows.
-            prop_assert!(
-                *at > last.0 || (*at == last.0 && idx >= last.1),
-                "tie at {} ns broke insertion order: {} after {}",
-                at.as_nanos(), idx, last.1
-            );
-            last = (*at, idx);
+    fn prop_actions_execute_in_time_then_list_order(
+        spans in proptest::collection::vec((0u64..4, 1u64..3), 0..12),
+    ) {
+        let mut sim: Simulation<()> = Simulation::new(7);
+        for i in 0..spans.len() {
+            sim.add_node(format!("n{i}"), Idle);
         }
-        prop_assert!(seen.iter().all(|&s| s), "every pushed event survives the sort");
+        // CrashRestart on node i tags each action with its window.
+        let windows: Vec<FaultWindow> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &(from, len))| FaultWindow::CrashRestart {
+                node: n(i),
+                from: SimTime::from_millis(from),
+                until: SimTime::from_millis(from + len),
+            })
+            .collect();
+        let mut expected: Vec<(SimTime, usize)> = windows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, w)| [(w.from(), 2 * i), (w.until(), 2 * i + 1)])
+            .collect();
+        expected.sort();
+        sim.enable_trace(1024);
+        sim.apply_fault_plan(&windows);
+        sim.run_until(SimTime::from_millis(10));
+        let executed: Vec<(SimTime, usize)> = sim
+            .trace()
+            .expect("trace enabled")
+            .events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                // Codes 9 / 10 are CrashNode / RestartNode.
+                TraceKind::Fault { code } => Some((ev.at, 2 * ev.src.index() + (code == 10) as usize)),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(executed, expected);
     }
 }
 
 /// A quiet 3-node triangle (0-1, 1-2, 0-2) for executing fault plans.
 fn triangle() -> Simulation<()> {
-    struct Idle;
-    impl Node<()> for Idle {
-        fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-    }
     let mut sim = Simulation::new(7);
     let a = sim.add_node("a", Idle);
     let b = sim.add_node("b", Idle);
@@ -88,7 +98,7 @@ proptest! {
         // all within 0..600 ms so every overlap order is exercised.
         p0 in 0u64..300, pd in 1u64..300,
         f0 in 0u64..300, fd in 1u64..300,
-        partition_built_first in any::<bool>(),
+        partition_listed_first in any::<bool>(),
     ) {
         let (a, b, c) = (n(0), n(1), n(2));
         let p_from = SimTime::from_millis(p0);
@@ -96,23 +106,18 @@ proptest! {
         let f_from = SimTime::from_millis(f0);
         let f_until = SimTime::from_millis(f0 + fd);
 
-        let groups: &[&[NodeId]] = &[&[a], &[b, c]];
-        let plan = if partition_built_first {
-            FaultPlan::new()
-                .partition_window(groups, p_from, p_until)
-                .link_flap(a, b, f_from, f_until)
-        } else {
-            FaultPlan::new()
-                .link_flap(a, b, f_from, f_until)
-                .partition_window(groups, p_from, p_until)
-        };
+        let partition =
+            FaultWindow::Partition { groups: vec![vec![a], vec![b, c]], from: p_from, until: p_until };
+        let flap = FaultWindow::LinkFlap { a, b, from: f_from, until: f_until };
+        let plan =
+            if partition_listed_first { [partition, flap] } else { [flap, partition] };
 
         // Mid-flight: stop 1 ns before the earliest window end; whatever is
         // still open must be visible in link availability.
         let first_end = p_until.min(f_until);
         let probe_at = SimTime::from_nanos(first_end.as_nanos() - 1);
         let mut sim = triangle();
-        sim.apply_fault_plan(plan.clone());
+        sim.apply_fault_plan(&plan);
         sim.run_until(probe_at);
         if probe_at >= p_from {
             prop_assert!(!available(&sim, a, b), "0-1 severed while partition active");
@@ -124,10 +129,18 @@ proptest! {
             prop_assert!(available(&sim, a, c));
         }
 
-        // Past both ends: full recovery regardless of overlap or build order.
+        // Past both ends: full recovery regardless of overlap or list order.
         sim.run_until(SimTime::from_millis(700));
         prop_assert!(available(&sim, a, b), "0-1 must recover after flap-up and heal");
         prop_assert!(available(&sim, b, c), "1-2 must recover after heal");
         prop_assert!(available(&sim, a, c), "0-2 must recover after heal");
     }
+}
+
+#[test]
+#[should_panic(expected = "must end after it starts")]
+fn empty_windows_are_rejected() {
+    let mut sim = triangle();
+    let t = SimTime::from_millis(5);
+    sim.apply_fault_plan(&[FaultWindow::LinkFlap { a: n(0), b: n(1), from: t, until: t }]);
 }

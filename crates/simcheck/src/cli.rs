@@ -27,7 +27,7 @@ options:
   --write DIR   save shrunk violations as regression JSON under DIR
   --engine E    execution engine: serial | sharded | sharded:<n>
                 (results are byte-identical either way; default serial)
-  --scenario F  explore a workload spec (TOML or JSON) instead of the
+  --scenario F  explore a TOML workload spec instead of the
                 classic two-campus session; the spec's own stress faults
                 ride along as fixed windows in every case
   --help        show this help
@@ -178,7 +178,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             v.violation,
             v.original_windows,
             v.minimal.len(),
-            v.minimal_events,
+            2 * v.minimal.len(),
             v.shrink_runs
         );
         files.push((

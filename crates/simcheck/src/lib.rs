@@ -5,16 +5,16 @@
 //! degradation, post-heal resync) is only as strong as the fault schedules it
 //! was tested under. This crate turns those properties into *invariant
 //! oracles* checked continuously while a [`Scenario`] session runs, and
-//! explores the schedule space with seeded random [fault
-//! windows](plan::FaultWindow):
+//! explores the schedule space with seeded random netsim
+//! [`FaultWindow`](metaclass_netsim::FaultWindow)s:
 //!
 //! - [`oracle`] — the [`Oracle`] trait, the registry the
 //!   engine invokes at every boundary, and the violation record;
 //! - [`oracles`] — the standard invariants: clock monotonicity, packet
 //!   conservation, partition isolation, crashed-node silence, avatar
 //!   staleness bounds, and post-heal resync convergence;
-//! - [`plan`] — well-formed fault windows (paired start/end disturbances)
-//!   that lower onto the netsim [`FaultPlan`](metaclass_netsim::FaultPlan);
+//! - [`plan`] — random window lists over a scenario's topology and the
+//!   duration-halving step of the shrinker;
 //! - [`scenario`] — the checked two-campus session and its topology;
 //! - [`mod@explore`] — the deterministic runner, the seeded explorer, and the
 //!   shrinking minimizer (greedy window removal, then duration halving);
@@ -42,6 +42,6 @@ pub use explore::{
 };
 pub use oracle::{observer_for, shared, Oracle, OracleRegistry, Probe, SharedRegistry, Violation};
 pub use oracles::{standard_oracles, CanaryOracle};
-pub use plan::{event_count, generate_windows, lower, FaultWindow, PlanSpace};
+pub use plan::{generate_windows, PlanSpace};
 pub use regress::{RegressionCase, SCHEMA_VERSION};
 pub use scenario::{Scenario, Topology};

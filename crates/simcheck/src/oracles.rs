@@ -93,9 +93,10 @@ impl Oracle for PacketConservation {
 /// must not be delivered until a heal.
 ///
 /// Mirrors engine semantics exactly: a `Heal` clears *all* active partitions
-/// (the engine heals every partition-severed link), and only partitions
-/// whose groups cover every node are enforced — with uncovered nodes a relay
-/// path could legitimately survive.
+/// (the engine heals every partition-severed link). A partition whose groups
+/// do not cover every node is itself a violation: with uncovered nodes a
+/// relay path could legitimately survive, so the check could only pass
+/// vacuously.
 #[derive(Debug, Default)]
 pub struct PartitionIsolation {
     /// Active partitions as (start time, group list).
@@ -117,9 +118,14 @@ impl Oracle for PartitionIsolation {
                 match action {
                     FaultAction::Partition { groups } => {
                         let covered: usize = groups.iter().map(Vec::len).sum();
-                        if covered == view.node_count() {
-                            self.active.push((view.time(), groups.clone()));
+                        if covered != view.node_count() {
+                            return Err(format!(
+                                "partition groups cover {covered} of {} nodes; isolation \
+                                 cannot be checked",
+                                view.node_count()
+                            ));
                         }
+                        self.active.push((view.time(), groups.clone()));
                     }
                     FaultAction::Heal => self.active.clear(),
                     _ => {}
@@ -525,8 +531,27 @@ pub fn standard_oracles(scn: &Scenario) -> Vec<Box<dyn Oracle>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::run_plan;
     use crate::scenario::Scenario;
-    use metaclass_netsim::SimTime;
+    use metaclass_netsim::{FaultWindow, SimTime};
+
+    /// A partition that leaves nodes out of every group cannot be checked
+    /// for isolation, so it is a violation rather than a silent pass.
+    #[test]
+    fn partition_isolation_rejects_partial_coverage() {
+        let scn = Scenario::quick(23);
+        let ids = |r: std::ops::RangeInclusive<usize>| r.map(NodeId::from_index).collect();
+        // Campus 0 + cloud against campus 1; remote clients 8-15 left out.
+        let partial = FaultWindow::Partition {
+            groups: vec![ids(0..=4), ids(5..=7)],
+            from: SimTime::from_millis(1000),
+            until: SimTime::from_millis(1600),
+        };
+        let out = run_plan(&scn, &[partial], standard_oracles(&scn));
+        let violation = out.violation.expect("partial coverage must not pass");
+        assert_eq!(violation.oracle, "partition-isolation");
+        assert!(violation.detail.contains("cover 8 of 16 nodes"), "{}", violation.detail);
+    }
 
     /// The overload oracles must not be vacuous: the quick scenario's flash
     /// crowd really does engage admission control (deferrals happen), and

@@ -1,181 +1,25 @@
-//! Fault-schedule windows: the explorer's unit of generation and shrinking.
+//! Fault-schedule generation and shrinking over netsim [`FaultWindow`]s.
 //!
 //! A [`FaultWindow`] is a *paired* disturbance — every start carries its end —
 //! so any subset of windows is still a well-formed schedule. The explorer
-//! generates random window lists from a [`PlanSpace`], lowers them to a
-//! [`FaultPlan`] for the engine, and shrinks at window granularity (drop a
-//! window, halve its duration) rather than raw-event granularity, which keeps
-//! every shrink candidate semantically closed (no crash without restart, no
+//! generates random window lists from a [`PlanSpace`], hands them to the
+//! engine as they are, and shrinks at window granularity (drop a window,
+//! halve its duration) rather than raw-event granularity, which keeps every
+//! shrink candidate semantically closed (no crash without restart, no
 //! partition without heal).
 
-use metaclass_netsim::{DetRng, FaultPlan, LossModel, NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use metaclass_netsim::{DetRng, FaultWindow, LossModel, NodeId, SimDuration, SimTime};
 
 /// Minimum window duration the shrinker will go down to.
 const MIN_WINDOW: SimDuration = SimDuration::from_millis(10);
 
-/// One self-contained disturbance over a time window.
-///
-/// Serializable so that shrunk failing schedules can be persisted as
-/// replayable JSON regression cases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FaultWindow {
-    /// Administrative link outage of the `a`–`b` connection.
-    LinkFlap {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Loss-process override on the `a`–`b` connection.
-    LossBurst {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Loss process in effect during the burst.
-        loss: LossModel,
-    },
-    /// Extra propagation delay on the `a`–`b` connection.
-    LatencySpike {
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-        /// Added one-way delay.
-        extra: SimDuration,
-    },
-    /// Network partition into the given groups, healed at `until`.
-    Partition {
-        /// Disjoint groups; the generator always covers every node so the
-        /// partition-isolation oracle is sound (no relay path survives).
-        groups: Vec<Vec<NodeId>>,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Node crash at `from`, restart at `until`.
-    CrashRestart {
-        /// The node to crash and restart.
-        node: NodeId,
-        /// Crash instant.
-        from: SimTime,
-        /// Restart instant.
-        until: SimTime,
-    },
-}
-
-impl FaultWindow {
-    /// Window start time.
-    pub fn from(&self) -> SimTime {
-        match self {
-            FaultWindow::LinkFlap { from, .. }
-            | FaultWindow::LossBurst { from, .. }
-            | FaultWindow::LatencySpike { from, .. }
-            | FaultWindow::Partition { from, .. }
-            | FaultWindow::CrashRestart { from, .. } => *from,
-        }
-    }
-
-    /// Window end time.
-    pub fn until(&self) -> SimTime {
-        match self {
-            FaultWindow::LinkFlap { until, .. }
-            | FaultWindow::LossBurst { until, .. }
-            | FaultWindow::LatencySpike { until, .. }
-            | FaultWindow::Partition { until, .. }
-            | FaultWindow::CrashRestart { until, .. } => *until,
-        }
-    }
-
-    /// Short kind label for logs and file names.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FaultWindow::LinkFlap { .. } => "link_flap",
-            FaultWindow::LossBurst { .. } => "loss_burst",
-            FaultWindow::LatencySpike { .. } => "latency_spike",
-            FaultWindow::Partition { .. } => "partition",
-            FaultWindow::CrashRestart { .. } => "crash_restart",
-        }
-    }
-
-    /// Number of [`FaultPlan`] events this window lowers to (always the
-    /// start/end pair).
-    pub fn event_count(&self) -> usize {
-        2
-    }
-
-    /// Appends this window's events to `plan`.
-    pub fn lower_into(&self, plan: FaultPlan) -> FaultPlan {
-        match self {
-            FaultWindow::LinkFlap { a, b, from, until } => plan.link_flap(*a, *b, *from, *until),
-            FaultWindow::LossBurst { a, b, from, until, loss } => {
-                plan.loss_burst(*a, *b, *from, *until, *loss)
-            }
-            FaultWindow::LatencySpike { a, b, from, until, extra } => {
-                plan.latency_spike(*a, *b, *from, *until, *extra)
-            }
-            FaultWindow::Partition { groups, from, until } => {
-                let refs: Vec<&[NodeId]> = groups.iter().map(|g| g.as_slice()).collect();
-                plan.partition_window(&refs, *from, *until)
-            }
-            FaultWindow::CrashRestart { node, from, until } => {
-                plan.crash(*node, *from, Some(*until))
-            }
-        }
-    }
-
-    /// A copy of this window with a new `[from, until)` span.
-    fn with_span(&self, from: SimTime, until: SimTime) -> FaultWindow {
-        let mut w = self.clone();
-        match &mut w {
-            FaultWindow::LinkFlap { from: f, until: u, .. }
-            | FaultWindow::LossBurst { from: f, until: u, .. }
-            | FaultWindow::LatencySpike { from: f, until: u, .. }
-            | FaultWindow::Partition { from: f, until: u, .. }
-            | FaultWindow::CrashRestart { from: f, until: u, .. } => {
-                *f = from;
-                *u = until;
-            }
-        }
-        w
-    }
-
-    /// Smaller variants of this window for the shrinker, best-first: halve
-    /// the duration (keeping the start) until the 10 ms window floor.
-    pub fn shrink_candidates(&self) -> Vec<FaultWindow> {
-        let from = self.from();
-        let dur = self.until().duration_since(from);
-        let mut out = Vec::new();
-        let half = SimDuration::from_nanos(dur.as_nanos() / 2);
-        if half >= MIN_WINDOW {
-            out.push(self.with_span(from, from + half));
-        }
-        out
-    }
-}
-
-/// Lowers a window list to an engine [`FaultPlan`].
-pub fn lower(windows: &[FaultWindow]) -> FaultPlan {
-    windows.iter().fold(FaultPlan::new(), |plan, w| w.lower_into(plan))
-}
-
-/// Total number of raw fault events a window list lowers to.
-pub fn event_count(windows: &[FaultWindow]) -> usize {
-    windows.iter().map(FaultWindow::event_count).sum()
+/// The shrinker's next candidate for `window`: the same window with its
+/// duration halved (keeping the start), or `None` once that would go below
+/// the 10 ms floor.
+pub(crate) fn halved(window: &FaultWindow) -> Option<FaultWindow> {
+    let from = window.from();
+    let half = SimDuration::from_nanos(window.until().duration_since(from).as_nanos() / 2);
+    (half >= MIN_WINDOW).then(|| window.with_span(from, from + half))
 }
 
 /// The space of schedules the generator samples from: which connections can
@@ -304,29 +148,18 @@ mod tests {
     }
 
     #[test]
-    fn lowering_produces_paired_events() {
-        let s = space();
-        let mut rng = DetRng::new(3);
-        let windows = generate_windows(&s, &mut rng, 4);
-        let plan = lower(&windows);
-        assert_eq!(plan.events().len(), event_count(&windows));
-        assert_eq!(plan.events().len(), windows.len() * 2);
-    }
-
-    #[test]
-    fn shrink_candidates_halve_duration_down_to_the_floor() {
+    fn halving_keeps_the_start_down_to_the_floor() {
         let w = FaultWindow::LinkFlap {
             a: n(0),
             b: n(1),
             from: SimTime::from_millis(100),
             until: SimTime::from_millis(900),
         };
-        let c = w.shrink_candidates();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].from(), SimTime::from_millis(100));
-        assert_eq!(c[0].until(), SimTime::from_millis(500));
+        let half = halved(&w).expect("800 ms halves");
+        assert_eq!(half.from(), SimTime::from_millis(100));
+        assert_eq!(half.until(), SimTime::from_millis(500));
         let tiny = w.with_span(SimTime::from_millis(100), SimTime::from_millis(115));
-        assert!(tiny.shrink_candidates().is_empty(), "below 2x floor, no candidates");
+        assert!(halved(&tiny).is_none(), "below 2x floor, no candidate");
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! so a single [`RegressionCase::check`] call replays it bit-for-bit against
 //! the standard oracle set forever after.
 
+use metaclass_netsim::FaultWindow;
 use serde::{Deserialize, Serialize};
 
 use crate::explore::{run_plan, RunOutcome};
 use crate::oracles::standard_oracles;
-use crate::plan::FaultWindow;
 use crate::scenario::Scenario;
 
 /// Current on-disk schema version; bump on incompatible format changes.

@@ -7,16 +7,13 @@
 //! hold/freeze, and resync all fit inside a seconds-long run.
 
 use metaclass_avatar::AvatarId;
-use metaclass_core::{
-    Activity, ClassroomSession, FaultKind, ScenarioSpec, SessionBuilder, SessionConfig,
-    FAULT_EXTRA_LATENCY, FAULT_LOSS,
-};
+use metaclass_core::{Activity, ClassroomSession, ScenarioSpec, SessionBuilder, SessionConfig};
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
 use metaclass_netsim::{
-    EngineConfig, LinkClass, LossModel, NodeId, PopulationProfile, Region, SimDuration, SimTime,
+    EngineConfig, LinkClass, NodeId, PopulationProfile, Region, SimDuration, SimTime,
 };
 
-use crate::plan::{FaultWindow, PlanSpace};
+use crate::plan::PlanSpace;
 
 /// Parameters of one checked session run.
 #[derive(Debug, Clone)]
@@ -142,8 +139,9 @@ impl Scenario {
         // campuses, cohorts, mobility, and flash-crowd/population overlays);
         // the tight tuning above still applies so detection and resync fit
         // the exploration time bounds. Spec stress faults are NOT applied
-        // here — `fixed_windows` lowers them so the explorer composes them
-        // with its generated schedules (and the shrinker sees them).
+        // here — the explorer takes them from `ScenarioSpec::fault_windows`
+        // and composes them with its generated schedules (so the shrinker
+        // sees them).
         let mut builder = match &self.spec {
             Some(spec) => spec
                 .session_builder(self.session_seed)
@@ -192,68 +190,10 @@ impl Scenario {
         PlanSpace {
             pairs: topo.server_pairs(),
             crashable: topo.servers(),
-            splits: topo.splits(),
+            splits: topo.splits.clone(),
             earliest: self.warmup,
             horizon: self.horizon,
         }
-    }
-
-    /// The spec's declarative stress faults lowered to fixed
-    /// [`FaultWindow`]s over the built topology (empty without a spec).
-    /// The explorer prepends these to every generated schedule, so each
-    /// case carries the scenario's scripted disturbances; lowering matches
-    /// the core expander (edge–cloud link for link faults, campus-isolating
-    /// full-coverage partitions, edge crash/restart).
-    pub fn fixed_windows(&self, topo: &Topology) -> Vec<FaultWindow> {
-        let Some(faults) =
-            self.spec.as_ref().and_then(|s| s.stress.as_ref()).and_then(|s| s.faults.as_ref())
-        else {
-            return Vec::new();
-        };
-        faults
-            .iter()
-            .map(|f| {
-                let k = f.campus as usize;
-                let edge = topo.edges[k];
-                let from = SimTime::from_millis(f.at_ms);
-                let until = SimTime::from_millis(f.at_ms.saturating_add(f.for_ms));
-                match f.kind {
-                    FaultKind::LinkFlap => {
-                        FaultWindow::LinkFlap { a: edge, b: topo.cloud, from, until }
-                    }
-                    FaultKind::LossBurst => FaultWindow::LossBurst {
-                        a: edge,
-                        b: topo.cloud,
-                        from,
-                        until,
-                        loss: LossModel::Iid { p: FAULT_LOSS },
-                    },
-                    FaultKind::LatencySpike => FaultWindow::LatencySpike {
-                        a: edge,
-                        b: topo.cloud,
-                        from,
-                        until,
-                        extra: FAULT_EXTRA_LATENCY,
-                    },
-                    FaultKind::Partition => {
-                        let isolated = topo.campus_nodes[k].clone();
-                        let rest: Vec<NodeId> = std::iter::once(topo.cloud)
-                            .chain(
-                                topo.campus_nodes
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(m, _)| *m != k)
-                                    .flat_map(|(_, ns)| ns.iter().copied()),
-                            )
-                            .chain(topo.remote_clients.iter().map(|&(_, n)| n))
-                            .chain(topo.pool_nodes.iter().copied())
-                            .collect();
-                        FaultWindow::Partition { groups: vec![isolated, rest], from, until }
-                    }
-                    FaultKind::CrashEdge => FaultWindow::CrashRestart { node: edge, from, until },
-                }
-            })
-            .collect()
     }
 
     /// End of the run (horizon + settle).
@@ -296,6 +236,12 @@ pub struct Topology {
     pub pool_nodes: Vec<NodeId>,
     /// Members modeled in aggregate by those pools (tracers excluded).
     pub pooled_members: u64,
+    /// Full-coverage partition splits, one per campus
+    /// ([`ClassroomSession::campus_partition`]), campuses isolated in
+    /// descending order; empty with fewer than two campuses. For the classic
+    /// two-campus deployment this is the historical campus-0-with-cloud /
+    /// campus-1-with-cloud pair, byte for byte.
+    pub splits: Vec<Vec<Vec<NodeId>>>,
 }
 
 impl Topology {
@@ -337,6 +283,11 @@ impl Topology {
             session.sim().node_count(),
             "campus groups + cloud + remote clients + pools must cover every node"
         );
+        let splits = if edges.len() < 2 {
+            Vec::new()
+        } else {
+            (0..edges.len()).rev().map(|k| session.campus_partition(k)).collect()
+        };
         Topology {
             cloud,
             edges,
@@ -345,6 +296,7 @@ impl Topology {
             remote_clients,
             pool_nodes,
             pooled_members,
+            splits,
         }
     }
 
@@ -367,41 +319,6 @@ impl Topology {
         pairs
     }
 
-    /// Full-coverage partition splits, one per campus: campus `k` isolated
-    /// from every other campus plus the cloud (and the remote clients and
-    /// pools attached to it). The group containing campus 0 is listed
-    /// first, and campuses are isolated in descending order — for the
-    /// classic two-campus deployment this reproduces the historical
-    /// campus-0-with-cloud / campus-1-with-cloud pair byte for byte.
-    pub fn splits(&self) -> Vec<Vec<Vec<NodeId>>> {
-        let n = self.campus_nodes.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        let cloud_side: Vec<NodeId> = std::iter::once(self.cloud)
-            .chain(self.remote_clients.iter().map(|&(_, n)| n))
-            .chain(self.pool_nodes.iter().copied())
-            .collect();
-        (0..n)
-            .rev()
-            .map(|k| {
-                let isolated = self.campus_nodes[k].clone();
-                let mut rest: Vec<NodeId> = Vec::new();
-                for (j, nodes) in self.campus_nodes.iter().enumerate() {
-                    if j != k {
-                        rest.extend(nodes);
-                    }
-                }
-                rest.extend(&cloud_side);
-                if k == 0 {
-                    vec![isolated, rest]
-                } else {
-                    vec![rest, isolated]
-                }
-            })
-            .collect()
-    }
-
     /// Avatars hosted on any campus other than `campus` (what that campus's
     /// edge replicates remotely).
     pub fn remote_avatars_for(&self, campus: usize) -> Vec<AvatarId> {
@@ -417,6 +334,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaclass_netsim::FaultWindow;
 
     #[test]
     fn topology_covers_every_node_and_numbers_avatars_by_campus() {
@@ -460,7 +378,7 @@ mod tests {
             "the tracer counts as a remote client"
         );
         let n = session.sim().node_count();
-        for split in topo.splits() {
+        for split in &topo.splits {
             assert_eq!(split.iter().map(Vec::len).sum::<usize>(), n, "split must cover every node");
         }
     }
@@ -508,35 +426,26 @@ for_ms = 300
 "#;
 
     #[test]
-    fn spec_driven_scenario_generalizes_topology_splits_and_fixed_windows() {
+    fn spec_driven_scenario_generalizes_topology_and_splits() {
+        let spec = ScenarioSpec::from_toml_str(THREE_CAMPUS).unwrap();
         let mut scn = Scenario::quick(5);
-        scn.spec = Some(ScenarioSpec::from_toml_str(THREE_CAMPUS).unwrap());
+        scn.spec = Some(spec.clone());
         let (session, topo) = scn.build();
         assert_eq!(topo.edges.len(), 3);
         let n = session.sim().node_count();
-        let splits = topo.splits();
-        assert_eq!(splits.len(), 3, "one isolating split per campus");
-        for split in &splits {
+        assert_eq!(topo.splits.len(), 3, "one isolating split per campus");
+        for split in &topo.splits {
             assert_eq!(split.iter().map(Vec::len).sum::<usize>(), n, "split must cover all nodes");
         }
         assert_eq!(topo.server_pairs().len(), 6, "3 edge-edge + 3 edge-cloud");
-        let fixed = scn.fixed_windows(&topo);
+        // The spec's scripted partition of campus 2 is the explorer's own
+        // campus-2 split: one lowering, one set of groups.
+        let fixed = spec.fault_windows(&session);
         assert_eq!(fixed.len(), 2);
-        assert_eq!(fixed[0].kind(), "loss_burst");
-        assert_eq!(fixed[1].kind(), "partition");
-        assert_eq!(fixed[0].from(), SimTime::from_millis(1000));
-        assert_eq!(fixed[0].until(), SimTime::from_millis(1400));
         let FaultWindow::Partition { groups, .. } = &fixed[1] else {
             panic!("expected a partition window");
         };
-        assert_eq!(groups.iter().map(Vec::len).sum::<usize>(), n, "fixed partition covers all");
-    }
-
-    #[test]
-    fn specless_scenarios_have_no_fixed_windows() {
-        let scn = Scenario::quick(3);
-        let (_, topo) = scn.build();
-        assert!(scn.fixed_windows(&topo).is_empty());
+        assert_eq!(groups, &topo.splits[0]);
     }
 
     #[test]
@@ -544,10 +453,19 @@ for_ms = 300
         let scn = Scenario::quick(1);
         let (session, topo) = scn.build();
         let n = session.sim().node_count();
-        for split in topo.splits() {
+        for split in &topo.splits {
             let covered: usize = split.iter().map(Vec::len).sum();
             assert_eq!(covered, n, "split must cover every node");
         }
+        // Cloud 0; campus 0 is nodes 1-4, campus 1 nodes 5-7; remote
+        // clients 8-15. Campus 1 is isolated first, and the group holding
+        // campus 0 is always listed first.
+        let ids = |r: &[usize]| r.iter().copied().map(NodeId::from_index).collect::<Vec<_>>();
+        let remote: Vec<usize> = (8..16).collect();
+        let campus0_side = [&[1, 2, 3, 4, 0][..], &remote].concat();
+        let campus1_side = [&[5, 6, 7, 0][..], &remote].concat();
+        assert_eq!(topo.splits[0], vec![ids(&campus0_side), ids(&[5, 6, 7])]);
+        assert_eq!(topo.splits[1], vec![ids(&[1, 2, 3, 4]), ids(&campus1_side)]);
         assert_eq!(topo.server_pairs().len(), 3, "edge-edge, edge0-cloud, edge1-cloud");
     }
 }

@@ -14,7 +14,8 @@
 
 use std::path::PathBuf;
 
-use metaclass_simcheck::{FaultWindow, RegressionCase, SCHEMA_VERSION};
+use metaclass_netsim::FaultWindow;
+use metaclass_simcheck::{RegressionCase, Scenario, SCHEMA_VERSION};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/regressions")
@@ -43,12 +44,11 @@ fn load_corpus() -> Vec<(String, RegressionCase)> {
 fn corpus() -> Vec<(&'static str, RegressionCase)> {
     use metaclass_netsim::{NodeId, SimTime};
     // Quick-scenario layout: cloud=0; campus 0 is edge=1, array=2,
-    // student=3, presenter=4; campus 1 is edge=5, array=6, student=7.
+    // student=3, presenter=4; campus 1 is edge=5, array=6, student=7;
+    // remote clients are 8-15.
     let cloud = NodeId::from_index(0);
     let edge0 = NodeId::from_index(1);
     let edge1 = NodeId::from_index(5);
-    let campus0: Vec<NodeId> = (1..=4).map(NodeId::from_index).collect();
-    let campus1: Vec<NodeId> = (5..=7).map(NodeId::from_index).collect();
     let ms = SimTime::from_millis;
 
     let case = |description: &str, session_seed, windows| RegressionCase {
@@ -77,14 +77,9 @@ fn corpus() -> Vec<(&'static str, RegressionCase)> {
                  campus 0 + cloud for 600 ms; nothing may cross while active",
                 23,
                 vec![FaultWindow::Partition {
-                    groups: vec![
-                        {
-                            let mut g = vec![cloud];
-                            g.extend(campus0.iter().copied());
-                            g
-                        },
-                        campus1.clone(),
-                    ],
+                    // Every node, so the isolation oracle arms: the remote
+                    // clients sit on the cloud's side.
+                    groups: Scenario::quick(23).build().0.campus_partition(1),
                     from: ms(1000),
                     until: ms(1600),
                 }],

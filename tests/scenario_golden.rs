@@ -138,7 +138,7 @@ fn lab_mobility_is_accounted_exactly() {
 /// link flap + mobility on mixed platforms) passes every simcheck
 /// invariant oracle — packet conservation, partition isolation, staleness
 /// bounds, resync convergence — on both engines, with its scripted faults
-/// lowered to fixed windows.
+/// lowered by `ScenarioSpec::fault_windows`.
 #[test]
 fn stress_spec_passes_every_simcheck_oracle_on_both_engines() {
     let spec = ScenarioSpec::load(&spec_dir().join("stress.toml")).expect("stress spec");
@@ -151,9 +151,9 @@ fn stress_spec_passes_every_simcheck_oracle_on_both_engines() {
         let mut scn = Scenario::quick(GOLDEN_SEED);
         scn.engine = engine;
         scn.spec = Some(spec.clone());
-        let (_, topo) = scn.build();
-        let windows = scn.fixed_windows(&topo);
-        assert_eq!(windows.len(), 2, "both scripted faults lower to fixed windows");
+        let (session, _) = scn.build();
+        let windows = spec.fault_windows(&session);
+        assert_eq!(windows.len(), 2, "both scripted faults lower to fault windows");
         let out = run_plan(&scn, &windows, standard_oracles(&scn));
         assert!(
             out.violation.is_none(),

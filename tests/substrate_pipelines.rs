@@ -139,14 +139,12 @@ fn video_loss_to_comfort_pipeline() {
     assert!(with_loss >= acc_clean.score(), "lost frames can only worsen comfort");
 }
 
-/// Fault injection is replayable: the same seed and the same [`FaultPlan`]
+/// Fault injection is replayable: the same seed and the same fault windows
 /// produce byte-identical traces and metrics across independent runs.
-///
-/// [`FaultPlan`]: metaclassroom::netsim::FaultPlan
 #[test]
 fn fault_injected_runs_are_deterministic() {
     use metaclassroom::core::SessionBuilder;
-    use metaclassroom::netsim::{FaultPlan, LinkClass, LossModel, NodeId, Region};
+    use metaclassroom::netsim::{FaultWindow, LinkClass, LossModel, NodeId, Region};
 
     fn run_once() -> (u64, Vec<(String, u64)>) {
         let mut session = SessionBuilder::new()
@@ -157,30 +155,32 @@ fn fault_injected_runs_are_deterministic() {
             .build();
         let edges: Vec<NodeId> = session.edges().to_vec();
         let cloud = session.cloud();
-        let plan = FaultPlan::new()
-            .link_flap(edges[0], edges[1], SimTime::from_millis(400), SimTime::from_millis(900))
-            .loss_burst(
-                edges[0],
-                cloud,
-                SimTime::from_millis(500),
-                SimTime::from_millis(1500),
-                LossModel::Iid { p: 0.3 },
-            )
-            .latency_spike(
-                edges[1],
-                cloud,
-                SimTime::from_millis(600),
-                SimTime::from_millis(1400),
-                SimDuration::from_millis(80),
-            )
-            .partition_window(
-                &[&[edges[0]], &[edges[1], cloud]],
-                SimTime::from_millis(1600),
-                SimTime::from_millis(2000),
-            )
-            .crash(edges[1], SimTime::from_millis(2200), Some(SimTime::from_millis(2700)));
+        let ms = SimTime::from_millis;
+        let plan = [
+            FaultWindow::LinkFlap { a: edges[0], b: edges[1], from: ms(400), until: ms(900) },
+            FaultWindow::LossBurst {
+                a: edges[0],
+                b: cloud,
+                from: ms(500),
+                until: ms(1500),
+                loss: LossModel::Iid { p: 0.3 },
+            },
+            FaultWindow::LatencySpike {
+                a: edges[1],
+                b: cloud,
+                from: ms(600),
+                until: ms(1400),
+                extra: SimDuration::from_millis(80),
+            },
+            FaultWindow::Partition {
+                groups: vec![vec![edges[0]], vec![edges[1], cloud]],
+                from: ms(1600),
+                until: ms(2000),
+            },
+            FaultWindow::CrashRestart { node: edges[1], from: ms(2200), until: ms(2700) },
+        ];
         session.sim_mut().enable_trace(200_000);
-        session.sim_mut().apply_fault_plan(plan);
+        session.sim_mut().apply_fault_plan(&plan);
         session.run_for(SimDuration::from_secs(3));
         let fingerprint = session.sim().trace().expect("trace enabled").fingerprint();
         let counters =
