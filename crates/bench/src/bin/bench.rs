@@ -121,8 +121,9 @@ fn parse_args() -> Args {
             }
             "--population" => {
                 let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                if n == 0 {
-                    eprintln!("--population must be at least 1");
+                let max = metaclass_netsim::PopulationTimeline::MAX_MEMBERS;
+                if n == 0 || n > max {
+                    eprintln!("--population must be in 1..={max}");
                     std::process::exit(2);
                 }
                 args.population = Some(n);

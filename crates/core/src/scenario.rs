@@ -22,8 +22,8 @@ use std::path::Path;
 
 use metaclass_edge::DevicePlatform;
 use metaclass_netsim::{
-    EngineConfig, FaultWindow, LinkClass, LossModel, PopulationProfile, Region, SimDuration,
-    SimTime,
+    EngineConfig, FaultWindow, LinkClass, LossModel, PopulationProfile, PopulationTimeline, Region,
+    SimDuration, SimTime,
 };
 use serde::{Deserialize, Serialize, Value};
 
@@ -166,9 +166,10 @@ pub struct FlashCrowdSpec {
 pub struct PopulationSpec {
     /// The population's region.
     pub region: Region,
-    /// Total population modeled.
+    /// Total population modeled, at most
+    /// [`PopulationTimeline::MAX_MEMBERS`].
     pub members: u64,
-    /// Members promoted to fully simulated tracer clients.
+    /// Members promoted to fully simulated tracer clients, at most 512.
     pub tracers: u32,
     /// Last-mile access class.
     pub access: LinkClass,
@@ -439,8 +440,18 @@ impl ScenarioSpec {
                 }
             }
             if let Some(p) = &stress.population {
-                if p.members == 0 {
-                    return err("stress.population.members: must be positive".into());
+                if p.members == 0 || p.members > PopulationTimeline::MAX_MEMBERS {
+                    return err(format!(
+                        "stress.population.members: {} outside 1..={}",
+                        p.members,
+                        PopulationTimeline::MAX_MEMBERS
+                    ));
+                }
+                if p.tracers > 512 {
+                    return err(format!(
+                        "stress.population.tracers: {} exceeds the 512 cap",
+                        p.tracers
+                    ));
                 }
             }
             if let Some(faults) = &stress.faults {
@@ -934,6 +945,30 @@ mod tests {
         let err = ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap_err();
         assert!(err.message.contains("stress.faults.0.campus"), "{err}");
         assert!(err.line.is_some(), "{err}");
+    }
+
+    #[test]
+    fn oversized_populations_are_rejected_before_any_allocation() {
+        let population = |members, tracers| {
+            let mut spec = lab_spec();
+            spec.stress.as_mut().unwrap().population = Some(PopulationSpec {
+                region: Region::Europe,
+                members,
+                tracers,
+                access: LinkClass::ResidentialAccess,
+                at_ms: 300,
+                spread_ms: 100,
+            });
+            ScenarioSpec::from_toml_str(&spec.to_toml_string())
+        };
+        population(PopulationTimeline::MAX_MEMBERS, 512).expect("the caps themselves are valid");
+        // The 10^15-member spec used to abort on an 8 PB allocation.
+        for members in [PopulationTimeline::MAX_MEMBERS + 1, 1_000_000_000_000_000, u64::MAX] {
+            let err = population(members, 2).unwrap_err();
+            assert!(err.message.contains("stress.population.members"), "{err}");
+        }
+        let err = population(40, 513).unwrap_err();
+        assert!(err.message.contains("stress.population.tracers"), "{err}");
     }
 
     #[test]

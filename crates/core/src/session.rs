@@ -381,8 +381,9 @@ impl SessionBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no campus and no cohort was added (an empty session), or if
-    /// a campus has more participants than its room has seats.
+    /// Panics if no campus and no cohort was added (an empty session), if
+    /// a campus has more participants than its room has seats, or if a
+    /// population exceeds [`PopulationTimeline::MAX_MEMBERS`].
     pub fn build(self) -> ClassroomSession {
         assert!(
             !self.campuses.is_empty() || !self.cohorts.is_empty() || !self.pools.is_empty(),
@@ -639,9 +640,10 @@ impl SessionBuilder {
             // Flyweight pool nodes, after every individually simulated
             // client, each over an access link scaled by its member count
             // (N parallel last-miles, modeled as one wide one).
-            for (p, (spec, plan)) in self.pools.iter().zip(&pool_plans).enumerate() {
+            for (p, (spec, (timeline, tracer_joins))) in
+                self.pools.iter().zip(pool_plans).enumerate()
+            {
                 let Some(expected) = pool_node_ids[p] else { continue };
-                let timeline = plan.0.clone();
                 let pooled = timeline.members();
                 let pool = p as u32;
                 let node = sim.add_node(
@@ -649,12 +651,11 @@ impl SessionBuilder {
                     ClientPoolNode::new(
                         PoolConfig {
                             pool,
-                            members: pooled,
-                            timeline,
                             tick: cfg.client.pose_rate,
                             dead_reckoning: cfg.client.dead_reckoning,
                             codec: cfg.client.codec,
                         },
+                        timeline,
                         cloud_id,
                         MotionScript::SeatedLecture { seat: Vec3::new(1.0, 0.0, 1.0) },
                         cfg.seed ^ ((pool_avatar(pool).0 as u64) << 16),
@@ -667,7 +668,7 @@ impl SessionBuilder {
                     pool,
                     region: spec.region,
                     pooled,
-                    tracers: plan.1.len() as u32,
+                    tracers: tracer_joins.len() as u32,
                     node,
                 });
             }

@@ -62,10 +62,6 @@ pub fn pool_avatar(pool: u32) -> AvatarId {
 pub struct PoolConfig {
     /// Pool identifier (stable per region, unique per session).
     pub pool: u32,
-    /// Pooled clients this node stands for (excludes the tracer subset).
-    pub members: u64,
-    /// Pre-generated arrival/departure schedule for those members.
-    pub timeline: PopulationTimeline,
     /// Pool tick cadence — also the representative pose upload rate
     /// (matches the individual clients' `pose_rate`).
     pub tick: SimDuration,
@@ -84,6 +80,8 @@ pub struct ClientPoolNode {
     trajectory: Trajectory,
     uplink: SnapshotSender,
     dead_reckoner: DeadReckoningSender,
+    /// Pre-generated arrival/departure schedule of the pooled members (the
+    /// tracer subset excluded); the pool's only copy of it.
     timeline: PopulationTimeline,
     /// Members that have arrived but are not yet admitted or in flight.
     unjoined: u64,
@@ -102,11 +100,17 @@ pub struct ClientPoolNode {
 }
 
 impl ClientPoolNode {
-    /// Creates the pool, serving `server` (the cloud), with its
-    /// representative moving along `script`. `seed` feeds the trajectory
-    /// only; all population randomness is already frozen in the timeline.
-    pub fn new(cfg: PoolConfig, server: NodeId, script: MotionScript, seed: u64) -> Self {
-        let timeline = cfg.timeline.clone();
+    /// Creates the pool for the members `timeline` schedules, serving
+    /// `server` (the cloud), with its representative moving along `script`.
+    /// `seed` feeds the trajectory only; all population randomness is
+    /// already frozen in the timeline.
+    pub fn new(
+        cfg: PoolConfig,
+        timeline: PopulationTimeline,
+        server: NodeId,
+        script: MotionScript,
+        seed: u64,
+    ) -> Self {
         ClientPoolNode {
             uplink: SnapshotSender::new(AvatarCodec::new(cfg.codec), 60),
             dead_reckoner: DeadReckoningSender::new(cfg.dead_reckoning),
@@ -139,7 +143,7 @@ impl ClientPoolNode {
 
     /// Members this pool stands for.
     pub fn members(&self) -> u64 {
-        self.cfg.members
+        self.timeline.members()
     }
 
     /// Aggregate display updates received so far (member-weighted).
@@ -297,7 +301,6 @@ impl Node<ClassMsg> for ClientPoolNode {
         // A crashed pool process loses its volatile membership view; the
         // timeline (the region's population) replays from the top when
         // `on_start` re-arms the tick.
-        self.timeline = self.cfg.timeline.clone();
         self.timeline.rewind();
         self.unjoined = 0;
         self.pending = 0;

@@ -79,9 +79,7 @@ pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Trans
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
 pub use node::{Context, Envelope, Node, NodeId, Timer};
 pub use observe::{SimEvent, SimObserver, SimView};
-pub use population::{
-    ArrivalProcess, ChurnModel, PopulationEvent, PopulationProfile, PopulationTimeline,
-};
+pub use population::{ArrivalProcess, ChurnModel, PopulationProfile, PopulationTimeline};
 pub use rng::DetRng;
 pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
 pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS};

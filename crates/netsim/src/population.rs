@@ -3,15 +3,18 @@
 //! A [`PopulationTimeline`] is the pre-computed arrival/departure schedule of
 //! a pool of statistically-identical remote clients: every join and leave is
 //! materialized once, at build time, from a [`PopulationProfile`] and a
-//! [`DetRng`] stream. The pool actor then consumes the timeline with a
-//! cursor — O(events) work total, never O(members × ticks) — so a run that
-//! models a million pooled clients schedules exactly one entity per region.
+//! [`DetRng`] stream, as one sorted 8-byte instant per join or leave. The
+//! pool actor then consumes the timeline with cursors — a binary search per
+//! tick, never O(members × ticks) — so a run that models a million pooled
+//! clients schedules exactly one entity per region.
 //!
 //! Determinism story: the timeline depends only on `(seed, profile, members,
 //! class length)`. It is generated before the simulation starts, so serial
 //! and sharded engines consume byte-identical schedules; the pool actor
 //! itself performs no randomness beyond what its own derived [`DetRng`]
 //! streams provide.
+
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -95,40 +98,55 @@ impl PopulationProfile {
     }
 }
 
-/// One scheduled population change: `delta` members join (`+`) or leave
-/// (`-`) at `at`. Events are sorted by time; same-time events are coalesced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PopulationEvent {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// Signed member-count change.
-    pub delta: i64,
-}
-
 /// The materialized join/leave schedule of one pool.
 ///
 /// Generated once per run from `(seed, profile, members, horizon)`;
 /// consumed with [`PopulationTimeline::drain_until`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Stored as two sorted instant vectors — one entry (8 bytes) per scheduled
+/// join or leave — plus a cursor into each. A join and a leave at the same
+/// instant cancel at generation, so no instant is in both vectors: what is
+/// left at an instant is its net change, and an instant whose joins and
+/// leaves balance is gone. Draining only moves the cursors, so
+/// [`PopulationTimeline::rewind`] replays the same schedule.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationTimeline {
-    events: Vec<PopulationEvent>,
-    cursor: usize,
+    joins: Vec<SimTime>,
+    leaves: Vec<SimTime>,
+    next_join: usize,
+    next_leave: usize,
     members: u64,
 }
 
 impl PopulationTimeline {
+    /// Largest population one timeline may be generated for: ten times the
+    /// 1M-member planet tier, the largest any experiment runs. Generation
+    /// reserves 8 bytes per member up front (80 MB at this cap), so spec
+    /// loaders and command lines reject larger populations before building
+    /// instead of letting an allocation abort the process.
+    pub const MAX_MEMBERS: u64 = 10_000_000;
+
     /// Generates the timeline for `members` pooled clients over
     /// `[SimTime::ZERO, horizon]`.
     ///
     /// All randomness comes from `rng` (pass a derived stream); two calls
     /// with equal inputs yield equal timelines. Arrivals past `horizon` are
     /// clamped to `horizon` so the whole population is always accounted for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `members` exceeds [`PopulationTimeline::MAX_MEMBERS`].
     pub fn generate(
         profile: &PopulationProfile,
         members: u64,
         horizon: SimTime,
         rng: &mut DetRng,
     ) -> Self {
+        assert!(
+            members <= Self::MAX_MEMBERS,
+            "{members} members exceed PopulationTimeline::MAX_MEMBERS ({})",
+            Self::MAX_MEMBERS
+        );
         let mut joins: Vec<SimTime> = Vec::with_capacity(members as usize);
         match profile.arrivals {
             ArrivalProcess::FlashCrowd { at, spread } => {
@@ -173,33 +191,30 @@ impl PopulationTimeline {
             }
         }
 
-        let mut events: Vec<PopulationEvent> = Vec::with_capacity(joins.len() * 2);
-        for &join in &joins {
-            let join = join.min(horizon);
-            events.push(PopulationEvent { at: join, delta: 1 });
+        // Churn draws walk the joins in generation order, so the stream
+        // position of every draw is independent of the sort below.
+        let mut leaves: Vec<SimTime> = Vec::new();
+        for join in &mut joins {
+            *join = (*join).min(horizon);
             if let Some(churn) = profile.churn {
                 if rng.chance(churn.leave_chance) {
-                    let earliest = (join + churn.min_stay).as_nanos();
+                    let earliest = (*join + churn.min_stay).as_nanos();
                     let latest = horizon.as_nanos();
                     if earliest < latest {
                         let leave = earliest + rng.next_u64() % (latest - earliest);
-                        events.push(PopulationEvent { at: SimTime::from_nanos(leave), delta: -1 });
+                        leaves.push(SimTime::from_nanos(leave));
                     }
                 }
             }
         }
-        events.sort_by_key(|e| e.at);
-        // Coalesce same-instant events so the pool sees one net delta per
-        // distinct time — keeps cursor work proportional to distinct events.
-        let mut coalesced: Vec<PopulationEvent> = Vec::with_capacity(events.len());
-        for e in events {
-            match coalesced.last_mut() {
-                Some(last) if last.at == e.at => last.delta += e.delta,
-                _ => coalesced.push(e),
-            }
-        }
-        coalesced.retain(|e| e.delta != 0);
-        PopulationTimeline { events: coalesced, cursor: 0, members }
+        // Equal instants are interchangeable, so an unstable sort yields
+        // the same vectors a stable one would.
+        joins.sort_unstable();
+        leaves.sort_unstable();
+        net_same_instants(&mut joins, &mut leaves);
+        joins.shrink_to_fit();
+        leaves.shrink_to_fit();
+        PopulationTimeline { joins, leaves, next_join: 0, next_leave: 0, members }
     }
 
     /// Total pool size this timeline was generated for.
@@ -207,84 +222,98 @@ impl PopulationTimeline {
         self.members
     }
 
-    /// All events, in time order (cursor-independent).
-    pub fn events(&self) -> &[PopulationEvent] {
-        &self.events
-    }
-
     /// Net joins (`.0`) and leaves (`.1`) scheduled at or before `now` that
-    /// have not been drained yet; advances the cursor past them.
+    /// have not been drained yet; advances the cursors past them.
     pub fn drain_until(&mut self, now: SimTime) -> (u64, u64) {
-        let mut joins = 0i64;
-        let mut leaves = 0i64;
-        while let Some(e) = self.events.get(self.cursor) {
-            if e.at > now {
-                break;
-            }
-            if e.delta > 0 {
-                joins += e.delta;
-            } else {
-                leaves -= e.delta;
-            }
-            self.cursor += 1;
-        }
+        let joins = self.joins[self.next_join..].partition_point(|&t| t <= now);
+        let leaves = self.leaves[self.next_leave..].partition_point(|&t| t <= now);
+        self.next_join += joins;
+        self.next_leave += leaves;
         (joins as u64, leaves as u64)
     }
 
     /// Time of the next undrained event, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.events.get(self.cursor).map(|e| e.at)
+        [self.joins.get(self.next_join), self.leaves.get(self.next_leave)]
+            .into_iter()
+            .flatten()
+            .min()
+            .copied()
     }
 
-    /// Rewinds the cursor to the beginning (e.g. after a crash-restart).
+    /// Rewinds the cursors to the beginning (e.g. after a crash-restart).
     pub fn rewind(&mut self) {
-        self.cursor = 0;
+        self.next_join = 0;
+        self.next_leave = 0;
     }
 
     /// Splits off `tracers` members as fully simulated clients: returns the
     /// residual pooled timeline (with one join removed at each tracer's
-    /// instant) and the tracers' join instants.
+    /// instant) and the tracers' join instants, sorted ascending.
     ///
-    /// Tracers are sampled by stride across the join order (see
-    /// [`PopulationTimeline::tracer_joins`]), so the residual pool plus the
-    /// tracer clients together reproduce the original population exactly.
-    /// Churn events stay with the pool — tracer clients attend to the end.
+    /// Tracers are sampled by stride across the sorted joins — the `i·n /
+    /// tracers`-th of the `n` joins for each `i < tracers` — so they cover
+    /// the whole arrival curve (first, last, and evenly between), and the
+    /// residual pool plus the tracer clients together reproduce the original
+    /// population exactly. When `tracers >= n` every join is a tracer. Churn
+    /// events stay with the pool — tracer clients attend to the end. The
+    /// residual is built in one pass over the joins.
     pub fn split_tracers(&self, tracers: u64) -> (PopulationTimeline, Vec<SimTime>) {
-        let tracer_joins = self.tracer_joins(tracers);
-        let mut events = self.events.clone();
-        for &at in &tracer_joins {
-            if let Some(e) = events.iter_mut().find(|e| e.at == at && e.delta > 0) {
-                e.delta -= 1;
+        let n = self.joins.len() as u64;
+        let tracers = tracers.min(n);
+        let mut picked = Vec::with_capacity(tracers as usize);
+        let mut joins = Vec::with_capacity((n - tracers) as usize);
+        let mut from = 0;
+        for i in 0..tracers {
+            let rank = (i * n / tracers) as usize;
+            joins.extend_from_slice(&self.joins[from..rank]);
+            picked.push(self.joins[rank]);
+            from = rank + 1;
+        }
+        joins.extend_from_slice(&self.joins[from..]);
+        let residual = PopulationTimeline {
+            joins,
+            leaves: self.leaves.clone(),
+            next_join: 0,
+            next_leave: 0,
+            members: self.members.saturating_sub(tracers),
+        };
+        (residual, picked)
+    }
+}
+
+/// Cancels each leave against a join at the same instant, in place: both
+/// inputs sorted, both outputs sorted, and no instant left in both.
+fn net_same_instants(joins: &mut Vec<SimTime>, leaves: &mut Vec<SimTime>) {
+    let (mut j, mut l, mut kept_joins, mut kept_leaves) = (0, 0, 0, 0);
+    while j < joins.len() && l < leaves.len() {
+        match joins[j].cmp(&leaves[l]) {
+            Ordering::Less => {
+                joins[kept_joins] = joins[j];
+                kept_joins += 1;
+                j += 1;
+            }
+            Ordering::Greater => {
+                leaves[kept_leaves] = leaves[l];
+                kept_leaves += 1;
+                l += 1;
+            }
+            Ordering::Equal => {
+                j += 1;
+                l += 1;
             }
         }
-        events.retain(|e| e.delta != 0);
-        let residual = PopulationTimeline {
-            events,
-            cursor: 0,
-            members: self.members.saturating_sub(tracer_joins.len() as u64),
-        };
-        (residual, tracer_joins)
     }
+    close_gap(joins, j, kept_joins);
+    close_gap(leaves, l, kept_leaves);
+}
 
-    /// The join instants of the `tracers` members promoted to fully
-    /// simulated clients, sampled by stride across the join order so tracers
-    /// cover the whole arrival curve (first, last, and evenly between).
-    ///
-    /// Returned sorted ascending. When `tracers >= members` every join
-    /// instant is returned.
-    pub fn tracer_joins(&self, tracers: u64) -> Vec<SimTime> {
-        let mut joins: Vec<SimTime> = self
-            .events
-            .iter()
-            .filter(|e| e.delta > 0)
-            .flat_map(|e| std::iter::repeat_n(e.at, e.delta.max(0) as usize))
-            .collect();
-        joins.sort();
-        if tracers >= joins.len() as u64 {
-            return joins;
-        }
-        let n = joins.len() as u64;
-        (0..tracers).map(|i| joins[(i * n / tracers) as usize]).collect()
+/// Moves `v[read..]` down to `write` and drops the `read - write` entries
+/// that gap held.
+fn close_gap(v: &mut Vec<SimTime>, read: usize, write: usize) {
+    if read > write {
+        v.copy_within(read.., write);
+        v.truncate(v.len() - (read - write));
     }
 }
 
@@ -300,10 +329,37 @@ mod tests {
     fn flash_crowd_with_zero_spread_is_one_event() {
         let profile = PopulationProfile::flash_crowd(SimTime::from_millis(500), secs(0));
         let mut rng = DetRng::new(1);
-        let tl = PopulationTimeline::generate(&profile, 1000, SimTime::from_secs(10), &mut rng);
-        assert_eq!(tl.events().len(), 1);
-        assert_eq!(tl.events()[0].delta, 1000);
-        assert_eq!(tl.events()[0].at, SimTime::from_millis(500));
+        let mut tl = PopulationTimeline::generate(&profile, 1000, SimTime::from_secs(10), &mut rng);
+        assert_eq!(tl.next_event_at(), Some(SimTime::from_millis(500)));
+        assert_eq!(tl.drain_until(SimTime::from_millis(500)), (1000, 0));
+        assert_eq!(tl.next_event_at(), None);
+    }
+
+    #[test]
+    fn a_join_and_a_leave_at_one_instant_cancel() {
+        let at = |ms| SimTime::from_millis(ms);
+        let mut joins = vec![at(1), at(2), at(2), at(3), at(5)];
+        let mut leaves = vec![at(2), at(3), at(4), at(5), at(5)];
+        net_same_instants(&mut joins, &mut leaves);
+        assert_eq!(joins, [at(1), at(2)]);
+        assert_eq!(leaves, [at(4), at(5)]);
+    }
+
+    #[test]
+    fn rewind_replays_the_schedule() {
+        let profile = PopulationProfile::flash_crowd(SimTime::from_secs(1), secs(2))
+            .with_churn(ChurnModel { leave_chance: 0.3, min_stay: secs(1) });
+        let mut tl = PopulationTimeline::generate(
+            &profile,
+            500,
+            SimTime::from_secs(10),
+            &mut DetRng::new(2),
+        );
+        let first = [tl.drain_until(SimTime::from_secs(2)), tl.drain_until(SimTime::from_secs(10))];
+        tl.rewind();
+        let again = [tl.drain_until(SimTime::from_secs(2)), tl.drain_until(SimTime::from_secs(10))];
+        assert_eq!(first, again);
+        assert_eq!(first[0].0 + first[1].0, 500);
     }
 
     #[test]
@@ -366,12 +422,15 @@ mod tests {
             churn: None,
         };
         let mut rng = DetRng::new(11);
-        let tl = PopulationTimeline::generate(&profile, 300, SimTime::from_secs(60), &mut rng);
-        let total: i64 = tl.events().iter().map(|e| e.delta).sum();
-        assert_eq!(total, 300);
-        for w in tl.events().windows(2) {
-            assert!(w[0].at < w[1].at, "events are strictly ordered after coalescing");
+        let mut tl = PopulationTimeline::generate(&profile, 300, SimTime::from_secs(60), &mut rng);
+        let mut total = 0;
+        let mut last = None;
+        while let Some(at) = tl.next_event_at() {
+            assert!(last < Some(at), "event instants strictly increase");
+            last = Some(at);
+            total += tl.drain_until(at).0;
         }
+        assert_eq!(total, 300);
     }
 
     #[test]
@@ -379,10 +438,12 @@ mod tests {
         let profile = PopulationProfile::flash_crowd(SimTime::from_secs(1), secs(8));
         let mut rng = DetRng::new(5);
         let tl = PopulationTimeline::generate(&profile, 640, SimTime::from_secs(20), &mut rng);
-        let tracers = tl.tracer_joins(16);
+        let (residual, tracers) = tl.split_tracers(16);
         assert_eq!(tracers.len(), 16);
-        let all = tl.tracer_joins(u64::MAX);
+        assert_eq!(residual.members(), 624);
+        let (empty, all) = tl.split_tracers(u64::MAX);
         assert_eq!(all.len(), 640);
+        assert_eq!((empty.members(), empty.next_event_at()), (0, None));
         assert_eq!(tracers[0], all[0], "stride sampling starts at the first join");
         for w in tracers.windows(2) {
             assert!(w[0] <= w[1]);

@@ -1,0 +1,304 @@
+//! Equivalence oracle for [`PopulationTimeline`]: the sorted-instant store
+//! (8 bytes per join or leave, same-instant joins and leaves netted at
+//! generation) against the coalesced `(at, delta)` event timeline it
+//! replaced, kept below verbatim as [`Reference`].
+//!
+//! Both are generated from the same profile, members, horizon and RNG
+//! stream, split into tracers and residual, and drained in lockstep with
+//! non-decreasing instants and a rewind midway. Every return value of
+//! `drain_until`, `next_event_at`, `split_tracers` (tracer instants and
+//! residual) and `members` must agree.
+
+use metaclass_netsim::{
+    ArrivalProcess, ChurnModel, DetRng, PopulationProfile, PopulationTimeline, SimDuration, SimTime,
+};
+use proptest::prelude::*;
+
+/// One coalesced population change of the reference timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PopulationEvent {
+    at: SimTime,
+    delta: i64,
+}
+
+/// The coalesced-event timeline, with the bodies it had before the
+/// sorted-instant store replaced it.
+#[derive(Debug, Clone, PartialEq)]
+struct Reference {
+    events: Vec<PopulationEvent>,
+    cursor: usize,
+    members: u64,
+}
+
+impl Reference {
+    fn generate(
+        profile: &PopulationProfile,
+        members: u64,
+        horizon: SimTime,
+        rng: &mut DetRng,
+    ) -> Self {
+        let mut joins: Vec<SimTime> = Vec::with_capacity(members as usize);
+        match profile.arrivals {
+            ArrivalProcess::FlashCrowd { at, spread } => {
+                let spread_ns = spread.as_nanos();
+                for _ in 0..members {
+                    let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
+                    joins.push(at + SimDuration::from_nanos(offset));
+                }
+            }
+            ArrivalProcess::Poisson { from, mean_gap } => {
+                let rate = 1.0 / (mean_gap.as_nanos().max(1) as f64);
+                let mut t = from;
+                for _ in 0..members {
+                    t += SimDuration::from_nanos(rng.exponential(rate) as u64);
+                    joins.push(t);
+                }
+            }
+            ArrivalProcess::Mmpp { from, busy_gap, quiet_gap, phase_mean } => {
+                let rate_of = |busy: bool| {
+                    let gap = if busy { busy_gap } else { quiet_gap };
+                    1.0 / (gap.as_nanos().max(1) as f64)
+                };
+                let phase_rate = 1.0 / (phase_mean.as_nanos().max(1) as f64);
+                let mut t = from;
+                let mut busy = true;
+                let mut phase_left = rng.exponential(phase_rate);
+                for _ in 0..members {
+                    let mut gap = rng.exponential(rate_of(busy));
+                    // A phase switch mid-gap rescales the memoryless residual
+                    // to the new phase's rate (hazard units are preserved).
+                    while gap > phase_left {
+                        t += SimDuration::from_nanos(phase_left as u64);
+                        let residual = gap - phase_left;
+                        gap = residual * rate_of(busy) / rate_of(!busy);
+                        busy = !busy;
+                        phase_left = rng.exponential(phase_rate);
+                    }
+                    phase_left -= gap;
+                    t += SimDuration::from_nanos(gap as u64);
+                    joins.push(t);
+                }
+            }
+        }
+
+        let mut events: Vec<PopulationEvent> = Vec::with_capacity(joins.len() * 2);
+        for &join in &joins {
+            let join = join.min(horizon);
+            events.push(PopulationEvent { at: join, delta: 1 });
+            if let Some(churn) = profile.churn {
+                if rng.chance(churn.leave_chance) {
+                    let earliest = (join + churn.min_stay).as_nanos();
+                    let latest = horizon.as_nanos();
+                    if earliest < latest {
+                        let leave = earliest + rng.next_u64() % (latest - earliest);
+                        events.push(PopulationEvent { at: SimTime::from_nanos(leave), delta: -1 });
+                    }
+                }
+            }
+        }
+        events.sort_by_key(|e| e.at);
+        // Coalesce same-instant events so the pool sees one net delta per
+        // distinct time — keeps cursor work proportional to distinct events.
+        let mut coalesced: Vec<PopulationEvent> = Vec::with_capacity(events.len());
+        for e in events {
+            match coalesced.last_mut() {
+                Some(last) if last.at == e.at => last.delta += e.delta,
+                _ => coalesced.push(e),
+            }
+        }
+        coalesced.retain(|e| e.delta != 0);
+        Reference { events: coalesced, cursor: 0, members }
+    }
+
+    fn members(&self) -> u64 {
+        self.members
+    }
+
+    fn drain_until(&mut self, now: SimTime) -> (u64, u64) {
+        let mut joins = 0i64;
+        let mut leaves = 0i64;
+        while let Some(e) = self.events.get(self.cursor) {
+            if e.at > now {
+                break;
+            }
+            if e.delta > 0 {
+                joins += e.delta;
+            } else {
+                leaves -= e.delta;
+            }
+            self.cursor += 1;
+        }
+        (joins as u64, leaves as u64)
+    }
+
+    fn next_event_at(&self) -> Option<SimTime> {
+        self.events.get(self.cursor).map(|e| e.at)
+    }
+
+    fn rewind(&mut self) {
+        self.cursor = 0;
+    }
+
+    fn split_tracers(&self, tracers: u64) -> (Reference, Vec<SimTime>) {
+        let tracer_joins = self.tracer_joins(tracers);
+        let mut events = self.events.clone();
+        for &at in &tracer_joins {
+            if let Some(e) = events.iter_mut().find(|e| e.at == at && e.delta > 0) {
+                e.delta -= 1;
+            }
+        }
+        events.retain(|e| e.delta != 0);
+        let residual = Reference {
+            events,
+            cursor: 0,
+            members: self.members.saturating_sub(tracer_joins.len() as u64),
+        };
+        (residual, tracer_joins)
+    }
+
+    fn tracer_joins(&self, tracers: u64) -> Vec<SimTime> {
+        let mut joins: Vec<SimTime> = self
+            .events
+            .iter()
+            .filter(|e| e.delta > 0)
+            .flat_map(|e| std::iter::repeat_n(e.at, e.delta.max(0) as usize))
+            .collect();
+        joins.sort();
+        if tracers >= joins.len() as u64 {
+            return joins;
+        }
+        let n = joins.len() as u64;
+        (0..tracers).map(|i| joins[(i * n / tracers) as usize]).collect()
+    }
+}
+
+fn ns(n: u64) -> SimDuration {
+    SimDuration::from_nanos(n)
+}
+
+/// A span of 1 ns to 2^`bits` ns, log-uniform, so short spans are as likely
+/// as long ones.
+fn log_ns(p: &mut DetRng, bits: u64) -> SimDuration {
+    let bound = 1 << p.range_u64(1, bits + 1);
+    ns(p.range_u64(1, bound))
+}
+
+/// A population drawn from `shape`: members from a handful to thousands.
+///
+/// Half the cases crowd joins and leaves onto a few instants: a flash crowd
+/// spread over at most 1 µs, churn with `min_stay` 0 and a horizon within
+/// 2 µs of the bell, so leaves land on join instants and some instants net
+/// to zero. The other half mix flash crowds (no spread, up to 1 µs, up to
+/// seconds), Poisson and MMPP arrivals with gaps from 1 ns up, churn off or
+/// on, and horizons that clamp every arrival, clamp the tail, or clamp
+/// nothing.
+fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
+    let mut p = DetRng::new(shape);
+    let members = match p.index(3) {
+        0 => p.range_u64(1, 8),
+        1 => p.range_u64(1, 300),
+        _ => p.range_u64(300, 4_000),
+    };
+    let at = SimTime::from_nanos(p.range_u64(0, 2_000_000_000));
+    let leave_chance = p.range_f64(0.0, 1.0);
+    if p.chance(0.5) {
+        let churn = ChurnModel { leave_chance, min_stay: SimDuration::ZERO };
+        let profile = PopulationProfile::flash_crowd(at, ns(p.range_u64(0, 1_001)));
+        return (profile.with_churn(churn), members, at + log_ns(&mut p, 11));
+    }
+    let arrivals = match p.index(5) {
+        0 => ArrivalProcess::FlashCrowd { at, spread: SimDuration::ZERO },
+        1 => ArrivalProcess::FlashCrowd { at, spread: ns(p.range_u64(1, 1_001)) },
+        2 => ArrivalProcess::FlashCrowd { at, spread: log_ns(&mut p, 32) },
+        3 => ArrivalProcess::Poisson { from: at, mean_gap: log_ns(&mut p, 23) },
+        _ => ArrivalProcess::Mmpp {
+            from: at,
+            busy_gap: log_ns(&mut p, 19),
+            quiet_gap: log_ns(&mut p, 25),
+            phase_mean: log_ns(&mut p, 28),
+        },
+    };
+    let churn = match p.index(3) {
+        0 => None,
+        1 => Some(ChurnModel { leave_chance, min_stay: SimDuration::ZERO }),
+        _ => Some(ChurnModel { leave_chance, min_stay: log_ns(&mut p, 31) }),
+    };
+    let horizon = match p.index(4) {
+        0 => SimTime::from_nanos(at.as_nanos() / 2),
+        1 => at + log_ns(&mut p, 11),
+        2 => at + log_ns(&mut p, 32),
+        _ => SimTime::from_secs(3_600),
+    };
+    (PopulationProfile { arrivals, churn }, members, horizon)
+}
+
+/// Tracer counts at and around every boundary of the stride sampling.
+fn tracer_count(members: u64, pick: u64) -> u64 {
+    [0, 1, 16, members - 1, members, members + 1 + pick % 64, u64::MAX][(pick % 7) as usize]
+}
+
+/// Drains both timelines in lockstep — non-decreasing instants that hit
+/// event instants exactly, fall just short of them, repeat, or leap — with
+/// a rewind midway, and then drains the rest; every return must agree.
+fn drive(new: &mut PopulationTimeline, old: &mut Reference, steps: u64) {
+    let mut p = DetRng::new(steps);
+    let mut now = SimTime::ZERO;
+    let n = 2 + p.index(60);
+    for step in 0..n {
+        if step == n / 2 {
+            new.rewind();
+            old.rewind();
+            if p.chance(0.5) {
+                now = SimTime::ZERO;
+            }
+        }
+        assert_eq!(new.next_event_at(), old.next_event_at(), "next event, step {step}");
+        now = match (p.index(4), old.next_event_at()) {
+            (0, Some(at)) => at.max(now),
+            (1, Some(at)) => SimTime::from_nanos(at.as_nanos().saturating_sub(1)).max(now),
+            (2, _) => now,
+            _ => now + ns(p.range_u64(0, 400_000_000)),
+        };
+        assert_eq!(new.drain_until(now), old.drain_until(now), "drain to {now:?}, step {step}");
+    }
+    assert_eq!(new.drain_until(SimTime::MAX), old.drain_until(SimTime::MAX), "final drain");
+    assert_eq!(new.next_event_at(), None);
+    assert_eq!(old.next_event_at(), None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Generation, tracer sampling, the split and every drain agree with the
+    /// coalesced-event reference, on the full timeline and on the residual.
+    #[test]
+    fn prop_sorted_instants_match_the_coalesced_events(
+        seed in any::<u64>(),
+        shape in any::<u64>(),
+        pick in any::<u64>(),
+        steps in any::<u64>(),
+    ) {
+        let (profile, members, horizon) = population(shape);
+        let mut new = PopulationTimeline::generate(&profile, members, horizon, &mut DetRng::new(seed));
+        let mut old = Reference::generate(&profile, members, horizon, &mut DetRng::new(seed));
+        prop_assert_eq!(new.members(), old.members());
+
+        let tracers = tracer_count(members, pick);
+        let (mut new_residual, new_tracers) = new.split_tracers(tracers);
+        let (mut old_residual, old_tracers) = old.split_tracers(tracers);
+        prop_assert_eq!(&new_tracers, &old_tracers);
+        prop_assert_eq!(new_residual.members(), old_residual.members());
+
+        // Every coalesced event, one drain per instant.
+        let mut walk = old.clone();
+        while let Some(at) = walk.next_event_at() {
+            prop_assert_eq!(new.next_event_at(), Some(at));
+            prop_assert_eq!(new.drain_until(at), walk.drain_until(at));
+        }
+        prop_assert_eq!(new.next_event_at(), None);
+        new.rewind();
+
+        drive(&mut new, &mut old, steps);
+        drive(&mut new_residual, &mut old_residual, steps ^ 1);
+    }
+}
