@@ -488,10 +488,12 @@ impl ScenarioSpec {
                 map.entry(key.to_string()).or_insert_with(|| Value::Array(Vec::new()));
             }
         }
-        let spec =
-            Self::from_value(&value).map_err(|e| locate_serde_error(&e.to_string(), &lines))?;
+        let spec = Self::from_value(&value).map_err(|e| ScenarioError {
+            line: locate_path(e.path(), &lines),
+            ..ScenarioError::new(e.to_string())
+        })?;
         spec.validate().map_err(|mut e| {
-            e.line = e.line.or_else(|| locate_path(&e.message, &lines));
+            e.line = e.line.or_else(|| locate_path(e.message.split(':').next()?, &lines));
             e
         })?;
         Ok(spec)
@@ -512,23 +514,10 @@ impl ScenarioSpec {
     }
 }
 
-/// Finds the line of the construct a serde error message points at, by the
-/// backticked field name it mentions.
-fn locate_serde_error(message: &str, lines: &BTreeMap<String, u32>) -> ScenarioError {
-    let mut err = ScenarioError::new(message);
-    if let Some(field) = message.split('`').nth(1) {
-        err.line =
-            lines.iter().find(|(path, _)| path.rsplit('.').next() == Some(field)).map(|(_, &l)| l);
-    }
-    err
-}
-
-/// Finds the line of a dotted path mentioned at the start of a validation
-/// message (e.g. `stress.faults.1.campus: ...`).
-fn locate_path(message: &str, lines: &BTreeMap<String, u32>) -> Option<u32> {
-    let path = message.split(':').next()?;
+/// Finds the line of a dotted path (e.g. `stress.faults.1.campus`), or of
+/// its nearest recorded ancestor.
+fn locate_path(path: &str, lines: &BTreeMap<String, u32>) -> Option<u32> {
     lines.get(path).copied().or_else(|| {
-        // Fall back to the nearest recorded ancestor of the path.
         let mut p = path;
         while let Some((parent, _)) = p.rsplit_once('.') {
             if let Some(&l) = lines.get(parent) {
@@ -926,6 +915,21 @@ mod tests {
             let text = format!("name = \"x\"\nduration_ms = {literal}\n");
             let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
             assert_eq!(err.line, Some(2), "{err}");
+        }
+        // A bad value inside an array of tables names its element and line,
+        // so the first and second `[[cohorts]]` do not read the same.
+        let lab: Vec<&str> = include_str!("../../../scenarios/lab.toml").lines().collect();
+        let regions = (0..lab.len()).filter(|&i| lab[i].starts_with("region = "));
+        let paths =
+            ["campuses.0.region", "campuses.1.region", "cohorts.0.region", "cohorts.1.region"];
+        assert_eq!(regions.clone().count(), paths.len());
+        for (at, path) in regions.zip(paths) {
+            let mut text = lab.clone();
+            text[at] = "region = \"Mars\"";
+            let text = text.join("\n");
+            let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            assert_eq!(err.line, Some(at as u32 + 1), "{err}");
+            assert!(err.message.starts_with(&format!("{path}: unknown variant `Mars`")), "{err}");
         }
     }
 

@@ -179,7 +179,7 @@ pub enum DropReason {
     Loss,
     /// The link was administratively down or severed by a partition.
     LinkDown,
-    /// The destination (or forwarding) node was crashed.
+    /// The destination node was crashed.
     NodeDown,
 }
 

@@ -41,13 +41,11 @@ impl std::fmt::Display for NodeId {
 /// A fired timer, delivered to [`Node::on_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timer {
-    /// Unique id returned by [`Context::set_timer`].
-    pub id: u64,
     /// Caller-chosen tag distinguishing timer purposes.
     pub tag: u64,
 }
 
-/// A message in flight, with routing metadata.
+/// A message in flight, with its endpoints.
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {
     /// Originating node.
@@ -64,8 +62,7 @@ pub struct Envelope<M> {
 
 pub(crate) enum Op<M> {
     Send { dst: NodeId, payload: M, size_bytes: u32 },
-    SetTimer { id: u64, after: SimDuration, tag: u64 },
-    CancelTimer { id: u64 },
+    SetTimer { after: SimDuration, tag: u64 },
 }
 
 /// The engine handle passed to every [`Node`] callback.
@@ -79,7 +76,6 @@ pub struct Context<'a, M> {
     pub(crate) ops: &'a mut Vec<Op<M>>,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) metrics: &'a mut MetricsRegistry,
-    pub(crate) timer_counter: &'a mut u64,
 }
 
 impl<M> Context<'_, M> {
@@ -95,30 +91,17 @@ impl<M> Context<'_, M> {
 
     /// Sends `payload` to `dst` with the given wire size.
     ///
-    /// The message is routed over configured links (multi-hop if needed) and
-    /// subject to their delay, loss, and queueing. Delivery is not guaranteed.
+    /// The message travels the direct link from this node to `dst`, subject
+    /// to its delay, loss, and queueing; with no such link it is dropped and
+    /// counted as `net.dropped.no_route`. Delivery is not guaranteed.
     pub fn send(&mut self, dst: NodeId, payload: M, size_bytes: u32) {
         self.ops.push(Op::Send { dst, payload, size_bytes });
     }
 
     /// Arms a one-shot timer that fires `after` from now, carrying `tag`.
-    ///
-    /// Returns the timer id, usable with [`Context::cancel_timer`].
-    pub fn set_timer(&mut self, after: SimDuration, tag: u64) -> u64 {
-        // Ids pack the owning node into the high half over a per-node
-        // counter: globally unique, yet assignable without any cross-node
-        // state, so sharded execution mints the same ids as serial.
-        *self.timer_counter += 1;
-        debug_assert!(*self.timer_counter < 1 << 32, "per-node timer ids exhausted");
-        let id = ((self.id.0 as u64) << 32) | *self.timer_counter;
-        self.ops.push(Op::SetTimer { id, after, tag });
-        id
-    }
-
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, id: u64) {
-        self.ops.push(Op::CancelTimer { id });
+    /// A timer cannot be cancelled; a crash voids every timer the node armed.
+    pub fn set_timer(&mut self, after: SimDuration, tag: u64) {
+        self.ops.push(Op::SetTimer { after, tag });
     }
 
     /// This node's deterministic random stream.

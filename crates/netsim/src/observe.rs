@@ -54,7 +54,7 @@ pub enum SimEvent<'a> {
         sent_at: SimTime,
     },
     /// A message was dropped in transit (link loss, queue overflow, link or
-    /// node down). Multi-hop messages report at most one drop.
+    /// node down).
     Dropped {
         /// Original sender.
         src: NodeId,
@@ -75,7 +75,7 @@ pub enum SimEvent<'a> {
         size_bytes: u32,
     },
     /// A live timer fired and the node's `on_timer` ran. Swallowed timers
-    /// (cancelled, stale epoch, crashed node) are *not* reported.
+    /// (stale epoch, crashed node) are *not* reported.
     TimerFired {
         /// The node whose timer fired.
         node: NodeId,

@@ -63,9 +63,6 @@ pub trait EventQueue<T, S: Copy + Ord = u64> {
     /// the logical contents are unchanged.
     fn peek_key(&mut self) -> Option<(SimTime, S)>;
 
-    /// Removes and returns the minimum-key event only if `pred` accepts it.
-    fn pop_if(&mut self, pred: impl FnOnce(SimTime, S, &T) -> bool) -> Option<(SimTime, S, T)>;
-
     /// Number of pending events.
     fn len(&self) -> usize;
 
@@ -133,15 +130,6 @@ impl<T, S: Copy + Ord> EventQueue<T, S> for BinaryHeapQueue<T, S> {
 
     fn peek_key(&mut self) -> Option<(SimTime, S)> {
         self.heap.peek().map(|Reverse(e)| e.key())
-    }
-
-    fn pop_if(&mut self, pred: impl FnOnce(SimTime, S, &T) -> bool) -> Option<(SimTime, S, T)> {
-        let Reverse(e) = self.heap.peek()?;
-        if pred(e.at, e.seq, &e.item) {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     fn len(&self) -> usize {
@@ -350,22 +338,6 @@ impl<T, S: Copy + Ord> EventQueue<T, S> for TimerWheel<T, S> {
         self.front_source().map(|(_, at, seq)| (at, seq))
     }
 
-    fn pop_if(&mut self, pred: impl FnOnce(SimTime, S, &T) -> bool) -> Option<(SimTime, S, T)> {
-        let (from_wheel, _, _) = self.front_source()?;
-        let accept = if from_wheel {
-            let &(at, seq) = self.active_keys.front().expect("front_source saw the wheel");
-            let item = self.active_items.front().expect("active lanes in lockstep");
-            pred(at, seq, item)
-        } else {
-            let Reverse(e) = self.overflow.peek().expect("front_source saw overflow");
-            pred(e.at, e.seq, &e.item)
-        };
-        if !accept {
-            return None;
-        }
-        Some(if from_wheel { self.pop_active() } else { self.pop_overflow() })
-    }
-
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
     }
@@ -432,16 +404,6 @@ mod tests {
         let near = SimTime::from_nanos(far.as_nanos() + 5);
         wheel.push(near, 1, 1);
         assert_eq!(wheel.pop().unwrap(), (near, 1, 1));
-    }
-
-    #[test]
-    fn pop_if_only_pops_matching_front() {
-        let mut wheel = TimerWheel::new();
-        wheel.push(SimTime::from_nanos(5), 0, 7);
-        assert!(wheel.pop_if(|_, _, &v| v == 9).is_none());
-        assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.pop_if(|_, _, &v| v == 7).unwrap(), (SimTime::from_nanos(5), 0, 7));
-        assert!(wheel.is_empty());
     }
 
     #[test]

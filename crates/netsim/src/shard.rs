@@ -36,7 +36,7 @@
 //!
 //! Byte-identity with the serial engine is structural rather than aspirational:
 //! a lane *is* the serial [`Core`] with the slots it does not own left empty,
-//! so both executors run the same dispatch/route/transmit code, draw from the
+//! so both executors run the same dispatch/transmit code, draw from the
 //! same per-node and per-link RNG streams, and mint the same causal stamps.
 //! The total event order `(SimTime, stamp)` is executor-independent, and
 //! within one lane events pop in exactly that order, so the barrier merge is
@@ -188,7 +188,6 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
             lane.nodes = (0..n).map(|_| None).collect();
             lane.rngs = vec![DetRng::new(0); n];
             lane.push_counters = sim.core.push_counters.clone();
-            lane.timer_counters = sim.core.timer_counters.clone();
             lane.crashed = sim.core.crashed.clone();
             lane.epochs = sim.core.epochs.clone();
             lane.links = (0..nl).map(|_| dummy_link()).collect();
@@ -216,16 +215,6 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
         lanes[s].links[li] = std::mem::replace(&mut sim.core.links[li], dummy_link());
         lanes[s].link_rngs[li] = std::mem::replace(&mut sim.core.link_rngs[li], DetRng::new(0));
     }
-    for (src, table) in sim.core.route_cache.drain() {
-        lanes[plan.shard_of[src as usize] as usize].route_cache.insert(src, table);
-    }
-    // Timer ids pack the owning node in the high half, so cancellations
-    // partition cleanly to the lane whose timer they would swallow.
-    let cancelled: Vec<u64> = sim.core.cancelled_timers.drain().collect();
-    for id in cancelled {
-        let owner = (id >> 32) as usize;
-        lanes[plan.shard_of[owner] as usize].cancelled_timers.insert(id);
-    }
     // The serial world's warm op arena seeds lane 0; the other lanes grow
     // their own on first use and hand the widest one back at reassembly.
     lanes[0].ops_arena = std::mem::take(&mut sim.core.ops_arena);
@@ -241,12 +230,12 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
                 faults.push_back((at, stamp, index));
                 continue;
             }
-            EventKind::Deliver { hop, env } => {
+            EventKind::Deliver { dst, env } => {
                 // Envelopes move between the global slab and the owning
                 // lane's slab; the queue entry is re-indexed in place.
-                let s = plan.shard_of[hop.index()] as usize;
+                let s = plan.shard_of[dst.index()] as usize;
                 let env = lanes[s].env_slab.insert(sim.core.env_slab.take(env));
-                lanes[s].queue.push(at, stamp, EventKind::Deliver { hop, env });
+                lanes[s].queue.push(at, stamp, EventKind::Deliver { dst, env });
                 continue;
             }
             EventKind::Timer { node, .. } => plan.shard_of[node.index()],
@@ -275,7 +264,6 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
                 sim.core.nodes[idx] = Some(node);
                 sim.core.rngs[idx] = std::mem::replace(&mut lane.rngs[idx], DetRng::new(0));
                 sim.core.push_counters[idx] = lane.push_counters[idx];
-                sim.core.timer_counters[idx] = lane.timer_counters[idx];
             }
         }
         for li in 0..lane.links.len() {
@@ -284,10 +272,6 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
                 sim.core.link_rngs[li] = std::mem::replace(&mut lane.link_rngs[li], DetRng::new(0));
             }
         }
-        for (src, table) in lane.route_cache.drain() {
-            sim.core.route_cache.insert(src, table);
-        }
-        sim.core.cancelled_timers.extend(lane.cancelled_timers.drain());
         // Keep the widest warm arena; fold memory-pressure high waters.
         if lane.ops_arena.capacity() > sim.core.ops_arena.capacity() {
             sim.core.ops_arena = std::mem::take(&mut lane.ops_arena);
@@ -309,18 +293,18 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
         // executed flow back into the global queue; their buffers are kept
         // for reuse.
         for mut buf in std::mem::take(&mut lane.inboxes) {
-            for (at, stamp, hop, env) in buf.drain(..) {
+            for (at, stamp, dst, env) in buf.drain(..) {
                 let env = sim.core.env_slab.insert(env);
-                sim.core.queue.push(at, stamp, EventKind::Deliver { hop, env });
+                sim.core.queue.push(at, stamp, EventKind::Deliver { dst, env });
             }
             sim.core.spare_boxes.push(buf);
         }
         sim.core.spare_boxes.append(&mut lane.spare_boxes);
         while let Some((at, stamp, kind)) = lane.queue.pop() {
             let kind = match kind {
-                EventKind::Deliver { hop, env } => {
+                EventKind::Deliver { dst, env } => {
                     let env = sim.core.env_slab.insert(lane.env_slab.take(env));
-                    EventKind::Deliver { hop, env }
+                    EventKind::Deliver { dst, env }
                 }
                 other => other,
             };
@@ -351,9 +335,9 @@ fn lane_window<M: 'static>(core: &mut Core<M>, w_end: Option<SimTime>) -> u64 {
             Some((at, _)) if w_end.is_none_or(|e| at < e) => {}
             _ => break,
         }
-        match core.step_inner(u64::MAX) {
+        match core.step_inner() {
             Stepped::Idle => break,
-            Stepped::Events(k) => n += k,
+            Stepped::Event => n += 1,
             Stepped::Fault { .. } => unreachable!("faults never reach a shard lane"),
         }
     }
@@ -558,7 +542,8 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
                     slots.iter_mut().map(|s| s.take().expect("lane checked in")).collect();
                 reassemble(sim, taken, std::mem::take(&mut faults));
                 while sim.core.queue.peek_key().is_some_and(|(at, _)| at == w_start) {
-                    total += sim.step_budget(u64::MAX);
+                    sim.step_event();
+                    total += 1;
                 }
                 let (new_lanes, new_faults) = deal_out(sim, &plan);
                 slots = new_lanes.into_iter().map(Some).collect();

@@ -7,8 +7,7 @@
 //! executors produce byte-identical traces, metrics, and node states.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::fault::{FaultAction, FaultWindow};
@@ -86,9 +85,9 @@ pub fn parse_engine(s: &str) -> Option<EngineConfig> {
 //     already popped has a strictly smaller depth than anything a handler can
 //     still push, so pop order equals stamp order — the property that lets
 //     shard-local streams be merged back into the serial total order.
-//   * `origin`  — the node whose handler (or forwarding hop) scheduled the
-//     event; two reserved origins order engine-scheduled events after all
-//     node-scheduled ones at the same depth.
+//   * `origin`  — the node whose handler scheduled the event; two reserved
+//     origins order engine-scheduled events after all node-scheduled ones at
+//     the same depth.
 //   * `counter` — per-origin push counter.
 //
 // All three components are derivable from the scheduling node's own state,
@@ -151,10 +150,6 @@ impl<M> EnvSlab<M> {
         env
     }
 
-    pub(crate) fn get(&self, idx: u32) -> &Envelope<M> {
-        self.slots[idx as usize].as_ref().expect("envelope already taken")
-    }
-
     /// Highest number of envelopes ever live at once.
     pub(crate) fn high_water(&self) -> u32 {
         self.high_water
@@ -176,10 +171,10 @@ impl<M> EnvSlab<M> {
 }
 
 pub(crate) enum EventKind {
-    /// Arrival of a message at `hop` (which may forward it further).
+    /// Arrival of a message at its destination `dst`.
     Deliver {
-        /// The node the message arrives at next.
-        hop: NodeId,
+        /// The receiving node.
+        dst: NodeId,
         /// Slab index of the message in flight (see [`EnvSlab`]).
         env: u32,
     },
@@ -188,8 +183,6 @@ pub(crate) enum EventKind {
     Timer {
         /// Owning node.
         node: NodeId,
-        /// Timer id minted by [`Context::set_timer`].
-        id: u64,
         /// Caller-chosen tag.
         tag: u64,
         /// Node incarnation the timer was armed in.
@@ -206,7 +199,7 @@ pub(crate) enum EventKind {
 /// [`Simulation`], which owns the fault-action table.
 pub(crate) enum Stepped {
     Idle,
-    Events(u64),
+    Event,
     Fault { index: usize },
 }
 
@@ -225,8 +218,6 @@ pub(crate) struct Core<M> {
     pub(crate) rngs: Vec<DetRng>,
     /// Per-node event push counters (stamp `counter` component).
     pub(crate) push_counters: Vec<u64>,
-    /// Per-node timer-id counters (see [`Context::set_timer`]).
-    pub(crate) timer_counters: Vec<u64>,
     /// Whether each node is currently crashed (blackholed, timers voided).
     pub(crate) crashed: Vec<bool>,
     /// Incarnation counter per node; bumped at crash to void stale timers.
@@ -236,17 +227,15 @@ pub(crate) struct Core<M> {
     /// seed by link id — independent of which executor runs the transmit.
     pub(crate) link_rngs: Vec<DetRng>,
     pub(crate) link_ends: Arc<Vec<(NodeId, NodeId)>>,
-    /// adjacency[src] -> (dst -> link), deterministic order.
+    /// adjacency[src] -> (dst -> link): a send takes the direct link to its
+    /// destination or has no route.
     pub(crate) adjacency: Arc<Vec<BTreeMap<u32, LinkId>>>,
-    /// Static propagation delay per link in ns (routing weights). Shared so
-    /// lanes can route across links they do not own.
+    /// Static propagation delay per link in ns, the source of the sharded
+    /// engine's lookahead.
     pub(crate) static_delays: Arc<Vec<u64>>,
-    /// Per-source next-hop tables, computed lazily, cleared on topology change.
-    pub(crate) route_cache: HashMap<u32, Vec<Option<(u32, LinkId)>>>,
     pub(crate) queue: TimerWheel<EventKind, u128>,
     /// In-flight envelopes referenced by queue entries (see [`EnvSlab`]).
     pub(crate) env_slab: EnvSlab<M>,
-    pub(crate) cancelled_timers: HashSet<u64>,
     /// The recycled op arena handed to [`Context`] during dispatch. Dispatch
     /// is never re-entrant, so one buffer serves every handler; it grows to
     /// the widest op burst and is then reused allocation-free.
@@ -319,7 +308,6 @@ impl<M> Core<M> {
             nodes: Vec::new(),
             rngs: Vec::new(),
             push_counters: Vec::new(),
-            timer_counters: Vec::new(),
             crashed: Vec::new(),
             epochs: Vec::new(),
             links: Vec::new(),
@@ -327,10 +315,8 @@ impl<M> Core<M> {
             link_ends: Arc::new(Vec::new()),
             adjacency: Arc::new(Vec::new()),
             static_delays: Arc::new(Vec::new()),
-            route_cache: HashMap::new(),
             queue: TimerWheel::new(),
             env_slab: EnvSlab::new(),
-            cancelled_timers: HashSet::new(),
             ops_arena: Vec::new(),
             ops_high_water: 0,
             metrics: MetricsRegistry::new(),
@@ -370,21 +356,21 @@ impl<M> Core<M> {
 
     /// Enqueues a delivery, diverting it to the destination shard's outbox
     /// when it crosses a shard boundary (lane mode only).
-    fn push_deliver(&mut self, at: SimTime, stamp: u128, hop: NodeId, env: Envelope<M>) {
+    fn push_deliver(&mut self, at: SimTime, stamp: u128, dst: NodeId, env: Envelope<M>) {
         if let Some(map) = &self.shard_of {
-            let dest = map[hop.index()];
+            let dest = map[dst.index()];
             if dest != self.my_shard {
                 let d = dest as usize;
                 let ns = at.as_nanos();
                 if ns < self.outbox_mins[d] {
                     self.outbox_mins[d] = ns;
                 }
-                self.outboxes[d].push((at, stamp, hop, env));
+                self.outboxes[d].push((at, stamp, dst, env));
                 return;
             }
         }
         let env = self.env_slab.insert(env);
-        self.queue.push(at, stamp, EventKind::Deliver { hop, env });
+        self.queue.push(at, stamp, EventKind::Deliver { dst, env });
     }
 
     /// Earliest pending instant in this lane — local queue or an undrained
@@ -402,10 +388,10 @@ impl<M> Core<M> {
         }
         let mut bufs = std::mem::take(&mut self.inboxes);
         for buf in &mut bufs {
-            for (at, stamp, hop, env) in buf.drain(..) {
+            for (at, stamp, dst, env) in buf.drain(..) {
                 debug_assert!(at >= self.time, "cross-shard delivery in a lane's past");
                 let env = self.env_slab.insert(env);
-                self.queue.push(at, stamp, EventKind::Deliver { hop, env });
+                self.queue.push(at, stamp, EventKind::Deliver { dst, env });
             }
         }
         self.spare_boxes.append(&mut bufs);
@@ -449,43 +435,32 @@ impl<M> Core<M> {
 }
 
 impl<M: 'static> Core<M> {
-    /// Processes the next event plus — within `budget` — any immediately
-    /// following same-instant deliveries to the same node, which share one
-    /// node borrow. Fault events advance the clock and bubble up for the
-    /// owner of the fault table to execute.
-    pub(crate) fn step_inner(&mut self, budget: u64) -> Stepped {
-        let (at, stamp, kind) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Stepped::Idle,
+    /// Processes the next event. Fault events advance the clock and bubble
+    /// up for the owner of the fault table to execute.
+    pub(crate) fn step_inner(&mut self) -> Stepped {
+        let Some((at, stamp, kind)) = self.queue.pop() else {
+            return Stepped::Idle;
         };
         debug_assert!(at >= self.time, "time went backwards");
         self.time = at;
         self.cur_depth = stamp_depth(stamp);
         self.cur_stamp = stamp;
         self.events_processed += 1;
-        let mut processed = 1;
         match kind {
-            EventKind::Fault { index } => {
-                return Stepped::Fault { index };
-            }
-            EventKind::Timer { node, id, tag, epoch } => {
-                if self.cancelled_timers.remove(&id) {
-                    return Stepped::Events(processed);
-                }
+            EventKind::Fault { index } => return Stepped::Fault { index },
+            EventKind::Timer { node, tag, epoch } => {
                 // Timers armed before a crash are voided: the stale epoch (or
                 // the crashed flag, while down) swallows them.
-                if self.crashed[node.index()] || epoch != self.epochs[node.index()] {
-                    return Stepped::Events(processed);
+                if !self.crashed[node.index()] && epoch == self.epochs[node.index()] {
+                    self.record_trace(TraceKind::TimerFired { tag }, node, node, 0);
+                    self.notify(SimEvent::TimerFired { node, tag });
+                    self.dispatch(node, Dispatch::Timer(Timer { tag }));
                 }
-                self.record_trace(TraceKind::TimerFired { tag }, node, node, 0);
-                self.notify(SimEvent::TimerFired { node, tag });
-                self.dispatch(node, Dispatch::Timer(Timer { id, tag }));
             }
-            EventKind::Deliver { hop, env } => {
+            EventKind::Deliver { dst, env } => {
                 let env = self.env_slab.take(env);
-                if self.crashed[hop.index()] {
-                    // Crashed nodes blackhole traffic addressed to or
-                    // forwarded through them.
+                if self.crashed[dst.index()] {
+                    // Crashed nodes blackhole traffic addressed to them.
                     self.metrics.inc("net.dropped.node_down");
                     self.record_trace(
                         TraceKind::Dropped(DropReason::NodeDown),
@@ -499,59 +474,16 @@ impl<M: 'static> Core<M> {
                         size_bytes: env.size_bytes,
                         reason: DropReason::NodeDown,
                     });
-                } else if hop == env.dst {
-                    let dst = env.dst;
-                    let idx = dst.index();
-                    let mut node = self.nodes[idx].take().expect("re-entrant dispatch");
-                    self.record_delivery(&env);
-                    let from = env.src;
-                    self.dispatch_node(&mut node, dst, Dispatch::Message(from, env.payload));
-                    // Batch the fan-out pattern: further final deliveries to
-                    // this node at this exact instant reuse the borrow. Each
-                    // message is still recorded and its ops applied before
-                    // the next one, so traces, metrics, and RNG draws are
-                    // byte-for-byte those of the unbatched path.
-                    while processed < budget {
-                        let now = self.time;
-                        let slab = &self.env_slab;
-                        let next = self.queue.pop_if(|ev_at, _, k| {
-                            ev_at == now
-                                && matches!(
-                                    k,
-                                    EventKind::Deliver { hop, env }
-                                        if *hop == dst && slab.get(*env).dst == dst
-                                )
-                        });
-                        match next {
-                            Some((_, stamp, EventKind::Deliver { env, .. })) => {
-                                let env = self.env_slab.take(env);
-                                self.events_processed += 1;
-                                processed += 1;
-                                self.cur_depth = stamp_depth(stamp);
-                                self.cur_stamp = stamp;
-                                self.record_delivery(&env);
-                                let from = env.src;
-                                self.dispatch_node(
-                                    &mut node,
-                                    dst,
-                                    Dispatch::Message(from, env.payload),
-                                );
-                            }
-                            Some(_) => unreachable!("pop_if admits only deliveries"),
-                            None => break,
-                        }
-                    }
-                    self.nodes[idx] = Some(node);
                 } else {
-                    // Transparent forwarding at an intermediate hop.
-                    self.route_and_transmit(hop, env);
+                    self.record_delivery(&env);
+                    self.dispatch(dst, Dispatch::Message(env.src, env.payload));
                 }
             }
         }
-        Stepped::Events(processed)
+        Stepped::Event
     }
 
-    /// Counters, latency histogram, and trace entry for one final delivery.
+    /// Counters, latency histogram, and trace entry for one delivery.
     fn record_delivery(&mut self, env: &Envelope<M>) {
         self.delivered_count += 1;
         self.delivery_hist.record(self.time.duration_since(env.sent_at).as_nanos());
@@ -564,22 +496,10 @@ impl<M: 'static> Core<M> {
         });
     }
 
+    /// Runs one handler of `node_id` and applies its ops.
     pub(crate) fn dispatch(&mut self, node_id: NodeId, what: Dispatch<M>) {
         let idx = node_id.index();
         let mut node = self.nodes[idx].take().expect("re-entrant dispatch");
-        self.dispatch_node(&mut node, node_id, what);
-        self.nodes[idx] = Some(node);
-    }
-
-    /// Runs one handler on an already-borrowed node and applies its ops.
-    #[allow(clippy::borrowed_box)]
-    fn dispatch_node(
-        &mut self,
-        node: &mut Box<dyn Node<M> + Send>,
-        node_id: NodeId,
-        what: Dispatch<M>,
-    ) {
-        let idx = node_id.index();
         // Dispatch is never nested (handlers cannot dispatch), so the single
         // recycled arena buffer serves every call; a nested call would merely
         // see an empty buffer and count a miss.
@@ -592,7 +512,6 @@ impl<M: 'static> Core<M> {
                 ops: &mut ops,
                 rng: &mut self.rngs[idx],
                 metrics: &mut self.metrics,
-                timer_counter: &mut self.timer_counters[idx],
             };
             match what {
                 Dispatch::Start => node.on_start(&mut ctx),
@@ -600,6 +519,7 @@ impl<M: 'static> Core<M> {
                 Dispatch::Timer(t) => node.on_timer(&mut ctx, t),
             }
         }
+        self.nodes[idx] = Some(node);
         if ops.capacity() > cap_before {
             self.pool_misses += 1;
         } else {
@@ -620,50 +540,40 @@ impl<M: 'static> Core<M> {
                         // Loopback: deliver immediately (next event).
                         let stamp = self.child_stamp(self.time, node_id);
                         let env = self.env_slab.insert(env);
-                        self.queue.push(self.time, stamp, EventKind::Deliver { hop: dst, env });
+                        self.queue.push(self.time, stamp, EventKind::Deliver { dst, env });
                     } else {
-                        self.route_and_transmit(node_id, env);
+                        self.transmit(env);
                     }
                 }
-                Op::SetTimer { id, after, tag } => {
+                Op::SetTimer { after, tag } => {
                     let at = self.time.saturating_add(after);
                     let epoch = self.epochs[node_id.index()];
                     let stamp = self.child_stamp(at, node_id);
-                    self.queue.push(at, stamp, EventKind::Timer { node: node_id, id, tag, epoch });
-                }
-                Op::CancelTimer { id } => {
-                    self.cancelled_timers.insert(id);
+                    self.queue.push(at, stamp, EventKind::Timer { node: node_id, tag, epoch });
                 }
             }
         }
         self.ops_arena = ops;
     }
 
-    fn route_and_transmit(&mut self, at_node: NodeId, env: Envelope<M>) {
-        // Prefer a direct link; otherwise consult the routing table.
-        let hop = if let Some(&link) = self.adjacency[at_node.index()].get(&env.dst.0) {
-            Some((env.dst.0, link))
-        } else {
-            self.next_hop(at_node, env.dst)
-        };
-        let (next_node, link_id) = match hop {
-            Some(h) => h,
-            None => {
-                self.metrics.inc("net.dropped.no_route");
-                self.record_trace(TraceKind::NoRoute, env.src, env.dst, env.size_bytes);
-                self.notify(SimEvent::NoRoute {
-                    src: env.src,
-                    dst: env.dst,
-                    size_bytes: env.size_bytes,
-                });
-                return;
-            }
+    /// Offers `env` to the direct link from its sender to its destination;
+    /// with no such link it is counted as `net.dropped.no_route`.
+    fn transmit(&mut self, env: Envelope<M>) {
+        let Some(&link_id) = self.adjacency[env.src.index()].get(&env.dst.0) else {
+            self.metrics.inc("net.dropped.no_route");
+            self.record_trace(TraceKind::NoRoute, env.src, env.dst, env.size_bytes);
+            self.notify(SimEvent::NoRoute {
+                src: env.src,
+                dst: env.dst,
+                size_bytes: env.size_bytes,
+            });
+            return;
         };
         let li = link_id.index();
         match self.links[li].transmit(self.time, env.size_bytes, &mut self.link_rngs[li]) {
             Transmit::Deliver { at } => {
-                let stamp = self.child_stamp(at, at_node);
-                self.push_deliver(at, stamp, NodeId(next_node), env);
+                let stamp = self.child_stamp(at, env.src);
+                self.push_deliver(at, stamp, env.dst, env);
             }
             Transmit::Drop(reason) => {
                 let metric = match reason {
@@ -682,41 +592,6 @@ impl<M: 'static> Core<M> {
                 });
             }
         }
-    }
-
-    /// Computes (and caches) the next hop from `src` toward `dst` by
-    /// Dijkstra over static link propagation delays.
-    fn next_hop(&mut self, src: NodeId, dst: NodeId) -> Option<(u32, LinkId)> {
-        if !self.route_cache.contains_key(&src.0) {
-            let table = self.dijkstra_from(src);
-            self.route_cache.insert(src.0, table);
-        }
-        self.route_cache[&src.0].get(dst.index()).copied().flatten()
-    }
-
-    fn dijkstra_from(&self, src: NodeId) -> Vec<Option<(u32, LinkId)>> {
-        let n = self.nodes.len();
-        let mut dist = vec![u64::MAX; n];
-        let mut first_hop: Vec<Option<(u32, LinkId)>> = vec![None; n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        dist[src.index()] = 0;
-        heap.push(Reverse((0, src.0)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for (&v, &link) in &self.adjacency[u as usize] {
-                let w = self.static_delays[link.index()].max(1);
-                let nd = d.saturating_add(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    first_hop[v as usize] =
-                        if u == src.0 { Some((v, link)) } else { first_hop[u as usize] };
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        first_hop
     }
 }
 
@@ -812,7 +687,6 @@ impl<M: 'static> Simulation<M> {
         self.names.push(name.into());
         self.core.rngs.push(self.master_rng.derive(id.0 as u64));
         self.core.push_counters.push(0);
-        self.core.timer_counters.push(0);
         self.core.crashed.push(false);
         self.core.epochs.push(0);
         Arc::make_mut(&mut self.core.adjacency).push(BTreeMap::new());
@@ -847,7 +721,6 @@ impl<M: 'static> Simulation<M> {
         Arc::make_mut(&mut self.core.link_ends).push((from, to));
         Arc::make_mut(&mut self.core.static_delays).push(cfg.delay().as_nanos());
         Arc::make_mut(&mut self.core.adjacency)[from.index()].insert(to.0, id);
-        self.core.route_cache.clear();
         self.topo_version += 1;
         id
     }
@@ -979,8 +852,8 @@ impl<M: 'static> Simulation<M> {
 
     /// Crashes `node`: its volatile state is reset via
     /// [`Node::on_crash`], all pending timers are voided, and traffic
-    /// addressed to (or forwarded through) it is blackholed until
-    /// [`Simulation::restart_node`]. Idempotent.
+    /// addressed to it is blackholed until [`Simulation::restart_node`].
+    /// Idempotent.
     ///
     /// # Panics
     ///
@@ -1025,23 +898,57 @@ impl<M: 'static> Simulation<M> {
     ///
     /// # Panics
     ///
-    /// Panics if a window does not end after it starts, or starts before the
-    /// current time.
+    /// Panics if [`Simulation::validate_fault_plan`] rejects the schedule.
     pub fn apply_fault_plan(&mut self, windows: &[FaultWindow]) {
-        let mut events = Vec::with_capacity(2 * windows.len());
-        for w in windows {
-            assert!(w.until() > w.from(), "fault window must end after it starts: {w:?}");
-            events.extend(w.lower());
+        if let Err(e) = self.validate_fault_plan(windows) {
+            panic!("{e}");
         }
+        let mut events: Vec<_> = windows.iter().flat_map(FaultWindow::lower).collect();
         // Stable: ties keep list order.
         events.sort_by_key(|&(at, _)| at);
         for (at, action) in events {
-            assert!(at >= self.core.time, "fault scheduled in the past");
             let index = self.fault_actions.len();
             self.fault_actions.push(action);
             let stamp = pack_stamp(0, FAULT_ORIGIN, index as u64);
             self.core.queue.push(at, stamp, EventKind::Fault { index });
         }
+    }
+
+    /// Checks a fault schedule against this simulation without installing
+    /// it. Every window must end after it starts and start no earlier than
+    /// the current time; a link fault needs links both ways between its two
+    /// nodes, and a crashed node or partition member must exist. The error
+    /// names the first offending window by its index.
+    pub fn validate_fault_plan(&self, windows: &[FaultWindow]) -> Result<(), String> {
+        let known = |node: &NodeId| node.index() < self.core.nodes.len();
+        for (i, w) in windows.iter().enumerate() {
+            let problem = if w.until() <= w.from() {
+                Some("must end after it starts".to_string())
+            } else if w.from() < self.core.time {
+                Some("starts in the past".to_string())
+            } else {
+                match w {
+                    FaultWindow::LinkFlap { a, b, .. }
+                    | FaultWindow::LossBurst { a, b, .. }
+                    | FaultWindow::LatencySpike { a, b, .. } => {
+                        (self.link_between(*a, *b).is_none() || self.link_between(*b, *a).is_none())
+                            .then(|| format!("no link between {a} and {b}"))
+                    }
+                    FaultWindow::Partition { groups, .. } => groups
+                        .iter()
+                        .flatten()
+                        .find(|n| !known(n))
+                        .map(|n| format!("unknown node {n}")),
+                    FaultWindow::CrashRestart { node, .. } => {
+                        (!known(node)).then(|| format!("unknown node {node}"))
+                    }
+                }
+            };
+            if let Some(problem) = problem {
+                return Err(format!("fault window {i} ({}): {problem}", w.kind()));
+            }
+        }
+        Ok(())
     }
 
     pub(crate) fn execute_fault(&mut self, index: usize) {
@@ -1161,7 +1068,7 @@ impl<M: 'static> Simulation<M> {
         self.inject_counter += 1;
         let stamp = pack_stamp(0, INJECT_ORIGIN, self.inject_counter);
         let env = self.core.env_slab.insert(env);
-        self.core.queue.push(at, stamp, EventKind::Deliver { hop: dst, env });
+        self.core.queue.push(at, stamp, EventKind::Deliver { dst, env });
         self.core.notify(SimEvent::Injected { src, dst, size_bytes });
     }
 
@@ -1178,16 +1085,16 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    /// One serial step: processes up to `budget` events (fault actions
-    /// included), returning how many were consumed. Shared by the serial
-    /// run loops and the sharded engine's serialized fault instants.
-    pub(crate) fn step_budget(&mut self, budget: u64) -> u64 {
-        match self.core.step_inner(budget) {
-            Stepped::Idle => 0,
-            Stepped::Events(n) => n,
+    /// One serial step: processes the next event (a fault action included),
+    /// returning `false` when the queue is empty. Shared by the serial run
+    /// loops and the sharded engine's serialized fault instants.
+    pub(crate) fn step_event(&mut self) -> bool {
+        match self.core.step_inner() {
+            Stepped::Idle => false,
+            Stepped::Event => true,
             Stepped::Fault { index } => {
                 self.execute_fault(index);
-                1
+                true
             }
         }
     }
@@ -1262,7 +1169,7 @@ impl<M: 'static> Simulation<M> {
     /// Processes a single event; returns its time, or `None` if idle.
     pub fn step(&mut self) -> Option<SimTime> {
         self.ensure_started();
-        if self.step_budget(1) > 0 {
+        if self.step_event() {
             // Keep the registry view current for step-at-a-time callers.
             self.flush_engine_metrics();
             Some(self.core.time)
@@ -1285,12 +1192,8 @@ impl<M: Send + 'static> Simulation<M> {
             return n;
         }
         let mut n = 0;
-        while n < limit {
-            let processed = self.step_budget(limit - n);
-            if processed == 0 {
-                break;
-            }
-            n += processed;
+        while n < limit && self.step_event() {
+            n += 1;
         }
         self.flush_engine_metrics();
         n
@@ -1311,7 +1214,7 @@ impl<M: Send + 'static> Simulation<M> {
                 if at > until {
                     break;
                 }
-                self.step_budget(u64::MAX);
+                self.step_event();
             }
         }
         if self.core.time < until {
@@ -1439,17 +1342,13 @@ mod tests {
 
     struct Ticker {
         fired: Vec<(SimTime, u64)>,
-        cancel_second: bool,
     }
 
     impl Node<Msg> for Ticker {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.set_timer(SimDuration::from_millis(1), 1);
-            let id = ctx.set_timer(SimDuration::from_millis(2), 2);
             ctx.set_timer(SimDuration::from_millis(3), 3);
-            if self.cancel_second {
-                ctx.cancel_timer(id);
-            }
+            ctx.set_timer(SimDuration::from_millis(1), 1);
+            ctx.set_timer(SimDuration::from_millis(2), 2);
         }
         fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: Timer) {
@@ -1458,18 +1357,20 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel_works() {
+    fn timers_fire_in_order() {
         let mut sim: Simulation<Msg> = Simulation::new(1);
-        let t = sim.add_node("t", Ticker { fired: vec![], cancel_second: true });
+        let t = sim.add_node("t", Ticker { fired: vec![] });
         sim.run_until_idle();
         let fired = &sim.node_as::<Ticker>(t).unwrap().fired;
-        assert_eq!(fired, &vec![(SimTime::from_millis(1), 1), (SimTime::from_millis(3), 3)]);
+        let ms = SimTime::from_millis;
+        assert_eq!(fired, &vec![(ms(1), 1), (ms(2), 2), (ms(3), 3)]);
     }
 
-    struct Forwarder;
-    impl Node<Msg> for Forwarder {
+    /// A node that never sends and must never be handed a message.
+    struct Bystander;
+    impl Node<Msg> for Bystander {
         fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
-            panic!("intermediate hops must not receive forwarded messages");
+            panic!("a message reached a node it was not addressed to");
         }
     }
 
@@ -1493,34 +1394,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_hop_routing_is_transparent_and_latency_adds_up() {
+    fn a_destination_behind_a_relay_has_no_route() {
         let mut sim: Simulation<Msg> = Simulation::new(5);
         let sink = sim.add_node("sink", Sink { got: vec![] });
-        let relay = sim.add_node("relay", Forwarder);
+        let relay = sim.add_node("relay", Bystander);
         let src = sim.add_node("src", Source { dst: sink });
         sim.connect(src, relay, LinkConfig::new(SimDuration::from_millis(2)));
         sim.connect(relay, sink, LinkConfig::new(SimDuration::from_millis(3)));
         sim.run_until_idle();
-        let got = &sim.node_as::<Sink>(sink).unwrap().got;
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, SimTime::from_millis(5));
-        assert_eq!(got[0].1, src, "sender identity is preserved across hops");
-    }
-
-    #[test]
-    fn routing_prefers_the_shorter_path() {
-        let mut sim: Simulation<Msg> = Simulation::new(5);
-        let sink = sim.add_node("sink", Sink { got: vec![] });
-        let slow_relay = sim.add_node("slow", Forwarder);
-        let fast_relay = sim.add_node("fast", Forwarder);
-        let src = sim.add_node("src", Source { dst: sink });
-        sim.connect(src, slow_relay, LinkConfig::new(SimDuration::from_millis(50)));
-        sim.connect(slow_relay, sink, LinkConfig::new(SimDuration::from_millis(50)));
-        sim.connect(src, fast_relay, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.connect(fast_relay, sink, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.run_until_idle();
-        let got = &sim.node_as::<Sink>(sink).unwrap().got;
-        assert_eq!(got[0].0, SimTime::from_millis(2));
+        assert_eq!(sim.metrics().counter_value("net.dropped.no_route"), 1);
+        assert_eq!(sim.metrics().counter_value("net.delivered"), 0);
+        assert!(sim.node_as::<Sink>(sink).unwrap().got.is_empty());
     }
 
     #[test]
@@ -1537,7 +1421,7 @@ mod tests {
     fn inject_delivers_without_network() {
         let mut sim: Simulation<Msg> = Simulation::new(5);
         let sink = sim.add_node("sink", Sink { got: vec![] });
-        let other = sim.add_node("other", Forwarder);
+        let other = sim.add_node("other", Bystander);
         sim.inject(SimTime::from_millis(7), other, sink, Msg::Ping(9), 10);
         sim.run_until_idle();
         let got = &sim.node_as::<Sink>(sink).unwrap().got;
@@ -1593,7 +1477,7 @@ mod tests {
     fn crashed_node_blackholes_and_stops_ticking() {
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let c = sim.add_node("counter", Counter::new());
-        let src = sim.add_node("src", Forwarder);
+        let src = sim.add_node("src", Bystander);
         sim.connect(src, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.run_until(SimTime::from_millis(35)); // 3 ticks at 10/20/30 ms
         assert_eq!(sim.node_as::<Counter>(c).unwrap().ticks, 3);
@@ -1752,7 +1636,7 @@ mod tests {
         let counts = std::sync::Arc::new(std::sync::Mutex::new(CountingObserver::default()));
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let c = sim.add_node("counter", Counter::new());
-        let src = sim.add_node("src", Forwarder);
+        let src = sim.add_node("src", Bystander);
         sim.connect(src, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.set_observer(std::sync::Arc::clone(&counts));
         sim.run_until(SimTime::from_millis(15)); // one tick at 10 ms
@@ -1793,6 +1677,13 @@ mod tests {
         assert_eq!(parse_engine("sharded:0"), None);
         assert_eq!(parse_engine("sharded:1"), None, "one lane is the serial engine");
         assert_eq!(parse_engine("bogus"), None);
+    }
+
+    #[test]
+    fn a_queued_event_is_24_bytes() {
+        // A field added back to timer or delivery events grows every wheel
+        // entry; make that a visible decision.
+        assert_eq!(std::mem::size_of::<EventKind>(), 24);
     }
 
     #[test]

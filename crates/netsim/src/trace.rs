@@ -15,7 +15,7 @@ pub enum TraceKind {
     Delivered,
     /// A message was dropped en route.
     Dropped(DropReason),
-    /// No route existed from the forwarding node to the destination.
+    /// No direct link existed from the sender to the destination.
     NoRoute,
     /// A timer fired at a node.
     TimerFired {

@@ -2,7 +2,7 @@
 //! random topologies, fault plans, and seeds.
 //!
 //! Each case builds a random multi-campus topology (stars of varying size
-//! joined by a chain of slow WAN links — the shape the partitioner is meant
+//! joined by a ring of slow WAN links — the shape the partitioner is meant
 //! to cut), loads it with chatty timer-driven nodes, overlays a random fault
 //! plan (link flaps, latency spikes, partitions, crash/restart), and runs it
 //! to a deadline under the serial engine and under sharded engines at 2 and
@@ -17,8 +17,8 @@ use metaclass_netsim::{
 use proptest::prelude::*;
 
 /// A timer-driven node: every period it sends a burst toward its peer, and
-/// echoes shrinking replies to whatever it hears. Exercises sends, multi-hop
-/// routing, timers, RNG draws, and crash resets.
+/// echoes shrinking replies to whatever it hears. Exercises sends, timers,
+/// RNG draws, and crash resets.
 struct Chatter {
     peer: NodeId,
     period: SimDuration,
@@ -97,8 +97,8 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
         }
         gateways.push(all[first]);
     }
-    // Point each gateway at the next gateway (ring-free chain) so traffic
-    // actually crosses the WAN cut.
+    // Point each gateway at the next gateway around the WAN ring so traffic
+    // actually crosses the cut.
     for c in 0..gateways.len() {
         let peer = gateways[(c + 1) % gateways.len()];
         let gw = gateways[c];
@@ -120,6 +120,11 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
         .with_loss(LossModel::Iid { p: topo.loss * 2.0 });
     for c in 0..gateways.len() - 1 {
         sim.connect(gateways[c], gateways[c + 1], wan);
+    }
+    // The closing link makes every gateway's peer a neighbour (two campuses
+    // already are).
+    if gateways.len() > 2 {
+        sim.connect(gateways[gateways.len() - 1], gateways[0], wan);
     }
     (sim, gateways, all)
 }

@@ -69,8 +69,14 @@ impl RegressionCase {
     }
 
     /// Replays and compares the outcome against `expect_violation`.
-    /// `Ok(())` when they match; `Err` describes the divergence.
+    /// `Ok(())` when they match; `Err` describes the divergence, or a window
+    /// the scenario's topology cannot host (checked before any replay).
     pub fn check(&self) -> Result<(), String> {
+        let (session, _) = self.scenario().build();
+        session
+            .sim()
+            .validate_fault_plan(&self.windows)
+            .map_err(|e| format!("'{}': {e}", self.description))?;
         let outcome = self.replay();
         match (&self.expect_violation, &outcome.violation) {
             (None, None) => Ok(()),
@@ -130,5 +136,24 @@ mod tests {
             1,
         );
         assert!(RegressionCase::from_json(&with_extra).is_err());
+    }
+
+    #[test]
+    fn hostile_windows_are_rejected_before_replay() {
+        let json = include_str!("../../../tests/regressions/backbone-flap.json");
+        let flap = "\"LinkFlap\": {\n        \"a\": 1,\n        \"b\": 5,";
+        let hostile = [
+            ("\"until\": 1300000000", "\"until\": 900000000", "window 0 (link_flap): must end"),
+            ("\"b\": 5", "\"b\": 7", "no link between n1 and n7"),
+            (flap, "\"CrashRestart\": {\n        \"node\": 999,", "unknown node n999"),
+            (flap, "\"Partition\": {\n        \"groups\": [[1], [5, 999]],", "unknown node n999"),
+        ];
+        for (original, edit, why) in hostile {
+            assert!(json.contains(original), "{original}");
+            let case = RegressionCase::from_json(&json.replacen(original, edit, 1))
+                .expect("hostile but well-formed");
+            let err = case.check().expect_err(why);
+            assert!(err.contains(why), "{err}");
+        }
     }
 }
