@@ -5,7 +5,7 @@
 //! receiver reassembles the frame from *any* `k` arriving shards — no
 //! retransmission round-trip, which is the entire latency argument of §3.3.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use serde::{Deserialize, Serialize};
 
@@ -125,6 +125,7 @@ struct PartialFrame {
     shards: Vec<Option<Vec<u8>>>,
     received: usize,
     data_shards: usize,
+    shard_len: usize,
     frame_len: usize,
 }
 
@@ -166,9 +167,18 @@ impl FrameAssembler {
     /// this shard completes its frame; duplicates and shards of
     /// already-delivered frames return `Ok(None)`.
     ///
+    /// Shard headers are untrusted: nothing is reserved by a length a header
+    /// claims until the shard's geometry has been checked against what it
+    /// carries. A frame's first shard fixes its geometry and payload size.
+    ///
     /// # Errors
     ///
-    /// Propagates [`RsError`] on inconsistent shard geometry.
+    /// [`RsError::InvalidShardCounts`] unless `1 <= k` and `k + m <= 256`;
+    /// [`RsError::WrongShardCount`] for an index past `k + m` or counts that
+    /// differ from the frame's first shard; [`RsError::ShardSizeMismatch`]
+    /// if the first shard's `frame_len` exceeds `k` payloads or a later
+    /// shard's payload differs in length from the first's. A rejected shard
+    /// leaves the assembler as it was.
     pub fn ingest(&mut self, shard: FrameShard) -> Result<Option<(u64, Vec<u8>)>, RsError> {
         if self.delivered.contains(&shard.frame_id) {
             return Ok(None);
@@ -176,17 +186,32 @@ impl FrameAssembler {
         let k = shard.data_shards as usize;
         let m = shard.parity_shards as usize;
         let total = k + m;
+        if k == 0 || total > 256 {
+            return Err(RsError::InvalidShardCounts { data: k, parity: m });
+        }
         if shard.index as usize >= total {
             return Err(RsError::WrongShardCount { got: shard.index as usize, expected: total });
         }
-        let entry = self.pending.entry(shard.frame_id).or_insert_with(|| PartialFrame {
-            shards: vec![None; total],
-            received: 0,
-            data_shards: k,
-            frame_len: shard.frame_len as usize,
-        });
+        let entry = match self.pending.entry(shard.frame_id) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(slot) => {
+                if shard.frame_len as usize > k * shard.payload.len() {
+                    return Err(RsError::ShardSizeMismatch);
+                }
+                slot.insert(PartialFrame {
+                    shards: vec![None; total],
+                    received: 0,
+                    data_shards: k,
+                    shard_len: shard.payload.len(),
+                    frame_len: shard.frame_len as usize,
+                })
+            }
+        };
         if entry.shards.len() != total || entry.data_shards != k {
             return Err(RsError::WrongShardCount { got: total, expected: entry.shards.len() });
+        }
+        if shard.payload.len() != entry.shard_len {
+            return Err(RsError::ShardSizeMismatch);
         }
         let slot = &mut entry.shards[shard.index as usize];
         if slot.is_none() {
@@ -337,6 +362,45 @@ mod tests {
         let mut s = shard_frame(0, &frame(10, 8), cfg).unwrap().remove(0);
         s.index = 99;
         assert!(FrameAssembler::new().ingest(s).is_err());
+    }
+
+    #[test]
+    fn forged_geometry_is_rejected_at_the_first_shard() {
+        let cfg = FecConfig { data_shards: 2, parity_shards: 1 };
+        let genuine = shard_frame(0, &frame(10, 9), cfg).unwrap().remove(0);
+        let forge = |edit: fn(&mut FrameShard)| {
+            let mut s = genuine.clone();
+            edit(&mut s);
+            let mut asm = FrameAssembler::new();
+            let err = asm.ingest(s).unwrap_err();
+            assert_eq!(asm.pending_count(), 0, "{err}");
+            err
+        };
+        assert_eq!(
+            forge(|s| s.data_shards = 0),
+            RsError::InvalidShardCounts { data: 0, parity: 1 }
+        );
+        assert_eq!(
+            forge(|s| s.parity_shards = 255),
+            RsError::InvalidShardCounts { data: 2, parity: 255 }
+        );
+        // A 4 GiB claim on a 5-byte payload reserves nothing.
+        assert_eq!(forge(|s| s.frame_len = u32::MAX), RsError::ShardSizeMismatch);
+        assert_eq!(forge(|s| s.frame_len = 11), RsError::ShardSizeMismatch);
+    }
+
+    #[test]
+    fn a_later_shard_of_another_size_is_rejected() {
+        let cfg = FecConfig { data_shards: 2, parity_shards: 1 };
+        let f = frame(10, 10);
+        let mut shards = shard_frame(4, &f, cfg).unwrap();
+        let mut asm = FrameAssembler::new();
+        assert!(asm.ingest(shards[0].clone()).unwrap().is_none());
+        let mut short = shards[1].clone();
+        short.payload.pop();
+        assert_eq!(asm.ingest(short), Err(RsError::ShardSizeMismatch));
+        // The frame still completes from genuine shards.
+        assert_eq!(asm.ingest(shards.remove(2)).unwrap(), Some((4, f)));
     }
 
     proptest! {

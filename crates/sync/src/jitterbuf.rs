@@ -70,17 +70,22 @@ pub struct JitterBuffer {
     cfg: JitterBufferConfig,
     /// (capture_time, state), sorted by capture_time.
     entries: VecDeque<(SimTime, AvatarState)>,
-    /// Observed one-way delay samples (arrival − capture), nanoseconds, in
-    /// arrival order.
-    delay_samples: VecDeque<u64>,
+    /// The delay window in one block, allocated once and never resized:
+    /// `cfg.window` slots of observed one-way delays (arrival − capture,
+    /// nanoseconds) kept as a ring, then `top_k` slots holding the window's
+    /// largest samples, descending. `top_k` is the most samples at or above
+    /// the 95th percentile of any window size up to `cfg.window`, so the
+    /// percentile is always one of them.
+    delays: Box<[u64]>,
+    /// Ring slot the next sample is written to: the oldest sample once the
+    /// window is full, `filled` before.
+    next: usize,
+    /// Samples in the ring, `min(pushes, cfg.window)`.
+    filled: usize,
+    /// Filled slots of the largest-sample list, `min(filled, top_k)`.
+    top_len: usize,
     /// Smallest sample in the window.
     delay_min: u64,
-    /// The window's `top_k` largest samples (all of them while it holds
-    /// fewer), descending: the 95th percentile is always one of them.
-    delay_top: Vec<u64>,
-    /// Most samples at or above the 95th percentile of any window size up
-    /// to `cfg.window`.
-    top_k: usize,
     delay: SimDuration,
     late_drops: u64,
     last_playout: Option<SimTime>,
@@ -88,6 +93,12 @@ pub struct JitterBuffer {
 
 impl JitterBuffer {
     /// Creates an empty buffer.
+    ///
+    /// The delay window is allocated here, whole: `8 × (cfg.window + top_k)`
+    /// bytes, 1 080 B at the defaults (128 ring slots and 7 largest-sample
+    /// slots). A buffer pays that from its first update instead of growing
+    /// toward it, so one whose window never fills holds more than it uses;
+    /// in exchange a push never allocates for the window.
     ///
     /// # Panics
     ///
@@ -102,10 +113,11 @@ impl JitterBuffer {
             delay: cfg.initial_delay,
             cfg,
             entries: VecDeque::new(),
-            delay_samples: VecDeque::new(),
+            delays: vec![0; cfg.window + top_k].into_boxed_slice(),
+            next: 0,
+            filled: 0,
+            top_len: 0,
             delay_min: u64::MAX,
-            delay_top: Vec::with_capacity(top_k),
-            top_k,
             late_drops: 0,
             last_playout: None,
         }
@@ -188,36 +200,45 @@ impl JitterBuffer {
     /// the ring is rescanned for them when the sample leaving the window was
     /// one of them (at or below the floor, at or above the `top_k`-th
     /// largest), which a window of varied delays does about once in
-    /// `window / (top_k + 1)` pushes.
+    /// `window / (top_k + 1)` pushes. A rescan walks the ring in slot order;
+    /// a minimum and a multiset of largest samples do not depend on it.
     fn observe_delay(&mut self, sample: u64) {
-        let evicted = if self.delay_samples.len() == self.cfg.window {
-            self.delay_samples.pop_front()
+        let window = self.cfg.window;
+        let (ring, top) = self.delays.split_at_mut(window);
+        let evicted = if self.filled == window {
+            Some(ring[self.next])
         } else {
+            self.filled += 1;
             None
         };
-        self.delay_samples.push_back(sample);
+        ring[self.next] = sample;
+        // A compare, not `%`: this runs once per displayed avatar update.
+        self.next += 1;
+        if self.next == window {
+            self.next = 0;
+        }
         let rescan = evicted.is_some_and(|oldest| {
-            oldest <= self.delay_min || self.delay_top.last().is_some_and(|&kth| oldest >= kth)
+            oldest <= self.delay_min || (self.top_len > 0 && oldest >= top[self.top_len - 1])
         });
         if rescan {
             self.delay_min = u64::MAX;
-            self.delay_top.clear();
-            for &d in &self.delay_samples {
+            self.top_len = 0;
+            for &d in &ring[..self.filled] {
                 self.delay_min = self.delay_min.min(d);
-                insert_top(&mut self.delay_top, self.top_k, d);
+                insert_top(top, &mut self.top_len, d);
             }
         } else {
             self.delay_min = self.delay_min.min(sample);
-            insert_top(&mut self.delay_top, self.top_k, sample);
+            insert_top(top, &mut self.top_len, sample);
         }
 
-        let n = self.delay_samples.len();
+        let n = self.filled;
         if n < 8 {
             return;
         }
         // The 95th percentile of the ascending window, sorted[idx], is its
         // (n − idx)-th largest sample.
-        let p95 = self.delay_top[n - p95_index(n) - 1];
+        let p95 = top[..self.top_len][n - p95_index(n) - 1];
         // Delay variation above the floor, plus margin.
         let var = SimDuration::from_nanos(p95 - self.delay_min) + self.cfg.margin;
         self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
@@ -269,17 +290,20 @@ fn p95_index(n: usize) -> usize {
     ((n as f64 * 0.95) as usize).min(n - 1)
 }
 
-/// Files `sample` among the `k` largest kept in `top` (descending), dropping
-/// the smallest of them when there are more than `k`.
-fn insert_top(top: &mut Vec<u64>, k: usize, sample: u64) {
-    if top.len() == k {
-        if top.last().is_some_and(|&kth| sample <= kth) {
+/// Files `sample` among the largest samples kept in `top[..*len]`
+/// (descending), dropping the smallest of them when all `top.len()` slots
+/// are taken.
+fn insert_top(top: &mut [u64], len: &mut usize, sample: u64) {
+    if *len == top.len() {
+        if sample <= top[*len - 1] {
             return;
         }
-        top.pop();
+        *len -= 1;
     }
-    let at = top.partition_point(|&d| d >= sample);
-    top.insert(at, sample);
+    let at = top[..*len].partition_point(|&d| d >= sample);
+    top.copy_within(at..*len, at + 1);
+    top[at] = sample;
+    *len += 1;
 }
 
 #[cfg(test)]
@@ -379,6 +403,18 @@ mod tests {
             // transient `capacity + 1`-th state.
             assert!(jb.entries.capacity() <= capacity.next_power_of_two());
         }
+    }
+
+    #[test]
+    fn the_delay_window_fills_its_fixed_block() {
+        let mut jb = JitterBuffer::new(cfg());
+        assert_eq!(jb.delays.len(), 128 + 7);
+        for i in 0..1_000u64 {
+            let capture = SimTime::from_millis(i * 14);
+            jb.push(capture, capture + SimDuration::from_millis(20 + i * 7 % 40), st(i as f64));
+            assert_eq!(jb.filled, (i as usize + 1).min(128));
+        }
+        assert_eq!(jb.top_len, 7);
     }
 
     #[test]
