@@ -1,6 +1,6 @@
 //! Steady-state allocation budget: the regression tripwire for the
-//! zero-allocation hot path (op arena, envelope slab, SoA wheel lanes,
-//! inline avatar frames, ring-buffer snapshot histories).
+//! zero-allocation hot path (op arena, envelope slab, pooled wheel slots,
+//! SoA wheel lanes, inline avatar frames, ring-buffer snapshot histories).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and tallies
 //! every `alloc`/`realloc`. First a warmed-up snapshot stream must encode,
@@ -179,19 +179,23 @@ fn steady_state_allocations_per_event_stay_under_budget() {
     // measured rate. What is left in the serial steady state is metrics and
     // the state deques of new jitter buffers growing to their working
     // sizes; the sharded engine adds per-WINDOW (not per-event) costs: lane
-    // deal-out/reassembly and thread scope setup. Measured: e3 serial
-    // 33/1k, e3 sharded:4 230/1k, campus serial 4/1k, campus sharded:2
-    // 132/1k. With each delay window grown sample by sample (a `VecDeque`
-    // ring plus a largest-sample `Vec`) e3 measures 57 / 253, and with it
-    // kept as a sorted `Vec` 80 / 277; with avatar frames in a growing
-    // `Vec<u8>` and snapshot histories in `BTreeMap`s the four runs measure
-    // 453 / 650 / 363 / 491, past all four ceilings.
+    // deal-out/reassembly and thread scope setup, and each `run` call's
+    // fresh lane wheels growing their node pools. Measured, in the order
+    // e3 serial / e3 sharded:4 / campus serial / campus sharded:2:
+    // 4 / 106 / 0 (5 calls in 13 146 events) / 16 per 1k. With the wheel's
+    // slots as 256 separate `Vec`s, each regrown to its largest burst in
+    // every fresh wheel, the same runs measure 33 / 230 / 4 / 132, past
+    // the serial and campus ceilings. With each delay window grown sample
+    // by sample (a `VecDeque` ring plus a largest-sample `Vec`) e3 measured
+    // 57 / 253 on top of those slots; with avatar frames in a growing
+    // `Vec<u8>` and snapshot histories in `BTreeMap`s the four runs
+    // measured 453 / 650 / 363 / 491.
     type Shape = fn(EngineConfig) -> ClassroomSession;
     let cases: [(&str, Shape, EngineConfig, u64, u64); 4] = [
-        ("e3_serial", e3_session, EngineConfig::serial(), 1, 66),
-        ("e3_sharded_4", e3_session, EngineConfig::sharded(4), 1, 460),
-        ("campus_serial", campus_session, EngineConfig::serial(), 3, 8),
-        ("campus_sharded_2", campus_session, EngineConfig::sharded(2), 3, 270),
+        ("e3_serial", e3_session, EngineConfig::serial(), 1, 8),
+        ("e3_sharded_4", e3_session, EngineConfig::sharded(4), 1, 230),
+        ("campus_serial", campus_session, EngineConfig::serial(), 3, 2),
+        ("campus_sharded_2", campus_session, EngineConfig::sharded(2), 3, 40),
     ];
     for (label, shape, engine, warmup_secs, budget_per_1k) in cases {
         let (allocs, events) = steady_state_allocs(shape(engine), warmup_secs);
@@ -206,7 +210,7 @@ fn steady_state_allocations_per_event_stay_under_budget() {
             "{label}: steady-state allocation rate {per_1k}/1k events exceeds the \
              committed budget of {budget_per_1k}/1k — a per-event allocation has \
              crept back into the hot path (check Op arena reuse, the envelope \
-             slab, wheel slot recycling, the inline frame payload, the edge \
+             slab, the wheel's shared node pool, the inline frame payload, the edge \
              server's tick scratch, and the sync crate's snapshot rings, \
              jitter-buffer push and interest selection)"
         );

@@ -1,14 +1,15 @@
 //! Shards with forged headers: `FrameAssembler::ingest` must answer any
 //! header and payload length with `Ok` or `Err`, never a panic, and never
 //! hand out a frame whose length differs from the `frame_len` its first
-//! shard declared.
+//! shard declared. `ReedSolomon::reconstruct`, called directly, must answer
+//! any shard vector without a panic, and any `Ok` must be a full codeword.
 //!
 //! Each case interleaves a genuine frame's shards, some with one header
 //! field or the payload length overwritten, with shards made up outright
 //! for the same few frame ids, so forged shards meet both fresh and
 //! half-assembled frames.
 
-use metaclass_media::{shard_frame, FecConfig, FrameAssembler, FrameShard};
+use metaclass_media::{shard_frame, FecConfig, FrameAssembler, FrameShard, ReedSolomon};
 use proptest::prelude::*;
 
 /// Overwrites one field of `shard` with `value`, picked by `field`; 0 keeps
@@ -78,6 +79,62 @@ proptest! {
                     }
                 }
                 Err(_) => prop_assert_eq!(asm.pending_count(), pending_before),
+            }
+        }
+    }
+
+    /// `ReedSolomon::reconstruct` on any shard vector: wrong entry counts,
+    /// mixed and zero lengths, every erasure pattern. The surviving bytes
+    /// are prefixes of one genuine codeword, since an erasure code restores
+    /// missing shards and cannot tell corrupted ones from sound ones.
+    #[test]
+    fn reconstruct_never_panics_and_any_ok_is_a_codeword(
+        k in 1usize..8,
+        m in 0usize..5,
+        len in 1usize..64,
+        // Bit i erases shard i; the AND of two draws erases a quarter.
+        (erase_a, erase_b) in (any::<u16>(), any::<u16>()),
+        // 0..=3 keep the shape; 4 truncates shards, 5 drops trailing
+        // entries, 6 appends made-up ones, 7 truncates and appends.
+        shape in 0u8..8,
+        cuts in proptest::collection::vec((0usize..12, 0usize..64), 1..4),
+        dropped in 1usize..3,
+        extra in proptest::collection::vec((any::<bool>(), 0usize..64, any::<u8>()), 1..3),
+    ) {
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let data: Vec<Vec<u8>> =
+            (0..k).map(|j| (0..len).map(|i| (i * 31 + j * 17) as u8).collect()).collect();
+        let parity = rs.encode(&data).unwrap();
+        let mut shards: Vec<Option<Vec<u8>>> =
+            data.iter().chain(&parity).map(|s| Some(s.clone())).collect();
+        for (i, shard) in shards.iter_mut().enumerate() {
+            if (erase_a & erase_b) >> i & 1 == 1 {
+                *shard = None;
+            }
+        }
+        if shape == 4 || shape == 7 {
+            for &(at, cut) in &cuts {
+                if let Some(Some(s)) = shards.get_mut(at) {
+                    s.truncate(cut);
+                }
+            }
+        }
+        if shape == 5 {
+            shards.truncate(shards.len().saturating_sub(dropped));
+        }
+        if shape == 6 || shape == 7 {
+            shards.extend(extra.iter().map(|&(some, n, b)| some.then(|| vec![b; n])));
+        }
+
+        if rs.reconstruct(&mut shards).is_ok() {
+            prop_assert_eq!(shards.len(), k + m);
+            let got: Vec<&[u8]> =
+                shards.iter().map(|s| s.as_deref().expect("Ok restores every shard")).collect();
+            let n = got[0].len();
+            prop_assert!(n > 0 && got.iter().all(|s| s.len() == n), "Ok with ragged shards");
+            prop_assert_eq!(rs.encode(&got[..k]).unwrap(), &got[k..]);
+            for (j, d) in data.iter().enumerate() {
+                prop_assert_eq!(got[j], &d[..n]);
             }
         }
     }

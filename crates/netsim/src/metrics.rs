@@ -317,12 +317,15 @@ impl MetricsRegistry {
     }
 
     /// Merges another registry into this one (counters add, histograms merge).
+    ///
+    /// Like [`add`](Self::add), a key is cloned only the first time this
+    /// registry sees it.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            self.add(k, *v);
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            self.histogram(k).merge(h);
         }
     }
 

@@ -16,9 +16,14 @@
 //!   replaced, kept as the reference implementation for property tests and
 //!   benchmarks.
 //!
-//! Buffers are recycled: draining a slot moves its (sorted) contents into
-//! the active batch and keeps both allocations, so steady-state scheduling
-//! performs no allocation.
+//! All 256 slots share one node pool, the layout of the hashed timing wheel
+//! (Varghese & Lauck, SOSP '87): each slot is a singly linked list of `u32`
+//! node indices, and a drained slot hands its nodes back to a LIFO free
+//! list that the next pushes into *any* slot reuse. The wheel's memory
+//! therefore follows the number of events resident in slots, not 256 times
+//! the largest burst one slot has held. The pool, the active lanes and the
+//! sort buffer are recycled, so steady-state scheduling performs no
+//! allocation.
 //!
 //! The wheel's active batch is stored struct-of-arrays: `(time, seq)` keys
 //! live in one dense deque and payloads in a parallel one, so the hot
@@ -41,6 +46,8 @@ const SLOTS: usize = 256;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Occupancy bitmap words (64 slots per word).
 const BITMAP_WORDS: usize = SLOTS / 64;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A priority queue of events keyed by `(SimTime, seq)`.
 ///
@@ -141,17 +148,32 @@ impl<T, S: Copy + Ord> EventQueue<T, S> for BinaryHeapQueue<T, S> {
 /// heap.
 ///
 /// Events whose slot lies within `SLOTS` (256) buckets of the wheel cursor are
-/// appended (unsorted, O(1)) to their slot; the cursor's own slot is the
+/// added (unsorted, O(1)) to their slot; the cursor's own slot is the
 /// sorted *active batch*, drained from the front. Everything past the
 /// horizon goes to the overflow heap. Both substreams yield keys in
 /// ascending order, so a two-way merge on pop reproduces global heap order
 /// exactly.
+///
+/// Slot entries live in one node pool shared by every slot, so the wheel's
+/// committed memory follows the peak number of slot-resident events: a
+/// burst of a thousand events borrows a thousand nodes and returns them
+/// when its slot drains, whichever slot the next burst lands in.
 pub struct TimerWheel<T, S = u64> {
     /// Absolute slot index of the cursor (`at.as_nanos() >> SLOT_SHIFT`).
     cursor: u64,
-    /// Per-slot pending events, unsorted; indexed by `abs_slot & SLOT_MASK`.
-    slots: Vec<Vec<Entry<T, S>>>,
-    /// One bit per slot index: slot vector is non-empty.
+    /// First pool node of each slot's list of pending events, unsorted
+    /// (`NIL` when empty); indexed by `abs_slot & SLOT_MASK`.
+    heads: [u32; SLOTS],
+    /// Entries of the node pool shared by all slot lists: `Some` for a
+    /// node on a slot list, `None` for a free one. Never shrinks.
+    entries: Vec<Option<Entry<T, S>>>,
+    /// Per node, the next node of its slot list or of the free list (`NIL`
+    /// ends both). Kept apart from `entries`, so draining a slot chases
+    /// links through a dense `u32` array and the entry loads overlap.
+    links: Vec<u32>,
+    /// Head of the LIFO free list threaded through `links`.
+    free: u32,
+    /// One bit per slot index: slot list is non-empty.
     occupied: [u64; BITMAP_WORDS],
     /// Sorted keys of the cursor slot (struct-of-arrays lane); the front is
     /// the wheel minimum. `peek_key`, mid-drain binary searches, and the
@@ -163,7 +185,7 @@ pub struct TimerWheel<T, S = u64> {
     sort_buf: Vec<Entry<T, S>>,
     /// Events scheduled past the wheel horizon.
     overflow: BinaryHeap<Reverse<Entry<T, S>>>,
-    /// Events in `slots` plus the active lanes (excludes `overflow`).
+    /// Events in slot lists plus the active lanes (excludes `overflow`).
     wheel_len: usize,
     /// Time of the most recently popped event, for contract checking.
     #[cfg(debug_assertions)]
@@ -175,7 +197,10 @@ impl<T, S: Copy + Ord> TimerWheel<T, S> {
     pub fn new() -> Self {
         TimerWheel {
             cursor: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            heads: [NIL; SLOTS],
+            entries: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
             occupied: [0; BITMAP_WORDS],
             active_keys: VecDeque::new(),
             active_items: VecDeque::new(),
@@ -199,8 +224,61 @@ impl<T, S: Copy + Ord> TimerWheel<T, S> {
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
     }
 
+    /// Committed bytes of the wheel's storage: node pool, active lanes,
+    /// sort buffer and overflow heap (the `engine.sched.arena_bytes` gauge).
+    pub(crate) fn arena_bytes(&self) -> u64 {
+        let bytes = self.pool_bytes()
+            + self.active_keys.capacity() * std::mem::size_of::<(SimTime, S)>()
+            + self.active_items.capacity() * std::mem::size_of::<T>()
+            + self.sort_buf.capacity() * std::mem::size_of::<Entry<T, S>>()
+            + self.overflow.capacity() * std::mem::size_of::<Reverse<Entry<T, S>>>();
+        bytes as u64
+    }
+
+    /// Committed bytes of the node pool.
+    fn pool_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Option<Entry<T, S>>>()
+            + self.links.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Prepends an entry to slot `idx`'s list, taking a node from the free
+    /// list or growing the pool.
+    fn push_slot(&mut self, idx: usize, entry: Entry<T, S>) {
+        let head = self.heads[idx];
+        let n = if self.free == NIL {
+            assert!(self.entries.len() < NIL as usize, "timer wheel node pool exceeds u32 indices");
+            let n = self.entries.len() as u32;
+            self.entries.push(Some(entry));
+            self.links.push(head);
+            n
+        } else {
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.links[n as usize], head);
+            self.entries[n as usize] = Some(entry);
+            n
+        };
+        if head == NIL {
+            self.set_occupied(idx);
+        }
+        self.heads[idx] = n;
+    }
+
+    /// Moves slot `idx`'s entries into `sort_buf` (newest first) and returns
+    /// their nodes to the free list.
+    fn drain_slot(&mut self, idx: usize) {
+        let mut n = std::mem::replace(&mut self.heads[idx], NIL);
+        self.clear_occupied(idx);
+        while n != NIL {
+            let entry = self.entries[n as usize].take();
+            self.sort_buf.push(entry.expect("listed node holds an entry"));
+            let next = std::mem::replace(&mut self.links[n as usize], self.free);
+            self.free = n;
+            n = next;
+        }
+    }
+
     /// Index of the next occupied slot at or after the cursor, searching
-    /// one full lap. `None` when every slot vector is empty.
+    /// one full lap. `None` when every slot list is empty.
     fn next_occupied(&self) -> Option<usize> {
         let start = (self.cursor & SLOT_MASK) as usize;
         let mut word_idx = start / 64;
@@ -229,8 +307,7 @@ impl<T, S: Copy + Ord> TimerWheel<T, S> {
             // own slot collects events while the active batch is empty).
             let lap = (idx as u64).wrapping_sub(self.cursor) & SLOT_MASK;
             self.cursor += lap;
-            self.sort_buf.append(&mut self.slots[idx]);
-            self.clear_occupied(idx);
+            self.drain_slot(idx);
             self.sort_buf.sort_unstable_by_key(Entry::key);
             for e in self.sort_buf.drain(..) {
                 self.active_keys.push_back((e.at, e.seq));
@@ -319,10 +396,8 @@ impl<T, S: Copy + Ord> EventQueue<T, S> for TimerWheel<T, S> {
             self.wheel_len += 1;
         } else if slot - self.cursor < SLOTS as u64 {
             // Cursor-slot pushes while the active batch is empty also land
-            // here: unsorted O(1) append, sorted once on drain.
-            let idx = (slot & SLOT_MASK) as usize;
-            self.slots[idx].push(Entry { at, seq, item });
-            self.set_occupied(idx);
+            // here: unsorted O(1) insert, sorted once on drain.
+            self.push_slot((slot & SLOT_MASK) as usize, Entry { at, seq, item });
             self.wheel_len += 1;
         } else {
             self.overflow.push(Reverse(Entry { at, seq, item }));
@@ -447,5 +522,40 @@ mod tests {
         }
         assert!(heap.pop().is_none());
         assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn slot_storage_follows_resident_entries_not_burst_history() {
+        // A 60 Hz loop: 1 500 events at one instant every 16.7 ms for 20
+        // laps of the ring, each burst drained as it comes due. The bursts
+        // visit most of the 256 slots, but at most two are pending at once,
+        // so the pool must stay near one burst's worth of nodes. Slots that
+        // each keep the capacity of the largest burst they held end up about
+        // fifty times over this bound (11.6 MB).
+        const BURST: u64 = 1_500;
+        const PERIOD_NS: u64 = 16_700_000;
+        let ticks = ((20 * SLOTS as u64) << SLOT_SHIFT) / PERIOD_NS;
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut seq = 0u64;
+        let mut peak_len = 0;
+        let mut last = None;
+        for tick in 0..=ticks {
+            let due = SimTime::from_nanos(tick * PERIOD_NS);
+            for _ in 0..BURST {
+                wheel.push(due, seq, seq as u32);
+                seq += 1;
+            }
+            peak_len = peak_len.max(wheel.len());
+            while wheel.peek_key().is_some_and(|(at, _)| at < due) {
+                let (at, s, _) = wheel.pop().expect("peeked");
+                assert!(Some((at, s)) > last, "pop order broke under node reuse");
+                last = Some((at, s));
+            }
+        }
+        assert_eq!(drain(&mut wheel).len() as u64, BURST);
+        let node_bytes = std::mem::size_of::<Option<Entry<u32, u64>>>() + 4;
+        let slot_bytes = wheel.pool_bytes();
+        let bound = 2 * peak_len * node_bytes;
+        assert!(slot_bytes <= bound, "slot storage {slot_bytes} B over {bound} B");
     }
 }

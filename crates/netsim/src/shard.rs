@@ -280,6 +280,7 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
             sim.core.ops_high_water = lane.ops_high_water;
         }
         sim.core.env_slab.raise_high_water(lane.env_slab.high_water());
+        sim.raise_engine_gauge("engine.sched.arena_bytes", lane.queue.arena_bytes());
         sim.core.metrics.merge(&lane.metrics);
         sim.core.events_processed += lane.events_processed;
         sim.core.pool_hits += lane.pool_hits;
@@ -877,6 +878,21 @@ mod tests {
         let hist = sim.metrics().snapshot().histograms;
         assert!(hist.contains_key("engine.shard.events_per_window"));
         assert!(sim.metrics().counter_value("engine.ops_pool.hit") > 0);
+    }
+
+    #[test]
+    fn wheel_memory_gauge_is_raised_under_both_engines() {
+        // Run to idle: reassembly refills a fresh, empty global wheel, so
+        // under the sharded engine only the lane wheels can raise the gauge.
+        for engine in [EngineConfig::serial(), EngineConfig::sharded(2)] {
+            let mut sim = campus_sim(5);
+            sim.set_engine_config(engine);
+            sim.run_until_idle();
+            let windows = sim.metrics().counter_value("engine.shard.windows");
+            assert_eq!(windows > 0, engine != EngineConfig::serial());
+            let bytes = sim.metrics().counter_value("engine.sched.arena_bytes");
+            assert!(bytes > 0, "no wheel memory reported under {engine:?}");
+        }
     }
 
     /// A node with no behavior at all: its campus generates zero traffic.

@@ -1126,6 +1126,8 @@ impl<M: 'static> Simulation<M> {
         let arena_bytes = (self.core.ops_arena.capacity() * std::mem::size_of::<Op<M>>()) as u64
             + self.core.env_slab.arena_bytes();
         self.raise_engine_gauge("engine.ops_pool.arena_bytes", arena_bytes);
+        let sched_bytes = self.core.queue.arena_bytes();
+        self.raise_engine_gauge("engine.sched.arena_bytes", sched_bytes);
         if self.core.sent_count > 0 {
             let v = std::mem::take(&mut self.core.sent_count);
             self.core.metrics.add("net.sent", v);
@@ -1142,7 +1144,7 @@ impl<M: 'static> Simulation<M> {
     }
 
     /// Raises a gauge-like engine counter to `v` if it is below it.
-    fn raise_engine_gauge(&mut self, name: &'static str, v: u64) {
+    pub(crate) fn raise_engine_gauge(&mut self, name: &'static str, v: u64) {
         let cur = self.core.metrics.counter_value(name);
         if v > cur {
             self.core.metrics.add(name, v - cur);

@@ -1,7 +1,8 @@
 //! Property test: the timer wheel's pop order is byte-for-byte the binary
 //! heap's pop order for arbitrary legal schedules — including same-timestamp
-//! ties (broken by seq), sub-slot jitter, horizon-edge times, and far-future
-//! events that overflow the wheel into its fallback heap.
+//! ties (broken by seq), sub-slot jitter, horizon-edge times, far-future
+//! events that overflow the wheel into its fallback heap, and periodic
+//! same-instant bursts whose drained slots' pool nodes are reused.
 
 use metaclass_netsim::sched::{BinaryHeapQueue, EventQueue, TimerWheel};
 use metaclass_netsim::SimTime;
@@ -54,7 +55,46 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
     })
 }
 
+/// Same-instant bursts at periodic ticks (synchronized update loops): at
+/// tick `i` the `i`-th burst of `size` events lands at one instant, then
+/// `pops` events are popped. A backlog spreads over several slots and the
+/// overflow heap, and every drained slot's nodes are reused by later bursts.
+fn run_bursts(period_ns: u64, bursts: &[(usize, usize)]) {
+    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+    let mut seq = 0u64;
+    for (tick, &(size, pops)) in bursts.iter().enumerate() {
+        let at = SimTime::from_nanos(tick as u64 * period_ns);
+        for _ in 0..size {
+            wheel.push(at, seq, seq);
+            heap.push(at, seq, seq);
+            seq += 1;
+        }
+        for _ in 0..pops {
+            assert_eq!(wheel.pop(), heap.pop(), "divergence at tick {tick}");
+        }
+        assert_eq!(wheel.len(), heap.len());
+    }
+    loop {
+        let want = heap.pop();
+        assert_eq!(wheel.pop(), want, "divergence during final drain");
+        if want.is_none() {
+            break;
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn periodic_bursts_match_heap(
+        // Sub-slot to multi-slot periods; 200 ticks of the longest period
+        // sweep the ~268 ms ring about 30 times.
+        period_ns in 500_000u64..40_000_000,
+        bursts in proptest::collection::vec((0usize..60, 0usize..80), 1..200),
+    ) {
+        run_bursts(period_ns, &bursts);
+    }
+
     #[test]
     fn wheel_pop_order_equals_heap_pop_order(
         deltas in proptest::collection::vec(delta_strategy(), 1..300),
