@@ -9,6 +9,7 @@ use metaclass_bench::experiments::{
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig, SCHEMA_VERSION};
 use metaclass_bench::{Experiment, RunCtx, Scale};
 use metaclass_netsim::EngineConfig;
+use proptest::prelude::*;
 
 #[test]
 fn sixteen_seed_sweep_is_byte_identical_across_job_counts() {
@@ -102,6 +103,43 @@ fn validator_rejects_schema_drift() {
     let end = json[start..].find('\n').expect("line ends") + start + 1;
     let missing = format!("{}{}", &json[..start], &json[end..]);
     assert!(validate_json(&missing).is_err(), "missing fields must fail validation");
+}
+
+/// A committed baseline, the raw material of the hostile documents below.
+fn committed_doc() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/baselines/BENCH_e10.json");
+    std::fs::read_to_string(path).expect("committed baseline present")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `bench --validate` reads files it did not write: a truncated,
+    /// byte-flipped or absurdly nested document must come back as `Err`,
+    /// never as a panic or a stack overflow.
+    #[test]
+    fn validator_never_panics_on_hostile_documents(
+        cut in any::<u64>(),
+        flips in proptest::collection::vec((any::<u64>(), 1u8..=255), 1..8),
+        depth in 129usize..20_000,
+        open_objects in any::<bool>(),
+    ) {
+        let doc = committed_doc();
+        prop_assert!(doc.is_ascii() && validate_json(&doc).is_ok());
+        let body = doc.trim_end().len();
+        prop_assert!(validate_json(&doc[..cut as usize % body]).is_err(), "truncation at {}", cut);
+        let mut bytes = doc.clone().into_bytes();
+        for &(at, mask) in &flips {
+            let i = at as usize % bytes.len();
+            bytes[i] ^= mask;
+        }
+        // A flip may leave the document valid (a digit for a digit); it
+        // just must not panic.
+        let _ = validate_json(&String::from_utf8_lossy(&bytes));
+        let (open, close) = if open_objects { (r#"{"a":"#, "}") } else { ("[", "]") };
+        let nested = open.repeat(depth) + &doc + &close.repeat(depth);
+        prop_assert!(validate_json(&nested).is_err(), "nesting depth {}", depth);
+    }
 }
 
 #[test]

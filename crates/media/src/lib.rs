@@ -1,6 +1,6 @@
 //! # metaclass-media
 //!
-//! The video/audio transport of the blueprint: "many courses may rely on
+//! The video transport of the blueprint: "many courses may rely on
 //! video transmission, whether of the instructor, digital artefacts (e.g.,
 //! slides), or physical objects in the classroom … Maximizing video quality
 //! while minimizing latency … solutions leveraging joint source coding and
@@ -16,9 +16,7 @@
 //! - [`ArqFrameSender`] / [`ArqFrameReceiver`] — the selective-repeat
 //!   retransmission baseline FEC is compared against (experiment E6);
 //! - [`VideoSource`] / [`legibility_score`] — a calibrated rate–distortion
-//!   model standing in for a hardware encoder;
-//! - [`AbrController`] — throughput-tracking adaptive bitrate with
-//!   hysteresis.
+//!   model standing in for a hardware encoder.
 //!
 //! # Examples
 //!
@@ -46,20 +44,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod abr;
 mod arq;
-mod audio;
 mod codec_model;
 mod fec;
 pub mod gf256;
 mod rs;
 
-pub use abr::{default_ladder, AbrConfig, AbrController};
 pub use arq::{ArqConfig, ArqFrameReceiver, ArqFrameSender, ArqPacket};
-pub use audio::{
-    mix_for_listener, per_listener_bandwidth_bound, perceived_loudness, ListenerMix, MixPolicy,
-    VoiceQuality, VoiceSource,
-};
 pub use codec_model::{
     legibility_after_stalls, legibility_score, VideoConfig, VideoFrame, VideoSource,
 };

@@ -1,12 +1,16 @@
 //! Engine observation hooks for invariant checking.
 //!
-//! A [`SimObserver`] installed via
-//! [`Simulation::set_observer`](crate::Simulation::set_observer) is invoked
-//! synchronously at every interesting engine boundary — sends, final
-//! deliveries, drops, timer firings, and fault executions — with a read-only
-//! [`SimView`] of engine state taken *after* the event was applied. The
-//! `simcheck` crate builds its invariant oracles on these hooks; the engine
-//! itself stays policy-free.
+//! Every engine-boundary event — sends, injects, final deliveries, drops,
+//! no-routes, timer firings and fault executions — is described once, as a
+//! [`SimEvent`], and leaves the engine through one emit point. There it is
+//! first folded into the [`Trace`](crate::Trace), if one is enabled (the
+//! trace is a fixed-format digest of this stream), and then handed to the
+//! installed [`SimObserver`] with a read-only [`SimView`] of engine state
+//! taken *after* the event was applied. Under the sharded engine each lane
+//! buffers its events with their `(time, stamp)` keys, and the barrier
+//! merges the lanes into serial order once, for trace and observer alike.
+//! The `simcheck` crate builds its invariant oracles on these hooks; the
+//! engine itself stays policy-free.
 //!
 //! Observation is strictly passive: an observer cannot mutate the simulation,
 //! draws no randomness from it, and schedules nothing, so installing one
@@ -20,7 +24,7 @@ use crate::time::SimTime;
 /// One engine-boundary event, as seen by a [`SimObserver`].
 ///
 /// Borrowed payloads keep observation allocation-free on the hot path.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub enum SimEvent<'a> {
     /// A node emitted a message via `Context::send` (loopback included).

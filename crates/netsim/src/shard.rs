@@ -19,9 +19,10 @@
 //!    diverting cross-shard sends into per-destination outboxes;
 //! 3. at the barrier the coordinator drains outboxes into the destination
 //!    lanes (every such delivery lands at or past the window end, so no lane
-//!    ever sees its past change), merges buffered trace entries and observer
-//!    events back into the global `(time, stamp)` total order, and replays
-//!    them.
+//!    ever sees its past change), then merges the lanes' buffered event
+//!    streams — one per lane, kept only when the simulation has a trace or an
+//!    observer — back into the global `(time, stamp)` total order in one
+//!    k-way merge that feeds both the trace and the observer.
 //!
 //! Two shortcuts keep this schedule bit-for-bit while cutting its cost.
 //! *Batched outbox exchange* moves each nonempty outbox across the barrier as
@@ -46,60 +47,11 @@ use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
 
 use crate::link::{Link, LinkConfig};
-use crate::node::NodeId;
-use crate::observe::{SimEvent, SimView};
+use crate::observe::SimView;
 use crate::rng::DetRng;
 use crate::sched::EventQueue;
-use crate::sim::{Core, EventKind, Simulation, Stepped};
+use crate::sim::{emit_to, Core, EventKind, Simulation, Stepped};
 use crate::time::{SimDuration, SimTime};
-
-/// An owned copy of a [`SimEvent`], buffered by a lane for in-order replay
-/// at the window barrier. Fault and inject events never occur inside a
-/// window (faults serialize the instant; injects happen between runs), so
-/// only the five in-window variants are representable.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum OwnedSimEvent {
-    Sent { src: NodeId, dst: NodeId, size_bytes: u32 },
-    Delivered { src: NodeId, dst: NodeId, size_bytes: u32, sent_at: SimTime },
-    Dropped { src: NodeId, dst: NodeId, size_bytes: u32, reason: crate::link::DropReason },
-    NoRoute { src: NodeId, dst: NodeId, size_bytes: u32 },
-    TimerFired { node: NodeId, tag: u64 },
-}
-
-impl OwnedSimEvent {
-    pub(crate) fn from_event(event: &SimEvent<'_>) -> Option<Self> {
-        Some(match *event {
-            SimEvent::Sent { src, dst, size_bytes } => OwnedSimEvent::Sent { src, dst, size_bytes },
-            SimEvent::Delivered { src, dst, size_bytes, sent_at } => {
-                OwnedSimEvent::Delivered { src, dst, size_bytes, sent_at }
-            }
-            SimEvent::Dropped { src, dst, size_bytes, reason } => {
-                OwnedSimEvent::Dropped { src, dst, size_bytes, reason }
-            }
-            SimEvent::NoRoute { src, dst, size_bytes } => {
-                OwnedSimEvent::NoRoute { src, dst, size_bytes }
-            }
-            SimEvent::TimerFired { node, tag } => OwnedSimEvent::TimerFired { node, tag },
-            SimEvent::Injected { .. } | SimEvent::Fault { .. } => return None,
-        })
-    }
-
-    fn as_event(&self) -> SimEvent<'static> {
-        match *self {
-            OwnedSimEvent::Sent { src, dst, size_bytes } => SimEvent::Sent { src, dst, size_bytes },
-            OwnedSimEvent::Delivered { src, dst, size_bytes, sent_at } => {
-                SimEvent::Delivered { src, dst, size_bytes, sent_at }
-            }
-            OwnedSimEvent::Dropped { src, dst, size_bytes, reason } => {
-                SimEvent::Dropped { src, dst, size_bytes, reason }
-            }
-            OwnedSimEvent::NoRoute { src, dst, size_bytes } => {
-                SimEvent::NoRoute { src, dst, size_bytes }
-            }
-            OwnedSimEvent::TimerFired { node, tag } => SimEvent::TimerFired { node, tag },
-        }
-    }
-}
 
 /// A shard plan: node → shard assignment plus the global lookahead.
 #[derive(Clone)]
@@ -177,8 +129,7 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
     let k = plan.shards;
     let n = sim.core.nodes.len();
     let nl = sim.core.links.len();
-    let trace_on = sim.core.trace.is_some();
-    let observing = sim.core.observer.is_some();
+    let buffered = sim.core.trace.is_some() || sim.core.observer.is_some();
     let mut lanes: Vec<Core<M>> = (0..k)
         .map(|i| {
             let mut lane: Core<M> = Core::new_serial();
@@ -195,9 +146,7 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
             lane.link_ends = Arc::clone(&sim.core.link_ends);
             lane.adjacency = Arc::clone(&sim.core.adjacency);
             lane.static_delays = Arc::clone(&sim.core.static_delays);
-            lane.buffered = true;
-            lane.trace_on = trace_on;
-            lane.observing = observing;
+            lane.buffered = buffered;
             lane.shard_of = Some(Arc::clone(&plan.shard_of));
             lane.my_shard = i as u32;
             lane.outboxes = (0..k).map(|_| Vec::new()).collect();
@@ -257,7 +206,7 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
     }
     (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth) = (best.0, best.1, best.2);
     for mut lane in lanes {
-        debug_assert!(lane.trace_keys.is_empty() && lane.obs_keys.is_empty());
+        debug_assert!(lane.event_keys.is_empty());
         debug_assert!(lane.outboxes.iter().all(Vec::is_empty));
         for idx in 0..lane.nodes.len() {
             if let Some(node) = lane.nodes[idx].take() {
@@ -361,42 +310,25 @@ fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// Merges the lanes' buffered trace entries and observer events back into
-/// the global `(time, stamp)` order and replays them, then clears the
-/// buffers. Called at every window barrier.
 fn lane<M>(lanes: &mut [Option<Core<M>>], i: usize) -> &mut Core<M> {
     lanes[i].as_mut().expect("lane checked in at barrier")
 }
 
+/// Merges the lanes' buffered event streams back into the global
+/// `(time, stamp)` order and replays each event into the trace and the
+/// observer, then clears the buffers. Called at every window barrier.
 fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Core<M>>]) {
     let k = lanes.len();
-    if sim.core.trace.is_some() {
-        // The k-way merge touches only the dense key lanes; payloads are
-        // fetched once per emitted event.
-        let mut cursors = vec![0usize; k];
-        loop {
-            let mut min: Option<((SimTime, u128), usize)> = None;
-            for (i, &cur) in cursors.iter().enumerate() {
-                if let Some(&key) = lane(lanes, i).trace_keys.get(cur) {
-                    if min.is_none_or(|(m, _)| key < m) {
-                        min = Some((key, i));
-                    }
-                }
-            }
-            let Some((_, i)) = min else { break };
-            let ev = lane(lanes, i).trace_items[cursors[i]];
-            cursors[i] += 1;
-            if let Some(trace) = &mut sim.core.trace {
-                trace.push(ev);
-            }
-        }
+    if (0..k).all(|i| lane(lanes, i).event_keys.is_empty()) {
+        return;
     }
-    if sim.core.observer.is_some() && (0..k).any(|i| !lane(lanes, i).obs_keys.is_empty()) {
-        // Observers see link state at barrier granularity: within a window
-        // links only evolve inside their owning lane, so the merged view
-        // reflects the end-of-window state. Crash flags and the clock are
-        // exact (faults serialize the instant that changes them).
-        let mut links: Vec<Link> = (0..sim.core.links.len()).map(|_| dummy_link()).collect();
+    // Observers see link state at barrier granularity: within a window links
+    // only evolve inside their owning lane, so the merged view reflects the
+    // end-of-window state. Crash flags and the clock are exact (faults
+    // serialize the instant that changes them).
+    let mut links: Vec<Link> = Vec::new();
+    if sim.core.observer.is_some() {
+        links = (0..sim.core.links.len()).map(|_| dummy_link()).collect();
         for i in 0..k {
             let l = lane(lanes, i);
             for (li, slot) in links.iter_mut().enumerate() {
@@ -405,36 +337,31 @@ fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Core<
                 }
             }
         }
-        let mut observer = sim.core.observer.take().expect("checked above");
-        let mut cursors = vec![0usize; k];
-        loop {
-            let mut min: Option<((SimTime, u128), usize)> = None;
-            for (i, &cur) in cursors.iter().enumerate() {
-                if let Some(&key) = lane(lanes, i).obs_keys.get(cur) {
-                    if min.is_none_or(|(m, _)| key < m) {
-                        min = Some((key, i));
-                    }
+    }
+    // The k-way merge touches only the dense key lanes; payloads are
+    // fetched once per emitted event.
+    let mut cursors = vec![0usize; k];
+    loop {
+        let mut min: Option<((SimTime, u128), usize)> = None;
+        for (i, &cur) in cursors.iter().enumerate() {
+            if let Some(&key) = lane(lanes, i).event_keys.get(cur) {
+                if min.is_none_or(|(m, _)| key < m) {
+                    min = Some((key, i));
                 }
             }
-            let Some(((at, _), i)) = min else { break };
-            let owned = lane(lanes, i).obs_items[cursors[i]];
-            cursors[i] += 1;
-            let view = SimView {
-                time: at,
-                crashed: &sim.core.crashed,
-                links: &links,
-                link_ends: &sim.core.link_ends,
-            };
-            observer.on_event(&view, &owned.as_event());
         }
-        sim.core.observer = Some(observer);
+        let Some(((at, _), i)) = min else { break };
+        let event = lane(lanes, i).event_items[cursors[i]];
+        cursors[i] += 1;
+        let core = &mut sim.core;
+        let view =
+            SimView { time: at, crashed: &core.crashed, links: &links, link_ends: &core.link_ends };
+        emit_to(&mut core.trace, &mut core.observer, &view, &event);
     }
     for i in 0..k {
         let l = lane(lanes, i);
-        l.trace_keys.clear();
-        l.trace_items.clear();
-        l.obs_keys.clear();
-        l.obs_items.clear();
+        l.event_keys.clear();
+        l.event_items.clear();
     }
 }
 
@@ -609,16 +536,12 @@ pub(crate) fn try_run_sharded<M: Send + 'static>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fault::FaultWindow;
     use crate::link::{LinkConfig, LossModel};
     use crate::metrics::MetricsSnapshot;
-    use crate::node::{Context, Node, Timer};
-    use crate::observe::{SimEvent, SimObserver, SimView};
+    use crate::node::{Context, Node, NodeId, Timer};
     use crate::sim::{EngineConfig, Simulation};
     use crate::time::{SimDuration, SimTime};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
 
     /// A chatty node: pings a peer on a timer, echoes whatever it receives.
     struct Chatter {
@@ -756,63 +679,6 @@ mod tests {
         let sharded = run(EngineConfig::sharded(2));
         assert_eq!(serial, sharded);
         assert!(serial.1.counters.contains_key("fault.injected"));
-    }
-
-    /// An observer that fingerprints the event stream it sees, including the
-    /// view clock and crash flags, so replay order and view integrity are
-    /// both checked.
-    struct HashingObserver(StdArc<AtomicU64>);
-
-    impl SimObserver for HashingObserver {
-        fn on_event(&mut self, view: &SimView<'_>, event: &SimEvent<'_>) {
-            let mut h = self.0.load(Ordering::Relaxed);
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x100000001b3);
-            };
-            mix(view.time().as_nanos());
-            let crashed =
-                (0..view.node_count()).filter(|&i| view.is_crashed(NodeId::from_index(i))).count();
-            mix(crashed as u64);
-            let code = match event {
-                SimEvent::Sent { src, dst, .. } => {
-                    1 ^ (src.index() as u64) << 8 ^ (dst.index() as u64) << 16
-                }
-                SimEvent::Delivered { src, dst, sent_at, .. } => {
-                    2 ^ (src.index() as u64) << 8
-                        ^ (dst.index() as u64) << 16
-                        ^ sent_at.as_nanos() << 24
-                }
-                SimEvent::Dropped { src, dst, .. } => {
-                    3 ^ (src.index() as u64) << 8 ^ (dst.index() as u64) << 16
-                }
-                SimEvent::NoRoute { .. } => 4,
-                SimEvent::TimerFired { node, tag } => 5 ^ (node.index() as u64) << 8 ^ tag << 16,
-                SimEvent::Injected { .. } => 6,
-                SimEvent::Fault { .. } => 7,
-            };
-            mix(code);
-            self.0.store(h, Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn observer_stream_is_replayed_in_serial_order() {
-        let run = |engine: EngineConfig| {
-            let mut sim = campus_sim(3);
-            sim.set_engine_config(engine);
-            let hash = StdArc::new(AtomicU64::new(0xcbf29ce484222325));
-            sim.set_observer(HashingObserver(StdArc::clone(&hash)));
-            sim.apply_fault_plan(&[FaultWindow::CrashRestart {
-                node: NodeId::from_index(5),
-                from: SimTime::from_millis(80),
-                until: SimTime::from_millis(160),
-            }]);
-            sim.run_until(SimTime::from_millis(300));
-            hash.load(Ordering::Relaxed)
-        };
-        assert_eq!(run(EngineConfig::serial()), run(EngineConfig::sharded(2)));
-        assert_eq!(run(EngineConfig::serial()), run(EngineConfig::sharded(4)));
     }
 
     #[test]

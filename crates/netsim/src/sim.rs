@@ -17,9 +17,8 @@ use crate::node::{Context, Envelope, Node, NodeId, Op, Timer};
 use crate::observe::{SimEvent, SimObserver, SimView};
 use crate::rng::DetRng;
 use crate::sched::{EventQueue, TimerWheel};
-use crate::shard::OwnedSimEvent;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::trace::Trace;
 
 /// Default shard count when the caller asks for `sharded` without a number.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -32,7 +31,7 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// docs); when the topology cannot be partitioned with a positive lookahead
 /// the run falls back to serial execution *loudly* — each fallback bumps the
 /// `engine.fallback_serial` counter and, when tracing is enabled, appends a
-/// [`TraceKind::EngineFallback`] record.
+/// [`TraceKind::EngineFallback`](crate::TraceKind::EngineFallback) record.
 ///
 /// Every [`Simulation`] carries its own `EngineConfig` (see
 /// [`Simulation::with_config`] and [`Simulation::set_engine_config`]); there
@@ -256,21 +255,15 @@ pub(crate) struct Core<M> {
     /// Passive engine-boundary observer (see [`crate::observe`]).
     pub(crate) observer: Option<Box<dyn SimObserver>>,
     // --- shard-lane state; inert under the serial executor ---
-    /// Lane mode: trace entries and observer events are buffered with their
-    /// stamps instead of being emitted directly, for merge at the barrier.
+    /// Lane mode with a trace or an observer to feed: events are buffered
+    /// with their stamps instead of being emitted, for the barrier merge.
     pub(crate) buffered: bool,
-    pub(crate) trace_on: bool,
-    pub(crate) observing: bool,
-    /// Buffered trace entries, struct-of-arrays: the `(time, stamp)` merge
-    /// keys live apart from the payloads so the k-way barrier merge scans a
-    /// dense key lane per shard.
-    pub(crate) trace_keys: Vec<(SimTime, u128)>,
-    /// Payloads parallel to `trace_keys`.
-    pub(crate) trace_items: Vec<TraceEvent>,
-    /// Buffered observer-event merge keys (same layout as `trace_keys`).
-    pub(crate) obs_keys: Vec<(SimTime, u128)>,
-    /// Payloads parallel to `obs_keys`.
-    pub(crate) obs_items: Vec<OwnedSimEvent>,
+    /// Buffered events, struct-of-arrays: the `(time, stamp)` merge keys
+    /// live apart from the payloads so the k-way barrier merge scans a dense
+    /// key lane per shard.
+    pub(crate) event_keys: Vec<(SimTime, u128)>,
+    /// Payloads parallel to `event_keys`.
+    pub(crate) event_items: Vec<SimEvent<'static>>,
     /// Shard owning each node (lane mode only).
     pub(crate) shard_of: Option<Arc<Vec<u32>>>,
     pub(crate) my_shard: u32,
@@ -327,12 +320,8 @@ impl<M> Core<M> {
             trace: None,
             observer: None,
             buffered: false,
-            trace_on: false,
-            observing: false,
-            trace_keys: Vec::new(),
-            trace_items: Vec::new(),
-            obs_keys: Vec::new(),
-            obs_items: Vec::new(),
+            event_keys: Vec::new(),
+            event_items: Vec::new(),
             shard_of: None,
             my_shard: 0,
             outboxes: Vec::new(),
@@ -399,38 +388,42 @@ impl<M> Core<M> {
         self.inbox_min_ns = u64::MAX;
     }
 
-    fn record_trace(&mut self, kind: TraceKind, src: NodeId, dst: NodeId, size_bytes: u32) {
+    /// The one emit call of the event loop: emits `event`, or in a buffering
+    /// lane stores it with its `(time, stamp)` key for the barrier merge.
+    fn notify(&mut self, event: SimEvent<'static>) {
         if self.buffered {
-            if self.trace_on {
-                self.trace_keys.push((self.time, self.cur_stamp));
-                self.trace_items.push(TraceEvent { at: self.time, kind, src, dst, size_bytes });
-            }
-        } else if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent { at: self.time, kind, src, dst, size_bytes });
+            self.event_keys.push((self.time, self.cur_stamp));
+            self.event_items.push(event);
+        } else {
+            self.emit(&event);
         }
     }
 
-    /// Hands `event` to the observer (if any) with a post-event view; in
-    /// lane mode the event is buffered for in-order replay at the barrier.
-    fn notify(&mut self, event: SimEvent<'_>) {
-        if self.buffered {
-            if self.observing {
-                let owned = OwnedSimEvent::from_event(&event)
-                    .expect("fault/inject events never occur inside a shard window");
-                self.obs_keys.push((self.time, self.cur_stamp));
-                self.obs_items.push(owned);
-            }
-            return;
-        }
-        let Some(mut observer) = self.observer.take() else { return };
+    /// Emits `event` with a post-event view of this core.
+    fn emit(&mut self, event: &SimEvent<'_>) {
         let view = SimView {
             time: self.time,
             crashed: &self.crashed,
             links: &self.links,
             link_ends: &self.link_ends,
         };
-        observer.on_event(&view, &event);
-        self.observer = Some(observer);
+        emit_to(&mut self.trace, &mut self.observer, &view, event);
+    }
+}
+
+/// Where every emitted event ends up: folded into the trace (if any) at the
+/// view's time, then handed to the observer (if any) with `view`.
+pub(crate) fn emit_to(
+    trace: &mut Option<Trace>,
+    observer: &mut Option<Box<dyn SimObserver>>,
+    view: &SimView<'_>,
+    event: &SimEvent<'_>,
+) {
+    if let Some(trace) = trace {
+        trace.record(view.time, event);
+    }
+    if let Some(observer) = observer {
+        observer.on_event(view, event);
     }
 }
 
@@ -452,7 +445,6 @@ impl<M: 'static> Core<M> {
                 // Timers armed before a crash are voided: the stale epoch (or
                 // the crashed flag, while down) swallows them.
                 if !self.crashed[node.index()] && epoch == self.epochs[node.index()] {
-                    self.record_trace(TraceKind::TimerFired { tag }, node, node, 0);
                     self.notify(SimEvent::TimerFired { node, tag });
                     self.dispatch(node, Dispatch::Timer(Timer { tag }));
                 }
@@ -462,12 +454,6 @@ impl<M: 'static> Core<M> {
                 if self.crashed[dst.index()] {
                     // Crashed nodes blackhole traffic addressed to them.
                     self.metrics.inc("net.dropped.node_down");
-                    self.record_trace(
-                        TraceKind::Dropped(DropReason::NodeDown),
-                        env.src,
-                        env.dst,
-                        env.size_bytes,
-                    );
                     self.notify(SimEvent::Dropped {
                         src: env.src,
                         dst: env.dst,
@@ -483,11 +469,10 @@ impl<M: 'static> Core<M> {
         Stepped::Event
     }
 
-    /// Counters, latency histogram, and trace entry for one delivery.
+    /// Counters, latency histogram, and emitted event for one delivery.
     fn record_delivery(&mut self, env: &Envelope<M>) {
         self.delivered_count += 1;
         self.delivery_hist.record(self.time.duration_since(env.sent_at).as_nanos());
-        self.record_trace(TraceKind::Delivered, env.src, env.dst, env.size_bytes);
         self.notify(SimEvent::Delivered {
             src: env.src,
             dst: env.dst,
@@ -534,7 +519,6 @@ impl<M: 'static> Core<M> {
                     self.sent_count += 1;
                     let env =
                         Envelope { src: node_id, dst, payload, size_bytes, sent_at: self.time };
-                    self.record_trace(TraceKind::Sent, node_id, dst, size_bytes);
                     self.notify(SimEvent::Sent { src: node_id, dst, size_bytes });
                     if dst == node_id {
                         // Loopback: deliver immediately (next event).
@@ -561,7 +545,6 @@ impl<M: 'static> Core<M> {
     fn transmit(&mut self, env: Envelope<M>) {
         let Some(&link_id) = self.adjacency[env.src.index()].get(&env.dst.0) else {
             self.metrics.inc("net.dropped.no_route");
-            self.record_trace(TraceKind::NoRoute, env.src, env.dst, env.size_bytes);
             self.notify(SimEvent::NoRoute {
                 src: env.src,
                 dst: env.dst,
@@ -583,7 +566,6 @@ impl<M: 'static> Core<M> {
                     DropReason::NodeDown => "net.dropped.node_down",
                 };
                 self.metrics.inc(metric);
-                self.record_trace(TraceKind::Dropped(reason), env.src, env.dst, env.size_bytes);
                 self.notify(SimEvent::Dropped {
                     src: env.src,
                     dst: env.dst,
@@ -893,8 +875,8 @@ impl<M: 'static> Simulation<M> {
     /// [`FaultAction`], and each action becomes an engine event executed at
     /// its time, recorded in metrics (`fault.injected` plus a per-action
     /// counter) and, when tracing is enabled, in the trace as
-    /// [`TraceKind::Fault`]. Actions at the same instant execute in list
-    /// order (a window's start before its end).
+    /// [`TraceKind::Fault`](crate::TraceKind::Fault). Actions at the same
+    /// instant execute in list order (a window's start before its end).
     ///
     /// # Panics
     ///
@@ -955,17 +937,12 @@ impl<M: 'static> Simulation<M> {
         let action = self.fault_actions[index].clone();
         self.core.metrics.inc("fault.injected");
         self.core.metrics.inc(action.metric());
-        let (src, dst) = match &action {
-            FaultAction::LinkDown { a, b }
-            | FaultAction::LinkUp { a, b }
-            | FaultAction::LossBurstStart { a, b, .. }
-            | FaultAction::LossBurstEnd { a, b }
-            | FaultAction::LatencySpikeStart { a, b, .. }
-            | FaultAction::LatencySpikeEnd { a, b } => (*a, *b),
-            FaultAction::CrashNode { node } | FaultAction::RestartNode { node } => (*node, *node),
-            FaultAction::Partition { .. } | FaultAction::Heal => (NodeId(0), NodeId(0)),
-        };
-        self.core.record_trace(TraceKind::Fault { code: action.code() }, src, dst, 0);
+        // The trace records the fault before its action runs, so a restarted
+        // node's `on_start` sends follow it; the observer sees it afterwards,
+        // with the post-fault view.
+        if let Some(trace) = &mut self.core.trace {
+            trace.record_fault(self.core.time, &action);
+        }
         match action {
             FaultAction::LinkDown { a, b } => self.set_connection_up(a, b, false),
             FaultAction::LinkUp { a, b } => self.set_connection_up(a, b, true),
@@ -988,10 +965,7 @@ impl<M: 'static> Simulation<M> {
             FaultAction::CrashNode { node } => self.crash_node(node),
             FaultAction::RestartNode { node } => self.restart_node(node),
         }
-        if self.core.observer.is_some() {
-            let action = self.fault_actions[index].clone();
-            self.core.notify(SimEvent::Fault { action: &action });
-        }
+        self.core.emit(&SimEvent::Fault { action: &self.fault_actions[index] });
     }
 
     fn for_both_directions(&mut self, a: NodeId, b: NodeId, mut apply: impl FnMut(&mut Link)) {
@@ -1153,18 +1127,13 @@ impl<M: 'static> Simulation<M> {
 
     /// Records that a sharded run could not be planned and fell back to the
     /// serial executor: bumps the `engine.fallback_serial` counter and, when
-    /// tracing is enabled, appends an [`TraceKind::EngineFallback`] record —
+    /// tracing is enabled, appends an
+    /// [`TraceKind::EngineFallback`](crate::TraceKind::EngineFallback) record —
     /// the fallback is an explicit signal, never silent.
     pub(crate) fn note_serial_fallback(&mut self) {
         self.core.fallback_serial += 1;
         if let Some(trace) = &mut self.core.trace {
-            trace.push(TraceEvent {
-                at: self.core.time,
-                kind: TraceKind::EngineFallback,
-                src: NodeId(0),
-                dst: NodeId(0),
-                size_bytes: 0,
-            });
+            trace.record_fallback(self.core.time);
         }
     }
 
@@ -1248,6 +1217,7 @@ impl<M> std::fmt::Debug for Simulation<M> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use crate::trace::TraceKind;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
@@ -1448,17 +1418,22 @@ mod tests {
         ticks: u64,
         starts: u64,
         crashes: u64,
+        /// Greeted with one message at every start, restarts included.
+        hello: Option<NodeId>,
     }
 
     impl Counter {
         fn new() -> Self {
-            Counter { got: 0, ticks: 0, starts: 0, crashes: 0 }
+            Counter { got: 0, ticks: 0, starts: 0, crashes: 0, hello: None }
         }
     }
 
     impl Node<Msg> for Counter {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             self.starts += 1;
+            if let Some(peer) = self.hello {
+                ctx.send(peer, Msg::Ping(self.starts), 8);
+            }
             ctx.set_timer(SimDuration::from_millis(10), 77);
         }
         fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
@@ -1535,9 +1510,19 @@ mod tests {
     fn fault_plan_executes_on_schedule() {
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let sink = sim.add_node("sink", Sink { got: vec![] });
-        let c = sim.add_node("counter", Counter::new());
+        let c = sim.add_node("counter", Counter { hello: Some(sink), ..Counter::new() });
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.enable_trace(10_000);
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = std::sync::Arc::clone(&seen);
+        sim.set_observer(move |view: &crate::SimView<'_>, event: &crate::SimEvent<'_>| {
+            let kind = match event {
+                crate::SimEvent::Sent { .. } => "sent",
+                crate::SimEvent::Fault { .. } => "fault",
+                _ => "other",
+            };
+            log.lock().unwrap().push((view.time(), kind));
+        });
         sim.apply_fault_plan(&[FaultWindow::CrashRestart {
             node: c,
             from: SimTime::from_millis(25),
@@ -1559,6 +1544,24 @@ mod tests {
             .filter(|ev| matches!(ev.kind, TraceKind::Fault { .. }))
             .count();
         assert_eq!(faults, 2);
+        // At the restart instant the trace holds the fault before the
+        // restarted node's `on_start` send; the observer sees that send
+        // first and the fault afterwards, with the post-fault view.
+        let restart = SimTime::from_millis(55);
+        let traced: Vec<_> = sim
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|ev| ev.at == restart)
+            .map(|ev| (ev.kind, ev.src))
+            .collect();
+        let code = FaultAction::RestartNode { node: c }.code();
+        assert_eq!(traced, [(TraceKind::Fault { code }, c), (TraceKind::Sent, c)]);
+        let observed: Vec<_> =
+            seen.lock().unwrap().iter().filter(|(at, _)| *at == restart).map(|e| e.1).collect();
+        assert_eq!(observed, ["sent", "fault"]);
+        assert_eq!(sim.node_as::<Sink>(sink).unwrap().got.len(), 2, "one hello per start");
     }
 
     /// Counts engine-boundary events by kind.

@@ -1,9 +1,19 @@
 //! Event tracing for audits and determinism tests.
+//!
+//! The trace is a fixed-format digest of the observer's event stream: the
+//! engine emits each [`SimEvent`] once, and [`Trace::record`] — the one place
+//! that maps a `SimEvent` to a [`TraceKind`] — folds it in before the
+//! observer sees it. Two records exist only in the trace and are written
+//! outside shard lanes: a fault, recorded *before* its action runs (so a
+//! restarted node's `on_start` sends follow it), and an engine fallback.
+//! Injects are seen by the observer only.
 
 use serde::{Deserialize, Serialize};
 
+use crate::fault::FaultAction;
 use crate::link::DropReason;
 use crate::node::NodeId;
+use crate::observe::SimEvent;
 use crate::time::SimTime;
 
 /// What happened at a traced instant.
@@ -115,7 +125,50 @@ impl Trace {
         Trace { events: Vec::new(), capacity, seen: 0, hash: Fnv1a::new() }
     }
 
-    pub(crate) fn push(&mut self, ev: TraceEvent) {
+    /// Folds one engine event, emitted at `at`, into the trace. Injects are
+    /// not traced, and faults are recorded by [`Trace::record_fault`].
+    pub(crate) fn record(&mut self, at: SimTime, event: &SimEvent<'_>) {
+        let (kind, src, dst, size_bytes) = match *event {
+            SimEvent::Sent { src, dst, size_bytes } => (TraceKind::Sent, src, dst, size_bytes),
+            SimEvent::Delivered { src, dst, size_bytes, .. } => {
+                (TraceKind::Delivered, src, dst, size_bytes)
+            }
+            SimEvent::Dropped { src, dst, size_bytes, reason } => {
+                (TraceKind::Dropped(reason), src, dst, size_bytes)
+            }
+            SimEvent::NoRoute { src, dst, size_bytes } => {
+                (TraceKind::NoRoute, src, dst, size_bytes)
+            }
+            SimEvent::TimerFired { node, tag } => (TraceKind::TimerFired { tag }, node, node, 0),
+            SimEvent::Injected { .. } | SimEvent::Fault { .. } => return,
+        };
+        self.push(TraceEvent { at, kind, src, dst, size_bytes });
+    }
+
+    /// Records a scripted fault about to execute at `at`: a link fault names
+    /// its two nodes, a node fault its node twice, a partition or heal node 0.
+    pub(crate) fn record_fault(&mut self, at: SimTime, action: &FaultAction) {
+        let (src, dst) = match action {
+            FaultAction::LinkDown { a, b }
+            | FaultAction::LinkUp { a, b }
+            | FaultAction::LossBurstStart { a, b, .. }
+            | FaultAction::LossBurstEnd { a, b }
+            | FaultAction::LatencySpikeStart { a, b, .. }
+            | FaultAction::LatencySpikeEnd { a, b } => (*a, *b),
+            FaultAction::CrashNode { node } | FaultAction::RestartNode { node } => (*node, *node),
+            FaultAction::Partition { .. } | FaultAction::Heal => (NodeId(0), NodeId(0)),
+        };
+        let kind = TraceKind::Fault { code: action.code() };
+        self.push(TraceEvent { at, kind, src, dst, size_bytes: 0 });
+    }
+
+    /// Records that a sharded run at `at` fell back to the serial executor.
+    pub(crate) fn record_fallback(&mut self, at: SimTime) {
+        let kind = TraceKind::EngineFallback;
+        self.push(TraceEvent { at, kind, src: NodeId(0), dst: NodeId(0), size_bytes: 0 });
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
         let kind_code: u64 = match ev.kind {
             TraceKind::Sent => 1,
             TraceKind::Delivered => 2,

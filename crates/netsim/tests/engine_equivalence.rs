@@ -9,10 +9,16 @@
 //! 4 shards. Trace fingerprints, the full metrics snapshot (minus the
 //! `engine.` namespace, which describes the executor itself), the event
 //! count, and the final clock must all agree exactly.
+//!
+//! The trace is a digest of the observer's event stream, so the sharded runs
+//! also install an observer: its own digest of every event must agree across
+//! engines, and installing it must not move the trace fingerprint.
+
+use std::sync::{Arc, Mutex};
 
 use metaclass_netsim::{
-    Context, EngineConfig, FaultWindow, LinkConfig, LossModel, MetricsSnapshot, Node, NodeId,
-    SimDuration, SimTime, Simulation, Timer,
+    Context, EngineConfig, FaultWindow, Fnv1a, LinkConfig, LossModel, MetricsSnapshot, Node,
+    NodeId, SimDuration, SimEvent, SimTime, SimView, Simulation, Timer,
 };
 use proptest::prelude::*;
 
@@ -157,15 +163,35 @@ fn fault_plan(
     plan
 }
 
+/// Installs an observer folding every event, with the view's clock and
+/// crash count, into one digest. Link state is left out: under the sharded
+/// engine the view shows it at barrier granularity.
+fn observe(sim: &mut Simulation<u64>) -> Arc<Mutex<Fnv1a>> {
+    let digest = Arc::new(Mutex::new(Fnv1a::new()));
+    let sink = Arc::clone(&digest);
+    sim.set_observer(move |view: &SimView<'_>, event: &SimEvent<'_>| {
+        let crashed =
+            (0..view.node_count()).filter(|&i| view.is_crashed(NodeId::from_index(i))).count();
+        let mut h = sink.lock().unwrap();
+        h.write_u64(view.time().as_nanos());
+        h.write_u64(crashed as u64);
+        h.write(format!("{event:?}").as_bytes());
+    });
+    digest
+}
+
+/// Runs one case; with `observed`, the last field is the observer's digest.
 fn run(
     seed: u64,
     topo: &Topo,
     faults: &Faults,
     engine: EngineConfig,
-) -> (u64, MetricsSnapshot, u64, SimTime, u64) {
+    observed: bool,
+) -> (u64, MetricsSnapshot, u64, SimTime, u64, Option<u64>) {
     let (mut sim, gateways, all) = build(seed, topo);
     sim.set_engine_config(engine);
     sim.enable_trace(1 << 20);
+    let digest = observed.then(|| observe(&mut sim));
     sim.apply_fault_plan(&fault_plan(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
     (
@@ -174,6 +200,7 @@ fn run(
         sim.events_processed(),
         sim.time(),
         sim.metrics().counter_value("engine.fallback_serial"),
+        digest.map(|d| d.lock().unwrap().finish()),
     )
 }
 
@@ -211,10 +238,13 @@ proptest! {
         topo in topo_strategy(),
         faults in faults_strategy(),
     ) {
-        let serial = run(seed, &topo, &faults, EngineConfig::serial());
+        let serial = run(seed, &topo, &faults, EngineConfig::serial(), true);
         prop_assert_eq!(serial.4, 0, "serial runs never count a fallback");
+        let unobserved = run(seed, &topo, &faults, EngineConfig::serial(), false);
+        prop_assert_eq!(serial.0, unobserved.0, "observer moved the trace fingerprint");
         for shards in [2usize, 4] {
-            let sharded = run(seed, &topo, &faults, EngineConfig::sharded(shards));
+            let sharded = run(seed, &topo, &faults, EngineConfig::sharded(shards), true);
+            prop_assert_eq!(serial.5, sharded.5, "observer digest ({} shards)", shards);
             prop_assert_eq!(serial.0, sharded.0, "trace fingerprint ({} shards)", shards);
             prop_assert_eq!(&serial.1, &sharded.1, "metrics ({} shards)", shards);
             prop_assert_eq!(serial.2, sharded.2, "event count ({} shards)", shards);
