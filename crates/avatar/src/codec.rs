@@ -444,27 +444,11 @@ impl AvatarCodec {
             return self.decode_full_body(&mut r);
         }
         let reference = reference.ok_or(CodecError::MissingReference)?;
-
-        let pos_changed = r.read_bool()?;
-        let quat_changed = r.read_bool()?;
-        let lh_changed = r.read_bool()?;
-        let rh_changed = r.read_bool()?;
-        let vel_changed = r.read_bool()?;
-        let expr_changed = r.read_bool()?;
+        let [pos_changed, quat_changed, lh_changed, rh_changed, vel_changed, expr_changed] =
+            read_change_flags(&mut r)?;
 
         let prev_pg = self.pos.quantize(reference.head.position);
-        let cur_pg = if pos_changed {
-            let mut g = [0u32; 3];
-            for (o, p) in g.iter_mut().zip(&prev_pg) {
-                // The difference is untrusted: saturate, then clamp onto the grid.
-                let d = r.read_varint_signed()?;
-                *o = (*p as i64).saturating_add(d).clamp(0, (1 << self.cfg.position_bits) - 1)
-                    as u32;
-            }
-            g
-        } else {
-            prev_pg
-        };
+        let cur_pg = if pos_changed { self.read_head_delta(&mut r, prev_pg)? } else { prev_pg };
         let head_pos = self.pos.dequantize(cur_pg);
 
         let orientation = if quat_changed {
@@ -493,13 +477,7 @@ impl AvatarCodec {
         };
 
         let expression = if expr_changed {
-            let mask = r.read_bits(CHANNELS as u32)?;
-            let mut q = reference.expression.quantize();
-            for (i, o) in q.iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    *o = r.read_bits(8)? as u8;
-                }
-            }
+            let q = read_expression_delta(&mut r, reference.expression.quantize())?;
             ExpressionFrame::from_quantized(&q)
         } else {
             reference.expression
@@ -514,7 +492,26 @@ impl AvatarCodec {
         })
     }
 
+    /// A delta's head grid: `prev` moved by three varint differences.
+    fn read_head_delta(
+        &self,
+        r: &mut BitReader<'_>,
+        prev: [u32; 3],
+    ) -> Result<[u32; 3], CodecError> {
+        let mut g = [0u32; 3];
+        for (o, p) in g.iter_mut().zip(&prev) {
+            // The difference is untrusted: saturate, then clamp onto the grid.
+            let d = r.read_varint_signed()?;
+            *o = (*p as i64).saturating_add(d).clamp(0, (1 << self.cfg.position_bits) - 1) as u32;
+        }
+        Ok(g)
+    }
+
     fn decode_full_body(&self, r: &mut BitReader<'_>) -> Result<AvatarState, CodecError> {
+        Ok(self.dequantize(&self.read_full_grid(r)?))
+    }
+
+    fn read_full_grid(&self, r: &mut BitReader<'_>) -> Result<QuantizedState, CodecError> {
         let position = read_grid(r, self.cfg.position_bits)?;
         let orientation = self.read_quat(r)?;
         let left_hand = read_grid(r, self.cfg.hand_bits)?;
@@ -524,14 +521,81 @@ impl AvatarCodec {
         for e in &mut expression {
             *e = r.read_bits(8)? as u8;
         }
-        Ok(self.dequantize(&QuantizedState {
-            position,
-            orientation,
-            left_hand,
-            right_hand,
-            velocity,
-            expression,
-        }))
+        Ok(QuantizedState { position, orientation, left_hand, right_hand, velocity, expression })
+    }
+
+    /// [`decode`](Self::decode) on the grid: decodes a frame against the grid
+    /// form of a reference and returns the grids the frame carries, so a
+    /// receiver can keep its references at wire precision. The result is
+    /// exact, not close: when `reference` is `Some(g)`,
+    /// `dequantize(&decode_grid(Some(g), bytes)?)` is to the bit what
+    /// `decode(Some(&dequantize(g)), bytes)` returns, and both fail alike.
+    ///
+    /// The argument is an induction from the keyframe, which
+    /// [`decode`](Self::decode) already builds as `dequantize` of the grids
+    /// read. A delta carries an unchanged orientation, velocity or
+    /// expression over from its reference, so carrying the grid over
+    /// dequantizes to the same floats; and it rebuilds head and hands from
+    /// grids, so those are the grids returned. What the float decoder
+    /// re-quantizes from its reference (the head grid, unchanged hand
+    /// offsets, the expression) is re-quantized here from the same floats,
+    /// `dequantize(g)`'s, by the same calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    pub fn decode_grid(
+        &self,
+        reference: Option<&QuantizedState>,
+        bytes: &[u8],
+    ) -> Result<QuantizedState, CodecError> {
+        let mut r = BitReader::new(bytes);
+        let full = r.read_bool()?;
+        if full {
+            return self.read_full_grid(&mut r);
+        }
+        let reference = reference.ok_or(CodecError::MissingReference)?;
+        let [pos_changed, quat_changed, lh_changed, rh_changed, vel_changed, expr_changed] =
+            read_change_flags(&mut r)?;
+
+        let ref_pos = self.pos.dequantize(reference.position);
+        let prev_pg = self.pos.quantize(ref_pos);
+        let position = if pos_changed { self.read_head_delta(&mut r, prev_pg)? } else { prev_pg };
+
+        let orientation =
+            if quat_changed { self.read_quat(&mut r)? } else { reference.orientation };
+
+        // An unchanged hand keeps its grid offset and follows the head; the
+        // offset is re-derived from the reference's absolute hand position,
+        // as the float decoder re-derives it.
+        let ref_head = self.pos.dequantize(prev_pg);
+        let carried_hand =
+            |g: [u32; 3]| self.hand.quantize(ref_pos + self.hand.dequantize(g) - ref_head);
+        let left_hand = if lh_changed {
+            read_grid(&mut r, self.cfg.hand_bits)?
+        } else {
+            carried_hand(reference.left_hand)
+        };
+        let right_hand = if rh_changed {
+            read_grid(&mut r, self.cfg.hand_bits)?
+        } else {
+            carried_hand(reference.right_hand)
+        };
+
+        let velocity = if vel_changed {
+            read_grid(&mut r, self.cfg.velocity_bits)?
+        } else {
+            reference.velocity
+        };
+
+        let expression = if expr_changed {
+            let carried = ExpressionFrame::from_quantized(&reference.expression).quantize();
+            read_expression_delta(&mut r, carried)?
+        } else {
+            reference.expression
+        };
+
+        Ok(QuantizedState { position, orientation, left_hand, right_hand, velocity, expression })
     }
 }
 
@@ -539,6 +603,29 @@ fn write_grid(w: &mut BitWriter<'_>, g: [u32; 3], bits: u32) {
     for c in g {
         w.write_bits(c as u64, bits);
     }
+}
+
+/// A delta's six change flags: head, orientation, hands, velocity, expression.
+fn read_change_flags(r: &mut BitReader<'_>) -> Result<[bool; 6], ReadOverrunError> {
+    let mut flags = [false; 6];
+    for f in &mut flags {
+        *f = r.read_bool()?;
+    }
+    Ok(flags)
+}
+
+/// A delta's expression: the channels its mask names replace those of `q`.
+fn read_expression_delta(
+    r: &mut BitReader<'_>,
+    mut q: [u8; CHANNELS],
+) -> Result<[u8; CHANNELS], ReadOverrunError> {
+    let mask = r.read_bits(CHANNELS as u32)?;
+    for (i, o) in q.iter_mut().enumerate() {
+        if mask & (1 << i) != 0 {
+            *o = r.read_bits(8)? as u8;
+        }
+    }
+    Ok(q)
 }
 
 fn read_grid(r: &mut BitReader<'_>, bits: u32) -> Result<[u32; 3], ReadOverrunError> {

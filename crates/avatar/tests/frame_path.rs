@@ -6,12 +6,14 @@
 //! the straightforward versions — a growing `Vec<u8>` pushed a byte at a
 //! time, and encoders that quantize reference and state from floats on every
 //! call — which live on here as oracles. The decode surfaces are then fed
-//! arbitrary and bit-flipped bytes: they may fail, never panic.
+//! arbitrary and bit-flipped bytes: they may fail, never panic. Last, the
+//! grid-domain decoder a receiver keeps its references with must be the
+//! float decoder to the bit, along whole chains of frames.
 
 use metaclass_avatar::{
     AvatarCodec, AvatarState, BitReader, BitWriter, CodecConfig, CodecError, ExpressionFrame,
-    FramePayload, Pose, PositionQuantizer, QuantizedQuat, Quat, QuatQuantizer, SpaceBounds, Vec3,
-    CHANNELS, MAX_FRAME_BYTES,
+    FramePayload, Pose, PositionQuantizer, QuantizedQuat, QuantizedState, Quat, QuatQuantizer,
+    SpaceBounds, Vec3, CHANNELS, MAX_FRAME_BYTES,
 };
 use proptest::prelude::*;
 use serde::Deserialize;
@@ -246,6 +248,13 @@ fn codec_shapes() -> [CodecConfig; 4] {
     ]
 }
 
+/// The shape every session stream uses (`metaclass_core::protocol_codec`,
+/// built here because this crate sits below `core`): auditorium bounds at
+/// 15 position bits.
+fn protocol_shape() -> CodecConfig {
+    CodecConfig { bounds: SpaceBounds::auditorium(), position_bits: 15, ..CodecConfig::default() }
+}
+
 /// Sixteen raw numbers and sixteen weights to a state. `lattice` snaps the
 /// orientation to quarter steps, which makes exact smallest-three ties (two
 /// components of equal magnitude) common; positions and hands range past the
@@ -424,6 +433,74 @@ proptest! {
             let cut = cut as usize % valid.len();
             // A cut frame may still parse when only padding went missing.
             let _ = codec.decode(Some(&reference), &valid[..cut]);
+        }
+    }
+
+    // (e) Chains of keyframes and deltas — the same state again, new states
+    // with orientation ties, frames with bits flipped or the tail cut off —
+    // through a float receiver and a grid receiver side by side. Before each
+    // frame the grid reference dequantizes to the float reference, and the
+    // frame decodes to the same bits, or the same error, on both.
+    #[test]
+    fn the_grid_decoder_is_the_float_decoder_to_the_bit(
+        shape in 0usize..5,
+        chain in proptest::collection::vec(
+            (raw_state(), 0u32..8, 0u32..4, proptest::collection::vec(any::<u16>(), 1..4)),
+            1..24,
+        ),
+    ) {
+        let cfg = codec_shapes().into_iter().chain([protocol_shape()]).nth(shape).unwrap();
+        let codec = AvatarCodec::new(cfg);
+        let mut grid: Option<QuantizedState> = None;
+        let mut float: Option<AvatarState> = None;
+        let mut last = None;
+        for (step, ((raw, weights, lattice), kind, mangle, noise)) in chain.into_iter().enumerate() {
+            prop_assert_eq!(grid.map(|g| bits(&codec.dequantize(&g))), float.map(|s| bits(&s)));
+            // One frame in eight is a keyframe, one the previous state again
+            // (the all-unchanged delta); the rest are new states. A delta is
+            // written as a sender writes it, against the grid form of the
+            // reconstructed reference.
+            let state = match (kind, last) {
+                (1, Some(last)) => last,
+                _ => state_from(&raw, &weights, lattice),
+            };
+            last = Some(state);
+            let wire = codec.quantize(&state);
+            let mut frame = match grid {
+                Some(g) if kind != 0 => {
+                    codec.delta_frame(&codec.quantize(&codec.dequantize(&g)), &wire).to_vec()
+                }
+                _ => codec.full_frame(&wire).to_vec(),
+            };
+            match mangle {
+                2 => {
+                    for flip in &noise {
+                        let bit = *flip as usize % (frame.len() * 8);
+                        frame[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                3 => frame.truncate(noise[0] as usize % frame.len()),
+                _ => {}
+            }
+
+            let by_grid = codec.decode_grid(grid.as_ref(), &frame);
+            let by_float = codec.decode(float.as_ref(), &frame);
+            prop_assert_eq!(
+                by_grid.map(|q| bits(&codec.dequantize(&q))),
+                by_float.map(|s| bits(&s)),
+                "step {}", step
+            );
+            // Without a reference, too: a keyframe or the same error.
+            prop_assert_eq!(
+                codec.decode_grid(None, &frame).map(|q| bits(&codec.dequantize(&q))),
+                codec.decode(None, &frame).map(|s| bits(&s)),
+                "step {} without a reference", step
+            );
+            // What applied becomes the next reference, mangled or not.
+            if let (Ok(q), Ok(s)) = (by_grid, by_float) {
+                grid = Some(q);
+                float = Some(s);
+            }
         }
     }
 }

@@ -3,12 +3,13 @@
 //! SoA wheel lanes, inline avatar frames, ring-buffer snapshot histories).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and tallies
-//! every `alloc`/`realloc`. First a warmed-up snapshot stream must encode,
-//! decode and acknowledge, and a full-window jitter buffer take pushes, with
-//! no allocator call at all, and a new jitter buffer must fill its delay
-//! window within a handful of calls. Then, after warm-up simulated time (arenas,
-//! slabs and rings grow to their high-water marks), a further simulated
-//! second on two session shapes — E3-quick with
+//! every `alloc`/`realloc`, and the bytes live. First a warmed-up snapshot
+//! stream must encode, decode and acknowledge, and a full-window jitter
+//! buffer take pushes, with no allocator call at all, a new jitter buffer
+//! must fill its delay window within a handful of calls, and a full snapshot
+//! receiver must hold no more than its 128 grid-form references. Then, after
+//! warm-up simulated time (arenas, slabs and rings grow to their high-water
+//! marks), a further simulated second on two session shapes — E3-quick with
 //! its remote cohort, and two MR campuses with none — must stay under a
 //! committed allocations-per-event ceiling on BOTH engines. The ceilings
 //! are about 2x the measured rates: they catch a reintroduced per-frame
@@ -18,9 +19,10 @@
 //! counter is never polluted by a concurrently running test thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use metaclass_avatar::{AvatarCodec, AvatarState, Vec3};
+use metaclass_avatar::{AvatarCodec, AvatarState, QuantizedState, Vec3};
 use metaclass_core::{Activity, ClassroomSession, SessionBuilder};
 use metaclass_netsim::{EngineConfig, LinkClass, Region, SimDuration, SimTime};
 use metaclass_sync::{JitterBuffer, JitterBufferConfig, SnapshotReceiver, SnapshotSender};
@@ -28,21 +30,27 @@ use metaclass_sync::{JitterBuffer, JitterBufferConfig, SnapshotReceiver, Snapsho
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested and not yet freed (wrapping: only differences are read).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: defers to `System` for every operation; only adds a relaxed
-// counter bump, which is allocation-free and reentrancy-safe.
+// SAFETY: defers to `System` for every operation; only adds relaxed
+// counter bumps, which are allocation-free and reentrancy-safe.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES
+            .fetch_add((new_size as u64).wrapping_sub(layout.size() as u64), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -108,6 +116,29 @@ fn snapshot_round_trip_allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
+/// A receiver driven 300 frames past its 128 references: the bytes it then
+/// holds on the heap. Frames are encoded first, so only the receiver's own
+/// storage is counted, and it is kept alive until after the reading.
+fn snapshot_receiver_bytes() -> u64 {
+    let mut tx = SnapshotSender::new(AvatarCodec::with_defaults(), 60);
+    let frames: Vec<_> = (0..428u64)
+        .map(|i| {
+            let frame =
+                tx.encode(&AvatarState::at_position(Vec3::new(2.0 + i as f64 * 0.003, 1.6, 4.0)));
+            tx.on_ack(frame.seq);
+            frame
+        })
+        .collect();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut rx = SnapshotReceiver::new(AvatarCodec::with_defaults());
+    for frame in &frames {
+        rx.decode(frame).expect("valid frame").expect("reference kept");
+    }
+    let bytes = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before);
+    drop(rx);
+    bytes
+}
+
 /// One update of a client's playout buffer for one remote avatar: the `i`-th
 /// state of a 72 Hz stream, arriving after 20–60 ms of network delay drawn
 /// from the xorshift state `jitter`.
@@ -160,6 +191,20 @@ fn steady_state_allocations_per_event_stay_under_budget() {
          SnapshotReceiver's evict-before-insert ring)"
     );
     eprintln!("alloc_budget[snapshot_round_trip]: 0 allocs / 1000 frames");
+    // 128 references of 88 bytes, plus a deque header's worth of slack:
+    // 11 296 bytes. Float references (200 bytes each) held 25 600.
+    let receiver_budget = 128 * std::mem::size_of::<(u64, QuantizedState)>()
+        + std::mem::size_of::<VecDeque<(u64, QuantizedState)>>();
+    let receiver = snapshot_receiver_bytes();
+    eprintln!(
+        "alloc_budget[snapshot_receiver_bytes]: {receiver} bytes live after 428 frames \
+         (budget {receiver_budget})"
+    );
+    assert!(
+        receiver <= receiver_budget as u64,
+        "a full snapshot receiver holds {receiver} heap bytes, over the budget of \
+         {receiver_budget}: its references are no longer 128 grid-form entries"
+    );
     assert_eq!(
         jitter_buffer_push_allocs(),
         0,

@@ -176,9 +176,12 @@ const RECEIVER_CAPACITY: usize = 128;
 #[derive(Debug, Clone)]
 pub struct SnapshotReceiver {
     codec: AvatarCodec,
-    /// Recently decoded states, ascending by sequence, never more than
+    /// Recently decoded states in grid form (88 B an entry where a float
+    /// state takes 200), ascending by sequence, never more than
     /// [`RECEIVER_CAPACITY`]. The back entry is the newest applied frame.
-    states: VecDeque<(u64, AvatarState)>,
+    /// Each is the grid whose `dequantize` is the state `decode` returned
+    /// (see [`AvatarCodec::decode_grid`]).
+    states: VecDeque<(u64, QuantizedState)>,
     needs_keyframe: bool,
 }
 
@@ -208,41 +211,41 @@ impl SnapshotReceiver {
                 }
             },
         };
-        let state = self.codec.decode(reference, &frame.payload)?;
+        let grid = self.codec.decode_grid(reference, &frame.payload)?;
         if self.ack_seq().is_none_or(|latest| frame.seq > latest) {
             self.needs_keyframe = false;
         }
-        self.store(frame.seq, state);
-        Ok(Some(state))
+        self.store(frame.seq, grid);
+        Ok(Some(self.codec.dequantize(&grid)))
     }
 
-    /// Files `state` under `seq`, evicting the oldest entry *first* when
+    /// Files `grid` under `seq`, evicting the oldest entry *first* when
     /// full, so the deque never grows (and never reallocates) past
     /// [`RECEIVER_CAPACITY`].
-    fn store(&mut self, seq: u64, state: AvatarState) {
+    fn store(&mut self, seq: u64, grid: QuantizedState) {
         match self.states.binary_search_by_key(&seq, |(seq, _)| *seq) {
-            Ok(at) => self.states[at].1 = state,
+            Ok(at) => self.states[at].1 = grid,
             Err(at) if self.states.len() < RECEIVER_CAPACITY => {
-                self.states.insert(at, (seq, state));
+                self.states.insert(at, (seq, grid));
             }
             // Full, and older than everything kept: it would be the entry
             // evicted.
             Err(0) => {}
             Err(at) => {
                 self.states.pop_front();
-                self.states.insert(at - 1, (seq, state));
+                self.states.insert(at - 1, (seq, grid));
             }
         }
     }
 
     /// The newest applied state and its sequence.
-    pub fn latest(&self) -> Option<(u64, &AvatarState)> {
-        self.states.back().map(|(seq, state)| (*seq, state))
+    pub fn latest(&self) -> Option<(u64, AvatarState)> {
+        self.states.back().map(|(seq, grid)| (*seq, self.codec.dequantize(grid)))
     }
 
     /// The sequence the receiver would acknowledge (its newest applied).
     pub fn ack_seq(&self) -> Option<u64> {
-        self.latest().map(|(seq, _)| seq)
+        self.states.back().map(|(seq, _)| *seq)
     }
 
     /// Returns and clears the keyframe-needed flag.

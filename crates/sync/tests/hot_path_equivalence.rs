@@ -5,8 +5,8 @@
 //! `InterestManager::select` scores a slot table and ranks only the winners;
 //! `SnapshotSender` keeps its unacknowledged history as a dense ring of
 //! quantized states and `SnapshotReceiver` its references as a
-//! sequence-sorted ring that evicts before it inserts. All must return
-//! exactly what the straightforward versions return — re-read the whole
+//! sequence-sorted ring of quantized states that evicts before it inserts.
+//! All must return exactly what the straightforward versions return — re-read the whole
 //! window on every push and never trim; key everything by id, score every entity in
 //! range and sort them all; file reconstructed float states in a `BTreeMap`
 //! by sequence, re-quantize the reference for every delta, insert then evict
@@ -14,7 +14,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecError, FramePayload, Quat, Vec3};
+use metaclass_avatar::{
+    AvatarCodec, AvatarId, AvatarState, CodecConfig, CodecError, FramePayload, Quat, SpaceBounds,
+    Vec3,
+};
 use metaclass_netsim::{SimDuration, SimTime};
 use metaclass_sync::{
     InterestConfig, InterestManager, JitterBuffer, JitterBufferConfig, PoseFrame, SnapshotReceiver,
@@ -363,6 +366,19 @@ fn walker(x: f64, heading: u32) -> AvatarState {
     state
 }
 
+/// Codecs the snapshot properties run under: the crate default, and the
+/// shape every session stream uses (`metaclass_core::protocol_codec`, built
+/// here because this crate cannot depend on `core`): auditorium bounds at
+/// 15 position bits.
+fn snapshot_codecs() -> [AvatarCodec; 2] {
+    let protocol = CodecConfig {
+        bounds: SpaceBounds::auditorium(),
+        position_bits: 15,
+        ..CodecConfig::default()
+    };
+    [AvatarCodec::with_defaults(), AvatarCodec::new(protocol)]
+}
+
 fn st(x: f64) -> AvatarState {
     let mut state = AvatarState::at_position(Vec3::new(x, 1.6, 0.0));
     state.velocity = Vec3::new(0.3, 0.0, -0.2); // extrapolation is not a no-op
@@ -549,11 +565,12 @@ proptest! {
     // for frame and answer for answer.
     #[test]
     fn ring_snapshot_pair_matches_the_map_pair(
+        shape in 0usize..2,
         interval_choice in 0usize..3,
         ops in proptest::collection::vec((0u32..10, any::<u64>(), -3.0..3.0f64, 0u32..5), 1..300),
     ) {
         let interval = [1, 7, 60][interval_choice];
-        let codec = AvatarCodec::with_defaults;
+        let codec = || snapshot_codecs()[shape].clone();
         let (mut fast_tx, mut slow_tx) =
             (SnapshotSender::new(codec(), interval), RefSnapshotSender::new(codec(), interval));
         let (mut fast_rx, mut slow_rx) =
@@ -620,7 +637,7 @@ proptest! {
             prop_assert_eq!(fast_tx.frames_sent(), slow_tx.next_seq);
             prop_assert_eq!(fast_rx.ack_seq(), slow_rx.latest_seq, "step {}", step);
             prop_assert_eq!(
-                fast_rx.latest().map(|(seq, s)| (seq, bits(s))),
+                fast_rx.latest().map(|(seq, s)| (seq, bits(&s))),
                 slow_rx.latest().map(|(seq, s)| (seq, bits(s))),
                 "step {}", step
             );
@@ -634,12 +651,13 @@ proptest! {
     // sequence ever sent reads out that both kept the same 128.
     #[test]
     fn a_full_receiver_evicts_what_the_map_evicted(
+        shape in 0usize..2,
         frames in proptest::collection::vec(
             (0u32..8, (0u64..3, 0u64..600, 0usize..260), -3.0..3.0f64),
             300..500,
         ),
     ) {
-        let codec = AvatarCodec::with_defaults();
+        let codec = snapshot_codecs()[shape].clone();
         let mut fast = SnapshotReceiver::new(codec.clone());
         let mut slow = RefSnapshotReceiver::new(codec.clone());
         let base = codec.reconstruct(&walker(0.0, 2));
@@ -668,7 +686,7 @@ proptest! {
             );
             prop_assert_eq!(fast.ack_seq(), slow.latest_seq);
             prop_assert_eq!(
-                fast.latest().map(|(seq, s)| (seq, bits(s))),
+                fast.latest().map(|(seq, s)| (seq, bits(&s))),
                 slow.latest().map(|(seq, s)| (seq, bits(s)))
             );
             prop_assert_eq!(fast.take_keyframe_request(), slow.take_keyframe_request());
