@@ -84,7 +84,7 @@ pub struct PoolSpec {
     /// The members' last-mile access class. The pool's aggregate link is
     /// this class scaled by the pooled member count.
     pub access: LinkClass,
-    /// Deterministic arrival/departure process for the population.
+    /// Deterministic flash-crowd arrivals of the population.
     pub profile: PopulationProfile,
 }
 
@@ -103,9 +103,9 @@ pub struct PoolInfo {
     pub node: NodeId,
 }
 
-/// Population timelines are frozen over this horizon; arrivals an
-/// [`ArrivalProcess`](metaclass_netsim::ArrivalProcess) would place later
-/// are clamped to it. One hour comfortably covers a class session.
+/// Population timelines are frozen over this horizon; arrivals a flash
+/// crowd would place later are clamped to it. One hour comfortably covers a
+/// class session.
 const POPULATION_HORIZON: SimTime = SimTime::from_secs(3600);
 
 /// Who a participant is.

@@ -6,9 +6,9 @@
 //! - A pooled session replays byte-identically across the serial and
 //!   sharded engines.
 //! - Aggregate egress accounting conserves bytes and members under faults
-//!   (link flaps on the pool's access path, cloud crash-restart): no byte
-//!   is delivered or dropped that was not sent, and the pool and cloud
-//!   re-converge on the exact admitted population.
+//!   (link flaps on the pool's access path, cloud crash-restart, pool
+//!   crash-restart): no byte is delivered or dropped that was not sent, and
+//!   the pool and cloud re-converge on the exact admitted population.
 
 use metaclass_core::SessionBuilder;
 use metaclass_edge::{ClientPoolNode, CloudServerNode};
@@ -83,11 +83,12 @@ fn pooled_sessions_replay_byte_identically_across_engines() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under a flapping access link and a cloud crash-restart, aggregate
-    /// accounting stays conservative and convergent: pool↔cloud traffic
-    /// never delivers or drops bytes that were not sent, the pool's member
-    /// ledger balances exactly, and once the faults clear the pool and the
-    /// cloud agree again on the exact admitted population.
+    /// Under a flapping access link, a cloud crash-restart and optionally a
+    /// crash-restart of the pool node itself, aggregate accounting stays
+    /// conservative and convergent: pool↔cloud traffic never delivers or
+    /// drops bytes that were not sent, the pool's member ledger balances
+    /// exactly, and once the faults clear the pool and the cloud agree again
+    /// on the exact admitted population.
     #[test]
     fn prop_pooled_accounting_conserves_bytes_and_members_under_faults(
         seed in 0u64..512,
@@ -95,6 +96,7 @@ proptest! {
         flap_down_ms in 800u64..2000,
         flap_len_ms in 100u64..1500,
         crash_ms in 2500u64..4000,
+        pool_crash_ms in (any::<bool>(), 1000u64..4000).prop_map(|(on, ms)| on.then_some(ms)),
     ) {
         let mut s = pooled_builder(seed, members, 2).build();
         let pooled = s.pooled_population();
@@ -102,7 +104,7 @@ proptest! {
         let pool_node = s.pools()[0].node;
         let cloud = s.cloud();
         s.sim_mut().enable_trace(400_000);
-        let plan = [
+        let mut plan = vec![
             FaultWindow::LinkFlap {
                 a: pool_node,
                 b: cloud,
@@ -115,6 +117,15 @@ proptest! {
                 until: SimTime::from_millis(crash_ms + 500),
             },
         ];
+        // The crowd has all arrived by 1 s, so a later pool crash replays
+        // the whole timeline in the restarted incarnation.
+        if let Some(ms) = pool_crash_ms {
+            plan.push(FaultWindow::CrashRestart {
+                node: pool_node,
+                from: SimTime::from_millis(ms),
+                until: SimTime::from_millis(ms + 500),
+            });
+        }
         s.sim_mut().apply_fault_plan(&plan);
         s.run_for(SimDuration::from_secs(12));
 
@@ -143,10 +154,12 @@ proptest! {
         }
 
         // Member conservation: the ledger balances exactly, and after the
-        // fault window the pool re-admits its whole (churn-free) crowd.
+        // fault window the pool re-admits its whole crowd. Each pool
+        // incarnation counts every member's arrival once.
         let m = s.sim().metrics();
         let arrived = m.counter_value("pool.members_arrived");
-        prop_assert_eq!(arrived, pooled, "each member arrives exactly once");
+        let incarnations = 1 + u64::from(pool_crash_ms.is_some());
+        prop_assert_eq!(arrived, incarnations * pooled, "each member arrives once per incarnation");
         let pool = s.sim().node_as::<ClientPoolNode>(pool_node).unwrap();
         prop_assert_eq!(pool.active(), pooled, "pool recovered every member");
         let cloud_active = s.sim().node_as::<CloudServerNode>(cloud).unwrap().pooled_active();

@@ -597,12 +597,6 @@ impl Node<ClassMsg> for CloudServerNode {
                     false,
                 );
             }
-            ClassMsg::PoolLeave { pool, count } => {
-                if let Some(entry) = self.pools.get_mut(&pool) {
-                    entry.active = entry.active.saturating_sub(count);
-                    ctx.metrics().add("overload.pool_leaves", count);
-                }
-            }
             ClassMsg::RoomChange { avatar, room } => {
                 if !self.clients.contains_key(&avatar)
                     || !self.admission.is_admitted(avatar.0 as u64)

@@ -191,13 +191,6 @@ pub enum ClassMsg {
         /// Capture instant.
         captured_at: SimTime,
     },
-    /// Pool → cloud: `count` pooled clients leave (diurnal churn).
-    PoolLeave {
-        /// Pool identifier.
-        pool: u32,
-        /// Number of pooled clients leaving.
-        count: u64,
-    },
     /// Cloud → pool: one fan-out tick's display updates for every pooled
     /// client, batched. Stands for `members × captured.len()` individual
     /// [`ClassMsg::DisplayUpdate`]s.
@@ -266,8 +259,6 @@ impl ClassMsg {
             ClassMsg::PoolPose { count, frame, .. } => {
                 aggregate(count * (HEADER as u64 + frame.wire_bytes() as u64 + 8))
             }
-            // One control message: pool(4) + count(8).
-            ClassMsg::PoolLeave { .. } => 12,
             // members x captured.len() x DisplayUpdate (78 bytes each).
             ClassMsg::PoolDisplay { members, captured, .. } => {
                 aggregate(members * captured.len() as u64 * 78)

@@ -5,9 +5,9 @@
 //! 100k–1M+ population tier — cannot be reached by scheduling one node per
 //! client. A [`ClientPoolNode`] stands in for a whole region's audience:
 //!
-//! - **Arrivals/departures** come from a pre-generated, deterministic
-//!   [`PopulationTimeline`] (flash crowds, Poisson, MMPP, diurnal churn),
-//!   consumed with a cursor — O(events), never O(members × ticks).
+//! - **Arrivals** come from a pre-generated, deterministic flash-crowd
+//!   [`PopulationTimeline`], consumed with a cursor — O(events), never
+//!   O(members × ticks). Admitted members stay to the end of class.
 //! - **Admission** is exact: the pool batches [`ClassMsg::PoolJoin`]
 //!   requests and the cloud spends one real token-bucket token per pooled
 //!   client, replying with an admitted count and a retry hint. The pool is
@@ -80,8 +80,8 @@ pub struct ClientPoolNode {
     trajectory: Trajectory,
     uplink: SnapshotSender,
     dead_reckoner: DeadReckoningSender,
-    /// Pre-generated arrival/departure schedule of the pooled members (the
-    /// tracer subset excluded); the pool's only copy of it.
+    /// Pre-generated arrival schedule of the pooled members (the tracer
+    /// subset excluded); the pool's only copy of it.
     timeline: PopulationTimeline,
     /// Members that have arrived but are not yet admitted or in flight.
     unjoined: u64,
@@ -89,8 +89,6 @@ pub struct ClientPoolNode {
     pending: u64,
     /// Members admitted by the cloud (the crowd currently in class).
     active: u64,
-    /// Departures scheduled before their member was available to leave.
-    pending_leaves: u64,
     join_attempt: u32,
     /// When the in-flight join batch was sent, for retransmission.
     join_sent_at: Option<SimTime>,
@@ -123,7 +121,6 @@ impl ClientPoolNode {
             unjoined: 0,
             pending: 0,
             active: 0,
-            pending_leaves: 0,
             join_attempt: 0,
             join_sent_at: None,
             earliest_rejoin: SimTime::ZERO,
@@ -151,26 +148,6 @@ impl ClientPoolNode {
         self.updates_received
     }
 
-    /// Applies as many scheduled departures as members are available:
-    /// unjoined members abandon silently (the cloud never admitted them),
-    /// active members leave with a [`ClassMsg::PoolLeave`].
-    fn apply_leaves(&mut self, ctx: &mut Context<'_, ClassMsg>) {
-        if self.pending_leaves == 0 {
-            return;
-        }
-        let abandoned = self.pending_leaves.min(self.unjoined);
-        self.unjoined -= abandoned;
-        self.pending_leaves -= abandoned;
-        let leaving = self.pending_leaves.min(self.active);
-        if leaving > 0 {
-            self.active -= leaving;
-            self.pending_leaves -= leaving;
-            ctx.metrics().add("pool.members_left", leaving);
-            ClassMsg::PoolLeave { pool: self.cfg.pool, count: leaving }.send_to(ctx, self.server);
-        }
-        // Any remainder waits for in-flight joins to resolve.
-    }
-
     /// The cloud forgot us (crash-restart): every member re-queues.
     fn reset_to_unjoined(&mut self, ctx: &mut Context<'_, ClassMsg>, now: SimTime) {
         ctx.metrics().inc("pool.evictions");
@@ -194,13 +171,11 @@ impl Node<ClassMsg> for ClientPoolNode {
             return;
         }
         let now = ctx.now();
-        let (joins, leaves) = self.timeline.drain_until(now);
+        let joins = self.timeline.drain_until(now);
         if joins > 0 {
             self.unjoined += joins;
             ctx.metrics().add("pool.members_arrived", joins);
         }
-        self.pending_leaves += leaves;
-        self.apply_leaves(ctx);
 
         // A batch unanswered past the timeout re-queues: either the request
         // or its reply was lost on a faulty path.
@@ -272,7 +247,6 @@ impl Node<ClassMsg> for ClientPoolNode {
                     let hint = retry_after.max(JOIN_RETRY_FLOOR);
                     self.earliest_rejoin = now.saturating_add(hint);
                 }
-                self.apply_leaves(ctx);
             }
             ClassMsg::PoolDisplay { pool, members, captured } if pool == self.cfg.pool => {
                 let batch = members.saturating_mul(captured.len() as u64);
@@ -305,7 +279,6 @@ impl Node<ClassMsg> for ClientPoolNode {
         self.unjoined = 0;
         self.pending = 0;
         self.active = 0;
-        self.pending_leaves = 0;
         self.join_attempt = 0;
         self.join_sent_at = None;
         self.earliest_rejoin = SimTime::ZERO;

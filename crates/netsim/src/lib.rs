@@ -24,8 +24,8 @@
 //!   flaps, loss bursts, latency spikes, partitions, node crash/restart),
 //!   each window a paired start/end the engine executes as ordinary events;
 //! - [`PopulationProfile`] / [`PopulationTimeline`] — deterministic
-//!   arrival/churn schedules (flash crowds, Poisson, MMPP) that drive the
-//!   flyweight client pools of the million-user population layer.
+//!   flash-crowd join schedules that drive the flyweight client pools of the
+//!   million-user population layer.
 //!
 //! # Examples
 //!
@@ -79,7 +79,7 @@ pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Trans
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
 pub use node::{Context, Envelope, Node, NodeId, Timer};
 pub use observe::{SimEvent, SimObserver, SimView};
-pub use population::{ArrivalProcess, ChurnModel, PopulationProfile, PopulationTimeline};
+pub use population::{PopulationProfile, PopulationTimeline};
 pub use rng::DetRng;
 pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
 pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS};

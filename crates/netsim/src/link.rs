@@ -87,7 +87,6 @@ pub struct LinkConfig {
     loss: LossModel,
     bandwidth_bps: Option<u64>,
     queue_capacity_bytes: Option<u64>,
-    fifo: bool,
 }
 
 impl LinkConfig {
@@ -99,7 +98,6 @@ impl LinkConfig {
             loss: LossModel::None,
             bandwidth_bps: None,
             queue_capacity_bytes: None,
-            fifo: true,
         }
     }
 
@@ -133,12 +131,6 @@ impl LinkConfig {
         self
     }
 
-    /// Allows packet reordering from jitter (default links deliver FIFO).
-    pub fn with_reordering_allowed(mut self) -> Self {
-        self.fifo = false;
-        self
-    }
-
     /// Propagation delay.
     pub fn delay(&self) -> SimDuration {
         self.delay
@@ -162,11 +154,6 @@ impl LinkConfig {
     /// Queue capacity, if bounded.
     pub fn queue_capacity_bytes(&self) -> Option<u64> {
         self.queue_capacity_bytes
-    }
-
-    /// Whether deliveries preserve send order.
-    pub fn is_fifo(&self) -> bool {
-        self.fifo
     }
 }
 
@@ -421,7 +408,8 @@ impl Link {
             SimDuration::from_nanos(rng.truncated_normal(0.0, std, 0.0, 4.0 * std) as u64)
         };
         let mut arrival = self.busy_until + self.cfg.delay + self.extra_delay + jitter;
-        if self.cfg.fifo && arrival <= self.last_arrival {
+        // Links deliver FIFO: jitter may not overtake an earlier packet.
+        if arrival <= self.last_arrival {
             arrival = self.last_arrival + SimDuration::from_nanos(1);
         }
         self.last_arrival = arrival;

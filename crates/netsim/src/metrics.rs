@@ -8,8 +8,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::SimDuration;
-
 /// Number of linear sub-buckets per power-of-two bucket group.
 const SUB_BUCKETS: usize = 16;
 const SUB_BUCKET_BITS: u32 = 4;
@@ -98,11 +96,6 @@ impl Histogram {
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records a duration, in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
     }
 
     /// Number of recorded samples.

@@ -1,12 +1,12 @@
-//! Deterministic population processes for the flyweight client-pool layer.
+//! Deterministic flash-crowd population for the flyweight client-pool layer.
 //!
-//! A [`PopulationTimeline`] is the pre-computed arrival/departure schedule of
-//! a pool of statistically-identical remote clients: every join and leave is
-//! materialized once, at build time, from a [`PopulationProfile`] and a
-//! [`DetRng`] stream, as one sorted 8-byte instant per join or leave. The
-//! pool actor then consumes the timeline with cursors — a binary search per
-//! tick, never O(members × ticks) — so a run that models a million pooled
-//! clients schedules exactly one entity per region.
+//! A [`PopulationTimeline`] is the pre-computed arrival schedule of a pool of
+//! statistically-identical remote clients: every join is materialized once,
+//! at build time, from a [`PopulationProfile`] and a [`DetRng`] stream, as
+//! one sorted 8-byte instant per member. Members stay to the end of class.
+//! The pool actor then consumes the timeline with a cursor — a binary search
+//! per tick, never O(members × ticks) — so a run that models a million
+//! pooled clients schedules exactly one entity per region.
 //!
 //! Determinism story: the timeline depends only on `(seed, profile, members,
 //! class length)`. It is generated before the simulation starts, so serial
@@ -14,107 +14,44 @@
 //! itself performs no randomness beyond what its own derived [`DetRng`]
 //! streams provide.
 
-use std::cmp::Ordering;
-
 use serde::{Deserialize, Serialize};
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
-/// How pooled clients arrive over the course of a class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalProcess {
-    /// Flash crowd: everyone tries to join around `at`, spread uniformly
-    /// over `spread` (the post-COVID "class start" stampede). With
-    /// `spread == 0` every member joins at exactly `at`.
-    FlashCrowd {
-        /// Nominal class-start instant.
-        at: SimTime,
-        /// Uniform window over which the crowd actually arrives.
-        spread: SimDuration,
-    },
-    /// Memoryless trickle: exponential inter-arrival times with the given
-    /// mean, starting at `from`. Models drop-in MOOC-style audiences.
-    Poisson {
-        /// First arrival is sampled after this instant.
-        from: SimTime,
-        /// Mean inter-arrival gap between consecutive joins.
-        mean_gap: SimDuration,
-    },
-    /// Markov-modulated Poisson process: alternates between a busy and a
-    /// quiet phase, each exponentially distributed, with distinct mean
-    /// inter-arrival gaps. Captures bursty regional daybreak joins.
-    Mmpp {
-        /// First arrival is sampled after this instant.
-        from: SimTime,
-        /// Mean inter-arrival gap while the process is in the busy phase.
-        busy_gap: SimDuration,
-        /// Mean inter-arrival gap while the process is in the quiet phase.
-        quiet_gap: SimDuration,
-        /// Mean dwell time in either phase before switching.
-        phase_mean: SimDuration,
-    },
-}
-
-/// Diurnal churn riding on top of the arrival process: each member that has
-/// joined leaves independently with probability `leave_chance`, at a time
-/// sampled uniformly from `(join + min_stay, horizon)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChurnModel {
-    /// Per-member probability of leaving before the class ends.
-    pub leave_chance: f64,
-    /// Minimum attendance before a churned member may leave.
-    pub min_stay: SimDuration,
-}
-
-/// The full statistical description of one pool's population behaviour.
+/// How one pool's population arrives: a flash crowd, everyone trying to join
+/// around `at`, spread uniformly over `spread` (the post-COVID "class start"
+/// stampede). With `spread == 0` every member joins at exactly `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PopulationProfile {
-    /// Join schedule generator.
-    pub arrivals: ArrivalProcess,
-    /// Optional departures; `None` means everyone stays to the end.
-    pub churn: Option<ChurnModel>,
+    /// Nominal class-start instant.
+    pub at: SimTime,
+    /// Uniform window over which the crowd actually arrives.
+    pub spread: SimDuration,
 }
 
 impl PopulationProfile {
-    /// A flash crowd with no churn: all members join at `at`, spread over
-    /// `spread`. This is the classic class-start stampede and the profile
-    /// the pool-vs-expanded equivalence tests use (`spread == 0` makes every
-    /// pooled member indistinguishable from a cohort of individually
-    /// simulated clients with identical `join_delay`).
+    /// A flash crowd: all members join at `at`, spread over `spread`.
+    /// `spread == 0` makes every pooled member indistinguishable from a
+    /// cohort of individually simulated clients with identical `join_delay`,
+    /// which is what the pool-vs-expanded equivalence tests use.
     pub fn flash_crowd(at: SimTime, spread: SimDuration) -> Self {
-        PopulationProfile { arrivals: ArrivalProcess::FlashCrowd { at, spread }, churn: None }
-    }
-
-    /// A Poisson trickle with no churn.
-    pub fn poisson(from: SimTime, mean_gap: SimDuration) -> Self {
-        PopulationProfile { arrivals: ArrivalProcess::Poisson { from, mean_gap }, churn: None }
-    }
-
-    /// Adds diurnal churn to the profile.
-    pub fn with_churn(mut self, churn: ChurnModel) -> Self {
-        self.churn = Some(churn);
-        self
+        PopulationProfile { at, spread }
     }
 }
 
-/// The materialized join/leave schedule of one pool.
+/// The materialized join schedule of one pool.
 ///
 /// Generated once per run from `(seed, profile, members, horizon)`;
 /// consumed with [`PopulationTimeline::drain_until`].
 ///
-/// Stored as two sorted instant vectors — one entry (8 bytes) per scheduled
-/// join or leave — plus a cursor into each. A join and a leave at the same
-/// instant cancel at generation, so no instant is in both vectors: what is
-/// left at an instant is its net change, and an instant whose joins and
-/// leaves balance is gone. Draining only moves the cursors, so
+/// Stored as one sorted instant vector — one entry (8 bytes) per member —
+/// plus a cursor into it. Draining only moves the cursor, so
 /// [`PopulationTimeline::rewind`] replays the same schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationTimeline {
     joins: Vec<SimTime>,
-    leaves: Vec<SimTime>,
     next_join: usize,
-    next_leave: usize,
     members: u64,
 }
 
@@ -129,7 +66,8 @@ impl PopulationTimeline {
     /// Generates the timeline for `members` pooled clients over
     /// `[SimTime::ZERO, horizon]`.
     ///
-    /// All randomness comes from `rng` (pass a derived stream); two calls
+    /// All randomness comes from `rng` (pass a derived stream): one draw per
+    /// member when the crowd has a spread, none when it has not. Two calls
     /// with equal inputs yield equal timelines. Arrivals past `horizon` are
     /// clamped to `horizon` so the whole population is always accounted for.
     ///
@@ -147,74 +85,17 @@ impl PopulationTimeline {
             "{members} members exceed PopulationTimeline::MAX_MEMBERS ({})",
             Self::MAX_MEMBERS
         );
-        let mut joins: Vec<SimTime> = Vec::with_capacity(members as usize);
-        match profile.arrivals {
-            ArrivalProcess::FlashCrowd { at, spread } => {
-                let spread_ns = spread.as_nanos();
-                for _ in 0..members {
-                    let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
-                    joins.push(at + SimDuration::from_nanos(offset));
-                }
-            }
-            ArrivalProcess::Poisson { from, mean_gap } => {
-                let rate = 1.0 / (mean_gap.as_nanos().max(1) as f64);
-                let mut t = from;
-                for _ in 0..members {
-                    t += SimDuration::from_nanos(rng.exponential(rate) as u64);
-                    joins.push(t);
-                }
-            }
-            ArrivalProcess::Mmpp { from, busy_gap, quiet_gap, phase_mean } => {
-                let rate_of = |busy: bool| {
-                    let gap = if busy { busy_gap } else { quiet_gap };
-                    1.0 / (gap.as_nanos().max(1) as f64)
-                };
-                let phase_rate = 1.0 / (phase_mean.as_nanos().max(1) as f64);
-                let mut t = from;
-                let mut busy = true;
-                let mut phase_left = rng.exponential(phase_rate);
-                for _ in 0..members {
-                    let mut gap = rng.exponential(rate_of(busy));
-                    // A phase switch mid-gap rescales the memoryless residual
-                    // to the new phase's rate (hazard units are preserved).
-                    while gap > phase_left {
-                        t += SimDuration::from_nanos(phase_left as u64);
-                        let residual = gap - phase_left;
-                        gap = residual * rate_of(busy) / rate_of(!busy);
-                        busy = !busy;
-                        phase_left = rng.exponential(phase_rate);
-                    }
-                    phase_left -= gap;
-                    t += SimDuration::from_nanos(gap as u64);
-                    joins.push(t);
-                }
-            }
-        }
-
-        // Churn draws walk the joins in generation order, so the stream
-        // position of every draw is independent of the sort below.
-        let mut leaves: Vec<SimTime> = Vec::new();
-        for join in &mut joins {
-            *join = (*join).min(horizon);
-            if let Some(churn) = profile.churn {
-                if rng.chance(churn.leave_chance) {
-                    let earliest = (*join + churn.min_stay).as_nanos();
-                    let latest = horizon.as_nanos();
-                    if earliest < latest {
-                        let leave = earliest + rng.next_u64() % (latest - earliest);
-                        leaves.push(SimTime::from_nanos(leave));
-                    }
-                }
-            }
-        }
+        let spread_ns = profile.spread.as_nanos();
+        let mut joins: Vec<SimTime> = (0..members)
+            .map(|_| {
+                let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
+                (profile.at + SimDuration::from_nanos(offset)).min(horizon)
+            })
+            .collect();
         // Equal instants are interchangeable, so an unstable sort yields
-        // the same vectors a stable one would.
+        // the same vector a stable one would.
         joins.sort_unstable();
-        leaves.sort_unstable();
-        net_same_instants(&mut joins, &mut leaves);
-        joins.shrink_to_fit();
-        leaves.shrink_to_fit();
-        PopulationTimeline { joins, leaves, next_join: 0, next_leave: 0, members }
+        PopulationTimeline { joins, next_join: 0, members }
     }
 
     /// Total pool size this timeline was generated for.
@@ -222,29 +103,22 @@ impl PopulationTimeline {
         self.members
     }
 
-    /// Net joins (`.0`) and leaves (`.1`) scheduled at or before `now` that
-    /// have not been drained yet; advances the cursors past them.
-    pub fn drain_until(&mut self, now: SimTime) -> (u64, u64) {
+    /// Joins scheduled at or before `now` that have not been drained yet;
+    /// advances the cursor past them.
+    pub fn drain_until(&mut self, now: SimTime) -> u64 {
         let joins = self.joins[self.next_join..].partition_point(|&t| t <= now);
-        let leaves = self.leaves[self.next_leave..].partition_point(|&t| t <= now);
         self.next_join += joins;
-        self.next_leave += leaves;
-        (joins as u64, leaves as u64)
+        joins as u64
     }
 
-    /// Time of the next undrained event, if any.
+    /// Time of the next undrained join, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        [self.joins.get(self.next_join), self.leaves.get(self.next_leave)]
-            .into_iter()
-            .flatten()
-            .min()
-            .copied()
+        self.joins.get(self.next_join).copied()
     }
 
-    /// Rewinds the cursors to the beginning (e.g. after a crash-restart).
+    /// Rewinds the cursor to the beginning (e.g. after a crash-restart).
     pub fn rewind(&mut self) {
         self.next_join = 0;
-        self.next_leave = 0;
     }
 
     /// Splits off `tracers` members as fully simulated clients: returns the
@@ -255,8 +129,7 @@ impl PopulationTimeline {
     /// tracers`-th of the `n` joins for each `i < tracers` — so they cover
     /// the whole arrival curve (first, last, and evenly between), and the
     /// residual pool plus the tracer clients together reproduce the original
-    /// population exactly. When `tracers >= n` every join is a tracer. Churn
-    /// events stay with the pool — tracer clients attend to the end. The
+    /// population exactly. When `tracers >= n` every join is a tracer. The
     /// residual is built in one pass over the joins.
     pub fn split_tracers(&self, tracers: u64) -> (PopulationTimeline, Vec<SimTime>) {
         let n = self.joins.len() as u64;
@@ -273,47 +146,10 @@ impl PopulationTimeline {
         joins.extend_from_slice(&self.joins[from..]);
         let residual = PopulationTimeline {
             joins,
-            leaves: self.leaves.clone(),
             next_join: 0,
-            next_leave: 0,
             members: self.members.saturating_sub(tracers),
         };
         (residual, picked)
-    }
-}
-
-/// Cancels each leave against a join at the same instant, in place: both
-/// inputs sorted, both outputs sorted, and no instant left in both.
-fn net_same_instants(joins: &mut Vec<SimTime>, leaves: &mut Vec<SimTime>) {
-    let (mut j, mut l, mut kept_joins, mut kept_leaves) = (0, 0, 0, 0);
-    while j < joins.len() && l < leaves.len() {
-        match joins[j].cmp(&leaves[l]) {
-            Ordering::Less => {
-                joins[kept_joins] = joins[j];
-                kept_joins += 1;
-                j += 1;
-            }
-            Ordering::Greater => {
-                leaves[kept_leaves] = leaves[l];
-                kept_leaves += 1;
-                l += 1;
-            }
-            Ordering::Equal => {
-                j += 1;
-                l += 1;
-            }
-        }
-    }
-    close_gap(joins, j, kept_joins);
-    close_gap(leaves, l, kept_leaves);
-}
-
-/// Moves `v[read..]` down to `write` and drops the `read - write` entries
-/// that gap held.
-fn close_gap(v: &mut Vec<SimTime>, read: usize, write: usize) {
-    if read > write {
-        v.copy_within(read.., write);
-        v.truncate(v.len() - (read - write));
     }
 }
 
@@ -331,24 +167,13 @@ mod tests {
         let mut rng = DetRng::new(1);
         let mut tl = PopulationTimeline::generate(&profile, 1000, SimTime::from_secs(10), &mut rng);
         assert_eq!(tl.next_event_at(), Some(SimTime::from_millis(500)));
-        assert_eq!(tl.drain_until(SimTime::from_millis(500)), (1000, 0));
+        assert_eq!(tl.drain_until(SimTime::from_millis(500)), 1000);
         assert_eq!(tl.next_event_at(), None);
     }
 
     #[test]
-    fn a_join_and_a_leave_at_one_instant_cancel() {
-        let at = |ms| SimTime::from_millis(ms);
-        let mut joins = vec![at(1), at(2), at(2), at(3), at(5)];
-        let mut leaves = vec![at(2), at(3), at(4), at(5), at(5)];
-        net_same_instants(&mut joins, &mut leaves);
-        assert_eq!(joins, [at(1), at(2)]);
-        assert_eq!(leaves, [at(4), at(5)]);
-    }
-
-    #[test]
     fn rewind_replays_the_schedule() {
-        let profile = PopulationProfile::flash_crowd(SimTime::from_secs(1), secs(2))
-            .with_churn(ChurnModel { leave_chance: 0.3, min_stay: secs(1) });
+        let profile = PopulationProfile::flash_crowd(SimTime::from_secs(1), secs(2));
         let mut tl = PopulationTimeline::generate(
             &profile,
             500,
@@ -359,13 +184,12 @@ mod tests {
         tl.rewind();
         let again = [tl.drain_until(SimTime::from_secs(2)), tl.drain_until(SimTime::from_secs(10))];
         assert_eq!(first, again);
-        assert_eq!(first[0].0 + first[1].0, 500);
+        assert_eq!(first[0] + first[1], 500);
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let profile = PopulationProfile::poisson(SimTime::ZERO, SimDuration::from_millis(10))
-            .with_churn(ChurnModel { leave_chance: 0.2, min_stay: secs(1) });
+        let profile = PopulationProfile::flash_crowd(SimTime::ZERO, secs(50));
         let a = PopulationTimeline::generate(
             &profile,
             5000,
@@ -390,47 +214,10 @@ mod tests {
         let mut now = SimTime::ZERO;
         while let Some(next) = tl.next_event_at() {
             now = next;
-            let (j, l) = tl.drain_until(now);
-            joined += j;
-            assert_eq!(l, 0, "no churn configured");
+            joined += tl.drain_until(now);
         }
         assert_eq!(joined, 777);
         assert!(now <= SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn churned_leaves_never_exceed_joins() {
-        let profile = PopulationProfile::poisson(SimTime::ZERO, SimDuration::from_millis(5))
-            .with_churn(ChurnModel { leave_chance: 0.5, min_stay: SimDuration::from_millis(50) });
-        let mut rng = DetRng::new(3);
-        let mut tl = PopulationTimeline::generate(&profile, 2000, SimTime::from_secs(30), &mut rng);
-        let (joins, leaves) = tl.drain_until(SimTime::from_secs(30));
-        assert_eq!(joins, 2000);
-        assert!(leaves <= joins);
-        assert!(leaves > 0, "with 50% churn over 2000 members some must leave");
-    }
-
-    #[test]
-    fn mmpp_produces_monotone_arrivals_for_all_members() {
-        let profile = PopulationProfile {
-            arrivals: ArrivalProcess::Mmpp {
-                from: SimTime::ZERO,
-                busy_gap: SimDuration::from_micros(100),
-                quiet_gap: SimDuration::from_millis(10),
-                phase_mean: SimDuration::from_millis(50),
-            },
-            churn: None,
-        };
-        let mut rng = DetRng::new(11);
-        let mut tl = PopulationTimeline::generate(&profile, 300, SimTime::from_secs(60), &mut rng);
-        let mut total = 0;
-        let mut last = None;
-        while let Some(at) = tl.next_event_at() {
-            assert!(last < Some(at), "event instants strictly increase");
-            last = Some(at);
-            total += tl.drain_until(at).0;
-        }
-        assert_eq!(total, 300);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 /// The core is xoshiro256++ seeded through SplitMix64 — a self-contained,
 /// platform-stable generator (no external dependency, identical streams on
 /// every target) — plus the distribution samplers the simulator needs
-/// (normal, truncated normal, exponential, Pareto, Zipf).
+/// (normal, truncated normal).
 ///
 /// # Examples
 ///
@@ -184,73 +184,6 @@ impl DetRng {
         self.normal(mean, std_dev).clamp(lo, hi)
     }
 
-    /// Exponential draw with the given rate (mean `1/rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "rate must be positive");
-        let u: f64 = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -u.ln() / rate
-    }
-
-    /// Pareto draw with minimum `scale` and tail index `shape`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` or `shape` is not strictly positive.
-    pub fn pareto(&mut self, scale: f64, shape: f64) -> f64 {
-        assert!(scale > 0.0 && shape > 0.0, "scale and shape must be positive");
-        let u: f64 = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        scale / u.powf(1.0 / shape)
-    }
-
-    /// Zipf draw over ranks `1..=n` with exponent `s`, by rejection sampling
-    /// (Devroye's method); O(1) expected time, no table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/not finite.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0, "support must be non-empty");
-        assert!(s.is_finite() && s >= 0.0, "exponent must be non-negative");
-        if n == 1 {
-            return 1;
-        }
-        if s == 0.0 {
-            return 1 + self.range_u64(0, n);
-        }
-        // Rejection sampling against the integral envelope of x^-s.
-        let nf = n as f64;
-        loop {
-            let u = self.next_f64();
-            // Inverse of H(x) = (x^(1-s) - 1)/(1-s) for s != 1, ln(x) for s = 1.
-            let x = if (s - 1.0).abs() < 1e-12 {
-                nf.powf(u)
-            } else {
-                let h_n = (nf.powf(1.0 - s) - 1.0) / (1.0 - s);
-                (1.0 + h_n * u * (1.0 - s)).powf(1.0 / (1.0 - s))
-            };
-            let k = x.floor().max(1.0).min(nf) as u64;
-            // Accept with probability (k/x)^s.
-            let accept = (k as f64 / x).powf(s);
-            if self.next_f64() < accept {
-                return k;
-            }
-        }
-    }
-
     /// Fisher–Yates shuffle of `slice`.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -313,46 +246,6 @@ mod tests {
         for _ in 0..5_000 {
             let x = rng.truncated_normal(0.0, 10.0, -1.0, 1.0);
             assert!((-1.0..=1.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut rng = DetRng::new(5);
-        let n = 20_000;
-        let mean = (0..n).map(|_| rng.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_ranks() {
-        let mut rng = DetRng::new(11);
-        let mut counts = [0u64; 10];
-        for _ in 0..20_000 {
-            let k = rng.zipf(10, 1.2);
-            assert!((1..=10).contains(&k));
-            counts[(k - 1) as usize] += 1;
-        }
-        assert!(counts[0] > counts[4] && counts[4] > counts[9]);
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let mut rng = DetRng::new(13);
-        let mut counts = [0u64; 4];
-        for _ in 0..8_000 {
-            counts[(rng.zipf(4, 0.0) - 1) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((1_600..2_400).contains(&c), "counts {counts:?}");
-        }
-    }
-
-    #[test]
-    fn pareto_never_below_scale() {
-        let mut rng = DetRng::new(17);
-        for _ in 0..5_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
         }
     }
 

@@ -751,16 +751,6 @@ impl<M: 'static> Simulation<M> {
         &self.core.links[id.index()]
     }
 
-    /// Mutably borrows a link (e.g. for failure injection via
-    /// [`Link::set_up`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.core.links[id.index()]
-    }
-
     /// The directed link `from → to`, if one exists.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         self.core.adjacency.get(from.index())?.get(&to.0).copied()
@@ -864,11 +854,6 @@ impl<M: 'static> Simulation<M> {
         if self.started {
             self.core.dispatch(node, Dispatch::Start);
         }
-    }
-
-    /// Whether `node` is currently crashed.
-    pub fn is_node_crashed(&self, node: NodeId) -> bool {
-        self.core.crashed[node.index()]
     }
 
     /// Installs a fault schedule: each window lowers to its start and end
@@ -994,11 +979,6 @@ impl<M: 'static> Simulation<M> {
     /// [`EngineConfig`]s.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.core.metrics
-    }
-
-    /// Mutable access to the metrics registry.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.core.metrics
     }
 
     /// Installs a passive observer invoked at every engine boundary
@@ -1459,7 +1439,6 @@ mod tests {
         sim.run_until(SimTime::from_millis(35)); // 3 ticks at 10/20/30 ms
         assert_eq!(sim.node_as::<Counter>(c).unwrap().ticks, 3);
         sim.crash_node(c);
-        assert!(sim.is_node_crashed(c));
         assert_eq!(sim.node_as::<Counter>(c).unwrap().crashes, 1);
         sim.inject(SimTime::from_millis(40), src, c, Msg::Ping(1), 8);
         sim.run_until(SimTime::from_millis(100));
@@ -1477,7 +1456,6 @@ mod tests {
         sim.crash_node(c);
         sim.run_until(SimTime::from_millis(50));
         sim.restart_node(c);
-        assert!(!sim.is_node_crashed(c));
         sim.run_until(SimTime::from_millis(75)); // restarted ticks at 60/70 ms
         let counter = sim.node_as::<Counter>(c).unwrap();
         assert_eq!(counter.starts, 2, "on_start runs again at restart");

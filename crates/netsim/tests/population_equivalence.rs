@@ -1,7 +1,6 @@
 //! Equivalence oracle for [`PopulationTimeline`]: the sorted-instant store
-//! (8 bytes per join or leave, same-instant joins and leaves netted at
-//! generation) against the coalesced `(at, delta)` event timeline it
-//! replaced, kept below verbatim as [`Reference`].
+//! (8 bytes per join) against the coalesced `(at, delta)` event timeline it
+//! replaced, kept below as [`Reference`] with its flash-crowd generation.
 //!
 //! Both are generated from the same profile, members, horizon and RNG
 //! stream, split into tracers and residual, and drained in lockstep with
@@ -9,9 +8,7 @@
 //! `drain_until`, `next_event_at`, `split_tracers` (tracer instants and
 //! residual) and `members` must agree.
 
-use metaclass_netsim::{
-    ArrivalProcess, ChurnModel, DetRng, PopulationProfile, PopulationTimeline, SimDuration, SimTime,
-};
+use metaclass_netsim::{DetRng, PopulationProfile, PopulationTimeline, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// One coalesced population change of the reference timeline.
@@ -37,64 +34,12 @@ impl Reference {
         horizon: SimTime,
         rng: &mut DetRng,
     ) -> Self {
-        let mut joins: Vec<SimTime> = Vec::with_capacity(members as usize);
-        match profile.arrivals {
-            ArrivalProcess::FlashCrowd { at, spread } => {
-                let spread_ns = spread.as_nanos();
-                for _ in 0..members {
-                    let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
-                    joins.push(at + SimDuration::from_nanos(offset));
-                }
-            }
-            ArrivalProcess::Poisson { from, mean_gap } => {
-                let rate = 1.0 / (mean_gap.as_nanos().max(1) as f64);
-                let mut t = from;
-                for _ in 0..members {
-                    t += SimDuration::from_nanos(rng.exponential(rate) as u64);
-                    joins.push(t);
-                }
-            }
-            ArrivalProcess::Mmpp { from, busy_gap, quiet_gap, phase_mean } => {
-                let rate_of = |busy: bool| {
-                    let gap = if busy { busy_gap } else { quiet_gap };
-                    1.0 / (gap.as_nanos().max(1) as f64)
-                };
-                let phase_rate = 1.0 / (phase_mean.as_nanos().max(1) as f64);
-                let mut t = from;
-                let mut busy = true;
-                let mut phase_left = rng.exponential(phase_rate);
-                for _ in 0..members {
-                    let mut gap = rng.exponential(rate_of(busy));
-                    // A phase switch mid-gap rescales the memoryless residual
-                    // to the new phase's rate (hazard units are preserved).
-                    while gap > phase_left {
-                        t += SimDuration::from_nanos(phase_left as u64);
-                        let residual = gap - phase_left;
-                        gap = residual * rate_of(busy) / rate_of(!busy);
-                        busy = !busy;
-                        phase_left = rng.exponential(phase_rate);
-                    }
-                    phase_left -= gap;
-                    t += SimDuration::from_nanos(gap as u64);
-                    joins.push(t);
-                }
-            }
-        }
-
-        let mut events: Vec<PopulationEvent> = Vec::with_capacity(joins.len() * 2);
-        for &join in &joins {
-            let join = join.min(horizon);
+        let spread_ns = profile.spread.as_nanos();
+        let mut events: Vec<PopulationEvent> = Vec::with_capacity(members as usize);
+        for _ in 0..members {
+            let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
+            let join = (profile.at + SimDuration::from_nanos(offset)).min(horizon);
             events.push(PopulationEvent { at: join, delta: 1 });
-            if let Some(churn) = profile.churn {
-                if rng.chance(churn.leave_chance) {
-                    let earliest = (join + churn.min_stay).as_nanos();
-                    let latest = horizon.as_nanos();
-                    if earliest < latest {
-                        let leave = earliest + rng.next_u64() % (latest - earliest);
-                        events.push(PopulationEvent { at: SimTime::from_nanos(leave), delta: -1 });
-                    }
-                }
-            }
         }
         events.sort_by_key(|e| e.at);
         // Coalesce same-instant events so the pool sees one net delta per
@@ -106,7 +51,6 @@ impl Reference {
                 _ => coalesced.push(e),
             }
         }
-        coalesced.retain(|e| e.delta != 0);
         Reference { events: coalesced, cursor: 0, members }
     }
 
@@ -114,21 +58,16 @@ impl Reference {
         self.members
     }
 
-    fn drain_until(&mut self, now: SimTime) -> (u64, u64) {
+    fn drain_until(&mut self, now: SimTime) -> u64 {
         let mut joins = 0i64;
-        let mut leaves = 0i64;
         while let Some(e) = self.events.get(self.cursor) {
             if e.at > now {
                 break;
             }
-            if e.delta > 0 {
-                joins += e.delta;
-            } else {
-                leaves -= e.delta;
-            }
+            joins += e.delta;
             self.cursor += 1;
         }
-        (joins as u64, leaves as u64)
+        joins as u64
     }
 
     fn next_event_at(&self) -> Option<SimTime> {
@@ -157,12 +96,8 @@ impl Reference {
     }
 
     fn tracer_joins(&self, tracers: u64) -> Vec<SimTime> {
-        let mut joins: Vec<SimTime> = self
-            .events
-            .iter()
-            .filter(|e| e.delta > 0)
-            .flat_map(|e| std::iter::repeat_n(e.at, e.delta.max(0) as usize))
-            .collect();
+        let mut joins: Vec<SimTime> =
+            self.events.iter().flat_map(|e| std::iter::repeat_n(e.at, e.delta as usize)).collect();
         joins.sort();
         if tracers >= joins.len() as u64 {
             return joins;
@@ -185,13 +120,9 @@ fn log_ns(p: &mut DetRng, bits: u64) -> SimDuration {
 
 /// A population drawn from `shape`: members from a handful to thousands.
 ///
-/// Half the cases crowd joins and leaves onto a few instants: a flash crowd
-/// spread over at most 1 µs, churn with `min_stay` 0 and a horizon within
-/// 2 µs of the bell, so leaves land on join instants and some instants net
-/// to zero. The other half mix flash crowds (no spread, up to 1 µs, up to
-/// seconds), Poisson and MMPP arrivals with gaps from 1 ns up, churn off or
-/// on, and horizons that clamp every arrival, clamp the tail, or clamp
-/// nothing.
+/// Flash crowds with no spread, a spread of at most 1 µs (so many members
+/// share an instant), or a log-uniform spread up to seconds, under horizons
+/// that clamp every arrival, clamp the tail, or clamp nothing.
 fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
     let mut p = DetRng::new(shape);
     let members = match p.index(3) {
@@ -200,28 +131,10 @@ fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
         _ => p.range_u64(300, 4_000),
     };
     let at = SimTime::from_nanos(p.range_u64(0, 2_000_000_000));
-    let leave_chance = p.range_f64(0.0, 1.0);
-    if p.chance(0.5) {
-        let churn = ChurnModel { leave_chance, min_stay: SimDuration::ZERO };
-        let profile = PopulationProfile::flash_crowd(at, ns(p.range_u64(0, 1_001)));
-        return (profile.with_churn(churn), members, at + log_ns(&mut p, 11));
-    }
-    let arrivals = match p.index(5) {
-        0 => ArrivalProcess::FlashCrowd { at, spread: SimDuration::ZERO },
-        1 => ArrivalProcess::FlashCrowd { at, spread: ns(p.range_u64(1, 1_001)) },
-        2 => ArrivalProcess::FlashCrowd { at, spread: log_ns(&mut p, 32) },
-        3 => ArrivalProcess::Poisson { from: at, mean_gap: log_ns(&mut p, 23) },
-        _ => ArrivalProcess::Mmpp {
-            from: at,
-            busy_gap: log_ns(&mut p, 19),
-            quiet_gap: log_ns(&mut p, 25),
-            phase_mean: log_ns(&mut p, 28),
-        },
-    };
-    let churn = match p.index(3) {
-        0 => None,
-        1 => Some(ChurnModel { leave_chance, min_stay: SimDuration::ZERO }),
-        _ => Some(ChurnModel { leave_chance, min_stay: log_ns(&mut p, 31) }),
+    let spread = match p.index(3) {
+        0 => SimDuration::ZERO,
+        1 => ns(p.range_u64(1, 1_001)),
+        _ => log_ns(&mut p, 32),
     };
     let horizon = match p.index(4) {
         0 => SimTime::from_nanos(at.as_nanos() / 2),
@@ -229,7 +142,7 @@ fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
         2 => at + log_ns(&mut p, 32),
         _ => SimTime::from_secs(3_600),
     };
-    (PopulationProfile { arrivals, churn }, members, horizon)
+    (PopulationProfile::flash_crowd(at, spread), members, horizon)
 }
 
 /// Tracer counts at and around every boundary of the stride sampling.

@@ -9,7 +9,7 @@
 use std::path::Path;
 
 use metaclass_core::ScenarioSpec;
-use metaclass_netsim::EngineConfig;
+use metaclass_netsim::{EngineConfig, PopulationTimeline};
 
 use crate::explore::{explore, ExploreConfig, FoundViolation};
 use crate::regress::{RegressionCase, SCHEMA_VERSION};
@@ -73,7 +73,12 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
                 i += 1;
             }
             "--pooled" => {
-                cfg.explore.pooled = parse_u64("--pooled", args.get(i + 1))?;
+                let pooled = parse_u64("--pooled", args.get(i + 1))?;
+                let max = PopulationTimeline::MAX_MEMBERS;
+                if pooled > max {
+                    return Err(format!("--pooled: {pooled} exceeds the {max}-member cap"));
+                }
+                cfg.explore.pooled = pooled;
                 i += 2;
             }
             "--write" => {
@@ -226,6 +231,16 @@ mod tests {
         assert!(parse(&argv(&["--bogus"])).is_err());
         assert!(parse(&argv(&["--seed"])).is_err());
         assert!(parse(&argv(&["--help"])).unwrap().is_none());
+
+        // A pooled audience above the timeline cap is a usage error, not
+        // an abort while generating the population.
+        let max = PopulationTimeline::MAX_MEMBERS;
+        let cfg = parse(&argv(&["--pooled", &max.to_string()])).unwrap().unwrap();
+        assert_eq!(cfg.explore.pooled, max);
+        for over in [max + 1, u64::MAX] {
+            let err = parse(&argv(&["--pooled", &over.to_string()])).unwrap_err();
+            assert!(err.contains(&max.to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -374,8 +374,8 @@ impl Oracle for AdmittedLiveness {
             }
         }
         // The pooled audience converges too: by the end of the settle
-        // window the cloud and every pool agree on the exact (churn-free)
-        // admitted population, and no pool is starved of fan-out.
+        // window the cloud and every pool agree on the exact admitted
+        // population, and no pool is starved of fan-out.
         if probe.topology.pooled_members > 0 {
             let pooled = cloud.pooled_active();
             if pooled != probe.topology.pooled_members {
