@@ -45,11 +45,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared norm (avoids the square root).
-    pub fn norm_sq(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Unit vector in this direction; returns `None` for (near-)zero vectors.
     pub fn normalized(self) -> Option<Vec3> {
         let n = self.norm();

@@ -5,7 +5,7 @@
 //! management — and measures what each contributes to the bandwidth budget
 //! of the same seminar.
 
-use metaclass_core::{protocol_codec, Activity, SessionBuilder, SessionConfig};
+use metaclass_core::{Activity, SessionBuilder, SessionConfig};
 use metaclass_edge::FanoutConfig;
 use metaclass_netsim::{LinkClass, Region, SimDuration};
 use metaclass_sync::{DeadReckoningConfig, InterestConfig};
@@ -79,18 +79,15 @@ fn always_send() -> DeadReckoningConfig {
         hand_threshold: 0.0,
         expression_threshold: 0.0,
         max_interval: SimDuration::from_millis(1),
-        ..DeadReckoningConfig::default()
     }
 }
 
 fn no_interest() -> InterestConfig {
-    InterestConfig { radius: 10_000.0, ..InterestConfig::default() }
+    InterestConfig { radius: 10_000.0 }
 }
 
 fn measure(variant: Variant, clients: u32, secs: u64, ctx: &RunCtx) -> (f64, f64) {
     let mut cfg = SessionConfig::default();
-    cfg.server.codec = protocol_codec();
-    cfg.client.codec = protocol_codec();
     match variant {
         Variant::Full => {}
         Variant::NoDeadReckoning => {

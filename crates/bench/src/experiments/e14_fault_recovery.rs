@@ -82,7 +82,6 @@ fn heartbeat(quick: bool) -> HeartbeatConfig {
             degraded_after: SimDuration::from_millis(80),
             timeout: SimDuration::from_millis(150),
             hold: SimDuration::from_millis(200),
-            degraded_stride: 4,
         }
     } else {
         HeartbeatConfig::default()

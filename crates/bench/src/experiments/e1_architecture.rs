@@ -9,6 +9,7 @@
 use metaclass_core::{
     mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, Activity, SessionBuilder, SessionReport,
 };
+use metaclass_edge::ServerConfig;
 use metaclass_netsim::{LinkClass, Region, SimDuration};
 
 use crate::{mix_seed, Experiment, Report, RunCtx, Table};
@@ -47,7 +48,7 @@ pub fn run(ctx: &RunCtx) -> Outcome {
     session.run_for(SimDuration::from_secs(secs));
     let report = session.report();
 
-    let tick = session.config().server.tick;
+    let tick = SimDuration::from_rate_hz(ServerConfig::TICK_HZ);
     let mut analytic = Table::new(
         "E1a: analytic per-path motion-to-photon budgets (Figure 3)",
         &["path", "budget (ms)"],

@@ -82,21 +82,16 @@ fn measure(clients: u32, mode: Mode, secs: u64, ctx: &RunCtx) -> Row {
             hand_threshold: 0.0,
             expression_threshold: 0.0,
             max_interval: SimDuration::from_millis(1),
-            ..DeadReckoningConfig::default()
         };
         let mut server = metaclass_core::SessionConfig::default().server;
-        server.codec = metaclass_core::protocol_codec();
         server.dead_reckoning = always;
         server.keyframe_interval = 1;
         let mut client = metaclass_core::SessionConfig::default().client;
-        client.codec = metaclass_core::protocol_codec();
         client.dead_reckoning = always;
         builder = builder.server_config(server).client_config(client).fanout_config(FanoutConfig {
             budget_per_client: clients as usize + 16,
-            interest: metaclass_sync::InterestConfig {
-                radius: 10_000.0, // no area-of-interest culling in the baseline
-                ..metaclass_sync::InterestConfig::default()
-            },
+            // No area-of-interest culling in the baseline.
+            interest: metaclass_sync::InterestConfig { radius: 10_000.0 },
         });
     }
     let mut session = builder.build();
@@ -119,7 +114,6 @@ fn measure(clients: u32, mode: Mode, secs: u64, ctx: &RunCtx) -> Row {
 fn measure_pooled(population: u64, secs: u64, ctx: &RunCtx) -> Row {
     let tracers_per_pool: u32 = if ctx.scale.is_quick() { 4 } else { 16 };
     let mut server = metaclass_core::SessionConfig::default().server;
-    server.codec = metaclass_core::protocol_codec();
     // The flash crowd arrives inside one refill window; provision the
     // admission bucket for the whole population so accounting (not the
     // interactive default burst) decides who gets in.

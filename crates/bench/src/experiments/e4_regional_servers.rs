@@ -214,7 +214,6 @@ fn pooled_session(
     let total: u64 = pools.iter().map(|&(_, n)| n).sum();
     let tracers: u32 = if ctx.scale.is_quick() { 2 } else { 8 };
     let mut server = metaclass_core::SessionConfig::default().server;
-    server.codec = metaclass_core::protocol_codec();
     // Provision admission for the whole flash crowd; the experiment
     // measures placement, not admission throttling.
     server.overload.admission.burst = total.min(u32::MAX as u64) as u32;

@@ -82,13 +82,13 @@ fn track(
             if let Some(m) = headset.measure_pose(&truth) {
                 fusion.ingest(now, &m);
             }
-            next_headset += 1.0 / headset_cfg.rate_hz;
+            next_headset += 1.0 / HeadsetModel::RATE_HZ;
         }
         if sources != Sources::HeadsetOnly && t >= next_room {
             if let Some(m) = room.measure(&truth) {
                 fusion.ingest(now, &m);
             }
-            next_room += 1.0 / room_cfg.rate_hz;
+            next_room += 1.0 / RoomSensorArray::RATE_HZ;
         }
         if t > 2.0 && fusion.is_initialized() {
             err.record(&truth, &fusion.estimate_at(now));
@@ -123,17 +123,13 @@ pub fn run(ctx: &RunCtx) -> Outcome {
         ("nominal".into(), HeadsetConfig::default(), RoomSensorConfig::default()),
         (
             "heavy drift".into(),
-            HeadsetConfig { drift_rate: 0.02, drift_limit: 0.25, ..Default::default() },
+            HeadsetConfig { drift_rate: 0.02, drift_limit: 0.25 },
             RoomSensorConfig::default(),
         ),
         (
             "heavy occlusion".into(),
             HeadsetConfig::default(),
-            RoomSensorConfig {
-                occlusion_probability: 0.1,
-                recovery_probability: 0.1,
-                ..Default::default()
-            },
+            RoomSensorConfig { occlusion_probability: 0.1, recovery_probability: 0.1 },
         ),
     ];
 

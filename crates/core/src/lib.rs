@@ -64,6 +64,7 @@ pub use activities::{
 pub use content::{
     can_view, ContentItem, ContentKind, ContentLedger, LedgerError, ViewerContext, Visibility,
 };
+pub use metaclass_edge::protocol_codec;
 pub use modality::TeachingModality;
 pub use path::{mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, HopLatency, PathBudget};
 pub use report::SessionReport;
@@ -72,6 +73,6 @@ pub use scenario::{
     ScenarioCohort, ScenarioError, ScenarioPattern, ScenarioSpec, StressSpec,
 };
 pub use session::{
-    protocol_codec, Activity, CampusSpec, ClassroomSession, CohortSpec, Participant, PoolInfo,
-    PoolSpec, Role, SessionBuilder, SessionConfig,
+    Activity, CampusSpec, ClassroomSession, CohortSpec, Participant, PoolInfo, PoolSpec, Role,
+    SessionBuilder, SessionConfig,
 };

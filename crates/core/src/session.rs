@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use metaclass_avatar::{AvatarId, CodecConfig, SpaceBounds, Vec3};
+use metaclass_avatar::{AvatarId, Vec3};
 use metaclass_edge::{
     pool_avatar, ClassMsg, ClassroomLayout, ClientConfig, ClientPoolNode, CloudServerNode,
     DevicePlatform, EdgeServerNode, FanoutConfig, HeadsetNode, PoolConfig, RemoteClientNode,
@@ -148,7 +148,7 @@ pub struct SessionConfig {
     pub activity: Activity,
     /// Region hosting the cloud VR classroom.
     pub cloud_region: Region,
-    /// Server tuning (tick, dead reckoning, codec).
+    /// Server tuning (dead reckoning, codec, heartbeats, overload control).
     pub server: ServerConfig,
     /// Cloud fan-out tuning.
     pub fanout: FanoutConfig,
@@ -159,23 +159,15 @@ pub struct SessionConfig {
     pub engine: EngineConfig,
 }
 
-/// The codec agreement used across the whole session: auditorium-sized
-/// bounds at 15 bits (≈ 3 mm grid), so both classroom and VR-auditorium
-/// coordinates encode cleanly.
-pub fn protocol_codec() -> CodecConfig {
-    CodecConfig { bounds: SpaceBounds::auditorium(), position_bits: 15, ..CodecConfig::default() }
-}
-
 impl Default for SessionConfig {
     fn default() -> Self {
-        let codec = protocol_codec();
         SessionConfig {
             seed: 42,
             activity: Activity::Lecture,
             cloud_region: Region::EastAsia,
-            server: ServerConfig { codec, ..ServerConfig::default() },
+            server: ServerConfig::default(),
             fanout: FanoutConfig::default(),
-            client: ClientConfig { codec, ..ClientConfig::default() },
+            client: ClientConfig::default(),
             engine: EngineConfig::default(),
         }
     }

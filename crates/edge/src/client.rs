@@ -21,6 +21,7 @@ use metaclass_sync::{
 use crate::health::{HeartbeatConfig, PeerEvent, PeerHealth};
 use crate::messages::ClassMsg;
 use crate::platform::DevicePlatform;
+use crate::server::protocol_codec;
 
 const TAG_POSE: u64 = 30;
 const TAG_CLOCK: u64 = 31;
@@ -73,13 +74,12 @@ impl Default for ClientConfig {
             clock_probe_interval: SimDuration::from_millis(500),
             dead_reckoning: DeadReckoningConfig::default(),
             jitter: JitterBufferConfig::default(),
-            codec: CodecConfig::default(),
+            codec: protocol_codec(),
             heartbeat: HeartbeatConfig {
                 interval: SimDuration::from_millis(500),
                 degraded_after: SimDuration::from_secs(2),
                 timeout: SimDuration::from_secs(5),
                 hold: SimDuration::from_secs(1),
-                degraded_stride: 4,
             },
             join_delay: SimDuration::ZERO,
             platform: DevicePlatform::VrHeadset,

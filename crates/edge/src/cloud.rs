@@ -15,7 +15,7 @@ use metaclass_sync::{
     InteractionEvent, InterestConfig, InterestManager, PoseFrame, SubscriberId, Viewpoint,
 };
 
-use crate::health::{PeerHealth, RemoteAvatarPresentation};
+use crate::health::RemoteAvatarPresentation;
 use crate::messages::ClassMsg;
 use crate::overload::{AdmissionController, AdmissionOutcome, LoadShedder};
 use crate::pool::pool_avatar;
@@ -29,7 +29,6 @@ static ROLE: LinkRole = LinkRole {
     peer_degraded: "cloud.edge_degraded",
     peer_down: "cloud.edge_down",
     interactions_delivered: "cloud.interactions_delivered",
-    interactions_given_up: "cloud.interactions_given_up",
     decode_errors: "cloud.decode_errors",
     ticks_shed: "overload.fanout_ticks_shed",
 };
@@ -219,11 +218,6 @@ impl CloudServerNode {
         out
     }
 
-    /// The failure detector tracking `edge`, if it is one of ours.
-    pub fn edge_health(&self, edge: NodeId) -> Option<&PeerHealth> {
-        self.link.health(edge)
-    }
-
     /// How `avatar` should currently be presented, given the health of the
     /// node its stream arrives from. Client-fed avatars are always `Live`
     /// (client loss is handled by the jitter buffers, not the detector).
@@ -239,11 +233,6 @@ impl CloudServerNode {
     /// Number of avatars present in the virtual classroom.
     pub fn population(&self) -> usize {
         self.latest.len()
-    }
-
-    /// Latest VR-space state of an avatar, if known.
-    pub fn state_of(&self, avatar: AvatarId) -> Option<&AvatarState> {
-        self.interest.slot_of(avatar).map(|slot| &self.latest[slot].1)
     }
 
     /// Every interaction event observed in the VR classroom (the retained

@@ -13,9 +13,7 @@ use metaclass_netsim::{Context, DetRng, Node, NodeId, SimDuration, SimTime, Time
 use metaclass_sensors::{
     HeadsetConfig, HeadsetModel, MotionScript, RoomSensorArray, RoomSensorConfig, Trajectory,
 };
-use metaclass_sync::{
-    DeadReckoningConfig, DeadReckoningReceiver, InteractionEvent, ReliableSender,
-};
+use metaclass_sync::{DeadReckoningReceiver, InteractionEvent, ReliableSender};
 
 use crate::messages::ClassMsg;
 
@@ -125,10 +123,7 @@ impl Node<ClassMsg> for HeadsetNode {
             ClassMsg::DisplayUpdate { avatar, state, captured_at } => {
                 let latency = ctx.now().duration_since(captured_at);
                 ctx.metrics().histogram("display.latency_ns").record(latency.as_nanos());
-                self.displayed
-                    .entry(avatar)
-                    .or_insert_with(|| DeadReckoningReceiver::new(DeadReckoningConfig::default()))
-                    .on_update(captured_at, state);
+                self.displayed.entry(avatar).or_default().on_update(captured_at, state);
             }
             ClassMsg::InteractionAck { seq, .. } => {
                 self.interactions.on_ack_at(seq, ctx.now());
@@ -151,7 +146,7 @@ impl RoomArrayNode {
     /// sensors observe the same ground truth.
     pub fn new(edge: NodeId, participants: Vec<(AvatarId, MotionScript, u64)>) -> Self {
         let cfg = RoomSensorConfig::default();
-        let rate = SimDuration::from_rate_hz(cfg.rate_hz);
+        let rate = SimDuration::from_rate_hz(RoomSensorArray::RATE_HZ);
         let tracked = participants
             .into_iter()
             .map(|(id, script, seed)| {

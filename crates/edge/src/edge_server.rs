@@ -28,7 +28,6 @@ static ROLE: LinkRole = LinkRole {
     peer_degraded: "edge.peer_degraded",
     peer_down: "edge.peer_down",
     interactions_delivered: "edge.interactions_delivered",
-    interactions_given_up: "edge.interactions_given_up",
     decode_errors: "edge.decode_errors",
     ticks_shed: "overload.replicate_ticks_shed",
 };

@@ -21,6 +21,10 @@
 
 use metaclass_netsim::{SimDuration, SimTime};
 
+/// Toward a degraded peer, only every `DEGRADED_STRIDE`-th replication tick
+/// actually sends (reduced snapshot rate under sustained loss).
+const DEGRADED_STRIDE: u64 = 4;
+
 /// Tuning of the server-to-server heartbeat failure detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeartbeatConfig {
@@ -36,9 +40,6 @@ pub struct HeartbeatConfig {
     ///
     /// [`Hold`]: RemoteAvatarPresentation::Hold
     pub hold: SimDuration,
-    /// Toward a degraded peer, only every `degraded_stride`-th replication
-    /// tick actually sends (reduced snapshot rate under sustained loss).
-    pub degraded_stride: u64,
 }
 
 impl Default for HeartbeatConfig {
@@ -48,7 +49,6 @@ impl Default for HeartbeatConfig {
             degraded_after: SimDuration::from_millis(200),
             timeout: SimDuration::from_millis(500),
             hold: SimDuration::from_millis(1000),
-            degraded_stride: 4,
         }
     }
 }
@@ -192,7 +192,7 @@ impl PeerHealth {
     pub fn should_skip_send(&self, tick: u64) -> bool {
         match self.state {
             PeerState::Up => false,
-            PeerState::Degraded => !tick.is_multiple_of(self.cfg.degraded_stride.max(1)),
+            PeerState::Degraded => !tick.is_multiple_of(DEGRADED_STRIDE),
             PeerState::Down => true,
         }
     }

@@ -18,7 +18,8 @@
 //!   scripted inter-room mobility;
 //! - [`SeatAllocator`] / [`ClassroomLayout`] — the "identify the vacant
 //!   seats" mechanic of §3.2;
-//! - the server core (`server.rs`, private; tuned by [`ServerConfig`]) —
+//! - the server core (`server.rs`, private; tuned by [`ServerConfig`]; both
+//!   ends of every stream default to the [`protocol_codec`]) —
 //!   the one inter-server link both server actors own: heartbeats and
 //!   resync, snapshot streams, reliable interaction relay, the shed ladder
 //!   over a bounded egress backlog;
@@ -60,10 +61,10 @@ pub use edge_server::EdgeServerNode;
 pub use health::{HeartbeatConfig, PeerEvent, PeerHealth, PeerState, RemoteAvatarPresentation};
 pub use messages::ClassMsg;
 pub use overload::{
-    AdmissionConfig, AdmissionController, AdmissionOutcome, LoadShedder, OverloadConfig,
-    ShedConfig, ShedLevel, ShedTransition,
+    AdmissionConfig, AdmissionController, AdmissionOutcome, LoadShedder, OverloadConfig, ShedLevel,
+    ShedTransition,
 };
 pub use platform::DevicePlatform;
 pub use pool::{pool_avatar, ClientPoolNode, PoolConfig, POOL_AVATAR_BASE};
 pub use seat::{ClassroomFullError, ClassroomLayout, SeatAllocator};
-pub use server::ServerConfig;
+pub use server::{protocol_codec, ServerConfig};

@@ -271,30 +271,6 @@ impl ShedLevel {
     }
 }
 
-/// Tuning of the load-shedding ladder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedConfig {
-    /// Smoothed utilization above this sheds one rung.
-    pub shed_above: f64,
-    /// Smoothed utilization below this recovers one rung.
-    pub recover_below: f64,
-    /// EWMA smoothing factor applied per observation.
-    pub alpha: f64,
-    /// Minimum time between rung moves, in either direction.
-    pub hysteresis: SimDuration,
-}
-
-impl Default for ShedConfig {
-    fn default() -> Self {
-        ShedConfig {
-            shed_above: 0.85,
-            recover_below: 0.5,
-            alpha: 0.2,
-            hysteresis: SimDuration::from_millis(500),
-        }
-    }
-}
-
 /// One recorded rung move.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedTransition {
@@ -309,7 +285,6 @@ pub struct ShedTransition {
 /// Hysteretic fidelity ladder driven by a smoothed utilization signal.
 #[derive(Debug, Clone)]
 pub struct LoadShedder {
-    cfg: ShedConfig,
     level: ShedLevel,
     smoothed: f64,
     last_move_at: Option<SimTime>,
@@ -317,10 +292,18 @@ pub struct LoadShedder {
 }
 
 impl LoadShedder {
+    /// Smoothed utilization above this sheds one rung.
+    const SHED_ABOVE: f64 = 0.85;
+    /// Smoothed utilization below this recovers one rung.
+    const RECOVER_BELOW: f64 = 0.5;
+    /// EWMA smoothing factor applied per observation.
+    const ALPHA: f64 = 0.2;
+    /// Minimum time between rung moves, in either direction.
+    pub const HYSTERESIS: SimDuration = SimDuration::from_millis(500);
+
     /// Creates the ladder at `Full` with a settled (zero) signal.
-    pub fn new(cfg: ShedConfig) -> Self {
+    pub(crate) fn new() -> Self {
         LoadShedder {
-            cfg,
             level: ShedLevel::Full,
             smoothed: 0.0,
             last_move_at: None,
@@ -333,14 +316,14 @@ impl LoadShedder {
     /// threshold and the hysteresis window has elapsed.
     pub fn observe(&mut self, now: SimTime, utilization: f64) -> Option<ShedTransition> {
         let sample = if utilization.is_finite() { utilization.clamp(0.0, 2.0) } else { 2.0 };
-        self.smoothed += self.cfg.alpha * (sample - self.smoothed);
-        let want_shed = self.smoothed > self.cfg.shed_above && self.level != ShedLevel::Spectator;
-        let want_recover = self.smoothed < self.cfg.recover_below && self.level != ShedLevel::Full;
+        self.smoothed += Self::ALPHA * (sample - self.smoothed);
+        let want_shed = self.smoothed > Self::SHED_ABOVE && self.level != ShedLevel::Spectator;
+        let want_recover = self.smoothed < Self::RECOVER_BELOW && self.level != ShedLevel::Full;
         if !want_shed && !want_recover {
             return None;
         }
         if let Some(last) = self.last_move_at {
-            if now.duration_since(last) < self.cfg.hysteresis {
+            if now.duration_since(last) < Self::HYSTERESIS {
                 return None;
             }
         }
@@ -367,11 +350,6 @@ impl LoadShedder {
         self.transitions.iter()
     }
 
-    /// The configured hysteresis window.
-    pub fn hysteresis(&self) -> SimDuration {
-        self.cfg.hysteresis
-    }
-
     /// Returns to `Full` with a settled signal (owner crash-reset). The
     /// transition history survives: it records the node's lifetime, and the
     /// oracle tolerates resets because a crash clears `last_move_at`.
@@ -387,15 +365,11 @@ impl LoadShedder {
 pub struct OverloadConfig {
     /// Join admission gate.
     pub admission: AdmissionConfig,
-    /// Capacity of the bounded interaction log (drop-new).
-    pub interaction_log_capacity: usize,
     /// Outbound state updates a server may send per replication tick; the
     /// excess backs up into bounded drop-oldest queues.
     pub egress_budget_per_tick: usize,
     /// Capacity of each per-peer/per-client egress backlog (drop-oldest).
     pub backlog_capacity: usize,
-    /// Load-shedding ladder.
-    pub shed: ShedConfig,
 }
 
 impl Default for OverloadConfig {
@@ -404,10 +378,8 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
             admission: AdmissionConfig::default(),
-            interaction_log_capacity: 4096,
             egress_budget_per_tick: 65_536,
             backlog_capacity: 1024,
-            shed: ShedConfig::default(),
         }
     }
 }
@@ -520,38 +492,41 @@ mod tests {
         assert_eq!(ac.request(1, SimTime::from_secs(1)), AdmissionOutcome::Admitted);
     }
 
-    fn fast_shed() -> ShedConfig {
-        ShedConfig {
-            shed_above: 0.8,
-            recover_below: 0.3,
-            alpha: 1.0, // no smoothing: thresholds act on raw samples
-            hysteresis: SimDuration::from_millis(100),
+    /// Feeds saturated samples (2.0, the clamp ceiling) every 100 ms from
+    /// `from` until the ladder moves; returns when it did.
+    fn saturate_until_shed(ls: &mut LoadShedder, from: SimTime) -> SimTime {
+        let mut now = from;
+        while ls.observe(now, 2.0).is_none() {
+            now += SimDuration::from_millis(100);
         }
+        now
     }
 
     #[test]
     fn ladder_moves_one_rung_per_hysteresis_window() {
-        let mut ls = LoadShedder::new(fast_shed());
-        let t = ls.observe(SimTime::ZERO, 1.0).expect("first shed is immediate");
-        assert_eq!((t.from, t.to), (ShedLevel::Full, ShedLevel::ReducedRate));
-        assert!(ls.observe(SimTime::from_millis(50), 1.0).is_none(), "inside the window");
-        assert!(ls.observe(SimTime::from_millis(99), 1.0).is_none());
-        let t = ls.observe(SimTime::from_millis(100), 1.0).expect("window elapsed");
-        assert_eq!(t.to, ShedLevel::ExpressionOnly);
-        let t = ls.observe(SimTime::from_millis(200), 1.0).expect("window elapsed");
+        let mut ls = LoadShedder::new();
+        // The smoothed signal needs three saturated samples to clear 0.85.
+        let first = saturate_until_shed(&mut ls, SimTime::ZERO);
+        assert_eq!(first, SimTime::from_millis(200));
+        assert_eq!(ls.level(), ShedLevel::ReducedRate);
+        let inside = first + LoadShedder::HYSTERESIS - SimDuration::from_nanos(1);
+        assert!(ls.observe(inside, 2.0).is_none(), "inside the window");
+        let t = ls.observe(first + LoadShedder::HYSTERESIS, 2.0).expect("window elapsed");
+        assert_eq!((t.from, t.to), (ShedLevel::ReducedRate, ShedLevel::ExpressionOnly));
+        let t = ls.observe(t.at + LoadShedder::HYSTERESIS, 2.0).expect("window elapsed");
         assert_eq!(t.to, ShedLevel::Spectator);
-        assert!(ls.observe(SimTime::from_millis(300), 1.0).is_none(), "bottom rung holds");
+        assert!(ls.observe(t.at + LoadShedder::HYSTERESIS, 2.0).is_none(), "bottom rung holds");
     }
 
     #[test]
     fn recovery_is_monotone_and_flap_free() {
-        let mut ls = LoadShedder::new(fast_shed());
-        ls.observe(SimTime::ZERO, 1.0);
-        ls.observe(SimTime::from_millis(100), 1.0);
+        let mut ls = LoadShedder::new();
+        let first = saturate_until_shed(&mut ls, SimTime::ZERO);
+        saturate_until_shed(&mut ls, first + LoadShedder::HYSTERESIS);
         assert_eq!(ls.level(), ShedLevel::ExpressionOnly);
         // Load vanishes: recovery climbs one rung per window, never skips.
         let mut rungs = vec![ls.level().rung()];
-        for ms in (200..=700).step_by(50) {
+        for ms in (1_000..=3_000).step_by(50) {
             ls.observe(SimTime::from_millis(ms), 0.0);
             rungs.push(ls.level().rung());
         }
@@ -564,18 +539,21 @@ mod tests {
 
     #[test]
     fn mid_band_signal_holds_the_current_rung() {
-        let mut ls = LoadShedder::new(fast_shed());
-        ls.observe(SimTime::ZERO, 1.0);
+        let mut ls = LoadShedder::new();
+        let first = saturate_until_shed(&mut ls, SimTime::ZERO);
         assert_eq!(ls.level(), ShedLevel::ReducedRate);
-        for ms in (100..=1000).step_by(100) {
-            assert!(ls.observe(SimTime::from_millis(ms), 0.5).is_none(), "dead band holds");
+        // 0.7 sits between the recover and shed thresholds; the signal
+        // decays toward it and crosses neither.
+        for ms in (1..=30).map(|i| i * 100) {
+            let at = first + SimDuration::from_millis(ms);
+            assert!(ls.observe(at, 0.7).is_none(), "dead band holds at {at:?}");
         }
         assert_eq!(ls.level(), ShedLevel::ReducedRate);
     }
 
     #[test]
     fn smoothing_filters_a_single_spike() {
-        let mut ls = LoadShedder::new(ShedConfig { alpha: 0.2, ..fast_shed() });
+        let mut ls = LoadShedder::new();
         assert!(ls.observe(SimTime::ZERO, 2.0).is_none(), "one spike is smoothed away");
         for ms in (100..=400).step_by(100) {
             ls.observe(SimTime::from_millis(ms), 0.0);

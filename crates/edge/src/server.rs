@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use metaclass_avatar::{AnchorFrame, AvatarCodec, AvatarId, AvatarState, CodecConfig};
+use metaclass_avatar::{AnchorFrame, AvatarCodec, AvatarId, AvatarState, CodecConfig, SpaceBounds};
 use metaclass_netsim::{Context, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sync::{
     BoundedQueue, DeadReckoningConfig, DeadReckoningSender, InteractionEvent, OverflowPolicy,
@@ -30,11 +30,20 @@ use crate::overload::{LoadShedder, OverloadConfig, ShedLevel};
 /// Retransmission timeout for relayed interaction streams.
 const INTERACTION_RTO: SimDuration = SimDuration::from_millis(150);
 
+/// Capacity of the bounded interaction log (drop-new).
+const INTERACTION_LOG_CAPACITY: usize = 4096;
+
+/// The codec agreement used across the whole session: auditorium-sized
+/// bounds at 15 bits (≈ 3 mm grid), so both classroom and VR-auditorium
+/// coordinates encode cleanly. Server and client configurations default to
+/// it.
+pub fn protocol_codec() -> CodecConfig {
+    CodecConfig { bounds: SpaceBounds::auditorium(), position_bits: 15, ..CodecConfig::default() }
+}
+
 /// Tuning of a classroom/cloud server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Replication tick (evaluation + fan-out cadence).
-    pub tick: SimDuration,
     /// Dead-reckoning thresholds for outbound replication.
     pub dead_reckoning: DeadReckoningConfig,
     /// Keyframe cadence of the snapshot streams.
@@ -47,13 +56,17 @@ pub struct ServerConfig {
     pub overload: OverloadConfig,
 }
 
+impl ServerConfig {
+    /// Replication tick rate (evaluation + fan-out cadence), Hz.
+    pub const TICK_HZ: f64 = 60.0;
+}
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            tick: SimDuration::from_rate_hz(60.0),
             dead_reckoning: DeadReckoningConfig::default(),
             keyframe_interval: 60,
-            codec: CodecConfig::default(),
+            codec: protocol_codec(),
             heartbeat: HeartbeatConfig::default(),
             overload: OverloadConfig::default(),
         }
@@ -69,7 +82,6 @@ pub(crate) struct LinkRole {
     pub peer_degraded: &'static str,
     pub peer_down: &'static str,
     pub interactions_delivered: &'static str,
-    pub interactions_given_up: &'static str,
     pub decode_errors: &'static str,
     pub ticks_shed: &'static str,
 }
@@ -134,10 +146,10 @@ impl<K: Ord + Copy> ServerLink<K> {
             interaction_rx: BTreeMap::new(),
             interaction_tx: BTreeMap::new(),
             interaction_log: BoundedQueue::new(
-                cfg.overload.interaction_log_capacity,
+                INTERACTION_LOG_CAPACITY,
                 OverflowPolicy::DropNewest,
             ),
-            shedder: LoadShedder::new(cfg.overload.shed),
+            shedder: LoadShedder::new(),
             backlog: BTreeMap::new(),
         }
     }
@@ -255,14 +267,11 @@ impl<K: Ord + Copy> ServerLink<K> {
                 ClassMsg::Interaction { avatar: *avatar, seq, event, captured_at: now }
                     .send_to(ctx, *peer);
             }
-            for _ in tx.drain_given_up() {
-                ctx.metrics().inc(self.role.interactions_given_up);
-            }
         }
     }
 
     pub fn arm_tick(&self, ctx: &mut Context<'_, ClassMsg>) {
-        ctx.set_timer(self.cfg.tick, self.role.tick_tag);
+        ctx.set_timer(SimDuration::from_rate_hz(ServerConfig::TICK_HZ), self.role.tick_tag);
     }
 
     /// Any traffic from a peer server counts as liveness. A peer back from
@@ -486,5 +495,17 @@ impl<K: Ord + Copy> ServerLink<K> {
         self.tick_count = 0;
         self.shedder.reset();
         self.backlog.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClientConfig;
+
+    #[test]
+    fn both_ends_default_to_the_protocol_codec() {
+        assert_eq!(ServerConfig::default().codec, protocol_codec());
+        assert_eq!(ClientConfig::default().codec, protocol_codec());
     }
 }

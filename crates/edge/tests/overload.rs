@@ -9,8 +9,8 @@
 
 use metaclass_avatar::{AvatarId, Vec3};
 use metaclass_edge::{
-    ClassMsg, ClientConfig, CloudServerNode, FanoutConfig, RemoteClientNode, ServerConfig,
-    ShedLevel,
+    ClassMsg, ClientConfig, CloudServerNode, FanoutConfig, LoadShedder, RemoteClientNode,
+    ServerConfig, ShedLevel,
 };
 use metaclass_netsim::{FaultWindow, LinkClass, NodeId, SimDuration, SimTime, Simulation};
 use metaclass_sensors::MotionScript;
@@ -174,7 +174,6 @@ fn starved_egress_budget_climbs_the_shed_ladder_one_rung_at_a_time() {
     let mut server = ServerConfig::default();
     server.overload.egress_budget_per_tick = 2;
     server.overload.backlog_capacity = 8;
-    server.overload.shed.hysteresis = SimDuration::from_millis(100);
 
     let mut d = build(31, 8, server, ClientConfig::default());
     d.sim.run_until(SimTime::from_secs(4));
@@ -189,7 +188,7 @@ fn starved_egress_budget_climbs_the_shed_ladder_one_rung_at_a_time() {
     for pair in transitions.windows(2) {
         let gap = pair[1].at.duration_since(pair[0].at);
         assert!(
-            gap >= SimDuration::from_millis(100),
+            gap >= LoadShedder::HYSTERESIS,
             "ladder moved twice inside one hysteresis window: {gap:?}"
         );
     }

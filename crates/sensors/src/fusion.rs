@@ -8,12 +8,11 @@
 
 use metaclass_avatar::{AvatarState, ExpressionFrame, Pose, Quat, Vec3};
 use metaclass_netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::headset::PoseMeasurement;
 
 /// A scalar constant-velocity Kalman filter (state: position, velocity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Kalman2 {
     /// State estimate: position, velocity.
     x: [f64; 2],
@@ -62,7 +61,7 @@ impl Kalman2 {
 }
 
 /// Configuration of the fusion filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionConfig {
     /// Process noise: white-acceleration 1-sigma, m/s². Larger values track
     /// agile motion faster at the cost of noise rejection.
@@ -116,7 +115,6 @@ pub struct PoseFusion {
     expression: ExpressionFrame,
     last_time: Option<SimTime>,
     position_initialized: bool,
-    updates: u64,
 }
 
 impl PoseFusion {
@@ -133,13 +131,7 @@ impl PoseFusion {
             expression: ExpressionFrame::neutral(),
             last_time: None,
             position_initialized: false,
-            updates: 0,
         }
-    }
-
-    /// Number of measurements ingested.
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     /// Whether at least one position measurement has arrived.
@@ -166,7 +158,6 @@ impl PoseFusion {
     /// Ingests one measurement taken at time `t`.
     pub fn ingest(&mut self, t: SimTime, m: &PoseMeasurement) {
         self.predict_to(t);
-        self.updates += 1;
 
         if !self.position_initialized {
             for (axis, z) in self.axes.iter_mut().zip([m.position.x, m.position.y, m.position.z]) {

@@ -36,41 +36,17 @@ pub struct PoseMeasurement {
 }
 
 /// Configuration of the headset model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadsetConfig {
-    /// Pose sampling rate (Hz). Quest-class headsets track at 72–120 Hz.
-    pub rate_hz: f64,
-    /// White position noise, 1-sigma metres.
-    pub position_noise_std: f64,
-    /// White orientation noise, 1-sigma degrees.
-    pub orientation_noise_deg: f64,
     /// Random-walk drift rate, metres per sqrt(second).
     pub drift_rate: f64,
     /// Maximum drift magnitude before the headset relocalizes, metres.
     pub drift_limit: f64,
-    /// Probability per sample of entering a tracking-loss gap.
-    pub loss_probability: f64,
-    /// Samples a tracking-loss gap lasts.
-    pub loss_duration_samples: u32,
-    /// Expression sampling rate (Hz).
-    pub expression_rate_hz: f64,
-    /// White noise added to each blendshape weight, 1-sigma.
-    pub expression_noise_std: f64,
 }
 
 impl Default for HeadsetConfig {
     fn default() -> Self {
-        HeadsetConfig {
-            rate_hz: 72.0,
-            position_noise_std: 0.004,
-            orientation_noise_deg: 0.5,
-            drift_rate: 0.002,
-            drift_limit: 0.06,
-            loss_probability: 0.0005,
-            loss_duration_samples: 20,
-            expression_rate_hz: 30.0,
-            expression_noise_std: 0.03,
-        }
+        HeadsetConfig { drift_rate: 0.002, drift_limit: 0.06 }
     }
 }
 
@@ -97,6 +73,21 @@ pub struct HeadsetModel {
 }
 
 impl HeadsetModel {
+    /// Pose sampling rate (Hz). Quest-class headsets track at 72–120 Hz.
+    pub const RATE_HZ: f64 = 72.0;
+    /// White position noise, 1-sigma metres.
+    pub(crate) const POSITION_NOISE_STD: f64 = 0.004;
+    /// White orientation noise, 1-sigma degrees.
+    const ORIENTATION_NOISE_DEG: f64 = 0.5;
+    /// Probability per sample of entering a tracking-loss gap.
+    const LOSS_PROBABILITY: f64 = 0.0005;
+    /// Samples a tracking-loss gap lasts.
+    const LOSS_DURATION_SAMPLES: u32 = 20;
+    /// Expression sampling rate (Hz).
+    const EXPRESSION_RATE_HZ: f64 = 30.0;
+    /// White noise added to each blendshape weight, 1-sigma.
+    const EXPRESSION_NOISE_STD: f64 = 0.03;
+
     /// Creates a headset with its own noise stream.
     pub fn new(cfg: HeadsetConfig, seed: u64) -> Self {
         HeadsetModel {
@@ -114,12 +105,12 @@ impl HeadsetModel {
 
     /// Interval between pose samples.
     pub fn sample_period(&self) -> SimDuration {
-        SimDuration::from_rate_hz(self.cfg.rate_hz)
+        SimDuration::from_rate_hz(Self::RATE_HZ)
     }
 
     /// Interval between expression samples.
     pub fn expression_period(&self) -> SimDuration {
-        SimDuration::from_rate_hz(self.cfg.expression_rate_hz)
+        SimDuration::from_rate_hz(Self::EXPRESSION_RATE_HZ)
     }
 
     /// Takes one pose sample of `truth`. Returns `None` during a
@@ -129,13 +120,13 @@ impl HeadsetModel {
             self.loss_remaining -= 1;
             return None;
         }
-        if self.rng.chance(self.cfg.loss_probability) {
-            self.loss_remaining = self.cfg.loss_duration_samples;
+        if self.rng.chance(Self::LOSS_PROBABILITY) {
+            self.loss_remaining = Self::LOSS_DURATION_SAMPLES;
             return None;
         }
 
         // Random-walk drift with relocalization snap at the limit.
-        let dt = 1.0 / self.cfg.rate_hz;
+        let dt = 1.0 / Self::RATE_HZ;
         let step = self.cfg.drift_rate * dt.sqrt();
         self.drift += Vec3::new(
             self.rng.normal(0.0, step),
@@ -146,12 +137,12 @@ impl HeadsetModel {
             self.drift = Vec3::ZERO; // relocalization against the map
         }
 
-        let n = self.cfg.position_noise_std;
+        let n = Self::POSITION_NOISE_STD;
         let noise =
             Vec3::new(self.rng.normal(0.0, n), self.rng.normal(0.0, n), self.rng.normal(0.0, n));
         let position = truth.head.position + self.drift + noise;
 
-        let angle = self.rng.normal(0.0, self.cfg.orientation_noise_deg.to_radians());
+        let angle = self.rng.normal(0.0, Self::ORIENTATION_NOISE_DEG.to_radians());
         let axis = Vec3::new(
             self.rng.normal(0.0, 1.0),
             self.rng.normal(0.0, 1.0),
@@ -186,14 +177,9 @@ impl HeadsetModel {
     pub fn measure_expression(&mut self, truth: &AvatarState) -> ExpressionFrame {
         let mut weights = *truth.expression.weights();
         for w in &mut weights {
-            *w += self.rng.normal(0.0, self.cfg.expression_noise_std) as f32;
+            *w += self.rng.normal(0.0, Self::EXPRESSION_NOISE_STD) as f32;
         }
         ExpressionFrame::from_weights(weights)
-    }
-
-    /// Whether the headset is currently in a tracking-loss gap.
-    pub fn is_tracking_lost(&self) -> bool {
-        self.loss_remaining > 0
     }
 
     /// Current drift bias (for tests and diagnostics).
@@ -226,27 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn noise_statistics_match_config() {
-        let cfg = HeadsetConfig { drift_rate: 0.0, loss_probability: 0.0, ..Default::default() };
+    fn noise_statistics_match_the_model() {
+        let cfg = HeadsetConfig { drift_rate: 0.0, ..Default::default() };
         let mut hs = HeadsetModel::new(cfg, 2);
         let t = truth();
-        let n = 5000;
-        let mut sum_sq = 0.0;
-        for _ in 0..n {
-            let m = hs.measure_pose(&t).unwrap();
-            sum_sq += (m.position.x - t.head.position.x).powi(2);
-        }
-        let std = (sum_sq / n as f64).sqrt();
-        assert!((std - cfg.position_noise_std).abs() < 0.001, "std {std}");
+        let errors: Vec<f64> = (0..5000)
+            .filter_map(|_| hs.measure_pose(&t))
+            .map(|m| m.position.x - t.head.position.x)
+            .collect();
+        let std = (errors.iter().map(|e| e * e).sum::<f64>() / errors.len() as f64).sqrt();
+        assert!((std - HeadsetModel::POSITION_NOISE_STD).abs() < 0.001, "std {std}");
     }
 
     #[test]
     fn drift_is_bounded_by_relocalization() {
-        let cfg = HeadsetConfig {
-            drift_rate: 0.05, // exaggerated
-            loss_probability: 0.0,
-            ..Default::default()
-        };
+        let cfg = HeadsetConfig { drift_rate: 0.05, ..Default::default() }; // exaggerated
         let mut hs = HeadsetModel::new(cfg, 3);
         let t = truth();
         for _ in 0..20_000 {
@@ -256,17 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn tracking_loss_creates_gaps_of_configured_length() {
-        let cfg = HeadsetConfig {
-            loss_probability: 0.05,
-            loss_duration_samples: 7,
-            ..Default::default()
-        };
-        let mut hs = HeadsetModel::new(cfg, 4);
+    fn tracking_loss_creates_gaps_of_the_model_length() {
+        let mut hs = HeadsetModel::new(HeadsetConfig::default(), 4);
         let t = truth();
         let mut gap = 0u32;
         let mut gaps = Vec::new();
-        for _ in 0..20_000 {
+        for _ in 0..50_000 {
             if hs.measure_pose(&t).is_none() {
                 gap += 1;
             } else if gap > 0 {
@@ -275,8 +250,10 @@ mod tests {
             }
         }
         assert!(!gaps.is_empty());
-        // A new loss can chain onto an ongoing gap, so gaps are multiples ≥ 7.
-        assert!(gaps.iter().all(|&g| g >= 7), "gaps {gaps:?}");
+        // A new loss can chain onto a gap that just ended, so gaps last at
+        // least the model's length.
+        let min = HeadsetModel::LOSS_DURATION_SAMPLES;
+        assert!(gaps.iter().all(|&g| g >= min), "gaps {gaps:?}");
     }
 
     #[test]

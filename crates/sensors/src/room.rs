@@ -8,17 +8,12 @@
 
 use metaclass_avatar::{AvatarState, Vec3};
 use metaclass_netsim::{DetRng, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::headset::{PoseMeasurement, SensorSource};
 
 /// Configuration of the room sensor array (per tracked participant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoomSensorConfig {
-    /// Sampling rate, Hz (multi-camera rigs typically fuse at 30 Hz).
-    pub rate_hz: f64,
-    /// White position noise, 1-sigma metres (drift-free).
-    pub position_noise_std: f64,
     /// Probability per sample of becoming occluded.
     pub occlusion_probability: f64,
     /// Probability per sample of recovering from occlusion.
@@ -27,12 +22,7 @@ pub struct RoomSensorConfig {
 
 impl Default for RoomSensorConfig {
     fn default() -> Self {
-        RoomSensorConfig {
-            rate_hz: 30.0,
-            position_noise_std: 0.008,
-            occlusion_probability: 0.01,
-            recovery_probability: 0.2,
-        }
+        RoomSensorConfig { occlusion_probability: 0.01, recovery_probability: 0.2 }
     }
 }
 
@@ -61,6 +51,11 @@ pub struct RoomSensorArray {
 }
 
 impl RoomSensorArray {
+    /// Sampling rate, Hz (multi-camera rigs typically fuse at 30 Hz).
+    pub const RATE_HZ: f64 = 30.0;
+    /// White position noise, 1-sigma metres (drift-free).
+    const POSITION_NOISE_STD: f64 = 0.008;
+
     /// Creates an array view with its own noise stream.
     pub fn new(cfg: RoomSensorConfig, seed: u64) -> Self {
         RoomSensorArray { cfg, rng: DetRng::new(seed).derive(0x726f_6f6d), occluded: false }
@@ -73,7 +68,7 @@ impl RoomSensorArray {
 
     /// Interval between samples.
     pub fn sample_period(&self) -> SimDuration {
-        SimDuration::from_rate_hz(self.cfg.rate_hz)
+        SimDuration::from_rate_hz(Self::RATE_HZ)
     }
 
     /// Takes one sample of `truth`; `None` while occluded.
@@ -92,7 +87,7 @@ impl RoomSensorArray {
         if self.occluded {
             return None;
         }
-        let n = self.cfg.position_noise_std;
+        let n = Self::POSITION_NOISE_STD;
         let position = truth.head.position
             + Vec3::new(self.rng.normal(0.0, n), self.rng.normal(0.0, n), self.rng.normal(0.0, n));
         Some(PoseMeasurement {
@@ -138,11 +133,7 @@ mod tests {
 
     #[test]
     fn occlusion_fraction_matches_stationary_distribution() {
-        let cfg = RoomSensorConfig {
-            occlusion_probability: 0.02,
-            recovery_probability: 0.1,
-            ..Default::default()
-        };
+        let cfg = RoomSensorConfig { occlusion_probability: 0.02, recovery_probability: 0.1 };
         let mut arr = RoomSensorArray::new(cfg, 2);
         let t = truth();
         let n = 50_000;
@@ -167,11 +158,10 @@ mod tests {
 
     #[test]
     fn noise_is_lower_than_headset_drift_budget() {
-        let room = RoomSensorConfig::default();
         let headset = crate::headset::HeadsetConfig::default();
         // The array's total error budget beats headset noise + drift.
-        let headset_budget =
-            (headset.position_noise_std.powi(2) + (headset.drift_limit / 2.0).powi(2)).sqrt();
-        assert!(room.position_noise_std < headset_budget);
+        let noise = crate::headset::HeadsetModel::POSITION_NOISE_STD;
+        let headset_budget = (noise.powi(2) + (headset.drift_limit / 2.0).powi(2)).sqrt();
+        assert!(RoomSensorArray::POSITION_NOISE_STD < headset_budget);
     }
 }

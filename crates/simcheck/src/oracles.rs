@@ -7,10 +7,10 @@
 //! set the explorer and the `bench simcheck` CLI run.
 
 use metaclass_edge::{
-    ClientPoolNode, CloudServerNode, EdgeServerNode, PeerState, RemoteAvatarPresentation,
-    RemoteClientNode, ShedTransition,
+    ClientPoolNode, CloudServerNode, EdgeServerNode, LoadShedder, PeerState,
+    RemoteAvatarPresentation, RemoteClientNode, ShedTransition,
 };
-use metaclass_netsim::{FaultAction, NodeId, SimDuration, SimEvent, SimTime, SimView};
+use metaclass_netsim::{FaultAction, NodeId, SimEvent, SimTime, SimView};
 
 use crate::oracle::{Oracle, Probe};
 use crate::scenario::Scenario;
@@ -411,19 +411,14 @@ impl Oracle for AdmittedLiveness {
 /// exactly one rung, and two consecutive transitions are at least one
 /// hysteresis window apart — except across a crash/restart, which resets
 /// the shedder's clock.
+#[derive(Debug, Default)]
 pub struct ShedLadderDiscipline {
-    hysteresis: SimDuration,
     /// Times of executed node crashes (a restart resets shedder state, so
     /// gap checks don't span them).
     crashes: Vec<SimTime>,
 }
 
 impl ShedLadderDiscipline {
-    /// Creates the oracle with the scenario's hysteresis window.
-    pub fn new(scn: &Scenario) -> Self {
-        ShedLadderDiscipline { hysteresis: scn.overload().shed.hysteresis, crashes: Vec::new() }
-    }
-
     fn check_transitions(&self, owner: &str, transitions: &[ShedTransition]) -> Result<(), String> {
         for t in transitions {
             let diff = i16::from(t.to.rung()) - i16::from(t.from.rung());
@@ -441,12 +436,12 @@ impl ShedLadderDiscipline {
                 continue;
             }
             let gap = b.at.duration_since(a.at);
-            if gap < self.hysteresis {
+            if gap < LoadShedder::HYSTERESIS {
                 return Err(format!(
                     "{owner}: ladder moved twice within one hysteresis window \
                      ({} ms apart, window {} ms)",
                     gap.as_nanos() / 1_000_000,
-                    self.hysteresis.as_nanos() / 1_000_000
+                    LoadShedder::HYSTERESIS.as_nanos() / 1_000_000
                 ));
             }
         }
@@ -524,7 +519,7 @@ pub fn standard_oracles(scn: &Scenario) -> Vec<Box<dyn Oracle>> {
         Box::new(ResyncConvergence::new(scn)),
         Box::new(QueueBounds),
         Box::new(AdmittedLiveness),
-        Box::new(ShedLadderDiscipline::new(scn)),
+        Box::new(ShedLadderDiscipline::default()),
     ]
 }
 

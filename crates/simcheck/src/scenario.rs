@@ -79,7 +79,6 @@ impl Scenario {
                 degraded_after: SimDuration::from_millis(80),
                 timeout: SimDuration::from_millis(150),
                 hold: SimDuration::from_millis(200),
-                degraded_stride: 4,
             },
             max_windows: 4,
             pooled_members: 0,

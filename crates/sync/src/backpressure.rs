@@ -179,12 +179,6 @@ impl<T> BoundedQueue<T> {
         self.items.iter()
     }
 
-    /// Removes and returns the first queued item matching `pred`.
-    pub fn remove_where(&mut self, pred: impl Fn(&T) -> bool) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
-        self.items.remove(idx)
-    }
-
     /// Drops every queued item (drop accounting is preserved).
     pub fn clear(&mut self) {
         self.items.clear();
@@ -278,16 +272,5 @@ mod tests {
         assert_eq!(q.push(7), None, "nothing to evict; item silently dropped");
         assert!(q.is_empty());
         assert_eq!(q.dropped(), 1);
-    }
-
-    #[test]
-    fn remove_where_extracts_matching_item() {
-        let mut q = BoundedQueue::new(4, OverflowPolicy::DropNewest);
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert_eq!(q.remove_where(|&x| x == 2), Some(2));
-        assert_eq!(q.remove_where(|&x| x == 9), None);
-        assert_eq!(q.len(), 2);
     }
 }

@@ -90,25 +90,6 @@ impl OffsetEstimator {
     pub fn uncertainty(&self) -> Option<SimDuration> {
         self.best_sample().map(|s| s.rtt / 2)
     }
-
-    /// Converts a local instant to estimated server time.
-    ///
-    /// Returns `None` before the first sample. Saturates at the epoch if the
-    /// offset would move the instant before time zero.
-    pub fn to_server_time(&self, local: SimTime) -> Option<SimTime> {
-        let off = self.offset_ns()?;
-        let ns = local.as_nanos() as i64 + off;
-        Some(SimTime::from_nanos(ns.max(0) as u64))
-    }
-
-    /// Converts an estimated server instant back to local time.
-    ///
-    /// Returns `None` before the first sample; saturates at the epoch.
-    pub fn to_local_time(&self, server: SimTime) -> Option<SimTime> {
-        let off = self.offset_ns()?;
-        let ns = server.as_nanos() as i64 - off;
-        Some(SimTime::from_nanos(ns.max(0) as u64))
-    }
 }
 
 #[cfg(test)]
@@ -156,21 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn time_conversions_roundtrip() {
+    fn a_server_behind_local_time_has_a_negative_offset() {
         let mut est = OffsetEstimator::new(4);
-        est.record(SimTime::from_millis(50), SimTime::from_millis(75), SimTime::from_millis(60));
-        let local = SimTime::from_secs(3);
-        let server = est.to_server_time(local).unwrap();
-        assert_eq!(est.to_local_time(server), Some(local));
-    }
-
-    #[test]
-    fn negative_offset_saturates_at_epoch() {
-        let mut est = OffsetEstimator::new(4);
-        // Server far behind local.
         est.record(SimTime::from_secs(100), SimTime::from_secs(1), SimTime::from_secs(100));
-        assert!(est.offset_ns().unwrap() < 0);
-        assert_eq!(est.to_server_time(SimTime::ZERO), Some(SimTime::ZERO));
+        assert_eq!(est.offset_ns(), Some(-99_000_000_000));
     }
 
     #[test]
@@ -178,6 +148,5 @@ mod tests {
         let est = OffsetEstimator::new(4);
         assert_eq!(est.offset_ns(), None);
         assert_eq!(est.uncertainty(), None);
-        assert_eq!(est.to_server_time(SimTime::ZERO), None);
     }
 }

@@ -8,10 +8,12 @@
 
 use metaclass_avatar::AvatarState;
 use metaclass_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+
+/// Receiver-side blend window for corrections.
+const CORRECTION_WINDOW: SimDuration = SimDuration::from_millis(100);
 
 /// Error thresholds that trigger an update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadReckoningConfig {
     /// Head-position divergence that forces an update, metres.
     pub position_threshold: f64,
@@ -23,8 +25,6 @@ pub struct DeadReckoningConfig {
     pub expression_threshold: f32,
     /// Heartbeat: maximum silence between updates even when static.
     pub max_interval: SimDuration,
-    /// Receiver-side blend window for corrections.
-    pub correction_window: SimDuration,
 }
 
 impl Default for DeadReckoningConfig {
@@ -35,7 +35,6 @@ impl Default for DeadReckoningConfig {
             hand_threshold: 0.03,
             expression_threshold: 0.05,
             max_interval: SimDuration::from_millis(500),
-            correction_window: SimDuration::from_millis(100),
         }
     }
 }
@@ -122,7 +121,6 @@ impl DeadReckoningSender {
 /// Receiver side: extrapolates between updates and blends corrections.
 #[derive(Debug, Clone, Default)]
 pub struct DeadReckoningReceiver {
-    cfg: DeadReckoningConfig,
     /// Latest authoritative update.
     latest: Option<(SimTime, AvatarState)>,
     /// State the receiver was displaying when `latest` arrived (correction
@@ -132,8 +130,8 @@ pub struct DeadReckoningReceiver {
 
 impl DeadReckoningReceiver {
     /// Creates a receiver.
-    pub fn new(cfg: DeadReckoningConfig) -> Self {
-        DeadReckoningReceiver { cfg, latest: None, correction_from: None }
+    pub fn new() -> Self {
+        DeadReckoningReceiver { latest: None, correction_from: None }
     }
 
     /// Ingests an authoritative update stamped `at` (sender clock).
@@ -164,8 +162,8 @@ impl DeadReckoningReceiver {
         let dt = t.duration_since(*at);
         let target = state.extrapolate(dt.as_secs_f64());
         match &self.correction_from {
-            Some(from) if dt < self.cfg.correction_window => {
-                let alpha = dt.as_secs_f64() / self.cfg.correction_window.as_secs_f64();
+            Some(from) if dt < CORRECTION_WINDOW => {
+                let alpha = dt.as_secs_f64() / CORRECTION_WINDOW.as_secs_f64();
                 let drifted = from.extrapolate(dt.as_secs_f64());
                 Some(drifted.interpolate(&target, alpha))
             }
@@ -242,7 +240,7 @@ mod tests {
 
     #[test]
     fn receiver_extrapolates_between_updates() {
-        let mut rx = DeadReckoningReceiver::new(cfg());
+        let mut rx = DeadReckoningReceiver::new();
         rx.on_update(SimTime::ZERO, state_at(0.0, 2.0));
         let st = rx.state_at(SimTime::from_millis(250)).unwrap();
         assert!((st.head.position.x - 0.5).abs() < 1e-9);
@@ -250,7 +248,7 @@ mod tests {
 
     #[test]
     fn corrections_blend_without_snapping() {
-        let mut rx = DeadReckoningReceiver::new(cfg());
+        let mut rx = DeadReckoningReceiver::new();
         rx.on_update(SimTime::ZERO, state_at(0.0, 1.0));
         // Displayed at t=200ms: x = 0.2 (prediction).
         // Authoritative update says x actually 0.3 and stopped.
@@ -270,7 +268,7 @@ mod tests {
 
     #[test]
     fn stale_reordered_updates_are_ignored() {
-        let mut rx = DeadReckoningReceiver::new(cfg());
+        let mut rx = DeadReckoningReceiver::new();
         rx.on_update(SimTime::from_millis(100), state_at(1.0, 0.0));
         rx.on_update(SimTime::from_millis(50), state_at(99.0, 0.0));
         let st = rx.state_at(SimTime::from_millis(100)).unwrap();
@@ -279,7 +277,7 @@ mod tests {
 
     #[test]
     fn uninitialized_receiver_returns_none() {
-        let rx = DeadReckoningReceiver::new(cfg());
+        let rx = DeadReckoningReceiver::new();
         assert!(rx.state_at(SimTime::ZERO).is_none());
         assert!(!rx.is_initialized());
     }

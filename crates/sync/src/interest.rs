@@ -18,33 +18,15 @@ use serde::{Deserialize, Serialize};
 pub struct SubscriberId(pub u32);
 
 /// Configuration of the interest filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterestConfig {
     /// Entities beyond this distance are never selected, metres.
     pub radius: f64,
-    /// Spatial-grid cell size, metres.
-    pub cell_size: f64,
-    /// Half-angle of the subscriber's field of view, degrees; entities inside
-    /// get a priority boost.
-    pub fov_half_angle_deg: f64,
-    /// Multiplier applied to in-FOV entities.
-    pub fov_boost: f64,
-    /// Weight of importance (speaker flag) in the score.
-    pub importance_weight: f64,
-    /// Weight of staleness (ticks since last selected) in the score.
-    pub staleness_weight: f64,
 }
 
 impl Default for InterestConfig {
     fn default() -> Self {
-        InterestConfig {
-            radius: 30.0,
-            cell_size: 4.0,
-            fov_half_angle_deg: 55.0,
-            fov_boost: 2.0,
-            importance_weight: 4.0,
-            staleness_weight: 0.25,
-        }
+        InterestConfig { radius: 30.0 }
     }
 }
 
@@ -121,13 +103,24 @@ fn by_priority(a: &(f64, AvatarId, usize), b: &(f64, AvatarId, usize)) -> Orderi
 }
 
 impl InterestManager {
+    /// Spatial-grid cell size, metres.
+    pub const CELL_SIZE: f64 = 4.0;
+    /// Half-angle of the subscriber's field of view, degrees; entities inside
+    /// get a priority boost.
+    pub const FOV_HALF_ANGLE_DEG: f64 = 55.0;
+    /// Multiplier applied to in-FOV entities.
+    pub const FOV_BOOST: f64 = 2.0;
+    /// Weight of importance (speaker flag) in the score.
+    pub const IMPORTANCE_WEIGHT: f64 = 4.0;
+    /// Weight of staleness (ticks since last selected) in the score.
+    pub const STALENESS_WEIGHT: f64 = 0.25;
+
     /// Creates an empty manager.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cell_size` or `cfg.radius` is not strictly positive.
+    /// Panics if `cfg.radius` is not strictly positive.
     pub fn new(cfg: InterestConfig) -> Self {
-        assert!(cfg.cell_size > 0.0, "cell size must be positive");
         assert!(cfg.radius > 0.0, "radius must be positive");
         InterestManager {
             cfg,
@@ -142,17 +135,12 @@ impl InterestManager {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &InterestConfig {
-        &self.cfg
-    }
-
     /// Inserts or moves an entity and returns its slot: a small index, stable
     /// until the entity is removed (after which a new entity may reuse it),
     /// that callers can key their own per-entity tables by. `importance` is
     /// `0.0` for a silent attendee up to `1.0` for the active speaker.
     pub fn update_entity(&mut self, id: AvatarId, position: Vec3, importance: f64) -> usize {
-        let cell = cell_of(&self.cfg, position);
+        let cell = cell_of(position);
         let importance = importance.clamp(0.0, 1.0);
         if let Some(&slot) = self.slots.get(&id) {
             let e = self.entities[slot].as_mut().expect("a mapped slot is occupied");
@@ -202,11 +190,6 @@ impl InterestManager {
         self.staleness.remove(&sub);
     }
 
-    /// Number of tracked entities.
-    pub fn entity_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The slot `id` occupies, if it is tracked.
     pub fn slot_of(&self, id: AvatarId) -> Option<usize> {
         self.slots.get(&id).copied()
@@ -216,18 +199,6 @@ impl InterestManager {
     /// returned.
     pub fn selected_slots(&self) -> &[usize] {
         &self.selected_slots
-    }
-
-    /// Entities within `radius` of `p`, via the spatial grid.
-    ///
-    /// Scans the cell window around `p` when it is small, and falls back to
-    /// iterating the *occupied* cells when the radius covers more cells than
-    /// exist — so enormous radii (an "everything is interesting" policy)
-    /// stay O(entities) instead of O(radius²).
-    pub fn entities_near(&self, p: Vec3) -> Vec<AvatarId> {
-        let mut out = Vec::new();
-        for_each_near(&self.cfg, &self.entities, &self.grid, p, |_, e| out.push(e.id));
-        out
     }
 
     /// Selects up to `budget` entities for `sub` this tick, highest priority
@@ -255,13 +226,12 @@ impl InterestManager {
         if row.len() < self.entities.len() {
             row.resize(self.entities.len(), NEVER_SEEN);
         }
-        let cfg = &self.cfg;
-        let fov_cos = (cfg.fov_half_angle_deg.to_radians()).cos();
+        let fov_cos = (Self::FOV_HALF_ANGLE_DEG.to_radians()).cos();
         let gaze = Vec3::new(view.yaw.sin(), 0.0, view.yaw.cos());
 
         let scored = &mut self.scored;
         scored.clear();
-        for_each_near(cfg, &self.entities, &self.grid, view.position, |slot, e| {
+        for_each_near(self.cfg.radius, &self.entities, &self.grid, view.position, |slot, e| {
             if e.importance < min_importance {
                 return;
             }
@@ -270,12 +240,12 @@ impl InterestManager {
             let mut score = 1.0 / (1.0 + dist * dist);
             if let Some(dir) = Vec3::new(to.x, 0.0, to.z).normalized() {
                 if dir.dot(gaze) >= fov_cos {
-                    score *= cfg.fov_boost;
+                    score *= Self::FOV_BOOST;
                 }
             }
             // Importance is additive: the active speaker outranks even a
             // nearest neighbour, anywhere in the room.
-            score += cfg.importance_weight * e.importance;
+            score += Self::IMPORTANCE_WEIGHT * e.importance;
             // Score with the staleness so far and age it for the next tick.
             // New entities score as very stale.
             let aged = &mut row[slot];
@@ -287,7 +257,7 @@ impl InterestManager {
                 *aged = u64::from(stale.saturating_add(1));
                 stale
             };
-            score += cfg.staleness_weight * stale as f64;
+            score += Self::STALENESS_WEIGHT * stale as f64;
             scored.push((score, e.id, slot));
         });
 
@@ -308,8 +278,9 @@ impl InterestManager {
     }
 }
 
-fn cell_of(cfg: &InterestConfig, p: Vec3) -> (i32, i32) {
-    ((p.x / cfg.cell_size).floor() as i32, (p.z / cfg.cell_size).floor() as i32)
+fn cell_of(p: Vec3) -> (i32, i32) {
+    let size = InterestManager::CELL_SIZE;
+    ((p.x / size).floor() as i32, (p.z / size).floor() as i32)
 }
 
 /// Takes `slot` out of `cell`, dropping the cell once it is empty.
@@ -322,18 +293,19 @@ fn leave_cell(grid: &mut BTreeMap<(i32, i32), Vec<usize>>, cell: (i32, i32), slo
     }
 }
 
-/// Calls `visit` for every entity within `cfg.radius` of `p`, walking the
-/// grid cells around `p` (or the occupied cells, when those are fewer).
+/// Calls `visit` for every entity within `r` of `p`, walking the
+/// grid cells around `p` — or the occupied cells, when the radius covers
+/// more cells than exist, so enormous radii (an "everything is interesting"
+/// policy) stay O(entities) instead of O(radius²).
 fn for_each_near(
-    cfg: &InterestConfig,
+    r: f64,
     entities: &[Option<Entity>],
     grid: &BTreeMap<(i32, i32), Vec<usize>>,
     p: Vec3,
     mut visit: impl FnMut(usize, &Entity),
 ) {
-    let r = cfg.radius;
-    let r_cells = (r / cfg.cell_size).ceil() as i64;
-    let center = cell_of(cfg, p);
+    let r_cells = (r / InterestManager::CELL_SIZE).ceil() as i64;
+    let center = cell_of(p);
     let mut visit_cell = |slots: &[usize]| {
         for &slot in slots {
             let e = entities[slot].as_ref().expect("a gridded slot is occupied");
@@ -433,9 +405,8 @@ mod tests {
 
     #[test]
     fn fov_boost_prefers_entities_in_view() {
-        let cfg = InterestConfig { staleness_weight: 0.0, ..Default::default() };
-        let mut im = InterestManager::new(cfg);
-        // Equidistant: one straight ahead (+z), one behind.
+        let mut im = manager();
+        // Equidistant and both never seen: one straight ahead (+z), one behind.
         im.update_entity(AvatarId(1), Vec3::new(0.0, 0.0, 8.0), 0.0);
         im.update_entity(AvatarId(2), Vec3::new(0.0, 0.0, -8.0), 0.0);
         let sel = im.select(SubscriberId(0), vp(0.0, 0.0, 0.0), 1);
@@ -447,10 +418,10 @@ mod tests {
         let mut im = manager();
         im.update_entity(AvatarId(1), Vec3::new(0.0, 0.0, 0.0), 0.0);
         im.update_entity(AvatarId(1), Vec3::new(25.0, 0.0, 0.0), 0.0);
-        assert_eq!(im.entity_count(), 1);
+        assert_eq!((im.slots.len(), im.grid.len()), (1, 1), "one entity in one cell");
         // Near the new location, not the old one.
-        assert_eq!(im.entities_near(Vec3::new(25.0, 0.0, 0.0)), vec![AvatarId(1)]);
-        assert!(im.entities_near(Vec3::new(-20.0, 0.0, 0.0)).is_empty());
+        assert_eq!(im.select(SubscriberId(0), vp(25.0, 0.0, 0.0), 8), vec![AvatarId(1)]);
+        assert!(im.select(SubscriberId(0), vp(-20.0, 0.0, 0.0), 8).is_empty());
     }
 
     #[test]
@@ -459,7 +430,7 @@ mod tests {
         im.update_entity(AvatarId(1), Vec3::ZERO, 0.0);
         im.select(SubscriberId(0), vp(0.0, 0.0, 0.0), 1);
         im.remove_entity(AvatarId(1));
-        assert_eq!(im.entity_count(), 0);
+        assert!(im.slots.is_empty() && im.grid.is_empty());
         assert!(im.select(SubscriberId(0), vp(0.0, 0.0, 0.0), 5).is_empty());
         im.remove_subscriber(SubscriberId(0));
     }
@@ -467,7 +438,7 @@ mod tests {
     #[test]
     fn enormous_radii_stay_cheap() {
         // A 10 km radius ("send everything") must not scan radius² cells.
-        let cfg = InterestConfig { radius: 10_000.0, ..Default::default() };
+        let cfg = InterestConfig { radius: 10_000.0 };
         let mut im = InterestManager::new(cfg);
         for i in 0..200 {
             im.update_entity(AvatarId(i), Vec3::new((i % 20) as f64, 0.0, (i / 20) as f64), 0.0);
@@ -506,8 +477,8 @@ mod tests {
 
     #[test]
     fn a_never_seen_entity_outranks_aged_ones() {
-        let cfg = InterestConfig { fov_boost: 1.0, ..Default::default() };
-        let mut im = InterestManager::new(cfg);
+        let mut im = manager();
+        // Every entity sits on the x axis, outside the field of view.
         let view = vp(0.0, 0.0, 0.0);
         // Budget 0 ages the candidates without resetting anyone.
         im.update_entity(AvatarId(1), Vec3::new(2.0, 0.0, 0.0), 0.0);
@@ -524,8 +495,8 @@ mod tests {
 
     #[test]
     fn a_pair_aged_to_the_limit_is_not_a_pair_never_seen() {
-        let cfg = InterestConfig { fov_boost: 1.0, ..Default::default() };
-        let mut im = InterestManager::new(cfg);
+        let mut im = manager();
+        // Every entity sits on the x axis, outside the field of view.
         let (sub, view) = (SubscriberId(0), vp(0.0, 0.0, 0.0));
         let aged = im.update_entity(AvatarId(1), Vec3::new(2.0, 0.0, 0.0), 0.0);
         im.select(sub, view, 0);
@@ -546,7 +517,7 @@ mod tests {
     #[test]
     fn a_walker_leaves_no_empty_cells_behind() {
         let mut im = manager();
-        let cell = im.config().cell_size;
+        let cell = InterestManager::CELL_SIZE;
         for step in 0..50 {
             im.update_entity(AvatarId(1), Vec3::new(step as f64 * cell + 0.5, 0.0, 0.5), 0.0);
         }

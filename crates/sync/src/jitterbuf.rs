@@ -9,17 +9,12 @@ use std::collections::VecDeque;
 
 use metaclass_avatar::AvatarState;
 use metaclass_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the jitter buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterBufferConfig {
     /// Initial playout delay behind the newest possible state.
     pub initial_delay: SimDuration,
-    /// Floor for the adaptive delay.
-    pub min_delay: SimDuration,
-    /// Ceiling for the adaptive delay.
-    pub max_delay: SimDuration,
     /// Safety margin added above the observed p95 network-delay variation.
     pub margin: SimDuration,
     /// Window of one-way delay samples used for adaptation.
@@ -32,8 +27,6 @@ impl Default for JitterBufferConfig {
     fn default() -> Self {
         JitterBufferConfig {
             initial_delay: SimDuration::from_millis(50),
-            min_delay: SimDuration::from_millis(20),
-            max_delay: SimDuration::from_millis(250),
             margin: SimDuration::from_millis(10),
             window: 128,
             capacity: 64,
@@ -92,6 +85,11 @@ pub struct JitterBuffer {
 }
 
 impl JitterBuffer {
+    /// Floor for the adaptive delay.
+    pub const MIN_DELAY: SimDuration = SimDuration::from_millis(20);
+    /// Ceiling for the adaptive delay.
+    pub const MAX_DELAY: SimDuration = SimDuration::from_millis(250);
+
     /// Creates an empty buffer.
     ///
     /// The delay window is allocated here, whole: `8 × (cfg.window + top_k)`
@@ -102,12 +100,10 @@ impl JitterBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.window` or `cfg.capacity` is zero, or if
-    /// `cfg.min_delay` exceeds `cfg.max_delay`.
+    /// Panics if `cfg.window` or `cfg.capacity` is zero.
     pub fn new(cfg: JitterBufferConfig) -> Self {
         assert!(cfg.window > 0, "delay window must hold at least one sample");
         assert!(cfg.capacity > 0, "capacity must be at least one state");
-        assert!(cfg.min_delay <= cfg.max_delay, "min delay must not exceed max delay");
         let top_k = (1..=cfg.window).map(|n| n - p95_index(n)).max().expect("window is non-empty");
         JitterBuffer {
             delay: cfg.initial_delay,
@@ -134,7 +130,7 @@ impl JitterBuffer {
     }
 
     /// Number of buffered states a later playout can still reach: states
-    /// behind the playout horizon (newest arrival − `max_delay`) are dropped
+    /// behind the playout horizon (newest arrival − [`Self::MAX_DELAY`]) are dropped
     /// as they fall behind it, bar the one that playout interpolates from.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -183,9 +179,9 @@ impl JitterBuffer {
             self.entries.insert(pos - 1, (capture_time, state));
         }
         // Every later playout is at or after `arrival − delay` and the delay
-        // never adapts above `max_delay`; playout keeps one state before its
+        // never adapts above `MAX_DELAY`; playout keeps one state before its
         // instant, so anything older than that one is unreachable.
-        let reach = self.delay.max(self.cfg.max_delay);
+        let reach = self.delay.max(Self::MAX_DELAY);
         let horizon = arrival_time - reach.min(arrival_time.duration_since(SimTime::ZERO));
         while self.entries.len() >= 2 && self.entries[1].0 <= horizon {
             self.entries.pop_front();
@@ -241,7 +237,7 @@ impl JitterBuffer {
         let p95 = top[..self.top_len][n - p95_index(n) - 1];
         // Delay variation above the floor, plus margin.
         let var = SimDuration::from_nanos(p95 - self.delay_min) + self.cfg.margin;
-        self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
+        self.delay = var.max(Self::MIN_DELAY).min(Self::MAX_DELAY);
     }
 
     /// The state to display at sender-clock time `now`: the buffered pair
@@ -440,12 +436,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
         JitterBuffer::new(JitterBufferConfig { capacity: 0, ..cfg() });
-    }
-
-    #[test]
-    #[should_panic(expected = "min delay")]
-    fn inverted_delay_bounds_are_rejected() {
-        JitterBuffer::new(JitterBufferConfig { min_delay: SimDuration::from_millis(300), ..cfg() });
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   importance, field-of-view, and anti-starvation staleness;
 //! - [`ReliableSender`] / [`ReliableReceiver`] — exactly-once in-order
 //!   interaction replication with an RFC 6298-style adaptive RTO
-//!   ([`RtoEstimator`]), bounded in-flight window, and give-up signalling;
+//!   ([`RtoEstimator`]) and a bounded in-flight window;
 //! - [`TokenBucket`] / [`BoundedQueue`] — deterministic rate limiting and
 //!   fixed-capacity drop-policy queues, the backpressure primitives under
 //!   the edge/cloud overload-control layer;

@@ -8,10 +8,8 @@
 //! module provides a sans-I/O go-back-style reliable channel: cumulative
 //! acks, timeout retransmission with an RFC 6298-style adaptive RTO
 //! (SRTT/RTTVAR, exponential backoff, Karn's algorithm), a bounded in-flight
-//! window, and an in-order release buffer. Senders can optionally give up on
-//! an item after a retry budget; permanently lost items are surfaced through
-//! [`ReliableSender::drain_given_up`] instead of occupying the window
-//! forever.
+//! window, and an in-order release buffer. A sender retries an item until
+//! it is acknowledged.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -19,7 +17,7 @@ use metaclass_netsim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Retransmission policy of a [`ReliableSender`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliableConfig {
     /// RTO before the first RTT sample arrives.
     pub initial_rto: SimDuration,
@@ -27,9 +25,6 @@ pub struct ReliableConfig {
     pub min_rto: SimDuration,
     /// Upper clamp on the computed RTO; also caps exponential backoff.
     pub max_rto: SimDuration,
-    /// Retransmissions allowed per item before the sender gives up on it
-    /// (`None` retries forever).
-    pub max_retries: Option<u32>,
     /// Maximum unacknowledged items; further sends queue until space frees.
     pub window: usize,
 }
@@ -43,7 +38,6 @@ impl ReliableConfig {
             initial_rto,
             min_rto: SimDuration::from_nanos(initial_rto.as_nanos() / 4),
             max_rto: SimDuration::from_nanos(initial_rto.as_nanos().saturating_mul(32)),
-            max_retries: None,
             window: 256,
         }
     }
@@ -51,26 +45,7 @@ impl ReliableConfig {
     /// Fixed-RTO policy: the timeout never adapts or backs off. This is the
     /// pre-adaptive baseline, kept for ablation experiments.
     pub fn fixed(rto: SimDuration) -> Self {
-        ReliableConfig {
-            initial_rto: rto,
-            min_rto: rto,
-            max_rto: rto,
-            max_retries: None,
-            window: 1024,
-        }
-    }
-
-    /// Sets the per-item retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = Some(retries);
-        self
-    }
-
-    /// Sets the in-flight window.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "window must admit at least one item");
-        self.window = window;
-        self
+        ReliableConfig { initial_rto: rto, min_rto: rto, max_rto: rto, window: 1024 }
     }
 }
 
@@ -152,7 +127,6 @@ struct InFlight<T> {
     item: T,
     first_tx: SimTime,
     last_tx: SimTime,
-    retries: u32,
     /// Karn's algorithm: never sample RTT from a retransmitted packet.
     retransmitted: bool,
 }
@@ -183,10 +157,7 @@ pub struct ReliableSender<T> {
     unacked: BTreeMap<u64, InFlight<T>>,
     /// Sends deferred because the window was full, in sequence order.
     queued: VecDeque<(u64, T)>,
-    /// Items abandoned after exhausting the retry budget.
-    given_up: Vec<(u64, T)>,
     retransmissions: u64,
-    give_ups: u64,
 }
 
 impl<T: Clone> ReliableSender<T> {
@@ -204,9 +175,7 @@ impl<T: Clone> ReliableSender<T> {
             next_seq: 0,
             unacked: BTreeMap::new(),
             queued: VecDeque::new(),
-            given_up: Vec::new(),
             retransmissions: 0,
-            give_ups: 0,
         }
     }
 
@@ -220,13 +189,7 @@ impl<T: Clone> ReliableSender<T> {
         if self.unacked.len() < self.cfg.window {
             self.unacked.insert(
                 seq,
-                InFlight {
-                    item: item.clone(),
-                    first_tx: now,
-                    last_tx: now,
-                    retries: 0,
-                    retransmitted: false,
-                },
+                InFlight { item: item.clone(), first_tx: now, last_tx: now, retransmitted: false },
             );
             (seq, Some(item))
         } else {
@@ -237,35 +200,21 @@ impl<T: Clone> ReliableSender<T> {
 
     /// Items to put on the wire at `now`: expired in-flight items (restamped,
     /// with exponential RTO backoff) and queued items newly admitted to the
-    /// window. Items that exhausted their retry budget are moved to the
-    /// give-up list instead of being retransmitted.
+    /// window.
     pub fn due_retransmits(&mut self, now: SimTime) -> Vec<(u64, T)> {
         let rto = self.estimator.rto();
         let mut out = Vec::new();
-        let mut expired = Vec::new();
-        let mut timed_out = false;
         for (&seq, entry) in self.unacked.iter_mut() {
             if now.duration_since(entry.last_tx) < rto {
                 continue;
             }
-            timed_out = true;
-            if self.cfg.max_retries.is_some_and(|max| entry.retries >= max) {
-                expired.push(seq);
-                continue;
-            }
             entry.last_tx = now;
-            entry.retries += 1;
             entry.retransmitted = true;
             self.retransmissions += 1;
             out.push((seq, entry.item.clone()));
         }
-        if timed_out {
+        if !out.is_empty() {
             self.estimator.backoff();
-        }
-        for seq in expired {
-            let entry = self.unacked.remove(&seq).expect("collected above");
-            self.given_up.push((seq, entry.item));
-            self.give_ups += 1;
         }
         // Admit queued items into the freed window; they are first
         // transmissions, not retransmissions.
@@ -273,13 +222,7 @@ impl<T: Clone> ReliableSender<T> {
             let Some((seq, item)) = self.queued.pop_front() else { break };
             self.unacked.insert(
                 seq,
-                InFlight {
-                    item: item.clone(),
-                    first_tx: now,
-                    last_tx: now,
-                    retries: 0,
-                    retransmitted: false,
-                },
+                InFlight { item: item.clone(), first_tx: now, last_tx: now, retransmitted: false },
             );
             out.push((seq, item));
         }
@@ -302,12 +245,6 @@ impl<T: Clone> ReliableSender<T> {
     /// [`ReliableSender::on_ack_at`], which lets the RTO adapt.
     pub fn on_ack(&mut self, seq: u64) {
         self.unacked.retain(|&s, _| s > seq);
-    }
-
-    /// Drains items the sender permanently gave up on (retry budget
-    /// exhausted), oldest first. The application decides how to degrade.
-    pub fn drain_given_up(&mut self) -> Vec<(u64, T)> {
-        std::mem::take(&mut self.given_up)
     }
 
     /// Removes and returns every outstanding item (unacked then queued) in
@@ -339,11 +276,6 @@ impl<T: Clone> ReliableSender<T> {
     /// Total retransmissions so far (each restamped copy counts once).
     pub fn retransmission_count(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Total items given up on so far.
-    pub fn give_up_count(&self) -> u64 {
-        self.give_ups
     }
 
     /// The current retransmission timeout.
@@ -592,27 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn give_up_after_retry_budget_and_drain() {
-        let cfg = ReliableConfig::adaptive(rto()).with_max_retries(2);
-        let mut tx = ReliableSender::with_config(cfg);
-        tx.send("doomed", SimTime::ZERO);
-        let mut now = SimTime::ZERO;
-        let mut sent_copies = 0;
-        for _ in 0..10 {
-            now = now.saturating_add(tx.current_rto());
-            sent_copies += tx.due_retransmits(now).len();
-        }
-        assert_eq!(sent_copies, 2, "retry budget bounds retransmissions");
-        assert_eq!(tx.in_flight(), 0, "abandoned items leave the window");
-        assert_eq!(tx.give_up_count(), 1);
-        let dead = tx.drain_given_up();
-        assert_eq!(dead, vec![(0, "doomed")]);
-        assert!(tx.drain_given_up().is_empty(), "drain empties the list");
-    }
-
-    #[test]
     fn take_outstanding_returns_unacked_then_queued_in_order() {
-        let cfg = ReliableConfig::adaptive(rto()).with_window(2);
+        let cfg = ReliableConfig { window: 2, ..ReliableConfig::adaptive(rto()) };
         let mut tx = ReliableSender::with_config(cfg);
         tx.send("a", SimTime::ZERO);
         tx.send("b", SimTime::ZERO);
@@ -626,7 +539,7 @@ mod tests {
 
     #[test]
     fn window_bounds_in_flight_and_queues_excess() {
-        let cfg = ReliableConfig::adaptive(rto()).with_window(2);
+        let cfg = ReliableConfig { window: 2, ..ReliableConfig::adaptive(rto()) };
         let mut tx = ReliableSender::with_config(cfg);
         let (s0, w0) = tx.send("a", SimTime::ZERO);
         let (_s1, w1) = tx.send("b", SimTime::ZERO);

@@ -87,7 +87,7 @@ impl RefJitterBuffer {
         let min = *window.iter().min().expect("at least 8 samples");
         let p95 = *window.select_nth_unstable(((n as f64 * 0.95) as usize).min(n - 1)).1;
         let var = SimDuration::from_nanos(p95 - min) + self.cfg.margin;
-        self.delay = var.max(self.cfg.min_delay).min(self.cfg.max_delay);
+        self.delay = var.max(JitterBuffer::MIN_DELAY).min(JitterBuffer::MAX_DELAY);
     }
 
     fn sample(&mut self, now: SimTime) -> Option<AvatarState> {
@@ -172,7 +172,7 @@ impl RefInterest {
             .collect();
         let stale_map = self.staleness.entry(sub).or_default();
 
-        let fov_cos = (self.cfg.fov_half_angle_deg.to_radians()).cos();
+        let fov_cos = (InterestManager::FOV_HALF_ANGLE_DEG.to_radians()).cos();
         let gaze = Vec3::new(view.yaw.sin(), 0.0, view.yaw.cos());
 
         let mut scored: Vec<(f64, AvatarId)> = candidates
@@ -184,12 +184,12 @@ impl RefInterest {
                 let mut score = 1.0 / (1.0 + dist * dist);
                 if let Some(dir) = Vec3::new(to.x, 0.0, to.z).normalized() {
                     if dir.dot(gaze) >= fov_cos {
-                        score *= self.cfg.fov_boost;
+                        score *= InterestManager::FOV_BOOST;
                     }
                 }
-                score += self.cfg.importance_weight * importance;
+                score += InterestManager::IMPORTANCE_WEIGHT * importance;
                 let stale = *stale_map.get(&id).unwrap_or(&1_000_000) as f64;
-                score += self.cfg.staleness_weight * stale;
+                score += InterestManager::STALENESS_WEIGHT * stale;
                 (score, id)
             })
             .collect();
@@ -387,7 +387,7 @@ fn st(x: f64) -> AvatarState {
 
 /// Buffer shapes the playout property runs under: the default, a tight
 /// capacity (eviction outruns the horizon), a single slot, and an initial
-/// delay above `max_delay` (the horizon must honour it until adaptation).
+/// delay above `MAX_DELAY` (the horizon must honour it until adaptation).
 fn buffer_shapes() -> [JitterBufferConfig; 4] {
     let base = JitterBufferConfig::default();
     [
@@ -483,7 +483,8 @@ proptest! {
     // enough occupied cells for either grid walk), every budget regime, every
     // shed rung; ids removed and re-added, freed slots taken by ids never
     // seen before, subscribers first seen after removals, and subscribers
-    // dropped and then selecting afresh.
+    // dropped and then selecting afresh. Lattice and radius are in units of
+    // the grid cell.
     #[test]
     fn top_k_selection_matches_the_full_sort(
         entities in proptest::collection::vec((0u32..80, 0u32..9, 0u32..9, 0u32..3), 1..120),
@@ -493,8 +494,9 @@ proptest! {
     ) {
         let budget = [0, 1, 5, 1_000][budget_choice];
         let min_importance = [f64::NEG_INFINITY, 0.5, 1.0][floor_choice];
-        let place = |gx: u32, gz: u32| Vec3::new(gx as f64, 0.0, gz as f64);
-        let cfg = InterestConfig { radius: 2.5, cell_size: 1.0, ..Default::default() };
+        let cell = InterestManager::CELL_SIZE;
+        let place = |gx: u32, gz: u32| Vec3::new(gx as f64 * cell, 0.0, gz as f64 * cell);
+        let cfg = InterestConfig { radius: 2.5 * cell };
         let mut fast = InterestManager::new(cfg);
         let mut slow = RefInterest::new(cfg);
         for (id, gx, gz, level) in entities {
@@ -533,12 +535,11 @@ proptest! {
 }
 
 // (d) A buffer nobody samples holds what a playout could still reach —
-// `max_delay` worth of updates plus the one before — not `capacity` states.
+// `MAX_DELAY` worth of updates plus the one before — not `capacity` states.
 #[test]
 fn an_unsampled_buffer_stays_within_the_playout_horizon() {
-    let cfg = JitterBufferConfig::default();
-    let mut jb = JitterBuffer::new(cfg);
-    let bound = (cfg.max_delay.as_secs_f64() * 30.0).ceil() as usize + 2;
+    let mut jb = JitterBuffer::new(JitterBufferConfig::default());
+    let bound = (JitterBuffer::MAX_DELAY.as_secs_f64() * 30.0).ceil() as usize + 2;
     let mut jitter = 0x2545_f491_4f6c_dd1du64;
     for i in 0..(60 * 30u64) {
         jitter ^= jitter << 13;

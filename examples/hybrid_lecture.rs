@@ -12,7 +12,7 @@ use metaclassroom::core::{
     mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, Activity, Role, SessionBuilder,
     TeachingModality,
 };
-use metaclassroom::edge::{CloudServerNode, EdgeServerNode};
+use metaclassroom::edge::{CloudServerNode, EdgeServerNode, ServerConfig};
 use metaclassroom::netsim::{LinkClass, Region, SimDuration};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         .build();
 
     println!("== analytic per-hop budgets (Figure 3) ==\n");
-    let tick = session.config().server.tick;
+    let tick = SimDuration::from_rate_hz(ServerConfig::TICK_HZ);
     println!("{}", mr_to_mr_budget(Region::EastAsia, Region::EastAsia, tick));
     println!("{}", mr_to_vr_budget(Region::EastAsia, Region::EastAsia, Region::NorthAmerica, tick));
     println!("{}", vr_to_mr_budget(Region::Europe, Region::EastAsia, Region::EastAsia));

@@ -25,14 +25,13 @@ fn parallel_trials_match_serial_execution() {
 
     // Parallel run on scoped threads.
     let mut parallel: Vec<Option<(u64, f64)>> = vec![None; seeds.len()];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, &seed) in parallel.iter_mut().zip(&seeds) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = Some(trial(seed));
             });
         }
-    })
-    .expect("no trial panicked");
+    });
 
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(Some(*s), *p, "trial {i} diverged between serial and parallel runs");
