@@ -6,8 +6,10 @@
 //! every `alloc`/`realloc`, and the bytes live. First a warmed-up snapshot
 //! stream must encode, decode and acknowledge, and a full-window jitter
 //! buffer take pushes, with no allocator call at all, a new jitter buffer
-//! must fill its delay window within a handful of calls, and a full snapshot
-//! receiver must hold no more than its 128 grid-form references. Then, after
+//! must fill its delay window within a handful of calls, a full snapshot
+//! receiver must hold no more than its 128 grid-form references, and a
+//! jitter buffer of grid states no more than its delay block and a horizon's
+//! worth of 88-byte entries. Then, after
 //! warm-up simulated time (arenas, slabs and rings grow to their high-water
 //! marks), a further simulated second on two session shapes — E3-quick with
 //! its remote cohort, and two MR campuses with none — must stay under a
@@ -139,17 +141,26 @@ fn snapshot_receiver_bytes() -> u64 {
     bytes
 }
 
-/// One update of a client's playout buffer for one remote avatar: the `i`-th
-/// state of a 72 Hz stream, arriving after 20–60 ms of network delay drawn
-/// from the xorshift state `jitter`.
-fn push_jittered(buffer: &mut JitterBuffer, jitter: &mut u64, i: u64) {
+/// Capture and arrival of the `i`-th update of a 72 Hz stream, after
+/// 20–60 ms of network delay drawn from the xorshift state `jitter`.
+fn jittered_times(jitter: &mut u64, i: u64) -> (SimTime, SimTime) {
     *jitter ^= *jitter << 13;
     *jitter ^= *jitter >> 7;
     *jitter ^= *jitter << 17;
     let capture = SimTime::from_nanos(i * 13_888_889);
-    let arrival = capture + SimDuration::from_micros(20_000 + *jitter % 40_000);
-    let state = AvatarState::at_position(Vec3::new(i as f64 * 0.01, 1.6, 4.0));
-    buffer.push(capture, arrival, state);
+    (capture, capture + SimDuration::from_micros(20_000 + *jitter % 40_000))
+}
+
+/// The `i`-th state of a learner walking along x.
+fn walking(i: u64) -> AvatarState {
+    AvatarState::at_position(Vec3::new(i as f64 * 0.01, 1.6, 4.0))
+}
+
+/// One update of a playout buffer for one remote avatar: the `i`-th state
+/// of a jittered 72 Hz stream.
+fn push_jittered(buffer: &mut JitterBuffer, jitter: &mut u64, i: u64) {
+    let (capture, arrival) = jittered_times(jitter, i);
+    buffer.push(capture, arrival, walking(i));
 }
 
 const JITTER_SEED: u64 = 0x2545_f491_4f6c_dd1d;
@@ -179,6 +190,25 @@ fn jitter_buffer_push_allocs() -> u64 {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     (300..1_300).for_each(|i| push_jittered(&mut buffer, &mut jitter, i));
     ALLOC_CALLS.load(Ordering::Relaxed) - before
+}
+
+/// A buffer of grid states, as a remote client keeps, after 300 jittered
+/// pushes: the heap bytes it then holds. States are quantized first, so only
+/// the buffer's own storage is counted, and it is kept alive until after the
+/// reading.
+fn jitter_buffer_bytes() -> u64 {
+    let codec = AvatarCodec::with_defaults();
+    let grids: Vec<QuantizedState> = (0..300).map(|i| codec.quantize(&walking(i))).collect();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut buffer = JitterBuffer::new(JitterBufferConfig::default());
+    let mut jitter = JITTER_SEED;
+    for (i, grid) in (0..).zip(&grids) {
+        let (capture, arrival) = jittered_times(&mut jitter, i);
+        buffer.push(capture, arrival, *grid);
+    }
+    let bytes = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(before);
+    drop(buffer);
+    bytes
 }
 
 #[test]
@@ -218,6 +248,22 @@ fn steady_state_allocations_per_event_stay_under_budget() {
         fill <= 5,
         "a new jitter buffer made {fill} allocator calls while filling, over the budget of 5: \
          its delay window is no longer one block taken in JitterBuffer::new"
+    );
+    // The delay block (128 ring + 7 largest-sample slots of 8 bytes) and a
+    // state deque grown to 32 slots for the ~19 states the 250 ms horizon
+    // keeps at 72 Hz, each 88 bytes: 3 896 bytes. Float entries (200 bytes
+    // each) held 7 480.
+    let buffer_budget = (128 + 7) * 8 + 32 * std::mem::size_of::<(SimTime, QuantizedState)>();
+    let buffer = jitter_buffer_bytes();
+    eprintln!(
+        "alloc_budget[jitter_buffer_bytes]: {buffer} bytes live after 300 pushes \
+         (budget {buffer_budget})"
+    );
+    assert!(
+        buffer <= buffer_budget as u64,
+        "a grid-state jitter buffer holds {buffer} heap bytes after 300 pushes, over the \
+         budget of {buffer_budget}: its entries are no longer 88-byte grid states, or its \
+         deque keeps more than the playout horizon reaches"
     );
 
     // Committed ceilings, in allocations per 1000 events, at about 2x the

@@ -568,7 +568,7 @@ impl SessionBuilder {
             for (avatar, script, seed) in campus_scripts[k].clone() {
                 let hs = sim.add_node(
                     format!("headset-{avatar}"),
-                    HeadsetNode::new(avatar, edge, script, seed),
+                    HeadsetNode::new(avatar, edge, cfg.server.codec, script, seed),
                 );
                 sim.connect(hs, edge, LinkClass::Wifi.config());
             }

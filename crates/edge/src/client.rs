@@ -10,7 +10,7 @@
 //! re-joins from scratch with a reset backoff, so a join racing a server
 //! crash can never wedge.
 
-use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecConfig};
+use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecConfig, QuantizedState};
 use metaclass_netsim::{Context, Node, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sensors::{MotionScript, Trajectory};
 use metaclass_sync::{
@@ -109,7 +109,10 @@ pub struct RemoteClientNode {
     /// Remote avatars on display, ascending; `buffers[i]` plays out
     /// `displayed[i]`.
     displayed: Vec<AvatarId>,
-    buffers: Vec<JitterBuffer>,
+    /// Playout buffers of the grid states the cloud sends, dequantized
+    /// only when sampled, with the uplink's codec: the session codec the
+    /// cloud quantized them with (see [`ClientConfig::codec`]).
+    buffers: Vec<JitterBuffer<QuantizedState>>,
     clock: OffsetEstimator,
     next_nonce: u64,
     interactions: ReliableSender<InteractionEvent>,
@@ -212,7 +215,7 @@ impl RemoteClientNode {
     /// The displayed (buffered/interpolated) state of a remote avatar.
     pub fn displayed_state(&mut self, avatar: AvatarId, now: SimTime) -> Option<AvatarState> {
         let at = self.displayed.binary_search(&avatar).ok()?;
-        self.buffers[at].sample(now)
+        self.buffers[at].sample_with(now, |grid| self.uplink.codec().dequantize(grid))
     }
 
     /// The client's clock-offset estimator (populated by probe replies).
@@ -379,7 +382,9 @@ impl Node<ClassMsg> for RemoteClientNode {
             self.rejoin_after_return(ctx, now);
         }
         match msg {
-            ClassMsg::DisplayUpdate { avatar, state, captured_at } => {
+            // Only an edge pins, toward its headsets: the cloud's fan-out
+            // never sets `pinned`.
+            ClassMsg::DisplayUpdate { avatar, state, captured_at, pinned: _ } => {
                 self.updates_received += 1;
                 ctx.metrics()
                     .histogram("client.display_latency_ns")
@@ -439,5 +444,55 @@ impl Node<ClassMsg> for RemoteClientNode {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metaclass_avatar::Vec3;
+    use metaclass_netsim::{LinkClass, Simulation};
+
+    /// A cloud that never answers.
+    struct Silent;
+    impl Node<ClassMsg> for Silent {
+        fn on_message(&mut self, _: &mut Context<'_, ClassMsg>, _: NodeId, _: ClassMsg) {}
+    }
+
+    #[test]
+    fn client_displays_the_grid_it_was_sent() {
+        let mut sim: Simulation<ClassMsg> = Simulation::new(11);
+        let cloud = sim.add_node("cloud", Silent);
+        let script = MotionScript::SeatedLecture { seat: Vec3::new(1.0, 0.0, 1.0) };
+        let cfg = ClientConfig::default();
+        let client =
+            sim.add_node("client", RemoteClientNode::new(AvatarId(5), cloud, cfg, script, 3));
+        sim.connect(client, cloud, LinkClass::ResidentialAccess.config());
+        let codec = AvatarCodec::new(cfg.codec);
+        let mut remote = AvatarState::at_position(Vec3::new(12.3, 1.6, 40.7));
+        remote.velocity = Vec3::new(0.4, 0.0, -0.2);
+        let grid = codec.quantize(&remote);
+        sim.inject(
+            SimTime::from_millis(50),
+            cloud,
+            client,
+            ClassMsg::DisplayUpdate {
+                avatar: AvatarId(9),
+                state: grid,
+                captured_at: SimTime::from_millis(20),
+                pinned: false,
+            },
+            78,
+        );
+        sim.run_until(SimTime::from_millis(60));
+        let node = sim.node_as_mut::<RemoteClientNode>(client).unwrap();
+        assert_eq!(node.updates_received(), 1);
+        // Playout at 60 − 50 ms precedes the only state, so it is shown as
+        // sent: the grid, dequantized with the session codec.
+        let shown = node.displayed_state(AvatarId(9), SimTime::from_millis(60)).unwrap();
+        let expected = codec.dequantize(&grid);
+        assert!(shown.position_error(&expected) < 1e-9);
+        assert!((shown.velocity - expected.velocity).norm() < 1e-9);
+        assert!(shown.position_error(&remote) > 0.0, "the float state is not what travelled");
     }
 }

@@ -9,10 +9,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState};
+use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState, QuantizedState};
 use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sync::{
-    InteractionEvent, InterestConfig, InterestManager, PoseFrame, SubscriberId, Viewpoint,
+    InteractionEvent, InterestConfig, InterestManager, PoseFrame, QuantizedSnapshot, SubscriberId,
+    Viewpoint,
 };
 
 use crate::health::RemoteAvatarPresentation;
@@ -61,10 +62,10 @@ pub struct CloudServerNode {
     fanout: FanoutConfig,
     /// Remote VR clients: avatar → client node.
     clients: BTreeMap<AvatarId, NodeId>,
-    /// Latest VR-space state of every avatar in the virtual classroom, with
-    /// its capture time, indexed by the avatar's interest slot (avatars are
-    /// never removed, so every slot below the length is live).
-    latest: Vec<(AvatarId, AvatarState, SimTime)>,
+    /// Latest state of every avatar in the virtual classroom, indexed by
+    /// the avatar's interest slot (avatars are never removed, so every slot
+    /// below the length is live).
+    latest: Vec<Latest>,
     seats: SeatAllocator,
     interest: InterestManager,
     /// The avatar currently speaking (gets interest priority everywhere).
@@ -85,6 +86,19 @@ pub struct CloudServerNode {
     room_counts: BTreeMap<u32, u64>,
     /// Working vectors of a fan-out tick, kept for their capacity.
     scratch: FanoutScratch,
+}
+
+/// The newest state of one avatar in the virtual classroom.
+struct Latest {
+    avatar: AvatarId,
+    /// The VR-space state, read for the avatar's own viewpoint.
+    state: AvatarState,
+    /// `state` on the link codec's grid, quantized once on arrival: what
+    /// every viewer's display update carries, and what the forward toward
+    /// the physical classrooms encodes.
+    grid: QuantizedState,
+    /// When the state was captured at its origin.
+    captured_at: SimTime,
 }
 
 /// The cloud's view of one flyweight client pool.
@@ -305,7 +319,8 @@ impl CloudServerNode {
         let (vr_state, _) = retarget(&state, &anchor, &seat);
         let importance = if self.speaker == Some(avatar) { 1.0 } else { 0.0 };
         let slot = self.interest.update_entity(avatar, vr_state.head.position, importance);
-        let latest = (avatar, vr_state, captured_at);
+        let grid = self.link.codec().quantize(&vr_state);
+        let latest = Latest { avatar, state: vr_state, grid, captured_at };
         if slot == self.latest.len() {
             self.latest.push(latest);
         } else {
@@ -317,7 +332,7 @@ impl CloudServerNode {
         // the VR seat. Pools are not: classrooms render the crowd as one
         // token. Edge-fed avatars were already fanned out by their home edge.
         if forward_to_edges && self.link.should_replicate(ctx.now(), avatar, &vr_state) {
-            let vr_state = self.link.quantize(&vr_state);
+            let vr_state = QuantizedSnapshot::from_grid(self.link.codec(), grid);
             for &peer in self.link.peers().iter().filter(|&&peer| peer != from) {
                 if self.link.skips(peer) {
                     ctx.metrics().inc("cloud.forwards_skipped_unhealthy_edge");
@@ -374,7 +389,7 @@ impl CloudServerNode {
             let Some(viewer_slot) = self.interest.slot_of(viewer) else {
                 continue; // has not uploaded a pose yet
             };
-            let (_, st, _) = &self.latest[viewer_slot];
+            let st = &self.latest[viewer_slot].state;
             let viewpoint =
                 Viewpoint { position: st.head.position, yaw: st.head.orientation.yaw() };
             // Refreshes deferred by an earlier budget crunch go first, then
@@ -403,7 +418,7 @@ impl CloudServerNode {
                     continue;
                 }
                 considered.push(slot);
-                let (avatar, state, captured_at) = &self.latest[slot];
+                let Latest { avatar, grid, captured_at, .. } = &self.latest[slot];
                 // Skip states the audience already has.
                 let mark = &mut marks[slot];
                 if *captured_at <= *mark {
@@ -429,8 +444,9 @@ impl CloudServerNode {
                 } else {
                     let size = ClassMsg::DisplayUpdate {
                         avatar: *avatar,
-                        state: *state,
+                        state: *grid,
                         captured_at: *captured_at,
+                        pinned: false,
                     }
                     .send_to(ctx, node);
                     bytes += size as u64;

@@ -3,12 +3,13 @@
 //! These are the leaves of Figure 3: headsets sample their wearer and stream
 //! measurements to the local edge server over WiFi; the room array does the
 //! same for every local participant over wired LAN. Headsets also *display*:
-//! they receive retargeted remote avatars and keep per-avatar dead-reckoning
-//! receivers, recording display latency.
+//! they receive retargeted remote avatars on the edge's codec grid, and keep
+//! per-avatar dead-reckoning receivers of the dequantized states, recording
+//! display latency.
 
 use std::collections::BTreeMap;
 
-use metaclass_avatar::{AvatarId, AvatarState};
+use metaclass_avatar::{AvatarCodec, AvatarId, AvatarState, CodecConfig, Vec3};
 use metaclass_netsim::{Context, DetRng, Node, NodeId, SimDuration, SimTime, Timer};
 use metaclass_sensors::{
     HeadsetConfig, HeadsetModel, MotionScript, RoomSensorArray, RoomSensorConfig, Trajectory,
@@ -31,6 +32,8 @@ pub struct HeadsetNode {
     edge: NodeId,
     trajectory: Trajectory,
     model: HeadsetModel,
+    /// The edge's codec, which the display updates are quantized with.
+    codec: AvatarCodec,
     /// Remote avatars currently displayed, with display-side smoothing.
     displayed: BTreeMap<AvatarId, DeadReckoningReceiver>,
     /// Reliable stream of this participant's interaction events.
@@ -40,14 +43,21 @@ pub struct HeadsetNode {
 }
 
 impl HeadsetNode {
-    /// Creates a headset for `avatar`, streaming to `edge`, moving along
-    /// `script`.
-    pub fn new(avatar: AvatarId, edge: NodeId, script: MotionScript, seed: u64) -> Self {
+    /// Creates a headset for `avatar`, streaming to `edge` (whose server
+    /// quantizes display updates with `codec`), moving along `script`.
+    pub fn new(
+        avatar: AvatarId,
+        edge: NodeId,
+        codec: CodecConfig,
+        script: MotionScript,
+        seed: u64,
+    ) -> Self {
         HeadsetNode {
             avatar,
             edge,
             trajectory: Trajectory::new(script, seed),
             model: HeadsetModel::new(HeadsetConfig::default(), seed ^ 0x4853),
+            codec: AvatarCodec::new(codec),
             displayed: BTreeMap::new(),
             interactions: ReliableSender::new(INTERACTION_RTO),
             interact_rng: DetRng::new(seed).derive(0x4941),
@@ -120,10 +130,14 @@ impl Node<ClassMsg> for HeadsetNode {
 
     fn on_message(&mut self, ctx: &mut Context<'_, ClassMsg>, _from: NodeId, msg: ClassMsg) {
         match msg {
-            ClassMsg::DisplayUpdate { avatar, state, captured_at } => {
+            ClassMsg::DisplayUpdate { avatar, state, captured_at, pinned } => {
                 let latency = ctx.now().duration_since(captured_at);
                 ctx.metrics().histogram("display.latency_ns").record(latency.as_nanos());
-                self.displayed.entry(avatar).or_default().on_update(captured_at, state);
+                let mut shown = self.codec.dequantize(&state);
+                if pinned {
+                    shown.velocity = Vec3::ZERO;
+                }
+                self.displayed.entry(avatar).or_default().on_update(captured_at, shown);
             }
             ClassMsg::InteractionAck { seq, .. } => {
                 self.interactions.on_ack_at(seq, ctx.now());
@@ -191,7 +205,7 @@ impl Node<ClassMsg> for RoomArrayNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_avatar::Vec3;
+    use crate::protocol_codec;
     use metaclass_netsim::{LinkClass, Simulation};
 
     struct Sink {
@@ -215,7 +229,8 @@ mod tests {
         let mut sim: Simulation<ClassMsg> = Simulation::new(5);
         let sink = sim.add_node("edge", Sink { poses: 0, expressions: 0, room: 0 });
         let script = MotionScript::SeatedLecture { seat: Vec3::new(4.0, 0.0, 6.0) };
-        let hs = sim.add_node("headset", HeadsetNode::new(AvatarId(1), sink, script, 7));
+        let hs = sim
+            .add_node("headset", HeadsetNode::new(AvatarId(1), sink, protocol_codec(), script, 7));
         sim.connect(hs, sink, LinkClass::Wifi.config());
         sim.run_until(SimTime::from_secs(2));
         let s = sim.node_as::<Sink>(sink).unwrap();
@@ -251,17 +266,20 @@ mod tests {
         let mut sim: Simulation<ClassMsg> = Simulation::new(7);
         let sink = sim.add_node("edge", Sink { poses: 0, expressions: 0, room: 0 });
         let script = MotionScript::SeatedLecture { seat: Vec3::new(4.0, 0.0, 6.0) };
-        let hs = sim.add_node("headset", HeadsetNode::new(AvatarId(1), sink, script, 7));
+        let hs = sim
+            .add_node("headset", HeadsetNode::new(AvatarId(1), sink, protocol_codec(), script, 7));
         sim.connect(hs, sink, LinkClass::Wifi.config());
         let remote = AvatarState::at_position(Vec3::new(1.0, 1.2, 2.0));
+        let codec = AvatarCodec::new(protocol_codec());
         sim.inject(
             SimTime::from_millis(50),
             sink,
             hs,
             ClassMsg::DisplayUpdate {
                 avatar: AvatarId(9),
-                state: remote,
+                state: codec.quantize(&remote),
                 captured_at: SimTime::from_millis(20),
+                pinned: false,
             },
             78,
         );
@@ -269,7 +287,11 @@ mod tests {
         let node = sim.node_as::<HeadsetNode>(hs).unwrap();
         assert_eq!(node.displayed_count(), 1);
         let shown = node.displayed_state(AvatarId(9), SimTime::from_millis(60)).unwrap();
-        assert!(shown.position_error(&remote) < 1e-9);
+        // The display shows what the grid reconstructs, not the float state,
+        // carried 40 ms past its capture at the grid's velocity (the ±8 m/s
+        // velocity grid has no exact zero; only a pinned update stops it).
+        let expected = codec.reconstruct(&remote).extrapolate(0.040);
+        assert!(shown.position_error(&expected) < 1e-9);
         let h = sim.metrics().histogram_if_present("display.latency_ns").unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 30_000_000);

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState, Vec3};
+use metaclass_avatar::{retarget, AnchorFrame, AvatarId, AvatarState};
 use metaclass_netsim::{Context, Node, NodeId, SimTime, Timer};
 use metaclass_sensors::PoseFusion;
 use metaclass_sync::{InteractionEvent, PoseFrame, QuantizedSnapshot};
@@ -157,8 +157,9 @@ impl EdgeServerNode {
     }
 
     /// Applies hold-then-freeze presentation to remote avatars whose source
-    /// peer is down: after the hold window a pinned (zero-velocity) state is
-    /// pushed to local displays so stale motion is not extrapolated forever.
+    /// peer is down: after the hold window a pinned state is pushed to local
+    /// displays, which show it with exactly zero velocity, so stale motion is
+    /// not extrapolated forever.
     fn apply_presentations(&mut self, ctx: &mut Context<'_, ClassMsg>) {
         let now = ctx.now();
         let mut avatars = std::mem::take(&mut self.scratch.avatars);
@@ -171,11 +172,15 @@ impl EdgeServerNode {
                     self.frozen.insert(avatar, true);
                     ctx.metrics().inc("edge.avatars_frozen");
                     if let Some((state, _)) = self.remote_latest.get(&avatar) {
-                        let mut pinned = *state;
-                        pinned.velocity = Vec3::ZERO;
+                        let state = self.link.codec().quantize(state);
                         for headset in self.headsets.values() {
-                            ClassMsg::DisplayUpdate { avatar, state: pinned, captured_at: now }
-                                .send_to(ctx, *headset);
+                            ClassMsg::DisplayUpdate {
+                                avatar,
+                                state,
+                                captured_at: now,
+                                pinned: true,
+                            }
+                            .send_to(ctx, *headset);
                         }
                     }
                 }
@@ -236,7 +241,8 @@ impl EdgeServerNode {
                     _ => continue,
                 };
                 demand += 1;
-                self.send_update(ctx, peer, avatar, &self.link.quantize(&estimate), now);
+                let estimate = QuantizedSnapshot::new(self.link.codec(), &estimate);
+                self.send_update(ctx, peer, avatar, &estimate, now);
                 *sent += 1;
                 flushed.push((peer, avatar));
             }
@@ -254,7 +260,7 @@ impl EdgeServerNode {
                 continue;
             }
             // Quantized once; each peer's stream only packs the integers.
-            let estimate = self.link.quantize(&estimate);
+            let estimate = QuantizedSnapshot::new(self.link.codec(), &estimate);
             for (&peer, sent) in peers.iter().zip(&mut sent_per_peer) {
                 if flushed.contains(&(peer, avatar)) {
                     continue; // already refreshed from the backlog this tick
@@ -307,8 +313,10 @@ impl EdgeServerNode {
                     ctx.metrics().inc("edge.retarget_clamps");
                 }
                 self.remote_latest.insert(avatar, (retargeted, captured_at));
+                // Quantized once for every headset in the room.
+                let state = self.link.codec().quantize(&retargeted);
                 for headset in self.headsets.values() {
-                    ClassMsg::DisplayUpdate { avatar, state: retargeted, captured_at }
+                    ClassMsg::DisplayUpdate { avatar, state, captured_at, pinned: false }
                         .send_to(ctx, *headset);
                 }
             }

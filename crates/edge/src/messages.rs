@@ -4,7 +4,7 @@
 //! [`ClassMsg`]. Payload sizes are accounted explicitly so the network
 //! simulator can charge realistic serialization and queueing costs.
 
-use metaclass_avatar::{AnchorFrame, AvatarId, AvatarState, ExpressionFrame};
+use metaclass_avatar::{AnchorFrame, AvatarId, ExpressionFrame, QuantizedState};
 use metaclass_netsim::{Context, NodeId, SimDuration, SimTime};
 use metaclass_sensors::PoseMeasurement;
 use metaclass_sync::{InteractionEvent, PoseFrame};
@@ -64,11 +64,17 @@ pub enum ClassMsg {
     DisplayUpdate {
         /// The remote avatar.
         avatar: AvatarId,
-        /// Retargeted state in the display's local space.
-        state: AvatarState,
+        /// Retargeted state in the display's local space, on the sending
+        /// server's codec grid (the display's codec dequantizes it).
+        state: QuantizedState,
         /// When the state was captured at its origin (for latency metrics
         /// and playout buffering).
         captured_at: SimTime,
+        /// The avatar is frozen: show it with exactly zero velocity. The
+        /// velocity grid has no exact zero, so the display applies this
+        /// after dequantizing. Only an edge's freeze path sets it, toward
+        /// its headsets.
+        pinned: bool,
     },
     /// VR client → cloud: request admission to the session.
     JoinRequest {
@@ -280,7 +286,7 @@ impl ClassMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_avatar::{FramePayload, Vec3, MAX_FRAME_BYTES};
+    use metaclass_avatar::{AvatarCodec, AvatarState, FramePayload, Vec3, MAX_FRAME_BYTES};
 
     fn frame_of(payload_len: usize) -> PoseFrame {
         let payload = FramePayload::try_from(&vec![0; payload_len][..]).unwrap();
@@ -288,12 +294,14 @@ mod tests {
     }
 
     /// Every envelope is moved through the wheel, a link and a dispatch at
-    /// this size, frame or not: the inline payload must fit under the
-    /// largest frameless variant (`DisplayUpdate`), not set a new maximum.
+    /// this size, frame or not. The largest variant, `AvatarUpdate`, sets
+    /// it: id (4) + inline frame (104) + capture time (8) + anchor (80) +
+    /// tag. `DisplayUpdate`, with its 80-byte grid state, stays well under.
     #[test]
-    fn inline_frames_do_not_fatten_the_envelope() {
+    fn the_envelope_is_as_large_as_an_avatar_update() {
         assert_eq!(std::mem::size_of::<PoseFrame>(), 104);
-        assert!(std::mem::size_of::<ClassMsg>() <= 208, "{}", std::mem::size_of::<ClassMsg>());
+        assert_eq!(std::mem::size_of::<QuantizedState>(), 80);
+        assert_eq!(std::mem::size_of::<ClassMsg>(), 200);
         assert_eq!(frame_of(MAX_FRAME_BYTES).wire_bytes(), MAX_FRAME_BYTES + 6);
     }
 
@@ -303,10 +311,19 @@ mod tests {
         assert_eq!(ack.wire_bytes(), 40);
         let probe = ClassMsg::ClockProbe { nonce: 1, client_send: SimTime::ZERO };
         assert!(probe.wire_bytes() < 50);
+        let state = AvatarCodec::with_defaults().quantize(&AvatarState::at_position(Vec3::ZERO));
         let disp = ClassMsg::DisplayUpdate {
             avatar: AvatarId(1),
-            state: AvatarState::at_position(Vec3::ZERO),
+            state,
             captured_at: SimTime::ZERO,
+            pinned: false,
+        };
+        assert_eq!(disp.wire_bytes(), 78);
+        let disp = ClassMsg::DisplayUpdate {
+            avatar: AvatarId(1),
+            state,
+            captured_at: SimTime::ZERO,
+            pinned: true,
         };
         assert_eq!(disp.wire_bytes(), 78);
         let join = ClassMsg::JoinRequest { avatar: AvatarId(1), attempt: 1 };

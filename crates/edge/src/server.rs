@@ -439,10 +439,12 @@ impl<K: Ord + Copy> ServerLink<K> {
         self.health.get(&peer).is_some_and(|h| h.should_skip_send(self.tick_count))
     }
 
-    /// Quantizes `state` for [`Self::send_update`]: once per avatar per
-    /// tick, however many peers it then goes to.
-    pub fn quantize(&self, state: &AvatarState) -> QuantizedSnapshot {
-        QuantizedSnapshot::new(&self.codec, state)
+    /// The codec every stream of this link is configured with: a state for
+    /// [`Self::send_update`] is quantized with it once per avatar per tick,
+    /// however many peers it then goes to, and so is every state a server
+    /// shows its displays.
+    pub fn codec(&self) -> &AvatarCodec {
+        &self.codec
     }
 
     /// Encodes `state` on the (`peer`, `avatar`) snapshot stream, created on

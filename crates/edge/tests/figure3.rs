@@ -12,7 +12,7 @@ use metaclass_edge::{
     ClassMsg, ClassroomLayout, ClientConfig, CloudServerNode, EdgeServerNode, FanoutConfig,
     HeadsetNode, RemoteClientNode, RoomArrayNode, ServerConfig,
 };
-use metaclass_netsim::{LinkClass, NodeId, Region, SimTime, Simulation};
+use metaclass_netsim::{LinkClass, NodeId, Region, SimDuration, SimTime, Simulation};
 use metaclass_sensors::MotionScript;
 
 struct Deployment {
@@ -87,8 +87,10 @@ fn build(seed: u64, n_local: u32, n_remote: u32) -> Deployment {
 
     let mut headsets = Vec::new();
     for (avatar, script, s) in scripts {
-        let hs =
-            sim.add_node(format!("headset-{avatar}"), HeadsetNode::new(avatar, edge_id, script, s));
+        let hs = sim.add_node(
+            format!("headset-{avatar}"),
+            HeadsetNode::new(avatar, edge_id, ServerConfig::default().codec, script, s),
+        );
         sim.connect(hs, edge, LinkClass::Wifi.config());
         headsets.push((avatar, hs));
     }
@@ -251,6 +253,33 @@ fn backbone_outage_heals_after_recovery() {
     assert!(client.displayed_state(AvatarId(0), SimTime::from_secs(8)).is_some());
     let after = d.sim.metrics().counter_value("cloud.fanout_updates");
     assert!(after > before, "fan-out stalled after recovery");
+}
+
+#[test]
+fn a_frozen_avatar_stands_still_on_the_headsets() {
+    let mut d = build(50, 2, 1);
+    let remote = d.clients[0].0;
+    let (_, hs) = d.headsets[0];
+    let shown = |d: &Deployment| {
+        d.sim.node_as::<HeadsetNode>(hs).unwrap().displayed_state(remote, d.sim.time())
+    };
+    d.sim.run_until(SimTime::from_secs(3));
+    assert!(shown(&d).is_some(), "the remote avatar is on display before the outage");
+
+    // The client's avatar reaches the classroom through the cloud: cut the
+    // backbone and wait out the edge's heartbeat timeout and hold window.
+    d.sim.set_connection_up(d.edge, d.cloud, false);
+    while d.sim.metrics().counter_value("edge.avatars_frozen") == 0 {
+        assert!(d.sim.time() < SimTime::from_secs(6), "the avatar never froze");
+        d.sim.run_until(d.sim.time() + SimDuration::from_millis(5));
+    }
+    let frozen_at = d.sim.time();
+    d.sim.run_until(frozen_at + SimDuration::from_secs(1));
+    let early = shown(&d).unwrap();
+    d.sim.run_until(frozen_at + SimDuration::from_secs(10));
+    let late = shown(&d).unwrap();
+    assert_eq!(early.velocity, Vec3::ZERO);
+    assert_eq!(late, early, "a frozen avatar drifted");
 }
 
 #[test]

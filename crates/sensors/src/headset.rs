@@ -98,11 +98,6 @@ impl HeadsetModel {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &HeadsetConfig {
-        &self.cfg
-    }
-
     /// Interval between pose samples.
     pub fn sample_period(&self) -> SimDuration {
         SimDuration::from_rate_hz(Self::RATE_HZ)

@@ -61,11 +61,6 @@ impl RoomSensorArray {
         RoomSensorArray { cfg, rng: DetRng::new(seed).derive(0x726f_6f6d), occluded: false }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &RoomSensorConfig {
-        &self.cfg
-    }
-
     /// Interval between samples.
     pub fn sample_period(&self) -> SimDuration {
         SimDuration::from_rate_hz(Self::RATE_HZ)

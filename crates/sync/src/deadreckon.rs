@@ -68,11 +68,6 @@ impl DeadReckoningSender {
         DeadReckoningSender { cfg, last_sent: None, suppressed: 0, sent: 0 }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &DeadReckoningConfig {
-        &self.cfg
-    }
-
     /// Whether `truth` at `now` diverges from the receiver's prediction
     /// enough to require an update.
     pub fn should_send(&self, now: SimTime, truth: &AvatarState) -> bool {

@@ -40,6 +40,13 @@ impl Default for JitterBufferConfig {
 /// [`OffsetEstimator`](crate::OffsetEstimator) first). "Now" passed to
 /// [`JitterBuffer::sample`] must also be sender-domain.
 ///
+/// Entries are stored as `S`: float [`AvatarState`]s by default, or any
+/// compact form a [`sample_with`](JitterBuffer::sample_with) mapping turns
+/// back into one — a remote client keeps the 80-byte
+/// [`QuantizedState`](metaclass_avatar::QuantizedState) its updates carry.
+/// Delay adaptation, trimming and late drops never read an entry, so they
+/// are the same for every `S`.
+///
 /// # Examples
 ///
 /// ```
@@ -59,10 +66,10 @@ impl Default for JitterBufferConfig {
 /// assert!((out.head.position.x - 0.80).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone)]
-pub struct JitterBuffer {
+pub struct JitterBuffer<S = AvatarState> {
     cfg: JitterBufferConfig,
     /// (capture_time, state), sorted by capture_time.
-    entries: VecDeque<(SimTime, AvatarState)>,
+    entries: VecDeque<(SimTime, S)>,
     /// The delay window in one block, allocated once and never resized:
     /// `cfg.window` slots of observed one-way delays (arrival − capture,
     /// nanoseconds) kept as a ring, then `top_k` slots holding the window's
@@ -84,12 +91,7 @@ pub struct JitterBuffer {
     last_playout: Option<SimTime>,
 }
 
-impl JitterBuffer {
-    /// Floor for the adaptive delay.
-    pub const MIN_DELAY: SimDuration = SimDuration::from_millis(20);
-    /// Ceiling for the adaptive delay.
-    pub const MAX_DELAY: SimDuration = SimDuration::from_millis(250);
-
+impl<S> JitterBuffer<S> {
     /// Creates an empty buffer.
     ///
     /// The delay window is allocated here, whole: `8 × (cfg.window + top_k)`
@@ -130,8 +132,9 @@ impl JitterBuffer {
     }
 
     /// Number of buffered states a later playout can still reach: states
-    /// behind the playout horizon (newest arrival − [`Self::MAX_DELAY`]) are dropped
-    /// as they fall behind it, bar the one that playout interpolates from.
+    /// behind the playout horizon (newest arrival −
+    /// [`JitterBuffer::MAX_DELAY`]) are dropped as they fall behind it, bar
+    /// the one that playout interpolates from.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -146,14 +149,9 @@ impl JitterBuffer {
     /// too late to be useful and was dropped.
     ///
     /// Arrival times must not run backwards, and a later
-    /// [`sample`](Self::sample) must not ask for a `now` before the newest
-    /// arrival: states no such playout can reach are dropped here.
-    pub fn push(
-        &mut self,
-        capture_time: SimTime,
-        arrival_time: SimTime,
-        state: AvatarState,
-    ) -> bool {
+    /// [`sample_with`](Self::sample_with) must not ask for a `now` before the
+    /// newest arrival: states no such playout can reach are dropped here.
+    pub fn push(&mut self, capture_time: SimTime, arrival_time: SimTime, state: S) -> bool {
         self.observe_delay(arrival_time.duration_since(capture_time).as_nanos());
 
         // Late if it precedes what we already played out.
@@ -181,7 +179,7 @@ impl JitterBuffer {
         // Every later playout is at or after `arrival − delay` and the delay
         // never adapts above `MAX_DELAY`; playout keeps one state before its
         // instant, so anything older than that one is unreachable.
-        let reach = self.delay.max(Self::MAX_DELAY);
+        let reach = self.delay.max(JitterBuffer::MAX_DELAY);
         let horizon = arrival_time - reach.min(arrival_time.duration_since(SimTime::ZERO));
         while self.entries.len() >= 2 && self.entries[1].0 <= horizon {
             self.entries.pop_front();
@@ -237,14 +235,19 @@ impl JitterBuffer {
         let p95 = top[..self.top_len][n - p95_index(n) - 1];
         // Delay variation above the floor, plus margin.
         let var = SimDuration::from_nanos(p95 - self.delay_min) + self.cfg.margin;
-        self.delay = var.max(Self::MIN_DELAY).min(Self::MAX_DELAY);
+        self.delay = var.max(JitterBuffer::MIN_DELAY).min(JitterBuffer::MAX_DELAY);
     }
 
     /// The state to display at sender-clock time `now`: the buffered pair
-    /// straddling `now - playout_delay`, interpolated; extrapolated from the
-    /// newest state if the playout instant has run past the buffer. `None`
-    /// while empty.
-    pub fn sample(&mut self, now: SimTime) -> Option<AvatarState> {
+    /// straddling `now - playout_delay`, each mapped through `f` and then
+    /// interpolated; the newest state, mapped and extrapolated, if the
+    /// playout instant has run past the buffer. `None` while empty. Only
+    /// the one or two entries playout reads are mapped.
+    pub fn sample_with(
+        &mut self,
+        now: SimTime,
+        f: impl Fn(&S) -> AvatarState,
+    ) -> Option<AvatarState> {
         let playout = now - self.delay.min(now.duration_since(SimTime::ZERO));
         self.last_playout = Some(playout);
         // Discard states entirely in the past (keep one before playout for
@@ -256,17 +259,18 @@ impl JitterBuffer {
             0 => None,
             1 => {
                 let (t, st) = &self.entries[0];
+                let st = f(st);
                 Some(if *t <= playout {
                     st.extrapolate(playout.duration_since(*t).as_secs_f64())
                 } else {
-                    *st
+                    st
                 })
             }
             _ => {
                 let (t0, s0) = &self.entries[0];
                 let (t1, s1) = &self.entries[1];
                 if playout <= *t0 {
-                    Some(*s0)
+                    Some(f(s0))
                 } else {
                     let span = t1.duration_since(*t0).as_secs_f64();
                     let frac = if span <= 0.0 {
@@ -274,10 +278,25 @@ impl JitterBuffer {
                     } else {
                         playout.duration_since(*t0).as_secs_f64() / span
                     };
-                    Some(s0.interpolate(s1, frac))
+                    Some(f(s0).interpolate(&f(s1), frac))
                 }
             }
         }
+    }
+}
+
+impl JitterBuffer {
+    /// Floor for the adaptive delay.
+    pub const MIN_DELAY: SimDuration = SimDuration::from_millis(20);
+    /// Ceiling for the adaptive delay.
+    pub const MAX_DELAY: SimDuration = SimDuration::from_millis(250);
+
+    /// The state to display at sender-clock time `now`: the buffered pair
+    /// straddling `now - playout_delay`, interpolated; extrapolated from the
+    /// newest state if the playout instant has run past the buffer. `None`
+    /// while empty.
+    pub fn sample(&mut self, now: SimTime) -> Option<AvatarState> {
+        self.sample_with(now, |st| *st)
     }
 }
 
@@ -429,13 +448,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "delay window")]
     fn zero_window_is_rejected() {
-        JitterBuffer::new(JitterBufferConfig { window: 0, ..cfg() });
+        JitterBuffer::<AvatarState>::new(JitterBufferConfig { window: 0, ..cfg() });
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
-        JitterBuffer::new(JitterBufferConfig { capacity: 0, ..cfg() });
+        JitterBuffer::<AvatarState>::new(JitterBufferConfig { capacity: 0, ..cfg() });
     }
 
     #[test]

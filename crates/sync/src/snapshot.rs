@@ -56,7 +56,12 @@ pub struct QuantizedSnapshot {
 impl QuantizedSnapshot {
     /// Quantizes `state` with `codec`.
     pub fn new(codec: &AvatarCodec, state: &AvatarState) -> Self {
-        let wire = codec.quantize(state);
+        Self::from_grid(codec, codec.quantize(state))
+    }
+
+    /// The snapshot of a state `codec` has already quantized to `wire`, for
+    /// a caller that keeps the grid form for its own use too.
+    pub fn from_grid(codec: &AvatarCodec, wire: QuantizedState) -> Self {
         QuantizedSnapshot { wire, reference: codec.quantize(&codec.dequantize(&wire)) }
     }
 }
@@ -112,6 +117,11 @@ impl SnapshotSender {
             since_keyframe: 0,
             force_keyframe: false,
         }
+    }
+
+    /// The codec this stream encodes with.
+    pub fn codec(&self) -> &AvatarCodec {
+        &self.codec
     }
 
     /// Frames encoded so far.

@@ -10,13 +10,14 @@
 //! window on every push and never trim; key everything by id, score every entity in
 //! range and sort them all; file reconstructed float states in a `BTreeMap`
 //! by sequence, re-quantize the reference for every delta, insert then evict
-//! — which live on here as oracles.
+//! — which live on here as oracles. A jitter buffer of grid states, as a
+//! remote client keeps, must play out what one of float states does.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use metaclass_avatar::{
-    AvatarCodec, AvatarId, AvatarState, CodecConfig, CodecError, FramePayload, Quat, SpaceBounds,
-    Vec3,
+    AvatarCodec, AvatarId, AvatarState, CodecConfig, CodecError, FramePayload, QuantizedState,
+    Quat, SpaceBounds, Vec3,
 };
 use metaclass_netsim::{SimDuration, SimTime};
 use metaclass_sync::{
@@ -705,6 +706,57 @@ proptest! {
             prop_assert_eq!(fast.take_keyframe_request(), slow.take_keyframe_request());
         }
         prop_assert!(kept >= 128, "every kept state answers its probe, got {}", kept);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // (h) A buffer of grid states, sampled through `dequantize`, plays out
+    // bit for bit what a buffer fed the dequantized float states does: the
+    // entry type reaches nothing but the mapping of the one or two entries
+    // a playout reads. Moving states, capture times on a 5 ms grid (so
+    // duplicates replace), every buffer shape and both codec shapes.
+    #[test]
+    fn grid_buffer_plays_out_what_the_float_buffer_does(
+        shape in 0usize..4,
+        codec_choice in 0usize..2,
+        ops in proptest::collection::vec(
+            ((0u32..4, 0u64..40_000), (0u64..400_000, -5.0..5.0f64, 0u32..5)),
+            1..400,
+        ),
+    ) {
+        let cfg = buffer_shapes()[shape];
+        let codec = &snapshot_codecs()[codec_choice];
+        let mut grid: JitterBuffer<QuantizedState> = JitterBuffer::new(cfg);
+        let mut float = JitterBuffer::new(cfg);
+        let mut clock_us = 0u64;
+        for ((kind, advance_us), (age_us, x, heading)) in ops {
+            clock_us += advance_us;
+            let now = SimTime::from_micros(clock_us);
+            if kind == 0 {
+                let shown = grid.sample_with(now, |q| codec.dequantize(q));
+                prop_assert_eq!(
+                    shown.as_ref().map(bits),
+                    float.sample(now).as_ref().map(bits),
+                    "sample at {} us", clock_us
+                );
+            } else {
+                let capture = SimTime::from_micros(clock_us.saturating_sub(age_us) / 5_000 * 5_000);
+                let q = codec.quantize(&walker(x, heading));
+                prop_assert_eq!(
+                    grid.push(capture, now, q),
+                    float.push(capture, now, codec.dequantize(&q)),
+                    "push at {} us", clock_us
+                );
+            }
+            prop_assert_eq!(grid.len(), float.len());
+            prop_assert_eq!(grid.late_drop_count(), float.late_drop_count());
+            prop_assert_eq!(grid.playout_delay(), float.playout_delay());
+        }
+        let end = SimTime::from_micros(clock_us);
+        let shown = grid.sample_with(end, |q| codec.dequantize(q));
+        prop_assert_eq!(shown.as_ref().map(bits), float.sample(end).as_ref().map(bits));
     }
 }
 
