@@ -8,8 +8,8 @@
 //! buffer take pushes, with no allocator call at all, a new jitter buffer
 //! must fill its delay window within a handful of calls, a full snapshot
 //! receiver must hold no more than its 128 grid-form references, and a
-//! jitter buffer of grid states no more than its delay block and a horizon's
-//! worth of 88-byte entries. Then, after
+//! jitter buffer of grid states no more than its 32-bit delay block and a
+//! horizon's worth of 88-byte entries. Then, after
 //! warm-up simulated time (arenas, slabs and rings grow to their high-water
 //! marks), a further simulated second on two session shapes — E3-quick with
 //! its remote cohort, and two MR campuses with none — must stay under a
@@ -249,11 +249,11 @@ fn steady_state_allocations_per_event_stay_under_budget() {
         "a new jitter buffer made {fill} allocator calls while filling, over the budget of 5: \
          its delay window is no longer one block taken in JitterBuffer::new"
     );
-    // The delay block (128 ring + 7 largest-sample slots of 8 bytes) and a
+    // The delay block (128 ring + 7 largest-sample slots of 4 bytes) and a
     // state deque grown to 32 slots for the ~19 states the 250 ms horizon
-    // keeps at 72 Hz, each 88 bytes: 3 896 bytes. Float entries (200 bytes
-    // each) held 7 480.
-    let buffer_budget = (128 + 7) * 8 + 32 * std::mem::size_of::<(SimTime, QuantizedState)>();
+    // keeps at 72 Hz, each 88 bytes: 3 356 bytes. With 8-byte delay slots
+    // the buffer held 3 896, and with float entries (200 bytes each) 7 480.
+    let buffer_budget = (128 + 7) * 4 + 32 * std::mem::size_of::<(SimTime, QuantizedState)>();
     let buffer = jitter_buffer_bytes();
     eprintln!(
         "alloc_budget[jitter_buffer_bytes]: {buffer} bytes live after 300 pushes \
@@ -262,8 +262,9 @@ fn steady_state_allocations_per_event_stay_under_budget() {
     assert!(
         buffer <= buffer_budget as u64,
         "a grid-state jitter buffer holds {buffer} heap bytes after 300 pushes, over the \
-         budget of {buffer_budget}: its entries are no longer 88-byte grid states, or its \
-         deque keeps more than the playout horizon reaches"
+         budget of {buffer_budget}: its delay slots are no longer 32-bit, its entries are \
+         no longer 88-byte grid states, or its deque keeps more than the playout horizon \
+         reaches"
     );
 
     // Committed ceilings, in allocations per 1000 events, at about 2x the

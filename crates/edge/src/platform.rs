@@ -92,6 +92,8 @@ impl DevicePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaclass_avatar::QuantizedState;
+    use metaclass_sync::JitterBuffer;
 
     #[test]
     fn vr_apply_is_the_identity_except_for_the_platform_field() {
@@ -117,6 +119,17 @@ mod tests {
         // Codec is a protocol agreement: never platform-adjusted.
         assert_eq!(vr.codec, base.codec);
         assert_eq!(desk.codec, base.codec);
+    }
+
+    #[test]
+    fn every_platform_config_builds_a_playout_buffer() {
+        // `JitterBuffer::new` panics on a zero or over-32-bit window and a
+        // zero capacity; no shipped platform tuning reaches those panics.
+        for platform in DevicePlatform::ALL {
+            let cfg = platform.apply(ClientConfig::default());
+            let buffer = JitterBuffer::<QuantizedState>::new(cfg.jitter);
+            assert!(buffer.is_empty(), "{}", platform.label());
+        }
     }
 
     #[test]

@@ -70,22 +70,18 @@ pub struct JitterBuffer<S = AvatarState> {
     cfg: JitterBufferConfig,
     /// (capture_time, state), sorted by capture_time.
     entries: VecDeque<(SimTime, S)>,
-    /// The delay window in one block, allocated once and never resized:
-    /// `cfg.window` slots of observed one-way delays (arrival − capture,
-    /// nanoseconds) kept as a ring, then `top_k` slots holding the window's
-    /// largest samples, descending. `top_k` is the most samples at or above
-    /// the 95th percentile of any window size up to `cfg.window`, so the
-    /// percentile is always one of them.
-    delays: Box<[u64]>,
-    /// Ring slot the next sample is written to: the oldest sample once the
-    /// window is full, `filled` before.
-    next: usize,
-    /// Samples in the ring, `min(pushes, cfg.window)`.
-    filled: usize,
-    /// Filled slots of the largest-sample list, `min(filled, top_k)`.
-    top_len: usize,
-    /// Smallest sample in the window.
-    delay_min: u64,
+    /// The delay window in one block, allocated once and resized at most
+    /// once: `cfg.window` slots of observed one-way delays (arrival −
+    /// capture, nanoseconds) kept as a ring, then `top_k` slots holding the
+    /// window's largest samples, descending. `top_k` is the most samples at
+    /// or above the 95th percentile of any window size up to `cfg.window`,
+    /// so the percentile is always one of them. The slots are 32-bit until
+    /// a sample needs more (one of 2^32 ns, 4.29 s, or longer), 64-bit from
+    /// then on.
+    delays: DelayBlock,
+    /// Where the ring and the largest-sample list stand, and the window's
+    /// floor.
+    cursor: WindowCursor,
     delay: SimDuration,
     late_drops: u64,
     last_playout: Option<SimTime>,
@@ -94,28 +90,33 @@ pub struct JitterBuffer<S = AvatarState> {
 impl<S> JitterBuffer<S> {
     /// Creates an empty buffer.
     ///
-    /// The delay window is allocated here, whole: `8 × (cfg.window + top_k)`
-    /// bytes, 1 080 B at the defaults (128 ring slots and 7 largest-sample
-    /// slots). A buffer pays that from its first update instead of growing
-    /// toward it, so one whose window never fills holds more than it uses;
-    /// in exchange a push never allocates for the window.
+    /// The delay window is allocated here, whole: `4 × (cfg.window + top_k)`
+    /// bytes, 540 B at the defaults (128 ring slots and 7 largest-sample
+    /// slots of 32 bits). A buffer pays that from its first update instead
+    /// of growing toward it, so one whose window never fills holds more than
+    /// it uses; in exchange a push never allocates for the window, bar one:
+    /// the first delay sample of 2^32 ns (4.29 s) or more copies the block
+    /// to 64-bit slots, `8 × (cfg.window + top_k)` bytes, and the buffer
+    /// keeps those for good.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.window` or `cfg.capacity` is zero.
+    /// Panics if `cfg.window` or `cfg.capacity` is zero, or if `cfg.window`
+    /// exceeds `u32::MAX` (the window's counts are 32-bit).
     pub fn new(cfg: JitterBufferConfig) -> Self {
         assert!(cfg.window > 0, "delay window must hold at least one sample");
+        assert!(
+            u32::try_from(cfg.window).is_ok(),
+            "delay window must hold at most u32::MAX samples"
+        );
         assert!(cfg.capacity > 0, "capacity must be at least one state");
         let top_k = (1..=cfg.window).map(|n| n - p95_index(n)).max().expect("window is non-empty");
         JitterBuffer {
             delay: cfg.initial_delay,
             cfg,
             entries: VecDeque::new(),
-            delays: vec![0; cfg.window + top_k].into_boxed_slice(),
-            next: 0,
-            filled: 0,
-            top_len: 0,
-            delay_min: u64::MAX,
+            delays: DelayBlock::Narrow(vec![0; cfg.window + top_k].into_boxed_slice()),
+            cursor: WindowCursor { next: 0, filled: 0, top_len: 0, min: u64::MAX },
             late_drops: 0,
             last_playout: None,
         }
@@ -188,53 +189,29 @@ impl<S> JitterBuffer<S> {
     }
 
     /// Slides the delay window by one sample and re-derives the playout
-    /// delay from its floor and 95th percentile.
-    ///
-    /// Only the floor and the largest `top_k` samples are kept up to date:
-    /// the ring is rescanned for them when the sample leaving the window was
-    /// one of them (at or below the floor, at or above the `top_k`-th
-    /// largest), which a window of varied delays does about once in
-    /// `window / (top_k + 1)` pushes. A rescan walks the ring in slot order;
-    /// a minimum and a multiset of largest samples do not depend on it.
+    /// delay from its floor and 95th percentile, widening the block first
+    /// if the sample does not fit its slots.
     fn observe_delay(&mut self, sample: u64) {
         let window = self.cfg.window;
-        let (ring, top) = self.delays.split_at_mut(window);
-        let evicted = if self.filled == window {
-            Some(ring[self.next])
-        } else {
-            self.filled += 1;
-            None
+        let p95 = match &mut self.delays {
+            DelayBlock::Narrow(block) => match u32::try_from(sample) {
+                Ok(sample) => self.cursor.slide(block, window, sample),
+                Err(_) => {
+                    // The largest-sample slots hold ring samples, so the
+                    // block widens whole, slot for slot.
+                    let mut wide: Box<[u64]> = block.iter().map(|&d| u64::from(d)).collect();
+                    let p95 = self.cursor.slide(&mut wide, window, sample);
+                    self.delays = DelayBlock::Wide(wide);
+                    p95
+                }
+            },
+            DelayBlock::Wide(block) => self.cursor.slide(block, window, sample),
         };
-        ring[self.next] = sample;
-        // A compare, not `%`: this runs once per displayed avatar update.
-        self.next += 1;
-        if self.next == window {
-            self.next = 0;
-        }
-        let rescan = evicted.is_some_and(|oldest| {
-            oldest <= self.delay_min || (self.top_len > 0 && oldest >= top[self.top_len - 1])
-        });
-        if rescan {
-            self.delay_min = u64::MAX;
-            self.top_len = 0;
-            for &d in &ring[..self.filled] {
-                self.delay_min = self.delay_min.min(d);
-                insert_top(top, &mut self.top_len, d);
-            }
-        } else {
-            self.delay_min = self.delay_min.min(sample);
-            insert_top(top, &mut self.top_len, sample);
-        }
-
-        let n = self.filled;
-        if n < 8 {
+        if self.cursor.filled < 8 {
             return;
         }
-        // The 95th percentile of the ascending window, sorted[idx], is its
-        // (n − idx)-th largest sample.
-        let p95 = top[..self.top_len][n - p95_index(n) - 1];
         // Delay variation above the floor, plus margin.
-        let var = SimDuration::from_nanos(p95 - self.delay_min) + self.cfg.margin;
+        let var = SimDuration::from_nanos(p95 - self.cursor.min) + self.cfg.margin;
         self.delay = var.max(JitterBuffer::MIN_DELAY).min(JitterBuffer::MAX_DELAY);
     }
 
@@ -305,10 +282,87 @@ fn p95_index(n: usize) -> usize {
     ((n as f64 * 0.95) as usize).min(n - 1)
 }
 
+/// A delay window's block of `window + top_k` slots, at the width its
+/// samples need.
+#[derive(Debug, Clone)]
+enum DelayBlock {
+    /// Every sample so far fits in 32 bits.
+    Narrow(Box<[u32]>),
+    /// Some sample did not; the buffer never narrows again.
+    Wide(Box<[u64]>),
+}
+
+/// The ring's write cursor and fill, the largest-sample list's length and
+/// the window's floor. The counts are 32-bit so that the block's width tag
+/// costs the buffer no bytes.
+#[derive(Debug, Clone)]
+struct WindowCursor {
+    /// Ring slot the next sample is written to: the oldest sample once the
+    /// window is full, `filled` before.
+    next: u32,
+    /// Samples in the ring, `min(pushes, window)`.
+    filled: u32,
+    /// Filled slots of the largest-sample list, `min(filled, top_k)`.
+    top_len: u32,
+    /// Smallest sample in the window.
+    min: u64,
+}
+
+impl WindowCursor {
+    /// Writes `sample` into the ring of `block` (its first `window` slots;
+    /// the rest are the largest-sample list) over the oldest sample, and
+    /// returns the window's 95th percentile.
+    ///
+    /// Only the floor and the largest `top_k` samples are kept up to date:
+    /// the ring is rescanned for them when the sample leaving the window was
+    /// one of them (at or below the floor, at or above the `top_k`-th
+    /// largest), which a window of varied delays does about once in
+    /// `window / (top_k + 1)` pushes. A rescan walks the ring in slot order;
+    /// a minimum and a multiset of largest samples do not depend on it.
+    fn slide<T: Copy + Ord + Into<u64>>(
+        &mut self,
+        block: &mut [T],
+        window: usize,
+        sample: T,
+    ) -> u64 {
+        let (ring, top) = block.split_at_mut(window);
+        let next = self.next as usize;
+        let evicted = if self.filled as usize == window {
+            Some(ring[next])
+        } else {
+            self.filled += 1;
+            None
+        };
+        ring[next] = sample;
+        // A compare, not `%`: this runs once per displayed avatar update.
+        self.next = if next + 1 == window { 0 } else { self.next + 1 };
+        let mut top_len = self.top_len as usize;
+        let rescan = evicted.is_some_and(|oldest| {
+            oldest.into() <= self.min || (top_len > 0 && oldest >= top[top_len - 1])
+        });
+        if rescan {
+            self.min = u64::MAX;
+            top_len = 0;
+            for &d in &ring[..self.filled as usize] {
+                self.min = self.min.min(d.into());
+                insert_top(top, &mut top_len, d);
+            }
+        } else {
+            self.min = self.min.min(sample.into());
+            insert_top(top, &mut top_len, sample);
+        }
+        self.top_len = top_len as u32;
+        // The 95th percentile of the ascending window, sorted[idx], is its
+        // (n − idx)-th largest sample.
+        let n = self.filled as usize;
+        top[..top_len][n - p95_index(n) - 1].into()
+    }
+}
+
 /// Files `sample` among the largest samples kept in `top[..*len]`
 /// (descending), dropping the smallest of them when all `top.len()` slots
 /// are taken.
-fn insert_top(top: &mut [u64], len: &mut usize, sample: u64) {
+fn insert_top<T: Copy + Ord>(top: &mut [T], len: &mut usize, sample: T) {
     if *len == top.len() {
         if sample <= top[*len - 1] {
             return;
@@ -324,7 +378,7 @@ fn insert_top(top: &mut [u64], len: &mut usize, sample: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_avatar::Vec3;
+    use metaclass_avatar::{QuantizedState, Vec3};
 
     fn st(x: f64) -> AvatarState {
         AvatarState::at_position(Vec3::new(x, 1.6, 0.0))
@@ -423,13 +477,80 @@ mod tests {
     #[test]
     fn the_delay_window_fills_its_fixed_block() {
         let mut jb = JitterBuffer::new(cfg());
-        assert_eq!(jb.delays.len(), 128 + 7);
+        let DelayBlock::Narrow(block) = &jb.delays else { panic!("a new buffer starts narrow") };
+        assert_eq!(block.len(), 128 + 7);
+        let at = block.as_ptr();
         for i in 0..1_000u64 {
             let capture = SimTime::from_millis(i * 14);
             jb.push(capture, capture + SimDuration::from_millis(20 + i * 7 % 40), st(i as f64));
-            assert_eq!(jb.filled, (i as usize + 1).min(128));
+            assert_eq!(jb.cursor.filled, (i as u32 + 1).min(128));
         }
-        assert_eq!(jb.top_len, 7);
+        assert_eq!(jb.cursor.top_len, 7);
+        // Delays of tens of milliseconds never leave the block it started with.
+        let DelayBlock::Narrow(block) = &jb.delays else { panic!("20–60 ms delays widened") };
+        assert_eq!(block.as_ptr(), at);
+    }
+
+    /// The playout delay a window of `samples` (oldest first) adapts to,
+    /// from a sorted copy of it.
+    fn sorted_window_delay(samples: &VecDeque<u64>) -> SimDuration {
+        let mut sorted: Vec<u64> = samples.iter().copied().collect();
+        sorted.sort_unstable();
+        let var = SimDuration::from_nanos(sorted[p95_index(sorted.len())] - sorted[0]);
+        (var + cfg().margin).max(JitterBuffer::MIN_DELAY).min(JitterBuffer::MAX_DELAY)
+    }
+
+    #[test]
+    fn a_sample_past_32_bits_widens_the_block_once() {
+        // The default window is full when the block widens; one of 1 000 is
+        // not, so its largest-sample list is filed without a rescan after.
+        for window in [128, 1_000] {
+            let mut jb = JitterBuffer::new(JitterBufferConfig { window, ..cfg() });
+            let DelayBlock::Narrow(narrow) = &jb.delays else { panic!("a new buffer is narrow") };
+            let slots = narrow.len();
+            let mut samples = VecDeque::new();
+            let mut widened_at = None;
+            // 200 narrow samples, one of 2^32 ns, then samples spread over
+            // 100 ms across 2^32 ns, wide enough that the delay they adapt
+            // to sits between its floor and ceiling and shows any slot that
+            // lost bits.
+            for i in 0..1_400u64 {
+                let delay_ns = match i {
+                    0..200 => 20_000_000 + i * 7 % 40 * 1_000_000,
+                    200 => 1 << 32,
+                    _ => (1 << 32) - 50_000_000 + i * 7_919_111 % 100_000_000,
+                };
+                let capture = SimTime::from_millis(i * 14);
+                jb.push(capture, capture + SimDuration::from_nanos(delay_ns), st(i as f64));
+                if samples.len() == window {
+                    samples.pop_front();
+                }
+                samples.push_back(delay_ns);
+                if samples.len() >= 8 {
+                    let expected = sorted_window_delay(&samples);
+                    assert_eq!(jb.playout_delay(), expected, "window {window}, push {i}");
+                }
+                match (&jb.delays, widened_at) {
+                    (DelayBlock::Narrow(_), None) => assert!(i < 200, "push {i} did not widen"),
+                    (DelayBlock::Wide(block), None) => {
+                        assert_eq!(i, 200, "widened before the first wide sample");
+                        assert_eq!(block.len(), slots);
+                        widened_at = Some(block.as_ptr());
+                    }
+                    // Still the block the first widening made: never copied
+                    // again.
+                    (DelayBlock::Wide(block), Some(at)) => assert_eq!(block.as_ptr(), at),
+                    (DelayBlock::Narrow(_), Some(_)) => panic!("push {i} narrowed the block"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_header_stays_144_bytes() {
+        // The width tag lives in the space the 32-bit counts freed.
+        let size = std::mem::size_of::<JitterBuffer<QuantizedState>>();
+        assert!(size <= 144, "JitterBuffer<QuantizedState> is {size} bytes");
     }
 
     #[test]
@@ -449,6 +570,14 @@ mod tests {
     #[should_panic(expected = "delay window")]
     fn zero_window_is_rejected() {
         JitterBuffer::<AvatarState>::new(JitterBufferConfig { window: 0, ..cfg() });
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "u32::MAX")]
+    fn a_window_past_32_bit_counts_is_rejected() {
+        let window = u32::MAX as usize + 1;
+        JitterBuffer::<AvatarState>::new(JitterBufferConfig { window, ..cfg() });
     }
 
     #[test]

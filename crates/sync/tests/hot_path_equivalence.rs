@@ -405,14 +405,17 @@ proptest! {
     // (a) The window's floor and largest samples, rescanned only when the
     // sample leaving the window was one of them, adapt to the same delay as
     // collecting and sorting the window, push by push: window sizes below,
-    // at and above the 8-sample threshold and the default, three delay
+    // at and above the 8-sample threshold and the default, four delay
     // shapes — uniform over 60 ms; 0–3 ms, so ties sit on the boundary of
-    // the kept largest samples; and long monotone runs, so the sample
-    // leaving is the floor or among the largest push after push.
+    // the kept largest samples; long monotone runs, so the sample leaving
+    // is the floor or among the largest push after push; and uniform over
+    // 60 ms for half a window, then uniform over 4.20–4.38 s, straddling
+    // 2^32 ns (4.295 s), so the window's 32-bit block widens with the ring
+    // full or partly filled and its spread keeps the delay off its clamps.
     #[test]
     fn playout_delay_matches_collect_and_sort(
         window_choice in 0usize..6,
-        shape in 0usize..3,
+        shape in 0usize..4,
         draws in proptest::collection::vec((0u64..60_000, 0u64..1_000, any::<bool>()), 2_100),
     ) {
         let window = [1, 7, 8, 20, 128, 1_000][window_choice];
@@ -425,6 +428,8 @@ proptest! {
             let delay_us = match shape {
                 0 => uniform_us,
                 1 => uniform_us % 4 * 1_000,
+                3 if i <= window / 2 => uniform_us,
+                3 => 4_200_000 + uniform_us * 3,
                 _ => {
                     if run_left == 0 {
                         // Runs of up to twice the window, up or down.
