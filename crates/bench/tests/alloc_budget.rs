@@ -6,8 +6,9 @@
 //! every `alloc`/`realloc`, and the bytes live. First a warmed-up snapshot
 //! stream must encode, decode and acknowledge, and a full-window jitter
 //! buffer take pushes, with no allocator call at all, a new jitter buffer
-//! must fill its delay window within a handful of calls, a full snapshot
-//! receiver must hold no more than its 128 grid-form references, and a
+//! must fill its delay window within a handful of calls, an acknowledged
+//! snapshot receiver must hold only the few grid-form references its sender
+//! can still name and one never acknowledged no more than 128 of them, and a
 //! jitter buffer of grid states no more than its 32-bit delay block and a
 //! horizon's worth of 88-byte entries. Then, after
 //! warm-up simulated time (arenas, slabs and rings grow to their high-water
@@ -99,8 +100,9 @@ fn steady_state_allocs(mut session: ClassroomSession, warmup_secs: u64) -> (u64,
 
 /// One stream, acknowledged a few frames late as on a real link: once the
 /// sender's history ring and the receiver's reference ring have grown to
-/// their working sizes, a frame's whole life — quantize, pack into the
-/// inline payload, decode, store, acknowledge, prune — allocates nothing.
+/// their working sizes (the few frames between the acknowledged reference
+/// and the newest), a frame's whole life — quantize, pack into the inline
+/// payload, decode, prune, store, acknowledge — allocates nothing.
 fn snapshot_round_trip_allocs() -> u64 {
     let mut tx = SnapshotSender::new(AvatarCodec::with_defaults(), 60);
     let mut rx = SnapshotReceiver::new(AvatarCodec::with_defaults());
@@ -111,23 +113,28 @@ fn snapshot_round_trip_allocs() -> u64 {
         rx.decode(&frame).expect("valid frame").expect("reference kept");
         tx.on_ack(frame.seq.saturating_sub(4));
     };
-    // Past the receiver's 128 references, so the measured stretch evicts.
+    // Warm-up, then a measured stretch in which both rings hold steady.
     (0..300).for_each(&mut step);
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     (300..1_300).for_each(&mut step);
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
-/// A receiver driven 300 frames past its 128 references: the bytes it then
-/// holds on the heap. Frames are encoded first, so only the receiver's own
-/// storage is counted, and it is kept alive until after the reading.
-fn snapshot_receiver_bytes() -> u64 {
+/// A receiver fed 428 frames of a stream that is acknowledged (each frame a
+/// delta against the one before, which drops everything older) or never is
+/// (each a keyframe, and the receiver fills its 128 references and evicts):
+/// the bytes it then holds on the heap. Frames are encoded first, so only
+/// the receiver's own storage is counted, and it is kept alive until after
+/// the reading.
+fn snapshot_receiver_bytes(acked: bool) -> u64 {
     let mut tx = SnapshotSender::new(AvatarCodec::with_defaults(), 60);
     let frames: Vec<_> = (0..428u64)
         .map(|i| {
             let frame =
                 tx.encode(&AvatarState::at_position(Vec3::new(2.0 + i as f64 * 0.003, 1.6, 4.0)));
-            tx.on_ack(frame.seq);
+            if acked {
+                tx.on_ack(frame.seq);
+            }
             frame
         })
         .collect();
@@ -218,22 +225,38 @@ fn steady_state_allocations_per_event_stay_under_budget() {
         0,
         "a warmed-up snapshot stream allocated: a per-frame Vec, Box or tree node is back on \
          the encode -> decode -> ack path (inline FramePayload, SnapshotSender's history ring, \
-         SnapshotReceiver's evict-before-insert ring)"
+         SnapshotReceiver's prune-on-reference ring)"
     );
     eprintln!("alloc_budget[snapshot_round_trip]: 0 allocs / 1000 frames");
-    // 128 references of 88 bytes, plus a deque header's worth of slack:
-    // 11 296 bytes. Float references (200 bytes each) held 25 600.
-    let receiver_budget = 128 * std::mem::size_of::<(u64, QuantizedState)>()
-        + std::mem::size_of::<VecDeque<(u64, QuantizedState)>>();
-    let receiver = snapshot_receiver_bytes();
+    let entry = std::mem::size_of::<(u64, QuantizedState)>();
+    // The reference and the newest frame, in a deque's smallest block of 4
+    // entries of 88 bytes: 352 bytes. Kept until evicted, the 128
+    // references held 11 264.
+    let receiver_budget = 4 * entry;
+    let receiver = snapshot_receiver_bytes(true);
     eprintln!(
-        "alloc_budget[snapshot_receiver_bytes]: {receiver} bytes live after 428 frames \
-         (budget {receiver_budget})"
+        "alloc_budget[snapshot_receiver_bytes]: {receiver} bytes live after 428 acknowledged \
+         frames (budget {receiver_budget})"
     );
     assert!(
         receiver <= receiver_budget as u64,
-        "a full snapshot receiver holds {receiver} heap bytes, over the budget of \
-         {receiver_budget}: its references are no longer 128 grid-form entries"
+        "an acknowledged snapshot receiver holds {receiver} heap bytes, over the budget of \
+         {receiver_budget}: it no longer drops the states older than an applied delta's \
+         reference, or its references are no longer grid-form entries"
+    );
+    // Never acknowledged: 128 references of 88 bytes, plus a deque header's
+    // worth of slack, 11 296 bytes. Float references (200 bytes each) held
+    // 25 600.
+    let cap_budget = 128 * entry + std::mem::size_of::<VecDeque<(u64, QuantizedState)>>();
+    let cap = snapshot_receiver_bytes(false);
+    eprintln!(
+        "alloc_budget[snapshot_receiver_cap_bytes]: {cap} bytes live after 428 keyframes \
+         (budget {cap_budget})"
+    );
+    assert!(
+        cap <= cap_budget as u64,
+        "a snapshot receiver fed only keyframes holds {cap} heap bytes, over the budget of \
+         {cap_budget}: it keeps more than 128 grid-form references"
     );
     assert_eq!(
         jitter_buffer_push_allocs(),

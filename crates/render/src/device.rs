@@ -69,14 +69,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Ideal (unquantized) time to render `triangles`, assuming cost scales
-    /// linearly within the budget envelope.
-    pub fn raw_frame_time(&self, triangles: u64) -> SimDuration {
-        let budget_time = 1.0 / self.target_fps;
-        let ratio = triangles as f64 / self.triangle_budget as f64;
-        SimDuration::from_secs_f64(budget_time * ratio.max(1e-6))
-    }
-
     /// Refresh periods a frame of `triangles` occupies (vsync quantization;
     /// the 1e-6 slack absorbs floating-point noise so an exactly-on-budget
     /// scene completes in one period).

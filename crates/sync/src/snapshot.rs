@@ -179,18 +179,30 @@ impl SnapshotSender {
     }
 }
 
-/// Decoded states a [`SnapshotReceiver`] keeps as delta references.
+/// Decoded states a [`SnapshotReceiver`] keeps as delta references at most:
+/// the bound for a stream whose sender never hears an ack (and so sends
+/// only keyframes, which prune nothing).
 const RECEIVER_CAPACITY: usize = 128;
 
 /// Receiver half of a replication session.
+///
+/// Once a delta naming reference `r` applies, every state older than `r` is
+/// dropped: a sender names its last acknowledged sequence, which only grows,
+/// so on a FIFO link no later frame of the stream names anything below `r`.
+/// An acknowledged stream therefore keeps the few states between its
+/// reference and its newest frame; one never acknowledged, at most 128.
+///
+/// Caveat: a sender restarted at sequence 0 is not told apart from the old
+/// stream, whose states this receiver keeps and keeps acknowledging.
 #[derive(Debug, Clone)]
 pub struct SnapshotReceiver {
     codec: AvatarCodec,
     /// Recently decoded states in grid form (88 B an entry where a float
     /// state takes 200), ascending by sequence, never more than
-    /// [`RECEIVER_CAPACITY`]. The back entry is the newest applied frame.
-    /// Each is the grid whose `dequantize` is the state `decode` returned
-    /// (see [`AvatarCodec::decode_grid`]).
+    /// [`RECEIVER_CAPACITY`], and none older than the reference of the last
+    /// delta applied. The back entry is the newest applied frame. Each is
+    /// the grid whose `dequantize` is the state `decode` returned (see
+    /// [`AvatarCodec::decode_grid`]).
     states: VecDeque<(u64, QuantizedState)>,
     needs_keyframe: bool,
 }
@@ -202,19 +214,20 @@ impl SnapshotReceiver {
     }
 
     /// Decodes a frame. `Ok(Some(state))` when the frame applied (stale
-    /// frames older than the newest applied frame still decode, but do not
-    /// advance [`SnapshotReceiver::latest`]); `Ok(None)` when a delta's
-    /// reference is missing — the caller should relay
-    /// [`SnapshotReceiver::take_keyframe_request`] to the sender.
+    /// frames older than the newest applied frame still decode while their
+    /// reference is kept, but do not advance [`SnapshotReceiver::latest`]);
+    /// `Ok(None)` when a delta's reference is missing — the caller should
+    /// relay [`SnapshotReceiver::take_keyframe_request`] to the sender. An
+    /// applied delta drops every state older than its reference.
     ///
     /// # Errors
     ///
     /// Propagates [`CodecError`] on malformed payloads.
     pub fn decode(&mut self, frame: &PoseFrame) -> Result<Option<AvatarState>, CodecError> {
-        let reference = match frame.ref_seq {
-            None => None,
+        let (reference, at) = match frame.ref_seq {
+            None => (None, 0),
             Some(r) => match self.states.binary_search_by_key(&r, |(seq, _)| *seq) {
-                Ok(at) => Some(&self.states[at].1),
+                Ok(at) => (Some(&self.states[at].1), at),
                 Err(_) => {
                     self.needs_keyframe = true;
                     return Ok(None);
@@ -222,6 +235,7 @@ impl SnapshotReceiver {
             },
         };
         let grid = self.codec.decode_grid(reference, &frame.payload)?;
+        self.states.drain(..at);
         if self.ack_seq().is_none_or(|latest| frame.seq > latest) {
             self.needs_keyframe = false;
         }
@@ -251,6 +265,11 @@ impl SnapshotReceiver {
     /// The newest applied state and its sequence.
     pub fn latest(&self) -> Option<(u64, AvatarState)> {
         self.states.back().map(|(seq, grid)| (*seq, self.codec.dequantize(grid)))
+    }
+
+    /// States kept as delta references.
+    pub fn references_len(&self) -> usize {
+        self.states.len()
     }
 
     /// The sequence the receiver would acknowledge (its newest applied).

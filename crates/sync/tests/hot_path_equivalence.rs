@@ -12,6 +12,11 @@
 //! by sequence, re-quantize the reference for every delta, insert then evict
 //! — which live on here as oracles. A jitter buffer of grid states, as a
 //! remote client keeps, must play out what one of float states does.
+//!
+//! `SnapshotReceiver` also drops every state older than an applied delta's
+//! reference. Against arbitrary traffic it matches the map given the same
+//! rule; on a FIFO link, where a sender can name nothing older, it matches
+//! the map without it, answer for answer.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -281,13 +286,15 @@ impl RefSnapshotSender {
 }
 
 /// The snapshot receiver as first written: a `BTreeMap` by sequence that
-/// inserts, then evicts its smallest keys down to capacity.
+/// inserts, then evicts its smallest keys down to capacity. A `pruning` one
+/// first drops every key below an applied delta's reference.
 struct RefSnapshotReceiver {
     codec: AvatarCodec,
     states: BTreeMap<u64, AvatarState>,
     latest_seq: Option<u64>,
     needs_keyframe: bool,
     capacity: usize,
+    prunes: bool,
 }
 
 impl RefSnapshotReceiver {
@@ -298,7 +305,12 @@ impl RefSnapshotReceiver {
             latest_seq: None,
             needs_keyframe: false,
             capacity: 128,
+            prunes: false,
         }
+    }
+
+    fn pruning(codec: AvatarCodec) -> Self {
+        RefSnapshotReceiver { prunes: true, ..Self::new(codec) }
     }
 
     fn decode(&mut self, frame: &PoseFrame) -> Result<Option<AvatarState>, CodecError> {
@@ -313,6 +325,9 @@ impl RefSnapshotReceiver {
             },
         };
         let state = self.codec.decode(reference.as_ref(), &frame.payload)?;
+        if let (true, Some(r)) = (self.prunes, frame.ref_seq) {
+            self.states = self.states.split_off(&r);
+        }
         self.states.insert(frame.seq, state);
         while self.states.len() > self.capacity {
             let oldest = *self.states.keys().next().expect("non-empty");
@@ -569,7 +584,8 @@ proptest! {
     // corrupted (cut short), acknowledgements relayed late or not at all,
     // forged (stale, unknown, from the future), keyframe requests relayed or
     // dropped. Ring sender and receiver must match the map versions frame
-    // for frame and answer for answer.
+    // for frame and answer for answer, the map receiver pruning as the ring
+    // does: a reordered frame may name a state already dropped.
     #[test]
     fn ring_snapshot_pair_matches_the_map_pair(
         shape in 0usize..2,
@@ -581,7 +597,7 @@ proptest! {
         let (mut fast_tx, mut slow_tx) =
             (SnapshotSender::new(codec(), interval), RefSnapshotSender::new(codec(), interval));
         let (mut fast_rx, mut slow_rx) =
-            (SnapshotReceiver::new(codec()), RefSnapshotReceiver::new(codec()));
+            (SnapshotReceiver::new(codec()), RefSnapshotReceiver::pruning(codec()));
         let mut wire: Vec<PoseFrame> = Vec::new();
         let mut last = walker(0.0, 2);
         for (step, (kind, pick, x, heading)) in ops.into_iter().enumerate() {
@@ -653,9 +669,10 @@ proptest! {
 
     // (f) A receiver driven far past its 128 references: sequences that skip
     // ahead, fall back behind everything kept, and repeat; deltas whose
-    // reference is still kept, was evicted or was never sent. After every
-    // frame the ring answers as the map does, and at the end a probe per
-    // sequence ever sent reads out that both kept the same 128.
+    // reference is still kept (dropping what is older), was dropped or
+    // evicted, or was never sent. After every frame the ring answers as the
+    // pruning map does, and at the end a probe per sequence ever sent reads
+    // out that both kept the same 128.
     #[test]
     fn a_full_receiver_evicts_what_the_map_evicted(
         shape in 0usize..2,
@@ -666,7 +683,7 @@ proptest! {
     ) {
         let codec = snapshot_codecs()[shape].clone();
         let mut fast = SnapshotReceiver::new(codec.clone());
-        let mut slow = RefSnapshotReceiver::new(codec.clone());
+        let mut slow = RefSnapshotReceiver::pruning(codec.clone());
         let base = codec.reconstruct(&walker(0.0, 2));
         let delta_of = |state: &AvatarState| {
             FramePayload::try_from(&codec.encode_delta(&base, state)[..]).unwrap()
@@ -678,8 +695,13 @@ proptest! {
             // half of those behind everything still kept.
             let newest = *sent.iter().max().expect("seeded");
             let seq = if kind < 6 { newest + 1 + gap } else { newest - back };
-            // A delta names a sequence sent before: about half are evicted.
-            let ref_seq = (kind % 2 == 1).then(|| sent[sent.len() - 1 - ref_back % sent.len()] + gap / 2);
+            // A delta names a sequence sent before: about half are no longer
+            // kept. After the first 50 frames it names nothing newer than the
+            // oldest state kept, which drops nothing, so the receiver fills.
+            let oldest = slow.states.keys().next().copied().filter(|_| i >= 50);
+            let ref_seq = (kind % 2 == 1)
+                .then(|| sent[sent.len() - 1 - ref_back % sent.len()] + gap / 2)
+                .map(|r| oldest.map_or(r, |oldest| r.min(oldest)));
             let state = walker(x, i as u32 % 5);
             let payload = match ref_seq {
                 None => FramePayload::try_from(&codec.encode_full(&state)[..]).unwrap(),
@@ -700,8 +722,11 @@ proptest! {
             sent.push(seq);
         }
         prop_assert_eq!(slow.states.len(), 128, "the schedule did fill the receiver");
-        // A full receiver does not keep a frame older than all it holds, so
-        // probing at sequence 0 disturbs neither side.
+        prop_assert_eq!(fast.references_len(), 128);
+        // Probed oldest first at sequence 0, a probe drops only states probed
+        // before it and the sequence-0 entry the probe before filed.
+        sent.sort_unstable();
+        sent.dedup();
         let mut kept = 0;
         for &ref_seq in &sent {
             let probe = PoseFrame { seq: 0, ref_seq: Some(ref_seq), payload: delta_of(&base) };
@@ -710,7 +735,7 @@ proptest! {
             kept += usize::from(answer.unwrap().is_some());
             prop_assert_eq!(fast.take_keyframe_request(), slow.take_keyframe_request());
         }
-        prop_assert!(kept >= 128, "every kept state answers its probe, got {}", kept);
+        prop_assert_eq!(kept, 128, "every kept state answers its probe");
     }
 }
 
@@ -791,4 +816,102 @@ fn an_unacknowledged_sender_keeps_and_then_drops_what_the_map_did() {
     let frame = fast.encode(&state);
     assert_eq!((frame.seq, frame.ref_seq, &frame.payload[..]), (seq, ref_seq, &payload[..]));
     assert_eq!(frame.ref_seq, Some(999));
+}
+
+/// What travels back from receiver to sender, in order.
+enum Reply {
+    Ack(u64),
+    Keyframe,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // (i) One stream over FIFO links, as every session stream runs: frames
+    // lost, acknowledgements lost and lagging several frames behind (or,
+    // in one shape, more than 128, so the reference they name is evicted
+    // and keyframe requests are relayed or dropped), and now and then a
+    // sender that restarts at sequence 0 while the receiver keeps its
+    // states and the old stream's frames and acks are still in flight. A
+    // sender names only acks
+    // it heard, which arrive in the order the receiver sent them, so no
+    // frame names a state an applied delta's reference has outdated: the
+    // pruning receiver answers every frame as the map that never prunes
+    // does, and stays within its 128 references.
+    #[test]
+    fn pruning_on_a_fifo_stream_matches_the_unpruned_map(
+        shape in 0usize..2,
+        interval_choice in 0usize..3,
+        lag_choice in 0usize..3,
+        ops in proptest::collection::vec((0u32..10, any::<u64>(), -3.0..3.0f64, 0u32..5), 1..800),
+    ) {
+        let interval = [1, 7, 60][interval_choice];
+        // Replies a sender hears only once more than this many are queued,
+        // and then a few at a time until none is left.
+        let lag = [0, 4, 110][lag_choice];
+        let mut hearing = false;
+        let codec = || snapshot_codecs()[shape].clone();
+        let mut tx = SnapshotSender::new(codec(), interval);
+        let mut fast = SnapshotReceiver::new(codec());
+        let mut slow = RefSnapshotReceiver::new(codec());
+        let mut frames: VecDeque<PoseFrame> = VecDeque::new();
+        let mut replies: VecDeque<Reply> = VecDeque::new();
+        let mut last = walker(0.0, 2);
+        for (step, (kind, pick, x, heading)) in ops.into_iter().enumerate() {
+            match kind {
+                0..=3 => {
+                    if kind != 0 {
+                        last = walker(x, heading);
+                    }
+                    let frame = tx.encode(&last);
+                    // One frame in five is lost.
+                    if pick % 5 != 0 {
+                        frames.push_back(frame);
+                    }
+                }
+                4..=6 => {
+                    let Some(frame) = frames.pop_front() else { continue };
+                    let answer = decoded_bits(&fast.decode(&frame));
+                    prop_assert_eq!(
+                        &answer,
+                        &decoded_bits(&slow.decode(&frame)),
+                        "step {}: frame {} (ref {:?})", step, frame.seq, frame.ref_seq
+                    );
+                    match answer {
+                        // One ack in four is lost.
+                        Ok(Some(_)) if pick % 4 != 0 => {
+                            replies.push_back(Reply::Ack(fast.ack_seq().expect("applied")));
+                        }
+                        Ok(None) => {
+                            let wanted = fast.take_keyframe_request();
+                            prop_assert_eq!(wanted, slow.take_keyframe_request(), "step {}", step);
+                            if wanted && pick % 2 == 0 {
+                                replies.push_back(Reply::Keyframe);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                7 | 8 => {
+                    hearing = replies.len() > lag || hearing && !replies.is_empty();
+                    let heard = if hearing { 1 + pick as usize % 8 } else { 0 };
+                    for reply in replies.drain(..heard.min(replies.len())) {
+                        match reply {
+                            Reply::Ack(seq) => tx.on_ack(seq),
+                            Reply::Keyframe => tx.request_keyframe(),
+                        }
+                    }
+                }
+                _ if pick % 64 == 0 => tx = SnapshotSender::new(codec(), interval),
+                _ => {}
+            }
+            prop_assert_eq!(fast.ack_seq(), slow.latest_seq, "step {}", step);
+            prop_assert_eq!(
+                fast.latest().map(|(seq, s)| (seq, bits(&s))),
+                slow.latest().map(|(seq, s)| (seq, bits(s))),
+                "step {}", step
+            );
+            prop_assert!(fast.references_len() <= 128, "step {}", step);
+        }
+    }
 }
