@@ -17,6 +17,9 @@
 //! committed allocations-per-event ceiling on BOTH engines. The ceilings
 //! are about 2x the measured rates: they catch a reintroduced per-frame
 //! `Vec` or per-event box immediately without flaking on allocator noise.
+//! Last, the serial campus session's envelope slab must stay under a
+//! high-water ceiling: an edge server's fan-out to its room's headsets is
+//! one stored envelope, not one per headset.
 //!
 //! Everything is measured inside ONE `#[test]` so the process-global
 //! counter is never polluted by a concurrently running test thread.
@@ -87,15 +90,17 @@ fn campus_session(engine: EngineConfig) -> ClassroomSession {
 }
 
 /// Runs `warmup_secs` then one measured second; returns (alloc calls,
-/// events) for the measured second.
-fn steady_state_allocs(mut session: ClassroomSession, warmup_secs: u64) -> (u64, u64) {
+/// events) for the measured second and the envelope slab's high water over
+/// the whole run.
+fn steady_state_allocs(mut session: ClassroomSession, warmup_secs: u64) -> (u64, u64, u64) {
     session.run_for(SimDuration::from_secs(warmup_secs));
     let events_before = session.sim().events_processed();
     let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
     session.run_for(SimDuration::from_secs(1));
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
     let events = session.sim().events_processed() - events_before;
-    (allocs, events)
+    let slab_high_water = session.sim().metrics().counter_value("engine.env_slab.high_water");
+    (allocs, events, slab_high_water)
 }
 
 /// One stream, acknowledged a few frames late as on a real link: once the
@@ -297,7 +302,9 @@ fn steady_state_allocations_per_event_stay_under_budget() {
     // deal-out/reassembly and thread scope setup, and each `run` call's
     // fresh lane wheels growing their node pools. Measured, in the order
     // e3 serial / e3 sharded:4 / campus serial / campus sharded:2:
-    // 4 / 106 / 0 (5 calls in 13 146 events) / 16 per 1k. With the wheel's
+    // 0 (3 calls in 5 758 events) / 106 / 0 (2 calls in 13 146 events) /
+    // 17 per 1k, the same before and after fan-outs shared one envelope
+    // (228 calls in the last, 231 before). With the wheel's
     // slots as 256 separate `Vec`s, each regrown to its largest burst in
     // every fresh wheel, the same runs measure 33 / 230 / 4 / 132, past
     // the serial and campus ceilings. With each delay window grown sample
@@ -312,8 +319,12 @@ fn steady_state_allocations_per_event_stay_under_budget() {
         ("campus_serial", campus_session, EngineConfig::serial(), 3, 2),
         ("campus_sharded_2", campus_session, EngineConfig::sharded(2), 3, 40),
     ];
+    let mut campus_slab_high_water = None;
     for (label, shape, engine, warmup_secs, budget_per_1k) in cases {
-        let (allocs, events) = steady_state_allocs(shape(engine), warmup_secs);
+        let (allocs, events, slab_high_water) = steady_state_allocs(shape(engine), warmup_secs);
+        if label == "campus_serial" {
+            campus_slab_high_water = Some(slab_high_water);
+        }
         assert!(events > 1_000, "{label}: measured second processed only {events} events");
         let per_1k = allocs * 1_000 / events;
         eprintln!(
@@ -330,4 +341,18 @@ fn steady_state_allocations_per_event_stay_under_budget() {
              jitter-buffer push and interest selection)"
         );
     }
+    let slab = campus_slab_high_water.expect("the serial campus session ran");
+    // Each edge server sends every decoded remote frame to its room's ten
+    // headsets as one shared envelope: 240 envelopes live at most. With one
+    // envelope per headset the same run held 409. The ceiling sits between.
+    let slab_budget = 300;
+    eprintln!(
+        "alloc_budget[campus_env_slab]: {slab} envelopes live at most (budget {slab_budget})"
+    );
+    assert!(
+        slab <= slab_budget,
+        "the serial campus session held {slab} envelopes in flight at once, over the budget of \
+         {slab_budget}: a fan-out stopped sharing its payload (an edge server's DisplayUpdate loop \
+         sends one copy per headset again instead of one send_all)"
+    );
 }

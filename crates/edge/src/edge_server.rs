@@ -173,15 +173,8 @@ impl EdgeServerNode {
                     ctx.metrics().inc("edge.avatars_frozen");
                     if let Some((state, _)) = self.remote_latest.get(&avatar) {
                         let state = self.link.codec().quantize(state);
-                        for headset in self.headsets.values() {
-                            ClassMsg::DisplayUpdate {
-                                avatar,
-                                state,
-                                captured_at: now,
-                                pinned: true,
-                            }
-                            .send_to(ctx, *headset);
-                        }
+                        ClassMsg::DisplayUpdate { avatar, state, captured_at: now, pinned: true }
+                            .send_to_all(ctx, self.headsets.values().copied());
                     }
                 }
                 RemoteAvatarPresentation::Live if was_frozen => {
@@ -315,10 +308,8 @@ impl EdgeServerNode {
                 self.remote_latest.insert(avatar, (retargeted, captured_at));
                 // Quantized once for every headset in the room.
                 let state = self.link.codec().quantize(&retargeted);
-                for headset in self.headsets.values() {
-                    ClassMsg::DisplayUpdate { avatar, state, captured_at, pinned: false }
-                        .send_to(ctx, *headset);
-                }
+                ClassMsg::DisplayUpdate { avatar, state, captured_at, pinned: false }
+                    .send_to_all(ctx, self.headsets.values().copied());
             }
             Err(_) => {
                 ctx.metrics().inc("edge.seat_rejects");

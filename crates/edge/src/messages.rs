@@ -281,6 +281,17 @@ impl ClassMsg {
         ctx.send(to, self, size);
         size
     }
+
+    /// Sends this one message to every node in `to`, each copy charged its
+    /// own wire size; the engine stores it once for all of them.
+    pub(crate) fn send_to_all(
+        self,
+        ctx: &mut Context<'_, ClassMsg>,
+        to: impl IntoIterator<Item = NodeId>,
+    ) {
+        let size = self.wire_bytes();
+        ctx.send_all(to, self, size);
+    }
 }
 
 #[cfg(test)]
@@ -293,12 +304,14 @@ mod tests {
         PoseFrame { seq: 0, ref_seq: None, payload }
     }
 
-    /// Every envelope is moved through the wheel, a link and a dispatch at
-    /// this size, frame or not. The largest variant, `AvatarUpdate`, sets
-    /// it: id (4) + inline frame (104) + capture time (8) + anchor (80) +
-    /// tag. `DisplayUpdate`, with its 80-byte grid state, stays well under.
+    /// The engine's envelope slab holds one entry of this size per distinct
+    /// in-flight payload, frame or not: a send stores one, and a fan-out
+    /// sent with `send_to_all` stores one for all its destinations. The
+    /// largest variant, `AvatarUpdate`, sets the size: id (4) + inline frame
+    /// (104) + capture time (8) + anchor (80) + tag. `DisplayUpdate`, with
+    /// its 80-byte grid state, stays well under.
     #[test]
-    fn the_envelope_is_as_large_as_an_avatar_update() {
+    fn a_slab_entry_per_in_flight_payload_is_as_large_as_an_avatar_update() {
         assert_eq!(std::mem::size_of::<PoseFrame>(), 104);
         assert_eq!(std::mem::size_of::<QuantizedState>(), 80);
         assert_eq!(std::mem::size_of::<ClassMsg>(), 200);

@@ -77,7 +77,7 @@ mod trace;
 pub use fault::{FaultAction, FaultWindow};
 pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Transmit};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
-pub use node::{Context, Envelope, Node, NodeId, Timer};
+pub use node::{Context, Node, NodeId, Timer};
 pub use observe::{SimEvent, SimObserver, SimView};
 pub use population::{PopulationProfile, PopulationTimeline};
 pub use rng::DetRng;

@@ -10,6 +10,7 @@ use std::any::Any;
 
 use crate::metrics::MetricsRegistry;
 use crate::rng::DetRng;
+use crate::sim::{EnvSlab, Envelope};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a node within a [`Simulation`](crate::Simulation).
@@ -45,23 +46,11 @@ pub struct Timer {
     pub tag: u64,
 }
 
-/// A message in flight, with its endpoints.
-#[derive(Debug, Clone)]
-pub struct Envelope<M> {
-    /// Originating node.
-    pub src: NodeId,
-    /// Final destination node.
-    pub dst: NodeId,
-    /// Application payload.
-    pub payload: M,
-    /// Wire size used for serialization/queueing, in bytes.
-    pub size_bytes: u32,
-    /// Time the message was first offered to the network.
-    pub sent_at: SimTime,
-}
-
-pub(crate) enum Op<M> {
-    Send { dst: NodeId, payload: M, size_bytes: u32 },
+/// A side effect buffered by [`Context`], applied by the engine after the
+/// callback returns. A send names its envelope by slab index: the payload
+/// was stored in the engine's envelope slab when the node sent it.
+pub(crate) enum Op {
+    Send { dst: NodeId, env: u32 },
     SetTimer { after: SimDuration, tag: u64 },
 }
 
@@ -73,7 +62,8 @@ pub(crate) enum Op<M> {
 pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) id: NodeId,
-    pub(crate) ops: &'a mut Vec<Op<M>>,
+    pub(crate) ops: &'a mut Vec<Op>,
+    pub(crate) slab: &'a mut EnvSlab<M>,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) metrics: &'a mut MetricsRegistry,
 }
@@ -95,7 +85,34 @@ impl<M> Context<'_, M> {
     /// to its delay, loss, and queueing; with no such link it is dropped and
     /// counted as `net.dropped.no_route`. Delivery is not guaranteed.
     pub fn send(&mut self, dst: NodeId, payload: M, size_bytes: u32) {
-        self.ops.push(Op::Send { dst, payload, size_bytes });
+        let env =
+            self.slab.insert(Envelope { src: self.id, size_bytes, sent_at: self.now, payload });
+        self.ops.push(Op::Send { dst, env });
+    }
+
+    /// Sends one `payload` to every node in `dsts`, each copy charged
+    /// `size_bytes` on its own link.
+    ///
+    /// The engine stores the payload once and every destination's delivery
+    /// shares it; a delivery clones it, except the last, which takes it.
+    /// Everything else — `Sent` events, delays, loss draws, drops and
+    /// delivery order — is exactly as if `send` were called once per
+    /// destination, in `dsts`' order. With no destinations nothing is sent.
+    pub fn send_all(
+        &mut self,
+        dsts: impl IntoIterator<Item = NodeId>,
+        payload: M,
+        size_bytes: u32,
+    ) {
+        let mut dsts = dsts.into_iter();
+        let Some(first) = dsts.next() else { return };
+        let env =
+            self.slab.insert(Envelope { src: self.id, size_bytes, sent_at: self.now, payload });
+        self.ops.push(Op::Send { dst: first, env });
+        for dst in dsts {
+            self.slab.share(env);
+            self.ops.push(Op::Send { dst, env });
+        }
     }
 
     /// Arms a one-shot timer that fires `after` from now, carrying `tag`.

@@ -125,7 +125,10 @@ type FaultQueue = VecDeque<(SimTime, u128, usize)>;
 /// [`Core`] (vectors indexed by global id) holding only the nodes, links,
 /// and pending events its shard owns; everything else is an empty slot.
 /// Fault events stay with the coordinator.
-fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, FaultQueue) {
+fn deal_out<M: Clone + 'static>(
+    sim: &mut Simulation<M>,
+    plan: &Plan,
+) -> (Vec<Core<M>>, FaultQueue) {
     let k = plan.shards;
     let n = sim.core.nodes.len();
     let nl = sim.core.links.len();
@@ -172,7 +175,9 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
         lanes[j % k].spare_boxes.push(buf);
     }
     let mut faults = FaultQueue::new();
-    let mut old = std::mem::take(&mut sim.core.queue);
+    let core = &mut sim.core;
+    core.env_remap.reset(&core.env_slab, k);
+    let mut old = std::mem::take(&mut core.queue);
     while let Some((at, stamp, kind)) = old.pop() {
         let shard = match kind {
             EventKind::Fault { index } => {
@@ -180,10 +185,12 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
                 continue;
             }
             EventKind::Deliver { dst, env } => {
-                // Envelopes move between the global slab and the owning
-                // lane's slab; the queue entry is re-indexed in place.
+                // Envelopes move from the global slab to the owning lane's
+                // slab, one copy per lane for an envelope that deliveries
+                // in several lanes share; the queue entry is re-indexed.
                 let s = plan.shard_of[dst.index()] as usize;
-                let env = lanes[s].env_slab.insert(sim.core.env_slab.take(env));
+                let env =
+                    core.env_remap.move_ref(&mut core.env_slab, env, s, &mut lanes[s].env_slab);
                 lanes[s].queue.push(at, stamp, EventKind::Deliver { dst, env });
                 continue;
             }
@@ -191,13 +198,18 @@ fn deal_out<M: 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Vec<Core<M>>, 
         };
         lanes[shard as usize].queue.push(at, stamp, kind);
     }
+    debug_assert_eq!(core.env_slab.live(), 0, "a global envelope outlived its queue entries");
     (lanes, faults)
 }
 
 /// Inverse of [`deal_out`]: folds the lanes back into `sim.core`, restoring
 /// the single serial world (nodes, links, pending events, metrics, and the
 /// global clock — the latest `(time, stamp)` any lane reached).
-fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: FaultQueue) {
+fn reassemble<M: Clone + 'static>(
+    sim: &mut Simulation<M>,
+    lanes: Vec<Core<M>>,
+    faults: FaultQueue,
+) {
     let mut best = (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth);
     for lane in &lanes {
         if (lane.time, lane.cur_stamp) > (best.0, best.1) {
@@ -250,20 +262,25 @@ fn reassemble<M: 'static>(sim: &mut Simulation<M>, lanes: Vec<Core<M>>, faults: 
             sim.core.spare_boxes.push(buf);
         }
         sim.core.spare_boxes.append(&mut lane.spare_boxes);
+        let core = &mut sim.core;
+        core.env_remap.reset(&lane.env_slab, 1);
         while let Some((at, stamp, kind)) = lane.queue.pop() {
             let kind = match kind {
                 EventKind::Deliver { dst, env } => {
-                    let env = sim.core.env_slab.insert(lane.env_slab.take(env));
+                    let env =
+                        core.env_remap.move_ref(&mut lane.env_slab, env, 0, &mut core.env_slab);
                     EventKind::Deliver { dst, env }
                 }
                 other => other,
             };
-            sim.core.queue.push(at, stamp, kind);
+            core.queue.push(at, stamp, kind);
         }
+        debug_assert_eq!(lane.env_slab.live(), 0, "a lane envelope outlived its queue entries");
     }
     for (at, stamp, index) in faults {
         sim.core.queue.push(at, stamp, EventKind::Fault { index });
     }
+    sim.core.debug_assert_no_leaked_envelope();
 }
 
 impl<M> Core<M> {
@@ -277,7 +294,7 @@ impl<M> Core<M> {
 
 /// Runs one lane to the (exclusive) window end; `None` means unbounded.
 /// Returns the number of events the lane consumed.
-fn lane_window<M: 'static>(core: &mut Core<M>, w_end: Option<SimTime>) -> u64 {
+fn lane_window<M: Clone + 'static>(core: &mut Core<M>, w_end: Option<SimTime>) -> u64 {
     core.drain_inboxes();
     let mut n = 0;
     loop {
@@ -404,7 +421,7 @@ fn exchange_outboxes<M: 'static>(lanes: &mut [Option<Core<M>>], w_end: Option<Si
 /// (enforced at window granularity). Returns `None` — run serially instead —
 /// when the engine is serial or the topology cannot be sharded with a
 /// positive lookahead.
-pub(crate) fn try_run_sharded<M: Send + 'static>(
+pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
     sim: &mut Simulation<M>,
     until: SimTime,
     limit: u64,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::fault::{FaultAction, FaultWindow};
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Transmit};
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::node::{Context, Envelope, Node, NodeId, Op, Timer};
+use crate::node::{Context, Node, NodeId, Op, Timer};
 use crate::observe::{SimEvent, SimObserver, SimView};
 use crate::rng::DetRng;
 use crate::sched::{EventQueue, TimerWheel};
@@ -104,16 +104,42 @@ pub(crate) fn stamp_depth(stamp: u128) -> u16 {
     (stamp >> 96) as u16
 }
 
-/// Slab storage for in-flight [`Envelope`]s.
+/// A message in flight: its sender, wire size, send time and payload. The
+/// destination rides on the queue entry ([`EventKind::Deliver`]) or the
+/// outbox entry, so one envelope can serve several destinations.
+#[derive(Clone)]
+pub(crate) struct Envelope<M> {
+    /// Originating node.
+    pub(crate) src: NodeId,
+    /// Wire size used for serialization/queueing, in bytes.
+    pub(crate) size_bytes: u32,
+    /// Time the message was first offered to the network.
+    pub(crate) sent_at: SimTime,
+    /// Application payload.
+    pub(crate) payload: M,
+}
+
+/// A slab entry: an envelope and the number of pending send ops and queue
+/// entries that still name it.
+struct Entry<M> {
+    env: Envelope<M>,
+    refs: u32,
+}
+
+/// Refcounted slab storage for in-flight [`Envelope`]s.
 ///
-/// Queue entries reference envelopes by `u32` slab index instead of carrying
-/// them inline, which keeps [`EventKind`] small, fixed-size, and independent
-/// of the message type: the timer wheel moves 24-byte payloads around while
-/// the (potentially fat) envelopes stay put. Freed slots are recycled LIFO,
-/// so steady-state traffic performs no allocation once the slab has grown to
-/// its high-water mark.
+/// [`Context::send`] stores a payload here at call time and hands the
+/// engine a `u32` index; [`Context::send_all`] stores it once for every
+/// destination. Ops and queue entries carry that index, which keeps
+/// [`Op`] and [`EventKind`] small, fixed-size, and independent of the
+/// message type: the timer wheel moves 24-byte payloads around while the
+/// (potentially fat) envelopes stay put. Each delivery, drop or cross-shard
+/// copy releases one reference; the last one moves the payload out and the
+/// earlier ones clone it. Freed slots are recycled LIFO, so steady-state
+/// traffic performs no allocation once the slab has grown to its high-water
+/// mark.
 pub(crate) struct EnvSlab<M> {
-    slots: Vec<Option<Envelope<M>>>,
+    slots: Vec<Option<Entry<M>>>,
     free: Vec<u32>,
     live: u32,
     high_water: u32,
@@ -124,29 +150,59 @@ impl<M> EnvSlab<M> {
         EnvSlab { slots: Vec::new(), free: Vec::new(), live: 0, high_water: 0 }
     }
 
+    /// Stores `env` with one reference.
     pub(crate) fn insert(&mut self, env: Envelope<M>) -> u32 {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
+        let entry = Some(Entry { env, refs: 1 });
         match self.free.pop() {
             Some(idx) => {
-                self.slots[idx as usize] = Some(env);
+                self.slots[idx as usize] = entry;
                 idx
             }
             None => {
                 let idx = self.slots.len() as u32;
-                self.slots.push(Some(env));
+                self.slots.push(entry);
                 idx
             }
         }
     }
 
-    pub(crate) fn take(&mut self, idx: u32) -> Envelope<M> {
-        let env = self.slots[idx as usize].take().expect("envelope already taken");
+    fn entry(&mut self, idx: u32) -> &mut Entry<M> {
+        self.slots[idx as usize].as_mut().expect("envelope already released")
+    }
+
+    /// The envelope at `idx`.
+    pub(crate) fn get(&self, idx: u32) -> &Envelope<M> {
+        &self.slots[idx as usize].as_ref().expect("envelope already released").env
+    }
+
+    /// Adds a reference to the envelope at `idx`.
+    pub(crate) fn share(&mut self, idx: u32) {
+        self.entry(idx).refs += 1;
+    }
+
+    /// Drops one reference, freeing the slot (and the payload) with the last.
+    pub(crate) fn release(&mut self, idx: u32) {
+        let entry = self.entry(idx);
+        entry.refs -= 1;
+        if entry.refs == 0 {
+            self.remove(idx);
+        }
+    }
+
+    fn remove(&mut self, idx: u32) -> Envelope<M> {
+        let entry = self.slots[idx as usize].take().expect("envelope already released");
         self.free.push(idx);
         self.live -= 1;
-        env
+        entry.env
+    }
+
+    /// Number of envelopes currently stored.
+    pub(crate) fn live(&self) -> u32 {
+        self.live
     }
 
     /// Highest number of envelopes ever live at once.
@@ -164,8 +220,71 @@ impl<M> EnvSlab<M> {
 
     /// Committed heap footprint of the slab's own storage in bytes.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Option<Envelope<M>>>()
+        (self.slots.capacity() * std::mem::size_of::<Option<Entry<M>>>()
             + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+impl<M: Clone> EnvSlab<M> {
+    /// Takes one reference as an owned envelope: the last reference moves
+    /// it out of the slab, an earlier one clones it.
+    pub(crate) fn take(&mut self, idx: u32) -> Envelope<M> {
+        let entry = self.entry(idx);
+        if entry.refs > 1 {
+            entry.refs -= 1;
+            entry.env.clone()
+        } else {
+            self.remove(idx)
+        }
+    }
+}
+
+/// Maps slab indices of one slab to indices of others while queue entries
+/// move between them (shard deal-out and reassembly), so entries that
+/// shared an envelope before the move share one after it — one copy per
+/// destination slab. The table is recycled: it keeps its capacity across
+/// moves, so a move allocates only while the slabs still grow.
+#[derive(Default)]
+pub(crate) struct Remap {
+    table: Vec<u32>,
+    ways: usize,
+}
+
+impl Remap {
+    const UNMAPPED: u32 = u32::MAX;
+
+    /// Clears the table for moving references out of `from` into `ways`
+    /// destination slabs.
+    pub(crate) fn reset<M>(&mut self, from: &EnvSlab<M>, ways: usize) {
+        self.ways = ways;
+        self.table.clear();
+        self.table.resize(from.slots.len() * ways, Self::UNMAPPED);
+    }
+
+    /// Moves one reference to `from`'s envelope `idx` into destination slab
+    /// `way`, `to`, and returns its index there: the first reference to
+    /// arrive in `to` takes a copy (the last one of `from` moves it), later
+    /// ones share that copy.
+    pub(crate) fn move_ref<M: Clone>(
+        &mut self,
+        from: &mut EnvSlab<M>,
+        idx: u32,
+        way: usize,
+        to: &mut EnvSlab<M>,
+    ) -> u32 {
+        let slot = &mut self.table[idx as usize * self.ways + way];
+        if *slot == Self::UNMAPPED {
+            *slot = to.insert(from.take(idx));
+        } else {
+            to.share(*slot);
+            from.release(idx);
+        }
+        *slot
+    }
+
+    /// Committed heap footprint of the table in bytes.
+    pub(crate) fn arena_bytes(&self) -> u64 {
+        (self.table.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -233,12 +352,16 @@ pub(crate) struct Core<M> {
     /// engine's lookahead.
     pub(crate) static_delays: Arc<Vec<u64>>,
     pub(crate) queue: TimerWheel<EventKind, u128>,
-    /// In-flight envelopes referenced by queue entries (see [`EnvSlab`]).
+    /// In-flight envelopes referenced by ops and queue entries (see
+    /// [`EnvSlab`]).
     pub(crate) env_slab: EnvSlab<M>,
+    /// The global world's recycled slab-index table for shard deal-out and
+    /// reassembly (see [`Remap`]); inert in a lane.
+    pub(crate) env_remap: Remap,
     /// The recycled op arena handed to [`Context`] during dispatch. Dispatch
     /// is never re-entrant, so one buffer serves every handler; it grows to
     /// the widest op burst and is then reused allocation-free.
-    pub(crate) ops_arena: Vec<Op<M>>,
+    pub(crate) ops_arena: Vec<Op>,
     /// Widest op burst a single dispatch ever produced.
     pub(crate) ops_high_water: u64,
     pub(crate) metrics: MetricsRegistry,
@@ -289,7 +412,8 @@ pub(crate) struct Core<M> {
     pub(crate) delivery_hist: Histogram,
 }
 
-/// One shard-pair outbox: stamped cross-shard deliveries awaiting exchange.
+/// One shard-pair outbox: stamped cross-shard deliveries awaiting exchange,
+/// each with its destination and its own copy of the envelope.
 pub(crate) type Outbox<M> = Vec<(SimTime, u128, NodeId, Envelope<M>)>;
 
 impl<M> Core<M> {
@@ -310,6 +434,7 @@ impl<M> Core<M> {
             static_delays: Arc::new(Vec::new()),
             queue: TimerWheel::new(),
             env_slab: EnvSlab::new(),
+            env_remap: Remap::default(),
             ops_arena: Vec::new(),
             ops_high_water: 0,
             metrics: MetricsRegistry::new(),
@@ -341,25 +466,6 @@ impl<M> Core<M> {
         let counter = &mut self.push_counters[origin.index()];
         *counter += 1;
         pack_stamp(depth, origin.0, *counter)
-    }
-
-    /// Enqueues a delivery, diverting it to the destination shard's outbox
-    /// when it crosses a shard boundary (lane mode only).
-    fn push_deliver(&mut self, at: SimTime, stamp: u128, dst: NodeId, env: Envelope<M>) {
-        if let Some(map) = &self.shard_of {
-            let dest = map[dst.index()];
-            if dest != self.my_shard {
-                let d = dest as usize;
-                let ns = at.as_nanos();
-                if ns < self.outbox_mins[d] {
-                    self.outbox_mins[d] = ns;
-                }
-                self.outboxes[d].push((at, stamp, dst, env));
-                return;
-            }
-        }
-        let env = self.env_slab.insert(env);
-        self.queue.push(at, stamp, EventKind::Deliver { dst, env });
     }
 
     /// Earliest pending instant in this lane — local queue or an undrained
@@ -399,6 +505,17 @@ impl<M> Core<M> {
         }
     }
 
+    /// Every stored envelope is named by a pending send op or a queue entry
+    /// (an outbox holds its own copy), so a core with an empty queue between
+    /// dispatches holds none; one that does has leaked a reference.
+    pub(crate) fn debug_assert_no_leaked_envelope(&self) {
+        debug_assert!(
+            !self.queue.is_empty() || self.env_slab.live() == 0,
+            "{} envelopes left in the slab with no queue entry naming them",
+            self.env_slab.live()
+        );
+    }
+
     /// Emits `event` with a post-event view of this core.
     fn emit(&mut self, event: &SimEvent<'_>) {
         let view = SimView {
@@ -427,11 +544,33 @@ pub(crate) fn emit_to(
     }
 }
 
-impl<M: 'static> Core<M> {
+impl<M: Clone + 'static> Core<M> {
+    /// Enqueues a delivery of slab envelope `env`, diverting it to the
+    /// destination shard's outbox when it crosses a shard boundary (lane
+    /// mode only): the outbox takes its own copy and the slab reference is
+    /// released.
+    fn push_deliver(&mut self, at: SimTime, stamp: u128, dst: NodeId, env: u32) {
+        if let Some(map) = &self.shard_of {
+            let dest = map[dst.index()];
+            if dest != self.my_shard {
+                let d = dest as usize;
+                let ns = at.as_nanos();
+                if ns < self.outbox_mins[d] {
+                    self.outbox_mins[d] = ns;
+                }
+                let env = self.env_slab.take(env);
+                self.outboxes[d].push((at, stamp, dst, env));
+                return;
+            }
+        }
+        self.queue.push(at, stamp, EventKind::Deliver { dst, env });
+    }
+
     /// Processes the next event. Fault events advance the clock and bubble
     /// up for the owner of the fault table to execute.
     pub(crate) fn step_inner(&mut self) -> Stepped {
         let Some((at, stamp, kind)) = self.queue.pop() else {
+            self.debug_assert_no_leaked_envelope();
             return Stepped::Idle;
         };
         debug_assert!(at >= self.time, "time went backwards");
@@ -450,18 +589,20 @@ impl<M: 'static> Core<M> {
                 }
             }
             EventKind::Deliver { dst, env } => {
-                let env = self.env_slab.take(env);
                 if self.crashed[dst.index()] {
                     // Crashed nodes blackhole traffic addressed to them.
+                    let Envelope { src, size_bytes, .. } = *self.env_slab.get(env);
+                    self.env_slab.release(env);
                     self.metrics.inc("net.dropped.node_down");
                     self.notify(SimEvent::Dropped {
-                        src: env.src,
-                        dst: env.dst,
-                        size_bytes: env.size_bytes,
+                        src,
+                        dst,
+                        size_bytes,
                         reason: DropReason::NodeDown,
                     });
                 } else {
-                    self.record_delivery(&env);
+                    let env = self.env_slab.take(env);
+                    self.record_delivery(dst, &env);
                     self.dispatch(dst, Dispatch::Message(env.src, env.payload));
                 }
             }
@@ -470,12 +611,12 @@ impl<M: 'static> Core<M> {
     }
 
     /// Counters, latency histogram, and emitted event for one delivery.
-    fn record_delivery(&mut self, env: &Envelope<M>) {
+    fn record_delivery(&mut self, dst: NodeId, env: &Envelope<M>) {
         self.delivered_count += 1;
         self.delivery_hist.record(self.time.duration_since(env.sent_at).as_nanos());
         self.notify(SimEvent::Delivered {
             src: env.src,
-            dst: env.dst,
+            dst,
             size_bytes: env.size_bytes,
             sent_at: env.sent_at,
         });
@@ -488,13 +629,14 @@ impl<M: 'static> Core<M> {
         // Dispatch is never nested (handlers cannot dispatch), so the single
         // recycled arena buffer serves every call; a nested call would merely
         // see an empty buffer and count a miss.
-        let mut ops: Vec<Op<M>> = std::mem::take(&mut self.ops_arena);
+        let mut ops: Vec<Op> = std::mem::take(&mut self.ops_arena);
         let cap_before = ops.capacity();
         {
             let mut ctx = Context {
                 now: self.time,
                 id: node_id,
                 ops: &mut ops,
+                slab: &mut self.env_slab,
                 rng: &mut self.rngs[idx],
                 metrics: &mut self.metrics,
             };
@@ -515,18 +657,16 @@ impl<M: 'static> Core<M> {
         }
         for op in ops.drain(..) {
             match op {
-                Op::Send { dst, payload, size_bytes } => {
+                Op::Send { dst, env } => {
                     self.sent_count += 1;
-                    let env =
-                        Envelope { src: node_id, dst, payload, size_bytes, sent_at: self.time };
+                    let size_bytes = self.env_slab.get(env).size_bytes;
                     self.notify(SimEvent::Sent { src: node_id, dst, size_bytes });
                     if dst == node_id {
                         // Loopback: deliver immediately (next event).
                         let stamp = self.child_stamp(self.time, node_id);
-                        let env = self.env_slab.insert(env);
                         self.queue.push(self.time, stamp, EventKind::Deliver { dst, env });
                     } else {
-                        self.transmit(env);
+                        self.transmit(node_id, dst, env, size_bytes);
                     }
                 }
                 Op::SetTimer { after, tag } => {
@@ -540,23 +680,21 @@ impl<M: 'static> Core<M> {
         self.ops_arena = ops;
     }
 
-    /// Offers `env` to the direct link from its sender to its destination;
-    /// with no such link it is counted as `net.dropped.no_route`.
-    fn transmit(&mut self, env: Envelope<M>) {
-        let Some(&link_id) = self.adjacency[env.src.index()].get(&env.dst.0) else {
+    /// Offers slab envelope `env` (`size_bytes` on the wire) to the direct
+    /// link from `src` to `dst`; with no such link it is counted as
+    /// `net.dropped.no_route`. A drop releases the envelope's reference.
+    fn transmit(&mut self, src: NodeId, dst: NodeId, env: u32, size_bytes: u32) {
+        let Some(&link_id) = self.adjacency[src.index()].get(&dst.0) else {
+            self.env_slab.release(env);
             self.metrics.inc("net.dropped.no_route");
-            self.notify(SimEvent::NoRoute {
-                src: env.src,
-                dst: env.dst,
-                size_bytes: env.size_bytes,
-            });
+            self.notify(SimEvent::NoRoute { src, dst, size_bytes });
             return;
         };
         let li = link_id.index();
-        match self.links[li].transmit(self.time, env.size_bytes, &mut self.link_rngs[li]) {
+        match self.links[li].transmit(self.time, size_bytes, &mut self.link_rngs[li]) {
             Transmit::Deliver { at } => {
-                let stamp = self.child_stamp(at, env.src);
-                self.push_deliver(at, stamp, env.dst, env);
+                let stamp = self.child_stamp(at, src);
+                self.push_deliver(at, stamp, dst, env);
             }
             Transmit::Drop(reason) => {
                 let metric = match reason {
@@ -565,13 +703,9 @@ impl<M: 'static> Core<M> {
                     DropReason::LinkDown => "net.dropped.down",
                     DropReason::NodeDown => "net.dropped.node_down",
                 };
+                self.env_slab.release(env);
                 self.metrics.inc(metric);
-                self.notify(SimEvent::Dropped {
-                    src: env.src,
-                    dst: env.dst,
-                    size_bytes: env.size_bytes,
-                    reason,
-                });
+                self.notify(SimEvent::Dropped { src, dst, size_bytes, reason });
             }
         }
     }
@@ -625,7 +759,7 @@ pub struct Simulation<M> {
     pub(crate) shard_cache: Option<crate::shard::ShardCache>,
 }
 
-impl<M: 'static> Simulation<M> {
+impl<M: Clone + 'static> Simulation<M> {
     /// Creates an empty simulation with the given master seed and the
     /// default [`EngineConfig`] (serial). Use [`Simulation::with_config`]
     /// to pick the engine per run.
@@ -1018,7 +1152,7 @@ impl<M: 'static> Simulation<M> {
     /// Panics if `at` is in the past.
     pub fn inject(&mut self, at: SimTime, src: NodeId, dst: NodeId, payload: M, size_bytes: u32) {
         assert!(at >= self.core.time, "cannot inject into the past");
-        let env = Envelope { src, dst, payload, size_bytes, sent_at: self.core.time };
+        let env = Envelope { src, size_bytes, sent_at: self.core.time, payload };
         self.inject_counter += 1;
         let stamp = pack_stamp(0, INJECT_ORIGIN, self.inject_counter);
         let env = self.core.env_slab.insert(env);
@@ -1077,8 +1211,9 @@ impl<M: 'static> Simulation<M> {
         self.raise_engine_gauge("engine.ops_pool.high_water", ops_hw);
         let env_hw = self.core.env_slab.high_water() as u64;
         self.raise_engine_gauge("engine.env_slab.high_water", env_hw);
-        let arena_bytes = (self.core.ops_arena.capacity() * std::mem::size_of::<Op<M>>()) as u64
-            + self.core.env_slab.arena_bytes();
+        let arena_bytes = (self.core.ops_arena.capacity() * std::mem::size_of::<Op>()) as u64
+            + self.core.env_slab.arena_bytes()
+            + self.core.env_remap.arena_bytes();
         self.raise_engine_gauge("engine.ops_pool.arena_bytes", arena_bytes);
         let sched_bytes = self.core.queue.arena_bytes();
         self.raise_engine_gauge("engine.sched.arena_bytes", sched_bytes);
@@ -1130,7 +1265,7 @@ impl<M: 'static> Simulation<M> {
     }
 }
 
-impl<M: Send + 'static> Simulation<M> {
+impl<M: Clone + Send + 'static> Simulation<M> {
     /// Runs until the event queue is empty or `limit` events were processed
     /// in this call. Returns the number of events processed.
     ///
@@ -1652,6 +1787,36 @@ mod tests {
         assert_eq!(sim.node_as::<SelfSender>(n).unwrap().got, 1);
     }
 
+    /// Sends one `Ping` to each of `to` with `send_all` at start.
+    struct Broadcaster {
+        to: Vec<NodeId>,
+    }
+    impl Node<Msg> for Broadcaster {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            ctx.send_all(self.to.iter().copied(), Msg::Ping(3), 64);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+    }
+
+    #[test]
+    fn send_all_stores_one_envelope_for_every_destination() {
+        let mut sim: Simulation<Msg> = Simulation::new(5);
+        let sinks: Vec<NodeId> =
+            (0..3).map(|i| sim.add_node(format!("sink{i}"), Sink { got: vec![] })).collect();
+        let src = sim.add_node("src", Broadcaster { to: sinks.clone() });
+        sim.add_node("quiet", Broadcaster { to: vec![] });
+        for (i, &sink) in sinks.iter().enumerate() {
+            sim.connect(src, sink, LinkConfig::new(SimDuration::from_millis(1 + i as u64)));
+        }
+        sim.run_until_idle();
+        for (i, &sink) in sinks.iter().enumerate() {
+            let got = &sim.node_as::<Sink>(sink).unwrap().got;
+            assert_eq!(got, &vec![(SimTime::from_millis(1 + i as u64), src)]);
+        }
+        assert_eq!(sim.metrics().counter_value("net.sent"), 3, "no destinations, no send");
+        assert_eq!(sim.metrics().counter_value("engine.env_slab.high_water"), 1);
+    }
+
     #[test]
     fn engine_names_parse() {
         assert_eq!(parse_engine("serial"), Some(EngineConfig::serial()));
@@ -1667,6 +1832,13 @@ mod tests {
         // A field added back to timer or delivery events grows every wheel
         // entry; make that a visible decision.
         assert_eq!(std::mem::size_of::<EventKind>(), 24);
+    }
+
+    #[test]
+    fn a_buffered_op_is_24_bytes() {
+        // Ops name their payload by slab index, so the arena's entries stay
+        // this size whatever the message type.
+        assert_eq!(std::mem::size_of::<Op>(), 24);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! The trace is a digest of the observer's event stream, so the sharded runs
 //! also install an observer: its own digest of every event must agree across
 //! engines, and installing it must not move the trace fingerprint.
+//!
+//! A second property gives one gateway a multicast group spanning its own
+//! star, the neighbouring campuses across the WAN and an unlinked node, and
+//! checks that `Context::send_all` is indistinguishable from a loop of
+//! `send`s on every engine, under loss, full queues and crashes.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,15 +27,33 @@ use metaclass_netsim::{
 };
 use proptest::prelude::*;
 
-/// A timer-driven node: every period it sends a burst toward its peer, and
-/// echoes shrinking replies to whatever it hears. Exercises sends, timers,
-/// RNG draws, and crash resets.
+/// A timer-driven node: every period it sends a burst toward its peer (and,
+/// with a `group`, one more to every member of it), and echoes shrinking
+/// replies to whatever it hears. Exercises sends, multicasts, timers, RNG
+/// draws, and crash resets.
 struct Chatter {
     peer: NodeId,
     period: SimDuration,
     rounds: u32,
     fired: u32,
     received: u64,
+    group: Vec<NodeId>,
+    /// Whether the group is sent with one `send_all` or a loop of `send`s.
+    multicast: bool,
+}
+
+impl Chatter {
+    fn new(peer: NodeId, period: SimDuration) -> Self {
+        Chatter {
+            peer,
+            period,
+            rounds: 10,
+            fired: 0,
+            received: 0,
+            group: Vec::new(),
+            multicast: false,
+        }
+    }
 }
 
 impl Node<u64> for Chatter {
@@ -48,6 +71,16 @@ impl Node<u64> for Chatter {
         self.fired += 1;
         let burst = ctx.rng().range_u64(1, 4);
         ctx.send(self.peer, burst, 300);
+        if !self.group.is_empty() {
+            let burst = ctx.rng().range_u64(2, 5);
+            if self.multicast {
+                ctx.send_all(self.group.iter().copied(), burst, 250);
+            } else {
+                for &member in &self.group {
+                    ctx.send(member, burst, 250);
+                }
+            }
+        }
         if self.fired < self.rounds {
             ctx.set_timer(self.period, 1);
         }
@@ -69,6 +102,9 @@ struct Topo {
     loss: f64,
     /// Jitter as a fraction of the WAN delay.
     jitter_us: u64,
+    /// With `Some(bytes)`, LAN links run at 250 kbit/s behind a drop-tail
+    /// queue of `bytes`.
+    lan_queue_bytes: Option<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -89,16 +125,9 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
             // Every node initially points at its campus gateway; gateways
             // are re-pointed at the next campus below.
             let peer = first;
-            let id = sim.add_node(
-                format!("c{c}n{i}"),
-                Chatter {
-                    peer: NodeId::from_index(peer),
-                    period: SimDuration::from_millis(2 + (i as u64 % 5)),
-                    rounds: 10,
-                    fired: 0,
-                    received: 0,
-                },
-            );
+            let period = SimDuration::from_millis(2 + (i as u64 % 5));
+            let id =
+                sim.add_node(format!("c{c}n{i}"), Chatter::new(NodeId::from_index(peer), period));
             all.push(id);
         }
         gateways.push(all[first]);
@@ -110,9 +139,12 @@ fn build(seed: u64, topo: &Topo) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) 
         let gw = gateways[c];
         sim.node_as_mut::<Chatter>(gw).unwrap().peer = peer;
     }
-    let lan = LinkConfig::new(SimDuration::from_micros(topo.lan_us))
+    let mut lan = LinkConfig::new(SimDuration::from_micros(topo.lan_us))
         .with_jitter(SimDuration::from_micros(topo.lan_us / 4))
         .with_loss(LossModel::Iid { p: topo.loss });
+    if let Some(bytes) = topo.lan_queue_bytes {
+        lan = lan.with_bandwidth_bps(250_000).with_queue_capacity_bytes(bytes);
+    }
     let mut idx = 0;
     for &size in &topo.campuses {
         let gw = all[idx];
@@ -215,6 +247,7 @@ fn topo_strategy() -> impl Strategy<Value = Topo> {
             wan_ms,
             loss,
             jitter_us,
+            lan_queue_bytes: None,
         })
 }
 
@@ -262,7 +295,14 @@ proptest! {
 /// record itself.
 #[test]
 fn fallback_is_announced_and_otherwise_byte_identical() {
-    let topo = Topo { campuses: vec![4], lan_us: 0, wan_ms: 0, loss: 0.0, jitter_us: 0 };
+    let topo = Topo {
+        campuses: vec![4],
+        lan_us: 0,
+        wan_ms: 0,
+        loss: 0.0,
+        jitter_us: 0,
+        lan_queue_bytes: None,
+    };
 
     let build_one = |engine: EngineConfig| {
         let (mut sim, _gw, _all) = build(7, &topo);
@@ -309,4 +349,189 @@ fn fallback_is_announced_and_otherwise_byte_identical() {
             .collect::<Vec<_>>()
     };
     assert_eq!(world_events(&serial), world_events(&sharded));
+}
+
+#[derive(Debug, Clone)]
+struct MulticastFaults {
+    /// Crash start of a member of the hub's own star, in ms.
+    member_at: u64,
+    /// Crash start of the WAN neighbour the group reaches, in ms.
+    gateway_at: u64,
+    /// How long each crashed node stays down, in ms.
+    down_ms: u64,
+    /// Whether the hub itself crashes too (mid-run, its group sends stop and
+    /// restart with it).
+    crash_hub: bool,
+}
+
+/// `build`'s campuses with campus 0's gateway as a hub whose group spans
+/// the WAN neighbours it links to, the members of its own star, and an
+/// `island` node linked to nothing (every copy to it has no route). The
+/// group is sent with `send_all` when `multicast`, else with one `send` per
+/// member in the same order.
+fn build_multicast(
+    seed: u64,
+    topo: &Topo,
+    multicast: bool,
+) -> (Simulation<u64>, Vec<NodeId>, Vec<NodeId>) {
+    let (mut sim, gateways, mut all) = build(seed, topo);
+    let hub = gateways[0];
+    let island = sim.add_node("island", Chatter::new(hub, SimDuration::from_millis(3)));
+    let mut group = vec![gateways[1]];
+    group.extend_from_slice(&all[1..topo.campuses[0] as usize]);
+    group.push(island);
+    if gateways.len() > 2 {
+        group.push(gateways[gateways.len() - 1]);
+    }
+    let chatter = sim.node_as_mut::<Chatter>(hub).unwrap();
+    chatter.group = group;
+    chatter.multicast = multicast;
+    all.push(island);
+    (sim, gateways, all)
+}
+
+fn multicast_fault_plan(
+    f: &MulticastFaults,
+    gateways: &[NodeId],
+    all: &[NodeId],
+) -> Vec<FaultWindow> {
+    let ms = SimTime::from_millis;
+    let down = |node: NodeId, at: u64| FaultWindow::CrashRestart {
+        node,
+        from: ms(at),
+        until: ms(at + f.down_ms),
+    };
+    let mut plan = vec![down(all[1], f.member_at), down(gateways[1], f.gateway_at)];
+    if f.crash_hub {
+        plan.push(down(gateways[0], (f.member_at + f.gateway_at) / 2));
+    }
+    plan
+}
+
+/// Everything a multicast run must reproduce: trace fingerprint, metrics
+/// outside `engine.`, event count, final clock and each node's received sum.
+type MulticastOutcome = (u64, MetricsSnapshot, u64, SimTime, Vec<u64>);
+
+/// Runs one multicast case to `until` (`None`: to idle); returns its
+/// outcome and the raw metrics snapshot, `engine.` counters included.
+fn run_multicast(
+    seed: u64,
+    topo: &Topo,
+    faults: &MulticastFaults,
+    multicast: bool,
+    engine: EngineConfig,
+    until: Option<SimTime>,
+) -> (MulticastOutcome, MetricsSnapshot) {
+    let (mut sim, gateways, all) = build_multicast(seed, topo, multicast);
+    sim.set_engine_config(engine);
+    sim.enable_trace(1 << 20);
+    sim.apply_fault_plan(&multicast_fault_plan(faults, &gateways, &all));
+    match until {
+        Some(t) => sim.run_until(t),
+        None => sim.run_until_idle(),
+    }
+    let received = all.iter().map(|&id| sim.node_as::<Chatter>(id).unwrap().received).collect();
+    let outcome = (
+        sim.trace().unwrap().fingerprint(),
+        sim.metrics().snapshot().without_prefix("engine."),
+        sim.events_processed(),
+        sim.time(),
+        received,
+    );
+    (outcome, sim.metrics().snapshot())
+}
+
+/// Runs the loop-of-sends twin serially as the reference, then the
+/// multicast on every engine and the twin sharded, and requires all of them
+/// to agree exactly and the sharded runs to be genuinely sharded. Returns
+/// the serial snapshots of the multicast and the twin.
+fn assert_multicast_matches_send_loop(
+    seed: u64,
+    topo: &Topo,
+    faults: &MulticastFaults,
+    until: Option<SimTime>,
+) -> (MetricsSnapshot, MetricsSnapshot) {
+    let engines = [EngineConfig::serial(), EngineConfig::sharded(2), EngineConfig::sharded(4)];
+    let (reference, twin_metrics) =
+        run_multicast(seed, topo, faults, false, EngineConfig::serial(), until);
+    let mut multicast_metrics = None;
+    for engine in engines {
+        for multicast in [true, false] {
+            let (got, metrics) = run_multicast(seed, topo, faults, multicast, engine, until);
+            let label = format!("multicast={multicast}, {engine:?}");
+            assert_eq!(reference.0, got.0, "trace fingerprint ({})", &label);
+            assert_eq!(&reference.1, &got.1, "metrics ({})", &label);
+            assert_eq!(reference.2, got.2, "event count ({})", &label);
+            assert_eq!(reference.3, got.3, "final clock ({})", &label);
+            assert_eq!(&reference.4, &got.4, "received sums ({})", &label);
+            let fallbacks = metrics.counters.get("engine.fallback_serial").copied().unwrap_or(0);
+            assert_eq!(fallbacks, 0, "unexpected serial fallback ({})", &label);
+            if multicast && engine == EngineConfig::serial() {
+                multicast_metrics = Some(metrics);
+            }
+        }
+    }
+    (multicast_metrics.expect("serial multicast ran"), twin_metrics)
+}
+
+fn multicast_topo_strategy() -> impl Strategy<Value = Topo> {
+    (topo_strategy(), 400u64..3_000, 0.01f64..0.08).prop_map(|(topo, queue, loss)| Topo {
+        lan_queue_bytes: Some(queue),
+        loss,
+        ..topo
+    })
+}
+
+fn multicast_faults_strategy() -> impl Strategy<Value = MulticastFaults> {
+    (20u64..150, 20u64..150, 10u64..80, any::<bool>()).prop_map(
+        |(member_at, gateway_at, down_ms, crash_hub)| MulticastFaults {
+            member_at,
+            gateway_at,
+            down_ms,
+            crash_hub,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn send_all_equals_a_send_loop_on_every_engine(
+        seed in 0u64..1_000_000,
+        topo in multicast_topo_strategy(),
+        faults in multicast_faults_strategy(),
+    ) {
+        assert_multicast_matches_send_loop(seed, &topo, &faults, Some(SimTime::from_millis(260)));
+    }
+}
+
+/// One multicast case run to idle on every engine: the engine's debug
+/// assertion that an idle queue leaves no envelope in the slab would fire
+/// on a leaked reference. The case reaches every way a shared envelope can
+/// be dropped, and sharing keeps the serial slab's high water below the
+/// twin's.
+#[test]
+fn multicast_runs_to_idle_without_leaking_an_envelope() {
+    let topo = Topo {
+        campuses: vec![4, 3, 3],
+        lan_us: 400,
+        wan_ms: 15,
+        loss: 0.05,
+        jitter_us: 1_500,
+        lan_queue_bytes: Some(500),
+    };
+    let faults = MulticastFaults { member_at: 30, gateway_at: 45, down_ms: 40, crash_hub: true };
+    let (multicast, twin) = assert_multicast_matches_send_loop(11, &topo, &faults, None);
+    for drop in ["loss", "queue", "no_route", "node_down"] {
+        let n = multicast.counters.get(&format!("net.dropped.{drop}")).copied().unwrap_or(0);
+        assert!(n > 0, "the case never exercised net.dropped.{drop}");
+    }
+    let high_water = |m: &MetricsSnapshot| m.counters["engine.env_slab.high_water"];
+    assert!(
+        high_water(&multicast) < high_water(&twin),
+        "send_all stored {} envelopes at once, the send loop {}",
+        high_water(&multicast),
+        high_water(&twin)
+    );
 }
