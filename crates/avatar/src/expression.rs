@@ -129,16 +129,6 @@ impl ExpressionFrame {
         self.weights.iter().zip(&other.weights).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
     }
 
-    /// Exponential smoothing toward `target` with factor `alpha` in `[0, 1]`
-    /// (`alpha = 1` jumps to the target). Used by the expression tracker to
-    /// suppress single-frame tracking noise.
-    pub fn smooth_toward(&mut self, target: &ExpressionFrame, alpha: f32) {
-        let a = alpha.clamp(0.0, 1.0);
-        for (w, t) in self.weights.iter_mut().zip(&target.weights) {
-            *w += (t - *w) * a;
-        }
-    }
-
     /// Linear interpolation between frames (`self` at `t = 0`).
     pub fn lerp(&self, other: &ExpressionFrame, t: f32) -> ExpressionFrame {
         let mut weights = [0f32; CHANNELS];
@@ -180,17 +170,6 @@ mod tests {
         }
         let back = ExpressionFrame::from_quantized(&f.quantize());
         assert!(f.max_abs_diff(&back) <= 0.5 / 255.0 + 1e-6);
-    }
-
-    #[test]
-    fn smoothing_converges() {
-        let mut f = ExpressionFrame::neutral();
-        let mut target = ExpressionFrame::neutral();
-        target.set(BlendChannel::JawOpen, 1.0);
-        for _ in 0..100 {
-            f.smooth_toward(&target, 0.2);
-        }
-        assert!(f.max_abs_diff(&target) < 1e-6);
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl LodLevel {
         }
     }
 
-    /// One-time download size when a client first needs this level, bytes.
-    pub fn asset_bytes(self) -> u64 {
-        // Mesh (~32 B/triangle compressed) + textures.
-        self.triangles() * 32 + self.texture_bytes()
-    }
-
     /// The next cheaper level, or `None` at [`LodLevel::Impostor`].
     pub fn cheaper(self) -> Option<LodLevel> {
         let i = Self::ALL.iter().position(|&l| l == self).expect("level in ALL");
@@ -107,7 +101,6 @@ mod tests {
         for w in LodLevel::ALL.windows(2) {
             assert!(w[0].triangles() < w[1].triangles());
             assert!(w[0].texture_bytes() < w[1].texture_bytes());
-            assert!(w[0].asset_bytes() < w[1].asset_bytes());
         }
     }
 

@@ -49,7 +49,7 @@ impl ScenarioExperiment {
         Ok(ScenarioExperiment { id, title, spec })
     }
 
-    /// Loads, validates, and wraps a spec file (`.toml` or `.json`).
+    /// Loads, validates, and wraps a TOML spec file.
     ///
     /// # Errors
     ///

@@ -49,21 +49,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod activities;
-mod content;
 mod modality;
 mod path;
 mod report;
 mod scenario;
 mod session;
 
-pub use activities::{
-    form_breakout_teams, run_quiz, BreakoutMember, BreakoutTeam, QuizAnswer, QuizQuestion,
-    QuizReport, Scoreboard,
-};
-pub use content::{
-    can_view, ContentItem, ContentKind, ContentLedger, LedgerError, ViewerContext, Visibility,
-};
 pub use metaclass_edge::protocol_codec;
 pub use modality::TeachingModality;
 pub use path::{mr_to_mr_budget, mr_to_vr_budget, vr_to_mr_budget, HopLatency, PathBudget};

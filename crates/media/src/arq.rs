@@ -147,11 +147,6 @@ impl ArqFrameSender {
     pub fn transmissions(&self) -> u64 {
         self.transmissions
     }
-
-    /// Total bytes transmitted so far.
-    pub fn bytes_transmitted(&self) -> u64 {
-        self.packets.values().map(|p| p.attempts as u64 * p.bytes as u64).sum()
-    }
 }
 
 /// Receiver side: tracks which packets arrived and when the frame completed.
@@ -234,7 +229,6 @@ mod tests {
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0].index, 1);
         assert_eq!(retx[0].attempt, 2);
-        assert_eq!(tx.bytes_transmitted(), 3000);
     }
 
     #[test]

@@ -37,17 +37,6 @@ impl VideoConfig {
         }
     }
 
-    /// 1080p10 at 1 Mbit/s — a slide/whiteboard share (low motion).
-    pub fn slide_share() -> Self {
-        VideoConfig {
-            width: 1920,
-            height: 1080,
-            fps: 10.0,
-            bitrate_bps: 1_000_000,
-            keyframe_interval: 50,
-        }
-    }
-
     /// 720p30 at 1.5 Mbit/s — a webcam tile in a conference grid.
     pub fn webcam_tile() -> Self {
         VideoConfig {
@@ -230,7 +219,6 @@ mod tests {
     #[test]
     fn presets_are_ordered_by_rate() {
         assert!(VideoConfig::lecture_camera().bitrate_bps > VideoConfig::webcam_tile().bitrate_bps);
-        assert!(VideoConfig::webcam_tile().bitrate_bps > VideoConfig::slide_share().bitrate_bps);
         assert_eq!(VideoConfig::lecture_camera().frame_period().as_nanos(), 33_333_333);
     }
 }

@@ -152,11 +152,16 @@ impl<M> EnvSlab<M> {
 
     /// Stores `env` with one reference.
     pub(crate) fn insert(&mut self, env: Envelope<M>) -> u32 {
+        self.insert_entry(Entry { env, refs: 1 })
+    }
+
+    /// Stores `entry` with the references it already holds.
+    fn insert_entry(&mut self, entry: Entry<M>) -> u32 {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
-        let entry = Some(Entry { env, refs: 1 });
+        let entry = Some(entry);
         match self.free.pop() {
             Some(idx) => {
                 self.slots[idx as usize] = entry;
@@ -193,11 +198,12 @@ impl<M> EnvSlab<M> {
         }
     }
 
-    fn remove(&mut self, idx: u32) -> Envelope<M> {
+    /// Frees the slot at `idx` and returns its entry, references and all.
+    fn remove(&mut self, idx: u32) -> Entry<M> {
         let entry = self.slots[idx as usize].take().expect("envelope already released");
         self.free.push(idx);
         self.live -= 1;
-        entry.env
+        entry
     }
 
     /// Number of envelopes currently stored.
@@ -234,7 +240,7 @@ impl<M: Clone> EnvSlab<M> {
             entry.refs -= 1;
             entry.env.clone()
         } else {
-            self.remove(idx)
+            self.remove(idx).env
         }
     }
 }
@@ -262,9 +268,11 @@ impl Remap {
     }
 
     /// Moves one reference to `from`'s envelope `idx` into destination slab
-    /// `way`, `to`, and returns its index there: the first reference to
-    /// arrive in `to` takes a copy (the last one of `from` moves it), later
-    /// ones share that copy.
+    /// `way`, `to`, and returns its index there. With one way every
+    /// reference goes to `to`, so the first to arrive moves the entry whole,
+    /// with all its references, and later ones only look up its index. With
+    /// several, the first reference to arrive in `to` takes a copy (the last
+    /// one of `from` moves it), and later ones share that copy.
     pub(crate) fn move_ref<M: Clone>(
         &mut self,
         from: &mut EnvSlab<M>,
@@ -274,8 +282,12 @@ impl Remap {
     ) -> u32 {
         let slot = &mut self.table[idx as usize * self.ways + way];
         if *slot == Self::UNMAPPED {
-            *slot = to.insert(from.take(idx));
-        } else {
+            *slot = if self.ways == 1 {
+                to.insert_entry(from.remove(idx))
+            } else {
+                to.insert(from.take(idx))
+            };
+        } else if self.ways > 1 {
             to.share(*slot);
             from.release(idx);
         }
@@ -1815,6 +1827,39 @@ mod tests {
         }
         assert_eq!(sim.metrics().counter_value("net.sent"), 3, "no destinations, no send");
         assert_eq!(sim.metrics().counter_value("engine.env_slab.high_water"), 1);
+    }
+
+    /// A payload that counts its clones.
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(std::rc::Rc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_one_way_move_takes_the_whole_entry_without_cloning() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut from = EnvSlab::new();
+        let env = Envelope {
+            src: NodeId(0),
+            size_bytes: 8,
+            sent_at: SimTime::ZERO,
+            payload: Counted(std::rc::Rc::clone(&clones)),
+        };
+        let idx = from.insert(env);
+        from.share(idx);
+        from.share(idx);
+        let mut to = EnvSlab::new();
+        let mut remap = Remap::default();
+        remap.reset(&from, 1);
+        let moved: Vec<u32> = (0..3).map(|_| remap.move_ref(&mut from, idx, 0, &mut to)).collect();
+        assert_eq!(moved, vec![moved[0]; 3], "every reference maps to one entry");
+        assert_eq!(to.live(), 1);
+        assert_eq!(to.slots[moved[0] as usize].as_ref().unwrap().refs, 3);
+        assert_eq!(from.live(), 0, "the source slab is left empty");
+        assert_eq!(clones.get(), 0, "the payload was never cloned");
     }
 
     #[test]

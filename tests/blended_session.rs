@@ -155,6 +155,9 @@ fn reports_round_trip_through_serde() {
     let back: metaclassroom::core::SessionReport =
         serde_json::from_str(&json).expect("deserializes");
     assert_eq!(report, back);
+    // A report is a snapshot: the session keeps counting past it.
+    s.run_for(SimDuration::from_secs(1));
+    assert!(s.report().updates_sent > report.updates_sent);
 }
 
 #[test]
