@@ -301,13 +301,23 @@ where
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(seeds.len()));
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&seed) = seeds.get(i) else { break };
-                let out = f(seed);
-                done.lock().expect("no poisoned trial lock").push((i, out));
-            });
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&seed) = seeds.get(i) else { break };
+                    let out = f(seed);
+                    done.lock().expect("no poisoned trial lock").push((i, out));
+                })
+            })
+            .collect();
+        // Joined, not just awaited by the scope: a joined thread has exited,
+        // so the next sweep's workers reuse its malloc arena instead of
+        // making new ones.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut done = done.into_inner().expect("no poisoned trial lock");

@@ -322,6 +322,15 @@ impl MetricsRegistry {
         }
     }
 
+    /// Sets every counter to zero and empties every histogram, keeping the
+    /// keys and the bucket storage: a registry refilled after this allocates
+    /// nothing for a name it held before. Merging it while still zeroed
+    /// changes nothing in a registry that already holds all its names.
+    pub(crate) fn zero(&mut self) {
+        self.counters.values_mut().for_each(|v| *v = 0);
+        self.histograms.values_mut().for_each(Histogram::clear);
+    }
+
     /// A serializable point-in-time export of the registry: raw counter
     /// values plus a [`Summary`] per histogram, both in name order. This is
     /// the form consumed by JSON writers (sweep results, dashboards) — it is
@@ -501,6 +510,22 @@ mod tests {
         assert_eq!(a.counter_value("x"), 13);
         assert_eq!(a.histogram("h").count(), 1);
         assert_eq!(a.counter_value("never"), 0);
+    }
+
+    #[test]
+    fn a_zeroed_registry_merges_as_a_no_op_into_one_holding_its_keys() {
+        let mut lane = MetricsRegistry::new();
+        lane.add("net.dropped.loss", 4);
+        lane.histogram("rtt_ns").record(1_500);
+        let mut world = MetricsRegistry::new();
+        world.add("net.sent", 9);
+        world.merge(&lane);
+        lane.zero();
+        assert_eq!(lane.counter_value("net.dropped.loss"), 0);
+        assert!(lane.histogram_if_present("rtt_ns").is_some_and(Histogram::is_empty));
+        let before = world.snapshot();
+        world.merge(&lane);
+        assert_eq!(world.snapshot(), before);
     }
 
     #[test]

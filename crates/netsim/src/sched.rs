@@ -212,6 +212,19 @@ impl<T, S: Copy + Ord> TimerWheel<T, S> {
         }
     }
 
+    /// Moves the cursor of an empty wheel to `at`'s slot and forgets the
+    /// last popped time, so a wheel drained far into the future (or a fresh
+    /// one, anchored at zero) takes pushes from `at` on into its slots
+    /// instead of behind its cursor or into the overflow heap.
+    pub(crate) fn reanchor(&mut self, at: SimTime) {
+        debug_assert!(self.is_empty(), "re-anchored a wheel with pending events");
+        self.cursor = Self::abs_slot(at);
+        #[cfg(debug_assertions)]
+        {
+            self.last_popped = None;
+        }
+    }
+
     fn abs_slot(at: SimTime) -> u64 {
         at.as_nanos() >> SLOT_SHIFT
     }
@@ -479,6 +492,37 @@ mod tests {
         let near = SimTime::from_nanos(far.as_nanos() + 5);
         wheel.push(near, 1, 1);
         assert_eq!(wheel.pop().unwrap(), (near, 1, 1));
+    }
+
+    #[test]
+    fn a_reanchored_wheel_pops_in_heap_order_across_mixed_horizons() {
+        // Drain a wheel far into the future, as shard deal-out does, then
+        // re-anchor it at an earlier clock and refill it from there.
+        let mut wheel = TimerWheel::new();
+        wheel.push(SimTime::from_secs(9), 0, 0);
+        wheel.push(SimTime::from_millis(40), 1, 1);
+        assert_eq!(drain(&mut wheel).len(), 2);
+        let now = 3_000_000_000u64;
+        wheel.reanchor(SimTime::from_nanos(now));
+        let mut heap = BinaryHeapQueue::new();
+        let offsets = [
+            0u64,
+            5,
+            1 << 20,
+            200_000_000,   // inside the ~268 ms horizon
+            300_000_000,   // past it: overflow
+            4_000_000_000, // seconds out
+            200_000_000,   // tie in time, later seq
+            0,
+        ];
+        for (seq, &d) in offsets.iter().enumerate() {
+            let seq = seq as u64 + 2;
+            wheel.push(SimTime::from_nanos(now + d), seq, seq as u32);
+            heap.push(SimTime::from_nanos(now + d), seq, seq as u32);
+        }
+        // Every event within the horizon sits in a slot, not the overflow.
+        assert_eq!(wheel.overflow.len(), 2);
+        assert_eq!(drain(&mut wheel), drain(&mut heap));
     }
 
     #[test]

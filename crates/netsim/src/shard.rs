@@ -125,6 +125,10 @@ type FaultQueue = VecDeque<(SimTime, u128, usize)>;
 /// [`Core`] (vectors indexed by global id) holding only the nodes, links,
 /// and pending events its shard owns; everything else is an empty slot.
 /// Fault events stay with the coordinator.
+///
+/// Lanes parked by the previous [`reassemble`] are reused, with their
+/// wheels, slabs, registries and buffers, so only the first deal-out of a
+/// simulation builds lanes from scratch.
 fn deal_out<M: Clone + 'static>(
     sim: &mut Simulation<M>,
     plan: &Plan,
@@ -133,30 +137,31 @@ fn deal_out<M: Clone + 'static>(
     let n = sim.core.nodes.len();
     let nl = sim.core.links.len();
     let buffered = sim.core.trace.is_some() || sim.core.observer.is_some();
-    let mut lanes: Vec<Core<M>> = (0..k)
-        .map(|i| {
-            let mut lane: Core<M> = Core::new_serial();
-            lane.time = sim.core.time;
-            lane.cur_depth = sim.core.cur_depth;
-            lane.cur_stamp = sim.core.cur_stamp;
-            lane.nodes = (0..n).map(|_| None).collect();
-            lane.rngs = vec![DetRng::new(0); n];
-            lane.push_counters = sim.core.push_counters.clone();
-            lane.crashed = sim.core.crashed.clone();
-            lane.epochs = sim.core.epochs.clone();
-            lane.links = (0..nl).map(|_| dummy_link()).collect();
-            lane.link_rngs = vec![DetRng::new(0); nl];
-            lane.link_ends = Arc::clone(&sim.core.link_ends);
-            lane.adjacency = Arc::clone(&sim.core.adjacency);
-            lane.static_delays = Arc::clone(&sim.core.static_delays);
-            lane.buffered = buffered;
-            lane.shard_of = Some(Arc::clone(&plan.shard_of));
-            lane.my_shard = i as u32;
-            lane.outboxes = (0..k).map(|_| Vec::new()).collect();
-            lane.outbox_mins = vec![u64::MAX; k];
-            lane
-        })
-        .collect();
+    let mut lanes = std::mem::take(&mut sim.lanes);
+    lanes.truncate(k);
+    lanes.resize_with(k, Core::new_serial);
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        lane.time = sim.core.time;
+        lane.cur_depth = sim.core.cur_depth;
+        lane.cur_stamp = sim.core.cur_stamp;
+        lane.queue.reanchor(sim.core.time);
+        lane.nodes.resize_with(n, || None);
+        lane.rngs.resize(n, DetRng::new(0));
+        lane.push_counters.clone_from(&sim.core.push_counters);
+        lane.crashed.clone_from(&sim.core.crashed);
+        lane.epochs.clone_from(&sim.core.epochs);
+        lane.links.resize_with(nl, dummy_link);
+        lane.link_rngs.resize(nl, DetRng::new(0));
+        lane.link_ends = Arc::clone(&sim.core.link_ends);
+        lane.adjacency = Arc::clone(&sim.core.adjacency);
+        lane.static_delays = Arc::clone(&sim.core.static_delays);
+        lane.buffered = buffered;
+        lane.shard_of = Some(Arc::clone(&plan.shard_of));
+        lane.my_shard = i as u32;
+        lane.outboxes.resize_with(k, Vec::new);
+        lane.outbox_mins.clear();
+        lane.outbox_mins.resize(k, u64::MAX);
+    }
     for idx in 0..n {
         let s = plan.shard_of[idx] as usize;
         lanes[s].nodes[idx] = sim.core.nodes[idx].take();
@@ -167,18 +172,17 @@ fn deal_out<M: Clone + 'static>(
         lanes[s].links[li] = std::mem::replace(&mut sim.core.links[li], dummy_link());
         lanes[s].link_rngs[li] = std::mem::replace(&mut sim.core.link_rngs[li], DetRng::new(0));
     }
-    // The serial world's warm op arena seeds lane 0; the other lanes grow
-    // their own on first use and hand the widest one back at reassembly.
-    lanes[0].ops_arena = std::mem::take(&mut sim.core.ops_arena);
-    let spares: Vec<_> = sim.core.spare_boxes.drain(..).collect();
-    for (j, buf) in spares.into_iter().enumerate() {
+    // The serial world's warm op arena goes to lane 0 in exchange for that
+    // lane's own; the other lanes keep theirs, and reassembly hands the
+    // widest one back.
+    std::mem::swap(&mut lanes[0].ops_arena, &mut sim.core.ops_arena);
+    for (j, buf) in sim.core.spare_boxes.drain(..).enumerate() {
         lanes[j % k].spare_boxes.push(buf);
     }
     let mut faults = FaultQueue::new();
     let core = &mut sim.core;
     core.env_remap.reset(&core.env_slab, k);
-    let mut old = std::mem::take(&mut core.queue);
-    while let Some((at, stamp, kind)) = old.pop() {
+    while let Some((at, stamp, kind)) = core.queue.pop() {
         let shard = match kind {
             EventKind::Fault { index } => {
                 faults.push_back((at, stamp, index));
@@ -199,15 +203,23 @@ fn deal_out<M: Clone + 'static>(
         lanes[shard as usize].queue.push(at, stamp, kind);
     }
     debug_assert_eq!(core.env_slab.live(), 0, "a global envelope outlived its queue entries");
+    // The drained wheel keeps its storage; its cursor sits at the last
+    // event dealt out, so bring it back to the clock that reassembly
+    // refills it from.
+    core.queue.reanchor(core.time);
     (lanes, faults)
 }
 
 /// Inverse of [`deal_out`]: folds the lanes back into `sim.core`, restoring
 /// the single serial world (nodes, links, pending events, metrics, and the
 /// global clock — the latest `(time, stamp)` any lane reached).
+///
+/// Each emptied lane is then parked in `sim.lanes` for the next deal-out:
+/// no node, link, event or envelope, every per-run counter and metric at
+/// zero, but all storage kept.
 fn reassemble<M: Clone + 'static>(
     sim: &mut Simulation<M>,
-    lanes: Vec<Core<M>>,
+    mut lanes: Vec<Core<M>>,
     faults: FaultQueue,
 ) {
     let mut best = (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth);
@@ -217,7 +229,7 @@ fn reassemble<M: Clone + 'static>(
         }
     }
     (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth) = (best.0, best.1, best.2);
-    for mut lane in lanes {
+    for lane in &mut lanes {
         debug_assert!(lane.event_keys.is_empty());
         debug_assert!(lane.outboxes.iter().all(Vec::is_empty));
         for idx in 0..lane.nodes.len() {
@@ -235,32 +247,38 @@ fn reassemble<M: Clone + 'static>(
         }
         // Keep the widest warm arena; fold memory-pressure high waters.
         if lane.ops_arena.capacity() > sim.core.ops_arena.capacity() {
-            sim.core.ops_arena = std::mem::take(&mut lane.ops_arena);
+            std::mem::swap(&mut sim.core.ops_arena, &mut lane.ops_arena);
         }
         if lane.ops_high_water > sim.core.ops_high_water {
             sim.core.ops_high_water = lane.ops_high_water;
         }
         sim.core.env_slab.raise_high_water(lane.env_slab.high_water());
         sim.raise_engine_gauge("engine.sched.arena_bytes", lane.queue.arena_bytes());
+        // The lane's registry only ever holds names the world's registry
+        // already has (it is merged here and never reset), so zeroing it
+        // keeps the next merge exact.
         sim.core.metrics.merge(&lane.metrics);
-        sim.core.events_processed += lane.events_processed;
-        sim.core.pool_hits += lane.pool_hits;
-        sim.core.pool_misses += lane.pool_misses;
-        sim.core.sent_count += lane.sent_count;
-        sim.core.delivered_count += lane.delivered_count;
+        lane.metrics.zero();
+        sim.core.events_processed += std::mem::take(&mut lane.events_processed);
+        sim.core.pool_hits += std::mem::take(&mut lane.pool_hits);
+        sim.core.pool_misses += std::mem::take(&mut lane.pool_misses);
+        sim.core.sent_count += std::mem::take(&mut lane.sent_count);
+        sim.core.delivered_count += std::mem::take(&mut lane.delivered_count);
         if !lane.delivery_hist.is_empty() {
             sim.core.delivery_hist.merge(&lane.delivery_hist);
+            lane.delivery_hist.clear();
         }
         // Cross-shard deliveries exchanged at the last barrier but not yet
         // executed flow back into the global queue; their buffers are kept
         // for reuse.
-        for mut buf in std::mem::take(&mut lane.inboxes) {
+        for mut buf in lane.inboxes.drain(..) {
             for (at, stamp, dst, env) in buf.drain(..) {
                 let env = sim.core.env_slab.insert(env);
                 sim.core.queue.push(at, stamp, EventKind::Deliver { dst, env });
             }
             sim.core.spare_boxes.push(buf);
         }
+        lane.inbox_min_ns = u64::MAX;
         sim.core.spare_boxes.append(&mut lane.spare_boxes);
         let core = &mut sim.core;
         core.env_remap.reset(&lane.env_slab, 1);
@@ -281,6 +299,7 @@ fn reassemble<M: Clone + 'static>(
         sim.core.queue.push(at, stamp, EventKind::Fault { index });
     }
     sim.core.debug_assert_no_leaked_envelope();
+    sim.lanes = lanes;
 }
 
 impl<M> Core<M> {
@@ -442,11 +461,12 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
     std::thread::scope(|scope| {
         let (done_tx, done_rx) = mpsc::channel::<(usize, Core<M>, u64)>();
         let mut work_txs = Vec::with_capacity(k);
+        let mut workers = Vec::with_capacity(k);
         for _ in 0..k {
             let (tx, rx) = mpsc::channel::<(Core<M>, Option<SimTime>)>();
             work_txs.push(tx);
             let done = done_tx.clone();
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let worker_rx = rx;
                 let mut lane_index = None;
                 while let Ok((mut core, w_end)) = worker_rx.recv() {
@@ -456,7 +476,7 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
                         break;
                     }
                 }
-            });
+            }));
         }
         drop(done_tx);
 
@@ -537,6 +557,17 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
         let taken: Vec<Core<M>> =
             slots.iter_mut().map(|s| s.take().expect("lane checked in")).collect();
         reassemble(sim, taken, faults);
+        // The scope only waits for the workers' closures; joining also
+        // waits for their threads to exit, so glibc has put their malloc
+        // arenas back on its free list before the next run call's workers
+        // start and look for one. Closing the work channels lets them leave
+        // `recv`.
+        drop(work_txs);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 
     if windows > 0 {
@@ -765,8 +796,7 @@ mod tests {
 
     #[test]
     fn wheel_memory_gauge_is_raised_under_both_engines() {
-        // Run to idle: reassembly refills a fresh, empty global wheel, so
-        // under the sharded engine only the lane wheels can raise the gauge.
+        // Run to idle: the gauge must report wheel memory under both engines.
         for engine in [EngineConfig::serial(), EngineConfig::sharded(2)] {
             let mut sim = campus_sim(5);
             sim.set_engine_config(engine);
@@ -776,6 +806,27 @@ mod tests {
             let bytes = sim.metrics().counter_value("engine.sched.arena_bytes");
             assert!(bytes > 0, "no wheel memory reported under {engine:?}");
         }
+    }
+
+    #[test]
+    fn parked_lanes_do_not_make_a_topology_edit_copy_the_tables() {
+        let mut sim = campus_sim(3);
+        sim.set_engine_config(EngineConfig::sharded(2));
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(sim.lanes.len(), 2, "the lanes are parked after the run");
+        let tables = |sim: &Simulation<u64>| {
+            (
+                std::sync::Arc::as_ptr(&sim.core.link_ends),
+                std::sync::Arc::as_ptr(&sim.core.adjacency),
+                std::sync::Arc::as_ptr(&sim.core.static_delays),
+            )
+        };
+        let before = tables(&sim);
+        let quiet = sim.add_node("quiet", Quiet);
+        sim.connect(quiet, NodeId::from_index(1), LinkConfig::new(SimDuration::from_millis(1)));
+        assert_eq!(tables(&sim), before, "an edit copied a table a parked lane still shared");
+        sim.run_until(SimTime::from_millis(200));
+        assert_eq!(sim.metrics().counter_value("engine.fallback_serial"), 0);
     }
 
     /// A node with no behavior at all: its campus generates zero traffic.

@@ -769,6 +769,9 @@ pub struct Simulation<M> {
     /// Bumped on every topology change; invalidates the shard plan.
     pub(crate) topo_version: u64,
     pub(crate) shard_cache: Option<crate::shard::ShardCache>,
+    /// Shard lanes parked between sharded runs, emptied but with their
+    /// storage kept (see [`crate::shard`]).
+    pub(crate) lanes: Vec<Core<M>>,
 }
 
 impl<M: Clone + 'static> Simulation<M> {
@@ -791,6 +794,7 @@ impl<M: Clone + 'static> Simulation<M> {
             engine: config,
             topo_version: 0,
             shard_cache: None,
+            lanes: Vec::new(),
         }
     }
 
@@ -817,6 +821,7 @@ impl<M: Clone + 'static> Simulation<M> {
         self.core.push_counters.push(0);
         self.core.crashed.push(false);
         self.core.epochs.push(0);
+        self.unpin_topology();
         Arc::make_mut(&mut self.core.adjacency).push(BTreeMap::new());
         self.topo_version += 1;
         id
@@ -846,11 +851,25 @@ impl<M: Clone + 'static> Simulation<M> {
         // (node ids are < 2^32).
         const LINK_STREAM: u64 = 0x4C49_4E4B_0000_0000; // "LINK"
         self.core.link_rngs.push(self.master_rng.derive(LINK_STREAM | id.0 as u64));
+        self.unpin_topology();
         Arc::make_mut(&mut self.core.link_ends).push((from, to));
         Arc::make_mut(&mut self.core.static_delays).push(cfg.delay().as_nanos());
         Arc::make_mut(&mut self.core.adjacency)[from.index()].insert(to.0, id);
         self.topo_version += 1;
         id
+    }
+
+    /// Lets parked shard lanes drop their shares of the topology tables, so
+    /// the `Arc::make_mut` of an edit changes them in place instead of
+    /// copying them. Deal-out hands the lanes fresh shares.
+    fn unpin_topology(&mut self) {
+        for lane in &mut self.lanes {
+            if Arc::ptr_eq(&lane.adjacency, &self.core.adjacency) {
+                lane.link_ends = Arc::default();
+                lane.adjacency = Arc::default();
+                lane.static_delays = Arc::default();
+            }
+        }
     }
 
     /// Number of registered nodes.

@@ -14,7 +14,12 @@
 //! also install an observer: its own digest of every event must agree across
 //! engines, and installing it must not move the trace fingerprint.
 //!
-//! A second property gives one gateway a multicast group spanning its own
+//! A second property cuts one run into up to twelve run calls, switching
+//! engines and adding a node and a link between calls, and checks that the
+//! result equals one uninterrupted serial run: the sharded engine's lanes,
+//! kept from one call to the next, must carry nothing over.
+//!
+//! A third property gives one gateway a multicast group spanning its own
 //! star, the neighbouring campuses across the WAN and an unlinked node, and
 //! checks that `Context::send_all` is indistinguishable from a loop of
 //! `send`s on every engine, under loss, full queues and crashes.
@@ -286,6 +291,103 @@ proptest! {
             // a silent serial fallback masquerading as agreement.
             prop_assert_eq!(sharded.4, 0, "unexpected serial fallback ({} shards)", shards);
         }
+    }
+}
+
+/// A node that never sends: added between run calls, it changes the
+/// topology (so the shard plan and every lane's vectors must follow) without
+/// changing what the rest of the world does.
+struct Quiet;
+
+impl Node<u64> for Quiet {
+    fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _from: NodeId, _msg: u64) {}
+}
+
+/// One run call of a split run: its deadline in ms and the engine it runs
+/// under. Before every call but the first, a [`Quiet`] node joins, linked
+/// to the existing node `attach` (taken modulo the node count).
+#[derive(Debug, Clone)]
+struct Stop {
+    at_ms: u64,
+    engine: EngineConfig,
+    attach: usize,
+}
+
+fn stops_strategy() -> impl Strategy<Value = Vec<Stop>> {
+    let engines = [EngineConfig::serial(), EngineConfig::sharded(2), EngineConfig::sharded(4)];
+    proptest::collection::vec((1u64..260, 0..engines.len(), any::<usize>()), 1..=12).prop_map(
+        move |mut v| {
+            v.sort_by_key(|s| s.0);
+            // The last call always runs to the full horizon.
+            v.last_mut().expect("at least one stop").0 = 260;
+            v.into_iter()
+                .map(|(at_ms, e, attach)| Stop { at_ms, engine: engines[e], attach })
+                .collect()
+        },
+    )
+}
+
+/// Adds one [`Quiet`] node, linked both ways to node `attach` at LAN delay.
+fn add_quiet_node(sim: &mut Simulation<u64>, topo: &Topo, attach: usize) {
+    let peer = NodeId::from_index(attach % sim.node_count());
+    let quiet = sim.add_node("quiet", Quiet);
+    sim.connect(quiet, peer, LinkConfig::new(SimDuration::from_micros(topo.lan_us)));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Parked shard lanes carry nothing from one run call into the next:
+    /// a run cut into several calls, switching engines and growing the
+    /// topology between them, equals one uninterrupted serial run of the
+    /// grown topology.
+    #[test]
+    fn split_runs_with_engine_switches_and_topology_edits_equal_one_serial_run(
+        seed in 0u64..1_000_000,
+        topo in topo_strategy(),
+        faults in faults_strategy(),
+        stops in stops_strategy(),
+    ) {
+        let start = |sim: &mut Simulation<u64>, gateways: &[NodeId], all: &[NodeId]| {
+            sim.enable_trace(1 << 20);
+            let digest = observe(sim);
+            sim.apply_fault_plan(&fault_plan(&faults, gateways, all, &topo.campuses));
+            digest
+        };
+        let outcome = |sim: &Simulation<u64>, digest: &Arc<Mutex<Fnv1a>>| {
+            (
+                sim.trace().unwrap().fingerprint(),
+                sim.metrics().snapshot().without_prefix("engine."),
+                sim.events_processed(),
+                sim.time(),
+                digest.lock().unwrap().finish(),
+            )
+        };
+
+        let (mut whole, gateways, all) = build(seed, &topo);
+        for stop in &stops[1..] {
+            add_quiet_node(&mut whole, &topo, stop.attach);
+        }
+        let digest = start(&mut whole, &gateways, &all);
+        whole.run_until(SimTime::from_millis(260));
+        let reference = outcome(&whole, &digest);
+
+        let (mut split, gateways, all) = build(seed, &topo);
+        let digest = start(&mut split, &gateways, &all);
+        for (i, stop) in stops.iter().enumerate() {
+            if i > 0 {
+                add_quiet_node(&mut split, &topo, stop.attach);
+            }
+            split.set_engine_config(stop.engine);
+            split.run_until(SimTime::from_millis(stop.at_ms));
+        }
+        let got = outcome(&split, &digest);
+        prop_assert_eq!(reference.0, got.0, "trace fingerprint");
+        prop_assert_eq!(&reference.1, &got.1, "metrics");
+        prop_assert_eq!(reference.2, got.2, "event count");
+        prop_assert_eq!(reference.3, got.3, "final clock");
+        prop_assert_eq!(reference.4, got.4, "observer digest");
+        prop_assert_eq!(split.metrics().counter_value("engine.fallback_serial"), 0);
     }
 }
 

@@ -14,7 +14,13 @@
 # overhead, so the peak reads below the benchmark's `peak_rss_mb`. `seconds`
 # (default 1) is metabench's timing budget: every pass builds and runs the
 # whole session, so one timed pass after the counted one is enough.
-# Needs cc, addr2line and python3.
+#
+# Under the table it lists glibc's malloc arenas at exit (`malloc_stats()`):
+# the bytes each took from the system and the bytes in use in it. Live bytes
+# cannot show memory an arena keeps after its blocks are freed, such as the
+# arena of a worker thread that exited; the system bytes can, and the RSS
+# follows them.
+# Needs glibc, cc, addr2line and python3.
 set -euo pipefail
 
 usage="usage: scripts/heap.sh <workload> [seed] [seconds]"
@@ -34,6 +40,7 @@ cat >"$work/heaprec.c" <<'C'
 #define _GNU_SOURCE
 #include <errno.h>
 #include <fcntl.h>
+#include <malloc.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -211,7 +218,8 @@ __attribute__((constructor)) static void start(void) {
 }
 
 /* Peak, mappings, then one line per stack live at the peak:
- * bytes, blocks, return addresses innermost first. */
+ * bytes, blocks, return addresses innermost first; last, glibc's
+ * malloc_stats() report, which it prints to stderr. */
 __attribute__((destructor)) static void finish(void) {
     const char *path = getenv("HEAP_REPORT");
     if (!path || !ready) return;
@@ -234,6 +242,13 @@ __attribute__((destructor)) static void finish(void) {
         line[len++] = '\n';
         if (write(fd, line, len) != len) break;
     }
+    int saved = dup(2);
+    if (saved >= 0 && dup2(fd, 2) >= 0) {
+        malloc_stats();
+        fflush(stderr);
+        dup2(saved, 2);
+    }
+    if (saved >= 0) close(saved);
 done:
     close(fd);
     unlock();
@@ -253,12 +268,22 @@ binary, report, workload, seed = sys.argv[1:]
 binary = os.path.realpath(binary)
 
 peak, ranges, stacks = 0, [], []
+# malloc_stats() lines: "Arena N:" or "Total (incl. mmap):", then
+# "system bytes = B" and "in use bytes = B" for it.
+arenas, arena = {}, None
 for line in open(report):
     fields = line.split()
+    if not fields:
+        continue
     if fields[0] == "peak":
         peak = int(fields[1])
     elif fields[0] == "stack":
         stacks.append((int(fields[1]), int(fields[2]), [int(a, 16) for a in fields[3:]]))
+    elif fields[0] in ("Arena", "Total"):
+        arena = "total" if fields[0] == "Total" else int(fields[1].rstrip(":"))
+        arenas[arena] = {}
+    elif arena is not None and line.startswith(("system bytes", "in use bytes")):
+        arenas[arena][fields[0]] = int(fields[-1])
     elif len(fields) >= 6:
         lo, hi = (int(x, 16) for x in fields[0].split("-"))
         ranges.append((lo, hi, fields[5]))
@@ -298,4 +323,16 @@ print(f"{workload}, seed {seed}: {peak / 1e6:.2f} MB live at the peak, {len(stac
 print(f"\n{'MB':>7} {'share':>6} {'blocks':>8}  owner  <-  its caller")
 for key, size in owners.most_common(30):
     print(f"{size / 1e6:7.2f} {100 * size / peak:5.1f}% {blocks[key]:8d}  {key[:160]}")
+
+if arenas:
+    # Arena 0 is the main thread's; every other one was made for a thread
+    # that found no free arena when it first allocated.
+    workers = [a for a in arenas if a not in (0, "total")]
+    print(f"\nmalloc arenas at exit (glibc malloc_stats): {len(workers)} besides the main one")
+    print(f"{'system MB':>10} {'in use MB':>10}  arena")
+    for a in sorted(workers, key=int) + [0, "total"]:
+        if a in arenas:
+            stats = arenas[a]
+            label = {0: "0 (main)", "total": "total, with mmap'd blocks"}.get(a, str(a))
+            print(f"{stats.get('system', 0) / 1e6:10.2f} {stats.get('in', 0) / 1e6:10.2f}  {label}")
 PY
