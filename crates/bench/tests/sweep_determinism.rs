@@ -39,7 +39,7 @@ fn simulation_backed_sweep_is_jobs_invariant_too() {
 
 #[test]
 fn crash_restart_mid_sweep_preserves_jobs_invariance() {
-    // Every E14 run injects a crash_node -> restart_node fault plan against
+    // Every E14 run injects a `CrashRestart` fault window against
     // an edge server mid-lecture. Crash epochs void pending timers and
     // restart replays node boot, so this is the sweep most likely to expose
     // scheduling nondeterminism — its merged document must still be a pure

@@ -12,7 +12,7 @@ use metaclass_edge::{
     ClassMsg, ClassroomLayout, ClientConfig, CloudServerNode, EdgeServerNode, FanoutConfig,
     HeadsetNode, RemoteClientNode, RoomArrayNode, ServerConfig,
 };
-use metaclass_netsim::{LinkClass, NodeId, Region, SimDuration, SimTime, Simulation};
+use metaclass_netsim::{FaultWindow, LinkClass, NodeId, Region, SimDuration, SimTime, Simulation};
 use metaclass_sensors::MotionScript;
 
 struct Deployment {
@@ -240,13 +240,13 @@ fn backbone_outage_heals_after_recovery() {
     assert!(before > 0);
 
     // Cut the edge ↔ cloud backbone for 3 seconds.
-    d.sim.set_connection_up(d.edge, d.cloud, false);
-    d.sim.run_until(SimTime::from_secs(5));
+    let (from, until) = (SimTime::from_secs(2), SimTime::from_secs(5));
+    d.sim.apply_fault_plan(&[FaultWindow::LinkFlap { a: d.edge, b: d.cloud, from, until }]);
+    d.sim.run_until(until);
     let dropped = d.sim.metrics().counter_value("net.dropped.down");
     assert!(dropped > 0, "outage must drop traffic");
 
-    // Restore; replication resumes and clients keep getting updates.
-    d.sim.set_connection_up(d.edge, d.cloud, true);
+    // Restored: replication resumes and clients keep getting updates.
     d.sim.run_until(SimTime::from_secs(8));
     let (_, client_node) = d.clients[0];
     let client = d.sim.node_as_mut::<RemoteClientNode>(client_node).unwrap();
@@ -267,8 +267,10 @@ fn a_frozen_avatar_stands_still_on_the_headsets() {
     assert!(shown(&d).is_some(), "the remote avatar is on display before the outage");
 
     // The client's avatar reaches the classroom through the cloud: cut the
-    // backbone and wait out the edge's heartbeat timeout and hold window.
-    d.sim.set_connection_up(d.edge, d.cloud, false);
+    // backbone for good and wait out the edge's heartbeat timeout and hold
+    // window.
+    let (from, until) = (d.sim.time(), SimTime::MAX);
+    d.sim.apply_fault_plan(&[FaultWindow::LinkFlap { a: d.edge, b: d.cloud, from, until }]);
     while d.sim.metrics().counter_value("edge.avatars_frozen") == 0 {
         assert!(d.sim.time() < SimTime::from_secs(6), "the avatar never froze");
         d.sim.run_until(d.sim.time() + SimDuration::from_millis(5));

@@ -2,18 +2,21 @@
 //!
 //! A fault schedule is a list of [`FaultWindow`]s — link flaps, loss bursts,
 //! latency spikes, network partitions, and node crash/restart cycles, each a
-//! paired start/end over `[from, until)`. A
-//! [`Simulation`](crate::Simulation) lowers them to [`FaultAction`]s and
-//! executes those as ordinary events via
-//! [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan).
-//! Because the schedule is data (not callbacks), it is fully replayable: the
-//! same seed and windows produce byte-identical traces and metrics across
-//! runs.
+//! paired start/end over `[from, until)`.
+//! [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan) is
+//! the one way to change link or node state once the topology is built: it
+//! lowers the windows to [`FaultAction`]s and queues each as an ordinary
+//! event, and this module executes them. Because the schedule is data (not
+//! callbacks), it is fully replayable: the same seed and windows produce
+//! byte-identical traces and metrics across runs and engines.
 
 use serde::{Deserialize, Serialize};
 
-use crate::link::LossModel;
+use crate::link::{Link, LossModel};
 use crate::node::NodeId;
+use crate::observe::SimEvent;
+use crate::sched::EventQueue;
+use crate::sim::{pack_stamp, Dispatch, EventKind, Simulation, FAULT_ORIGIN};
 use crate::time::{SimDuration, SimTime};
 
 /// One scripted fault, applied at a scheduled instant.
@@ -276,6 +279,188 @@ impl FaultWindow {
             }
         };
         [(self.from(), start), (self.until(), end)]
+    }
+}
+
+impl<M: Clone + 'static> Simulation<M> {
+    /// Installs a fault schedule, the one way to change link or node state
+    /// once the topology is built. Each window lowers to its start and end
+    /// [`FaultAction`], and each action becomes an engine event executed at
+    /// its time: counted in metrics (`fault.injected`, a per-action counter
+    /// and, for every link it takes out of service, `net.link.flaps`),
+    /// recorded in the trace as [`TraceKind::Fault`](crate::TraceKind::Fault)
+    /// when tracing is enabled, and handed to the observer as
+    /// [`SimEvent::Fault`] with the post-fault view. Actions at the same
+    /// instant execute in list order (a window's start before its end).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Simulation::validate_fault_plan`] rejects the schedule.
+    pub fn apply_fault_plan(&mut self, windows: &[FaultWindow]) {
+        if let Err(e) = self.validate_fault_plan(windows) {
+            panic!("{e}");
+        }
+        let mut events: Vec<_> = windows.iter().flat_map(FaultWindow::lower).collect();
+        // Stable: ties keep list order.
+        events.sort_by_key(|&(at, _)| at);
+        for (at, action) in events {
+            let index = self.fault_actions.len();
+            self.fault_actions.push(action);
+            let stamp = pack_stamp(0, FAULT_ORIGIN, index as u64);
+            self.core.queue.push(at, stamp, EventKind::Fault { index });
+        }
+    }
+
+    /// Checks a fault schedule against this simulation without installing
+    /// it. Every window must end after it starts and start no earlier than
+    /// the current time; a link fault needs links both ways between its two
+    /// nodes, and a crashed node or partition member must exist. The error
+    /// names the first offending window by its index.
+    pub fn validate_fault_plan(&self, windows: &[FaultWindow]) -> Result<(), String> {
+        let known = |node: &NodeId| node.index() < self.core.nodes.len();
+        for (i, w) in windows.iter().enumerate() {
+            let problem = if w.until() <= w.from() {
+                Some("must end after it starts".to_string())
+            } else if w.from() < self.core.time {
+                Some("starts in the past".to_string())
+            } else {
+                match w {
+                    FaultWindow::LinkFlap { a, b, .. }
+                    | FaultWindow::LossBurst { a, b, .. }
+                    | FaultWindow::LatencySpike { a, b, .. } => {
+                        (self.link_between(*a, *b).is_none() || self.link_between(*b, *a).is_none())
+                            .then(|| format!("no link between {a} and {b}"))
+                    }
+                    FaultWindow::Partition { groups, .. } => groups
+                        .iter()
+                        .flatten()
+                        .find(|n| !known(n))
+                        .map(|n| format!("unknown node {n}")),
+                    FaultWindow::CrashRestart { node, .. } => {
+                        (!known(node)).then(|| format!("unknown node {node}"))
+                    }
+                }
+            };
+            if let Some(problem) = problem {
+                return Err(format!("fault window {i} ({}): {problem}", w.kind()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes the installed fault action `index` at the current instant.
+    pub(crate) fn execute_fault(&mut self, index: usize) {
+        let action = self.fault_actions[index].clone();
+        self.core.metrics.inc("fault.injected");
+        self.core.metrics.inc(action.metric());
+        // The trace records the fault before its action runs, so a restarted
+        // node's `on_start` sends follow it; the observer sees it afterwards,
+        // with the post-fault view.
+        if let Some(trace) = &mut self.core.trace {
+            trace.record_fault(self.core.time, &action);
+        }
+        match action {
+            FaultAction::LinkDown { a, b } => self.set_connection_up(a, b, false),
+            FaultAction::LinkUp { a, b } => self.set_connection_up(a, b, true),
+            FaultAction::LossBurstStart { a, b, loss } => {
+                self.for_both_directions(a, b, |link| link.set_loss_override(Some(loss)));
+            }
+            FaultAction::LossBurstEnd { a, b } => {
+                self.for_both_directions(a, b, |link| link.set_loss_override(None));
+            }
+            FaultAction::LatencySpikeStart { a, b, extra } => {
+                self.for_both_directions(a, b, |link| link.set_extra_delay(extra));
+            }
+            FaultAction::LatencySpikeEnd { a, b } => {
+                self.for_both_directions(a, b, |link| link.set_extra_delay(SimDuration::ZERO));
+            }
+            FaultAction::Partition { groups } => self.partition(&groups),
+            FaultAction::Heal => self.heal_partition(),
+            FaultAction::CrashNode { node } => self.crash_node(node),
+            FaultAction::RestartNode { node } => self.restart_node(node),
+        }
+        self.core.emit(&SimEvent::Fault { action: &self.fault_actions[index] });
+    }
+
+    /// Brings both directions between `a` and `b` up or down.
+    fn set_connection_up(&mut self, a: NodeId, b: NodeId, up: bool) {
+        let mut flaps = 0;
+        self.for_both_directions(a, b, |link| flaps += u64::from(link.set_up_at(up)));
+        self.count_flaps(flaps);
+    }
+
+    fn for_both_directions(&mut self, a: NodeId, b: NodeId, mut apply: impl FnMut(&mut Link)) {
+        let ab = self.link_between(a, b).expect("no a->b link");
+        let ba = self.link_between(b, a).expect("no b->a link");
+        apply(&mut self.core.links[ab.index()]);
+        apply(&mut self.core.links[ba.index()]);
+    }
+
+    /// Severs every link whose endpoints fall in different `groups`. Nodes
+    /// not listed in any group keep all their links.
+    fn partition(&mut self, groups: &[Vec<NodeId>]) {
+        let mut membership: Vec<Option<usize>> = vec![None; self.core.nodes.len()];
+        for (gi, group) in groups.iter().enumerate() {
+            for node in group {
+                membership[node.index()] = Some(gi);
+            }
+        }
+        let mut flaps = 0;
+        for (link, &(from, to)) in self.core.links.iter_mut().zip(self.core.link_ends.iter()) {
+            if let (Some(ga), Some(gb)) = (membership[from.index()], membership[to.index()]) {
+                if ga != gb {
+                    flaps += u64::from(link.set_partitioned_at(true));
+                }
+            }
+        }
+        self.count_flaps(flaps);
+    }
+
+    /// Heals every partition-severed link. Partition state is kept apart
+    /// from admin state, so an administratively downed link stays down, and
+    /// a heal never takes a link out of service.
+    fn heal_partition(&mut self) {
+        for link in &mut self.core.links {
+            link.set_partitioned_at(false);
+        }
+    }
+
+    /// Adds `flaps` links that just went out of service to `net.link.flaps`.
+    fn count_flaps(&mut self, flaps: u64) {
+        if flaps > 0 {
+            self.core.metrics.add("net.link.flaps", flaps);
+        }
+    }
+
+    /// Crashes `node`: its volatile state is reset via [`Node::on_crash`],
+    /// all pending timers are voided, and traffic addressed to it is
+    /// blackholed until it restarts. Idempotent.
+    ///
+    /// [`Node::on_crash`]: crate::Node::on_crash
+    fn crash_node(&mut self, node: NodeId) {
+        let idx = node.index();
+        if self.core.crashed[idx] {
+            return;
+        }
+        self.core.crashed[idx] = true;
+        self.core.epochs[idx] += 1;
+        self.core.metrics.inc("net.node.crashes");
+        let n = self.core.nodes[idx].as_mut().expect("node is being dispatched");
+        n.on_crash();
+    }
+
+    /// Restarts a crashed node: `on_start` runs again (re-arming timers) and
+    /// traffic flows to it once more. No-op if the node is not crashed.
+    fn restart_node(&mut self, node: NodeId) {
+        let idx = node.index();
+        if !self.core.crashed[idx] {
+            return;
+        }
+        self.core.crashed[idx] = false;
+        self.core.metrics.inc("net.node.restarts");
+        if self.started {
+            self.core.dispatch(node, Dispatch::Start);
+        }
     }
 }
 

@@ -9,7 +9,8 @@
 //! wired LAN, an inter-campus backbone, and the public Internet. This crate
 //! models exactly those parts:
 //!
-//! - [`Simulation`] — the single-threaded, deterministic event engine;
+//! - [`Simulation`] — the deterministic event engine, run serially or on
+//!   shard lanes ([`EngineConfig`]) with byte-identical results;
 //! - [`Node`] / [`Context`] — the actor interface for protocol code;
 //! - [`Link`] / [`LinkConfig`] — delay, jitter, loss (i.i.d. and
 //!   Gilbert–Elliott), bandwidth, and bounded queues;
@@ -23,9 +24,23 @@
 //! - [`FaultWindow`] / [`FaultAction`] — replayable fault schedules (link
 //!   flaps, loss bursts, latency spikes, partitions, node crash/restart),
 //!   each window a paired start/end the engine executes as ordinary events;
+//!   [`Simulation::apply_fault_plan`] is the only way to change link or node
+//!   state once the topology is built;
 //! - [`PopulationProfile`] / [`PopulationTimeline`] — deterministic
 //!   flash-crowd join schedules that drive the flyweight client pools of the
 //!   million-user population layer.
+//!
+//! # Modules
+//!
+//! The event core is split by concern: `sim` holds [`EngineConfig`], the
+//! causal stamps, the per-lane event core (dispatch, transmit, delivery)
+//! and [`Simulation`] itself (topology building, run loops, metrics flush);
+//! `envelope` stores messages in flight (a refcounted slab, re-indexed
+//! between slabs when the sharded engine moves events); `fault` lowers and
+//! executes fault schedules; `shard` is the conservative shard-parallel
+//! executor; `sched` is the timer wheel. `link`, `node`, `observe`, `trace`,
+//! `metrics`, `rng`, `time`, `topology` and `population` hold the models
+//! and measurement types listed above.
 //!
 //! # Examples
 //!
@@ -60,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod envelope;
 mod fault;
 mod link;
 mod metrics;
@@ -75,7 +91,7 @@ mod topology;
 mod trace;
 
 pub use fault::{FaultAction, FaultWindow};
-pub use link::{DropReason, Link, LinkConfig, LinkId, LinkStats, LossModel, Transmit};
+pub use link::{DropReason, Link, LinkConfig, LinkId, LossModel, Transmit};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, Summary};
 pub use node::{Context, Node, NodeId, Timer};
 pub use observe::{SimEvent, SimObserver, SimView};

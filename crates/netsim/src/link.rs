@@ -181,27 +181,6 @@ impl std::fmt::Display for DropReason {
     }
 }
 
-/// Cumulative per-link statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Packets accepted and delivered.
-    pub delivered: u64,
-    /// Packets dropped for any reason.
-    pub dropped: u64,
-    /// Packets dropped due to a full queue.
-    pub dropped_queue: u64,
-    /// Packets dropped due to channel loss.
-    pub dropped_loss: u64,
-    /// Packets dropped because the link was down.
-    pub dropped_down: u64,
-    /// Total payload bytes delivered.
-    pub bytes_delivered: u64,
-    /// Availability transitions into the down state (admin or partition).
-    pub flaps: u64,
-    /// Cumulative time spent unavailable, up to the last state transition.
-    pub time_down: SimDuration,
-}
-
 /// Runtime state of a directed link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -215,13 +194,10 @@ pub struct Link {
     up: bool,
     /// Severed by a network partition (orthogonal to admin `up`).
     partitioned: bool,
-    /// When the link last became unavailable, if currently down.
-    down_since: Option<SimTime>,
     /// Temporary loss process replacing the configured one (fault injection).
     loss_override: Option<LossModel>,
     /// Extra propagation delay added on top of the configured one.
     extra_delay: SimDuration,
-    stats: LinkStats,
 }
 
 /// Outcome of offering a packet to a link.
@@ -246,10 +222,8 @@ impl Link {
             ge_bad: false,
             up: true,
             partitioned: false,
-            down_since: None,
             loss_override: None,
             extra_delay: SimDuration::ZERO,
-            stats: LinkStats::default(),
         }
     }
 
@@ -258,57 +232,22 @@ impl Link {
         &self.cfg
     }
 
-    /// Cumulative statistics.
-    pub fn stats(&self) -> LinkStats {
-        self.stats
-    }
-
-    /// Administratively brings the link up or down (failure injection).
-    ///
-    /// Prefer [`Link::set_up_at`], which also maintains flap and time-down
-    /// accounting; this variant treats the change as happening at an unknown
-    /// time and only tracks the transition count.
-    pub fn set_up(&mut self, up: bool) {
-        self.set_up_at(SimTime::ZERO, up);
-    }
-
-    /// Administratively brings the link up or down at time `now`, updating
-    /// [`LinkStats::flaps`] and [`LinkStats::time_down`].
-    pub fn set_up_at(&mut self, now: SimTime, up: bool) {
+    /// Administratively brings the link up or down; returns whether the link
+    /// just became unavailable.
+    pub(crate) fn set_up_at(&mut self, up: bool) -> bool {
         let before = self.is_available();
         self.up = up;
-        self.transition_availability(now, before);
+        before && !self.is_available()
     }
 
-    /// Marks the link severed (or restored) by a network partition at `now`.
-    /// Partition state is tracked separately from admin state so healing a
-    /// partition never resurrects an administratively downed link.
-    pub fn set_partitioned_at(&mut self, now: SimTime, partitioned: bool) {
+    /// Marks the link severed (or restored) by a network partition; returns
+    /// whether the link just became unavailable. Partition state is tracked
+    /// separately from admin state so healing a partition never resurrects
+    /// an administratively downed link.
+    pub(crate) fn set_partitioned_at(&mut self, partitioned: bool) -> bool {
         let before = self.is_available();
         self.partitioned = partitioned;
-        self.transition_availability(now, before);
-    }
-
-    fn transition_availability(&mut self, now: SimTime, was_available: bool) {
-        let avail = self.is_available();
-        if was_available && !avail {
-            self.stats.flaps += 1;
-            self.down_since = Some(now);
-        } else if !was_available && avail {
-            if let Some(since) = self.down_since.take() {
-                self.stats.time_down += now.duration_since(since);
-            }
-        }
-    }
-
-    /// Whether the link is administratively up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Whether the link is currently severed by a partition.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
+        before && !self.is_available()
     }
 
     /// Whether the link can carry traffic (up and not partitioned).
@@ -318,7 +257,7 @@ impl Link {
 
     /// Replaces the loss process temporarily (`None` restores the configured
     /// model). Used by loss-burst fault windows.
-    pub fn set_loss_override(&mut self, loss: Option<LossModel>) {
+    pub(crate) fn set_loss_override(&mut self, loss: Option<LossModel>) {
         self.loss_override = loss;
     }
 
@@ -329,7 +268,7 @@ impl Link {
 
     /// Adds extra propagation delay on top of the configured one (`ZERO`
     /// restores normal latency). Used by latency-spike fault windows.
-    pub fn set_extra_delay(&mut self, extra: SimDuration) {
+    pub(crate) fn set_extra_delay(&mut self, extra: SimDuration) {
         self.extra_delay = extra;
     }
 
@@ -357,16 +296,12 @@ impl Link {
     /// transmitter (they are sent, then corrupted).
     pub fn transmit(&mut self, now: SimTime, size_bytes: u32, rng: &mut DetRng) -> Transmit {
         if !self.is_available() {
-            self.stats.dropped += 1;
-            self.stats.dropped_down += 1;
             return Transmit::Drop(DropReason::LinkDown);
         }
 
         // Queue admission.
         if let (Some(cap), Some(_)) = (self.cfg.queue_capacity_bytes, self.cfg.bandwidth_bps) {
             if self.backlog_bytes(now) + size_bytes as u64 > cap {
-                self.stats.dropped += 1;
-                self.stats.dropped_queue += 1;
                 return Transmit::Drop(DropReason::QueueFull);
             }
         }
@@ -395,8 +330,6 @@ impl Link {
             }
         };
         if lost {
-            self.stats.dropped += 1;
-            self.stats.dropped_loss += 1;
             return Transmit::Drop(DropReason::Loss);
         }
 
@@ -413,8 +346,6 @@ impl Link {
             arrival = self.last_arrival + SimDuration::from_nanos(1);
         }
         self.last_arrival = arrival;
-        self.stats.delivered += 1;
-        self.stats.bytes_delivered += size_bytes as u64;
         Transmit::Deliver { at: arrival }
     }
 }
@@ -468,7 +399,6 @@ mod tests {
         assert!(matches!(link.transmit(t0, 125, &mut r), Transmit::Deliver { .. }));
         assert!(matches!(link.transmit(t0, 125, &mut r), Transmit::Deliver { .. }));
         assert_eq!(link.transmit(t0, 125, &mut r), Transmit::Drop(DropReason::QueueFull));
-        assert_eq!(link.stats().dropped_queue, 1);
         // After the backlog drains, transmission succeeds again.
         assert!(matches!(
             link.transmit(SimTime::from_millis(2), 125, &mut r),
@@ -558,46 +488,41 @@ mod tests {
     #[test]
     fn down_link_drops_everything() {
         let mut link = Link::new(LinkConfig::new(SimDuration::from_millis(1)));
-        link.set_up(false);
+        link.set_up_at(false);
         let mut r = rng();
         assert_eq!(link.transmit(SimTime::ZERO, 10, &mut r), Transmit::Drop(DropReason::LinkDown));
-        link.set_up(true);
+        link.set_up_at(true);
         assert!(matches!(link.transmit(SimTime::ZERO, 10, &mut r), Transmit::Deliver { .. }));
-        assert_eq!(link.stats().dropped_down, 1);
     }
 
     #[test]
-    fn flap_and_time_down_accounting() {
+    fn only_a_new_outage_reports_a_flap() {
         let mut link = Link::new(LinkConfig::new(SimDuration::from_millis(1)));
-        link.set_up_at(SimTime::from_millis(10), false);
-        link.set_up_at(SimTime::from_millis(10), false); // idempotent, no extra flap
-        link.set_up_at(SimTime::from_millis(40), true);
-        link.set_up_at(SimTime::from_millis(100), false);
-        link.set_up_at(SimTime::from_millis(150), true);
-        assert_eq!(link.stats().flaps, 2);
-        assert_eq!(link.stats().time_down, SimDuration::from_millis(80));
+        assert!(link.set_up_at(false));
+        assert!(!link.set_up_at(false), "idempotent, no extra flap");
+        assert!(!link.set_up_at(true));
+        assert!(link.set_up_at(false));
+        assert!(!link.set_up_at(true));
     }
 
     #[test]
     fn partition_is_orthogonal_to_admin_state() {
         let mut link = Link::new(LinkConfig::new(SimDuration::from_millis(1)));
         let mut r = rng();
-        link.set_partitioned_at(SimTime::from_millis(5), true);
+        assert!(link.set_partitioned_at(true));
         assert!(!link.is_available());
-        assert!(link.is_up());
+        assert!(link.up, "the admin state is untouched");
         assert_eq!(
             link.transmit(SimTime::from_millis(6), 10, &mut r),
             Transmit::Drop(DropReason::LinkDown)
         );
         // Admin-down while partitioned; healing the partition must not
         // resurrect the link.
-        link.set_up_at(SimTime::from_millis(7), false);
-        link.set_partitioned_at(SimTime::from_millis(8), false);
+        assert!(!link.set_up_at(false), "one continuous outage");
+        assert!(!link.set_partitioned_at(false));
         assert!(!link.is_available());
-        link.set_up_at(SimTime::from_millis(9), true);
+        assert!(!link.set_up_at(true));
         assert!(link.is_available());
-        assert_eq!(link.stats().flaps, 1, "one continuous outage");
-        assert_eq!(link.stats().time_down, SimDuration::from_millis(4));
     }
 
     #[test]

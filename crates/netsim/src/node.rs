@@ -8,9 +8,9 @@
 
 use std::any::Any;
 
+use crate::envelope::{EnvSlab, Envelope};
 use crate::metrics::MetricsRegistry;
 use crate::rng::DetRng;
-use crate::sim::{EnvSlab, Envelope};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a node within a [`Simulation`](crate::Simulation).

@@ -93,7 +93,16 @@ pub enum SimEvent<'a> {
     },
 }
 
-/// A read-only snapshot of engine state handed to observers.
+/// A read-only snapshot of engine state handed to observers, taken after the
+/// event it accompanies was applied.
+///
+/// Crash flags and link availability change only when a scripted fault
+/// action executes (see
+/// [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan)),
+/// and every such action reaches the observer as a [`SimEvent::Fault`], so
+/// no change to this state goes unobserved. Under the sharded engine the
+/// clock and crash flags are exact, while link state is as of the last
+/// window barrier.
 pub struct SimView<'a> {
     pub(crate) time: SimTime,
     pub(crate) crashed: &'a [bool],

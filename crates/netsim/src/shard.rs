@@ -121,6 +121,11 @@ fn dummy_link() -> Link {
 /// Pending scripted faults, held by the coordinator in `(time, stamp)` order.
 type FaultQueue = VecDeque<(SimTime, u128, usize)>;
 
+/// One slot per shard lane, `None` while a worker thread holds the lane.
+/// Lanes are boxed, so one crosses the worker channels as a pointer rather
+/// than as a 2 KB [`Core`].
+pub(crate) type Lanes<M> = Vec<Option<Box<Core<M>>>>;
+
 /// Splits the simulation into per-shard lanes. Each lane is a full-width
 /// [`Core`] (vectors indexed by global id) holding only the nodes, links,
 /// and pending events its shard owns; everything else is an empty slot.
@@ -129,18 +134,15 @@ type FaultQueue = VecDeque<(SimTime, u128, usize)>;
 /// Lanes parked by the previous [`reassemble`] are reused, with their
 /// wheels, slabs, registries and buffers, so only the first deal-out of a
 /// simulation builds lanes from scratch.
-fn deal_out<M: Clone + 'static>(
-    sim: &mut Simulation<M>,
-    plan: &Plan,
-) -> (Vec<Core<M>>, FaultQueue) {
+fn deal_out<M: Clone + 'static>(sim: &mut Simulation<M>, plan: &Plan) -> (Lanes<M>, FaultQueue) {
     let k = plan.shards;
     let n = sim.core.nodes.len();
     let nl = sim.core.links.len();
     let buffered = sim.core.trace.is_some() || sim.core.observer.is_some();
     let mut lanes = std::mem::take(&mut sim.lanes);
     lanes.truncate(k);
-    lanes.resize_with(k, Core::new_serial);
-    for (i, lane) in lanes.iter_mut().enumerate() {
+    lanes.resize_with(k, || Some(Box::new(Core::new_serial())));
+    for (i, lane) in lanes.iter_mut().flatten().enumerate() {
         lane.time = sim.core.time;
         lane.cur_depth = sim.core.cur_depth;
         lane.cur_stamp = sim.core.cur_stamp;
@@ -164,20 +166,22 @@ fn deal_out<M: Clone + 'static>(
     }
     for idx in 0..n {
         let s = plan.shard_of[idx] as usize;
-        lanes[s].nodes[idx] = sim.core.nodes[idx].take();
-        lanes[s].rngs[idx] = std::mem::replace(&mut sim.core.rngs[idx], DetRng::new(0));
+        let lane = lane(&mut lanes, s);
+        lane.nodes[idx] = sim.core.nodes[idx].take();
+        lane.rngs[idx] = std::mem::replace(&mut sim.core.rngs[idx], DetRng::new(0));
     }
     for li in 0..nl {
         let s = plan.shard_of[sim.core.link_ends[li].0.index()] as usize;
-        lanes[s].links[li] = std::mem::replace(&mut sim.core.links[li], dummy_link());
-        lanes[s].link_rngs[li] = std::mem::replace(&mut sim.core.link_rngs[li], DetRng::new(0));
+        let lane = lane(&mut lanes, s);
+        lane.links[li] = std::mem::replace(&mut sim.core.links[li], dummy_link());
+        lane.link_rngs[li] = std::mem::replace(&mut sim.core.link_rngs[li], DetRng::new(0));
     }
     // The serial world's warm op arena goes to lane 0 in exchange for that
     // lane's own; the other lanes keep theirs, and reassembly hands the
     // widest one back.
-    std::mem::swap(&mut lanes[0].ops_arena, &mut sim.core.ops_arena);
+    std::mem::swap(&mut lane(&mut lanes, 0).ops_arena, &mut sim.core.ops_arena);
     for (j, buf) in sim.core.spare_boxes.drain(..).enumerate() {
-        lanes[j % k].spare_boxes.push(buf);
+        lane(&mut lanes, j % k).spare_boxes.push(buf);
     }
     let mut faults = FaultQueue::new();
     let core = &mut sim.core;
@@ -193,14 +197,14 @@ fn deal_out<M: Clone + 'static>(
                 // slab, one copy per lane for an envelope that deliveries
                 // in several lanes share; the queue entry is re-indexed.
                 let s = plan.shard_of[dst.index()] as usize;
-                let env =
-                    core.env_remap.move_ref(&mut core.env_slab, env, s, &mut lanes[s].env_slab);
-                lanes[s].queue.push(at, stamp, EventKind::Deliver { dst, env });
+                let lane = lane(&mut lanes, s);
+                let env = core.env_remap.move_ref(&mut core.env_slab, env, s, &mut lane.env_slab);
+                lane.queue.push(at, stamp, EventKind::Deliver { dst, env });
                 continue;
             }
             EventKind::Timer { node, .. } => plan.shard_of[node.index()],
         };
-        lanes[shard as usize].queue.push(at, stamp, kind);
+        lane(&mut lanes, shard as usize).queue.push(at, stamp, kind);
     }
     debug_assert_eq!(core.env_slab.live(), 0, "a global envelope outlived its queue entries");
     // The drained wheel keeps its storage; its cursor sits at the last
@@ -219,17 +223,18 @@ fn deal_out<M: Clone + 'static>(
 /// zero, but all storage kept.
 fn reassemble<M: Clone + 'static>(
     sim: &mut Simulation<M>,
-    mut lanes: Vec<Core<M>>,
+    mut lanes: Lanes<M>,
     faults: FaultQueue,
 ) {
+    debug_assert!(lanes.iter().all(Option::is_some), "a lane is still out with a worker");
     let mut best = (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth);
-    for lane in &lanes {
+    for lane in lanes.iter().flatten() {
         if (lane.time, lane.cur_stamp) > (best.0, best.1) {
             best = (lane.time, lane.cur_stamp, lane.cur_depth);
         }
     }
     (sim.core.time, sim.core.cur_stamp, sim.core.cur_depth) = (best.0, best.1, best.2);
-    for lane in &mut lanes {
+    for lane in lanes.iter_mut().flatten() {
         debug_assert!(lane.event_keys.is_empty());
         debug_assert!(lane.outboxes.iter().all(Vec::is_empty));
         for idx in 0..lane.nodes.len() {
@@ -346,14 +351,14 @@ fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-fn lane<M>(lanes: &mut [Option<Core<M>>], i: usize) -> &mut Core<M> {
-    lanes[i].as_mut().expect("lane checked in at barrier")
+fn lane<M>(lanes: &mut [Option<Box<Core<M>>>], i: usize) -> &mut Core<M> {
+    lanes[i].as_mut().expect("lane checked in")
 }
 
 /// Merges the lanes' buffered event streams back into the global
 /// `(time, stamp)` order and replays each event into the trace and the
 /// observer, then clears the buffers. Called at every window barrier.
-fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Core<M>>]) {
+fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Box<Core<M>>>]) {
     let k = lanes.len();
     if (0..k).all(|i| lane(lanes, i).event_keys.is_empty()) {
         return;
@@ -407,16 +412,16 @@ fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Core<
 /// replaced by a recycled spare, so no per-event push crosses threads at the
 /// barrier. Every entry lands at or past the window end — guaranteed by the
 /// lookahead — so no lane ever sees its past change.
-fn exchange_outboxes<M: 'static>(lanes: &mut [Option<Core<M>>], w_end: Option<SimTime>) {
+fn exchange_outboxes<M: 'static>(lanes: &mut [Option<Box<Core<M>>>], w_end: Option<SimTime>) {
     let k = lanes.len();
     for i in 0..k {
-        let mut boxes = std::mem::take(&mut lanes[i].as_mut().expect("lane checked in").outboxes);
+        let mut boxes = std::mem::take(&mut lane(lanes, i).outboxes);
         for (dst, slot) in boxes.iter_mut().enumerate() {
             if slot.is_empty() {
                 continue;
             }
             let (min_ns, buf) = {
-                let src = lanes[i].as_mut().expect("lane checked in");
+                let src = lane(lanes, i);
                 let spare = src.spare_boxes.pop().unwrap_or_default();
                 let min_ns = std::mem::replace(&mut src.outbox_mins[dst], u64::MAX);
                 (min_ns, std::mem::replace(slot, spare))
@@ -425,13 +430,13 @@ fn exchange_outboxes<M: 'static>(lanes: &mut [Option<Core<M>>], w_end: Option<Si
                 w_end.is_none_or(|e| min_ns >= e.as_nanos()),
                 "cross-shard delivery inside its own window"
             );
-            let target = lanes[dst].as_mut().expect("lane checked in");
+            let target = lane(lanes, dst);
             if min_ns < target.inbox_min_ns {
                 target.inbox_min_ns = min_ns;
             }
             target.inboxes.push(buf);
         }
-        lanes[i].as_mut().expect("lane checked in").outboxes = boxes;
+        lane(lanes, i).outboxes = boxes;
     }
 }
 
@@ -452,18 +457,18 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
     };
     let k = plan.shards;
 
-    let (mut lanes, mut faults) = deal_out(sim, &plan);
+    let (mut slots, mut faults) = deal_out(sim, &plan);
     let mut total: u64 = 0;
     let mut windows: u64 = 0;
     let mut shard_events = vec![0u64; k];
     let mut window_hist = crate::metrics::Histogram::new();
 
     std::thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Core<M>, u64)>();
+        let (done_tx, done_rx) = mpsc::channel::<(usize, Box<Core<M>>, u64)>();
         let mut work_txs = Vec::with_capacity(k);
         let mut workers = Vec::with_capacity(k);
         for _ in 0..k {
-            let (tx, rx) = mpsc::channel::<(Core<M>, Option<SimTime>)>();
+            let (tx, rx) = mpsc::channel::<(Box<Core<M>>, Option<SimTime>)>();
             work_txs.push(tx);
             let done = done_tx.clone();
             workers.push(scope.spawn(move || {
@@ -480,7 +485,6 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
         }
         drop(done_tx);
 
-        let mut slots: Vec<Option<Core<M>>> = lanes.drain(..).map(Some).collect();
         let mut busy: Vec<usize> = Vec::with_capacity(k);
         loop {
             if total >= limit {
@@ -503,16 +507,12 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
                 // A fault mutates global state (links, crash flags): fold the
                 // lanes together and run this whole instant serially, then
                 // deal the world back out.
-                let taken: Vec<Core<M>> =
-                    slots.iter_mut().map(|s| s.take().expect("lane checked in")).collect();
-                reassemble(sim, taken, std::mem::take(&mut faults));
+                reassemble(sim, slots, std::mem::take(&mut faults));
                 while sim.core.queue.peek_key().is_some_and(|(at, _)| at == w_start) {
                     sim.step_event();
                     total += 1;
                 }
-                let (new_lanes, new_faults) = deal_out(sim, &plan);
-                slots = new_lanes.into_iter().map(Some).collect();
-                faults = new_faults;
+                (slots, faults) = deal_out(sim, &plan);
                 continue;
             }
             let mut w_end = window_end(w_start, plan.lookahead_ns);
@@ -554,9 +554,7 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
             exchange_outboxes(&mut slots, w_end);
             replay_barrier(sim, &mut slots);
         }
-        let taken: Vec<Core<M>> =
-            slots.iter_mut().map(|s| s.take().expect("lane checked in")).collect();
-        reassemble(sim, taken, faults);
+        reassemble(sim, slots, faults);
         // The scope only waits for the workers' closures; joining also
         // waits for their threads to exit, so glibc has put their malloc
         // arenas back on its free list before the next run call's workers

@@ -10,7 +10,8 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::fault::{FaultAction, FaultWindow};
+use crate::envelope::{EnvSlab, Envelope, Outbox, Remap};
+use crate::fault::FaultAction;
 use crate::link::{DropReason, Link, LinkConfig, LinkId, Transmit};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::node::{Context, Node, NodeId, Op, Timer};
@@ -102,202 +103,6 @@ pub(crate) fn pack_stamp(depth: u16, origin: u32, counter: u64) -> u128 {
 
 pub(crate) fn stamp_depth(stamp: u128) -> u16 {
     (stamp >> 96) as u16
-}
-
-/// A message in flight: its sender, wire size, send time and payload. The
-/// destination rides on the queue entry ([`EventKind::Deliver`]) or the
-/// outbox entry, so one envelope can serve several destinations.
-#[derive(Clone)]
-pub(crate) struct Envelope<M> {
-    /// Originating node.
-    pub(crate) src: NodeId,
-    /// Wire size used for serialization/queueing, in bytes.
-    pub(crate) size_bytes: u32,
-    /// Time the message was first offered to the network.
-    pub(crate) sent_at: SimTime,
-    /// Application payload.
-    pub(crate) payload: M,
-}
-
-/// A slab entry: an envelope and the number of pending send ops and queue
-/// entries that still name it.
-struct Entry<M> {
-    env: Envelope<M>,
-    refs: u32,
-}
-
-/// Refcounted slab storage for in-flight [`Envelope`]s.
-///
-/// [`Context::send`] stores a payload here at call time and hands the
-/// engine a `u32` index; [`Context::send_all`] stores it once for every
-/// destination. Ops and queue entries carry that index, which keeps
-/// [`Op`] and [`EventKind`] small, fixed-size, and independent of the
-/// message type: the timer wheel moves 24-byte payloads around while the
-/// (potentially fat) envelopes stay put. Each delivery, drop or cross-shard
-/// copy releases one reference; the last one moves the payload out and the
-/// earlier ones clone it. Freed slots are recycled LIFO, so steady-state
-/// traffic performs no allocation once the slab has grown to its high-water
-/// mark.
-pub(crate) struct EnvSlab<M> {
-    slots: Vec<Option<Entry<M>>>,
-    free: Vec<u32>,
-    live: u32,
-    high_water: u32,
-}
-
-impl<M> EnvSlab<M> {
-    pub(crate) fn new() -> Self {
-        EnvSlab { slots: Vec::new(), free: Vec::new(), live: 0, high_water: 0 }
-    }
-
-    /// Stores `env` with one reference.
-    pub(crate) fn insert(&mut self, env: Envelope<M>) -> u32 {
-        self.insert_entry(Entry { env, refs: 1 })
-    }
-
-    /// Stores `entry` with the references it already holds.
-    fn insert_entry(&mut self, entry: Entry<M>) -> u32 {
-        self.live += 1;
-        if self.live > self.high_water {
-            self.high_water = self.live;
-        }
-        let entry = Some(entry);
-        match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = entry;
-                idx
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(entry);
-                idx
-            }
-        }
-    }
-
-    fn entry(&mut self, idx: u32) -> &mut Entry<M> {
-        self.slots[idx as usize].as_mut().expect("envelope already released")
-    }
-
-    /// The envelope at `idx`.
-    pub(crate) fn get(&self, idx: u32) -> &Envelope<M> {
-        &self.slots[idx as usize].as_ref().expect("envelope already released").env
-    }
-
-    /// Adds a reference to the envelope at `idx`.
-    pub(crate) fn share(&mut self, idx: u32) {
-        self.entry(idx).refs += 1;
-    }
-
-    /// Drops one reference, freeing the slot (and the payload) with the last.
-    pub(crate) fn release(&mut self, idx: u32) {
-        let entry = self.entry(idx);
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            self.remove(idx);
-        }
-    }
-
-    /// Frees the slot at `idx` and returns its entry, references and all.
-    fn remove(&mut self, idx: u32) -> Entry<M> {
-        let entry = self.slots[idx as usize].take().expect("envelope already released");
-        self.free.push(idx);
-        self.live -= 1;
-        entry
-    }
-
-    /// Number of envelopes currently stored.
-    pub(crate) fn live(&self) -> u32 {
-        self.live
-    }
-
-    /// Highest number of envelopes ever live at once.
-    pub(crate) fn high_water(&self) -> u32 {
-        self.high_water
-    }
-
-    /// Folds in another slab's high water (largest per-executor-lane
-    /// population wins).
-    pub(crate) fn raise_high_water(&mut self, hw: u32) {
-        if hw > self.high_water {
-            self.high_water = hw;
-        }
-    }
-
-    /// Committed heap footprint of the slab's own storage in bytes.
-    pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Option<Entry<M>>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
-impl<M: Clone> EnvSlab<M> {
-    /// Takes one reference as an owned envelope: the last reference moves
-    /// it out of the slab, an earlier one clones it.
-    pub(crate) fn take(&mut self, idx: u32) -> Envelope<M> {
-        let entry = self.entry(idx);
-        if entry.refs > 1 {
-            entry.refs -= 1;
-            entry.env.clone()
-        } else {
-            self.remove(idx).env
-        }
-    }
-}
-
-/// Maps slab indices of one slab to indices of others while queue entries
-/// move between them (shard deal-out and reassembly), so entries that
-/// shared an envelope before the move share one after it — one copy per
-/// destination slab. The table is recycled: it keeps its capacity across
-/// moves, so a move allocates only while the slabs still grow.
-#[derive(Default)]
-pub(crate) struct Remap {
-    table: Vec<u32>,
-    ways: usize,
-}
-
-impl Remap {
-    const UNMAPPED: u32 = u32::MAX;
-
-    /// Clears the table for moving references out of `from` into `ways`
-    /// destination slabs.
-    pub(crate) fn reset<M>(&mut self, from: &EnvSlab<M>, ways: usize) {
-        self.ways = ways;
-        self.table.clear();
-        self.table.resize(from.slots.len() * ways, Self::UNMAPPED);
-    }
-
-    /// Moves one reference to `from`'s envelope `idx` into destination slab
-    /// `way`, `to`, and returns its index there. With one way every
-    /// reference goes to `to`, so the first to arrive moves the entry whole,
-    /// with all its references, and later ones only look up its index. With
-    /// several, the first reference to arrive in `to` takes a copy (the last
-    /// one of `from` moves it), and later ones share that copy.
-    pub(crate) fn move_ref<M: Clone>(
-        &mut self,
-        from: &mut EnvSlab<M>,
-        idx: u32,
-        way: usize,
-        to: &mut EnvSlab<M>,
-    ) -> u32 {
-        let slot = &mut self.table[idx as usize * self.ways + way];
-        if *slot == Self::UNMAPPED {
-            *slot = if self.ways == 1 {
-                to.insert_entry(from.remove(idx))
-            } else {
-                to.insert(from.take(idx))
-            };
-        } else if self.ways > 1 {
-            to.share(*slot);
-            from.release(idx);
-        }
-        *slot
-    }
-
-    /// Committed heap footprint of the table in bytes.
-    pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.table.capacity() * std::mem::size_of::<u32>()) as u64
-    }
 }
 
 pub(crate) enum EventKind {
@@ -424,10 +229,6 @@ pub(crate) struct Core<M> {
     pub(crate) delivery_hist: Histogram,
 }
 
-/// One shard-pair outbox: stamped cross-shard deliveries awaiting exchange,
-/// each with its destination and its own copy of the envelope.
-pub(crate) type Outbox<M> = Vec<(SimTime, u128, NodeId, Envelope<M>)>;
-
 impl<M> Core<M> {
     pub(crate) fn new_serial() -> Self {
         Core {
@@ -529,7 +330,7 @@ impl<M> Core<M> {
     }
 
     /// Emits `event` with a post-event view of this core.
-    fn emit(&mut self, event: &SimEvent<'_>) {
+    pub(crate) fn emit(&mut self, event: &SimEvent<'_>) {
         let view = SimView {
             time: self.time,
             crashed: &self.crashed,
@@ -761,9 +562,9 @@ pub struct Simulation<M> {
     pub(crate) core: Core<M>,
     names: Vec<String>,
     /// Scripted fault actions, indexed by `EventKind::Fault` events.
-    fault_actions: Vec<FaultAction>,
+    pub(crate) fault_actions: Vec<FaultAction>,
     master_rng: DetRng,
-    started: bool,
+    pub(crate) started: bool,
     inject_counter: u64,
     pub(crate) engine: EngineConfig,
     /// Bumped on every topology change; invalidates the shard plan.
@@ -771,7 +572,7 @@ pub struct Simulation<M> {
     pub(crate) shard_cache: Option<crate::shard::ShardCache>,
     /// Shard lanes parked between sharded runs, emptied but with their
     /// storage kept (see [`crate::shard`]).
-    pub(crate) lanes: Vec<Core<M>>,
+    pub(crate) lanes: crate::shard::Lanes<M>,
 }
 
 impl<M: Clone + 'static> Simulation<M> {
@@ -863,7 +664,7 @@ impl<M: Clone + 'static> Simulation<M> {
     /// the `Arc::make_mut` of an edit changes them in place instead of
     /// copying them. Deal-out hands the lanes fresh shares.
     fn unpin_topology(&mut self) {
-        for lane in &mut self.lanes {
+        for lane in self.lanes.iter_mut().flatten() {
             if Arc::ptr_eq(&lane.adjacency, &self.core.adjacency) {
                 lane.link_ends = Arc::default();
                 lane.adjacency = Arc::default();
@@ -919,210 +720,6 @@ impl<M: Clone + 'static> Simulation<M> {
     /// The directed link `from → to`, if one exists.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         self.core.adjacency.get(from.index())?.get(&to.0).copied()
-    }
-
-    /// Brings both directions between `a` and `b` up or down, maintaining
-    /// flap accounting and the `net.link.flaps` counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either directed link does not exist.
-    pub fn set_connection_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        let ab = self.link_between(a, b).expect("no a->b link");
-        let ba = self.link_between(b, a).expect("no b->a link");
-        self.with_flap_metric(ab, |link, now| link.set_up_at(now, up));
-        self.with_flap_metric(ba, |link, now| link.set_up_at(now, up));
-    }
-
-    /// Applies a state change to a link and mirrors any new availability
-    /// flaps into the `net.link.flaps` counter.
-    fn with_flap_metric(&mut self, id: LinkId, apply: impl FnOnce(&mut Link, SimTime)) {
-        let now = self.core.time;
-        let link = &mut self.core.links[id.index()];
-        let before = link.stats().flaps;
-        apply(link, now);
-        let delta = link.stats().flaps - before;
-        if delta > 0 {
-            self.core.metrics.add("net.link.flaps", delta);
-        }
-    }
-
-    /// Severs every link whose endpoints fall in different `groups`,
-    /// emulating a network partition. Nodes not listed in any group keep all
-    /// their links. Partition state is tracked separately from admin state:
-    /// [`Simulation::heal_partition`] restores exactly the links severed
-    /// here, never administratively downed ones.
-    pub fn partition(&mut self, groups: &[&[NodeId]]) {
-        let owned: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.partition_groups(&owned);
-    }
-
-    fn partition_groups(&mut self, groups: &[Vec<NodeId>]) {
-        let mut membership: Vec<Option<usize>> = vec![None; self.core.nodes.len()];
-        for (gi, group) in groups.iter().enumerate() {
-            for node in group {
-                membership[node.index()] = Some(gi);
-            }
-        }
-        for i in 0..self.core.links.len() {
-            let (from, to) = self.core.link_ends[i];
-            if let (Some(ga), Some(gb)) = (membership[from.index()], membership[to.index()]) {
-                if ga != gb {
-                    self.with_flap_metric(LinkId(i as u32), |link, now| {
-                        link.set_partitioned_at(now, true)
-                    });
-                }
-            }
-        }
-    }
-
-    /// Heals all partition-severed links.
-    pub fn heal_partition(&mut self) {
-        for i in 0..self.core.links.len() {
-            if self.core.links[i].is_partitioned() {
-                self.with_flap_metric(LinkId(i as u32), |link, now| {
-                    link.set_partitioned_at(now, false)
-                });
-            }
-        }
-    }
-
-    /// Crashes `node`: its volatile state is reset via
-    /// [`Node::on_crash`], all pending timers are voided, and traffic
-    /// addressed to it is blackholed until [`Simulation::restart_node`].
-    /// Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is unknown or currently being dispatched.
-    pub fn crash_node(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.core.crashed[idx] {
-            return;
-        }
-        self.core.crashed[idx] = true;
-        self.core.epochs[idx] += 1;
-        self.core.metrics.inc("net.node.crashes");
-        let n = self.core.nodes[idx].as_mut().expect("node is being dispatched");
-        n.on_crash();
-    }
-
-    /// Restarts a crashed node: `on_start` runs again (re-arming timers) and
-    /// traffic flows to it once more. No-op if the node is not crashed.
-    pub fn restart_node(&mut self, node: NodeId) {
-        let idx = node.index();
-        if !self.core.crashed[idx] {
-            return;
-        }
-        self.core.crashed[idx] = false;
-        self.core.metrics.inc("net.node.restarts");
-        if self.started {
-            self.core.dispatch(node, Dispatch::Start);
-        }
-    }
-
-    /// Installs a fault schedule: each window lowers to its start and end
-    /// [`FaultAction`], and each action becomes an engine event executed at
-    /// its time, recorded in metrics (`fault.injected` plus a per-action
-    /// counter) and, when tracing is enabled, in the trace as
-    /// [`TraceKind::Fault`](crate::TraceKind::Fault). Actions at the same
-    /// instant execute in list order (a window's start before its end).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Simulation::validate_fault_plan`] rejects the schedule.
-    pub fn apply_fault_plan(&mut self, windows: &[FaultWindow]) {
-        if let Err(e) = self.validate_fault_plan(windows) {
-            panic!("{e}");
-        }
-        let mut events: Vec<_> = windows.iter().flat_map(FaultWindow::lower).collect();
-        // Stable: ties keep list order.
-        events.sort_by_key(|&(at, _)| at);
-        for (at, action) in events {
-            let index = self.fault_actions.len();
-            self.fault_actions.push(action);
-            let stamp = pack_stamp(0, FAULT_ORIGIN, index as u64);
-            self.core.queue.push(at, stamp, EventKind::Fault { index });
-        }
-    }
-
-    /// Checks a fault schedule against this simulation without installing
-    /// it. Every window must end after it starts and start no earlier than
-    /// the current time; a link fault needs links both ways between its two
-    /// nodes, and a crashed node or partition member must exist. The error
-    /// names the first offending window by its index.
-    pub fn validate_fault_plan(&self, windows: &[FaultWindow]) -> Result<(), String> {
-        let known = |node: &NodeId| node.index() < self.core.nodes.len();
-        for (i, w) in windows.iter().enumerate() {
-            let problem = if w.until() <= w.from() {
-                Some("must end after it starts".to_string())
-            } else if w.from() < self.core.time {
-                Some("starts in the past".to_string())
-            } else {
-                match w {
-                    FaultWindow::LinkFlap { a, b, .. }
-                    | FaultWindow::LossBurst { a, b, .. }
-                    | FaultWindow::LatencySpike { a, b, .. } => {
-                        (self.link_between(*a, *b).is_none() || self.link_between(*b, *a).is_none())
-                            .then(|| format!("no link between {a} and {b}"))
-                    }
-                    FaultWindow::Partition { groups, .. } => groups
-                        .iter()
-                        .flatten()
-                        .find(|n| !known(n))
-                        .map(|n| format!("unknown node {n}")),
-                    FaultWindow::CrashRestart { node, .. } => {
-                        (!known(node)).then(|| format!("unknown node {node}"))
-                    }
-                }
-            };
-            if let Some(problem) = problem {
-                return Err(format!("fault window {i} ({}): {problem}", w.kind()));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn execute_fault(&mut self, index: usize) {
-        let action = self.fault_actions[index].clone();
-        self.core.metrics.inc("fault.injected");
-        self.core.metrics.inc(action.metric());
-        // The trace records the fault before its action runs, so a restarted
-        // node's `on_start` sends follow it; the observer sees it afterwards,
-        // with the post-fault view.
-        if let Some(trace) = &mut self.core.trace {
-            trace.record_fault(self.core.time, &action);
-        }
-        match action {
-            FaultAction::LinkDown { a, b } => self.set_connection_up(a, b, false),
-            FaultAction::LinkUp { a, b } => self.set_connection_up(a, b, true),
-            FaultAction::LossBurstStart { a, b, loss } => {
-                self.for_both_directions(a, b, |link| link.set_loss_override(Some(loss)));
-            }
-            FaultAction::LossBurstEnd { a, b } => {
-                self.for_both_directions(a, b, |link| link.set_loss_override(None));
-            }
-            FaultAction::LatencySpikeStart { a, b, extra } => {
-                self.for_both_directions(a, b, |link| link.set_extra_delay(extra));
-            }
-            FaultAction::LatencySpikeEnd { a, b } => {
-                self.for_both_directions(a, b, |link| {
-                    link.set_extra_delay(crate::time::SimDuration::ZERO)
-                });
-            }
-            FaultAction::Partition { groups } => self.partition_groups(&groups),
-            FaultAction::Heal => self.heal_partition(),
-            FaultAction::CrashNode { node } => self.crash_node(node),
-            FaultAction::RestartNode { node } => self.restart_node(node),
-        }
-        self.core.emit(&SimEvent::Fault { action: &self.fault_actions[index] });
-    }
-
-    fn for_both_directions(&mut self, a: NodeId, b: NodeId, mut apply: impl FnMut(&mut Link)) {
-        let ab = self.link_between(a, b).expect("no a->b link");
-        let ba = self.link_between(b, a).expect("no b->a link");
-        apply(&mut self.core.links[ab.index()]);
-        apply(&mut self.core.links[ba.index()]);
     }
 
     /// Current simulated time.
@@ -1361,7 +958,10 @@ impl<M> std::fmt::Debug for Simulation<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
+    use crate::fault::FaultWindow;
     use crate::time::SimDuration;
     use crate::trace::TraceKind;
 
@@ -1548,14 +1148,17 @@ mod tests {
 
     #[test]
     fn link_down_blackholes_traffic() {
-        let mut sim: Simulation<Msg> = Simulation::new(5);
-        let sink = sim.add_node("sink", Sink { got: vec![] });
-        let src = sim.add_node("src", Source { dst: sink });
-        sim.connect(src, sink, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.set_connection_up(src, sink, false);
+        // The first ping and its pong cross at 1 and 2 ms; the link is down
+        // when the second ping leaves at 2 ms, which ends the rally.
+        let (mut sim, a, b) = two_node_sim(1);
+        let counts = count_events(&mut sim);
+        let (from, until) = (SimTime::from_micros(1_500), SimTime::from_millis(50));
+        sim.apply_fault_plan(&[FaultWindow::LinkFlap { a, b, from, until }]);
         sim.run_until_idle();
-        assert!(sim.node_as::<Sink>(sink).unwrap().got.is_empty());
+        assert_eq!(sim.node_as::<Pinger>(a).unwrap().rtts.len(), 1);
         assert_eq!(sim.metrics().counter_value("net.dropped.down"), 1);
+        assert_eq!(sim.metrics().counter_value("net.link.flaps"), 2, "both directions");
+        assert_faults(&sim, &counts, 2);
     }
 
     /// Counts messages and tick timers; resets its counters on crash.
@@ -1602,9 +1205,11 @@ mod tests {
         let c = sim.add_node("counter", Counter::new());
         let src = sim.add_node("src", Bystander);
         sim.connect(src, c, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.run_until(SimTime::from_millis(35)); // 3 ticks at 10/20/30 ms
-        assert_eq!(sim.node_as::<Counter>(c).unwrap().ticks, 3);
-        sim.crash_node(c);
+        let counts = count_events(&mut sim);
+        let (from, until) = (SimTime::from_millis(35), SimTime::from_millis(200));
+        sim.apply_fault_plan(&[FaultWindow::CrashRestart { node: c, from, until }]);
+        sim.run_until(from);
+        assert_eq!(counts.lock().unwrap().timers, 3, "ticks at 10/20/30 ms");
         assert_eq!(sim.node_as::<Counter>(c).unwrap().crashes, 1);
         sim.inject(SimTime::from_millis(40), src, c, Msg::Ping(1), 8);
         sim.run_until(SimTime::from_millis(100));
@@ -1612,22 +1217,23 @@ mod tests {
         assert_eq!(counter.got, 0, "messages to a crashed node are blackholed");
         assert_eq!(counter.ticks, 0, "timers do not fire while crashed");
         assert_eq!(sim.metrics().counter_value("net.dropped.node_down"), 1);
+        assert_faults(&sim, &counts, 1);
     }
 
     #[test]
     fn restart_rearms_timers_and_voids_stale_ones() {
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let c = sim.add_node("counter", Counter::new());
-        sim.run_until(SimTime::from_millis(5));
-        sim.crash_node(c);
-        sim.run_until(SimTime::from_millis(50));
-        sim.restart_node(c);
+        let counts = count_events(&mut sim);
+        let (from, until) = (SimTime::from_millis(5), SimTime::from_millis(50));
+        sim.apply_fault_plan(&[FaultWindow::CrashRestart { node: c, from, until }]);
         sim.run_until(SimTime::from_millis(75)); // restarted ticks at 60/70 ms
         let counter = sim.node_as::<Counter>(c).unwrap();
         assert_eq!(counter.starts, 2, "on_start runs again at restart");
         assert_eq!(counter.ticks, 2, "only post-restart timers fire");
         assert_eq!(sim.metrics().counter_value("net.node.crashes"), 1);
         assert_eq!(sim.metrics().counter_value("net.node.restarts"), 1);
+        assert_faults(&sim, &counts, 2);
     }
 
     #[test]
@@ -1639,15 +1245,19 @@ mod tests {
         sim.connect(a, b, LinkConfig::new(SimDuration::from_millis(1)));
         sim.connect(a, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.connect(b, c, LinkConfig::new(SimDuration::from_millis(1)));
-        let (side_a, side_bc): (&[NodeId], &[NodeId]) = (&[a], &[b, c]);
-        sim.partition(&[side_a, side_bc]);
+        let counts = count_events(&mut sim);
+        let (from, until) = (SimTime::from_millis(5), SimTime::from_millis(10));
+        let groups = vec![vec![a], vec![b, c]];
+        sim.apply_fault_plan(&[FaultWindow::Partition { groups, from, until }]);
+        sim.run_until(from);
         assert!(!sim.link(sim.link_between(a, b).unwrap()).is_available());
         assert!(!sim.link(sim.link_between(a, c).unwrap()).is_available());
         assert!(sim.link(sim.link_between(b, c).unwrap()).is_available());
         assert_eq!(sim.metrics().counter_value("net.link.flaps"), 4);
-        sim.heal_partition();
+        sim.run_until(until);
         assert!(sim.link(sim.link_between(a, b).unwrap()).is_available());
         assert!(sim.link(sim.link_between(a, c).unwrap()).is_available());
+        assert_faults(&sim, &counts, 2);
     }
 
     #[test]
@@ -1657,8 +1267,8 @@ mod tests {
         let c = sim.add_node("counter", Counter { hello: Some(sink), ..Counter::new() });
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
         sim.enable_trace(10_000);
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let log = std::sync::Arc::clone(&seen);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
         sim.set_observer(move |view: &crate::SimView<'_>, event: &crate::SimEvent<'_>| {
             let kind = match event {
                 crate::SimEvent::Sent { .. } => "sent",
@@ -1720,7 +1330,7 @@ mod tests {
         no_route: u64,
     }
 
-    impl crate::observe::SimObserver for std::sync::Arc<std::sync::Mutex<CountingObserver>> {
+    impl crate::observe::SimObserver for Arc<Mutex<CountingObserver>> {
         fn on_event(&mut self, _view: &crate::SimView<'_>, event: &crate::SimEvent<'_>) {
             let mut c = self.lock().unwrap();
             match event {
@@ -1735,14 +1345,27 @@ mod tests {
         }
     }
 
+    /// Installs a [`CountingObserver`] on `sim` and returns its counts.
+    fn count_events(sim: &mut Simulation<Msg>) -> Arc<Mutex<CountingObserver>> {
+        let counts = Arc::new(Mutex::new(CountingObserver::default()));
+        sim.set_observer(Arc::clone(&counts));
+        counts
+    }
+
+    /// Asserts that `actions` fault actions ran, each counted once in
+    /// `fault.injected` and observed once as a [`SimEvent::Fault`].
+    fn assert_faults(sim: &Simulation<Msg>, counts: &Mutex<CountingObserver>, actions: u64) {
+        assert_eq!(sim.metrics().counter_value("fault.injected"), actions);
+        assert_eq!(counts.lock().unwrap().faults, actions);
+    }
+
     #[test]
     fn observer_sees_every_boundary_and_counts_match_metrics() {
-        let counts = std::sync::Arc::new(std::sync::Mutex::new(CountingObserver::default()));
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let sink = sim.add_node("sink", Sink { got: vec![] });
         let c = sim.add_node("counter", Counter::new());
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.set_observer(std::sync::Arc::clone(&counts));
+        let counts = count_events(&mut sim);
         assert!(sim.has_observer());
         sim.apply_fault_plan(&[FaultWindow::CrashRestart {
             node: c,
@@ -1782,16 +1405,17 @@ mod tests {
 
     #[test]
     fn crashed_node_receives_no_observed_deliveries_or_timers() {
-        let counts = std::sync::Arc::new(std::sync::Mutex::new(CountingObserver::default()));
         let mut sim: Simulation<Msg> = Simulation::new(3);
         let c = sim.add_node("counter", Counter::new());
         let src = sim.add_node("src", Bystander);
         sim.connect(src, c, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.set_observer(std::sync::Arc::clone(&counts));
-        sim.run_until(SimTime::from_millis(15)); // one tick at 10 ms
-        sim.crash_node(c);
+        let counts = count_events(&mut sim);
+        // One tick at 10 ms, then down from 15 ms to past the run's end.
+        let (from, until) = (SimTime::from_millis(15), SimTime::from_millis(200));
+        sim.apply_fault_plan(&[FaultWindow::CrashRestart { node: c, from, until }]);
         sim.inject(SimTime::from_millis(40), src, c, Msg::Ping(1), 8);
         sim.run_until(SimTime::from_millis(100));
+        assert_faults(&sim, &counts, 1);
         let got = counts.lock().unwrap();
         assert_eq!(got.timers, 1, "no timer fires while crashed");
         assert_eq!(got.delivered, 0);
@@ -1846,39 +1470,6 @@ mod tests {
         }
         assert_eq!(sim.metrics().counter_value("net.sent"), 3, "no destinations, no send");
         assert_eq!(sim.metrics().counter_value("engine.env_slab.high_water"), 1);
-    }
-
-    /// A payload that counts its clones.
-    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
-    impl Clone for Counted {
-        fn clone(&self) -> Self {
-            self.0.set(self.0.get() + 1);
-            Counted(std::rc::Rc::clone(&self.0))
-        }
-    }
-
-    #[test]
-    fn a_one_way_move_takes_the_whole_entry_without_cloning() {
-        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
-        let mut from = EnvSlab::new();
-        let env = Envelope {
-            src: NodeId(0),
-            size_bytes: 8,
-            sent_at: SimTime::ZERO,
-            payload: Counted(std::rc::Rc::clone(&clones)),
-        };
-        let idx = from.insert(env);
-        from.share(idx);
-        from.share(idx);
-        let mut to = EnvSlab::new();
-        let mut remap = Remap::default();
-        remap.reset(&from, 1);
-        let moved: Vec<u32> = (0..3).map(|_| remap.move_ref(&mut from, idx, 0, &mut to)).collect();
-        assert_eq!(moved, vec![moved[0]; 3], "every reference maps to one entry");
-        assert_eq!(to.live(), 1);
-        assert_eq!(to.slots[moved[0] as usize].as_ref().unwrap().refs, 3);
-        assert_eq!(from.live(), 0, "the source slab is left empty");
-        assert_eq!(clones.get(), 0, "the payload was never cloned");
     }
 
     #[test]

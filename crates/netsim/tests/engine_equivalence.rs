@@ -4,9 +4,9 @@
 //! Each case builds a random multi-campus topology (stars of varying size
 //! joined by a ring of slow WAN links — the shape the partitioner is meant
 //! to cut), loads it with chatty timer-driven nodes, overlays a random fault
-//! plan (link flaps, latency spikes, partitions, crash/restart), and runs it
-//! to a deadline under the serial engine and under sharded engines at 2 and
-//! 4 shards. Trace fingerprints, the full metrics snapshot (minus the
+//! plan (link flaps, loss bursts, latency spikes, partitions, crash/restart),
+//! and runs it to a deadline under the serial engine and under sharded
+//! engines at 2 and 4 shards. Trace fingerprints, the full metrics snapshot (minus the
 //! `engine.` namespace, which describes the executor itself), the event
 //! count, and the final clock must all agree exactly.
 //!
@@ -115,6 +115,7 @@ struct Topo {
 #[derive(Debug, Clone)]
 struct Faults {
     flap_wan: bool,
+    loss_wan: bool,
     spike_wan: bool,
     partition: bool,
     crash_node: bool,
@@ -183,6 +184,10 @@ fn fault_plan(
     let (a, b) = (gateways[0], gateways[1]);
     if f.flap_wan {
         plan.push(FaultWindow::LinkFlap { a, b, from: ms(40), until: ms(90) });
+    }
+    if f.loss_wan {
+        let loss = LossModel::Iid { p: 0.5 };
+        plan.push(FaultWindow::LossBurst { a, b, from: ms(20), until: ms(130), loss });
     }
     if f.spike_wan {
         let extra = SimDuration::from_millis(7);
@@ -257,9 +262,10 @@ fn topo_strategy() -> impl Strategy<Value = Topo> {
 }
 
 fn faults_strategy() -> impl Strategy<Value = Faults> {
-    (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(flap_wan, spike_wan, partition, crash_node)| Faults {
+    ((any::<bool>(), any::<bool>()), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+        |((flap_wan, loss_wan), spike_wan, partition, crash_node)| Faults {
             flap_wan,
+            loss_wan,
             spike_wan,
             partition,
             crash_node,

@@ -2,7 +2,7 @@
 
 use metaclassroom::core::{Activity, Role, SessionBuilder};
 use metaclassroom::edge::{CloudServerNode, EdgeServerNode, HeadsetNode, RemoteClientNode};
-use metaclassroom::netsim::{LinkClass, Region, SimDuration, SimTime};
+use metaclassroom::netsim::{FaultWindow, LinkClass, Region, SimDuration, SimTime};
 
 fn unit_case(seed: u64) -> metaclassroom::core::ClassroomSession {
     SessionBuilder::new()
@@ -95,13 +95,14 @@ fn inter_campus_outage_recovers() {
     s.run_for(SimDuration::from_secs(2));
     let edges = s.edges().to_vec();
 
-    // Sever CWB ↔ GZ; CWB ↔ cloud stays up.
-    s.sim_mut().set_connection_up(edges[0], edges[1], false);
+    // Sever CWB ↔ GZ for 3 s; CWB ↔ cloud stays up.
+    let (from, until) = (s.time(), s.time() + SimDuration::from_secs(3));
+    let flap = FaultWindow::LinkFlap { a: edges[0], b: edges[1], from, until };
+    s.sim_mut().apply_fault_plan(&[flap]);
     s.run_for(SimDuration::from_secs(3));
     assert!(s.sim().metrics().counter_value("net.dropped.down") > 0);
 
-    // Heal and verify the GZ room still converges on fresh CWB state.
-    s.sim_mut().set_connection_up(edges[0], edges[1], true);
+    // Healed: verify the GZ room still converges on fresh CWB state.
     s.run_for(SimDuration::from_secs(3));
     let student = s
         .participants()
