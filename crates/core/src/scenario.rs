@@ -27,12 +27,16 @@ use metaclass_netsim::{
 };
 use serde::{Deserialize, Serialize, Value};
 
-use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder};
+use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder, POPULATION_HORIZON};
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
 const FAULT_LOSS: f64 = 0.5;
 /// Extra one-way latency applied by a [`FaultKind::LatencySpike`] window.
 const FAULT_EXTRA_LATENCY: SimDuration = SimDuration::from_millis(80);
+/// The largest value any `_ms` field may hold: one hour, the horizon pooled
+/// populations are generated over. Larger values would only name instants
+/// past it, and far larger ones overflow the nanosecond clock.
+const MAX_SPEC_MS: u64 = POPULATION_HORIZON.as_nanos() / 1_000_000;
 
 // --------------------------------------------------------------- the schema
 
@@ -191,6 +195,9 @@ pub struct StressSpec {
 }
 
 /// A complete declarative classroom workload.
+///
+/// Every `_ms` field, here and in the nested specs, is at most one hour
+/// (3 600 000 ms); [`ScenarioSpec::validate`] rejects a larger one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Scenario name: lowercase `[a-z0-9_]+`, used as the experiment id
@@ -386,10 +393,12 @@ impl ScenarioSpec {
         if self.duration_ms == 0 {
             return err("duration_ms: must be positive".into());
         }
+        within_limit(self.duration_ms, || "duration_ms".into())?;
         if let Some(full) = self.full_duration_ms {
             if full < self.duration_ms {
                 return err("full_duration_ms: must be >= duration_ms".into());
             }
+            within_limit(full, || "full_duration_ms".into())?;
         }
         if self.campuses.is_empty() && self.cohorts.is_empty() {
             return err("a scenario needs at least one campus or cohort".into());
@@ -415,6 +424,8 @@ impl ScenarioSpec {
             if c.learners > 512 {
                 return err(format!("cohorts.{i}.learners: {} exceeds the 512 cap", c.learners));
             }
+            within_limit(c.joins_at_ms.unwrap_or(0), || format!("cohorts.{i}.joins_at_ms"))?;
+            within_limit(c.stagger_ms.unwrap_or(0), || format!("cohorts.{i}.stagger_ms"))?;
         }
         let total_learners = self.cohort_learners();
         if let Some(moves) = &self.mobility {
@@ -428,6 +439,7 @@ impl ScenarioSpec {
                         e.learner, total_learners
                     ));
                 }
+                within_limit(e.at_ms, || format!("mobility.{i}.at_ms"))?;
             }
         }
         if let Some(stress) = &self.stress {
@@ -438,6 +450,7 @@ impl ScenarioSpec {
                         fc.learners
                     ));
                 }
+                within_limit(fc.at_ms, || "stress.flash_crowd.at_ms".into())?;
             }
             if let Some(p) = &stress.population {
                 if p.members == 0 || p.members > PopulationTimeline::MAX_MEMBERS {
@@ -453,6 +466,8 @@ impl ScenarioSpec {
                         p.tracers
                     ));
                 }
+                within_limit(p.at_ms, || "stress.population.at_ms".into())?;
+                within_limit(p.spread_ms, || "stress.population.spread_ms".into())?;
             }
             if let Some(faults) = &stress.faults {
                 if faults.is_empty() {
@@ -469,6 +484,8 @@ impl ScenarioSpec {
                     if f.for_ms == 0 {
                         return err(format!("stress.faults.{i}.for_ms: must be positive"));
                     }
+                    within_limit(f.at_ms, || format!("stress.faults.{i}.at_ms"))?;
+                    within_limit(f.for_ms, || format!("stress.faults.{i}.for_ms"))?;
                 }
             }
         }
@@ -512,6 +529,17 @@ impl ScenarioSpec {
             .map_err(|e| ScenarioError::new(format!("cannot read: {e}")).with_path(path))?;
         Self::from_toml_str(&text).map_err(|e| e.with_path(path))
     }
+}
+
+/// Rejects a `_ms` value past [`MAX_SPEC_MS`], naming the field at `path`.
+fn within_limit(ms: u64, path: impl FnOnce() -> String) -> Result<(), ScenarioError> {
+    if ms <= MAX_SPEC_MS {
+        return Ok(());
+    }
+    Err(ScenarioError::new(format!(
+        "{}: {ms} ms exceeds the {MAX_SPEC_MS} ms (one hour) limit",
+        path()
+    )))
 }
 
 /// Finds the line of a dotted path (e.g. `stress.faults.1.campus`), or of
@@ -973,6 +1001,58 @@ mod tests {
         }
         let err = population(40, 513).unwrap_err();
         assert!(err.message.contains("stress.population.tracers"), "{err}");
+        // A spread past an hour is rejected at load: `u64::MAX` ms used to
+        // overflow `SimDuration::from_millis` when the session was built.
+        let broadcast = include_str!("../../../scenarios/broadcast.toml");
+        let line = broadcast.lines().position(|l| l == "spread_ms = 300").unwrap() as u32 + 1;
+        for spread in [MAX_SPEC_MS + 1, u64::MAX] {
+            let text = broadcast.replace("spread_ms = 300", &format!("spread_ms = {spread}"));
+            let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            assert!(err.message.starts_with("stress.population.spread_ms: "), "{err}");
+            assert_eq!(err.line, Some(line), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_time_field_is_bounded_by_one_hour() {
+        type Set = fn(&mut ScenarioSpec, u64);
+        fn stress(s: &mut ScenarioSpec) -> &mut StressSpec {
+            s.stress.as_mut().unwrap()
+        }
+        let fields: [(&str, Set); 10] = [
+            ("duration_ms", |s, v| (s.duration_ms, s.full_duration_ms) = (v, None)),
+            ("full_duration_ms", |s, v| s.full_duration_ms = Some(v)),
+            ("cohorts.1.joins_at_ms", |s, v| s.cohorts[1].joins_at_ms = Some(v)),
+            ("cohorts.1.stagger_ms", |s, v| s.cohorts[1].stagger_ms = Some(v)),
+            ("mobility.0.at_ms", |s, v| s.mobility.as_mut().unwrap()[0].at_ms = v),
+            ("stress.flash_crowd.at_ms", |s, v| stress(s).flash_crowd.as_mut().unwrap().at_ms = v),
+            ("stress.population.at_ms", |s, v| stress(s).population.as_mut().unwrap().at_ms = v),
+            ("stress.population.spread_ms", |s, v| {
+                stress(s).population.as_mut().unwrap().spread_ms = v
+            }),
+            ("stress.faults.0.at_ms", |s, v| stress(s).faults.as_mut().unwrap()[0].at_ms = v),
+            ("stress.faults.0.for_ms", |s, v| stress(s).faults.as_mut().unwrap()[0].for_ms = v),
+        ];
+        for (path, set) in fields {
+            let mut spec = lab_spec();
+            stress(&mut spec).population = Some(PopulationSpec {
+                region: Region::Europe,
+                members: 40,
+                tracers: 2,
+                access: LinkClass::ResidentialAccess,
+                at_ms: 300,
+                spread_ms: 100,
+            });
+            set(&mut spec, MAX_SPEC_MS);
+            spec.validate().unwrap_or_else(|e| panic!("{path} at the limit: {e}"));
+            spec.build_session(1, EngineConfig::serial());
+            for ms in [MAX_SPEC_MS + 1, u64::MAX] {
+                set(&mut spec, ms);
+                let err = ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap_err();
+                assert!(err.message.starts_with(&format!("{path}: {ms} ms exceeds")), "{err}");
+                assert!(err.line.is_some(), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub struct PoolInfo {
 /// Population timelines are frozen over this horizon; arrivals a flash
 /// crowd would place later are clamped to it. One hour comfortably covers a
 /// class session.
-const POPULATION_HORIZON: SimTime = SimTime::from_secs(3600);
+pub(crate) const POPULATION_HORIZON: SimTime = SimTime::from_secs(3600);
 
 /// Who a participant is.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

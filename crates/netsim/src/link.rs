@@ -227,11 +227,6 @@ impl Link {
         }
     }
 
-    /// This link's configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.cfg
-    }
-
     /// Administratively brings the link up or down; returns whether the link
     /// just became unavailable.
     pub(crate) fn set_up_at(&mut self, up: bool) -> bool {
@@ -270,11 +265,6 @@ impl Link {
     /// restores normal latency). Used by latency-spike fault windows.
     pub(crate) fn set_extra_delay(&mut self, extra: SimDuration) {
         self.extra_delay = extra;
-    }
-
-    /// The extra delay currently in effect.
-    pub fn extra_delay(&self) -> SimDuration {
-        self.extra_delay
     }
 
     /// Current transmit backlog in bytes at time `now`, given the configured

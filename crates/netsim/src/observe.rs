@@ -17,7 +17,7 @@
 //! never changes event order, metrics, or trace fingerprints.
 
 use crate::fault::FaultAction;
-use crate::link::{DropReason, Link};
+use crate::link::DropReason;
 use crate::node::NodeId;
 use crate::time::SimTime;
 
@@ -96,18 +96,15 @@ pub enum SimEvent<'a> {
 /// A read-only snapshot of engine state handed to observers, taken after the
 /// event it accompanies was applied.
 ///
-/// Crash flags and link availability change only when a scripted fault
-/// action executes (see
+/// The view is the clock and the crash flags, both exact under either
+/// engine. Crash flags (and link availability, which the view does not
+/// carry) change only when a scripted fault action executes (see
 /// [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan)),
 /// and every such action reaches the observer as a [`SimEvent::Fault`], so
-/// no change to this state goes unobserved. Under the sharded engine the
-/// clock and crash flags are exact, while link state is as of the last
-/// window barrier.
+/// no change to this state goes unobserved.
 pub struct SimView<'a> {
     pub(crate) time: SimTime,
     pub(crate) crashed: &'a [bool],
-    pub(crate) links: &'a [Link],
-    pub(crate) link_ends: &'a [(NodeId, NodeId)],
 }
 
 impl SimView<'_> {
@@ -129,17 +126,6 @@ impl SimView<'_> {
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed[node.index()]
     }
-
-    /// Iterates all directed links as `(from, to, link)` in creation order.
-    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &Link)> {
-        self.link_ends.iter().zip(self.links.iter()).map(|(&(from, to), link)| (from, to, link))
-    }
-
-    /// The directed link `from → to`, if one exists. Linear scan — intended
-    /// for assertions, not hot paths.
-    pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.link_ends.iter().position(|&(f, t)| f == from && t == to).map(|i| &self.links[i])
-    }
 }
 
 impl std::fmt::Debug for SimView<'_> {
@@ -147,7 +133,6 @@ impl std::fmt::Debug for SimView<'_> {
         f.debug_struct("SimView")
             .field("time", &self.time)
             .field("nodes", &self.crashed.len())
-            .field("links", &self.links.len())
             .finish()
     }
 }

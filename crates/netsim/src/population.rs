@@ -3,7 +3,9 @@
 //! A [`PopulationTimeline`] is the pre-computed arrival schedule of a pool of
 //! statistically-identical remote clients: every join is materialized once,
 //! at build time, from a [`PopulationProfile`] and a [`DetRng`] stream, as
-//! one sorted 8-byte instant per member. Members stay to the end of class.
+//! one sorted 4-byte offset per member (its low 32 bits within a 2^32-ns
+//! page, plus a page table with one entry per occupied page). Members stay
+//! to the end of class.
 //! The pool actor then consumes the timeline with a cursor — a binary search
 //! per tick, never O(members × ticks) — so a run that models a million
 //! pooled clients schedules exactly one entity per region.
@@ -45,22 +47,34 @@ impl PopulationProfile {
 /// Generated once per run from `(seed, profile, members, horizon)`;
 /// consumed with [`PopulationTimeline::drain_until`].
 ///
-/// Stored as one sorted instant vector — one entry (8 bytes) per member —
-/// plus a cursor into it. Draining only moves the cursor, so
-/// [`PopulationTimeline::rewind`] replays the same schedule.
+/// Stored as 4 bytes per member: every join is an offset from `base` (the
+/// earliest instant any join can take), split into a 2^32-ns (≈4.29 s) page
+/// and the low 32 bits within it. `lows` holds the low halves, sorted within
+/// each page and the pages in ascending order; `pages` has one
+/// `(page, first join index)` entry per page that holds a join, so its
+/// length is bounded by the member count whatever the spread or horizon.
+/// Draining only moves the cursor, so [`PopulationTimeline::rewind`]
+/// replays the same schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationTimeline {
-    joins: Vec<SimTime>,
+    base: SimTime,
+    lows: Vec<u32>,
+    pages: Vec<(u32, u32)>,
+    /// Index into `lows` of the next undrained join.
     next_join: usize,
+    /// Index into `pages` of the page holding `next_join` (`pages.len()`
+    /// once every join has drained).
+    page: usize,
     members: u64,
 }
 
 impl PopulationTimeline {
     /// Largest population one timeline may be generated for: ten times the
-    /// 1M-member planet tier, the largest any experiment runs. Generation
-    /// reserves 8 bytes per member up front (80 MB at this cap), so spec
-    /// loaders and command lines reject larger populations before building
-    /// instead of letting an allocation abort the process.
+    /// 1M-member planet tier, the largest any experiment runs. A timeline
+    /// keeps 4 bytes per member and generation holds 8 while it sorts
+    /// (80 MB at this cap), so spec loaders and command lines reject larger
+    /// populations before building instead of letting an allocation abort
+    /// the process.
     pub const MAX_MEMBERS: u64 = 10_000_000;
 
     /// Generates the timeline for `members` pooled clients over
@@ -86,16 +100,41 @@ impl PopulationTimeline {
             Self::MAX_MEMBERS
         );
         let spread_ns = profile.spread.as_nanos();
-        let mut joins: Vec<SimTime> = (0..members)
-            .map(|_| {
-                let offset = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
-                (profile.at + SimDuration::from_nanos(offset)).min(horizon)
-            })
-            .collect();
-        // Equal instants are interchangeable, so an unstable sort yields
-        // the same vector a stable one would.
-        joins.sort_unstable();
-        PopulationTimeline { joins, next_join: 0, members }
+        let base = profile.at.min(horizon);
+        let offset = |rng: &mut DetRng| {
+            let draw = if spread_ns == 0 { 0 } else { rng.next_u64() % spread_ns };
+            let join = (profile.at + SimDuration::from_nanos(draw)).min(horizon);
+            join.as_nanos() - base.as_nanos()
+        };
+        // Counting sort by page: a first pass over a copy of the stream
+        // finds the occupied pages and their sizes, the second makes the
+        // same draws and drops each low half into its page's next slot.
+        let mut scratch: Vec<u32> = {
+            let mut copy = rng.clone();
+            (0..members).map(|_| (offset(&mut copy) >> 32) as u32).collect()
+        };
+        scratch.sort_unstable();
+        let mut pages: Vec<(u32, u32)> = Vec::new();
+        for (i, &page) in scratch.iter().enumerate() {
+            if pages.last().is_none_or(|&(last, _)| last != page) {
+                pages.push((page, i as u32));
+            }
+        }
+        let mut slot: Vec<u32> = pages.iter().map(|&(_, first)| first).collect();
+        let mut lows = vec![0u32; members as usize];
+        for _ in 0..members {
+            let offset = offset(rng);
+            let i = pages.partition_point(|&(page, _)| page < (offset >> 32) as u32);
+            lows[slot[i] as usize] = offset as u32;
+            slot[i] += 1;
+        }
+        let mut timeline = PopulationTimeline { base, lows, pages, next_join: 0, page: 0, members };
+        // The page keys are spent; their buffer is the sort's scratch.
+        for i in 0..timeline.pages.len() {
+            let range = timeline.page_range(i);
+            sort_lows(&mut timeline.lows[range.clone()], &mut scratch[range]);
+        }
+        timeline
     }
 
     /// Total pool size this timeline was generated for.
@@ -106,19 +145,37 @@ impl PopulationTimeline {
     /// Joins scheduled at or before `now` that have not been drained yet;
     /// advances the cursor past them.
     pub fn drain_until(&mut self, now: SimTime) -> u64 {
-        let joins = self.joins[self.next_join..].partition_point(|&t| t <= now);
-        self.next_join += joins;
-        joins as u64
+        let Some(offset) = now.as_nanos().checked_sub(self.base.as_nanos()) else {
+            return 0;
+        };
+        let (page, low) = ((offset >> 32) as u32, offset as u32);
+        let from = self.next_join;
+        // Pages before `page` drain whole; within `page`, one binary search.
+        let whole = self.pages[self.page..].partition_point(|&(p, _)| p < page);
+        if whole > 0 {
+            self.page += whole;
+            self.next_join = self.page_range(self.page).start;
+        }
+        if self.pages.get(self.page).is_some_and(|&(p, _)| p == page) {
+            let end = self.page_range(self.page).end;
+            self.next_join += self.lows[self.next_join..end].partition_point(|&l| l <= low);
+            if self.next_join == end {
+                self.page += 1;
+            }
+        }
+        (self.next_join - from) as u64
     }
 
     /// Time of the next undrained join, if any.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.joins.get(self.next_join).copied()
+        let &(page, _) = self.pages.get(self.page)?;
+        Some(self.instant(page, self.lows[self.next_join]))
     }
 
     /// Rewinds the cursor to the beginning (e.g. after a crash-restart).
     pub fn rewind(&mut self) {
         self.next_join = 0;
+        self.page = 0;
     }
 
     /// Splits off `tracers` members as fully simulated clients: returns the
@@ -130,26 +187,78 @@ impl PopulationTimeline {
     /// the whole arrival curve (first, last, and evenly between), and the
     /// residual pool plus the tracer clients together reproduce the original
     /// population exactly. When `tracers >= n` every join is a tracer. The
-    /// residual is built in one pass over the joins.
+    /// residual is built in one pass over the joins, page by page.
     pub fn split_tracers(&self, tracers: u64) -> (PopulationTimeline, Vec<SimTime>) {
-        let n = self.joins.len() as u64;
+        let n = self.lows.len() as u64;
         let tracers = tracers.min(n);
+        let mut ranks = (0..tracers).map(|i| (i * n / tracers) as usize).peekable();
         let mut picked = Vec::with_capacity(tracers as usize);
-        let mut joins = Vec::with_capacity((n - tracers) as usize);
-        let mut from = 0;
-        for i in 0..tracers {
-            let rank = (i * n / tracers) as usize;
-            joins.extend_from_slice(&self.joins[from..rank]);
-            picked.push(self.joins[rank]);
-            from = rank + 1;
+        let mut lows = Vec::with_capacity((n - tracers) as usize);
+        let mut pages = Vec::new();
+        for (i, &(page, _)) in self.pages.iter().enumerate() {
+            let range = self.page_range(i);
+            let first = lows.len();
+            let mut from = range.start;
+            while let Some(rank) = ranks.next_if(|&rank| rank < range.end) {
+                lows.extend_from_slice(&self.lows[from..rank]);
+                picked.push(self.instant(page, self.lows[rank]));
+                from = rank + 1;
+            }
+            lows.extend_from_slice(&self.lows[from..range.end]);
+            if lows.len() > first {
+                pages.push((page, first as u32));
+            }
         }
-        joins.extend_from_slice(&self.joins[from..]);
         let residual = PopulationTimeline {
-            joins,
+            base: self.base,
+            lows,
+            pages,
             next_join: 0,
+            page: 0,
             members: self.members.saturating_sub(tracers),
         };
         (residual, picked)
+    }
+
+    /// The indices into `lows` of page entry `i` (empty past the last page).
+    fn page_range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = self.pages.get(i).map_or(self.lows.len(), |&(_, first)| first as usize);
+        let end = self.pages.get(i + 1).map_or(self.lows.len(), |&(_, first)| first as usize);
+        start..end
+    }
+
+    /// The instant of the join at `low` within `page`.
+    fn instant(&self, page: u32, low: u32) -> SimTime {
+        SimTime::from_nanos(self.base.as_nanos() + ((u64::from(page) << 32) | u64::from(low)))
+    }
+}
+
+/// Sorts `lows` ascending. A slice long enough to repay four 256-entry
+/// histograms gets a radix sort, least significant byte first, each pass a
+/// stable counting sort between `lows` and `scratch` (four passes, so the
+/// result lands back in `lows`): on uniformly spread offsets this takes
+/// about half the time of `sort_unstable`, which sorts shorter slices.
+fn sort_lows(lows: &mut [u32], scratch: &mut [u32]) {
+    if lows.len() < 1024 {
+        lows.sort_unstable();
+        return;
+    }
+    let (mut from, mut to) = (lows, scratch);
+    for shift in [0, 8, 16, 24] {
+        let digit = |low: u32| ((low >> shift) & 0xff) as usize;
+        let mut next = [0usize; 256];
+        for &low in from.iter() {
+            next[digit(low)] += 1;
+        }
+        let mut first = 0;
+        for slot in &mut next {
+            (*slot, first) = (first, first + *slot);
+        }
+        for &low in from.iter() {
+            to[next[digit(low)]] = low;
+            next[digit(low)] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
     }
 }
 
@@ -218,6 +327,21 @@ mod tests {
         }
         assert_eq!(joined, 777);
         assert!(now <= SimTime::from_secs(10));
+    }
+
+    #[test]
+    fn the_page_table_holds_only_occupied_pages() {
+        // Half the clock under an unbounded horizon: nearly every join has
+        // a 2^32-ns page of its own, and a dense table would have 2^31.
+        let at = SimTime::from_nanos((5 << 32) + 17);
+        let spread = SimDuration::from_nanos(1 << 63);
+        let profile = PopulationProfile::flash_crowd(at, spread);
+        let tl = PopulationTimeline::generate(&profile, 300, SimTime::MAX, &mut DetRng::new(3));
+        assert!((250..=300).contains(&tl.pages.len()), "{} pages", tl.pages.len());
+        // A page whose every join became a tracer leaves the table.
+        let (residual, _) = tl.split_tracers(100);
+        assert!(residual.pages.len() <= 200, "{} pages", residual.pages.len());
+        assert!((0..residual.pages.len()).all(|i| !residual.page_range(i).is_empty()));
     }
 
     #[test]

@@ -363,22 +363,6 @@ fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Box<C
     if (0..k).all(|i| lane(lanes, i).event_keys.is_empty()) {
         return;
     }
-    // Observers see link state at barrier granularity: within a window links
-    // only evolve inside their owning lane, so the merged view reflects the
-    // end-of-window state. Crash flags and the clock are exact (faults
-    // serialize the instant that changes them).
-    let mut links: Vec<Link> = Vec::new();
-    if sim.core.observer.is_some() {
-        links = (0..sim.core.links.len()).map(|_| dummy_link()).collect();
-        for i in 0..k {
-            let l = lane(lanes, i);
-            for (li, slot) in links.iter_mut().enumerate() {
-                if l.shard_owner(li) == l.my_shard {
-                    *slot = l.links[li].clone();
-                }
-            }
-        }
-    }
     // The k-way merge touches only the dense key lanes; payloads are
     // fetched once per emitted event.
     let mut cursors = vec![0usize; k];
@@ -395,8 +379,7 @@ fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Box<C
         let event = lane(lanes, i).event_items[cursors[i]];
         cursors[i] += 1;
         let core = &mut sim.core;
-        let view =
-            SimView { time: at, crashed: &core.crashed, links: &links, link_ends: &core.link_ends };
+        let view = SimView { time: at, crashed: &core.crashed };
         emit_to(&mut core.trace, &mut core.observer, &view, &event);
     }
     for i in 0..k {

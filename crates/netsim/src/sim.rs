@@ -331,12 +331,7 @@ impl<M> Core<M> {
 
     /// Emits `event` with a post-event view of this core.
     pub(crate) fn emit(&mut self, event: &SimEvent<'_>) {
-        let view = SimView {
-            time: self.time,
-            crashed: &self.crashed,
-            links: &self.links,
-            link_ends: &self.link_ends,
-        };
+        let view = SimView { time: self.time, crashed: &self.crashed };
         emit_to(&mut self.trace, &mut self.observer, &view, event);
     }
 }

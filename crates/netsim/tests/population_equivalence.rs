@@ -1,6 +1,7 @@
-//! Equivalence oracle for [`PopulationTimeline`]: the sorted-instant store
-//! (8 bytes per join) against the coalesced `(at, delta)` event timeline it
-//! replaced, kept below as [`Reference`] with its flash-crowd generation.
+//! Equivalence oracle for [`PopulationTimeline`]: the paged store (a 4-byte
+//! offset per join within a 2^32-ns page, plus one table entry per occupied
+//! page) against the coalesced `(at, delta)` event timeline it replaced,
+//! kept below as [`Reference`] with its flash-crowd generation.
 //!
 //! Both are generated from the same profile, members, horizon and RNG
 //! stream, split into tracers and residual, and drained in lockstep with
@@ -121,26 +122,40 @@ fn log_ns(p: &mut DetRng, bits: u64) -> SimDuration {
 /// A population drawn from `shape`: members from a handful to thousands.
 ///
 /// Flash crowds with no spread, a spread of at most 1 µs (so many members
-/// share an instant), or a log-uniform spread up to seconds, under horizons
-/// that clamp every arrival, clamp the tail, or clamp nothing.
+/// share an instant), or a log-uniform spread up to seconds or up to hours
+/// (thousands of 2^32-ns pages), starting within the first page or well past
+/// it, under horizons that clamp every arrival, clamp the tail, or clamp
+/// nothing. One shape in eight is a handful of members spread over half the
+/// clock under an unbounded horizon, so nearly every join has a page of its
+/// own.
 fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
     let mut p = DetRng::new(shape);
+    let at = match p.index(3) {
+        0 => SimTime::from_nanos(p.range_u64(0, 2_000_000_000)),
+        1 => SimTime::from_nanos(p.range_u64(0, 1 << 32)),
+        _ => SimTime::from_nanos(p.range_u64(1 << 32, 1 << 40)),
+    };
+    if p.index(8) == 0 {
+        let spread = ns((1 << 63) - p.range_u64(0, 1 << 32));
+        return (PopulationProfile::flash_crowd(at, spread), p.range_u64(1, 9), SimTime::MAX);
+    }
     let members = match p.index(3) {
         0 => p.range_u64(1, 8),
         1 => p.range_u64(1, 300),
         _ => p.range_u64(300, 4_000),
     };
-    let at = SimTime::from_nanos(p.range_u64(0, 2_000_000_000));
-    let spread = match p.index(3) {
+    let spread = match p.index(4) {
         0 => SimDuration::ZERO,
         1 => ns(p.range_u64(1, 1_001)),
-        _ => log_ns(&mut p, 32),
+        2 => log_ns(&mut p, 32),
+        _ => log_ns(&mut p, 44),
     };
-    let horizon = match p.index(4) {
+    let horizon = match p.index(5) {
         0 => SimTime::from_nanos(at.as_nanos() / 2),
         1 => at + log_ns(&mut p, 11),
-        2 => at + log_ns(&mut p, 32),
-        _ => SimTime::from_secs(3_600),
+        2 => at + log_ns(&mut p, 44),
+        3 => SimTime::from_secs(3_600),
+        _ => SimTime::MAX,
     };
     (PopulationProfile::flash_crowd(at, spread), members, horizon)
 }
@@ -151,8 +166,9 @@ fn tracer_count(members: u64, pick: u64) -> u64 {
 }
 
 /// Drains both timelines in lockstep — non-decreasing instants that hit
-/// event instants exactly, fall just short of them, repeat, or leap — with
-/// a rewind midway, and then drains the rest; every return must agree.
+/// event instants exactly, fall just short of them, repeat, or leap by up to
+/// 2^40 ns (across pages) — with a rewind midway, and then drains the rest;
+/// every return must agree.
 fn drive(new: &mut PopulationTimeline, old: &mut Reference, steps: u64) {
     let mut p = DetRng::new(steps);
     let mut now = SimTime::ZERO;
@@ -170,7 +186,7 @@ fn drive(new: &mut PopulationTimeline, old: &mut Reference, steps: u64) {
             (0, Some(at)) => at.max(now),
             (1, Some(at)) => SimTime::from_nanos(at.as_nanos().saturating_sub(1)).max(now),
             (2, _) => now,
-            _ => now + ns(p.range_u64(0, 400_000_000)),
+            _ => now + log_ns(&mut p, 40),
         };
         assert_eq!(new.drain_until(now), old.drain_until(now), "drain to {now:?}, step {step}");
     }
