@@ -47,14 +47,15 @@ impl PopulationProfile {
 /// Generated once per run from `(seed, profile, members, horizon)`;
 /// consumed with [`PopulationTimeline::drain_until`].
 ///
-/// Stored as 4 bytes per member: every join is an offset from `base` (the
-/// earliest instant any join can take), split into a 2^32-ns (≈4.29 s) page
-/// and the low 32 bits within it. `lows` holds the low halves, sorted within
-/// each page and the pages in ascending order; `pages` has one
-/// `(page, first join index)` entry per page that holds a join, so its
-/// length is bounded by the member count whatever the spread or horizon.
-/// Draining only moves the cursor, so [`PopulationTimeline::rewind`]
-/// replays the same schedule.
+/// Stored as 4 bytes per member plus 8 per occupied page: every join is an
+/// offset from `base` (the earliest instant any join can take), split into a
+/// 2^32-ns (≈4.29 s) page and the low 32 bits within it. `lows` holds the
+/// low halves, sorted within each page and the pages in ascending order;
+/// `pages` has one `(page, first join index)` entry per page that holds a
+/// join, so its length is bounded by the member count whatever the spread
+/// or horizon. A crowd whose spread fits a few pages costs 4 bytes per
+/// member; one with a page per join, 12. Draining only moves the cursor, so
+/// [`PopulationTimeline::rewind`] replays the same schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationTimeline {
     base: SimTime,
@@ -70,11 +71,13 @@ pub struct PopulationTimeline {
 
 impl PopulationTimeline {
     /// Largest population one timeline may be generated for: ten times the
-    /// 1M-member planet tier, the largest any experiment runs. A timeline
-    /// keeps 4 bytes per member and generation holds 8 while it sorts
-    /// (80 MB at this cap), so spec loaders and command lines reject larger
-    /// populations before building instead of letting an allocation abort
-    /// the process.
+    /// 1M-member planet tier, the largest any experiment runs. Generation
+    /// holds 8 bytes per member (the low halves and the page numbers, which
+    /// become the sort's scratch) plus 12 per occupied page (the table and
+    /// each page's fill cursor): 80 MB at this cap when the spread fits a
+    /// few pages, 200 MB when every join has a page of its own. Spec loaders
+    /// and command lines reject larger populations before building instead
+    /// of letting an allocation abort the process.
     pub const MAX_MEMBERS: u64 = 10_000_000;
 
     /// Generates the timeline for `members` pooled clients over
@@ -109,16 +112,16 @@ impl PopulationTimeline {
         // Counting sort by page: a first pass over a copy of the stream
         // finds the occupied pages and their sizes, the second makes the
         // same draws and drops each low half into its page's next slot.
-        let mut scratch: Vec<u32> = {
+        let mut keys: Vec<u32> = {
             let mut copy = rng.clone();
             (0..members).map(|_| (offset(&mut copy) >> 32) as u32).collect()
         };
-        scratch.sort_unstable();
-        let mut pages: Vec<(u32, u32)> = Vec::new();
-        for (i, &page) in scratch.iter().enumerate() {
-            if pages.last().is_none_or(|&(last, _)| last != page) {
-                pages.push((page, i as u32));
-            }
+        keys.sort_unstable();
+        let mut pages = Vec::with_capacity(keys.chunk_by(u32::eq).count());
+        let mut first = 0;
+        for run in keys.chunk_by(u32::eq) {
+            pages.push((run[0], first));
+            first += run.len() as u32;
         }
         let mut slot: Vec<u32> = pages.iter().map(|&(_, first)| first).collect();
         let mut lows = vec![0u32; members as usize];
@@ -132,7 +135,7 @@ impl PopulationTimeline {
         // The page keys are spent; their buffer is the sort's scratch.
         for i in 0..timeline.pages.len() {
             let range = timeline.page_range(i);
-            sort_lows(&mut timeline.lows[range.clone()], &mut scratch[range]);
+            sort_lows(&mut timeline.lows[range.clone()], &mut keys[range]);
         }
         timeline
     }
@@ -194,7 +197,7 @@ impl PopulationTimeline {
         let mut ranks = (0..tracers).map(|i| (i * n / tracers) as usize).peekable();
         let mut picked = Vec::with_capacity(tracers as usize);
         let mut lows = Vec::with_capacity((n - tracers) as usize);
-        let mut pages = Vec::new();
+        let mut pages = Vec::with_capacity(self.pages.len());
         for (i, &(page, _)) in self.pages.iter().enumerate() {
             let range = self.page_range(i);
             let first = lows.len();
@@ -233,16 +236,12 @@ impl PopulationTimeline {
     }
 }
 
-/// Sorts `lows` ascending. A slice long enough to repay four 256-entry
-/// histograms gets a radix sort, least significant byte first, each pass a
-/// stable counting sort between `lows` and `scratch` (four passes, so the
-/// result lands back in `lows`): on uniformly spread offsets this takes
-/// about half the time of `sort_unstable`, which sorts shorter slices.
+/// Sorts `lows` ascending by a radix sort, least significant byte first:
+/// each of the four passes is a stable counting sort between `lows` and
+/// `scratch`, so the result lands back in `lows`. On a page of uniformly
+/// spread offsets this takes about 60% of `sort_unstable`'s time; each call
+/// also builds four 256-entry histograms, whatever the slice length.
 fn sort_lows(lows: &mut [u32], scratch: &mut [u32]) {
-    if lows.len() < 1024 {
-        lows.sort_unstable();
-        return;
-    }
     let (mut from, mut to) = (lows, scratch);
     for shift in [0, 8, 16, 24] {
         let digit = |low: u32| ((low >> shift) & 0xff) as usize;
