@@ -17,6 +17,8 @@
 //! committed allocations-per-event ceiling on BOTH engines. The ceilings
 //! are about 2x the measured rates: they catch a reintroduced per-frame
 //! `Vec` or per-event box immediately without flaking on allocator noise.
+//! A third shape, one campus and one flyweight pool, runs serially under a
+//! tighter ceiling that a display batch grown push by push exceeds.
 //! Last, the serial campus session's envelope slab must stay under a
 //! high-water ceiling: an edge server's fan-out to its room's headsets is
 //! one stored envelope, not one per headset.
@@ -39,7 +41,7 @@ use std::thread::LocalKey;
 
 use metaclass_avatar::{AvatarCodec, AvatarState, QuantizedState, Vec3};
 use metaclass_core::{Activity, ClassroomSession, SessionBuilder};
-use metaclass_netsim::{EngineConfig, LinkClass, Region, SimDuration, SimTime};
+use metaclass_netsim::{EngineConfig, LinkClass, PopulationProfile, Region, SimDuration, SimTime};
 use metaclass_sync::{JitterBuffer, JitterBufferConfig, SnapshotReceiver, SnapshotSender};
 
 struct CountingAlloc;
@@ -114,6 +116,29 @@ fn campus_session(engine: EngineConfig) -> ClassroomSession {
         .activity(Activity::Seminar)
         .campus("CWB", Region::EastAsia, 10, true)
         .campus("GZ", Region::Europe, 10, false)
+        .build()
+}
+
+/// The pooled shape: one MR campus and one flyweight pool of remote
+/// members with a few fully simulated tracers, arriving as a flash crowd,
+/// so the cloud's per-pool display batches are on the hot path (the
+/// benchmark's `planet_pool`, smaller).
+fn pooled_session(engine: EngineConfig) -> ClassroomSession {
+    SessionBuilder::new()
+        .seed(3)
+        .engine_config(engine)
+        .activity(Activity::Seminar)
+        .campus("CWB", Region::EastAsia, 12, true)
+        .population(
+            Region::Europe,
+            2_000,
+            4,
+            LinkClass::ResidentialAccess,
+            PopulationProfile::flash_crowd(
+                SimTime::from_millis(200),
+                SimDuration::from_millis(500),
+            ),
+        )
         .build()
 }
 
@@ -342,8 +367,14 @@ fn steady_state_allocations_per_event_stay_under_budget() {
     // plus a largest-sample `Vec`) e3 measured 57 / 253 on top of those
     // slots; with avatar frames in a growing `Vec<u8>` and snapshot
     // histories in `BTreeMap`s the four runs measured 453 / 650 / 363 / 491.
+    // The pooled shape measures 9 per 1k (61 calls in 6 294 events), one of
+    // them per pool display batch, the exact-size capture list it owns; with
+    // each batch a fresh `Vec` grown push by push (4, 8, 16 slots for the
+    // campus's 12 learners) it measured 18 (117 calls). Its ceiling sits
+    // between.
     type Shape = fn(EngineConfig) -> ClassroomSession;
-    let cases: [(&str, Shape, EngineConfig, u64, u64); 4] = [
+    let cases: [(&str, Shape, EngineConfig, u64, u64); 5] = [
+        ("pooled_serial", pooled_session, EngineConfig::serial(), 3, 13),
         ("e3_serial", e3_session, EngineConfig::serial(), 1, 8),
         ("e3_sharded_4", e3_session, EngineConfig::sharded(4), 1, 120),
         ("campus_serial", campus_session, EngineConfig::serial(), 3, 2),
@@ -367,8 +398,8 @@ fn steady_state_allocations_per_event_stay_under_budget() {
              committed budget of {budget_per_1k}/1k — a per-event allocation has \
              crept back into the hot path (check Op arena reuse, the envelope \
              slab, the wheel's shared node pool, the inline frame payload, the edge \
-             server's tick scratch, and the sync crate's snapshot rings, \
-             jitter-buffer push and interest selection)"
+             server's tick scratch, the cloud's pool display batch, and the sync \
+             crate's snapshot rings, jitter-buffer push and interest selection)"
         );
     }
     let slab = campus_slab_high_water.expect("the serial campus session ran");

@@ -129,6 +129,8 @@ struct FanoutScratch {
     wanted: Vec<usize>,
     /// Slots already handled for one audience.
     considered: Vec<usize>,
+    /// One pool's capture instants, sent as an exact-size copy.
+    batch: Vec<SimTime>,
 }
 
 /// Home frame of streams uploaded in their own coordinates (clients, pools).
@@ -351,7 +353,7 @@ impl CloudServerNode {
         if self.link.sheds_tick(ctx) {
             return 0;
         }
-        let FanoutScratch { mut audiences, mut wanted, mut considered } =
+        let FanoutScratch { mut audiences, mut wanted, mut considered, mut batch } =
             std::mem::take(&mut self.scratch);
         audiences.clear();
         audiences.extend(
@@ -412,7 +414,7 @@ impl CloudServerNode {
                 marks.resize(self.latest.len(), SimTime::ZERO);
             }
             considered.clear();
-            let mut batch: Vec<SimTime> = Vec::new();
+            batch.clear();
             for slot in wanted.drain(..).chain(self.interest.selected_slots().iter().copied()) {
                 if slot == viewer_slot || considered.contains(&slot) {
                     continue;
@@ -453,8 +455,9 @@ impl CloudServerNode {
                 }
             }
             if let (Some(pool), false) = (pool, batch.is_empty()) {
-                let size = ClassMsg::PoolDisplay { pool, members: weight, captured: batch }
-                    .send_to(ctx, node);
+                let size =
+                    ClassMsg::PoolDisplay { pool, members: weight, captured: batch.to_vec() }
+                        .send_to(ctx, node);
                 bytes += size as u64;
             }
         }
@@ -465,7 +468,7 @@ impl CloudServerNode {
         if bytes > 0 {
             ctx.metrics().add("cloud.fanout_bytes", bytes);
         }
-        self.scratch = FanoutScratch { audiences, wanted, considered };
+        self.scratch = FanoutScratch { audiences, wanted, considered, batch };
         demand
     }
 }

@@ -6,8 +6,9 @@
 //! client. A [`ClientPoolNode`] stands in for a whole region's audience:
 //!
 //! - **Arrivals** come from a pre-generated, deterministic flash-crowd
-//!   [`PopulationTimeline`], consumed with a cursor — O(events), never
-//!   O(members × ticks). Admitted members stay to the end of class.
+//!   [`PopulationTimeline`], consumed with a cursor — per tick a search of
+//!   its bucket table and a scan of one bucket, never O(members × ticks).
+//!   Admitted members stay to the end of class.
 //! - **Admission** is exact: the pool batches [`ClassMsg::PoolJoin`]
 //!   requests and the cloud spends one real token-bucket token per pooled
 //!   client, replying with an admitted count and a retry hint. The pool is

@@ -1,20 +1,15 @@
 //! Deterministic flash-crowd population for the flyweight client-pool layer.
 //!
 //! A [`PopulationTimeline`] is the pre-computed arrival schedule of a pool of
-//! statistically-identical remote clients: every join is materialized once,
-//! at build time, from a [`PopulationProfile`] and a [`DetRng`] stream, as
-//! one sorted 4-byte offset per member (its low 32 bits within a 2^32-ns
-//! page, plus a page table with one entry per occupied page). Members stay
-//! to the end of class.
-//! The pool actor then consumes the timeline with a cursor — a binary search
-//! per tick, never O(members × ticks) — so a run that models a million
-//! pooled clients schedules exactly one entity per region.
+//! statistically-identical remote clients, generated once at build time
+//! from a [`PopulationProfile`] and a [`DetRng`] stream (members stay to the
+//! end of class). The pool actor drains it per tick by a search of its bucket
+//! table and a scan of one bucket, never O(members × ticks), so a run that
+//! models a million pooled clients schedules one entity per region.
 //!
-//! Determinism story: the timeline depends only on `(seed, profile, members,
-//! class length)`. It is generated before the simulation starts, so serial
-//! and sharded engines consume byte-identical schedules; the pool actor
-//! itself performs no randomness beyond what its own derived [`DetRng`]
-//! streams provide.
+//! Determinism: the timeline depends only on `(seed, profile, members,
+//! class length)` and is generated before the simulation starts, so serial
+//! and sharded engines consume byte-identical schedules.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,42 +37,39 @@ impl PopulationProfile {
     }
 }
 
-/// The materialized join schedule of one pool.
+/// The joins per bucket its width aims at: a dense crowd averages between
+/// this and twice as many (the width is a power of two). A drain scans one.
+const JOINS_PER_BUCKET: u64 = 128;
+
+/// The materialized join schedule of one pool, consumed with
+/// [`PopulationTimeline::drain_until`].
 ///
-/// Generated once per run from `(seed, profile, members, horizon)`;
-/// consumed with [`PopulationTimeline::drain_until`].
-///
-/// Stored as 4 bytes per member plus 8 per occupied page: every join is an
-/// offset from `base` (the earliest instant any join can take), split into a
-/// 2^32-ns (≈4.29 s) page and the low 32 bits within it. `lows` holds the
-/// low halves, sorted within each page and the pages in ascending order;
-/// `pages` has one `(page, first join index)` entry per page that holds a
-/// join, so its length is bounded by the member count whatever the spread
-/// or horizon. A crowd whose spread fits a few pages costs 4 bytes per
-/// member; one with a page per join, 12. Draining only moves the cursor, so
-/// [`PopulationTimeline::rewind`] replays the same schedule.
+/// Each join is an offset from `base` (the earliest instant any join can
+/// take) in a bucket of 2^`shift` ns (`shift` ≤ 32: a bucket never straddles
+/// a 2^32-ns page). `lows` holds the offsets' low 32 bits, buckets ascending,
+/// unsorted within one; `buckets` has one `(offset >> shift, first index)`
+/// entry per occupied bucket, bounded by the member count whatever the
+/// spread: about 4.05 bytes per member in a dense crowd, 12 with a page per
+/// join. Draining only moves the cursor, so `rewind` replays the schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopulationTimeline {
     base: SimTime,
+    shift: u32,
     lows: Vec<u32>,
-    pages: Vec<(u32, u32)>,
-    /// Index into `lows` of the next undrained join.
-    next_join: usize,
-    /// Index into `pages` of the page holding `next_join` (`pages.len()`
-    /// once every join has drained).
-    page: usize,
-    members: u64,
+    buckets: Vec<(u32, u32)>,
+    /// Joins drained so far: every one at an offset below `next`.
+    drained: usize,
+    next: u64,
 }
 
 impl PopulationTimeline {
     /// Largest population one timeline may be generated for: ten times the
-    /// 1M-member planet tier, the largest any experiment runs. Generation
-    /// holds 8 bytes per member (the low halves and the page numbers, which
-    /// become the sort's scratch) plus 12 per occupied page (the table and
-    /// each page's fill cursor): 80 MB at this cap when the spread fits a
-    /// few pages, 200 MB when every join has a page of its own. Spec loaders
-    /// and command lines reject larger populations before building instead
-    /// of letting an allocation abort the process.
+    /// 1M-member planet tier. Besides the timeline, generation holds the draws
+    /// (4 bytes per member, only when the span fits one page; a wider one
+    /// draws twice instead) and 4 bytes per bucket of the key range: about
+    /// 81 MB in all at this cap for a dense crowd. With about a page per join
+    /// it sorts the keys instead, up to 20 bytes per member, 200 MB. Spec
+    /// loaders and command lines reject larger populations before building.
     pub const MAX_MEMBERS: u64 = 10_000_000;
 
     /// Generates the timeline for `members` pooled clients over
@@ -109,76 +101,62 @@ impl PopulationTimeline {
             let join = (profile.at + SimDuration::from_nanos(draw)).min(horizon);
             join.as_nanos() - base.as_nanos()
         };
-        // Counting sort by page: a first pass over a copy of the stream
-        // finds the occupied pages and their sizes, the second makes the
-        // same draws and drops each low half into its page's next slot.
-        let mut keys: Vec<u32> = {
+        // The latest offset a draw can give sizes the buckets.
+        let latest = profile.at.saturating_add(SimDuration::from_nanos(spread_ns.max(1) - 1));
+        let last = latest.min(horizon).as_nanos() - base.as_nanos();
+        let width = last / (members / JOINS_PER_BUCKET).max(1);
+        let shift = (u64::BITS - width.leading_zeros()).min(32);
+        let (lows, buckets) = if last <= u64::from(u32::MAX) {
+            // A low half is the whole offset: one pass of draws suffices.
+            let draws: Vec<u32> = (0..members).map(|_| offset(rng) as u32).collect();
+            let offsets = || draws.iter().map(|&low| u64::from(low));
+            bucket(members, shift, last, offsets(), offsets())
+        } else {
+            // Count on a copy of the stream, then scatter the same draws.
             let mut copy = rng.clone();
-            (0..members).map(|_| (offset(&mut copy) >> 32) as u32).collect()
+            let count = (0..members).map(|_| offset(&mut copy));
+            bucket(members, shift, last, count, (0..members).map(|_| offset(rng)))
         };
-        keys.sort_unstable();
-        let mut pages = Vec::with_capacity(keys.chunk_by(u32::eq).count());
-        let mut first = 0;
-        for run in keys.chunk_by(u32::eq) {
-            pages.push((run[0], first));
-            first += run.len() as u32;
-        }
-        let mut slot: Vec<u32> = pages.iter().map(|&(_, first)| first).collect();
-        let mut lows = vec![0u32; members as usize];
-        for _ in 0..members {
-            let offset = offset(rng);
-            let i = pages.partition_point(|&(page, _)| page < (offset >> 32) as u32);
-            lows[slot[i] as usize] = offset as u32;
-            slot[i] += 1;
-        }
-        let mut timeline = PopulationTimeline { base, lows, pages, next_join: 0, page: 0, members };
-        // The page keys are spent; their buffer is the sort's scratch.
-        for i in 0..timeline.pages.len() {
-            let range = timeline.page_range(i);
-            sort_lows(&mut timeline.lows[range.clone()], &mut keys[range]);
-        }
-        timeline
+        PopulationTimeline { base, shift, lows, buckets, drained: 0, next: 0 }
     }
 
     /// Total pool size this timeline was generated for.
     pub fn members(&self) -> u64 {
-        self.members
+        self.lows.len() as u64
     }
 
     /// Joins scheduled at or before `now` that have not been drained yet;
     /// advances the cursor past them.
     pub fn drain_until(&mut self, now: SimTime) -> u64 {
-        let Some(offset) = now.as_nanos().checked_sub(self.base.as_nanos()) else {
+        let since = now.as_nanos().checked_sub(self.base.as_nanos());
+        let Some(offset) = since.filter(|&offset| offset >= self.next) else {
             return 0;
         };
-        let (page, low) = ((offset >> 32) as u32, offset as u32);
-        let from = self.next_join;
-        // Pages before `page` drain whole; within `page`, one binary search.
-        let whole = self.pages[self.page..].partition_point(|&(p, _)| p < page);
-        if whole > 0 {
-            self.page += whole;
-            self.next_join = self.page_range(self.page).start;
+        self.next = offset.saturating_add(1);
+        // Buckets before `now`'s drain whole; within its bucket, a count.
+        let b = self.buckets.partition_point(|&(key, _)| u64::from(key) < offset >> self.shift);
+        let range = self.bucket_range(b);
+        let mut drained = range.start;
+        if self.buckets.get(b).is_some_and(|&(key, _)| u64::from(key) == offset >> self.shift) {
+            drained += self.lows[range].iter().filter(|&&low| low <= offset as u32).count();
         }
-        if self.pages.get(self.page).is_some_and(|&(p, _)| p == page) {
-            let end = self.page_range(self.page).end;
-            self.next_join += self.lows[self.next_join..end].partition_point(|&l| l <= low);
-            if self.next_join == end {
-                self.page += 1;
-            }
-        }
-        (self.next_join - from) as u64
+        (drained - std::mem::replace(&mut self.drained, drained)) as u64
     }
 
-    /// Time of the next undrained join, if any.
+    /// Time of the next undrained join, if any: the earliest at or past
+    /// `next` in its bucket, or else in the bucket after.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        let &(page, _) = self.pages.get(self.page)?;
-        Some(self.instant(page, self.lows[self.next_join]))
+        let b = self.buckets.partition_point(|&(key, _)| u64::from(key) < self.next >> self.shift);
+        let earliest = (b..self.buckets.len().min(b + 2)).find_map(|b| {
+            let offsets = self.lows[self.bucket_range(b)].iter().map(|&low| self.offset(b, low));
+            offsets.filter(|&offset| offset >= self.next).min()
+        })?;
+        Some(SimTime::from_nanos(self.base.as_nanos() + earliest))
     }
 
     /// Rewinds the cursor to the beginning (e.g. after a crash-restart).
     pub fn rewind(&mut self) {
-        self.next_join = 0;
-        self.page = 0;
+        (self.drained, self.next) = (0, 0);
     }
 
     /// Splits off `tracers` members as fully simulated clients: returns the
@@ -189,76 +167,97 @@ impl PopulationTimeline {
     /// tracers`-th of the `n` joins for each `i < tracers` — so they cover
     /// the whole arrival curve (first, last, and evenly between), and the
     /// residual pool plus the tracer clients together reproduce the original
-    /// population exactly. When `tracers >= n` every join is a tracer. The
-    /// residual is built in one pass over the joins, page by page.
+    /// population exactly. When `tracers >= n` every join is a tracer. One
+    /// pass over the buckets finds each rank by the table's first indices
+    /// and selects it in the residual's copy of its bucket.
     pub fn split_tracers(&self, tracers: u64) -> (PopulationTimeline, Vec<SimTime>) {
         let n = self.lows.len() as u64;
         let tracers = tracers.min(n);
         let mut ranks = (0..tracers).map(|i| (i * n / tracers) as usize).peekable();
         let mut picked = Vec::with_capacity(tracers as usize);
-        let mut lows = Vec::with_capacity((n - tracers) as usize);
-        let mut pages = Vec::with_capacity(self.pages.len());
-        for (i, &(page, _)) in self.pages.iter().enumerate() {
-            let range = self.page_range(i);
-            let first = lows.len();
-            let mut from = range.start;
-            while let Some(rank) = ranks.next_if(|&rank| rank < range.end) {
-                lows.extend_from_slice(&self.lows[from..rank]);
-                picked.push(self.instant(page, self.lows[rank]));
-                from = rank + 1;
+        let mut lows = Vec::with_capacity(n as usize); // a cut bucket is copied whole first
+        let mut buckets = Vec::with_capacity(self.buckets.len());
+        let mut copied = 0;
+        for (b, &(key, _)) in self.buckets.iter().enumerate() {
+            let range = self.bucket_range(b);
+            let first = range.start - picked.len();
+            if ranks.peek().is_some_and(|&rank| rank < range.end) {
+                // One copy up to this bucket's end; each rank is selected and cut out there.
+                lows.extend_from_slice(&self.lows[copied..range.end]);
+                let (mut from, mut cut) = (first, 0);
+                while let Some(rank) = ranks.next_if(|&rank| rank < range.end) {
+                    let (at, base) = (first + rank - range.start, self.base.as_nanos());
+                    lows[from..].select_nth_unstable(at - from);
+                    picked.push(SimTime::from_nanos(base + self.offset(b, lows[at])));
+                    lows.copy_within(from..at, from - cut);
+                    (from, cut) = (at + 1, cut + 1);
+                }
+                lows.copy_within(from.., from - cut);
+                lows.truncate(lows.len() - cut);
+                copied = range.end;
             }
-            lows.extend_from_slice(&self.lows[from..range.end]);
-            if lows.len() > first {
-                pages.push((page, first as u32));
+            if range.end - picked.len() > first {
+                buckets.push((key, first as u32));
             }
         }
-        let residual = PopulationTimeline {
-            base: self.base,
-            lows,
-            pages,
-            next_join: 0,
-            page: 0,
-            members: self.members.saturating_sub(tracers),
-        };
+        lows.extend_from_slice(&self.lows[copied..]);
+        let residual = PopulationTimeline { lows, buckets, drained: 0, next: 0, ..*self };
         (residual, picked)
     }
 
-    /// The indices into `lows` of page entry `i` (empty past the last page).
-    fn page_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = self.pages.get(i).map_or(self.lows.len(), |&(_, first)| first as usize);
-        let end = self.pages.get(i + 1).map_or(self.lows.len(), |&(_, first)| first as usize);
+    /// The indices into `lows` of bucket entry `b` (empty past the last).
+    fn bucket_range(&self, b: usize) -> std::ops::Range<usize> {
+        let start = self.buckets.get(b).map_or(self.lows.len(), |&(_, first)| first as usize);
+        let end = self.buckets.get(b + 1).map_or(self.lows.len(), |&(_, first)| first as usize);
         start..end
     }
 
-    /// The instant of the join at `low` within `page`.
-    fn instant(&self, page: u32, low: u32) -> SimTime {
-        SimTime::from_nanos(self.base.as_nanos() + ((u64::from(page) << 32) | u64::from(low)))
+    /// The offset from `base` of the join at `low` in bucket entry `b`.
+    fn offset(&self, b: usize, low: u32) -> u64 {
+        (u64::from(self.buckets[b].0) << self.shift) & !u64::from(u32::MAX) | u64::from(low)
     }
 }
 
-/// Sorts `lows` ascending by a radix sort, least significant byte first:
-/// each of the four passes is a stable counting sort between `lows` and
-/// `scratch`, so the result lands back in `lows`. On a page of uniformly
-/// spread offsets this takes about 60% of `sort_unstable`'s time; each call
-/// also builds four 256-entry histograms, whatever the slice length.
-fn sort_lows(lows: &mut [u32], scratch: &mut [u32]) {
-    let (mut from, mut to) = (lows, scratch);
-    for shift in [0, 8, 16, 24] {
-        let digit = |low: u32| ((low >> shift) & 0xff) as usize;
-        let mut next = [0usize; 256];
-        for &low in from.iter() {
-            next[digit(low)] += 1;
-        }
-        let mut first = 0;
-        for slot in &mut next {
-            (*slot, first) = (first, first + *slot);
-        }
-        for &low in from.iter() {
-            to[next[digit(low)]] = low;
-            next[digit(low)] += 1;
-        }
-        std::mem::swap(&mut from, &mut to);
+/// Groups `members` offsets, none past `last`, into buckets of 2^`shift` ns
+/// by a counting scatter: sizes from `count`, lows from `scatter` (the same
+/// offsets again). Returns the lows bucket by bucket and the bucket table.
+fn bucket(
+    members: u64,
+    shift: u32,
+    last: u64,
+    count: impl Iterator<Item = u64>,
+    scatter: impl Iterator<Item = u64>,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let mut lows = vec![0u32; members as usize];
+    let key = |offset: u64| (offset >> shift) as u32;
+    // A key indexes its bucket when the key range is no wider than the
+    // crowd; otherwise its rank among the sorted occupied keys does.
+    let dense = last >> shift < members;
+    let mut keys = Vec::new();
+    let mut at = if dense {
+        let mut sizes = vec![0u32; (last >> shift) as usize + 3];
+        count.for_each(|offset| sizes[key(offset) as usize + 2] += 1);
+        sizes
+    } else {
+        let mut sorted: Vec<u32> = count.map(key).collect();
+        sorted.sort_unstable();
+        keys = sorted.chunk_by(u32::eq).map(|run| run[0]).collect();
+        [0, 0].into_iter().chain(sorted.chunk_by(u32::eq).map(|run| run.len() as u32)).collect()
+    };
+    // Prefix sums: `at[b + 1]` is bucket b's fill cursor, then `at[b]` its start.
+    for b in 1..at.len() {
+        at[b] += at[b - 1];
     }
+    for offset in scatter {
+        let b =
+            if dense { key(offset) as usize } else { keys.partition_point(|&k| k < key(offset)) };
+        lows[at[b + 1] as usize] = offset as u32;
+        at[b + 1] += 1;
+    }
+    let occupied = (0..at.len() - 2).filter(|&b| at[b] < at[b + 1]);
+    let mut buckets = Vec::with_capacity(at.len() - 2);
+    buckets.extend(occupied.map(|b| (if dense { b as u32 } else { keys[b] }, at[b])));
+    (lows, buckets)
 }
 
 #[cfg(test)]
@@ -329,18 +328,39 @@ mod tests {
     }
 
     #[test]
-    fn the_page_table_holds_only_occupied_pages() {
+    fn the_bucket_table_holds_only_occupied_buckets() {
         // Half the clock under an unbounded horizon: nearly every join has
         // a 2^32-ns page of its own, and a dense table would have 2^31.
         let at = SimTime::from_nanos((5 << 32) + 17);
         let spread = SimDuration::from_nanos(1 << 63);
         let profile = PopulationProfile::flash_crowd(at, spread);
-        let tl = PopulationTimeline::generate(&profile, 300, SimTime::MAX, &mut DetRng::new(3));
-        assert!((250..=300).contains(&tl.pages.len()), "{} pages", tl.pages.len());
-        // A page whose every join became a tracer leaves the table.
-        let (residual, _) = tl.split_tracers(100);
-        assert!(residual.pages.len() <= 200, "{} pages", residual.pages.len());
-        assert!((0..residual.pages.len()).all(|i| !residual.page_range(i).is_empty()));
+        let sparse = PopulationTimeline::generate(&profile, 300, SimTime::MAX, &mut DetRng::new(3));
+        assert_eq!(sparse.shift, 32);
+        assert!((250..=300).contains(&sparse.buckets.len()), "{} buckets", sparse.buckets.len());
+        // A dense crowd: buckets of a few dozen joins.
+        let profile = PopulationProfile::flash_crowd(
+            SimTime::from_millis(200),
+            SimDuration::from_millis(500),
+        );
+        let dense = PopulationTimeline::generate(
+            &profile,
+            100_000,
+            SimTime::from_secs(3_600),
+            &mut DetRng::new(4),
+        );
+        let per_bucket = dense.lows.len() / dense.buckets.len();
+        let aim = JOINS_PER_BUCKET as usize;
+        assert!((aim..=2 * aim).contains(&per_bucket), "{per_bucket} joins per bucket");
+        for tl in [sparse, dense] {
+            for (b, &(key, _)) in tl.buckets.iter().enumerate() {
+                let lows = &tl.lows[tl.bucket_range(b)];
+                assert!(lows.iter().all(|&low| tl.offset(b, low) >> tl.shift == u64::from(key)));
+            }
+            // A bucket whose every join became a tracer leaves the table.
+            let (residual, _) = tl.split_tracers(tl.lows.len() as u64 / 3);
+            assert!(residual.buckets.len() <= residual.lows.len());
+            assert!((0..residual.buckets.len()).all(|i| !residual.bucket_range(i).is_empty()));
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Equivalence oracle for [`PopulationTimeline`]: the paged store (a 4-byte
-//! offset per join within a 2^32-ns page, plus one table entry per occupied
-//! page) against the coalesced `(at, delta)` event timeline it replaced,
+//! Equivalence oracle for [`PopulationTimeline`]: the bucketed store (a
+//! 4-byte offset per join, grouped into time buckets that never straddle a
+//! 2^32-ns page and are unsorted within, plus one table entry per occupied
+//! bucket) against the coalesced `(at, delta)` event timeline it replaced,
 //! kept below as [`Reference`] with its flash-crowd generation.
 //!
 //! Both are generated from the same profile, members, horizon and RNG
@@ -127,7 +128,9 @@ fn log_ns(p: &mut DetRng, bits: u64) -> SimDuration {
 /// it, under horizons that clamp every arrival, clamp the tail, or clamp
 /// nothing. One shape in eight is a handful of members spread over half the
 /// clock under an unbounded horizon, so nearly every join has a page of its
-/// own.
+/// own. One in 64 of the rest is a dense crowd of 10 k to 200 k members over
+/// a log-uniform spread from about 1 µs to minutes (buckets averaging 128 to
+/// 256 joins, one page or up to 64), clamped at its middle or not at all.
 fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
     let mut p = DetRng::new(shape);
     let at = match p.index(3) {
@@ -138,6 +141,17 @@ fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
     if p.index(8) == 0 {
         let spread = ns((1 << 63) - p.range_u64(0, 1 << 32));
         return (PopulationProfile::flash_crowd(at, spread), p.range_u64(1, 9), SimTime::MAX);
+    }
+    if p.index(64) == 0 {
+        let members = (10_000.0 * 20f64.powf(p.next_f64())) as u64;
+        let bits = p.range_u64(10, 39);
+        let spread = ns(p.range_u64(1 << (bits - 1), 1 << bits));
+        let horizon = match p.index(3) {
+            0 => at + spread / 2,
+            1 => SimTime::from_secs(3_600),
+            _ => SimTime::MAX,
+        };
+        return (PopulationProfile::flash_crowd(at, spread), members, horizon);
     }
     let members = match p.index(3) {
         0 => p.range_u64(1, 8),
@@ -160,19 +174,25 @@ fn population(shape: u64) -> (PopulationProfile, u64, SimTime) {
     (PopulationProfile::flash_crowd(at, spread), members, horizon)
 }
 
-/// Tracer counts at and around every boundary of the stride sampling.
+/// Tracer counts at and around every boundary of the stride sampling; a
+/// crowd of more than 4 000 gets a few dozen at most (the reference removes
+/// each tracer by a linear search).
 fn tracer_count(members: u64, pick: u64) -> u64 {
+    if members > 4_000 {
+        return [0, 1, 16, 48][(pick % 4) as usize];
+    }
     [0, 1, 16, members - 1, members, members + 1 + pick % 64, u64::MAX][(pick % 7) as usize]
 }
 
 /// Drains both timelines in lockstep — non-decreasing instants that hit
-/// event instants exactly, fall just short of them, repeat, or leap by up to
-/// 2^40 ns (across pages) — with a rewind midway, and then drains the rest;
-/// every return must agree.
+/// event instants exactly, fall just short of them, repeat, creep by up to
+/// 2^16 ns (so drains land again and again inside one bucket of a dense
+/// crowd) or leap by up to 2^40 ns (across pages) — with a rewind midway,
+/// and then drains the rest; every return must agree.
 fn drive(new: &mut PopulationTimeline, old: &mut Reference, steps: u64) {
     let mut p = DetRng::new(steps);
     let mut now = SimTime::ZERO;
-    let n = 2 + p.index(60);
+    let n = 2 + p.index(120);
     for step in 0..n {
         if step == n / 2 {
             new.rewind();
@@ -182,10 +202,11 @@ fn drive(new: &mut PopulationTimeline, old: &mut Reference, steps: u64) {
             }
         }
         assert_eq!(new.next_event_at(), old.next_event_at(), "next event, step {step}");
-        now = match (p.index(4), old.next_event_at()) {
+        now = match (p.index(5), old.next_event_at()) {
             (0, Some(at)) => at.max(now),
             (1, Some(at)) => SimTime::from_nanos(at.as_nanos().saturating_sub(1)).max(now),
             (2, _) => now,
+            (3, _) => now + log_ns(&mut p, 16),
             _ => now + log_ns(&mut p, 40),
         };
         assert_eq!(new.drain_until(now), old.drain_until(now), "drain to {now:?}, step {step}");
@@ -218,12 +239,15 @@ proptest! {
         prop_assert_eq!(&new_tracers, &old_tracers);
         prop_assert_eq!(new_residual.members(), old_residual.members());
 
-        // Every coalesced event, one drain per instant.
+        // The first 4 000 coalesced events, one drain per instant, then the
+        // rest at once.
         let mut walk = old.clone();
-        while let Some(at) = walk.next_event_at() {
+        for _ in 0..4_000 {
+            let Some(at) = walk.next_event_at() else { break };
             prop_assert_eq!(new.next_event_at(), Some(at));
             prop_assert_eq!(new.drain_until(at), walk.drain_until(at));
         }
+        prop_assert_eq!(new.drain_until(SimTime::MAX), walk.drain_until(SimTime::MAX));
         prop_assert_eq!(new.next_event_at(), None);
         new.rewind();
 

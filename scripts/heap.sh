@@ -15,7 +15,12 @@
 # (default 1) is metabench's timing budget: every pass builds and runs the
 # whole session, so one timed pass after the counted one is enough.
 #
-# Under the table it lists glibc's malloc arenas at exit (`malloc_stats()`):
+# A second table counts the allocator calls (malloc, calloc, realloc,
+# posix_memalign) each owner made over the whole run, set-up and every pass
+# included, grouped the same way: where the benchmark's `allocs_per_sim_s`
+# comes from, though its count covers only the timed windows.
+#
+# Under the tables it lists glibc's malloc arenas at exit (`malloc_stats()`):
 # the bytes each took from the system and the bytes in use in it. Live bytes
 # cannot show memory an arena keeps after its blocks are freed, such as the
 # arena of a worker thread that exited; the system bytes can, and the RSS
@@ -66,6 +71,8 @@ static size_t block_cap, block_len;
 static StackSlot *stack_slots;   /* stack hash -> id, 2 * MAX_STACKS slots */
 static uintptr_t (*frames)[DEPTH];
 static uint32_t stack_len = 1;   /* id 0: stacks past MAX_STACKS */
+/* Allocator calls per stack over the whole run. */
+static int64_t *calls;
 /* Live bytes and blocks per stack now, and as they stood at the peak; a
  * stack's entry is copied into the peak columns only if it changed since
  * the last peak, so a new peak costs what changed, not every stack. */
@@ -172,6 +179,7 @@ static void record_alloc(void *p, size_t size) {
     if (!p || !ready) return;
     lock();
     uint32_t s = stack_id();
+    calls[s]++;
     block_put((uintptr_t)p, size, s);
     touch(s, (int64_t)size, 1);
     unlock();
@@ -214,11 +222,13 @@ __attribute__((constructor)) static void start(void) {
     live = map(MAX_STACKS * sizeof(int64_t)), live_n = map(MAX_STACKS * sizeof(int64_t));
     at_peak = map(MAX_STACKS * sizeof(int64_t)), at_peak_n = map(MAX_STACKS * sizeof(int64_t));
     dirty = map(MAX_STACKS * sizeof(uint32_t)), is_dirty = map(MAX_STACKS);
-    ready = stack_slots && frames && live && live_n && at_peak && at_peak_n && dirty && is_dirty;
+    calls = map(MAX_STACKS * sizeof(int64_t));
+    ready = stack_slots && frames && live && live_n && at_peak && at_peak_n && dirty && is_dirty && calls;
 }
 
-/* Peak, mappings, then one line per stack live at the peak:
- * bytes, blocks, return addresses innermost first; last, glibc's
+/* Peak, mappings, then one line per stack that allocated: bytes and
+ * blocks live at the peak, calls over the run, return addresses innermost
+ * first; last, glibc's
  * malloc_stats() report, which it prints to stderr. */
 __attribute__((destructor)) static void finish(void) {
     const char *path = getenv("HEAP_REPORT");
@@ -235,8 +245,9 @@ __attribute__((destructor)) static void finish(void) {
         if (write(fd, line, got) != got) break;
     close(in);
     for (uint32_t s = 0; s < stack_len; s++) {
-        if (at_peak[s] <= 0) continue;
-        len = snprintf(line, sizeof line, "stack %lld %lld", (long long)at_peak[s], (long long)at_peak_n[s]);
+        if (at_peak[s] <= 0 && !calls[s]) continue;
+        len = snprintf(line, sizeof line, "stack %lld %lld %lld", (long long)at_peak[s],
+                       (long long)at_peak_n[s], (long long)calls[s]);
         for (int k = 0; k < DEPTH && frames[s][k]; k++)
             len += snprintf(line + len, sizeof line - len, " %lx", (unsigned long)frames[s][k]);
         line[len++] = '\n';
@@ -278,7 +289,7 @@ for line in open(report):
     if fields[0] == "peak":
         peak = int(fields[1])
     elif fields[0] == "stack":
-        stacks.append((int(fields[1]), int(fields[2]), [int(a, 16) for a in fields[3:]]))
+        stacks.append((*map(int, fields[1:4]), [int(a, 16) for a in fields[4:]]))
     elif fields[0] in ("Arena", "Total"):
         arena = "total" if fields[0] == "Total" else int(fields[1].rstrip(":"))
         arenas[arena] = {}
@@ -294,7 +305,7 @@ def in_binary(addr):
 
 # Every in-binary return address once through addr2line, looked up one byte
 # back (inside the call); each resolves to its inline chain, innermost first.
-wanted = sorted({a - 1 for _, _, pcs in stacks for a in pcs if in_binary(a)})
+wanted = sorted({a - 1 for *_, pcs in stacks for a in pcs if in_binary(a)})
 out = subprocess.run(
     ["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
     input="\n".join(f"{a - base:#x}" for a in wanted), capture_output=True, text=True, check=True,
@@ -309,20 +320,29 @@ while j < len(out):
         j += 2
 
 library = re.compile(r"^<?(std|core|alloc|hashbrown)::|^<T as |^__rus?t|^__rdl|^\?\?$")
-owners, blocks = collections.Counter(), collections.Counter()
-for size, count, pcs in stacks:
+owners, blocks, calls = collections.Counter(), collections.Counter(), collections.Counter()
+for size, count, made, pcs in stacks:
     resolved = [n for a in pcs if in_binary(a) for n in names.get(a - 1, ["??"])]
     if "metabench::main" in resolved:
         resolved = resolved[: resolved.index("metabench::main")]
     own = [n for n in resolved if not library.search(n)][:2]
     key = "  <-  ".join(own) if own else "(std only)"
-    owners[key] += size
-    blocks[key] += count
+    owners[key] += max(size, 0)
+    blocks[key] += max(count, 0)
+    calls[key] += made
 
-print(f"{workload}, seed {seed}: {peak / 1e6:.2f} MB live at the peak, {len(stacks)} stacks")
+live = sum(1 for size, *_ in stacks if size > 0)
+print(f"{workload}, seed {seed}: {peak / 1e6:.2f} MB live at the peak, {live} stacks")
 print(f"\n{'MB':>7} {'share':>6} {'blocks':>8}  owner  <-  its caller")
 for key, size in owners.most_common(30):
-    print(f"{size / 1e6:7.2f} {100 * size / peak:5.1f}% {blocks[key]:8d}  {key[:160]}")
+    if size > 0:
+        print(f"{size / 1e6:7.2f} {100 * size / peak:5.1f}% {blocks[key]:8d}  {key[:160]}")
+
+total = sum(calls.values())
+print(f"\nallocator calls over the whole run: {total}, {len(stacks)} stacks")
+print(f"{'calls':>10} {'share':>6}  owner  <-  its caller")
+for key, made in calls.most_common(30):
+    print(f"{made:10d} {100 * made / max(total, 1):5.1f}%  {key[:160]}")
 
 if arenas:
     # Arena 0 is the main thread's; every other one was made for a thread
