@@ -8,8 +8,8 @@
 //! bench --exp e3 --seeds 32 --jobs 8 --json
 //! bench --exp all --seeds 4 --quick --json
 //! bench --validate results/BENCH_e3.json
-//! bench verify                           # every document x every engine vs results/baselines/
-//! bench verify --bless                   # rewrite the baselines (engines must agree)
+//! bench verify                           # every contract x every engine vs its committed file
+//! bench verify --bless                   # rewrite the contracts (engines must agree)
 //! bench simcheck --seed 7 --cases 200    # invariant-oracle fuzzing
 //! ```
 //!
@@ -20,16 +20,14 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use metaclass_bench::experiments::scenario::{scenarios_in, ScenarioExperiment};
+use metaclass_bench::experiments::scenario::ScenarioExperiment;
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig};
 use metaclass_bench::{default_jobs, experiments, verify, Experiment, Scale};
-use metaclass_core::{ScenarioError, ScenarioSpec};
+use metaclass_core::ScenarioSpec;
 use metaclass_netsim::EngineConfig;
 
 /// The repository's scenario registry directory.
 const SCENARIO_DIR: &str = "scenarios";
-/// The committed baselines `bench verify` compares against.
-const BASELINE_DIR: &str = "results/baselines";
 
 struct Args {
     exp: Option<String>,
@@ -66,9 +64,10 @@ fn usage() -> ! {
          \x20 --list           list registered experiments + scenarios/ specs\n\
          \x20 --validate       check BENCH_*.json documents and *.toml scenario\n\
          \x20                  specs (dispatched by extension)\n\
-         \x20 verify           regenerate every document (quick, 4 seeds) under serial,\n\
-         \x20                  sharded:2 and sharded:4 and compare with results/baselines/;\n\
-         \x20                  --bless rewrites the baselines when all engines agree"
+         \x20 verify           regenerate every contract (BENCH documents, scenario\n\
+         \x20                  fingerprints, simcheck transcripts) under serial, sharded:2\n\
+         \x20                  and sharded:4 and compare with the committed files;\n\
+         \x20                  --bless rewrites them all when all engines agree"
     );
     std::process::exit(2)
 }
@@ -141,15 +140,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Every registered document: e1..e15, then each `scenarios/*.toml`.
-fn registered() -> Result<Vec<&'static dyn Experiment>, ScenarioError> {
-    let mut all = experiments::all().to_vec();
-    for s in scenarios_in(std::path::Path::new(SCENARIO_DIR))? {
-        all.push(Box::leak(Box::new(s)));
-    }
-    Ok(all)
-}
-
 /// `bench verify [--bless]`.
 fn run_verify(args: &[String]) -> ExitCode {
     let bless = match args {
@@ -157,23 +147,20 @@ fn run_verify(args: &[String]) -> ExitCode {
         [flag] if flag == "--bless" => true,
         _ => usage(),
     };
-    let targets = match registered() {
-        Ok(targets) => targets,
+    let root = std::path::Path::new(".");
+    let contracts = match verify::contracts(root) {
+        Ok(contracts) => contracts,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let dir = std::path::Path::new(BASELINE_DIR);
-    let engines = verify::ENGINES.len();
-    let result = if bless { verify::bless(&targets, dir) } else { verify::verify(&targets, dir) };
+    let what = format!("{} x [{}]", verify::summary(&contracts), verify::ENGINES.join(", "));
+    let result =
+        if bless { verify::bless(&contracts, root) } else { verify::verify(&contracts, root) };
     match result {
-        Ok(n) if bless => {
-            println!("verify: {n} documents x {engines} engines agree; wrote {BASELINE_DIR}/");
-        }
-        Ok(n) => {
-            println!("verify: {n} documents x {engines} engines byte-identical to {BASELINE_DIR}/");
-        }
+        Ok(_) if bless => println!("verify: {what} agree; wrote every committed file"),
+        Ok(_) => println!("verify: {what} byte-identical to the committed files"),
         Err(lines) => {
             for line in &lines {
                 eprintln!("{line}");
@@ -202,10 +189,10 @@ fn main() -> ExitCode {
     let args = parse_args();
 
     if args.list {
-        match registered() {
+        match verify::contracts(std::path::Path::new(".")) {
             Ok(all) => {
                 println!("id     title");
-                for e in all {
+                for e in all.iter().filter_map(verify::Contract::experiment) {
                     println!("{:<6} {}", e.id(), e.title());
                 }
             }

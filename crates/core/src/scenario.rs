@@ -602,22 +602,25 @@ fn parse_toml(text: &str) -> Result<(Value, BTreeMap<String, u32>), ScenarioErro
         if line.is_empty() {
             continue;
         }
-        if let Some(header) = line.strip_prefix("[[").and_then(|r| r.strip_suffix("]]")) {
-            // Array-of-tables: append a fresh element.
+        let header = match line.strip_prefix("[[").and_then(|r| r.strip_suffix("]]")) {
+            Some(header) => Some((header, true)),
+            None => line.strip_prefix('[').and_then(|r| r.strip_suffix(']')).map(|h| (h, false)),
+        };
+        if let Some((header, array)) = header {
+            // `[a.b]` walks to table `b`; `[[a.b]]` appends a fresh table to
+            // array `b`. Only a `[a.b]` header rejects a non-table `a` on the
+            // spot; `[[a.b]]` reports it on the next step.
             let keys = split_header(header, lineno)?;
             let mut path: Vec<Seg> = Vec::new();
             for (i, key) in keys.iter().enumerate() {
-                let table = node_mut(&mut root, &path);
-                let map = match table {
-                    Value::Object(m) => m,
-                    _ => {
-                        return Err(ScenarioError::at_line(
-                            format!("`{}` is not a table", path_string(&path)),
-                            lineno,
-                        ))
-                    }
+                let Value::Object(map) = node_mut(&mut root, &path) else {
+                    return Err(ScenarioError::at_line(
+                        format!("`{}` is not a table", path_string(&path)),
+                        lineno,
+                    ));
                 };
-                if i + 1 == keys.len() {
+                path.push(Seg::Key(key.clone()));
+                if array && i + 1 == keys.len() {
                     let arr = map.entry(key.clone()).or_insert_with(|| Value::Array(Vec::new()));
                     let Value::Array(items) = arr else {
                         return Err(ScenarioError::at_line(
@@ -626,41 +629,17 @@ fn parse_toml(text: &str) -> Result<(Value, BTreeMap<String, u32>), ScenarioErro
                         ));
                     };
                     items.push(Value::Object(BTreeMap::new()));
-                    path.push(Seg::Key(key.clone()));
                     path.push(Seg::Idx(items.len() - 1));
                 } else {
-                    map.entry(key.clone()).or_insert_with(|| Value::Object(BTreeMap::new()));
-                    path.push(Seg::Key(key.clone()));
-                }
-            }
-            lines.insert(path_string(&path), lineno);
-            current = path;
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-            let keys = split_header(header, lineno)?;
-            let mut path: Vec<Seg> = Vec::new();
-            for key in &keys {
-                let table = node_mut(&mut root, &path);
-                let map = match table {
-                    Value::Object(m) => m,
-                    _ => {
-                        return Err(ScenarioError::at_line(
-                            format!("`{}` is not a table", path_string(&path)),
-                            lineno,
-                        ))
-                    }
-                };
-                match map.entry(key.clone()).or_insert_with(|| Value::Object(BTreeMap::new())) {
-                    Value::Object(_) => {}
-                    _ => {
+                    let table =
+                        map.entry(key.clone()).or_insert_with(|| Value::Object(BTreeMap::new()));
+                    if !array && !matches!(table, Value::Object(_)) {
                         return Err(ScenarioError::at_line(
                             format!("`{key}` already defined as a non-table"),
                             lineno,
-                        ))
+                        ));
                     }
                 }
-                path.push(Seg::Key(key.clone()));
             }
             lines.insert(path_string(&path), lineno);
             current = path;
@@ -959,6 +938,24 @@ mod tests {
             assert_eq!(err.line, Some(at as u32 + 1), "{err}");
             assert!(err.message.starts_with(&format!("{path}: unknown variant `Mars`")), "{err}");
         }
+    }
+
+    #[test]
+    fn header_conflicts_name_the_key_and_line() {
+        for (text, message) in [
+            ("a = 1\n[a]\n", "`a` already defined as a non-table"),
+            ("a = 1\n[a.b]\n", "`a` already defined as a non-table"),
+            ("[[a]]\n[a.b]\n", "`a` already defined as a non-table"),
+            ("a = 1\n[[a]]\n", "`a` already defined as a non-array"),
+            ("[a]\n[[a]]\n", "`a` already defined as a non-array"),
+            ("a = 1\n[[a.b]]\n", "`a` is not a table"),
+            ("[[a]]\n[[a.b]]\n", "`a` is not a table"),
+        ] {
+            let err = parse_toml(text).unwrap_err();
+            assert_eq!((err.message.as_str(), err.line), (message, Some(2)), "{text:?}");
+        }
+        let (_, lines) = parse_toml("[a.b]\nx = 1\n[[a.c]]\n[[a.c]]\ny = 2\n").unwrap();
+        assert_eq!((lines["a.b"], lines["a.c.0"], lines["a.c.1"], lines["a.c.1.y"]), (1, 3, 4, 5));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! code is 0 only when every case passes every oracle. `--write DIR` saves
 //! each shrunk violation as a replayable regression-case JSON.
 
+use std::io::{self, Write};
 use std::path::Path;
 
 use metaclass_core::ScenarioSpec;
@@ -137,19 +138,24 @@ fn write_cases(dir: &str, cases: &[(String, RegressionCase)]) -> Result<(), Stri
     Ok(())
 }
 
-/// Runs the subcommand. Returns the process exit code: 0 when all cases
-/// pass, 1 on violations, 2 on bad flags or I/O failure.
-pub fn run_cli(args: &[String]) -> i32 {
+/// Runs the subcommand, writing what it prints to stdout to `out`; flag
+/// and I/O errors go to stderr. Returns the exit code: 0 when all cases
+/// pass, 1 on violations, 2 on bad flags or a failed `--write`.
+///
+/// # Errors
+///
+/// A failed write to `out`.
+pub fn run_to(args: &[String], out: &mut impl Write) -> io::Result<i32> {
     let cfg = match parse(args) {
         Ok(Some(cfg)) => cfg,
         Ok(None) => {
-            print!("{USAGE}");
-            return 0;
+            write!(out, "{USAGE}")?;
+            return Ok(0);
         }
         Err(err) => {
             eprintln!("simcheck: {err}");
             eprint!("{USAGE}");
-            return 2;
+            return Ok(2);
         }
     };
 
@@ -163,21 +169,24 @@ pub fn run_cli(args: &[String]) -> i32 {
         Some(spec) => format!(" scenario {}", spec.name),
         None => String::new(),
     };
-    println!(
+    writeln!(
+        out,
         "simcheck: seed {} cases {} scale {scale}{pooled}{scenario}",
         cfg.explore.seed, cfg.explore.cases
-    );
+    )?;
     let outcome = explore(&cfg.explore);
-    println!(
+    writeln!(
+        out,
         "simcheck: {} clean / {} cases, fingerprint {}",
         outcome.clean,
         outcome.cases,
         outcome.fingerprint_hex()
-    );
+    )?;
 
     let mut files = Vec::new();
     for v in &outcome.violations {
-        println!(
+        writeln!(
+            out,
             "VIOLATION case {}: {} — shrunk {} -> {} windows ({} events, {} runs)",
             v.case_index,
             v.violation,
@@ -185,7 +194,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             v.minimal.len(),
             2 * v.minimal.len(),
             v.shrink_runs
-        );
+        )?;
         files.push((
             format!("shrunk-seed{}-case{}.json", cfg.explore.seed, v.case_index),
             regression_for(v, cfg.explore.quick),
@@ -194,17 +203,25 @@ pub fn run_cli(args: &[String]) -> i32 {
     if let Some(dir) = &cfg.write_dir {
         if let Err(err) = write_cases(dir, &files) {
             eprintln!("simcheck: {err}");
-            return 2;
+            return Ok(2);
         }
-        println!("simcheck: wrote {} regression case(s) to {dir}", files.len());
+        writeln!(out, "simcheck: wrote {} regression case(s) to {dir}", files.len())?;
     }
     if outcome.violations.is_empty() {
-        println!("simcheck: OK");
-        0
+        writeln!(out, "simcheck: OK")?;
+        Ok(0)
     } else {
-        println!("simcheck: FAILED ({} violation(s))", outcome.violations.len());
-        1
+        writeln!(out, "simcheck: FAILED ({} violation(s))", outcome.violations.len())?;
+        Ok(1)
     }
+}
+
+/// Runs the subcommand on stdout. Returns the process exit code.
+pub fn run_cli(args: &[String]) -> i32 {
+    run_to(args, &mut io::stdout()).unwrap_or_else(|err| {
+        eprintln!("simcheck: stdout: {err}");
+        2
+    })
 }
 
 #[cfg(test)]

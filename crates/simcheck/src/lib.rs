@@ -35,7 +35,7 @@ pub mod plan;
 pub mod regress;
 pub mod scenario;
 
-pub use cli::run_cli;
+pub use cli::{run_cli, run_to};
 pub use explore::{
     explore, explore_with, mix, run_plan, shrink, ExploreConfig, ExploreOutcome, FoundViolation,
     RunOutcome,

@@ -1,105 +1,45 @@
-//! Golden transcripts and end-to-end guarantees for the canonical
-//! scenario specs under `scenarios/`.
+//! End-to-end guarantees for the canonical scenario specs under
+//! `scenarios/`.
 //!
-//! Every committed spec is expanded at a pinned seed and its event-trace
-//! fingerprint compared against `tests/scenarios/<name>.fp` — on the
-//! serial *and* the sharded engine, so a byte of drift in the expander,
-//! the DSL, or either engine fails loudly. The lab scenario's mobility
-//! script is additionally checked for exact membership accounting (each
-//! mover holds exactly one seat, the room census balances, no move is
-//! lost), and the composed-stress scenario must pass every simcheck
-//! invariant oracle with its scripted faults active.
+//! The committed fingerprints (`tests/scenarios/<name>.fp`) and the pooled
+//! simcheck transcript are regenerated by `bench verify`'s own contract
+//! runner under every engine it checks, so tier-1 runs that code on its
+//! cheapest contracts. The lab scenario's mobility script is additionally
+//! checked for exact membership accounting (each mover holds exactly one
+//! seat, the room census balances, no move is lost), and the
+//! composed-stress scenario must pass every simcheck invariant oracle with
+//! its scripted faults active.
 //!
-//! To regenerate the fingerprints after an intentional behavior change:
-//!
-//! ```text
-//! cargo test --test scenario_golden regenerate_fingerprints -- --ignored
-//! ```
+//! After an intended behaviour change, `bench verify --bless` rewrites
+//! every contract at once.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use metaclass_avatar::AvatarId;
+use metaclass_bench::verify::{contracts, verify, GOLDEN_SEED};
 use metaclass_core::ScenarioSpec;
 use metaclass_edge::CloudServerNode;
 use metaclass_netsim::EngineConfig;
 use metaclass_simcheck::{run_plan, standard_oracles, Scenario};
 
-/// The seed every golden transcript is pinned to.
-const GOLDEN_SEED: u64 = 2022;
-/// Trace capacity: quick-scale canonical runs fit comfortably.
-const TRACE_CAP: usize = 1 << 18;
-
 fn spec_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
 }
 
-fn fp_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/scenarios")
-}
-
-fn canonical_specs() -> Vec<ScenarioSpec> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(spec_dir())
-        .expect("scenarios/ exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "toml"))
+#[test]
+fn fingerprints_and_pooled_transcript_verify_on_every_engine() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cheap: Vec<_> = contracts(root)
+        .expect("every spec loads")
+        .into_iter()
+        .filter(|c| {
+            c.path().extension().is_some_and(|e| e == "fp") || c.path().ends_with("pooled.txt")
+        })
         .collect();
-    paths.sort();
-    assert!(paths.len() >= 4, "at least the four canonical specs are committed");
-    paths.iter().map(|p| ScenarioSpec::load(p).expect("canonical spec loads")).collect()
-}
-
-/// `"<trace-fingerprint-hex> <events-processed>"` for one expansion.
-fn transcript(spec: &ScenarioSpec, engine: EngineConfig) -> String {
-    let mut session = spec.build_session(GOLDEN_SEED, engine);
-    session.sim_mut().enable_trace(TRACE_CAP);
-    session.run_for(spec.duration());
-    let trace = session.sim().trace().expect("trace enabled");
-    format!("{} {}", trace.fingerprint_hex(), session.sim().events_processed())
-}
-
-/// Writes `tests/scenarios/<name>.fp`. Run explicitly after intentional
-/// changes: `cargo test --test scenario_golden regenerate_fingerprints -- --ignored`
-#[test]
-#[ignore = "writes tests/scenarios/*.fp; run only to regenerate"]
-fn regenerate_fingerprints() {
-    let dir = fp_dir();
-    std::fs::create_dir_all(&dir).expect("create fingerprint dir");
-    for spec in canonical_specs() {
-        let line = transcript(&spec, EngineConfig::serial());
-        std::fs::write(dir.join(format!("{}.fp", spec.name)), line + "\n").expect("write fp");
+    assert_eq!(cheap.len(), 6, "five scenario fingerprints and the pooled transcript");
+    if let Err(lines) = verify(&cheap, root) {
+        panic!("contracts drifted (bench verify --bless if intended):\n{}", lines.join("\n"));
     }
-}
-
-#[test]
-fn canonical_specs_replay_their_committed_fingerprints_on_both_engines() {
-    for spec in canonical_specs() {
-        let path = fp_dir().join(format!("{}.fp", spec.name));
-        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: missing golden fingerprint ({e}); run: cargo test --test \
-                 scenario_golden regenerate_fingerprints -- --ignored",
-                path.display()
-            )
-        });
-        let serial = transcript(&spec, EngineConfig::serial());
-        let sharded = transcript(&spec, EngineConfig::sharded(4));
-        assert_eq!(serial, sharded, "{}: serial and sharded transcripts diverged", spec.name);
-        assert_eq!(
-            committed.trim(),
-            serial,
-            "{}: transcript drifted from tests/scenarios/{}.fp; if intentional, regenerate",
-            spec.name,
-            spec.name
-        );
-    }
-}
-
-#[test]
-fn golden_transcripts_are_stable_across_reruns() {
-    let spec = ScenarioSpec::load(&spec_dir().join("lecture.toml")).expect("lecture spec");
-    let a = transcript(&spec, EngineConfig::serial());
-    let b = transcript(&spec, EngineConfig::serial());
-    assert_eq!(a, b, "rerunning the same expansion must reproduce the transcript");
 }
 
 /// The lab scenario's mobility script, checked end to end: every scripted
