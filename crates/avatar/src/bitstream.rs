@@ -128,11 +128,6 @@ impl<'a> BitWriter<'a> {
         self.pos = self.pos.div_ceil(8) * 8;
     }
 
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.pos as u64
-    }
-
     /// Current length in whole bytes (including a partially filled final
     /// byte, whose unwritten low bits are zero).
     pub fn byte_len(&self) -> usize {
@@ -313,13 +308,13 @@ mod tests {
     fn bit_len_tracks_writes() {
         let mut buf = [0u8; 2];
         let mut w = BitWriter::new(&mut buf);
-        assert_eq!(w.bit_len(), 0);
+        assert_eq!(w.pos, 0);
         w.write_bits(0, 3);
-        assert_eq!(w.bit_len(), 3);
+        assert_eq!(w.pos, 3);
         w.write_bits(0, 5);
-        assert_eq!(w.bit_len(), 8);
+        assert_eq!(w.pos, 8);
         w.write_bits(0, 1);
-        assert_eq!(w.bit_len(), 9);
+        assert_eq!(w.pos, 9);
         assert_eq!(w.byte_len(), 2);
     }
 

@@ -112,7 +112,9 @@ fn parse_args() -> Args {
                     Some(engine) => args.engine = engine,
                     None => {
                         eprintln!(
-                            "--engine: unknown engine {raw:?} (serial | sharded | sharded:<n>, n >= 2)"
+                            "--engine: unknown engine {raw:?} (serial | sharded | sharded:<n>, \
+                             2 <= n <= {})",
+                            metaclass_netsim::MAX_SHARDS
                         );
                         std::process::exit(2);
                     }

@@ -30,9 +30,6 @@ const SEEDS: u64 = 4;
 /// The seed every scenario fingerprint is pinned to.
 pub const GOLDEN_SEED: u64 = 2022;
 
-/// Trace capacity of a fingerprint run: quick-scale specs fit in it.
-const TRACE_CAP: usize = 1 << 18;
-
 /// The committed simcheck transcripts: `tests/simcheck/<name>.txt` holds
 /// what `bench simcheck <args>` prints. A `.toml` path is relative to the
 /// repository root.
@@ -46,7 +43,7 @@ pub const TRANSCRIPTS: [(&str, &str); 3] = [
 enum Source {
     /// A BENCH document, compared per scalar.
     Document(&'static dyn Experiment),
-    /// `"<trace fp> <events>\n"` of one run at [`GOLDEN_SEED`].
+    /// `"<fingerprint> <events>\n"` of one run at [`GOLDEN_SEED`].
     Fingerprint(ScenarioSpec),
     /// `bench simcheck` arguments, without `--engine`.
     Transcript(Vec<String>),
@@ -107,10 +104,11 @@ impl Contract {
             }
             Source::Fingerprint(spec) => {
                 let mut session = spec.build_session(GOLDEN_SEED, config);
-                session.sim_mut().enable_trace(TRACE_CAP);
+                session.sim_mut().enable_fingerprint();
                 session.run_for(spec.duration());
-                let trace = session.sim().trace().expect("trace enabled");
-                Ok(format!("{} {}\n", trace.fingerprint_hex(), session.sim().events_processed()))
+                let sim = session.sim();
+                let fingerprint = sim.fingerprint().expect("fingerprint enabled");
+                Ok(format!("{fingerprint:016x} {}\n", sim.events_processed()))
             }
             Source::Transcript(args) => {
                 let mut argv = args.clone();

@@ -1053,21 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn expansion_is_deterministic_across_engines() {
-        let spec = lab_spec();
-        let fingerprint = |engine: EngineConfig| {
-            let mut s = spec.build_session(7, engine);
-            s.sim_mut().enable_trace(1 << 14);
-            s.run_for(spec.duration());
-            s.sim().trace().expect("trace enabled").fingerprint_hex()
-        };
-        let serial = fingerprint(EngineConfig::serial());
-        let sharded = fingerprint(EngineConfig::sharded(4));
-        assert_eq!(serial, sharded);
-        assert_eq!(serial, fingerprint(EngineConfig::serial()), "rerun identical");
-    }
-
-    #[test]
     fn fault_windows_lower_every_kind_and_partitions_cover_every_node() {
         let mut spec = lab_spec();
         let stress = spec.stress.as_mut().unwrap();

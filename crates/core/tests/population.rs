@@ -10,11 +10,14 @@
 //!   crash-restart): no byte is delivered or dropped that was not sent, and
 //!   the pool and cloud re-converge on the exact admitted population.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use metaclass_core::SessionBuilder;
 use metaclass_edge::{ClientPoolNode, CloudServerNode};
 use metaclass_netsim::{
-    EngineConfig, FaultWindow, LinkClass, PopulationProfile, Region, SimDuration, SimTime,
-    TraceKind,
+    EngineConfig, FaultWindow, LinkClass, NodeId, PopulationProfile, Region, SimDuration, SimEvent,
+    SimTime, SimView,
 };
 use proptest::prelude::*;
 
@@ -103,7 +106,22 @@ proptest! {
         prop_assert_eq!(pooled, members - 2);
         let pool_node = s.pools()[0].node;
         let cloud = s.cloud();
-        s.sim_mut().enable_trace(400_000);
+        // Bytes (sent, delivered or dropped) per `(src, dst)` pair.
+        let bytes = Arc::new(Mutex::new(BTreeMap::<(NodeId, NodeId), (u64, u64)>::new()));
+        let tally = Arc::clone(&bytes);
+        s.sim_mut().set_observer(move |_: &SimView<'_>, event: &SimEvent<'_>| {
+            let mut tally = tally.lock().unwrap();
+            match *event {
+                SimEvent::Sent { src, dst, size_bytes } => {
+                    tally.entry((src, dst)).or_default().0 += u64::from(size_bytes);
+                }
+                SimEvent::Delivered { src, dst, size_bytes, .. }
+                | SimEvent::Dropped { src, dst, size_bytes, .. } => {
+                    tally.entry((src, dst)).or_default().1 += u64::from(size_bytes);
+                }
+                _ => {}
+            }
+        });
         let mut plan = vec![
             FaultWindow::LinkFlap {
                 a: pool_node,
@@ -133,19 +151,8 @@ proptest! {
         // delivered or dropped byte was sent, and the gap is only what is
         // still in flight at the horizon.
         for (src, dst) in [(pool_node, cloud), (cloud, pool_node)] {
-            let mut sent = 0u64;
-            let mut resolved = 0u64;
-            for e in s.sim().trace().expect("trace enabled").events() {
-                if e.src == src && e.dst == dst {
-                    match e.kind {
-                        TraceKind::Sent => sent += e.size_bytes as u64,
-                        TraceKind::Delivered | TraceKind::Dropped(_) => {
-                            resolved += e.size_bytes as u64;
-                        }
-                        _ => {}
-                    }
-                }
-            }
+            let (sent, resolved) =
+                bytes.lock().unwrap().get(&(src, dst)).copied().unwrap_or_default();
             prop_assert!(sent > 0, "{src:?}->{dst:?} carried traffic");
             prop_assert!(
                 resolved <= sent,

@@ -1,7 +1,7 @@
 //! Property tests for the scenario DSL: any valid spec survives the
 //! TOML round trip byte-exactly, and the expander is fully
 //! deterministic — the same spec and seed produce byte-identical sessions
-//! (trace fingerprints) on the serial and sharded engines and across
+//! (run fingerprints) on the serial and sharded engines and across
 //! reruns. The TOML loader is also fed hostile input and must answer `Ok`
 //! or `Err`, never panic.
 
@@ -248,8 +248,8 @@ proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(4))]
 
     /// The expander is deterministic end to end: same spec + seed gives
-    /// byte-identical event traces on the serial engine, the sharded
-    /// engine, and a serial rerun.
+    /// identical fingerprints and event counts on the serial engine, the
+    /// sharded engine, and a serial rerun.
     #[test]
     fn prop_expansion_is_byte_identical_across_engines_and_reruns(seed in any::<u64>()) {
         let mut spec = spec_from_seed(seed);
@@ -257,10 +257,10 @@ proptest! {
         spec.duration_ms = spec.duration_ms.min(900);
         let fingerprint = |engine: EngineConfig| {
             let mut session = spec.build_session(seed ^ 0xD5, engine);
-            session.sim_mut().enable_trace(1 << 15);
+            session.sim_mut().enable_fingerprint();
             session.run_for(spec.duration());
             let events = session.sim().events_processed();
-            (session.sim().trace().expect("trace enabled").fingerprint_hex(), events)
+            (session.sim().fingerprint().expect("fingerprint enabled"), events)
         };
         let serial = fingerprint(EngineConfig::serial());
         let sharded = fingerprint(EngineConfig::sharded(4));

@@ -169,11 +169,6 @@ impl RoomArrayNode {
             .collect();
         RoomArrayNode { edge, tracked, rate }
     }
-
-    /// Number of tracked participants.
-    pub fn tracked_count(&self) -> usize {
-        self.tracked.len()
-    }
 }
 
 impl Node<ClassMsg> for RoomArrayNode {
@@ -254,7 +249,7 @@ mod tests {
             .collect();
         let arr = sim.add_node("array", RoomArrayNode::new(sink, parts));
         sim.connect(arr, sink, LinkClass::WiredLan.config());
-        assert_eq!(sim.node_as::<RoomArrayNode>(arr).unwrap().tracked_count(), 5);
+        assert_eq!(sim.node_as::<RoomArrayNode>(arr).unwrap().tracked.len(), 5);
         sim.run_until(SimTime::from_secs(2));
         let s = sim.node_as::<Sink>(sink).unwrap();
         // 30 Hz x 5 participants x 2 s, minus occlusions.

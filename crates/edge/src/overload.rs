@@ -177,11 +177,6 @@ impl AdmissionController {
         self.admitted.len()
     }
 
-    /// Current waiting-room depth.
-    pub fn waiting_len(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Highest waiting-room depth ever observed.
     pub fn waiting_max_depth(&self) -> usize {
         self.waiting.max_depth()
@@ -418,7 +413,7 @@ mod tests {
         assert_eq!(ac.poll(SimTime::from_millis(100)), vec![3]);
         assert_eq!(ac.poll(SimTime::from_millis(350)), vec![4, 5]);
         assert!(ac.is_admitted(5));
-        assert_eq!(ac.waiting_len(), 0);
+        assert_eq!(ac.waiting.len(), 0);
     }
 
     #[test]
@@ -433,7 +428,7 @@ mod tests {
             matches!(again, AdmissionOutcome::Deferred { position: 0, .. }),
             "re-request keeps its place: {again:?}"
         );
-        assert_eq!(ac.waiting_len(), 1, "not double-parked");
+        assert_eq!(ac.waiting.len(), 1, "not double-parked");
     }
 
     #[test]

@@ -224,9 +224,9 @@ fn clock_sync_converges_under_jitter() {
 fn deterministic_across_runs() {
     let run = |seed| {
         let mut d = build(seed, 3, 2);
-        d.sim.enable_trace(100_000);
+        d.sim.enable_fingerprint();
         d.sim.run_until(SimTime::from_secs(2));
-        d.sim.trace().unwrap().fingerprint()
+        d.sim.fingerprint().unwrap()
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));

@@ -288,8 +288,8 @@ impl<M: Clone + 'static> Simulation<M> {
     /// [`FaultAction`], and each action becomes an engine event executed at
     /// its time: counted in metrics (`fault.injected`, a per-action counter
     /// and, for every link it takes out of service, `net.link.flaps`),
-    /// recorded in the trace as [`TraceKind::Fault`](crate::TraceKind::Fault)
-    /// when tracing is enabled, and handed to the observer as
+    /// folded into the [`Simulation::fingerprint`] when that is enabled, and
+    /// handed to the observer as
     /// [`SimEvent::Fault`] with the post-fault view. Actions at the same
     /// instant execute in list order (a window's start before its end).
     ///
@@ -353,9 +353,9 @@ impl<M: Clone + 'static> Simulation<M> {
         let action = self.fault_actions[index].clone();
         self.core.metrics.inc("fault.injected");
         self.core.metrics.inc(action.metric());
-        // The trace records the fault before its action runs, so a restarted
-        // node's `on_start` sends follow it; the observer sees it afterwards,
-        // with the post-fault view.
+        // The fingerprint folds the fault before its action runs, so a
+        // restarted node's `on_start` sends follow it; the observer sees it
+        // afterwards, with the post-fault view.
         if let Some(trace) = &mut self.core.trace {
             trace.record_fault(self.core.time, &action);
         }

@@ -19,8 +19,9 @@
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond time newtypes;
 //! - [`DetRng`] — explicitly seeded randomness with derived sub-streams;
 //! - [`MetricsRegistry`] / [`Histogram`] — deterministic measurement;
-//! - [`Trace`] — bounded event traces with fingerprints for determinism
-//!   tests;
+//! - [`Simulation::fingerprint`] — an order-sensitive digest of every
+//!   event, for determinism tests; [`SimObserver`] hands the events
+//!   themselves to whoever needs them;
 //! - [`FaultWindow`] / [`FaultAction`] — replayable fault schedules (link
 //!   flaps, loss bursts, latency spikes, partitions, node crash/restart),
 //!   each window a paired start/end the engine executes as ordinary events;
@@ -98,7 +99,7 @@ pub use observe::{SimEvent, SimObserver, SimView};
 pub use population::{PopulationProfile, PopulationTimeline};
 pub use rng::DetRng;
 pub use sched::{BinaryHeapQueue, EventQueue, TimerWheel};
-pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS};
+pub use sim::{parse_engine, EngineConfig, Simulation, DEFAULT_SHARDS, MAX_SHARDS};
 pub use time::{SimDuration, SimTime};
 pub use topology::{min_cut_partition, LinkClass, Partition, Region};
-pub use trace::{Fnv1a, Trace, TraceEvent, TraceKind};
+pub use trace::Fnv1a;

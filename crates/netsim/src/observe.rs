@@ -3,18 +3,21 @@
 //! Every engine-boundary event — sends, injects, final deliveries, drops,
 //! no-routes, timer firings and fault executions — is described once, as a
 //! [`SimEvent`], and leaves the engine through one emit point. There it is
-//! first folded into the [`Trace`](crate::Trace), if one is enabled (the
-//! trace is a fixed-format digest of this stream), and then handed to the
-//! installed [`SimObserver`] with a read-only [`SimView`] of engine state
-//! taken *after* the event was applied. Under the sharded engine each lane
+//! first folded into the
+//! [`Simulation::fingerprint`](crate::Simulation::fingerprint), if enabled (a
+//! fixed-format digest of this stream that stores nothing), and then handed
+//! to the installed [`SimObserver`] with a read-only [`SimView`] of engine
+//! state taken *after* the event was applied. The observer is the one way to
+//! inspect the events themselves. Under the sharded engine each lane
 //! buffers its events with their `(time, stamp)` keys, and the barrier
-//! merges the lanes into serial order once, for trace and observer alike.
+//! merges the lanes into serial order once, for fingerprint and observer
+//! alike.
 //! The `simcheck` crate builds its invariant oracles on these hooks; the
 //! engine itself stays policy-free.
 //!
 //! Observation is strictly passive: an observer cannot mutate the simulation,
 //! draws no randomness from it, and schedules nothing, so installing one
-//! never changes event order, metrics, or trace fingerprints.
+//! never changes event order, metrics, or fingerprints.
 
 use crate::fault::FaultAction;
 use crate::link::DropReason;

@@ -20,9 +20,9 @@
 //! 3. at the barrier the coordinator drains outboxes into the destination
 //!    lanes (every such delivery lands at or past the window end, so no lane
 //!    ever sees its past change), then merges the lanes' buffered event
-//!    streams — one per lane, kept only when the simulation has a trace or an
-//!    observer — back into the global `(time, stamp)` total order in one
-//!    k-way merge that feeds both the trace and the observer.
+//!    streams — one per lane, kept only when the simulation has a
+//!    fingerprint or an observer — back into the global `(time, stamp)`
+//!    total order in one k-way merge that feeds both.
 //!
 //! Two shortcuts keep this schedule bit-for-bit while cutting its cost.
 //! *Batched outbox exchange* moves each nonempty outbox across the barrier as
@@ -356,8 +356,8 @@ fn lane<M>(lanes: &mut [Option<Box<Core<M>>>], i: usize) -> &mut Core<M> {
 }
 
 /// Merges the lanes' buffered event streams back into the global
-/// `(time, stamp)` order and replays each event into the trace and the
-/// observer, then clears the buffers. Called at every window barrier.
+/// `(time, stamp)` order and replays each event into the fingerprint and
+/// the observer, then clears the buffers. Called at every window barrier.
 fn replay_barrier<M: 'static>(sim: &mut Simulation<M>, lanes: &mut [Option<Box<Core<M>>>]) {
     let k = lanes.len();
     if (0..k).all(|i| lane(lanes, i).event_keys.is_empty()) {
@@ -435,7 +435,8 @@ pub(crate) fn try_run_sharded<M: Clone + Send + 'static>(
 ) -> Option<u64> {
     let shards = sim.engine.shards?;
     let Some(plan) = plan_for(sim, shards) else {
-        sim.note_serial_fallback();
+        // Loud, not silent: flushed to `engine.fallback_serial`.
+        sim.core.fallback_serial += 1;
         return None;
     };
     let k = plan.shards;
@@ -652,10 +653,10 @@ mod tests {
         engine: EngineConfig,
     ) -> (u64, MetricsSnapshot) {
         sim.set_engine_config(engine);
-        sim.enable_trace(1 << 20);
+        sim.enable_fingerprint();
         sim.run_until(SimTime::from_millis(500));
         let snap = sim.metrics().snapshot().without_prefix("engine.");
-        (sim.trace().unwrap().fingerprint(), snap)
+        (sim.fingerprint().unwrap(), snap)
     }
 
     #[test]
@@ -698,11 +699,11 @@ mod tests {
         let run = |engine: EngineConfig| {
             let mut sim = campus_sim(9);
             sim.set_engine_config(engine);
-            sim.enable_trace(1 << 20);
+            sim.enable_fingerprint();
             sim.apply_fault_plan(&plan);
             sim.run_until(SimTime::from_millis(400));
             let snap = sim.metrics().snapshot().without_prefix("engine.");
-            (sim.trace().unwrap().fingerprint(), snap, sim.events_processed(), sim.time())
+            (sim.fingerprint().unwrap(), snap, sim.events_processed(), sim.time())
         };
         let serial = run(EngineConfig::serial());
         let sharded = run(EngineConfig::sharded(2));
@@ -713,44 +714,30 @@ mod tests {
     #[test]
     fn unshardable_topologies_fall_back_to_serial() {
         // A single zero-latency star cannot be cut with positive lookahead.
-        let mut sim: Simulation<u64> = Simulation::new(1);
-        sim.set_engine_config(EngineConfig::sharded(4));
-        let hub = sim.add_node(
-            "hub",
-            Chatter {
-                peer: NodeId::from_index(1),
+        let run = |engine: EngineConfig| {
+            let mut sim: Simulation<u64> = Simulation::new(1);
+            sim.set_engine_config(engine);
+            let chatter = |peer| Chatter {
+                peer,
                 period: SimDuration::from_millis(1),
                 rounds: 3,
                 fired: 0,
                 received: 0,
-            },
-        );
-        let leaf = sim.add_node(
-            "leaf",
-            Chatter {
-                peer: hub,
-                period: SimDuration::from_millis(1),
-                rounds: 3,
-                fired: 0,
-                received: 0,
-            },
-        );
-        sim.connect(hub, leaf, LinkConfig::new(SimDuration::ZERO));
-        sim.enable_trace(64);
-        sim.run_until_idle();
-        assert!(sim.metrics().counter_value("net.delivered") > 0);
-        assert_eq!(sim.metrics().counter_value("engine.shard.windows"), 0);
+            };
+            let hub = sim.add_node("hub", chatter(NodeId::from_index(1)));
+            let leaf = sim.add_node("leaf", chatter(hub));
+            sim.connect(hub, leaf, LinkConfig::new(SimDuration::ZERO));
+            sim.enable_fingerprint();
+            sim.run_until_idle();
+            sim
+        };
+        let (serial, sharded) = (run(EngineConfig::serial()), run(EngineConfig::sharded(4)));
+        assert!(sharded.metrics().counter_value("net.delivered") > 0);
+        assert_eq!(sharded.metrics().counter_value("engine.shard.windows"), 0);
         // The fallback is signalled, not silent: one counted fallback per
-        // attempted sharded run, with a matching trace record.
-        assert_eq!(sim.metrics().counter_value("engine.fallback_serial"), 1);
-        let fallbacks = sim
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| e.kind == crate::TraceKind::EngineFallback)
-            .count();
-        assert_eq!(fallbacks, 1);
+        // attempted sharded run, and otherwise the run is the serial one.
+        assert_eq!(sharded.metrics().counter_value("engine.fallback_serial"), 1);
+        assert_eq!(sharded.fingerprint(), serial.fingerprint());
     }
 
     #[test]

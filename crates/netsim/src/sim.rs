@@ -4,7 +4,7 @@
 //! engine and the conservative shard-parallel engine in [`crate::shard`].
 //! Event order is total — `(SimTime, causal stamp)` — and the stamp of every
 //! event is computable from the state of the node that scheduled it, so both
-//! executors produce byte-identical traces, metrics, and node states.
+//! executors produce byte-identical fingerprints, metrics, and node states.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -24,15 +24,19 @@ use crate::trace::Trace;
 /// Default shard count when the caller asks for `sharded` without a number.
 pub const DEFAULT_SHARDS: usize = 4;
 
+/// Most shard lanes an [`EngineConfig`] may ask for: each populated lane is
+/// a worker thread, and no caller uses more than [`DEFAULT_SHARDS`].
+pub const MAX_SHARDS: usize = 64;
+
 /// Which executor a [`Simulation`] uses to process events.
 ///
-/// Both executors are byte-identical: same trace fingerprint, same metrics,
-/// same node states. The sharded one partitions the node graph and runs
-/// lookahead-bounded event windows on worker threads (see the `shard` module
-/// docs); when the topology cannot be partitioned with a positive lookahead
-/// the run falls back to serial execution *loudly* — each fallback bumps the
-/// `engine.fallback_serial` counter and, when tracing is enabled, appends a
-/// [`TraceKind::EngineFallback`](crate::TraceKind::EngineFallback) record.
+/// Both executors are byte-identical: same [`Simulation::fingerprint`], same
+/// metrics, same node states. The sharded one partitions the node graph and
+/// runs lookahead-bounded event windows on worker threads (see the `shard`
+/// module docs); when the topology cannot be partitioned with a positive
+/// lookahead the run falls back to serial execution *loudly* — each fallback
+/// bumps the `engine.fallback_serial` counter, and the fingerprint is the
+/// serial one.
 ///
 /// Every [`Simulation`] carries its own `EngineConfig` (see
 /// [`Simulation::with_config`] and [`Simulation::set_engine_config`]); there
@@ -53,22 +57,26 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `shards < 2`: one lane is the serial executor, so ask for
-    /// [`EngineConfig::serial`].
+    /// Panics if `shards < 2` (one lane is the serial executor, so ask for
+    /// [`EngineConfig::serial`]) or `shards > MAX_SHARDS`.
     pub fn sharded(shards: usize) -> Self {
-        assert!(shards >= 2, "a sharded engine needs at least 2 shards, got {shards}");
+        assert!(
+            (2..=MAX_SHARDS).contains(&shards),
+            "a sharded engine takes 2 to {MAX_SHARDS} shards, got {shards}"
+        );
         EngineConfig { shards: Some(shards) }
     }
 }
 
-/// Parses an engine name: `serial`, `sharded`, or `sharded:<n>` with `n >= 2`.
+/// Parses an engine name: `serial`, `sharded`, or `sharded:<n>` with
+/// `2 <= n <= MAX_SHARDS`.
 pub fn parse_engine(s: &str) -> Option<EngineConfig> {
     match s {
         "serial" => Some(EngineConfig::serial()),
         "sharded" => Some(EngineConfig::sharded(DEFAULT_SHARDS)),
         _ => {
             let n: usize = s.strip_prefix("sharded:")?.parse().ok()?;
-            (n >= 2).then(|| EngineConfig::sharded(n))
+            (2..=MAX_SHARDS).contains(&n).then(|| EngineConfig::sharded(n))
         }
     }
 }
@@ -195,8 +203,9 @@ pub(crate) struct Core<M> {
     /// Passive engine-boundary observer (see [`crate::observe`]).
     pub(crate) observer: Option<Box<dyn SimObserver>>,
     // --- shard-lane state; inert under the serial executor ---
-    /// Lane mode with a trace or an observer to feed: events are buffered
-    /// with their stamps instead of being emitted, for the barrier merge.
+    /// Lane mode with a fingerprint or an observer to feed: events are
+    /// buffered with their stamps instead of being emitted, for the barrier
+    /// merge.
     pub(crate) buffered: bool,
     /// Buffered events, struct-of-arrays: the `(time, stamp)` merge keys
     /// live apart from the payloads so the k-way barrier merge scans a dense
@@ -336,8 +345,9 @@ impl<M> Core<M> {
     }
 }
 
-/// Where every emitted event ends up: folded into the trace (if any) at the
-/// view's time, then handed to the observer (if any) with `view`.
+/// Where every emitted event ends up: folded into the fingerprint (if
+/// enabled) at the view's time, then handed to the observer (if any) with
+/// `view`.
 pub(crate) fn emit_to(
     trace: &mut Option<Trace>,
     observer: &mut Option<Box<dyn SimObserver>>,
@@ -595,7 +605,7 @@ impl<M: Clone + 'static> Simulation<M> {
     }
 
     /// Selects the executor for subsequent runs. Safe to change between
-    /// runs; the produced traces, metrics, and node states are identical
+    /// runs; the produced fingerprints, metrics, and node states are identical
     /// either way.
     pub fn set_engine_config(&mut self, config: EngineConfig) {
         self.engine = config;
@@ -741,7 +751,7 @@ impl<M: Clone + 'static> Simulation<M> {
     /// Installs a passive observer invoked at every engine boundary
     /// (send/inject/delivery/drop/no-route/timer/fault). Replaces any
     /// previously installed observer. Observation never perturbs the run:
-    /// event order, metrics, and trace fingerprints are identical with or
+    /// event order, metrics, and fingerprints are identical with or
     /// without one, under either engine.
     pub fn set_observer(&mut self, observer: impl SimObserver + 'static) {
         self.core.observer = Some(Box::new(observer));
@@ -757,14 +767,19 @@ impl<M: Clone + 'static> Simulation<M> {
         self.core.observer.is_some()
     }
 
-    /// Enables event tracing, keeping at most `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = Some(Trace::new(capacity));
+    /// Starts the run fingerprint afresh: from now on every engine event is
+    /// folded into [`Simulation::fingerprint`].
+    pub fn enable_fingerprint(&mut self) {
+        self.core.trace = Some(Trace::default());
     }
 
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace.as_ref()
+    /// An order-sensitive 64-bit digest of every event since
+    /// [`Simulation::enable_fingerprint`], or `None` if it was never
+    /// enabled: two runs of the same seed must produce equal fingerprints,
+    /// on either engine. Nothing is stored; install a [`SimObserver`] to
+    /// see the events themselves.
+    pub fn fingerprint(&self) -> Option<u64> {
+        self.core.trace.as_ref().map(Trace::fingerprint)
     }
 
     /// Schedules a message to arrive at `dst` at absolute time `at`,
@@ -863,18 +878,6 @@ impl<M: Clone + 'static> Simulation<M> {
         }
     }
 
-    /// Records that a sharded run could not be planned and fell back to the
-    /// serial executor: bumps the `engine.fallback_serial` counter and, when
-    /// tracing is enabled, appends an
-    /// [`TraceKind::EngineFallback`](crate::TraceKind::EngineFallback) record —
-    /// the fallback is an explicit signal, never silent.
-    pub(crate) fn note_serial_fallback(&mut self) {
-        self.core.fallback_serial += 1;
-        if let Some(trace) = &mut self.core.trace {
-            trace.record_fallback(self.core.time);
-        }
-    }
-
     /// Processes a single event; returns its time, or `None` if idle.
     pub fn step(&mut self) -> Option<SimTime> {
         self.ensure_started();
@@ -958,7 +961,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultWindow;
     use crate::time::SimDuration;
-    use crate::trace::TraceKind;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
@@ -1045,9 +1047,9 @@ mod tests {
                 .with_jitter(SimDuration::from_millis(1))
                 .with_loss(crate::link::LossModel::Iid { p: 0.05 });
             sim.connect(a, b, cfg);
-            sim.enable_trace(10_000);
+            sim.enable_fingerprint();
             sim.run_until_idle();
-            sim.trace().unwrap().fingerprint()
+            sim.fingerprint().unwrap()
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
@@ -1261,7 +1263,7 @@ mod tests {
         let sink = sim.add_node("sink", Sink { got: vec![] });
         let c = sim.add_node("counter", Counter { hello: Some(sink), ..Counter::new() });
         sim.connect(sink, c, LinkConfig::new(SimDuration::from_millis(1)));
-        sim.enable_trace(10_000);
+        sim.enable_fingerprint();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&seen);
         sim.set_observer(move |view: &crate::SimView<'_>, event: &crate::SimEvent<'_>| {
@@ -1285,28 +1287,24 @@ mod tests {
         assert_eq!(sim.metrics().counter_value("fault.injected"), 2);
         assert_eq!(sim.metrics().counter_value("fault.crash"), 1);
         assert_eq!(sim.metrics().counter_value("fault.restart"), 1);
-        let faults = sim
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|ev| matches!(ev.kind, TraceKind::Fault { .. }))
-            .count();
-        assert_eq!(faults, 2);
-        // At the restart instant the trace holds the fault before the
+        // At the restart instant the fingerprint folds the fault before the
         // restarted node's `on_start` send; the observer sees that send
         // first and the fault afterwards, with the post-fault view.
-        let restart = SimTime::from_millis(55);
-        let traced: Vec<_> = sim
-            .trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|ev| ev.at == restart)
-            .map(|ev| (ev.kind, ev.src))
-            .collect();
-        let code = FaultAction::RestartNode { node: c }.code();
-        assert_eq!(traced, [(TraceKind::Fault { code }, c), (TraceKind::Sent, c)]);
+        let ms = SimTime::from_millis;
+        let hello = SimEvent::Sent { src: c, dst: sink, size_bytes: 8 };
+        let landed = SimEvent::Delivered { src: c, dst: sink, size_bytes: 8, sent_at: ms(0) };
+        let tick = SimEvent::TimerFired { node: c, tag: 77 };
+        let mut expected = Trace::default();
+        for (at, event) in [(0, hello), (1, landed), (10, tick), (20, tick)] {
+            expected.record(ms(at), &event);
+        }
+        expected.record_fault(ms(25), &FaultAction::CrashNode { node: c });
+        expected.record_fault(ms(55), &FaultAction::RestartNode { node: c });
+        for (at, event) in [(55, hello), (56, landed), (65, tick), (75, tick)] {
+            expected.record(ms(at), &event);
+        }
+        assert_eq!(sim.fingerprint(), Some(expected.fingerprint()));
+        let restart = ms(55);
         let observed: Vec<_> =
             seen.lock().unwrap().iter().filter(|(at, _)| *at == restart).map(|e| e.1).collect();
         assert_eq!(observed, ["sent", "fault"]);
@@ -1388,12 +1386,12 @@ mod tests {
                 .with_jitter(SimDuration::from_millis(1))
                 .with_loss(crate::link::LossModel::Iid { p: 0.05 });
             sim.connect(a, b, cfg);
-            sim.enable_trace(10_000);
+            sim.enable_fingerprint();
             if observe {
                 sim.set_observer(|_: &crate::SimView<'_>, _: &crate::SimEvent<'_>| {});
             }
             sim.run_until_idle();
-            sim.trace().unwrap().fingerprint()
+            sim.fingerprint().unwrap()
         };
         assert_eq!(run(false), run(true));
     }
@@ -1474,7 +1472,18 @@ mod tests {
         assert_eq!(parse_engine("sharded:2"), Some(EngineConfig::sharded(2)));
         assert_eq!(parse_engine("sharded:0"), None);
         assert_eq!(parse_engine("sharded:1"), None, "one lane is the serial engine");
+        let most = format!("sharded:{MAX_SHARDS}");
+        assert_eq!(parse_engine(&most), Some(EngineConfig::sharded(MAX_SHARDS)));
+        // A hostile count is refused before anything is sized by it.
+        assert_eq!(parse_engine(&format!("sharded:{}", MAX_SHARDS + 1)), None);
+        assert_eq!(parse_engine(&format!("sharded:{}", u64::MAX)), None);
         assert_eq!(parse_engine("bogus"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 2 to 64 shards, got 65")]
+    fn a_sharded_engine_is_bounded() {
+        EngineConfig::sharded(MAX_SHARDS + 1);
     }
 
     #[test]

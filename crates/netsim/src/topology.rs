@@ -306,9 +306,12 @@ pub fn min_cut_partition(node_count: usize, edges: &[(u32, u32, u64)], shards: u
     let mut comps: Vec<(u32, Vec<u32>)> = members.into_iter().collect();
     comps.sort_by_key(|(root, nodes)| (std::cmp::Reverse(nodes.len()), *root));
     let mut shard_of = vec![0u32; node_count];
-    let mut load = vec![0usize; shards];
+    // With more shards than components each component lands on its own
+    // empty shard in index order, so only `components` shards are sized.
+    let mut load = vec![0usize; shards.min(comps.len())];
     for (_, nodes) in &comps {
-        let lightest = (0..shards).min_by_key(|&s| (load[s], s)).expect("shards >= 1");
+        let lightest =
+            (0..load.len()).min_by_key(|&s| (load[s], s)).expect("a shard per component");
         load[lightest] += nodes.len();
         for &n in nodes {
             shard_of[n as usize] = lightest as u32;
@@ -454,5 +457,15 @@ mod tests {
         // Deterministic across calls.
         let a = min_cut_partition(4, &[(0, 1, 7), (1, 2, 7), (2, 3, 7)], 2);
         assert_eq!(a, p);
+    }
+
+    #[test]
+    fn a_huge_shard_count_packs_like_one_more_than_the_nodes() {
+        // Two 2-node components joined at 40 ns, plus two singletons.
+        let edges = [(0, 1, 5), (2, 3, 9), (1, 2, 40)];
+        let p = min_cut_partition(6, &edges, usize::MAX);
+        assert_eq!(p, min_cut_partition(6, &edges, 7));
+        assert_eq!(p.shards, 3);
+        assert_eq!(min_cut_partition(0, &[], usize::MAX), min_cut_partition(0, &[], 1));
     }
 }

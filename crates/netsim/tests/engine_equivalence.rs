@@ -6,13 +6,13 @@
 //! to cut), loads it with chatty timer-driven nodes, overlays a random fault
 //! plan (link flaps, loss bursts, latency spikes, partitions, crash/restart),
 //! and runs it to a deadline under the serial engine and under sharded
-//! engines at 2 and 4 shards. Trace fingerprints, the full metrics snapshot (minus the
+//! engines at 2 and 4 shards. Fingerprints, the full metrics snapshot (minus the
 //! `engine.` namespace, which describes the executor itself), the event
 //! count, and the final clock must all agree exactly.
 //!
-//! The trace is a digest of the observer's event stream, so the sharded runs
-//! also install an observer: its own digest of every event must agree across
-//! engines, and installing it must not move the trace fingerprint.
+//! The fingerprint is a digest of the observer's event stream, so the sharded
+//! runs also install an observer: its own digest of every event must agree
+//! across engines, and installing it must not move the fingerprint.
 //!
 //! A second property cuts one run into up to twelve run calls, switching
 //! engines and adding a node and a link between calls, and checks that the
@@ -232,12 +232,12 @@ fn run(
 ) -> (u64, MetricsSnapshot, u64, SimTime, u64, Option<u64>) {
     let (mut sim, gateways, all) = build(seed, topo);
     sim.set_engine_config(engine);
-    sim.enable_trace(1 << 20);
+    sim.enable_fingerprint();
     let digest = observed.then(|| observe(&mut sim));
     sim.apply_fault_plan(&fault_plan(faults, &gateways, &all, &topo.campuses));
     sim.run_until(SimTime::from_millis(260));
     (
-        sim.trace().unwrap().fingerprint(),
+        sim.fingerprint().unwrap(),
         sim.metrics().snapshot().without_prefix("engine."),
         sim.events_processed(),
         sim.time(),
@@ -355,14 +355,14 @@ proptest! {
         stops in stops_strategy(),
     ) {
         let start = |sim: &mut Simulation<u64>, gateways: &[NodeId], all: &[NodeId]| {
-            sim.enable_trace(1 << 20);
+            sim.enable_fingerprint();
             let digest = observe(sim);
             sim.apply_fault_plan(&fault_plan(&faults, gateways, all, &topo.campuses));
             digest
         };
         let outcome = |sim: &Simulation<u64>, digest: &Arc<Mutex<Fnv1a>>| {
             (
-                sim.trace().unwrap().fingerprint(),
+                sim.fingerprint().unwrap(),
                 sim.metrics().snapshot().without_prefix("engine."),
                 sim.events_processed(),
                 sim.time(),
@@ -398,9 +398,8 @@ proptest! {
 }
 
 /// A topology the partitioner cannot cut (one campus, zero-lookahead
-/// links): the sharded engine must fall back to serial — *visibly* — and
-/// still agree with the serial engine on everything except the fallback
-/// record itself.
+/// links): the sharded engine must fall back to serial — *visibly*, in
+/// `engine.fallback_serial` — and otherwise be the serial run.
 #[test]
 fn fallback_is_announced_and_otherwise_byte_identical() {
     let topo = Topo {
@@ -411,52 +410,25 @@ fn fallback_is_announced_and_otherwise_byte_identical() {
         jitter_us: 0,
         lan_queue_bytes: None,
     };
-
-    let build_one = |engine: EngineConfig| {
+    let run_one = |engine: EngineConfig| {
         let (mut sim, _gw, _all) = build(7, &topo);
         sim.set_engine_config(engine);
-        sim.enable_trace(1 << 16);
+        sim.enable_fingerprint();
         sim.run_until(SimTime::from_millis(260));
-        sim
+        let fallbacks = sim.metrics().counter_value("engine.fallback_serial");
+        let outcome = (
+            sim.fingerprint().unwrap(),
+            sim.metrics().snapshot().without_prefix("engine."),
+            sim.events_processed(),
+            sim.time(),
+        );
+        (outcome, fallbacks)
     };
-    let serial = build_one(EngineConfig::serial());
-    let sharded = build_one(EngineConfig::sharded(2));
-
-    // The fallback is signalled in both the metric and the trace.
-    assert_eq!(serial.metrics().counter_value("engine.fallback_serial"), 0);
-    assert!(sharded.metrics().counter_value("engine.fallback_serial") > 0);
-    let fallback_records = |sim: &Simulation<u64>| {
-        sim.trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| e.kind == metaclass_netsim::TraceKind::EngineFallback)
-            .count()
-    };
-    assert_eq!(fallback_records(&serial), 0);
-    assert_eq!(
-        fallback_records(&sharded) as u64,
-        sharded.metrics().counter_value("engine.fallback_serial"),
-        "every counted fallback leaves a trace record"
-    );
-
-    // Everything but the executor's own namespace and trace records agrees.
-    assert_eq!(
-        serial.metrics().snapshot().without_prefix("engine."),
-        sharded.metrics().snapshot().without_prefix("engine."),
-    );
-    assert_eq!(serial.events_processed(), sharded.events_processed());
-    assert_eq!(serial.time(), sharded.time());
-    let world_events = |sim: &Simulation<u64>| {
-        sim.trace()
-            .unwrap()
-            .events()
-            .iter()
-            .filter(|e| e.kind != metaclass_netsim::TraceKind::EngineFallback)
-            .cloned()
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(world_events(&serial), world_events(&sharded));
+    let (serial, serial_fallbacks) = run_one(EngineConfig::serial());
+    let (sharded, sharded_fallbacks) = run_one(EngineConfig::sharded(2));
+    assert_eq!(serial_fallbacks, 0);
+    assert!(sharded_fallbacks > 0, "the fallback is counted");
+    assert_eq!(serial, sharded, "fingerprint, metrics, event count and clock agree");
 }
 
 #[derive(Debug, Clone)]
@@ -532,7 +504,7 @@ fn run_multicast(
 ) -> (MulticastOutcome, MetricsSnapshot) {
     let (mut sim, gateways, all) = build_multicast(seed, topo, multicast);
     sim.set_engine_config(engine);
-    sim.enable_trace(1 << 20);
+    sim.enable_fingerprint();
     sim.apply_fault_plan(&multicast_fault_plan(faults, &gateways, &all));
     match until {
         Some(t) => sim.run_until(t),
@@ -540,7 +512,7 @@ fn run_multicast(
     }
     let received = all.iter().map(|&id| sim.node_as::<Chatter>(id).unwrap().received).collect();
     let outcome = (
-        sim.trace().unwrap().fingerprint(),
+        sim.fingerprint().unwrap(),
         sim.metrics().snapshot().without_prefix("engine."),
         sim.events_processed(),
         sim.time(),

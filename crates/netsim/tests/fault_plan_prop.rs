@@ -4,8 +4,11 @@
 //! windows leave links in the state the engine's orthogonal admin/partition
 //! semantics prescribe.
 
+use std::sync::{Arc, Mutex};
+
 use metaclass_netsim::{
-    Context, FaultWindow, LinkConfig, Node, NodeId, SimDuration, SimTime, Simulation, TraceKind,
+    Context, FaultAction, FaultWindow, LinkConfig, Node, NodeId, SimDuration, SimEvent, SimTime,
+    SimView, Simulation,
 };
 use proptest::prelude::*;
 
@@ -49,20 +52,19 @@ proptest! {
             .flat_map(|(i, w)| [(w.from(), 2 * i), (w.until(), 2 * i + 1)])
             .collect();
         expected.sort();
-        sim.enable_trace(1024);
+        let executed = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&executed);
+        sim.set_observer(move |view: &SimView<'_>, event: &SimEvent<'_>| {
+            let tagged = match event {
+                SimEvent::Fault { action: FaultAction::CrashNode { node } } => 2 * node.index(),
+                SimEvent::Fault { action: FaultAction::RestartNode { node } } => 2 * node.index() + 1,
+                _ => return,
+            };
+            log.lock().unwrap().push((view.time(), tagged));
+        });
         sim.apply_fault_plan(&windows);
         sim.run_until(SimTime::from_millis(10));
-        let executed: Vec<(SimTime, usize)> = sim
-            .trace()
-            .expect("trace enabled")
-            .events()
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                // Codes 9 / 10 are CrashNode / RestartNode.
-                TraceKind::Fault { code } => Some((ev.at, 2 * ev.src.index() + (code == 10) as usize)),
-                _ => None,
-            })
-            .collect();
+        let executed = executed.lock().unwrap().clone();
         prop_assert_eq!(executed, expected);
     }
 }

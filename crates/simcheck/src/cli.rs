@@ -90,7 +90,9 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
                 let raw = args.get(i + 1).ok_or("--engine needs a value")?;
                 cfg.explore.engine = metaclass_netsim::parse_engine(raw).ok_or_else(|| {
                     format!(
-                        "--engine: unknown engine '{raw}' (serial | sharded | sharded:<n>, n >= 2)"
+                        "--engine: unknown engine '{raw}' (serial | sharded | sharded:<n>, \
+                         2 <= n <= {})",
+                        metaclass_netsim::MAX_SHARDS
                     )
                 })?;
                 i += 2;

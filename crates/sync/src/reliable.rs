@@ -278,16 +278,6 @@ impl<T: Clone> ReliableSender<T> {
         self.retransmissions
     }
 
-    /// The current retransmission timeout.
-    pub fn current_rto(&self) -> SimDuration {
-        self.estimator.rto()
-    }
-
-    /// The RTO estimator (smoothed RTT, variance, current timeout).
-    pub fn estimator(&self) -> &RtoEstimator {
-        &self.estimator
-    }
-
     /// Sequence the next [`ReliableSender::send`] will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -473,11 +463,11 @@ mod tests {
         assert!(tx.due_retransmits(SimTime::from_millis(99)).is_empty());
         // First timeout at 100 ms; RTO doubles to 200 ms.
         assert_eq!(tx.due_retransmits(SimTime::from_millis(100)).len(), 1);
-        assert_eq!(tx.current_rto(), SimDuration::from_millis(200));
+        assert_eq!(tx.estimator.rto(), SimDuration::from_millis(200));
         assert!(tx.due_retransmits(SimTime::from_millis(250)).is_empty());
         // Second timeout at 100 + 200 = 300 ms; RTO doubles to 400 ms.
         assert_eq!(tx.due_retransmits(SimTime::from_millis(300)).len(), 1);
-        assert_eq!(tx.current_rto(), SimDuration::from_millis(400));
+        assert_eq!(tx.estimator.rto(), SimDuration::from_millis(400));
     }
 
     #[test]
@@ -485,9 +475,9 @@ mod tests {
         let mut tx = ReliableSender::with_config(ReliableConfig::fixed(rto()));
         tx.send("x", SimTime::ZERO);
         assert_eq!(tx.due_retransmits(SimTime::from_millis(100)).len(), 1);
-        assert_eq!(tx.current_rto(), rto());
+        assert_eq!(tx.estimator.rto(), rto());
         assert_eq!(tx.due_retransmits(SimTime::from_millis(200)).len(), 1);
-        assert_eq!(tx.current_rto(), rto());
+        assert_eq!(tx.estimator.rto(), rto());
     }
 
     #[test]
@@ -502,14 +492,14 @@ mod tests {
             tx.on_ack_at(seq, acked_at);
             now += SimDuration::from_millis(40);
         }
-        let srtt = tx.estimator().srtt().unwrap();
+        let srtt = tx.estimator.srtt().unwrap();
         assert_eq!(srtt, SimDuration::from_millis(20), "srtt converges to the true rtt");
         assert!(
-            tx.current_rto() < SimDuration::from_millis(60),
+            tx.estimator.rto() < SimDuration::from_millis(60),
             "rto {:?} should shrink toward the measured rtt",
-            tx.current_rto()
+            tx.estimator.rto()
         );
-        assert!(tx.current_rto() >= SimDuration::from_millis(20));
+        assert!(tx.estimator.rto() >= SimDuration::from_millis(20));
     }
 
     #[test]
@@ -520,7 +510,7 @@ mod tests {
         // Ack arrives much later; it is ambiguous which copy it acks, so it
         // must not feed the estimator.
         tx.on_ack_at(seq, SimTime::from_millis(5000));
-        assert_eq!(tx.estimator().srtt(), None);
+        assert_eq!(tx.estimator.srtt(), None);
     }
 
     #[test]
@@ -648,7 +638,7 @@ mod tests {
                         tx.on_ack_at(ack, now);
                     }
                 }
-                now = now.saturating_add(tx.current_rto());
+                now = now.saturating_add(tx.estimator.rto());
                 wire.extend(tx.due_retransmits(now));
             }
             prop_assert_eq!(delivered, (0..n as u64).collect::<Vec<_>>());

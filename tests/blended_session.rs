@@ -81,9 +81,9 @@ fn displayed_avatars_track_their_sources() {
 fn seeds_reproduce_and_differ() {
     let fingerprint = |seed| {
         let mut s = unit_case(seed);
-        s.sim_mut().enable_trace(200_000);
+        s.sim_mut().enable_fingerprint();
         s.run_for(SimDuration::from_secs(2));
-        s.sim().trace().unwrap().fingerprint()
+        s.sim().fingerprint().unwrap()
     };
     assert_eq!(fingerprint(9), fingerprint(9), "same seed must replay identically");
     assert_ne!(fingerprint(9), fingerprint(10));

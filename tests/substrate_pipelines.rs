@@ -179,10 +179,10 @@ fn fault_injected_runs_are_deterministic() {
             },
             FaultWindow::CrashRestart { node: edges[1], from: ms(2200), until: ms(2700) },
         ];
-        session.sim_mut().enable_trace(200_000);
+        session.sim_mut().enable_fingerprint();
         session.sim_mut().apply_fault_plan(&plan);
         session.run_for(SimDuration::from_secs(3));
-        let fingerprint = session.sim().trace().expect("trace enabled").fingerprint();
+        let fingerprint = session.sim().fingerprint().expect("fingerprint enabled");
         let counters =
             session.sim().metrics().counters().map(|(k, v)| (k.to_string(), v)).collect();
         (fingerprint, counters)
