@@ -54,6 +54,7 @@ mod path;
 mod report;
 mod scenario;
 mod session;
+mod toml;
 
 pub use metaclass_edge::protocol_codec;
 pub use modality::TeachingModality;

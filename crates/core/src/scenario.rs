@@ -11,13 +11,15 @@
 //! engine.
 //!
 //! Specs live under `scenarios/` in the repository root and are registered
-//! with the bench experiment registry with zero per-scenario code. The TOML
-//! dialect is deliberately small (scalars, `[table]` sections, and flat
-//! `[[array-of-table]]` elements — exactly what the schema needs) and is
-//! parsed with line tracking so malformed files report the offending path
-//! and line instead of panicking.
+//! with the bench experiment registry with zero per-scenario code. Specs are
+//! only read, never written. The TOML dialect is what the schema needs:
+//! `key = value` lines, `[table]` sections and flat `[[array-of-table]]`
+//! elements, whose values are a `"…"` string with no backslash or inner
+//! quote, `true` / `false`, or an unsigned decimal integer up to `u64::MAX`
+//! (`_` separators allowed). A float, a negative number, an escape, or any
+//! other malformed input is an error that names its path and line; the
+//! loader never panics.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use metaclass_edge::DevicePlatform;
@@ -25,9 +27,10 @@ use metaclass_netsim::{
     EngineConfig, FaultWindow, LinkClass, LossModel, PopulationProfile, PopulationTimeline, Region,
     SimDuration, SimTime,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 
 use crate::session::{Activity, ClassroomSession, CohortSpec, SessionBuilder, POPULATION_HORIZON};
+use crate::toml;
 
 /// Packet loss applied by a [`FaultKind::LossBurst`] window.
 const FAULT_LOSS: f64 = 0.5;
@@ -42,7 +45,7 @@ const MAX_SPEC_MS: u64 = POPULATION_HORIZON.as_nanos() / 1_000_000;
 
 /// The interaction pattern a scenario runs (§3.1's scenarios plus
 /// MOOC-style broadcast teaching).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
 pub enum ScenarioPattern {
     /// A lecture: presenter at the podium, students seated.
     Lecture,
@@ -83,7 +86,7 @@ impl ScenarioPattern {
 }
 
 /// One physical campus in a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ScenarioCampus {
     /// Campus name (e.g. "HKUST-CWB").
     pub name: String,
@@ -96,7 +99,7 @@ pub struct ScenarioCampus {
 }
 
 /// One remote cohort in a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ScenarioCohort {
     /// The learners' region.
     pub region: Region,
@@ -113,7 +116,7 @@ pub struct ScenarioCohort {
 }
 
 /// A scripted inter-room move by one remote learner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct MobilityEvent {
     /// Global remote-learner index across every cohort, declaration order.
     pub learner: u32,
@@ -125,7 +128,7 @@ pub struct MobilityEvent {
 
 /// The kind of network/process fault a [`FaultSpec`] injects on the
 /// affected campus's uplink (or the campus's edge server itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
 pub enum FaultKind {
     /// The campus↔cloud link goes fully down, then returns.
     LinkFlap,
@@ -140,7 +143,7 @@ pub enum FaultKind {
 }
 
 /// One timed fault window against a campus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub struct FaultSpec {
     /// What happens.
     pub kind: FaultKind,
@@ -153,7 +156,7 @@ pub struct FaultSpec {
 }
 
 /// A flash crowd arriving mid-session (an extra all-at-once cohort).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct FlashCrowdSpec {
     /// Where the crowd connects from.
     pub region: Region,
@@ -166,7 +169,7 @@ pub struct FlashCrowdSpec {
 }
 
 /// A pooled remote population overlay (the PR-8 flyweight machinery).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct PopulationSpec {
     /// The population's region.
     pub region: Region,
@@ -184,7 +187,7 @@ pub struct PopulationSpec {
 }
 
 /// Optional composed stress riding on top of the base workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct StressSpec {
     /// A flash crowd arriving mid-session.
     pub flash_crowd: Option<FlashCrowdSpec>,
@@ -198,7 +201,7 @@ pub struct StressSpec {
 ///
 /// Every `_ms` field, here and in the nested specs, is at most one hour
 /// (3 600 000 ms); [`ScenarioSpec::validate`] rejects a larger one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ScenarioSpec {
     /// Scenario name: lowercase `[a-z0-9_]+`, used as the experiment id
     /// suffix (`scenario_<name>`) and in artifact file names.
@@ -240,7 +243,7 @@ impl ScenarioError {
         ScenarioError { path: None, line: None, message: message.into() }
     }
 
-    fn at_line(message: impl Into<String>, line: u32) -> Self {
+    pub(crate) fn at_line(message: impl Into<String>, line: u32) -> Self {
         ScenarioError { path: None, line: Some(line), message: message.into() }
     }
 
@@ -494,32 +497,27 @@ impl ScenarioSpec {
 
     // ------------------------------------------------------------- I/O paths
 
-    /// Parses and validates a spec from our small TOML dialect.
+    /// Parses and validates a spec from the scenario files' TOML dialect
+    /// (see the module docs). Every error that can be placed names its line.
     pub fn from_toml_str(text: &str) -> Result<Self, ScenarioError> {
-        let (mut value, lines) = parse_toml(text)?;
+        let mut doc = toml::parse(text)?;
         // TOML has no syntax for an empty array-of-tables, so an absent
         // `[[campuses]]` / `[[cohorts]]` section means "none" (the validator
         // still requires at least one participant source overall).
-        if let Value::Object(map) = &mut value {
+        if let Value::Object(map) = &mut doc.value {
             for key in ["campuses", "cohorts"] {
                 map.entry(key.to_string()).or_insert_with(|| Value::Array(Vec::new()));
             }
         }
-        let spec = Self::from_value(&value).map_err(|e| ScenarioError {
-            line: locate_path(e.path(), &lines),
+        let spec = Self::from_value(&doc.value).map_err(|e| ScenarioError {
+            line: doc.line_of(e.path()),
             ..ScenarioError::new(e.to_string())
         })?;
         spec.validate().map_err(|mut e| {
-            e.line = e.line.or_else(|| locate_path(e.message.split(':').next()?, &lines));
+            e.line = e.line.or_else(|| doc.line_of(e.message.split(':').next()?));
             e
         })?;
         Ok(spec)
-    }
-
-    /// Renders the spec as deterministic TOML (alphabetical keys; scalars,
-    /// then sub-tables, then array-of-tables).
-    pub fn to_toml_string(&self) -> String {
-        emit_toml(&self.to_value()).expect("ScenarioSpec always renders to the TOML subset")
     }
 
     /// Loads and validates a TOML spec file, attaching the path to any
@@ -540,301 +538,6 @@ fn within_limit(ms: u64, path: impl FnOnce() -> String) -> Result<(), ScenarioEr
         "{}: {ms} ms exceeds the {MAX_SPEC_MS} ms (one hour) limit",
         path()
     )))
-}
-
-/// Finds the line of a dotted path (e.g. `stress.faults.1.campus`), or of
-/// its nearest recorded ancestor.
-fn locate_path(path: &str, lines: &BTreeMap<String, u32>) -> Option<u32> {
-    lines.get(path).copied().or_else(|| {
-        let mut p = path;
-        while let Some((parent, _)) = p.rsplit_once('.') {
-            if let Some(&l) = lines.get(parent) {
-                return Some(l);
-            }
-            p = parent;
-        }
-        None
-    })
-}
-
-// ----------------------------------------------------- the tiny TOML dialect
-
-/// Parses the TOML subset into a [`Value`] tree plus a dotted-path → line
-/// map (1-based) for error reporting.
-fn parse_toml(text: &str) -> Result<(Value, BTreeMap<String, u32>), ScenarioError> {
-    enum Seg {
-        Key(String),
-        Idx(usize),
-    }
-    fn path_string(path: &[Seg]) -> String {
-        path.iter()
-            .map(|s| match s {
-                Seg::Key(k) => k.clone(),
-                Seg::Idx(i) => i.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join(".")
-    }
-    fn node_mut<'a>(root: &'a mut Value, path: &[Seg]) -> &'a mut Value {
-        let mut cur = root;
-        for seg in path {
-            cur = match seg {
-                Seg::Key(k) => match cur {
-                    Value::Object(m) => m.get_mut(k).expect("path was materialized"),
-                    _ => unreachable!("path segments are tables"),
-                },
-                Seg::Idx(i) => match cur {
-                    Value::Array(a) => &mut a[*i],
-                    _ => unreachable!("indexed segments are arrays"),
-                },
-            };
-        }
-        cur
-    }
-
-    let mut root = Value::Object(BTreeMap::new());
-    let mut lines: BTreeMap<String, u32> = BTreeMap::new();
-    let mut current: Vec<Seg> = Vec::new();
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        let header = match line.strip_prefix("[[").and_then(|r| r.strip_suffix("]]")) {
-            Some(header) => Some((header, true)),
-            None => line.strip_prefix('[').and_then(|r| r.strip_suffix(']')).map(|h| (h, false)),
-        };
-        if let Some((header, array)) = header {
-            // `[a.b]` walks to table `b`; `[[a.b]]` appends a fresh table to
-            // array `b`. Only a `[a.b]` header rejects a non-table `a` on the
-            // spot; `[[a.b]]` reports it on the next step.
-            let keys = split_header(header, lineno)?;
-            let mut path: Vec<Seg> = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                let Value::Object(map) = node_mut(&mut root, &path) else {
-                    return Err(ScenarioError::at_line(
-                        format!("`{}` is not a table", path_string(&path)),
-                        lineno,
-                    ));
-                };
-                path.push(Seg::Key(key.clone()));
-                if array && i + 1 == keys.len() {
-                    let arr = map.entry(key.clone()).or_insert_with(|| Value::Array(Vec::new()));
-                    let Value::Array(items) = arr else {
-                        return Err(ScenarioError::at_line(
-                            format!("`{key}` already defined as a non-array"),
-                            lineno,
-                        ));
-                    };
-                    items.push(Value::Object(BTreeMap::new()));
-                    path.push(Seg::Idx(items.len() - 1));
-                } else {
-                    let table =
-                        map.entry(key.clone()).or_insert_with(|| Value::Object(BTreeMap::new()));
-                    if !array && !matches!(table, Value::Object(_)) {
-                        return Err(ScenarioError::at_line(
-                            format!("`{key}` already defined as a non-table"),
-                            lineno,
-                        ));
-                    }
-                }
-            }
-            lines.insert(path_string(&path), lineno);
-            current = path;
-            continue;
-        }
-        let Some((key_part, value_part)) = line.split_once('=') else {
-            return Err(ScenarioError::at_line(
-                format!("expected `key = value`: `{line}`"),
-                lineno,
-            ));
-        };
-        let key = key_part.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(ScenarioError::at_line(format!("invalid key `{key}`"), lineno));
-        }
-        let value = parse_scalar(value_part.trim(), lineno)?;
-        let table = node_mut(&mut root, &current);
-        let Value::Object(map) = table else { unreachable!("current path is a table") };
-        if map.contains_key(key) {
-            return Err(ScenarioError::at_line(format!("duplicate key `{key}`"), lineno));
-        }
-        map.insert(key.to_string(), value);
-        let mut path = path_string(&current);
-        if !path.is_empty() {
-            path.push('.');
-        }
-        path.push_str(key);
-        lines.insert(path, lineno);
-    }
-    Ok((root, lines))
-}
-
-/// Strips a `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\\' if in_string && !escaped => {
-                escaped = true;
-                continue;
-            }
-            '"' if !escaped => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-        escaped = false;
-    }
-    line
-}
-
-/// Splits a `[a.b]` header into its dotted keys.
-fn split_header(header: &str, lineno: u32) -> Result<Vec<String>, ScenarioError> {
-    let keys: Vec<String> = header.split('.').map(|k| k.trim().to_string()).collect();
-    if keys.iter().any(|k| {
-        k.is_empty() || !k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-    }) {
-        return Err(ScenarioError::at_line(format!("invalid table header `[{header}]`"), lineno));
-    }
-    Ok(keys)
-}
-
-/// Parses one scalar: string, boolean, integer, or float.
-fn parse_scalar(text: &str, lineno: u32) -> Result<Value, ScenarioError> {
-    if let Some(rest) = text.strip_prefix('"') {
-        let Some(body) = rest.strip_suffix('"') else {
-            return Err(ScenarioError::at_line(format!("unterminated string: {text}"), lineno));
-        };
-        let mut out = String::with_capacity(body.len());
-        let mut chars = body.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                other => {
-                    return Err(ScenarioError::at_line(
-                        format!("unsupported escape `\\{}`", other.unwrap_or(' ')),
-                        lineno,
-                    ))
-                }
-            }
-        }
-        return Ok(Value::Str(out));
-    }
-    match text {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    let digits: String = text.chars().filter(|&c| c != '_').collect();
-    if digits.contains('.') {
-        if let Ok(f) = digits.parse::<f64>() {
-            return Ok(Value::Float(f));
-        }
-    } else if let Some(neg) = digits.strip_prefix('-') {
-        // A magnitude beyond i128 is out of range, not a wrapped value.
-        if let Some(n) = neg.parse::<u128>().ok().and_then(|n| i128::try_from(n).ok()) {
-            return Ok(Value::Int(-n));
-        }
-    } else if let Ok(n) = digits.parse::<u128>() {
-        return Ok(Value::UInt(n));
-    }
-    Err(ScenarioError::at_line(format!("expected a string, boolean, or number: `{text}`"), lineno))
-}
-
-/// Renders a [`Value`] object tree as deterministic TOML. `None` fields
-/// (`Null`) and empty arrays are omitted; array-of-table elements must be
-/// flat scalar tables (which the scenario schema guarantees).
-fn emit_toml(value: &Value) -> Result<String, ScenarioError> {
-    fn scalar_literal(v: &Value) -> Option<String> {
-        match v {
-            Value::Bool(b) => Some(b.to_string()),
-            Value::UInt(n) => Some(n.to_string()),
-            Value::Int(n) => Some(n.to_string()),
-            Value::Float(f) => Some(format!("{f:?}")),
-            Value::Str(s) => {
-                let escaped = s
-                    .chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        '\n' => vec!['\\', 'n'],
-                        '\t' => vec!['\\', 't'],
-                        other => vec![other],
-                    })
-                    .collect::<String>();
-                Some(format!("\"{escaped}\""))
-            }
-            _ => None,
-        }
-    }
-    fn emit_table(
-        out: &mut String,
-        prefix: &str,
-        map: &BTreeMap<String, Value>,
-    ) -> Result<(), ScenarioError> {
-        for (k, v) in map {
-            if let Some(lit) = scalar_literal(v) {
-                out.push_str(k);
-                out.push_str(" = ");
-                out.push_str(&lit);
-                out.push('\n');
-            }
-        }
-        for (k, v) in map {
-            if let Value::Object(inner) = v {
-                let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-                out.push_str(&format!("\n[{path}]\n"));
-                emit_table(out, &path, inner)?;
-            }
-        }
-        for (k, v) in map {
-            if let Value::Array(items) = v {
-                let path = if prefix.is_empty() { k.clone() } else { format!("{prefix}.{k}") };
-                for item in items {
-                    let Value::Object(inner) = item else {
-                        return Err(ScenarioError::new(format!(
-                            "`{path}`: only arrays of tables render to TOML"
-                        )));
-                    };
-                    out.push_str(&format!("\n[[{path}]]\n"));
-                    for (ik, iv) in inner {
-                        match scalar_literal(iv) {
-                            Some(lit) => {
-                                out.push_str(ik);
-                                out.push_str(" = ");
-                                out.push_str(&lit);
-                                out.push('\n');
-                            }
-                            None if matches!(iv, Value::Null) => {}
-                            None => {
-                                return Err(ScenarioError::new(format!(
-                                    "`{path}.{ik}`: array-of-table elements must be flat"
-                                )))
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-    let Value::Object(map) = value else {
-        return Err(ScenarioError::new("top-level TOML value must be a table"));
-    };
-    let mut out = String::new();
-    emit_table(&mut out, "", map)?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -901,28 +604,33 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_preserves_the_spec() {
-        let spec = lab_spec();
-        let toml = spec.to_toml_string();
-        let back = ScenarioSpec::from_toml_str(&toml).expect("round-trip parses");
-        assert_eq!(back, spec);
-    }
-
-    #[test]
     fn malformed_toml_reports_the_line() {
         let text = "name = \"x\"\npattern = Lecture\n";
         let err = ScenarioSpec::from_toml_str(text).unwrap_err();
         assert_eq!(err.line, Some(2), "{err}");
-        assert!(err.message.contains("string, boolean, or number"), "{err}");
-        // Negative magnitudes past i128 used to overflow the negation (a
-        // panic in debug builds) or wrap to a small positive value.
-        for literal in
-            ["-170141183460469231731687303715884105728", "-340282366920938463463374607431768211455"]
-        {
+        assert!(err.message.contains("a string, a boolean or an unsigned integer"), "{err}");
+        // Only the schema's scalars read: a float, a negative number (the
+        // magnitudes past i128 once overflowed a negation), an escape, and a
+        // value past u64 are each an error at their line.
+        for literal in [
+            "2.5",
+            "-1",
+            "-170141183460469231731687303715884105728",
+            "-340282366920938463463374607431768211455",
+            "\"CW\\\"B\"",
+            "\"CW\\\\B\"",
+            "18446744073709551616",
+            "+5",
+        ] {
             let text = format!("name = \"x\"\nduration_ms = {literal}\n");
             let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
-            assert_eq!(err.line, Some(2), "{err}");
+            assert_eq!(err.line, Some(2), "{literal}: {err}");
         }
+        // `u64::MAX` itself reads (with separators) and then fails the schema.
+        let lab = include_str!("../../../scenarios/lab.toml")
+            .replace("duration_ms = 2500", "duration_ms = 18_446_744_073_709_551_615");
+        let err = ScenarioSpec::from_toml_str(&lab).unwrap_err();
+        assert!(err.message.starts_with("duration_ms: 18446744073709551615 ms exceeds"), "{err}");
         // A bad value inside an array of tables names its element and line,
         // so the first and second `[[cohorts]]` do not read the same.
         let lab: Vec<&str> = include_str!("../../../scenarios/lab.toml").lines().collect();
@@ -941,66 +649,47 @@ mod tests {
     }
 
     #[test]
-    fn header_conflicts_name_the_key_and_line() {
-        for (text, message) in [
-            ("a = 1\n[a]\n", "`a` already defined as a non-table"),
-            ("a = 1\n[a.b]\n", "`a` already defined as a non-table"),
-            ("[[a]]\n[a.b]\n", "`a` already defined as a non-table"),
-            ("a = 1\n[[a]]\n", "`a` already defined as a non-array"),
-            ("[a]\n[[a]]\n", "`a` already defined as a non-array"),
-            ("a = 1\n[[a.b]]\n", "`a` is not a table"),
-            ("[[a]]\n[[a.b]]\n", "`a` is not a table"),
-        ] {
-            let err = parse_toml(text).unwrap_err();
-            assert_eq!((err.message.as_str(), err.line), (message, Some(2)), "{text:?}");
-        }
-        let (_, lines) = parse_toml("[a.b]\nx = 1\n[[a.c]]\n[[a.c]]\ny = 2\n").unwrap();
-        assert_eq!((lines["a.b"], lines["a.c.0"], lines["a.c.1"], lines["a.c.1.y"]), (1, 3, 4, 5));
-    }
-
-    #[test]
     fn unknown_fields_are_located() {
-        let mut toml = lab_spec().to_toml_string();
-        toml.push_str("\nbogus_knob = 3\n");
-        let err = ScenarioSpec::from_toml_str(&toml).unwrap_err();
-        assert!(err.message.contains("bogus_knob"), "{err}");
-        assert!(err.line.is_some(), "{err}");
+        let lab = include_str!("../../../scenarios/lab.toml");
+        let text = lab.replace("pattern = \"Lab\"\n", "pattern = \"Lab\"\nbogus_knob = 3\n");
+        let line = text.lines().position(|l| l == "bogus_knob = 3").unwrap() as u32 + 1;
+        let err = ScenarioSpec::from_toml_str(&text).unwrap_err();
+        assert!(err.message.starts_with("bogus_knob: unknown field"), "{err}");
+        assert_eq!(err.line, Some(line), "{err}");
     }
 
     #[test]
     fn semantic_validation_points_at_the_offending_entry() {
-        let mut spec = lab_spec();
-        spec.stress.as_mut().unwrap().faults.as_mut().unwrap()[0].campus = 9;
-        let err = ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap_err();
-        assert!(err.message.contains("stress.faults.0.campus"), "{err}");
-        assert!(err.line.is_some(), "{err}");
+        // `validate` knows the path, the reader the line: the second fault's
+        // campus is out of range, and the error lands on its line.
+        let stress: Vec<&str> = include_str!("../../../scenarios/stress.toml").lines().collect();
+        let at = stress.iter().rposition(|&l| l == "campus = 0").unwrap();
+        let mut text = stress.clone();
+        text[at] = "campus = 9";
+        let err = ScenarioSpec::from_toml_str(&text.join("\n")).unwrap_err();
+        assert!(err.message.starts_with("stress.faults.1.campus: index 9 out of range"), "{err}");
+        assert_eq!(err.line, Some(at as u32 + 1), "{err}");
     }
 
     #[test]
     fn oversized_populations_are_rejected_before_any_allocation() {
-        let population = |members, tracers| {
-            let mut spec = lab_spec();
-            spec.stress.as_mut().unwrap().population = Some(PopulationSpec {
-                region: Region::Europe,
-                members,
-                tracers,
-                access: LinkClass::ResidentialAccess,
-                at_ms: 300,
-                spread_ms: 100,
-            });
-            ScenarioSpec::from_toml_str(&spec.to_toml_string())
+        let broadcast = include_str!("../../../scenarios/broadcast.toml");
+        let population = |members: u64, tracers: u32| {
+            let text = broadcast
+                .replace("members = 500", &format!("members = {members}"))
+                .replace("tracers = 2", &format!("tracers = {tracers}"));
+            ScenarioSpec::from_toml_str(&text)
         };
         population(PopulationTimeline::MAX_MEMBERS, 512).expect("the caps themselves are valid");
         // The 10^15-member spec used to abort on an 8 PB allocation.
         for members in [PopulationTimeline::MAX_MEMBERS + 1, 1_000_000_000_000_000, u64::MAX] {
             let err = population(members, 2).unwrap_err();
-            assert!(err.message.contains("stress.population.members"), "{err}");
+            assert!(err.message.starts_with("stress.population.members"), "{err}");
         }
         let err = population(40, 513).unwrap_err();
-        assert!(err.message.contains("stress.population.tracers"), "{err}");
+        assert!(err.message.starts_with("stress.population.tracers"), "{err}");
         // A spread past an hour is rejected at load: `u64::MAX` ms used to
         // overflow `SimDuration::from_millis` when the session was built.
-        let broadcast = include_str!("../../../scenarios/broadcast.toml");
         let line = broadcast.lines().position(|l| l == "spread_ms = 300").unwrap() as u32 + 1;
         for spread in [MAX_SPEC_MS + 1, u64::MAX] {
             let text = broadcast.replace("spread_ms = 300", &format!("spread_ms = {spread}"));
@@ -1045,9 +734,8 @@ mod tests {
             spec.build_session(1, EngineConfig::serial());
             for ms in [MAX_SPEC_MS + 1, u64::MAX] {
                 set(&mut spec, ms);
-                let err = ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap_err();
+                let err = spec.validate().unwrap_err();
                 assert!(err.message.starts_with(&format!("{path}: {ms} ms exceeds")), "{err}");
-                assert!(err.line.is_some(), "{err}");
             }
         }
     }
@@ -1115,9 +803,6 @@ mod tests {
                             learners = 2\naccess = \"ResidentialAccess\"\n";
         let spec = ScenarioSpec::from_toml_str(cohorts_only).expect("cohort-only spec parses");
         assert!(spec.campuses.is_empty());
-        // Round-trip: the emitter omits the empty section, the parser
-        // restores it.
-        assert_eq!(ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap(), spec);
     }
 
     #[test]

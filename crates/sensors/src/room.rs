@@ -93,16 +93,6 @@ impl RoomSensorArray {
             noise_std: n,
         })
     }
-
-    /// Whether the participant is currently occluded from the array.
-    pub fn is_occluded(&self) -> bool {
-        self.occluded
-    }
-
-    /// Forces the occlusion state (failure injection in tests/benches).
-    pub fn set_occluded(&mut self, occluded: bool) {
-        self.occluded = occluded;
-    }
 }
 
 #[cfg(test)]
@@ -142,13 +132,13 @@ mod tests {
     fn forced_occlusion_blocks_measurements() {
         let cfg = RoomSensorConfig { recovery_probability: 0.0, ..Default::default() };
         let mut arr = RoomSensorArray::new(cfg, 3);
-        arr.set_occluded(true);
+        arr.occluded = true;
         for _ in 0..100 {
             assert!(arr.measure(&truth()).is_none());
         }
-        assert!(arr.is_occluded());
-        arr.set_occluded(false);
-        assert!(arr.measure(&truth()).is_some() || arr.is_occluded());
+        assert!(arr.occluded);
+        arr.occluded = false;
+        assert!(arr.measure(&truth()).is_some() || arr.occluded);
     }
 
     #[test]

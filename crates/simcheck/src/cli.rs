@@ -1,10 +1,10 @@
 //! The `simcheck` bench-CLI subcommand.
 //!
 //! `bench simcheck --seed 7 --cases 200` explores random fault schedules
-//! against the two-campus session with the standard oracle set. Output is a
-//! pure function of the flags — byte-identical across reruns — and the exit
-//! code is 0 only when every case passes every oracle. `--write DIR` saves
-//! each shrunk violation as a replayable regression-case JSON.
+//! against the two-campus session spec with the standard oracle set. Output
+//! is a pure function of the flags — byte-identical across reruns — and the
+//! exit code is 0 only when every case passes every oracle. `--write DIR`
+//! saves each shrunk violation as a replayable regression-case JSON.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -24,13 +24,15 @@ options:
   --cases N     number of random schedules to run (default 200)
   --full        full-sized scenario (default is quick)
   --pooled N    add a flyweight pooled audience of N members to every
-                case's session (default 0 = population layer off)
+                case's spec (default 0 = population layer off); refused
+                with a --scenario spec that declares its own population
   --write DIR   save shrunk violations as regression JSON under DIR
+                (classic sessions only: refused with --pooled or --scenario)
   --engine E    execution engine: serial | sharded | sharded:<n>
                 (results are byte-identical either way; default serial)
-  --scenario F  explore a TOML workload spec instead of the
-                classic two-campus session; the spec's own stress faults
-                ride along as fixed windows in every case
+  --scenario F  build every case's session from a TOML workload spec
+                instead of the classic two-campus spec; the spec's own
+                stress faults ride along as fixed windows in every case
   --help        show this help
 ";
 
@@ -112,6 +114,20 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    let explore = &cfg.explore;
+    if let Some(spec) = &explore.scenario {
+        if explore.pooled > 0 && spec.stress.as_ref().is_some_and(|s| s.population.is_some()) {
+            return Err(format!(
+                "--pooled: `{}` declares its own stress.population; a session has one",
+                spec.name
+            ));
+        }
+    }
+    if cfg.write_dir.is_some() && (explore.pooled > 0 || explore.scenario.is_some()) {
+        return Err("--write: a saved case replays the classic pool-free session, so it \
+                    cannot record a --pooled or --scenario workload"
+            .into());
     }
     Ok(Some(cfg))
 }
@@ -296,5 +312,33 @@ mod tests {
         let missing = dir.join("nope.toml");
         assert!(parse(&argv(&["--scenario", missing.to_str().unwrap()])).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_population_per_session() {
+        let spec = |name: &str| format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
+        let (broadcast, stress) = (spec("broadcast.toml"), spec("stress.toml"));
+        let err = parse(&argv(&["--scenario", &broadcast, "--pooled", "40"])).unwrap_err();
+        assert!(err.contains("`broadcast` declares its own stress.population"), "{err}");
+        // A spec without a population takes the pool; zero adds none.
+        assert!(parse(&argv(&["--scenario", &stress, "--pooled", "40"])).is_ok());
+        assert!(parse(&argv(&["--scenario", &broadcast, "--pooled", "0"])).is_ok());
+        let code = run_cli(&argv(&["--cases", "1", "--scenario", &broadcast, "--pooled", "40"]));
+        assert_eq!(code, 2);
+    }
+
+    #[test]
+    fn write_refuses_workloads_a_regression_case_cannot_replay() {
+        let dir = std::env::temp_dir().join(format!("simcheck_write_{}", std::process::id()));
+        let dir = dir.to_str().unwrap();
+        let stress = format!("{}/../../scenarios/stress.toml", env!("CARGO_MANIFEST_DIR"));
+        for extra in [&["--pooled", "12"][..], &["--scenario", &stress]] {
+            let args = [&["--cases", "1", "--write", dir][..], extra].concat();
+            let err = parse(&argv(&args)).unwrap_err();
+            assert!(err.starts_with("--write: a saved case replays the classic"), "{err}");
+            assert_eq!(run_cli(&argv(&args)), 2);
+        }
+        assert!(parse(&argv(&["--write", dir, "--pooled", "0"])).is_ok());
+        assert!(!std::path::Path::new(dir).exists(), "a refused run writes nothing");
     }
 }

@@ -151,15 +151,17 @@ pub struct ExploreConfig {
     pub cases: u32,
     /// Quick (test-sized) or full scenario.
     pub quick: bool,
-    /// Flyweight pooled audience added to every case's session (0, the
-    /// default, keeps the classic pool-free scenario).
+    /// Flyweight pooled audience added to every case's spec as its
+    /// `stress.population` ([`Scenario::add_pool`]; 0, the default, adds
+    /// none).
     pub pooled: u64,
     /// Execution engine each case's session runs on. Per-run state, so
     /// explorations with different engines can share a process.
     pub engine: EngineConfig,
-    /// Workload spec every case's session is built from instead of the
-    /// classic two-campus deployment (`--scenario FILE`). The spec's own
-    /// stress faults become fixed windows prepended to each generated
+    /// Workload spec every case's session is built from in place of the
+    /// classic two-campus spec of [`Scenario::quick`] / [`Scenario::full`]
+    /// (`--scenario FILE`). Either way the session is built from a spec, and
+    /// its stress faults become fixed windows prepended to each generated
     /// schedule.
     pub scenario: Option<ScenarioSpec>,
 }
@@ -220,13 +222,15 @@ pub fn explore_with(
         let session_seed = mix(cfg.seed, 0x51C4 ^ u64::from(case));
         let mut scn =
             if cfg.quick { Scenario::quick(session_seed) } else { Scenario::full(session_seed) };
-        scn.pooled_members = cfg.pooled;
+        if let Some(spec) = &cfg.scenario {
+            scn.spec = spec.clone();
+        }
+        scn.add_pool(cfg.pooled);
         scn.engine = cfg.engine;
-        scn.spec = cfg.scenario.clone();
         let (session, topo) = scn.build();
         let space = scn.plan_space(&topo);
         let mut rng = DetRng::new(cfg.seed).derive(0xFA17 ^ u64::from(case));
-        let mut windows = scn.spec.as_ref().map_or(Vec::new(), |s| s.fault_windows(&session));
+        let mut windows = scn.spec.fault_windows(&session);
         windows.extend(generate_windows(&space, &mut rng, scn.max_windows));
         let outcome = run_plan(&scn, &windows, factory(&scn));
 

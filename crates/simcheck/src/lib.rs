@@ -15,7 +15,8 @@
 //!   staleness bounds, and post-heal resync convergence;
 //! - [`plan`] — random window lists over a scenario's topology and the
 //!   duration-halving step of the shrinker;
-//! - [`scenario`] — the checked two-campus session and its topology;
+//! - [`scenario`] — the checked session: a workload spec (by default the
+//!   classic two-campus deployment), its tight tuning, and its topology;
 //! - [`mod@explore`] — the deterministic runner, the seeded explorer, and the
 //!   shrinking minimizer (greedy window removal, then duration halving);
 //! - [`regress`] — replayable JSON regression cases;

@@ -1,17 +1,22 @@
-//! The checked scenario: a two-campus Figure-3 session and its layout.
+//! The checked scenario: a workload spec run under tight tuning, and its
+//! layout.
 //!
-//! Simcheck explores fault schedules against the same deployment E14 uses —
-//! two physical campuses (presenter at campus 0) joined over the inter-campus
-//! backbone with the cloud server — but sized for throughput: one student per
-//! campus at quick scale, with the tight heartbeat tuning so detection,
-//! hold/freeze, and resync all fit inside a seconds-long run.
+//! Every checked session is built from a [`ScenarioSpec`]. By default that
+//! spec is the deployment E14 uses, the paper's Fig. 3 unit case: two
+//! physical campuses (presenter at campus 0) joined over the inter-campus
+//! backbone with the cloud server, a steady remote cohort and a flash crowd.
+//! It is sized for throughput (one student per campus at quick scale) and
+//! run with tight heartbeat tuning so detection, hold/freeze, and resync all
+//! fit inside a seconds-long run. `bench simcheck --scenario` swaps in a
+//! spec from a file under the same tuning.
 
 use metaclass_avatar::AvatarId;
-use metaclass_core::{Activity, ClassroomSession, ScenarioSpec, SessionBuilder, SessionConfig};
-use metaclass_edge::{HeartbeatConfig, OverloadConfig};
-use metaclass_netsim::{
-    EngineConfig, LinkClass, NodeId, PopulationProfile, Region, SimDuration, SimTime,
+use metaclass_core::{
+    ClassroomSession, FlashCrowdSpec, PopulationSpec, ScenarioCampus, ScenarioCohort,
+    ScenarioPattern, ScenarioSpec, SessionConfig, StressSpec,
 };
+use metaclass_edge::{HeartbeatConfig, OverloadConfig};
+use metaclass_netsim::{EngineConfig, LinkClass, NodeId, Region, SimDuration, SimTime};
 
 use crate::plan::PlanSpace;
 
@@ -20,14 +25,15 @@ use crate::plan::PlanSpace;
 pub struct Scenario {
     /// Seed of the session under check (motion, jitter, loss draws).
     pub session_seed: u64,
-    /// Students per campus (campus 0 additionally hosts the presenter).
-    pub students_per_campus: u32,
-    /// Remote VR learners joining at class start (the steady cohort).
-    pub remote_learners: u32,
-    /// Remote VR learners arriving all at once at `burst_at` (the flash
-    /// crowd the fuzzer composes with its fault schedules).
-    pub burst_learners: u32,
-    /// When the flash crowd lands (seed-derived, inside the fault horizon).
+    /// The workload the checked session is built from: the classic
+    /// deployment [`Scenario::quick`] and [`Scenario::full`] write, or a
+    /// spec loaded by `bench simcheck --scenario`. Its campuses, cohorts,
+    /// mobility, and flash-crowd/population overlays are built as written;
+    /// its stress faults are not applied by [`Scenario::build`] (the
+    /// explorer composes them with its generated schedules).
+    pub spec: ScenarioSpec,
+    /// When the classic flash crowd and any pooled audience land
+    /// (seed-derived, inside the fault horizon).
     pub burst_at: SimTime,
     /// Fault windows must end by this time.
     pub horizon: SimTime,
@@ -41,20 +47,58 @@ pub struct Scenario {
     pub heartbeat: HeartbeatConfig,
     /// Maximum windows per generated schedule.
     pub max_windows: usize,
-    /// Flyweight pooled audience joining as a flash crowd at `burst_at`
-    /// (one tracer promoted to a fully simulated client). 0 — the default
-    /// for both scenario sizes — disables the population layer entirely, so
-    /// standard explorations are unchanged.
-    pub pooled_members: u64,
     /// Execution engine the checked session runs on (per-run state, so
     /// explorations with different engines can share a process).
     pub engine: EngineConfig,
-    /// Workload spec the checked session is built from instead of the
-    /// classic two-campus Figure-3 deployment (`bench simcheck --scenario`).
-    /// The spec supplies campuses, cohorts, mobility, and stress overlays;
-    /// the scenario keeps its tight heartbeat/overload tuning, time bounds,
-    /// and engine so exploration throughput is unchanged.
-    pub spec: Option<ScenarioSpec>,
+}
+
+/// Whole milliseconds of a session instant (spec fields are in ms).
+fn ms(t: SimTime) -> u64 {
+    t.as_nanos() / 1_000_000
+}
+
+/// The classic deployment as a spec: campuses CWB (with the presenter) and
+/// GZ of `students` each, a steady cohort of `steady` remote VR learners,
+/// and a flash crowd of `burst` more arriving at `burst_at`, all in East
+/// Asia on residential access; the run ends at `end`.
+fn classic(
+    students: u32,
+    steady: u32,
+    burst: u32,
+    burst_at: SimTime,
+    end: SimTime,
+) -> ScenarioSpec {
+    let campus = |name: &str, presenter| ScenarioCampus {
+        name: name.into(),
+        region: Region::EastAsia,
+        students,
+        presenter,
+    };
+    let steady = ScenarioCohort {
+        region: Region::EastAsia,
+        learners: steady,
+        platform: None,
+        access: LinkClass::ResidentialAccess,
+        joins_at_ms: None,
+        stagger_ms: None,
+    };
+    let flash_crowd = FlashCrowdSpec {
+        region: Region::EastAsia,
+        learners: burst,
+        access: LinkClass::ResidentialAccess,
+        at_ms: ms(burst_at),
+    };
+    ScenarioSpec {
+        name: "classic".into(),
+        pattern: ScenarioPattern::Lecture,
+        duration_ms: ms(end),
+        full_duration_ms: None,
+        cloud_region: Region::EastAsia,
+        campuses: vec![campus("CWB", true), campus("GZ", false)],
+        cohorts: vec![steady],
+        mobility: None,
+        stress: Some(StressSpec { flash_crowd: Some(flash_crowd), population: None, faults: None }),
+    }
 }
 
 impl Scenario {
@@ -62,16 +106,16 @@ impl Scenario {
     /// a seed-placed flash crowd, 3 s fault horizon + 3 s settle, tight
     /// heartbeats. One case runs in tens of milliseconds.
     pub fn quick(session_seed: u64) -> Self {
+        // The burst lands somewhere inside the fault horizon so the
+        // explorer composes it with outages in seed-varied phases.
+        let burst_at = SimTime::from_millis(700 + (session_seed % 5) * 300);
+        let (horizon, settle) = (SimTime::from_secs(3), SimDuration::from_secs(3));
         Scenario {
             session_seed,
-            students_per_campus: 1,
-            remote_learners: 2,
-            burst_learners: 6,
-            // The burst lands somewhere inside the fault horizon so the
-            // explorer composes it with outages in seed-varied phases.
-            burst_at: SimTime::from_millis(700 + (session_seed % 5) * 300),
-            horizon: SimTime::from_secs(3),
-            settle: SimDuration::from_secs(3),
+            spec: classic(1, 2, 6, burst_at, horizon + settle),
+            burst_at,
+            horizon,
+            settle,
             probe_every: SimDuration::from_millis(100),
             warmup: SimTime::from_millis(700),
             heartbeat: HeartbeatConfig {
@@ -81,31 +125,54 @@ impl Scenario {
                 hold: SimDuration::from_millis(200),
             },
             max_windows: 4,
-            pooled_members: 0,
             engine: EngineConfig::default(),
-            spec: None,
         }
     }
 
-    /// Full-sized scenario: more students, a longer horizon, and the default
-    /// (production) heartbeat tuning.
+    /// Full-sized scenario: 4 students per campus, a 4+12 remote cohort, a
+    /// longer horizon, and the default (production) heartbeat tuning.
     pub fn full(session_seed: u64) -> Self {
+        let burst_at = SimTime::from_secs(2) + SimDuration::from_secs(session_seed % 4);
+        let (horizon, settle) = (SimTime::from_secs(8), SimDuration::from_secs(6));
         Scenario {
             session_seed,
-            students_per_campus: 4,
-            remote_learners: 4,
-            burst_learners: 12,
-            burst_at: SimTime::from_secs(2) + SimDuration::from_secs(session_seed % 4),
-            horizon: SimTime::from_secs(8),
-            settle: SimDuration::from_secs(6),
+            spec: classic(4, 4, 12, burst_at, horizon + settle),
+            burst_at,
+            horizon,
+            settle,
             probe_every: SimDuration::from_millis(200),
             warmup: SimTime::from_secs(2),
             heartbeat: HeartbeatConfig::default(),
             max_windows: 6,
-            pooled_members: 0,
             engine: EngineConfig::default(),
-            spec: None,
         }
+    }
+
+    /// Lands a flyweight pooled audience of `members` with the burst, as
+    /// the spec's `stress.population` (0 adds none): East Asia, residential
+    /// access, arrivals spread over 300 ms around `burst_at`, so fault
+    /// schedules compose with aggregate admission the way they do with
+    /// individual joins. One tracer keeps the fully simulated path (and the
+    /// AdmittedLiveness oracle) engaged. Replaces any population the spec
+    /// declared.
+    pub fn add_pool(&mut self, members: u64) {
+        if members == 0 {
+            return;
+        }
+        let population = PopulationSpec {
+            region: Region::EastAsia,
+            members,
+            tracers: 1,
+            access: LinkClass::ResidentialAccess,
+            at_ms: ms(self.burst_at),
+            spread_ms: 300,
+        };
+        let stress = self.spec.stress.get_or_insert(StressSpec {
+            flash_crowd: None,
+            population: None,
+            faults: None,
+        });
+        stress.population = Some(population);
     }
 
     /// The overload tuning the checked session runs under: tight enough
@@ -122,62 +189,25 @@ impl Scenario {
         cfg
     }
 
-    /// Builds the session and its precomputed layout.
+    /// Builds the session and its precomputed layout: the spec expanded at
+    /// the session seed on the scenario's engine, under the tight server
+    /// and client tuning. The spec's stress faults are not applied here; the
+    /// explorer takes them from [`ScenarioSpec::fault_windows`] and composes
+    /// them with its generated schedules, so the shrinker sees them.
     pub fn build(&self) -> (ClassroomSession, Topology) {
         let mut cfg = SessionConfig::default();
         cfg.server.heartbeat = self.heartbeat;
         cfg.server.overload = self.overload();
         cfg.client.heartbeat = self.heartbeat;
-        cfg.client.clock_probe_interval = if self.heartbeat.interval < SimDuration::from_millis(100)
-        {
-            self.heartbeat.interval
-        } else {
-            SimDuration::from_millis(100)
-        };
-        // A workload spec replaces the classic deployment wholesale (its
-        // campuses, cohorts, mobility, and flash-crowd/population overlays);
-        // the tight tuning above still applies so detection and resync fit
-        // the exploration time bounds. Spec stress faults are NOT applied
-        // here — the explorer takes them from `ScenarioSpec::fault_windows`
-        // and composes them with its generated schedules (so the shrinker
-        // sees them).
-        let mut builder = match &self.spec {
-            Some(spec) => spec
-                .session_builder(self.session_seed)
-                .engine_config(self.engine)
-                .server_config(cfg.server)
-                .client_config(cfg.client),
-            None => SessionBuilder::new()
-                .seed(self.session_seed)
-                .engine_config(self.engine)
-                .activity(Activity::Lecture)
-                .server_config(cfg.server)
-                .client_config(cfg.client)
-                .campus("CWB", Region::EastAsia, self.students_per_campus, true)
-                .campus("GZ", Region::EastAsia, self.students_per_campus, false)
-                .remote_cohort(Region::EastAsia, self.remote_learners, LinkClass::ResidentialAccess)
-                .remote_cohort_joining(
-                    Region::EastAsia,
-                    self.burst_learners,
-                    LinkClass::ResidentialAccess,
-                    SimDuration::from_nanos(self.burst_at.as_nanos()),
-                    SimDuration::ZERO,
-                ),
-        };
-        if self.pooled_members > 0 {
-            // The pool's flash crowd lands with the individual burst, so
-            // fault schedules compose with aggregate admission the same way
-            // they do with individual joins. One tracer keeps the fully
-            // simulated path (and the AdmittedLiveness oracle) engaged.
-            builder = builder.population(
-                Region::EastAsia,
-                self.pooled_members,
-                1,
-                LinkClass::ResidentialAccess,
-                PopulationProfile::flash_crowd(self.burst_at, SimDuration::from_millis(300)),
-            );
-        }
-        let session = builder.build();
+        cfg.client.clock_probe_interval =
+            self.heartbeat.interval.min(SimDuration::from_millis(100));
+        let session = self
+            .spec
+            .session_builder(self.session_seed)
+            .engine_config(self.engine)
+            .server_config(cfg.server)
+            .client_config(cfg.client)
+            .build();
         let topology = Topology::of(&session);
         (session, topology)
     }
@@ -333,10 +363,17 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_netsim::FaultWindow;
+    use metaclass_netsim::{FaultWindow, PopulationTimeline};
 
     #[test]
     fn topology_covers_every_node_and_numbers_avatars_by_campus() {
+        // Both classic deployments, pooled or not, are specs the loader
+        // would accept.
+        for mut scn in [Scenario::quick(42), Scenario::full(42)] {
+            scn.spec.validate().unwrap_or_else(|e| panic!("classic spec: {e}"));
+            scn.add_pool(PopulationTimeline::MAX_MEMBERS);
+            scn.spec.validate().unwrap_or_else(|e| panic!("pooled classic spec: {e}"));
+        }
         let scn = Scenario::quick(42);
         let (session, topo) = scn.build();
         assert_eq!(topo.edges.len(), 2);
@@ -347,8 +384,8 @@ mod tests {
         assert_eq!(topo.campus_avatars[0], vec![AvatarId(0), AvatarId(1)]);
         assert_eq!(topo.campus_avatars[1], vec![AvatarId(1000)]);
         assert_eq!(topo.remote_avatars_for(1), vec![AvatarId(0), AvatarId(1)]);
-        // Steady cohort + flash crowd, numbered from 10_000.
-        assert_eq!(topo.remote_clients.len() as u32, scn.remote_learners + scn.burst_learners);
+        // Steady cohort (2) + flash crowd (6), numbered from 10_000.
+        assert_eq!(topo.remote_clients.len(), 8);
         assert_eq!(topo.remote_clients[0].0, AvatarId(10_000));
     }
 
@@ -367,15 +404,11 @@ mod tests {
     #[test]
     fn pooled_scenario_covers_pool_nodes_and_keeps_splits_full() {
         let mut scn = Scenario::quick(4);
-        scn.pooled_members = 12;
+        scn.add_pool(12);
         let (session, topo) = scn.build();
         assert_eq!(topo.pool_nodes.len(), 1);
         assert_eq!(topo.pooled_members, 11, "one member is promoted to a tracer");
-        assert_eq!(
-            topo.remote_clients.len() as u32,
-            scn.remote_learners + scn.burst_learners + 1,
-            "the tracer counts as a remote client"
-        );
+        assert_eq!(topo.remote_clients.len(), 2 + 6 + 1, "the tracer counts as a remote client");
         let n = session.sim().node_count();
         for split in &topo.splits {
             assert_eq!(split.iter().map(Vec::len).sum::<usize>(), n, "split must cover every node");
@@ -428,7 +461,7 @@ for_ms = 300
     fn spec_driven_scenario_generalizes_topology_and_splits() {
         let spec = ScenarioSpec::from_toml_str(THREE_CAMPUS).unwrap();
         let mut scn = Scenario::quick(5);
-        scn.spec = Some(spec.clone());
+        scn.spec = spec.clone();
         let (session, topo) = scn.build();
         assert_eq!(topo.edges.len(), 3);
         let n = session.sim().node_count();

@@ -90,7 +90,7 @@ fn stress_spec_passes_every_simcheck_oracle_on_both_engines() {
     for engine in [EngineConfig::serial(), EngineConfig::sharded(4)] {
         let mut scn = Scenario::quick(GOLDEN_SEED);
         scn.engine = engine;
-        scn.spec = Some(spec.clone());
+        scn.spec = spec.clone();
         let (session, _) = scn.build();
         let windows = spec.fault_windows(&session);
         assert_eq!(windows.len(), 2, "both scripted faults lower to fault windows");
