@@ -37,7 +37,6 @@ struct Args {
     json: bool,
     list: bool,
     engine: EngineConfig,
-    population: Option<u64>,
     validate: Vec<String>,
     scenarios: Vec<String>,
 }
@@ -50,7 +49,7 @@ fn usage() -> ! {
          \x20      bench --validate FILE...\n\
          \x20      bench verify [--bless]\n\
          \x20      bench simcheck [--seed N] [--cases N] [--full] [--write DIR] [--engine E]\n\
-         \x20                     [--scenario FILE]\n\
+         \x20                     [--pooled N] [--scenario FILE]\n\
          \n\
          \x20 --exp <id|all>   experiment to sweep (e1..e15), or every one\n\
          \x20 --scenario FILE  sweep a TOML workload spec (repeatable)\n\
@@ -60,7 +59,6 @@ fn usage() -> ! {
          \x20 --json           write results/BENCH_<exp>.json\n\
          \x20 --engine E       simulation executor: serial | sharded | sharded:<n>\n\
          \x20                  (byte-identical results either way; default serial)\n\
-         \x20 --population N   pooled planet-tier population override (E3/E4)\n\
          \x20 --list           list registered experiments + scenarios/ specs\n\
          \x20 --validate       check BENCH_*.json documents and *.toml scenario\n\
          \x20                  specs (dispatched by extension)\n\
@@ -81,7 +79,6 @@ fn parse_args() -> Args {
         json: false,
         list: false,
         engine: EngineConfig::default(),
-        population: None,
         validate: Vec::new(),
         scenarios: Vec::new(),
     };
@@ -119,15 +116,6 @@ fn parse_args() -> Args {
                         std::process::exit(2);
                     }
                 }
-            }
-            "--population" => {
-                let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-                let max = metaclass_netsim::PopulationTimeline::MAX_MEMBERS;
-                if n == 0 || n > max {
-                    eprintln!("--population must be in 1..={max}");
-                    std::process::exit(2);
-                }
-                args.population = Some(n);
             }
             "--scenario" => args.scenarios.push(it.next().unwrap_or_else(|| usage())),
             "--validate" => {
@@ -288,9 +276,7 @@ fn main() -> ExitCode {
     }
 
     for exp in targets {
-        let cfg = SweepConfig::first_n(args.seeds, args.jobs, scale)
-            .with_engine(args.engine)
-            .with_population(args.population);
+        let cfg = SweepConfig::first_n(args.seeds, args.jobs, scale).with_engine(args.engine);
         println!(
             "== {} — {} ({} seeds, {} scale, {} jobs)",
             exp.id(),

@@ -169,13 +169,9 @@ pub fn run(ctx: &RunCtx) -> Outcome {
 
     // Planet tier: per-region pools instead of individual clients. The
     // quick grid already reaches 100k so CI exercises the pooled path at
-    // scale; `--population N` pins the tier to a single population.
-    let planet: Vec<u64> = match ctx.population {
-        Some(n) => vec![n],
-        None if quick => vec![10_000, 100_000],
-        None => vec![10_000, 100_000, 1_000_000],
-    };
-    for &n in &planet {
+    // scale.
+    let planet: &[u64] = if quick { &[10_000, 100_000] } else { &[10_000, 100_000, 1_000_000] };
+    for &n in planet {
         rows.push(measure_pooled(n, secs, ctx));
     }
 
@@ -284,13 +280,5 @@ mod tests {
             large.per_client_kbps
         );
         assert!(small.p99_display_ms > 0.0 && large.p99_display_ms > 0.0);
-    }
-
-    #[test]
-    fn population_override_pins_the_planet_tier() {
-        let out = run(&RunCtx::new(Scale::Quick, 1).with_population(5_000));
-        let pooled: Vec<&Row> = out.rows.iter().filter(|r| r.mode == Mode::Pooled).collect();
-        assert_eq!(pooled.len(), 1);
-        assert_eq!(pooled[0].clients, 5_000);
     }
 }

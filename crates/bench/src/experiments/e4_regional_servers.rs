@@ -305,14 +305,10 @@ pub fn run(ctx: &RunCtx) -> Outcome {
     // Planet tier: the same worldwide audience as flyweight pools. Quick
     // scale keeps one population (100k) so CI stays inside its wall-clock
     // budget while still exercising planet scale on every run.
-    let planet: Vec<u64> = match ctx.population {
-        Some(n) => vec![n],
-        None if quick => vec![100_000],
-        None => vec![10_000, 100_000, 1_000_000],
-    };
+    let planet: &[u64] = if quick { &[100_000] } else { &[10_000, 100_000, 1_000_000] };
     let secs = if quick { 3 } else { 10 };
     let mut pooled_rows = Vec::new();
-    for &n in &planet {
+    for &n in planet {
         pooled_rows.push(measure_pooled(Placement::Central, n, secs, ctx));
         pooled_rows.push(measure_pooled(Placement::Regional, n, secs, ctx));
     }

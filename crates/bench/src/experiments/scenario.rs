@@ -151,8 +151,6 @@ impl Experiment for ScenarioExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
-    use metaclass_netsim::EngineConfig;
 
     const LAB: &str = r#"
 name = "lab_smoke"
@@ -171,16 +169,6 @@ region = "Europe"
 learners = 2
 access = "ResidentialAccess"
 "#;
-
-    #[test]
-    fn scenario_experiments_run_identically_on_both_engines() {
-        let exp = ScenarioExperiment::from_spec(ScenarioSpec::from_toml_str(LAB).unwrap()).unwrap();
-        assert_eq!(exp.id(), "scenario_lab_smoke");
-        let serial = exp.run(&RunCtx::new(Scale::Quick, 3));
-        let sharded = exp.run(&RunCtx::new(Scale::Quick, 3).with_engine(EngineConfig::sharded(4)));
-        assert_eq!(serial.scalars, sharded.scalars);
-        assert!(serial.scalars["events_processed"] > 0.0);
-    }
 
     #[test]
     fn malformed_directory_entries_surface_path_and_line() {

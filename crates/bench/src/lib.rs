@@ -172,27 +172,17 @@ pub struct RunCtx {
     /// affect the report: traces and metrics are byte-identical across
     /// engines.
     pub engine: EngineConfig,
-    /// Override for the modeled population of experiments with a pooled
-    /// planet-scale tier (E3/E4). `None` runs each experiment's built-in
-    /// population grid; `Some(n)` runs the pooled tier at exactly `n`.
-    pub population: Option<u64>,
 }
 
 impl RunCtx {
     /// A run context with the default (serial) engine.
     pub fn new(scale: Scale, seed: u64) -> Self {
-        RunCtx { scale, seed, engine: EngineConfig::default(), population: None }
+        RunCtx { scale, seed, engine: EngineConfig::default() }
     }
 
     /// Returns the context with a different engine configuration.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns the context with a pooled-population override.
-    pub fn with_population(mut self, population: u64) -> Self {
-        self.population = Some(population);
         self
     }
 }

@@ -44,9 +44,6 @@ pub struct SweepConfig {
     /// Simulation engine every run uses. Per-run state, so sweeps with
     /// different engines can execute concurrently in one process.
     pub engine: EngineConfig,
-    /// Pooled-population override forwarded to every run (see
-    /// [`RunCtx::population`]).
-    pub population: Option<u64>,
 }
 
 impl SweepConfig {
@@ -54,24 +51,12 @@ impl SweepConfig {
     /// behaviour) with the given worker count and scale, on the default
     /// serial engine.
     pub fn first_n(n: u64, jobs: usize, scale: Scale) -> Self {
-        SweepConfig {
-            seeds: (1..=n).collect(),
-            jobs,
-            scale,
-            engine: EngineConfig::default(),
-            population: None,
-        }
+        SweepConfig { seeds: (1..=n).collect(), jobs, scale, engine: EngineConfig::default() }
     }
 
     /// Replaces the engine configuration every run uses.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the pooled-population override every run uses.
-    pub fn with_population(mut self, population: Option<u64>) -> Self {
-        self.population = population;
         self
     }
 }
@@ -167,7 +152,7 @@ pub struct SweepOutcome {
 pub fn run_sweep(exp: &dyn Experiment, cfg: &SweepConfig) -> SweepOutcome {
     assert!(!cfg.seeds.is_empty(), "sweep needs at least one seed");
     let reports = parallel_trials(&cfg.seeds, cfg.jobs, |seed| {
-        exp.run(&RunCtx { scale: cfg.scale, seed, engine: cfg.engine, population: cfg.population })
+        exp.run(&RunCtx { scale: cfg.scale, seed, engine: cfg.engine })
     });
 
     // Fold in seed order — never in completion order.
@@ -523,7 +508,6 @@ mod tests {
             jobs: 1,
             scale: Scale::Quick,
             engine: EngineConfig::default(),
-            population: None,
         };
         let json = run_sweep(&Affine, &cfg).doc.to_json_string();
         assert!(json.starts_with("{\n  \"schema_version\": 1,"));

@@ -8,7 +8,6 @@ use metaclass_bench::experiments::{
 };
 use metaclass_bench::sweep::{run_sweep, validate_json, SweepConfig, SCHEMA_VERSION};
 use metaclass_bench::{Experiment, RunCtx, Scale};
-use metaclass_netsim::EngineConfig;
 use proptest::prelude::*;
 
 #[test]
@@ -55,21 +54,21 @@ fn crash_restart_mid_sweep_preserves_jobs_invariance() {
 }
 
 #[test]
-fn scenario_sweeps_are_jobs_and_engine_invariant() {
+fn scenario_sweeps_are_jobs_invariant() {
     // The file-registered canonical lab scenario (mobility script, mixed
     // cohorts) must hold the same bar as E1..E15: its merged document is a
-    // pure function of (experiment, scale, seeds) — never of worker count
-    // or execution engine.
+    // pure function of (experiment, scale, seeds), never of worker count.
+    // Engine invariance is `bench verify`'s: every BENCH_scenario_*.json
+    // under serial, sharded:2 and sharded:4.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/lab.toml");
     let exp = ScenarioExperiment::from_file(&path).expect("canonical lab spec loads");
     assert_eq!(exp.id(), "scenario_lab");
-    let sweep = |jobs, engine| {
-        let cfg = SweepConfig::first_n(4, jobs, Scale::Quick).with_engine(engine);
+    let sweep = |jobs| {
+        let cfg = SweepConfig::first_n(4, jobs, Scale::Quick);
         run_sweep(&exp, &cfg).doc.to_json_string()
     };
-    let serial = sweep(1, EngineConfig::serial());
-    assert_eq!(serial, sweep(4, EngineConfig::serial()), "--jobs must not change a byte");
-    assert_eq!(serial, sweep(4, EngineConfig::sharded(4)), "engine must not change a byte");
+    let serial = sweep(1);
+    assert_eq!(serial, sweep(4), "--jobs must not change a byte");
     let doc = validate_json(&serial).expect("scenario sweep document validates");
     assert_eq!(doc.experiment, "scenario_lab");
 }

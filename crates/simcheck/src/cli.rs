@@ -4,16 +4,17 @@
 //! against the two-campus session spec with the standard oracle set. Output
 //! is a pure function of the flags — byte-identical across reruns — and the
 //! exit code is 0 only when every case passes every oracle. `--write DIR`
-//! saves each shrunk violation as a replayable regression-case JSON.
+//! saves each shrunk violation, with the workload it was found on, as a
+//! replayable regression-case JSON.
 
 use std::io::{self, Write};
 use std::path::Path;
 
-use metaclass_core::ScenarioSpec;
-use metaclass_netsim::{EngineConfig, PopulationTimeline};
+use metaclass_core::{ScenarioError, ScenarioSpec};
 
 use crate::explore::{explore, ExploreConfig, FoundViolation};
 use crate::regress::{RegressionCase, SCHEMA_VERSION};
+use crate::scenario::Scenario;
 
 const USAGE: &str = "usage: bench simcheck [options]
 
@@ -26,8 +27,8 @@ options:
   --pooled N    add a flyweight pooled audience of N members to every
                 case's spec (default 0 = population layer off); refused
                 with a --scenario spec that declares its own population
-  --write DIR   save shrunk violations as regression JSON under DIR
-                (classic sessions only: refused with --pooled or --scenario)
+  --write DIR   save each shrunk violation under DIR as a regression case
+                that replays its workload (scale, pool, spec text)
   --engine E    execution engine: serial | sharded | sharded:<n>
                 (results are byte-identical either way; default serial)
   --scenario F  build every case's session from a TOML workload spec
@@ -44,21 +45,14 @@ fn parse_u64(flag: &str, value: Option<&String>) -> Result<u64, String> {
 #[derive(Debug)]
 struct CliConfig {
     explore: ExploreConfig,
+    /// The `--scenario` file's text, which a written case embeds.
+    scenario_text: Option<String>,
     write_dir: Option<String>,
 }
 
 fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
-    let mut cfg = CliConfig {
-        explore: ExploreConfig {
-            seed: 7,
-            cases: 200,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        },
-        write_dir: None,
-    };
+    let mut cfg =
+        CliConfig { explore: ExploreConfig::default(), scenario_text: None, write_dir: None };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -76,12 +70,7 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
                 i += 1;
             }
             "--pooled" => {
-                let pooled = parse_u64("--pooled", args.get(i + 1))?;
-                let max = PopulationTimeline::MAX_MEMBERS;
-                if pooled > max {
-                    return Err(format!("--pooled: {pooled} exceeds the {max}-member cap"));
-                }
-                cfg.explore.pooled = pooled;
+                cfg.explore.pooled = parse_u64("--pooled", args.get(i + 1))?;
                 i += 2;
             }
             "--write" => {
@@ -101,56 +90,45 @@ fn parse(args: &[String]) -> Result<Option<CliConfig>, String> {
             }
             "--scenario" => {
                 let path = args.get(i + 1).ok_or("--scenario needs a file")?;
-                let spec = ScenarioSpec::load(Path::new(path)).map_err(|e| e.to_string())?;
-                if spec.campuses.is_empty() {
-                    return Err(format!(
-                        "--scenario: `{}` has no campuses; simcheck needs at least one \
-                         edge–cloud link to fault",
-                        spec.name
-                    ));
-                }
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("{path}: cannot read: {e}"))?;
+                let spec = ScenarioSpec::from_toml_str(&text)
+                    .map_err(|e| ScenarioError { path: Some(path.clone()), ..e }.to_string())?;
                 cfg.explore.scenario = Some(spec);
+                cfg.scenario_text = Some(text);
                 i += 2;
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
     let explore = &cfg.explore;
-    if let Some(spec) = &explore.scenario {
-        if explore.pooled > 0 && spec.stress.as_ref().is_some_and(|s| s.population.is_some()) {
-            return Err(format!(
-                "--pooled: `{}` declares its own stress.population; a session has one",
-                spec.name
-            ));
-        }
-    }
-    if cfg.write_dir.is_some() && (explore.pooled > 0 || explore.scenario.is_some()) {
-        return Err("--write: a saved case replays the classic pool-free session, so it \
-                    cannot record a --pooled or --scenario workload"
-            .into());
-    }
+    Scenario::new(explore.quick, 0, explore.scenario.clone(), explore.pooled)?;
     Ok(Some(cfg))
 }
 
-fn regression_for(v: &FoundViolation, quick: bool) -> RegressionCase {
+fn regression_for(v: &FoundViolation, cfg: &CliConfig) -> RegressionCase {
     RegressionCase {
         schema_version: SCHEMA_VERSION,
         description: format!(
             "shrunk from explorer case {}: {} ({})",
             v.case_index, v.violation.oracle, v.violation.detail
         ),
-        quick,
+        quick: cfg.explore.quick,
+        pooled: cfg.explore.pooled,
+        scenario: cfg.scenario_text.clone(),
         session_seed: v.session_seed,
         windows: v.minimal.clone(),
         expect_violation: Some(v.violation.oracle.to_string()),
     }
 }
 
-fn write_cases(dir: &str, cases: &[(String, RegressionCase)]) -> Result<(), String> {
+/// Writes each violation as `shrunk-seed<S>-case<N>.json` under `dir`.
+fn write_cases(dir: &str, cfg: &CliConfig, violations: &[FoundViolation]) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
-    for (name, case) in cases {
+    for v in violations {
+        let name = format!("shrunk-seed{}-case{}.json", cfg.explore.seed, v.case_index);
         let path = Path::new(dir).join(name);
-        std::fs::write(&path, case.to_json() + "\n")
+        std::fs::write(&path, regression_for(v, cfg).to_json() + "\n")
             .map_err(|e| format!("write {}: {e}", path.display()))?;
     }
     Ok(())
@@ -192,7 +170,13 @@ pub fn run_to(args: &[String], out: &mut impl Write) -> io::Result<i32> {
         "simcheck: seed {} cases {} scale {scale}{pooled}{scenario}",
         cfg.explore.seed, cfg.explore.cases
     )?;
-    let outcome = explore(&cfg.explore);
+    let outcome = match explore(&cfg.explore) {
+        Ok(outcome) => outcome,
+        Err(err) => {
+            eprintln!("simcheck: {err}");
+            return Ok(2);
+        }
+    };
     writeln!(
         out,
         "simcheck: {} clean / {} cases, fingerprint {}",
@@ -201,7 +185,6 @@ pub fn run_to(args: &[String], out: &mut impl Write) -> io::Result<i32> {
         outcome.fingerprint_hex()
     )?;
 
-    let mut files = Vec::new();
     for v in &outcome.violations {
         writeln!(
             out,
@@ -213,17 +196,13 @@ pub fn run_to(args: &[String], out: &mut impl Write) -> io::Result<i32> {
             2 * v.minimal.len(),
             v.shrink_runs
         )?;
-        files.push((
-            format!("shrunk-seed{}-case{}.json", cfg.explore.seed, v.case_index),
-            regression_for(v, cfg.explore.quick),
-        ));
     }
     if let Some(dir) = &cfg.write_dir {
-        if let Err(err) = write_cases(dir, &files) {
+        if let Err(err) = write_cases(dir, &cfg, &outcome.violations) {
             eprintln!("simcheck: {err}");
             return Ok(2);
         }
-        writeln!(out, "simcheck: wrote {} regression case(s) to {dir}", files.len())?;
+        writeln!(out, "simcheck: wrote {} regression case(s) to {dir}", outcome.violations.len())?;
     }
     if outcome.violations.is_empty() {
         writeln!(out, "simcheck: OK")?;
@@ -245,6 +224,10 @@ pub fn run_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore_with, run_plan};
+    use crate::oracle::Oracle;
+    use crate::oracles::standard_oracles;
+    use metaclass_netsim::{EngineConfig, PopulationTimeline, SimEvent, SimView};
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -327,18 +310,63 @@ mod tests {
         assert_eq!(code, 2);
     }
 
-    #[test]
-    fn write_refuses_workloads_a_regression_case_cannot_replay() {
-        let dir = std::env::temp_dir().join(format!("simcheck_write_{}", std::process::id()));
-        let dir = dir.to_str().unwrap();
-        let stress = format!("{}/../../scenarios/stress.toml", env!("CARGO_MANIFEST_DIR"));
-        for extra in [&["--pooled", "12"][..], &["--scenario", &stress]] {
-            let args = [&["--cases", "1", "--write", dir][..], extra].concat();
-            let err = parse(&argv(&args)).unwrap_err();
-            assert!(err.starts_with("--write: a saved case replays the classic"), "{err}");
-            assert_eq!(run_cli(&argv(&args)), 2);
+    /// Fires when any fault window opens, so every explored case fails
+    /// whether or not its workload has an open bug.
+    struct AnyFault;
+
+    impl Oracle for AnyFault {
+        fn name(&self) -> &'static str {
+            "any-fault"
         }
-        assert!(parse(&argv(&["--write", dir, "--pooled", "0"])).is_ok());
-        assert!(!std::path::Path::new(dir).exists(), "a refused run writes nothing");
+
+        fn on_sim_event(&mut self, _: &SimView<'_>, event: &SimEvent<'_>) -> Result<(), String> {
+            match event {
+                SimEvent::Fault { .. } => Err("a fault window opened".into()),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    /// `--write` saves a case for every workload kind, and the case
+    /// rebuilds its workload and replays to the verdict the explorer saw,
+    /// on serial and on `sharded:4`.
+    #[test]
+    fn written_cases_replay_their_workload_on_both_engines() {
+        let factory = |scn: &Scenario| -> Vec<Box<dyn Oracle>> {
+            let mut oracles = standard_oracles(scn);
+            oracles.push(Box::new(AnyFault));
+            oracles
+        };
+        let dir = std::env::temp_dir().join(format!("simcheck_write_{}", std::process::id()));
+        let stress = format!("{}/../../scenarios/stress.toml", env!("CARGO_MANIFEST_DIR"));
+        let workloads = [
+            ("classic", &[][..]),
+            ("pooled", &["--pooled", "40"][..]),
+            ("scenario", &["--scenario", &stress][..]),
+        ];
+        for (kind, extra) in workloads {
+            let kind_dir = dir.join(kind);
+            let write = ["--cases", "2", "--write", kind_dir.to_str().unwrap()];
+            let cfg = parse(&argv(&[&write[..], extra].concat())).unwrap().unwrap();
+            let outcome = explore_with(&cfg.explore, &factory).unwrap();
+            assert_eq!(outcome.violations.len(), 2, "{kind}: every case opens a fault");
+            write_cases(cfg.write_dir.as_deref().unwrap(), &cfg, &outcome.violations).unwrap();
+            for v in &outcome.violations {
+                let name = format!("shrunk-seed7-case{}.json", v.case_index);
+                let json = std::fs::read_to_string(kind_dir.join(&name)).unwrap();
+                let case = RegressionCase::from_json(&json).unwrap();
+                assert_eq!(case.pooled, cfg.explore.pooled, "{kind}");
+                assert_eq!(case.scenario, cfg.scenario_text, "{kind}");
+                assert_eq!(case.expect_violation.as_deref(), Some(v.violation.oracle));
+                for engine in [EngineConfig::serial(), EngineConfig::sharded(4)] {
+                    let mut scn = case.scenario().unwrap();
+                    scn.engine = engine;
+                    let replay = run_plan(&scn, &case.windows, factory(&scn)).violation;
+                    let verdict = replay.map(|x| x.oracle);
+                    assert_eq!(verdict, Some(v.violation.oracle), "{kind} {name} on {engine:?}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

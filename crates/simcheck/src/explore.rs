@@ -5,7 +5,8 @@
 //! slices. [`explore`] samples random schedules case after case from a seed;
 //! on violation, [`shrink`] minimizes the schedule while preserving the
 //! failure signature (the violated oracle's name): first dropping whole
-//! windows to 1-minimality, then halving the survivors' durations.
+//! windows to 1-minimality (down to none, for a failure no fault causes),
+//! then halving the survivors' durations.
 //!
 //! Everything is a pure function of the seed — no wall clock, no ambient
 //! randomness — so `explore` output is byte-identical across reruns.
@@ -92,7 +93,8 @@ pub fn run_plan(
 /// Minimizes `windows` while the run keeps violating the oracle named
 /// `target`. Returns the minimal schedule and how many verification runs
 /// were spent. The result is 1-minimal at window granularity: removing any
-/// single remaining window no longer reproduces the failure.
+/// single remaining window no longer reproduces the failure. A failure that
+/// needs no fault at all shrinks to the empty schedule.
 pub fn shrink(
     scn: &Scenario,
     windows: Vec<FaultWindow>,
@@ -114,7 +116,7 @@ pub fn shrink(
     loop {
         let mut reduced = false;
         let mut i = 0;
-        while i < current.len() && current.len() > 1 {
+        while i < current.len() {
             let mut candidate = current.clone();
             candidate.remove(i);
             if fails(&candidate, &mut runs) {
@@ -124,7 +126,7 @@ pub fn shrink(
                 i += 1;
             }
         }
-        if !reduced || current.len() == 1 {
+        if !reduced || current.is_empty() {
             break;
         }
     }
@@ -166,6 +168,21 @@ pub struct ExploreConfig {
     pub scenario: Option<ScenarioSpec>,
 }
 
+impl Default for ExploreConfig {
+    /// `bench simcheck` with no flags: seed 7, 200 quick cases of the
+    /// classic spec, no pool, on the serial engine.
+    fn default() -> Self {
+        ExploreConfig {
+            seed: 7,
+            cases: 200,
+            quick: true,
+            pooled: 0,
+            engine: EngineConfig::default(),
+            scenario: None,
+        }
+    }
+}
+
 /// One caught-and-shrunk violation.
 #[derive(Debug)]
 pub struct FoundViolation {
@@ -205,27 +222,30 @@ impl ExploreOutcome {
 }
 
 /// Explores `cfg.cases` random schedules with the standard oracle set.
-pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
+///
+/// # Errors
+///
+/// A workload [`Scenario::new`] rejects, before any case runs.
+pub fn explore(cfg: &ExploreConfig) -> Result<ExploreOutcome, String> {
     explore_with(cfg, &crate::oracles::standard_oracles)
 }
 
 /// Explores with a caller-supplied oracle factory (used by tests to plant a
 /// deliberately broken invariant and watch it get caught and shrunk).
+///
+/// # Errors
+///
+/// A workload [`Scenario::new`] rejects, before any case runs.
 pub fn explore_with(
     cfg: &ExploreConfig,
     factory: &dyn Fn(&Scenario) -> Vec<Box<dyn Oracle>>,
-) -> ExploreOutcome {
+) -> Result<ExploreOutcome, String> {
     let mut fingerprint = Fnv1a::new();
     let mut clean = 0u32;
     let mut violations = Vec::new();
     for case in 0..cfg.cases {
         let session_seed = mix(cfg.seed, 0x51C4 ^ u64::from(case));
-        let mut scn =
-            if cfg.quick { Scenario::quick(session_seed) } else { Scenario::full(session_seed) };
-        if let Some(spec) = &cfg.scenario {
-            scn.spec = spec.clone();
-        }
-        scn.add_pool(cfg.pooled);
+        let mut scn = Scenario::new(cfg.quick, session_seed, cfg.scenario.clone(), cfg.pooled)?;
         scn.engine = cfg.engine;
         let (session, topo) = scn.build();
         let space = scn.plan_space(&topo);
@@ -258,7 +278,7 @@ pub fn explore_with(
             }
         }
     }
-    ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint: fingerprint.finish() }
+    Ok(ExploreOutcome { cases: cfg.cases, clean, violations, fingerprint: fingerprint.finish() })
 }
 
 #[cfg(test)]
@@ -276,26 +296,12 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic() {
-        let cfg = ExploreConfig {
-            seed: 7,
-            cases: 3,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        };
-        let a = explore(&cfg);
-        let b = explore(&cfg);
+        let cfg = ExploreConfig { cases: 3, ..ExploreConfig::default() };
+        let a = explore(&cfg).unwrap();
+        let b = explore(&cfg).unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.clean, b.clean);
-        let c = explore(&ExploreConfig {
-            seed: 8,
-            cases: 3,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        });
+        let c = explore(&ExploreConfig { seed: 8, ..cfg }).unwrap();
         assert_ne!(a.fingerprint, c.fingerprint, "different seeds explore differently");
     }
 
@@ -308,15 +314,8 @@ mod tests {
             oracles.push(Box::new(CanaryOracle { trip_code: 1 })); // LinkDown
             oracles
         };
-        let cfg = ExploreConfig {
-            seed: 7,
-            cases: 20,
-            quick: true,
-            pooled: 0,
-            engine: EngineConfig::default(),
-            scenario: None,
-        };
-        let out = explore_with(&cfg, &factory);
+        let cfg = ExploreConfig { cases: 20, ..ExploreConfig::default() };
+        let out = explore_with(&cfg, &factory).unwrap();
         let caught: Vec<_> =
             out.violations.iter().filter(|v| v.violation.oracle == "canary").collect();
         assert!(!caught.is_empty(), "20 cases never drew a link flap");
@@ -327,5 +326,32 @@ mod tests {
             let replay = run_plan(&scn, &v.minimal, factory(&scn));
             assert_eq!(replay.violation.map(|x| x.oracle), Some("canary"));
         }
+    }
+
+    /// Fires at the first probe of every run, whatever the schedule.
+    struct AlwaysFires;
+
+    impl Oracle for AlwaysFires {
+        fn name(&self) -> &'static str {
+            "always"
+        }
+
+        fn on_probe(&mut self, _probe: &Probe<'_>) -> Result<(), String> {
+            Err("fires with or without faults".into())
+        }
+    }
+
+    /// A failure no fault causes shrinks to the empty schedule, not to one
+    /// unrelated surviving window.
+    #[test]
+    fn a_fault_free_failure_shrinks_to_no_windows() {
+        let scn = Scenario::quick(7);
+        let (_, topo) = scn.build();
+        let windows = generate_windows(&scn.plan_space(&topo), &mut DetRng::new(7), 4);
+        assert!(!windows.is_empty());
+        let factory = |_: &Scenario| -> Vec<Box<dyn Oracle>> { vec![Box::new(AlwaysFires)] };
+        let (minimal, runs) = shrink(&scn, windows.clone(), "always", &factory, 64);
+        assert!(minimal.is_empty(), "shrunk {} -> {} windows", windows.len(), minimal.len());
+        assert_eq!(runs as usize, windows.len(), "one removal per window, each still failing");
     }
 }

@@ -8,7 +8,9 @@
 //! It is sized for throughput (one student per campus at quick scale) and
 //! run with tight heartbeat tuning so detection, hold/freeze, and resync all
 //! fit inside a seconds-long run. `bench simcheck --scenario` swaps in a
-//! spec from a file under the same tuning.
+//! spec from a file under the same tuning. [`Scenario::new`] is the one
+//! constructor of a checked session, for the explorer and a replayed
+//! regression case alike.
 
 use metaclass_avatar::AvatarId;
 use metaclass_core::{
@@ -16,7 +18,9 @@ use metaclass_core::{
     ScenarioPattern, ScenarioSpec, SessionConfig, StressSpec,
 };
 use metaclass_edge::{HeartbeatConfig, OverloadConfig};
-use metaclass_netsim::{EngineConfig, LinkClass, NodeId, Region, SimDuration, SimTime};
+use metaclass_netsim::{
+    EngineConfig, LinkClass, NodeId, PopulationTimeline, Region, SimDuration, SimTime,
+};
 
 use crate::plan::PlanSpace;
 
@@ -102,6 +106,49 @@ fn classic(
 }
 
 impl Scenario {
+    /// The checked session of one workload: [`Scenario::quick`] or
+    /// [`Scenario::full`] at `session_seed`, with `spec` (when given) in
+    /// place of the classic spec and a pooled audience of `pooled` members
+    /// ([`Scenario::add_pool`]). The explorer builds every case with it and
+    /// a [`RegressionCase`](crate::RegressionCase) replays through it, so a
+    /// saved case rebuilds the session it was found on.
+    ///
+    /// # Errors
+    ///
+    /// A pool over [`PopulationTimeline::MAX_MEMBERS`], a spec without
+    /// campuses (nothing to fault between edge and cloud), or a pool on a
+    /// spec that declares its own `stress.population`.
+    pub fn new(
+        quick: bool,
+        session_seed: u64,
+        spec: Option<ScenarioSpec>,
+        pooled: u64,
+    ) -> Result<Scenario, String> {
+        let max = PopulationTimeline::MAX_MEMBERS;
+        if pooled > max {
+            return Err(format!("pooled: {pooled} exceeds the {max}-member cap"));
+        }
+        let mut scn = if quick { Self::quick(session_seed) } else { Self::full(session_seed) };
+        if let Some(spec) = spec {
+            if spec.campuses.is_empty() {
+                return Err(format!(
+                    "scenario: `{}` has no campuses; simcheck needs at least one edge–cloud \
+                     link to fault",
+                    spec.name
+                ));
+            }
+            if pooled > 0 && spec.stress.as_ref().is_some_and(|s| s.population.is_some()) {
+                return Err(format!(
+                    "pooled: `{}` declares its own stress.population; a session has one",
+                    spec.name
+                ));
+            }
+            scn.spec = spec;
+        }
+        scn.add_pool(pooled);
+        Ok(scn)
+    }
+
     /// Test-sized scenario: 1 student per campus, a 2+6 remote cohort with
     /// a seed-placed flash crowd, 3 s fault horizon + 3 s settle, tight
     /// heartbeats. One case runs in tens of milliseconds.
@@ -363,7 +410,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaclass_netsim::{FaultWindow, PopulationTimeline};
+    use metaclass_netsim::FaultWindow;
 
     #[test]
     fn topology_covers_every_node_and_numbers_avatars_by_campus() {
